@@ -15,7 +15,7 @@
 //! The module also implements the derived notions of §3: `Opseq`,
 //! `Serial(H,T)`, `permanent(H)`, `precedes(H)` and `Commit-order(H)`.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use crate::adt::{Adt, Op};
@@ -196,11 +196,65 @@ impl std::error::Error for WfError {}
 /// [`History::push`], which rejects ill-formed extensions.
 pub struct History<A: Adt> {
     events: Vec<Event<A>>,
+    /// What [`check_extension`](Self::check_extension) needs to know of the
+    /// past, per transaction — a function of `events`, kept in step by
+    /// `push` and `truncate` so that neither rescans the event list.
+    index: BTreeMap<TxnId, TxnWf>,
+}
+
+/// One transaction's well-formedness state.
+#[derive(Clone, Default)]
+struct TxnWf {
+    /// Positions in `events` of the transaction's `Invoke`s, in order.
+    invokes: Vec<usize>,
+    /// Whether the last of `invokes` still waits for its `Respond`.
+    pending: bool,
+    /// Objects with a `Commit` event of the transaction.
+    committed_at: BTreeSet<ObjectId>,
+    /// Objects with an `Abort` event of the transaction.
+    aborted_at: BTreeSet<ObjectId>,
+}
+
+impl TxnWf {
+    /// Account for `e`, a well-formed extension landing at position `at`.
+    fn apply<A: Adt>(&mut self, at: usize, e: &Event<A>) {
+        match e {
+            Event::Invoke { .. } => {
+                self.invokes.push(at);
+                self.pending = true;
+            }
+            Event::Respond { .. } => self.pending = false,
+            Event::Commit { obj, .. } => {
+                self.committed_at.insert(*obj);
+            }
+            Event::Abort { obj, .. } => {
+                self.aborted_at.insert(*obj);
+            }
+        }
+    }
+
+    /// Exact inverse of [`apply`](Self::apply) for the transaction's most
+    /// recent event.
+    fn undo<A: Adt>(&mut self, e: &Event<A>) {
+        match e {
+            Event::Invoke { .. } => {
+                self.invokes.pop();
+                self.pending = false;
+            }
+            Event::Respond { .. } => self.pending = true,
+            Event::Commit { obj, .. } => {
+                self.committed_at.remove(obj);
+            }
+            Event::Abort { obj, .. } => {
+                self.aborted_at.remove(obj);
+            }
+        }
+    }
 }
 
 impl<A: Adt> Clone for History<A> {
     fn clone(&self) -> Self {
-        History { events: self.events.clone() }
+        History { events: self.events.clone(), index: self.index.clone() }
     }
 }
 
@@ -220,7 +274,17 @@ impl<A: Adt> Default for History<A> {
 impl<A: Adt> History<A> {
     /// The empty history Λ.
     pub fn new() -> Self {
-        History { events: Vec::new() }
+        History { events: Vec::new(), index: BTreeMap::new() }
+    }
+
+    /// Wrap events already known to be well-formed (a projection or a
+    /// reordering by transaction of a history), indexing them in one pass.
+    fn indexed(events: Vec<Event<A>>) -> Self {
+        let mut index: BTreeMap<TxnId, TxnWf> = BTreeMap::new();
+        for (at, e) in events.iter().enumerate() {
+            index.entry(e.txn()).or_default().apply(at, e);
+        }
+        History { events, index }
     }
 
     /// Build a history from events, validating well-formedness.
@@ -250,6 +314,7 @@ impl<A: Adt> History<A> {
     /// Append an event, enforcing the well-formedness constraints.
     pub fn push(&mut self, e: Event<A>) -> Result<(), WfError> {
         self.check_extension(&e)?;
+        self.index.entry(e.txn()).or_default().apply(self.events.len(), &e);
         self.events.push(e);
         Ok(())
     }
@@ -280,14 +345,16 @@ impl<A: Adt> History<A> {
     /// Whether `e` is a well-formed extension of this history.
     pub fn check_extension(&self, e: &Event<A>) -> Result<(), WfError> {
         let txn = e.txn();
-        let committed = self.committed().contains(&txn);
-        let aborted = self.aborted().contains(&txn);
+        let wf = self.index.get(&txn);
+        let committed = wf.is_some_and(|w| !w.committed_at.is_empty());
+        let aborted = wf.is_some_and(|w| !w.aborted_at.is_empty());
+        let pending = wf.is_some_and(|w| w.pending);
         match e {
             Event::Invoke { .. } => {
                 if committed || aborted {
                     return Err(WfError::EventAfterCompletion { txn });
                 }
-                if self.pending_invocation(txn).is_some() {
+                if pending {
                     return Err(WfError::OverlappingInvocation { txn });
                 }
             }
@@ -304,10 +371,10 @@ impl<A: Adt> History<A> {
                 if aborted {
                     return Err(WfError::CommitAndAbort { txn });
                 }
-                if self.pending_invocation(txn).is_some() {
+                if pending {
                     return Err(WfError::CommitWhilePending { txn });
                 }
-                if self.committed_at(txn, *obj) {
+                if wf.is_some_and(|w| w.committed_at.contains(obj)) {
                     return Err(WfError::DuplicateCompletion { txn, obj: *obj });
                 }
             }
@@ -315,7 +382,7 @@ impl<A: Adt> History<A> {
                 if committed {
                     return Err(WfError::CommitAndAbort { txn });
                 }
-                if self.aborted_at(txn, *obj) {
+                if wf.is_some_and(|w| w.aborted_at.contains(obj)) {
                     return Err(WfError::DuplicateCompletion { txn, obj: *obj });
                 }
             }
@@ -325,60 +392,33 @@ impl<A: Adt> History<A> {
 
     /// Truncate to the first `len` events. Prefixes of well-formed histories
     /// are well-formed, so the invariant is preserved. Crate-internal: used
-    /// by the explorer to backtrack cheaply.
+    /// by the explorer to backtrack cheaply (each dropped event is undone in
+    /// the index; nothing is rebuilt).
     pub(crate) fn truncate(&mut self, len: usize) {
-        self.events.truncate(len);
+        while self.events.len() > len {
+            let e = self.events.pop().expect("longer than len");
+            self.index.get_mut(&e.txn()).expect("every event is indexed").undo(&e);
+        }
     }
 
     /// The pending invocation of `txn`, if any: the object and invocation of
     /// the last `Invoke` with no later `Respond`.
     pub fn pending_invocation(&self, txn: TxnId) -> Option<(ObjectId, &A::Invocation)> {
-        let mut pending = None;
-        for e in &self.events {
-            if e.txn() != txn {
-                continue;
-            }
-            match e {
-                Event::Invoke { obj, inv, .. } => pending = Some((*obj, inv)),
-                Event::Respond { .. } => pending = None,
-                _ => {}
-            }
+        let wf = self.index.get(&txn).filter(|w| w.pending)?;
+        match &self.events[*wf.invokes.last().expect("pending implies an invoke")] {
+            Event::Invoke { obj, inv, .. } => Some((*obj, inv)),
+            _ => unreachable!("`invokes` holds positions of Invoke events"),
         }
-        pending
-    }
-
-    fn committed_at(&self, txn: TxnId, obj: ObjectId) -> bool {
-        self.events
-            .iter()
-            .any(|e| matches!(e, Event::Commit { txn: t, obj: o } if *t == txn && *o == obj))
-    }
-
-    fn aborted_at(&self, txn: TxnId, obj: ObjectId) -> bool {
-        self.events
-            .iter()
-            .any(|e| matches!(e, Event::Abort { txn: t, obj: o } if *t == txn && *o == obj))
     }
 
     /// `Committed(H)`: transactions with a commit event.
     pub fn committed(&self) -> BTreeSet<TxnId> {
-        self.events
-            .iter()
-            .filter_map(|e| match e {
-                Event::Commit { txn, .. } => Some(*txn),
-                _ => None,
-            })
-            .collect()
+        self.index.iter().filter(|(_, w)| !w.committed_at.is_empty()).map(|(t, _)| *t).collect()
     }
 
     /// `Aborted(H)`: transactions with an abort event.
     pub fn aborted(&self) -> BTreeSet<TxnId> {
-        self.events
-            .iter()
-            .filter_map(|e| match e {
-                Event::Abort { txn, .. } => Some(*txn),
-                _ => None,
-            })
-            .collect()
+        self.index.iter().filter(|(_, w)| !w.aborted_at.is_empty()).map(|(t, _)| *t).collect()
     }
 
     /// Transactions appearing in this history.
@@ -402,9 +442,7 @@ impl<A: Adt> History<A> {
     /// `H|A` for a set of transactions: the subsequence of events involving
     /// them. Projections of well-formed histories are well-formed.
     pub fn project_txns(&self, txns: &BTreeSet<TxnId>) -> History<A> {
-        History {
-            events: self.events.iter().filter(|e| txns.contains(&e.txn())).cloned().collect(),
-        }
+        History::indexed(self.events.iter().filter(|e| txns.contains(&e.txn())).cloned().collect())
     }
 
     /// `H|A` for a single transaction.
@@ -416,7 +454,7 @@ impl<A: Adt> History<A> {
 
     /// `H|X` for a single object.
     pub fn project_obj(&self, obj: ObjectId) -> History<A> {
-        History { events: self.events.iter().filter(|e| e.obj() == obj).cloned().collect() }
+        History::indexed(self.events.iter().filter(|e| e.obj() == obj).cloned().collect())
     }
 
     /// `permanent(H) = H | Committed(H)` (paper §3.3).
@@ -428,9 +466,9 @@ impl<A: Adt> History<A> {
     /// basis of the UIP view (paper §5).
     pub fn project_not_aborted(&self) -> History<A> {
         let aborted = self.aborted();
-        History {
-            events: self.events.iter().filter(|e| !aborted.contains(&e.txn())).cloned().collect(),
-        }
+        History::indexed(
+            self.events.iter().filter(|e| !aborted.contains(&e.txn())).cloned().collect(),
+        )
     }
 
     /// `Opseq(H)` (paper §3.3): the operations of `H` in response order,
@@ -469,9 +507,9 @@ impl<A: Adt> History<A> {
     pub fn serial(&self, order: &[TxnId]) -> History<A> {
         let mut events = Vec::new();
         for txn in order {
-            events.extend(self.project_txn(*txn).events);
+            events.extend(self.events.iter().filter(|e| e.txn() == *txn).cloned());
         }
-        History { events }
+        History::indexed(events)
     }
 
     /// Two histories are equivalent iff every transaction performs the same
@@ -824,6 +862,163 @@ mod tests {
         assert_eq!(s.lines().count(), 3);
         assert!(s.contains("<Inc, X, A>"));
         assert!(s.contains("<commit, X, A>"));
+    }
+
+    /// `check_extension` as it was before the index: every answer re-derived
+    /// from the event list. The reference the indexed version must agree with.
+    fn check_extension_by_scan(h: &H, e: &Event<MiniCounter>) -> Result<(), WfError> {
+        let txn = e.txn();
+        let events = h.events();
+        let committed =
+            events.iter().any(|p| matches!(p, Event::Commit { txn: t, .. } if *t == txn));
+        let aborted = events.iter().any(|p| matches!(p, Event::Abort { txn: t, .. } if *t == txn));
+        let mut pending = None;
+        for p in events.iter().filter(|p| p.txn() == txn) {
+            match p {
+                Event::Invoke { obj, .. } => pending = Some(*obj),
+                Event::Respond { .. } => pending = None,
+                _ => {}
+            }
+        }
+        match e {
+            Event::Invoke { .. } => {
+                if committed || aborted {
+                    return Err(WfError::EventAfterCompletion { txn });
+                }
+                if pending.is_some() {
+                    return Err(WfError::OverlappingInvocation { txn });
+                }
+            }
+            Event::Respond { obj, .. } => {
+                if committed || aborted {
+                    return Err(WfError::EventAfterCompletion { txn });
+                }
+                if pending != Some(*obj) {
+                    return Err(WfError::ResponseWithoutInvocation { txn, obj: *obj });
+                }
+            }
+            Event::Commit { obj, .. } => {
+                if aborted {
+                    return Err(WfError::CommitAndAbort { txn });
+                }
+                if pending.is_some() {
+                    return Err(WfError::CommitWhilePending { txn });
+                }
+                if events.contains(&Event::Commit { txn, obj: *obj }) {
+                    return Err(WfError::DuplicateCompletion { txn, obj: *obj });
+                }
+            }
+            Event::Abort { obj, .. } => {
+                if committed {
+                    return Err(WfError::CommitAndAbort { txn });
+                }
+                if events.contains(&Event::Abort { txn, obj: *obj }) {
+                    return Err(WfError::DuplicateCompletion { txn, obj: *obj });
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// xorshift64*: the test's own stream, so the cases never move with a
+    /// dependency.
+    struct Rng(u64);
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            (self.0.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) % n
+        }
+    }
+
+    /// A random event over a few transactions and objects. Three times in
+    /// four it is one the transaction could plausibly issue next (so
+    /// histories grow long); otherwise anything at all (so every `WfError`
+    /// is provoked).
+    fn random_event(h: &H, rng: &mut Rng) -> Event<MiniCounter> {
+        let txn = T(rng.below(6) as u32);
+        let mut obj = ObjectId(rng.below(3) as u32);
+        let mut kind = rng.below(4);
+        if rng.below(4) > 0 {
+            match h.pending_invocation(txn) {
+                Some((pobj, _)) => (kind, obj) = (1, pobj),
+                None if kind == 1 => kind = 0,
+                None => {}
+            }
+        }
+        match kind {
+            0 => Event::Invoke {
+                txn,
+                obj,
+                inv: [CInv::Inc, CInv::Dec, CInv::Read][rng.below(3) as usize].clone(),
+            },
+            1 => Event::Respond { txn, obj, resp: CResp::Val(rng.below(3) as u32) },
+            2 => Event::Commit { txn, obj },
+            _ => Event::Abort { txn, obj },
+        }
+    }
+
+    #[test]
+    fn indexed_check_extension_agrees_with_the_scanning_reference() {
+        let mut rng = Rng(0x9E37_79B9_7F4A_7C15);
+        let (mut cases, mut accepted, mut refused) = (0u32, 0u32, 0u32);
+        for _stream in 0..300 {
+            let mut h = H::new();
+            for _step in 0..60 {
+                // Now and then swap the history for a derived one: the index
+                // of a truncation, a clone, a projection or a serialisation
+                // must answer exactly as one built by pushes.
+                match rng.below(24) {
+                    0 => h.truncate(rng.below(h.len() as u64 + 1) as usize),
+                    1 => h = h.clone(),
+                    2 => h = h.project_txns(&(0..6).filter(|_| rng.below(2) == 0).map(T).collect()),
+                    3 => h = h.project_obj(ObjectId(rng.below(3) as u32)),
+                    4 => h = h.project_not_aborted(),
+                    5 => {
+                        let mut order: Vec<TxnId> = h.txns().into_iter().collect();
+                        for i in (1..order.len()).rev() {
+                            order.swap(i, rng.below(i as u64 + 1) as usize);
+                        }
+                        h = h.serial(&order);
+                    }
+                    _ => {}
+                }
+                let e = random_event(&h, &mut rng);
+                let verdict = h.check_extension(&e);
+                assert_eq!(verdict, check_extension_by_scan(&h, &e), "extending {h:?} by {e:?}");
+                cases += 1;
+                match verdict {
+                    Ok(()) => {
+                        h.push(e).unwrap();
+                        accepted += 1;
+                    }
+                    Err(_) => refused += 1,
+                }
+            }
+        }
+        assert!(cases >= 10_000, "{cases} cases");
+        assert!(accepted >= 3_000 && refused >= 3_000, "{accepted} accepted, {refused} refused");
+    }
+
+    #[test]
+    fn truncate_undoes_the_index_event_by_event() {
+        // Backtracking as the explorer does it: pop one event, and the
+        // history answers as if the event had never been pushed.
+        let mut h = sample();
+        let full = h.clone();
+        while !h.is_empty() {
+            let last = h.events()[h.len() - 1].clone();
+            h.truncate(h.len() - 1);
+            assert_eq!(h.check_extension(&last), Ok(()));
+            assert_eq!(h.committed(), H::from_events(h.events().to_vec()).unwrap().committed());
+        }
+        assert!(h.committed().is_empty() && h.aborted().is_empty());
+        assert_eq!(h.pending_invocation(T(0)), None);
+        for e in full.events() {
+            h.push(e.clone()).unwrap();
+        }
+        assert_eq!(h, full);
     }
 
     #[test]

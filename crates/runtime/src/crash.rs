@@ -31,7 +31,7 @@
 //! the one deliberate exception: it models a monitoring store outside the
 //! crashed process.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use ccr_core::adt::{Adt, Op};
 use ccr_core::conflict::Conflict;
@@ -363,10 +363,8 @@ where
                 });
             }
         }
-        // Transactions aborted behind our back (wound-wait victims, wound
-        // storms) never reach `abort` here; prune their buffers lazily.
-        let active: BTreeSet<TxnId> = self.sys.active().collect();
-        self.pending_ops.retain(|t, _| active.contains(t));
+        // Wound-wait victims and wound storms never reach `abort` here.
+        self.sys.retain_active(&mut self.pending_ops);
         Ok(())
     }
 
@@ -463,8 +461,7 @@ where
                 }
             }
         }
-        let active: BTreeSet<TxnId> = self.sys.active().collect();
-        self.pending_ops.retain(|t, _| active.contains(t));
+        self.sys.retain_active(&mut self.pending_ops);
         results
     }
 
@@ -494,7 +491,7 @@ where
             let _ = self.sys.abort(txn);
             return Err(TxnError::ReadOnly);
         }
-        if !self.sys.active().any(|t| t == txn) {
+        if !self.sys.is_active(txn) {
             return Err(TxnError::NotActive(txn));
         }
         assert!(
@@ -579,8 +576,7 @@ where
                     self.pending_ops.remove(&txn);
                     let _ = self.sys.abort(txn);
                 }
-                let active: BTreeSet<TxnId> = self.sys.active().collect();
-                self.pending_ops.retain(|t, _| active.contains(t));
+                self.sys.retain_active(&mut self.pending_ops);
                 Ok(())
             }
             Err(fail) => Err(match fail.kind {
@@ -789,9 +785,7 @@ where
         // against the fresh system's own throwaway tracer (recovery must not
         // double-count the replayed commits), which is discarded on success.
         let rebuild_clock = std::time::Instant::now();
-        let mut fresh = (self.make)();
-        fresh.set_record_trace(true);
-        fresh.obs_mut().set_record_events(false);
+        let mut fresh = self.fresh_system();
         let mut restored = 0u64;
         if let Some(cp) = &recovered.checkpoint {
             for (obj, state) in &cp.states {
@@ -916,6 +910,20 @@ where
         self.backend.repair_flips()
     }
 
+    /// An empty volatile system to rebuild into, serving as the current one
+    /// does: `make` knows only the construction-time shape (ADT, objects,
+    /// conflict relation), so the conflict policy and the history-recording
+    /// switch set since then are carried over. Its own tracer is a silent
+    /// throwaway (replay must not double-count); the caller installs the
+    /// surviving one.
+    fn fresh_system(&self) -> TxnSystem<A, E, C> {
+        let mut fresh = (self.make)();
+        fresh.set_policy(self.sys.policy());
+        fresh.set_record_trace(self.sys.records_trace());
+        fresh.obs_mut().set_record_events(false);
+        fresh
+    }
+
     /// Forward the backend's retry telemetry to the tracer (one `IoRetry`
     /// event per checked device op that needed retries).
     fn drain_retry_events(&mut self) {
@@ -998,9 +1006,7 @@ where
     /// process did not crash, so monotonicity is preserved without re-reading
     /// the log.
     fn rebuild_from_journal(&mut self) -> Result<(), RedoError> {
-        let mut fresh = (self.make)();
-        fresh.set_record_trace(true);
-        fresh.obs_mut().set_record_events(false);
+        let mut fresh = self.fresh_system();
         if let Some(base) = self.journal.base.as_deref() {
             for (obj, state) in base {
                 fresh.restore_committed(*obj, state.clone());
@@ -1893,5 +1899,60 @@ mod tests {
         }
         assert!(sys.in_doubt().is_empty());
         assert_eq!(sys.committed_state(X), 3);
+    }
+
+    #[test]
+    fn policy_and_trace_setting_survive_crash_and_degrade() {
+        use crate::error::AbortReason;
+        use crate::system::ConflictPolicy;
+        let y = ObjectId(1);
+        // What must hold of the volatile system after every rebuild.
+        fn serves_as_configured(sys: &mut DiskDurable, policy: ConflictPolicy) {
+            assert_eq!(sys.system().policy(), policy);
+            assert_eq!(sys.system().obs().labels()["policy"], policy.label());
+            assert!(!sys.system().records_trace());
+            assert!(sys.system().trace().is_empty(), "replay and ghosts recorded nothing");
+            // The policy acts, not just reads back: an older depositor
+            // against a younger reader's held balance.
+            let older = sys.begin();
+            let younger = sys.begin();
+            sys.invoke(younger, X, BankInv::Balance).unwrap();
+            let got = sys.invoke(older, X, BankInv::Deposit(1));
+            match policy {
+                ConflictPolicy::WoundWait => assert_eq!(got, Ok(ccr_adt::bank::BankResp::Ok)),
+                ConflictPolicy::NoWait => {
+                    assert_eq!(got, Err(TxnError::Aborted(AbortReason::ConflictAbort)))
+                }
+                ConflictPolicy::Block => unreachable!("the default needs no carrying"),
+            }
+            let _ = sys.abort(older);
+            let _ = sys.abort(younger);
+        }
+        for policy in [ConflictPolicy::WoundWait, ConflictPolicy::NoWait] {
+            let mut sys = disk_sys(2);
+            sys.system_mut().set_policy(policy);
+            sys.system_mut().set_record_trace(false);
+            let t = sys.begin();
+            sys.invoke(t, X, BankInv::Deposit(10)).unwrap();
+            sys.commit(t).unwrap();
+            // An in-doubt prepare, so both rebuilds re-install a ghost.
+            let p = sys.begin();
+            sys.invoke(p, y, BankInv::Deposit(4)).unwrap();
+            sys.prepare(p, 9).unwrap();
+
+            sys.crash_and_recover().unwrap();
+            assert_eq!(sys.in_doubt(), vec![9]);
+            serves_as_configured(&mut sys, policy);
+
+            // Degrading rebuilds from the journal mirror instead of the log.
+            assert!(sys.backend_mut().set_device_full(true));
+            let u = sys.begin();
+            sys.invoke(u, X, BankInv::Deposit(5)).unwrap();
+            assert_eq!(sys.commit(u), Err(TxnError::ReadOnly));
+            assert!(sys.is_degraded());
+            assert_eq!(sys.in_doubt(), vec![9]);
+            serves_as_configured(&mut sys, policy);
+            assert_eq!(sys.committed_state(X), 10);
+        }
     }
 }

@@ -18,7 +18,7 @@
 //! fsync while the followers hold no lock on the system — the next batch
 //! forms behind the in-flight flush. See DESIGN.md §10.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -793,8 +793,8 @@ fn drive_durable<A, E, C, B>(
                             // Prune buffers of transactions aborted behind
                             // our back (wound-wait victims never reach the
                             // abort arm here).
-                            let active: BTreeSet<TxnId> = vol.sys.active().collect();
-                            vol.pending.retain(|t, _| active.contains(t));
+                            let Volatile { sys, pending, .. } = &mut *vol;
+                            sys.retain_active(pending);
                             // The system mutex is released inside
                             // make_durable (after the log slot is claimed):
                             // other workers invoke and commit while this
@@ -908,10 +908,10 @@ mod tests {
         let sys: TxnSystem<BankAccount, UipEngine<BankAccount>, _> =
             TxnSystem::new(BankAccount::default(), 2, bank_nrbc());
         let y = ObjectId(1);
-        // 256 scripts so the run comfortably outlasts worker-thread startup
+        // 2048 scripts so the run comfortably outlasts worker-thread startup
         // and someone is always parked at the single admission slot.
         let mut scripts: Vec<Box<dyn Script<BankAccount>>> = Vec::new();
-        for i in 0..256 {
+        for i in 0..2048 {
             let (first, second) = if i % 2 == 0 { (X, y) } else { (y, X) };
             scripts.push(Box::new(OpsScript::new(vec![
                 (first, BankInv::Balance),
@@ -920,11 +920,11 @@ mod tests {
         }
         let cfg = ThreadedCfg { workers: 4, mpl: 1, ..Default::default() };
         let (report, mut sys) = run_threaded(sys, scripts, &cfg);
-        assert_eq!(report.committed, 256);
+        assert_eq!(report.committed, 2048);
         assert_eq!(report.blocked_ops, 0);
         assert_eq!(report.deadlock_aborts, 0);
         assert!(report.admission_rounds > 0, "parked workers must be tallied: {report:?}");
-        assert_eq!(sys.committed_state(X) + sys.committed_state(y), 256);
+        assert_eq!(sys.committed_state(X) + sys.committed_state(y), 2048);
     }
 
     #[test]
@@ -932,13 +932,13 @@ mod tests {
         // A deadline of one nanosecond turns every blocked wait into a
         // typed Deadline self-abort on wakeup; jittered backoff decorrelates
         // the retries, and the crosswise clique still fully commits without
-        // a single hung transaction. 256 scripts so the run comfortably
+        // a single hung transaction. 2048 scripts so the run comfortably
         // outlasts worker-thread startup and waits actually happen.
         let sys: TxnSystem<BankAccount, UipEngine<BankAccount>, _> =
             TxnSystem::new(BankAccount::default(), 2, bank_nrbc());
         let y = ObjectId(1);
         let mut scripts: Vec<Box<dyn Script<BankAccount>>> = Vec::new();
-        let n = 256;
+        let n = 2048;
         for i in 0..n {
             let (first, second) = if i % 2 == 0 { (X, y) } else { (y, X) };
             scripts.push(Box::new(OpsScript::new(vec![

@@ -21,12 +21,12 @@ use std::collections::{BTreeMap, BTreeSet};
 use ccr_core::adt::Adt;
 
 use crate::backend::Detection;
-use crate::codec::{crc32, Persist};
+use crate::codec::Persist;
 use crate::disk::{SectorRead, SimDisk};
 use crate::wal::{
-    decode_batch, decode_checkpoint, decode_commit, decode_decide, decode_prepare, SegHeader,
-    WalConfig, FRAME_OVERHEAD, HEADER_PAYLOAD, KIND_BATCH, KIND_CHECKPOINT, KIND_COMMIT,
-    KIND_DECIDE, KIND_PREPARE, KIND_SEG_HEADER, MAGIC,
+    decode_batch, decode_checkpoint, decode_commit, decode_decide, decode_prepare,
+    frame_crc_matches, SegHeader, WalConfig, FRAME_OVERHEAD, HEADER_PAYLOAD, KIND_BATCH,
+    KIND_CHECKPOINT, KIND_COMMIT, KIND_DECIDE, KIND_PREPARE, KIND_SEG_HEADER, MAGIC,
 };
 
 /// One frame (or damaged frame position) in the listing.
@@ -165,9 +165,7 @@ fn read_frame_raw(disk: &SimDisk, cfg: &WalConfig, pos: u64, seg_end: u64) -> Ra
             None => return RawFrame::Torn { expected: sectors, found: i as u64 },
         }
     }
-    let stored = u32::from_le_bytes(buf[9..13].try_into().expect("4 bytes"));
-    buf[9..13].fill(0);
-    if crc32(&buf) != stored {
+    if !frame_crc_matches(&buf) {
         return RawFrame::Corrupt { kind: kind_name(kind) };
     }
     RawFrame::Valid { kind, payload: buf[FRAME_OVERHEAD..FRAME_OVERHEAD + len].to_vec(), sectors }

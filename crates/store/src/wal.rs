@@ -87,7 +87,7 @@ use crate::backend::{
     RecoveredLog, RetryPolicy, RetryRecord, ScanReport, StoreFailure, StoreFailureKind, StoreStats,
     TailPolicy,
 };
-use crate::codec::{crc32, Persist};
+use crate::codec::{crc32, crc32_parts, Persist};
 use crate::disk::{DiskError, SectorRead, SimDisk};
 
 /// Geometry of the simulated log device.
@@ -166,13 +166,18 @@ pub fn check_frame(buf: &[u8]) -> Option<(u8, Vec<u8>)> {
     if total > buf.len() {
         return None;
     }
-    let stored = u32::from_le_bytes(buf[9..13].try_into().expect("4 bytes"));
-    let mut scratch = buf.to_vec();
-    scratch[9..13].fill(0);
-    if crc32(&scratch) != stored {
+    if !frame_crc_matches(buf) {
         return None;
     }
     Some((kind, buf[FRAME_OVERHEAD..total].to_vec()))
+}
+
+/// Whether the CRC stored in `frame[9..13]` is the checksum of the whole
+/// extent with that field read as zero — which is how [`build_frame`]
+/// computed it. Checksums around the field; the frame is not copied.
+pub(crate) fn frame_crc_matches(frame: &[u8]) -> bool {
+    let stored = u32::from_le_bytes(frame[9..13].try_into().expect("4 bytes"));
+    crc32_parts(&[&frame[..9], &[0; 4], &frame[13..]]) == stored
 }
 
 /// Run one checked device op under the retry policy: transient errors are
@@ -307,9 +312,7 @@ fn read_frame(
             None => return Ok(FrameRead::Torn { expected: sectors as usize, found: i }),
         }
     }
-    let stored = u32::from_le_bytes(buf[9..13].try_into().expect("4 bytes"));
-    buf[9..13].fill(0);
-    if crc32(&buf) != stored {
+    if !frame_crc_matches(&buf) {
         return Ok(FrameRead::Corrupt);
     }
     Ok(FrameRead::Valid {
@@ -2029,6 +2032,50 @@ mod tests {
         let err = w.recover(TailPolicy::DiscardTail).unwrap_err();
         assert!(matches!(err.kind, StoreFailureKind::Corrupt { .. }));
         assert_eq!(err.report.damage, "missing-checkpoint");
+    }
+
+    /// `check_frame` as it was: copy the frame, zero the CRC field in the
+    /// copy, checksum the copy.
+    fn check_frame_by_copy(buf: &[u8]) -> Option<(u8, Vec<u8>)> {
+        if buf.len() < FRAME_OVERHEAD || buf[0..4] != MAGIC.to_le_bytes() {
+            return None;
+        }
+        let kind = buf[4];
+        if !(KIND_SEG_HEADER..=KIND_DECIDE).contains(&kind) {
+            return None;
+        }
+        let len = u32::from_le_bytes(buf[5..9].try_into().unwrap()) as usize;
+        let total = FRAME_OVERHEAD.checked_add(len).filter(|t| *t <= buf.len())?;
+        let mut scratch = buf.to_vec();
+        scratch[9..13].fill(0);
+        if crc32(&scratch).to_le_bytes() != buf[9..13] {
+            return None;
+        }
+        Some((kind, buf[FRAME_OVERHEAD..total].to_vec()))
+    }
+
+    #[test]
+    fn check_frame_without_the_copy_judges_every_damaged_byte_alike() {
+        let payload: Vec<u8> = (0..37u8).map(|i| i.wrapping_mul(29) ^ 0x5A).collect();
+        let frame = build_frame(KIND_COMMIT, &payload, 32);
+        assert_eq!(frame.len(), 64, "two sectors");
+        assert_eq!(check_frame(&frame), Some((KIND_COMMIT, payload)));
+        assert_eq!(check_frame(&frame), check_frame_by_copy(&frame));
+        let mut accepted = 0;
+        for at in 0..frame.len() {
+            for value in 0..=255u8 {
+                let mut damaged = frame.clone();
+                damaged[at] = value;
+                let verdict = check_frame(&damaged);
+                assert_eq!(verdict, check_frame_by_copy(&damaged), "byte {at} := {value:#04x}");
+                accepted += usize::from(verdict.is_some());
+            }
+        }
+        // Only the 64 rewrites of a byte with its own value pass.
+        assert_eq!(accepted, frame.len());
+        for len in 0..frame.len() {
+            assert_eq!(check_frame(&frame[..len]), check_frame_by_copy(&frame[..len]), "cut {len}");
+        }
     }
 
     #[test]
