@@ -16,8 +16,6 @@
 //! Engine invariants are cross-checked against the abstract `View` functions
 //! on recorded histories in the integration tests.
 
-use std::collections::BTreeMap;
-
 use ccr_adt::traits::InvertibleAdt;
 use ccr_core::adt::{Adt, Op};
 use ccr_core::ids::{ObjectId, TxnId};
@@ -95,8 +93,8 @@ pub struct UipEngine<A: Adt> {
     log: Vec<(TxnId, Op<A>)>,
     /// Cached fold of `base` + `log` — the single "current" state.
     current: A::State,
-    /// Which of the log's owners have committed (for compaction).
-    committed: std::collections::BTreeSet<TxnId>,
+    /// Which of the log's owners have committed (for compaction), sorted.
+    committed: Vec<TxnId>,
     strategy: UndoStrategy,
     use_inverses: Option<UndoFn<A>>,
 }
@@ -113,7 +111,7 @@ impl<A: Adt> RecoveryEngine<A> for UipEngine<A> {
             adt,
             obj,
             log: Vec::new(),
-            committed: Default::default(),
+            committed: Vec::new(),
             strategy: UndoStrategy::Replay,
             use_inverses: None,
         }
@@ -135,7 +133,9 @@ impl<A: Adt> RecoveryEngine<A> for UipEngine<A> {
     }
 
     fn commit(&mut self, txn: TxnId) {
-        self.committed.insert(txn);
+        if let Err(at) = self.committed.binary_search(&txn) {
+            self.committed.insert(at, txn);
+        }
         self.compact();
     }
 
@@ -175,7 +175,7 @@ impl<A: Adt> RecoveryEngine<A> for UipEngine<A> {
         // legal; if not, fall back to the raw current state.
         let mut s = self.base.clone();
         for (t, op) in &self.log {
-            if self.committed.contains(t) {
+            if self.has_committed(*t) {
                 match self.adt.apply(&s, op).into_iter().next() {
                     Some(s2) => s = s2,
                     None => return self.current.clone(),
@@ -198,6 +198,10 @@ impl<A: Adt> RecoveryEngine<A> for UipEngine<A> {
 }
 
 impl<A: Adt> UipEngine<A> {
+    fn has_committed(&self, txn: TxnId) -> bool {
+        self.committed.binary_search(&txn).is_ok()
+    }
+
     /// Rebuild `current` by replaying the surviving log over `base`.
     fn replay(&mut self) -> Result<(), RecoveryError> {
         let mut s = self.base.clone();
@@ -219,7 +223,7 @@ impl<A: Adt> UipEngine<A> {
         let mut folded = 0;
         let mut s = self.base.clone();
         for (t, op) in &self.log {
-            if !self.committed.contains(t) {
+            if !self.has_committed(*t) {
                 break;
             }
             match self.adt.apply(&s, op).into_iter().next() {
@@ -233,9 +237,11 @@ impl<A: Adt> UipEngine<A> {
             self.log.drain(..folded);
             // Committed markers are only needed while the owner still has
             // entries in the log; drop the rest so the set stays bounded.
-            let live: std::collections::BTreeSet<TxnId> =
-                self.log.iter().map(|(owner, _)| *owner).collect();
-            self.committed.retain(|t| live.contains(t));
+            let log = &self.log;
+            self.committed.retain(|t| log.iter().any(|(owner, _)| owner == t));
+            if self.committed.is_empty() {
+                self.committed = Vec::new(); // a quiet object keeps no memory for markers
+            }
         }
     }
 
@@ -308,8 +314,13 @@ pub struct DuEngine<A: Adt> {
     base: A::State,
     /// Bumped on every commit; invalidates private-workspace caches.
     base_version: u64,
-    /// Per-transaction intentions and cached private state.
-    workspaces: BTreeMap<TxnId, Workspace<A>>,
+    /// Intentions and cached private state, sorted by transaction. A
+    /// transaction has a workspace iff it has executed an operation here
+    /// (the invariant the system's lock table has): [`record`] opens it,
+    /// `commit` and `abort` close it, and everybody else reads the base.
+    ///
+    /// [`record`]: RecoveryEngine::record
+    workspaces: Vec<(TxnId, Workspace<A>)>,
 }
 
 #[derive(Clone)]
@@ -323,73 +334,101 @@ struct Workspace<A: Adt> {
 }
 
 impl<A: Adt> DuEngine<A> {
-    fn workspace(&mut self, txn: TxnId) -> &mut Workspace<A> {
-        let base = self.base.clone();
-        let version = self.base_version;
-        self.workspaces.entry(txn).or_insert(Workspace {
-            intentions: Vec::new(),
-            cached: base,
-            cached_version: version,
-            doomed: false,
-        })
+    /// Where `txn`'s workspace is (`Ok`) or would be inserted (`Err`).
+    fn slot(&self, txn: TxnId) -> Result<usize, usize> {
+        self.workspaces.binary_search_by_key(&txn, |(owner, _)| *owner)
     }
 
-    /// Recompute a workspace's private state if the base moved under it.
-    fn refresh(&mut self, txn: TxnId) {
-        let base = self.base.clone();
-        let version = self.base_version;
-        let adt = self.adt.clone();
-        let ws = self.workspace(txn);
-        if ws.cached_version == version {
-            return;
-        }
-        let mut s = base;
-        for op in &ws.intentions {
-            match adt.apply(&s, op).into_iter().next() {
-                Some(s2) => s = s2,
-                None => {
-                    ws.doomed = true;
-                    break;
+    /// The workspace at `slot`, its private state recomputed if the base
+    /// moved under it.
+    fn refresh(&mut self, slot: usize) -> &mut Workspace<A> {
+        let ws = &mut self.workspaces[slot].1;
+        if ws.cached_version != self.base_version {
+            let mut s = self.base.clone();
+            for op in &ws.intentions {
+                match self.adt.apply(&s, op).into_iter().next() {
+                    Some(s2) => s = s2,
+                    None => {
+                        ws.doomed = true;
+                        break;
+                    }
                 }
             }
+            if !ws.doomed {
+                ws.cached = s;
+            }
+            ws.cached_version = self.base_version;
         }
-        if !ws.doomed {
-            ws.cached = s;
+        ws
+    }
+
+    /// `txn`'s up-to-date workspace, if it has executed anything here.
+    fn workspace(&mut self, txn: TxnId) -> Option<&mut Workspace<A>> {
+        let slot = self.slot(txn).ok()?;
+        Some(self.refresh(slot))
+    }
+
+    /// Take `txn`'s workspace out, if it has one. An object nobody has a
+    /// workspace at keeps no memory for them.
+    fn close(&mut self, txn: TxnId) -> Option<Workspace<A>> {
+        let slot = self.slot(txn).ok()?;
+        let (_, ws) = self.workspaces.remove(slot);
+        if self.workspaces.is_empty() {
+            self.workspaces = Vec::new();
         }
-        ws.cached_version = version;
+        Some(ws)
+    }
+
+    /// The transactions holding a workspace, ascending.
+    #[cfg(test)]
+    pub(crate) fn workspace_owners(&self) -> Vec<TxnId> {
+        self.workspaces.iter().map(|(owner, _)| *owner).collect()
     }
 }
 
 impl<A: Adt> RecoveryEngine<A> for DuEngine<A> {
     fn new(adt: A, obj: ObjectId) -> Self {
-        DuEngine { base: adt.initial(), adt, obj, base_version: 0, workspaces: BTreeMap::new() }
+        DuEngine { base: adt.initial(), adt, obj, base_version: 0, workspaces: Vec::new() }
     }
 
     fn view_state(&mut self, txn: TxnId) -> A::State {
-        self.refresh(txn);
-        self.workspace(txn).cached.clone()
+        match self.workspace(txn) {
+            Some(ws) => ws.cached.clone(),
+            None => self.base.clone(),
+        }
     }
 
     fn record(&mut self, txn: TxnId, op: Op<A>, post: A::State) {
-        self.refresh(txn);
-        let ws = self.workspace(txn);
-        debug_assert!(!ws.doomed, "recording on a doomed workspace");
-        ws.intentions.push(op);
-        ws.cached = post;
+        match self.slot(txn) {
+            Ok(slot) => {
+                let ws = self.refresh(slot);
+                debug_assert!(!ws.doomed, "recording on a doomed workspace");
+                ws.intentions.push(op);
+                ws.cached = post;
+            }
+            Err(slot) => {
+                let ws = Workspace {
+                    intentions: vec![op],
+                    cached: post,
+                    cached_version: self.base_version,
+                    doomed: false,
+                };
+                self.workspaces.insert(slot, (txn, ws));
+            }
+        }
     }
 
     fn prepare_commit(&mut self, txn: TxnId) -> Result<(), RecoveryError> {
-        self.refresh(txn);
         let obj = self.obj;
-        let adt = self.adt.clone();
-        let base = self.base.clone();
-        let ws = self.workspace(txn);
-        if ws.doomed {
+        let Ok(slot) = self.slot(txn) else {
+            return Ok(()); // nothing executed here, nothing to validate
+        };
+        if self.refresh(slot).doomed {
             return Err(RecoveryError::ApplyFailed { obj });
         }
-        let mut s = base;
-        for op in &ws.intentions {
-            match adt.apply(&s, op).into_iter().next() {
+        let mut s = self.base.clone();
+        for op in &self.workspaces[slot].1.intentions {
+            match self.adt.apply(&s, op).into_iter().next() {
                 Some(s2) => s = s2,
                 None => return Err(RecoveryError::ApplyFailed { obj }),
             }
@@ -398,7 +437,7 @@ impl<A: Adt> RecoveryEngine<A> for DuEngine<A> {
     }
 
     fn commit(&mut self, txn: TxnId) {
-        let Some(ws) = self.workspaces.remove(&txn) else {
+        let Some(ws) = self.close(txn) else {
             return;
         };
         let mut s = self.base.clone();
@@ -408,23 +447,20 @@ impl<A: Adt> RecoveryEngine<A> for DuEngine<A> {
                 None => unreachable!("commit after successful prepare_commit"),
             }
         }
-        if !ws.intentions.is_empty() {
-            self.base = s;
-            self.base_version += 1;
-        }
+        self.base = s;
+        self.base_version += 1;
     }
 
     fn abort(&mut self, txn: TxnId) -> Result<(), RecoveryError> {
         // Deferred update makes aborts trivial: discard the workspace.
-        self.workspaces.remove(&txn);
+        self.close(txn);
         Ok(())
     }
 
     /// A base change can invalidate a workspace's intentions — possible only
     /// when the conflict relation does not contain `NFC`.
     fn is_doomed(&mut self, txn: TxnId) -> bool {
-        self.refresh(txn);
-        self.workspace(txn).doomed
+        self.workspace(txn).is_some_and(|ws| ws.doomed)
     }
 
     fn committed_state(&mut self) -> A::State {
@@ -533,6 +569,24 @@ mod tests {
     }
 
     #[test]
+    fn du_looking_opens_no_workspace() {
+        // Only `record` opens a workspace; a transaction that never executed
+        // here reads the base, is never doomed and validates trivially.
+        let mut e = DuEngine::new(BankAccount::default(), X);
+        record(&mut e, T(0), deposit(5));
+        assert_eq!(e.view_state(T(3)), 0);
+        assert!(!e.is_doomed(T(4)));
+        e.prepare_commit(T(5)).unwrap();
+        e.commit(T(6));
+        e.abort(T(7)).unwrap();
+        assert_eq!(e.workspace_owners(), [T(0)]);
+        e.commit(T(0));
+        assert!(e.workspaces.is_empty());
+        assert_eq!((e.view_state(T(3)), e.is_doomed(T(3))), (5, false));
+        assert!(e.workspaces.is_empty());
+    }
+
+    #[test]
     fn du_abort_discards_workspace() {
         let mut e = DuEngine::new(BankAccount::default(), X);
         record(&mut e, T(0), deposit(5));
@@ -584,6 +638,29 @@ mod tests {
         e.commit(T(0));
         assert!(e.is_doomed(T(1)));
         assert!(e.prepare_commit(T(1)).is_err());
+    }
+
+    #[test]
+    fn uip_committed_markers_stay_bounded_through_interleaved_commits() {
+        // Windows of four transactions execute in id order and commit out of
+        // it, so markers outlive their commit while an older owner's entry
+        // still heads the log — but never the window.
+        let mut e = UipEngine::new(BankAccount::default(), X);
+        let mut want = 0;
+        for window in 0..2500 {
+            for i in 0..4 {
+                record(&mut e, T(4 * window + i), deposit(1 + u64::from(i)));
+            }
+            for i in [2, 3, 0, 1] {
+                e.commit(T(4 * window + i));
+                want += 1 + u64::from(i);
+                assert_eq!(e.committed_state(), want);
+                assert!(e.committed.len() <= 2 && e.log_len() <= 4);
+                assert!(e.committed.is_sorted());
+            }
+            assert!(e.committed.is_empty() && e.log_len() == 0);
+        }
+        assert_eq!(e.view_state(T(0)), want);
     }
 
     #[test]

@@ -96,14 +96,15 @@ fn op_kind_label<A: Adt>(op: &Op<A>) -> String {
 /// ```
 pub struct TxnSystem<A: Adt, E: RecoveryEngine<A>, C: Conflict<A>> {
     conflict: C,
-    objects: BTreeMap<ObjectId, ObjectRt<A, E>>,
-    /// Active transactions, each with the objects it holds operations at:
-    /// `obj ∈ active[t]` iff `objects[obj].held` has an entry for `t`.
-    /// Commit and abort release exactly these, in ascending `ObjectId` order.
-    active: BTreeMap<TxnId, BTreeSet<ObjectId>>,
+    objects: Objects<A, E>,
+    /// Active transactions, each with the objects it holds operations at,
+    /// ascending: `obj ∈ active[t]` iff `objects[obj].held` has an entry for
+    /// `t`. Commit and abort release exactly these, in that order.
+    active: BTreeMap<TxnId, Vec<ObjectId>>,
     next_txn: u32,
-    /// (waiter, holder) wait-for edges from the last `Blocked` results.
-    waits: BTreeMap<TxnId, BTreeSet<TxnId>>,
+    /// (waiter, holders) wait-for edges from the last `Blocked` results,
+    /// holders ascending.
+    waits: BTreeMap<TxnId, Vec<TxnId>>,
     /// Transactions aborted by the wound-wait policy whose owners have not
     /// yet observed the abort.
     wounded: BTreeSet<TxnId>,
@@ -112,18 +113,116 @@ pub struct TxnSystem<A: Adt, E: RecoveryEngine<A>, C: Conflict<A>> {
     /// Structured tracer; the stats counters are a projection of its events.
     obs: Tracer,
     record_trace: bool,
+    /// Scratch for the holders an invocation conflicts with; kept for its
+    /// capacity, meaningless between calls.
+    blockers: Vec<TxnId>,
 }
 
 struct ObjectRt<A: Adt, E> {
     engine: E,
-    /// Implicit locks: operations executed by each active transaction.
-    held: BTreeMap<TxnId, Vec<Op<A>>>,
+    held: Held<A>,
     adt: A,
 }
 
 impl<A: Adt, E: Clone> Clone for ObjectRt<A, E> {
     fn clone(&self) -> Self {
         ObjectRt { engine: self.engine.clone(), held: self.held.clone(), adt: self.adt.clone() }
+    }
+}
+
+/// The objects, in a vector sorted by id. `ObjectId(i)` sits at slot `i`
+/// whenever the ids are `0..n` ([`TxnSystem::new`]) and is found there
+/// without a search; ids past a gap ([`TxnSystem::new_with`]) are found by
+/// binary search.
+struct Objects<A: Adt, E>(Vec<(ObjectId, ObjectRt<A, E>)>);
+
+impl<A: Adt, E> Objects<A, E> {
+    /// As a map built from the same pairs would be: ascending, and of two
+    /// entries with one id the later one stays.
+    fn new(mut slots: Vec<(ObjectId, ObjectRt<A, E>)>) -> Self {
+        slots.sort_by_key(|(id, _)| *id);
+        slots.dedup_by(|later, earlier| {
+            let same = later.0 == earlier.0;
+            if same {
+                std::mem::swap(later, earlier);
+            }
+            same
+        });
+        Objects(slots)
+    }
+
+    fn slot(&self, obj: ObjectId) -> Option<usize> {
+        let dense = obj.0 as usize;
+        if self.0.get(dense).is_some_and(|(id, _)| *id == obj) {
+            return Some(dense);
+        }
+        self.0.binary_search_by_key(&obj, |(id, _)| *id).ok()
+    }
+
+    fn get(&self, obj: &ObjectId) -> Option<&ObjectRt<A, E>> {
+        self.slot(*obj).map(|slot| &self.0[slot].1)
+    }
+
+    fn get_mut(&mut self, obj: &ObjectId) -> Option<&mut ObjectRt<A, E>> {
+        self.slot(*obj).map(|slot| &mut self.0[slot].1)
+    }
+
+    fn keys(&self) -> impl Iterator<Item = &ObjectId> {
+        self.0.iter().map(|(id, _)| id)
+    }
+}
+
+/// Implicit locks at one object: the operations each active transaction has
+/// executed here, in one vector sorted by transaction (a transaction's
+/// operations in execution order). A release drains a range, so while
+/// anybody holds an operation here the vector keeps its capacity and the
+/// object allocates nothing; an object nobody holds anything at keeps no
+/// memory for locks.
+struct Held<A: Adt>(Vec<(TxnId, Op<A>)>);
+
+impl<A: Adt> Clone for Held<A> {
+    fn clone(&self) -> Self {
+        Held(self.0.clone())
+    }
+}
+
+impl<A: Adt> Held<A> {
+    fn push(&mut self, txn: TxnId, op: Op<A>) {
+        let at = self.0.partition_point(|(holder, _)| *holder <= txn);
+        self.0.insert(at, (txn, op));
+    }
+
+    fn remove(&mut self, txn: &TxnId) {
+        let from = self.0.partition_point(|(holder, _)| holder < txn);
+        let len = self.0[from..].partition_point(|(holder, _)| holder == txn);
+        self.0.drain(from..from + len);
+        if self.0.is_empty() {
+            self.0 = Vec::new();
+        }
+    }
+}
+
+/// Iterates `(holder, its operations)`, holders ascending.
+impl<'a, A: Adt> IntoIterator for &'a Held<A> {
+    type Item = (&'a TxnId, &'a [(TxnId, Op<A>)]);
+    type IntoIter = Holders<'a, A>;
+
+    fn into_iter(self) -> Holders<'a, A> {
+        Holders(&self.0)
+    }
+}
+
+struct Holders<'a, A: Adt>(&'a [(TxnId, Op<A>)]);
+
+impl<'a, A: Adt> Iterator for Holders<'a, A> {
+    type Item = (&'a TxnId, &'a [(TxnId, Op<A>)]);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let (holder, _) = self.0.first()?;
+        let len = self.0.iter().position(|(t, _)| t != holder).unwrap_or(self.0.len());
+        let (ops, rest) = self.0.split_at(len);
+        self.0 = rest;
+        Some((holder, ops))
     }
 }
 
@@ -137,7 +236,7 @@ impl<A: Adt, E: RecoveryEngine<A> + Clone, C: Conflict<A> + Clone> Clone for Txn
     fn clone(&self) -> Self {
         TxnSystem {
             conflict: self.conflict.clone(),
-            objects: self.objects.clone(),
+            objects: Objects(self.objects.0.clone()),
             active: self.active.clone(),
             next_txn: self.next_txn,
             waits: self.waits.clone(),
@@ -146,6 +245,7 @@ impl<A: Adt, E: RecoveryEngine<A> + Clone, C: Conflict<A> + Clone> Clone for Txn
             trace: self.trace.clone(),
             obs: self.obs.clone(),
             record_trace: self.record_trace,
+            blockers: Vec::new(),
         }
     }
 }
@@ -153,42 +253,22 @@ impl<A: Adt, E: RecoveryEngine<A> + Clone, C: Conflict<A> + Clone> Clone for Txn
 impl<A: Adt, E: RecoveryEngine<A>, C: Conflict<A>> TxnSystem<A, E, C> {
     /// Create a system with objects `0..n`, all with specification `adt`.
     pub fn new(adt: A, n_objects: u32, conflict: C) -> Self {
-        let mut objects = BTreeMap::new();
-        for i in 0..n_objects {
-            let obj = ObjectId(i);
-            objects.insert(
-                obj,
-                ObjectRt {
-                    engine: E::new(adt.clone(), obj),
-                    held: BTreeMap::new(),
-                    adt: adt.clone(),
-                },
-            );
-        }
-        TxnSystem {
-            obs: Self::init_obs(&conflict),
-            conflict,
-            objects,
-            active: BTreeMap::new(),
-            next_txn: 0,
-            waits: BTreeMap::new(),
-            wounded: BTreeSet::new(),
-            policy: ConflictPolicy::Block,
-            trace: History::new(),
-            record_trace: true,
-        }
+        Self::new_with((0..n_objects).map(|i| (ObjectId(i), adt.clone())).collect(), conflict)
     }
 
     /// Create a system with explicitly configured objects — use when
     /// objects carry different specifications (e.g. different sides of a
     /// [`SumAdt`](https://docs.rs/ccr-adt) sum, or different capacities).
     pub fn new_with(objects: Vec<(ObjectId, A)>, conflict: C) -> Self {
-        let objects = objects
-            .into_iter()
-            .map(|(obj, adt)| {
-                (obj, ObjectRt { engine: E::new(adt.clone(), obj), held: BTreeMap::new(), adt })
-            })
-            .collect();
+        let objects = Objects::new(
+            objects
+                .into_iter()
+                .map(|(obj, adt)| {
+                    let engine = E::new(adt.clone(), obj);
+                    (obj, ObjectRt { engine, held: Held(Vec::new()), adt })
+                })
+                .collect(),
+        );
         TxnSystem {
             obs: Self::init_obs(&conflict),
             conflict,
@@ -200,6 +280,7 @@ impl<A: Adt, E: RecoveryEngine<A>, C: Conflict<A>> TxnSystem<A, E, C> {
             policy: ConflictPolicy::Block,
             trace: History::new(),
             record_trace: true,
+            blockers: Vec::new(),
         }
     }
 
@@ -245,7 +326,7 @@ impl<A: Adt, E: RecoveryEngine<A>, C: Conflict<A>> TxnSystem<A, E, C> {
     pub fn begin(&mut self) -> TxnId {
         let t = TxnId(self.next_txn);
         self.next_txn += 1;
-        self.active.insert(t, BTreeSet::new());
+        self.active.insert(t, Vec::new());
         self.obs.on_begin(t);
         t
     }
@@ -284,20 +365,21 @@ impl<A: Adt, E: RecoveryEngine<A>, C: Conflict<A>> TxnSystem<A, E, C> {
         // executes conflict-free (blocked attempts are failed acquisitions).
         let recording = self.obs.record_events();
         let lock_span = self.obs.span_begin(Phase::LockAcquire);
-        let mut blockers: BTreeSet<TxnId> = BTreeSet::new();
+        let blockers = &mut self.blockers;
+        blockers.clear();
         // (requested, held) op-kind pairs in conflict, rendered only while
         // events are recorded, attributed to the conflict matrix when every
         // candidate response conflicts.
         let mut pairs: Vec<(String, String)> = Vec::new();
         for (resp, post) in candidates {
             let op = Op::new(inv.clone(), resp.clone());
-            let mut conflicting = Vec::new();
+            let blocked_before = blockers.len();
             for (&holder, ops) in &o.held {
                 if holder == txn {
                     continue;
                 }
                 let mut hit = false;
-                for held in ops {
+                for (_, held) in ops {
                     if conflict.conflicts(&op, held) {
                         hit = true;
                         if !recording {
@@ -307,33 +389,35 @@ impl<A: Adt, E: RecoveryEngine<A>, C: Conflict<A>> TxnSystem<A, E, C> {
                     }
                 }
                 if hit {
-                    conflicting.push(holder);
+                    blockers.push(holder);
                 }
             }
-            if conflicting.is_empty() {
+            if blockers.len() == blocked_before {
                 // Execute.
-                let rendered = self
-                    .obs
-                    .record_events()
-                    .then(|| (format!("{:?}", op.inv), format!("{resp:?}")));
+                let rendered = recording.then(|| (format!("{:?}", op.inv), format!("{resp:?}")));
                 o.engine.record(txn, op.clone(), post);
-                o.held.entry(txn).or_default().push(op.clone());
-                self.active.get_mut(&txn).expect("checked active above").insert(obj);
-                self.waits.remove(&txn);
-                self.obs.span_end(lock_span);
-                self.obs.on_op(txn, obj, || rendered.expect("rendered when recording"));
                 if self.record_trace {
                     self.trace
-                        .push(Event::Invoke { txn, obj, inv: op.inv })
+                        .push(Event::Invoke { txn, obj, inv: op.inv.clone() })
                         .expect("well-formed invoke");
                     self.trace
                         .push(Event::Respond { txn, obj, resp: resp.clone() })
                         .expect("well-formed respond");
                 }
+                o.held.push(txn, op);
+                let touched = self.active.get_mut(&txn).expect("checked active above");
+                if let Err(at) = touched.binary_search(&obj) {
+                    touched.insert(at, obj);
+                }
+                self.waits.remove(&txn);
+                self.obs.span_end(lock_span);
+                self.obs.on_op(txn, obj, || rendered.expect("rendered when recording"));
                 return Ok(resp);
             }
-            blockers.extend(conflicting);
         }
+        // Holders come out ascending per candidate; merge the candidates.
+        blockers.sort_unstable();
+        blockers.dedup();
         // Every legal response conflicted: attribute the exercised pairs
         // before the policy decides who pays for them.
         let rendered_pairs = recording.then_some(pairs);
@@ -343,30 +427,34 @@ impl<A: Adt, E: RecoveryEngine<A>, C: Conflict<A>> TxnSystem<A, E, C> {
             self.abort_inner(txn, AbortCause::NoWaitConflict);
             return Err(TxnError::Aborted(AbortReason::ConflictAbort));
         }
-        if self.policy == ConflictPolicy::WoundWait && blockers.iter().all(|b| *b > txn) {
+        if self.policy == ConflictPolicy::WoundWait && self.blockers.iter().all(|b| *b > txn) {
             // Older requester: wound every younger conflicting holder, then
             // retry the invocation against the cleaned lock table.
             self.obs.on_conflict_wound(txn);
-            let victims: Vec<TxnId> = blockers.into_iter().collect();
-            for v in victims {
-                let graph = self.obs.record_events().then(|| self.graph_snapshot());
+            let victims = std::mem::take(&mut self.blockers);
+            for &v in &victims {
+                let graph = recording.then(|| self.graph_snapshot());
                 self.obs.on_wound(v, txn, || graph.unwrap_or_default());
                 self.abort_inner(v, AbortCause::Wounded);
                 self.wounded.insert(v);
             }
+            self.blockers = victims;
             return self.invoke(txn, obj, inv);
         }
-        self.waits.insert(txn, blockers.clone());
-        let snap = self.obs.record_events().then(|| {
-            (format!("{inv:?}"), blockers.iter().copied().collect(), self.graph_snapshot())
-        });
+        // The caller's copy is the one allocation of a blocked attempt: a
+        // retry that blocks again rewrites its wait-for edges in place.
+        let on = self.blockers.clone();
+        let edges = self.waits.entry(txn).or_default();
+        edges.clear();
+        edges.extend_from_slice(&on);
+        let snap = recording.then(|| (format!("{inv:?}"), on.clone(), self.graph_snapshot()));
         self.obs.on_block(txn, obj, || snap.expect("rendered when recording"));
-        Err(TxnError::Blocked { on: blockers.into_iter().collect() })
+        Err(TxnError::Blocked { on })
     }
 
     /// Snapshot the wait-for graph (for block/wound events).
     fn graph_snapshot(&self) -> WaitGraph {
-        self.waits.iter().map(|(w, hs)| (*w, hs.iter().copied().collect())).collect()
+        self.waits.iter().map(|(w, hs)| (*w, hs.clone())).collect()
     }
 
     /// If `txn` was wounded, consume the marker. Returns `Ok(true)` when the
@@ -469,7 +557,7 @@ impl<A: Adt, E: RecoveryEngine<A>, C: Conflict<A>> TxnSystem<A, E, C> {
         // cycle. Waits only exist for blocked transactions, so graphs are
         // tiny.
         fn dfs(
-            waits: &BTreeMap<TxnId, BTreeSet<TxnId>>,
+            waits: &BTreeMap<TxnId, Vec<TxnId>>,
             node: TxnId,
             stack: &mut Vec<TxnId>,
             visited: &mut BTreeSet<TxnId>,
@@ -622,10 +710,41 @@ mod tests {
     use ccr_core::atomicity::{check_dynamic_atomic, SystemSpec};
     use ccr_core::conflict::FnConflict;
 
-    type UipSys = TxnSystem<BankAccount, UipEngine<BankAccount>, FnConflict<BankAccount>>;
-    type DuSys = TxnSystem<BankAccount, DuEngine<BankAccount>, FnConflict<BankAccount>>;
+    type BankSys<E> = TxnSystem<BankAccount, E, FnConflict<BankAccount>>;
+    type UipSys = BankSys<UipEngine<BankAccount>>;
+    type DuSys = BankSys<DuEngine<BankAccount>>;
 
     const X: ObjectId = ObjectId::SOLE;
+
+    // Map-shaped read access to the lock table, for the invariant checks.
+    impl<A: Adt, E> Objects<A, E> {
+        fn values(&self) -> impl Iterator<Item = &ObjectRt<A, E>> {
+            self.0.iter().map(|(_, o)| o)
+        }
+    }
+
+    impl<A: Adt, E> std::ops::Index<&ObjectId> for Objects<A, E> {
+        type Output = ObjectRt<A, E>;
+
+        fn index(&self, obj: &ObjectId) -> &ObjectRt<A, E> {
+            self.get(obj).expect("object exists")
+        }
+    }
+
+    impl<'a, A: Adt, E> IntoIterator for &'a Objects<A, E> {
+        type Item = &'a (ObjectId, ObjectRt<A, E>);
+        type IntoIter = std::slice::Iter<'a, (ObjectId, ObjectRt<A, E>)>;
+
+        fn into_iter(self) -> Self::IntoIter {
+            self.0.iter()
+        }
+    }
+
+    impl<A: Adt> Held<A> {
+        fn contains_key(&self, txn: &TxnId) -> bool {
+            self.into_iter().any(|(holder, _)| holder == txn)
+        }
+    }
 
     #[test]
     fn basic_commit_flow() {
@@ -808,24 +927,78 @@ mod tests {
     fn locks_are_released_in_ascending_object_order() {
         // Both transactions touch the objects in descending order; the
         // recorded completion events come out ascending all the same (the
-        // order every same-seed fingerprint was taken under).
-        let mut sys: UipSys = TxnSystem::new(BankAccount::default(), 4, bank_nrbc());
-        let (c, a) = (sys.begin(), sys.begin());
-        for i in (0..4).rev() {
-            sys.invoke(c, ObjectId(i), BankInv::Deposit(1)).unwrap();
-            sys.invoke(a, ObjectId(i), BankInv::Deposit(2)).unwrap();
+        // order every same-seed fingerprint was taken under) — for dense
+        // ids, for a dense prefix followed by a gap, and for ids that are
+        // all past a gap and were configured out of order.
+        for ids in [[0, 1, 2, 3], [0, 1, 2, 10], [70_000, 3, 9, 4]] {
+            let configured = ids.iter().map(|&i| (ObjectId(i), BankAccount::default())).collect();
+            let mut sys: UipSys = TxnSystem::new_with(configured, bank_nrbc());
+            let mut ids = ids.map(ObjectId);
+            ids.sort();
+            assert_eq!(sys.object_ids(), ids);
+            let (c, a) = (sys.begin(), sys.begin());
+            for &obj in ids.iter().rev() {
+                sys.invoke(c, obj, BankInv::Deposit(1)).unwrap();
+                sys.invoke(a, obj, BankInv::Deposit(2)).unwrap();
+            }
+            sys.commit(c).unwrap();
+            sys.abort(a).unwrap();
+            let tail: Vec<_> = sys.trace().events()[16..].to_vec();
+            let mut want: Vec<_> = ids.iter().map(|&obj| Event::Commit { txn: c, obj }).collect();
+            want.extend(ids.iter().map(|&obj| Event::Abort { txn: a, obj }));
+            assert_eq!(tail, want);
+            assert!(ids.iter().all(|&obj| sys.committed_state(obj) == 1));
         }
-        sys.commit(c).unwrap();
-        sys.abort(a).unwrap();
-        let tail: Vec<_> = sys.trace().events()[16..].to_vec();
-        let mut want: Vec<_> = (0..4).map(|i| Event::Commit { txn: c, obj: ObjectId(i) }).collect();
-        want.extend((0..4).map(|i| Event::Abort { txn: a, obj: ObjectId(i) }));
-        assert_eq!(tail, want);
-        assert!((0..4).all(|i| sys.committed_state(ObjectId(i)) == 1));
+    }
+
+    #[test]
+    fn sparse_object_ids_are_found_and_absent_ones_are_not() {
+        // `[3, 70_000]`: nothing sits at its dense slot. `[0, 1, 2, 10]`: a
+        // dense prefix, then a gap.
+        for (ids, absent) in [
+            (vec![70_000, 3], vec![0, 1, 2, 4, 69_999, 70_001]),
+            (vec![10, 0, 2, 1], vec![3, 4, 9, 11]),
+            (vec![], vec![0]),
+        ] {
+            let configured = ids.iter().map(|&i| (ObjectId(i), BankAccount::default())).collect();
+            let mut sys: DuSys = TxnSystem::new_with(configured, bank_nfc());
+            let mut sorted = ids.clone();
+            sorted.sort();
+            assert_eq!(sys.object_ids(), sorted.iter().map(|&i| ObjectId(i)).collect::<Vec<_>>());
+            let t = sys.begin();
+            for &i in &ids {
+                let obj = ObjectId(i);
+                assert!(sys.adt_of(obj).is_some());
+                assert_eq!(
+                    sys.invoke(t, obj, BankInv::Deposit(u64::from(i) + 1)),
+                    Ok(BankResp::Ok)
+                );
+                assert_eq!(sys.view_state(t, obj), Some(u64::from(i) + 1));
+            }
+            for &i in &absent {
+                let obj = ObjectId(i);
+                assert_eq!(sys.invoke(t, obj, BankInv::Balance), Err(TxnError::NoSuchObject(obj)));
+                assert!(sys.adt_of(obj).is_none() && sys.view_state(t, obj).is_none());
+            }
+            sys.commit(t).unwrap();
+            assert!(ids.iter().all(|&i| sys.committed_state(ObjectId(i)) == u64::from(i) + 1));
+        }
+    }
+
+    #[test]
+    fn a_repeated_object_id_keeps_its_last_configuration() {
+        let configured = vec![
+            (ObjectId(1), BankAccount::default()),
+            (X, BankAccount::default()),
+            (ObjectId(1), BankAccount { amounts: vec![5] }),
+        ];
+        let sys: UipSys = TxnSystem::new_with(configured, bank_nrbc());
+        assert_eq!(sys.object_ids(), vec![X, ObjectId(1)]);
+        assert_eq!(sys.adt_of(ObjectId(1)), Some(&BankAccount { amounts: vec![5] }));
     }
 
     /// `active` and the per-object `held` maps say the same thing.
-    fn assert_index_matches_lock_table(sys: &UipSys) {
+    fn assert_index_matches_lock_table<E: RecoveryEngine<BankAccount>>(sys: &BankSys<E>) {
         assert!(sys.active().eq(sys.active.keys().copied()));
         for (obj, o) in &sys.objects {
             for (holder, ops) in &o.held {
@@ -845,7 +1018,17 @@ mod tests {
     /// commits and aborts over four objects under wound-wait, from an own
     /// xorshift stream; `check` runs after every call into the system.
     fn seeded_wound_wait_run(seed: u64, steps: usize, check: impl Fn(&UipSys)) -> UipSys {
-        let mut sys: UipSys = TxnSystem::new(BankAccount::default(), 4, bank_nrbc())
+        seeded_wound_wait_run_under(bank_nrbc(), seed, steps, check)
+    }
+
+    /// The same run for either engine, under the relation that goes with it.
+    fn seeded_wound_wait_run_under<E: RecoveryEngine<BankAccount>>(
+        conflict: FnConflict<BankAccount>,
+        seed: u64,
+        steps: usize,
+        check: impl Fn(&BankSys<E>),
+    ) -> BankSys<E> {
+        let mut sys: BankSys<E> = TxnSystem::new(BankAccount::default(), 4, conflict)
             .with_policy(ConflictPolicy::WoundWait);
         let mut x = seed;
         let mut below = move |n: u64| {
@@ -888,6 +1071,72 @@ mod tests {
     fn touched_index_tracks_the_lock_table_through_a_wound_wait_run() {
         let sys = seeded_wound_wait_run(0xC0FF_EE11, 4000, assert_index_matches_lock_table);
         assert!(sys.stats().wounds > 50 && sys.stats().committed > 200, "{:?}", sys.stats());
+    }
+
+    /// Under deferred update a workspace is one more per-object entry that
+    /// exists exactly where the transaction holds an operation.
+    fn assert_workspaces_match_lock_table(sys: &DuSys) {
+        assert_index_matches_lock_table(sys);
+        for o in sys.objects.values() {
+            let holders: Vec<TxnId> = o.held.into_iter().map(|(holder, _)| *holder).collect();
+            assert_eq!(o.engine.workspace_owners(), holders);
+        }
+    }
+
+    #[test]
+    fn du_workspaces_track_the_lock_table_through_a_wound_wait_run() {
+        let sys = seeded_wound_wait_run_under(
+            bank_nfc(),
+            0xC0FF_EE13,
+            4000,
+            assert_workspaces_match_lock_table,
+        );
+        assert!(sys.stats().wounds > 50 && sys.stats().committed > 200, "{:?}", sys.stats());
+        assert!(sys.stats().blocks > 200, "{:?}", sys.stats());
+    }
+
+    #[test]
+    fn a_fixed_seed_du_history_fingerprint_is_pinned() {
+        // Taken at the commit before workspaces, objects and held operations
+        // moved into flat vectors: same events, same order.
+        let sys: DuSys = seeded_wound_wait_run_under(bank_nfc(), 0x5EED_0013, 1500, |_| {});
+        assert_eq!(sys.trace().fingerprint(), 0xaa75_e99e_6bba_cbb6);
+    }
+
+    #[test]
+    fn blocked_then_aborted_transactions_leave_no_du_workspace_behind() {
+        // The holder's withdrawal blocks every younger withdrawal at `X`. A
+        // waiter only *looked* at `X`; whether it then gives up or is wounded
+        // over its deposit at `y`, nothing of it may stay behind at `X`.
+        let y = ObjectId(1);
+        let mut sys: DuSys = TxnSystem::new(BankAccount::default(), 2, bank_nfc())
+            .with_policy(ConflictPolicy::WoundWait);
+        let setup = sys.begin();
+        sys.invoke(setup, X, BankInv::Deposit(10)).unwrap();
+        sys.commit(setup).unwrap();
+        let holder = sys.begin();
+        assert_eq!(sys.invoke(holder, X, BankInv::Withdraw(1)), Ok(BankResp::Ok));
+        for i in 0..1000 {
+            let reader = sys.begin();
+            let waiter = sys.begin();
+            sys.invoke(waiter, y, BankInv::Deposit(1)).unwrap();
+            assert_eq!(
+                sys.invoke(waiter, X, BankInv::Withdraw(1)),
+                Err(TxnError::Blocked { on: vec![holder] })
+            );
+            if i % 2 == 0 {
+                sys.abort(waiter).unwrap();
+            } else {
+                // An older transaction's read of `y` wounds the depositor.
+                assert!(sys.invoke(reader, y, BankInv::Balance).is_ok());
+                assert!(!sys.is_active(waiter));
+            }
+            sys.abort(reader).unwrap();
+        }
+        assert_eq!(sys.stats().wounds, 500);
+        assert_workspaces_match_lock_table(&sys);
+        assert_eq!(sys.objects[&X].engine.workspace_owners(), [holder]);
+        assert_eq!(sys.objects[&y].engine.workspace_owners(), []);
     }
 
     #[test]

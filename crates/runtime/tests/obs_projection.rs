@@ -130,14 +130,14 @@ fn run_report_semantics_agree_across_executors() {
     assert!(r.admission_rounds > 0, "MPL 1 must queue scheduler drivers");
     assert_projection_matches(&sys);
 
-    // 256 scripts so the run comfortably outlasts worker-thread startup:
+    // 4096 scripts so the run comfortably outlasts worker-thread startup:
     // some worker is always parked at admission while another holds the
     // single slot.
     let tsys: TxnSystem<BankAccount, UipEngine<BankAccount>, _> =
         TxnSystem::new(BankAccount::default(), 1, bank_nrbc());
     let (tr, tsys) =
-        run_threaded(tsys, scripts(256), &ThreadedCfg { mpl: 1, ..Default::default() });
-    assert_eq!(tr.committed, 256);
+        run_threaded(tsys, scripts(4096), &ThreadedCfg { mpl: 1, ..Default::default() });
+    assert_eq!(tr.committed, 4096);
     assert!(tr.admission_rounds > 0, "MPL 1 must park threaded workers");
     assert_eq!(
         tr.rounds,

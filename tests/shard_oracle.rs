@@ -97,3 +97,23 @@ fn lost_decision_record_is_caught_shrunk_and_pinned() {
         assert!(line.contains(flag), "reproducer missing {flag:?}: {line}");
     }
 }
+
+/// Open finding (ROADMAP item 7), red since PR 11: one `crash` fault at
+/// event 9 of this three-shard run leaves gtid 3 committed on shards 0 and 1
+/// and aborted on shard 2, and the eighth oracle leg says so
+/// (`global atomicity split`). The assertion is the behaviour the fix must
+/// produce; un-ignore the test in the PR that makes it pass. The same run
+/// from the command line:
+/// `ccr-experiments sim --combo uip-nrbc --seed 0 --txns 8 --ops 2
+/// --objects 1 --skip 6,7 --shards 3 --faults 9:crash`.
+#[test]
+#[ignore = "open finding: global atomicity split under a plain crash on 3 shards (ROADMAP item 7)"]
+fn a_plain_crash_on_three_shards_must_not_split_a_global_transaction() {
+    let plan = "9:crash".parse().expect("a well-formed fault plan");
+    let mut scenario = SimScenario::new(Combo::UipNrbc, 0, plan);
+    scenario.skip = vec![6, 7];
+    scenario.shards = 3;
+    if let Err(failure) = run_shard_scenario(&scenario) {
+        panic!("{failure}\n  {}", scenario.reproducer());
+    }
+}
