@@ -20,6 +20,7 @@ use ccr_core::conflict::FnConflict;
 use ccr_core::ids::ObjectId;
 use ccr_runtime::crash::{DurableSystem, SystemMode, SystemSnapshot, TornPolicy};
 use ccr_runtime::engine::UipEngine;
+use ccr_runtime::fault::{crash_recover_interrupted, probe_recovery_ops};
 use ccr_store::{
     replay_du, replay_uip, CommitRecord, LogBackend, MemBackend, TailPolicy, WalBackend, WalConfig,
 };
@@ -509,7 +510,7 @@ impl<B: McBackend> Harness<B> {
                 out.push(McAction::CrashReorder);
             }
             if B::kind() == McBackendKind::Disk {
-                if let Some(n) = self.sys.probe_recovery_ops(TornPolicy::DiscardTail) {
+                if let Some(n) = probe_recovery_ops(&mut self.sys, TornPolicy::DiscardTail) {
                     for d in 0..n {
                         out.push(McAction::CrashInRecovery(d));
                     }
@@ -581,7 +582,7 @@ impl<B: McBackend> Harness<B> {
                 self.book.last_flush = vec![i];
                 if self.cfg.mutation == Some(Mutation::DropAckedCommit) && !self.book.mutated {
                     // Sabotage: the ack stands, the bytes don't.
-                    self.book.mutated = self.sys.tear_last_flush(1);
+                    self.book.mutated = self.sys.backend_mut().tear_last_flush(1);
                 }
                 Applied::Ok
             }
@@ -640,7 +641,7 @@ impl<B: McBackend> Harness<B> {
         self.book.last_flush = staged;
         if self.cfg.mutation == Some(Mutation::ReorderLastBatch) && !self.book.mutated {
             // Sabotage: the batch ack stands; its first sector doesn't.
-            self.book.mutated = self.sys.reorder_last_flush();
+            self.book.mutated = self.sys.backend_mut().reorder_last_flush();
         }
         Applied::Ok
     }
@@ -674,13 +675,13 @@ impl<B: McBackend> Harness<B> {
         match shape {
             CrashShape::Clean | CrashShape::InRecovery(_) => {}
             CrashShape::Torn(n) => {
-                if self.book.last_flush.is_empty() || !self.sys.tear_last_flush(n) {
+                if self.book.last_flush.is_empty() || !self.sys.backend_mut().tear_last_flush(n) {
                     return Applied::Skip;
                 }
                 undecided = self.book.last_flush.clone();
             }
             CrashShape::Reorder => {
-                if self.book.last_flush.is_empty() || !self.sys.reorder_last_flush() {
+                if self.book.last_flush.is_empty() || !self.sys.backend_mut().reorder_last_flush() {
                     return Applied::Skip;
                 }
                 undecided = self.book.last_flush.clone();
@@ -703,7 +704,8 @@ impl<B: McBackend> Harness<B> {
         self.book.last_flush.clear();
         let recovered = match shape {
             CrashShape::InRecovery(d) => {
-                self.sys.crash_recover_interrupted(TornPolicy::DiscardTail, d).map(|_armed| ())
+                crash_recover_interrupted(&mut self.sys, TornPolicy::DiscardTail, d)
+                    .map(|_armed| ())
             }
             _ => self.sys.crash_and_recover_with(TornPolicy::DiscardTail),
         };

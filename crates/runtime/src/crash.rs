@@ -36,15 +36,16 @@ use std::collections::BTreeMap;
 use ccr_core::adt::{Adt, Op};
 use ccr_core::conflict::Conflict;
 use ccr_core::ids::{ObjectId, TxnId};
-use ccr_obs::{CorruptionKind, Phase, Tracer};
+use ccr_obs::{CorruptionKind, Phase, SpanToken, Tracer};
 use ccr_store::{
-    CheckpointImage, CommitRecord, Detection, DiskError, LogBackend, MemBackend, RetryPolicy,
-    ScanReport, StoreFailureKind, StoreStats, TailPolicy,
+    CheckpointImage, CommitRecord, Detection, DiskError, LogBackend, MemBackend, ScanReport,
+    StoreFailureKind, StoreStats, TailPolicy,
 };
 
 use crate::engine::RecoveryEngine;
 use crate::error::TxnError;
 use crate::system::TxnSystem;
+use crate::writeahead::WriteAhead;
 
 /// The volatile mirror of stable storage: what a successful recovery of the
 /// backend would reconstruct right now. The simulator's shadow-fold oracle
@@ -158,7 +159,7 @@ pub enum SystemMode {
     /// full: commits are refused with [`TxnError::ReadOnly`] (the volatile
     /// mirror was rolled back to stable truth, so reads keep serving exactly
     /// the durable committed state). A successful [`DurableSystem::checkpoint`]
-    /// on a [healed](DurableSystem::heal_device) device — or a successful
+    /// on a healed device — or a successful
     /// recovery — returns to [`SystemMode::Normal`].
     Degraded,
 }
@@ -186,6 +187,56 @@ impl TornPolicy {
     }
 }
 
+/// The durable writes, as the tracer names them when one fails.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Write {
+    Commit,
+    BatchFlush,
+    Prepare,
+    Decide,
+    Checkpoint,
+}
+
+impl Write {
+    /// What a power loss in the middle of the write interrupted, and what a
+    /// refusal by the live device refused.
+    fn labels(self) -> (&'static str, &'static str) {
+        match self {
+            Write::Commit => ("commit", "commit append"),
+            Write::BatchFlush => ("batch-flush", "batch flush"),
+            Write::Prepare => ("prepare", "prepare append"),
+            Write::Decide => ("decide", "decision append"),
+            Write::Checkpoint => ("checkpoint", "checkpoint write"),
+        }
+    }
+}
+
+/// How a failed durable write left the system. Either way the caller's
+/// acknowledgement is withdrawn and no volatile effect of the write
+/// survives.
+#[derive(Clone, Copy)]
+enum Lost {
+    /// The device lost power mid-write: the system power-cycled and
+    /// recovered on the spot, exactly as if the process had crashed before
+    /// acknowledging. Whether the record reached stable storage is whatever
+    /// the recovery found.
+    PowerCycled,
+    /// The live device refused the write (retries exhausted, device full)
+    /// and the backend rolled it back, or the power-cycle's recovery
+    /// failed: the system is read-only [degraded](SystemMode::Degraded).
+    Degraded,
+}
+
+impl Lost {
+    /// The error the transaction behind the write sees.
+    fn error_for(self, txn: TxnId) -> TxnError {
+        match self {
+            Lost::PowerCycled => TxnError::NotActive(txn),
+            Lost::Degraded => TxnError::ReadOnly,
+        }
+    }
+}
+
 /// A [`TxnSystem`] with write-ahead redo journaling through a pluggable
 /// [`LogBackend`] and crash simulation.
 pub struct DurableSystem<A, E, C, B = MemBackend<A>>
@@ -195,17 +246,11 @@ where
     C: Conflict<A>,
     B: LogBackend<A>,
 {
-    sys: TxnSystem<A, E, C>,
+    /// The volatile system and the write-ahead buffer `commit` journals.
+    vol: WriteAhead<A, E, C>,
     backend: B,
     journal: Journal<A>,
     make: Box<dyn Fn() -> TxnSystem<A, E, C> + Send>,
-    /// Global execution-sequence allocator (stamps every executed op, so UIP
-    /// replay can restore execution order across transactions). Restored
-    /// from the log on recovery.
-    op_seq: u64,
-    /// Executed-but-uncommitted operations per live transaction, with their
-    /// execution stamps — the write-ahead buffer that `commit` journals.
-    pending_ops: BTreeMap<TxnId, Vec<(u64, ObjectId, Op<A>)>>,
     /// In-doubt 2PC participants by global transaction id: durably PREPAREd
     /// (the yes-vote reached stable storage) but with no durable decision
     /// yet. The transaction stays *active* in the volatile system — holding
@@ -262,12 +307,10 @@ where
             Box::new(move || TxnSystem::<A, E, C>::new(adt.clone(), n_objects, conflict.clone()))
         };
         let mut sys = DurableSystem {
-            sys: make(),
+            vol: WriteAhead::new(make(), 0),
             backend,
             journal: Journal::default(),
             make,
-            op_seq: 0,
-            pending_ops: BTreeMap::new(),
             prepared: BTreeMap::new(),
             mode: SystemMode::Normal,
             max_staged: 0,
@@ -276,13 +319,13 @@ where
             stall_streak: 0,
             seen_stall_ticks: 0,
         };
-        sys.sys.obs_mut().set_label("backend", sys.backend.name());
+        sys.vol.sys.obs_mut().set_label("backend", sys.backend.name());
         sys
     }
 
     /// Begin a transaction (volatile until commit).
     pub fn begin(&mut self) -> TxnId {
-        self.sys.begin()
+        self.vol.sys.begin()
     }
 
     /// Execute an operation (volatile until commit; buffered for the
@@ -293,78 +336,86 @@ where
         obj: ObjectId,
         inv: A::Invocation,
     ) -> Result<A::Response, TxnError> {
-        let resp = self.sys.invoke(txn, obj, inv.clone())?;
-        let seq = self.op_seq;
-        self.op_seq += 1;
-        self.pending_ops.entry(txn).or_default().push((seq, obj, Op::new(inv, resp.clone())));
-        Ok(resp)
+        self.vol.invoke(txn, obj, inv)
     }
 
-    /// Commit: journal the transaction's operations (force to stable
-    /// storage, in commit order), then commit in the volatile system.
+    /// The durable write path — every append to the log goes through here.
+    /// `write` performs the backend append; around it this times the
+    /// `JournalAppend` span (checkpoints are not journal appends and run
+    /// unspanned), forwards the retry telemetry, and closes the caller's
+    /// `total` span, all *before* the result is judged, so the events of a
+    /// crash-path recovery are not charged to the write.
+    ///
+    /// A failed write has two outcomes ([`Lost`]). A tripped crash-at-op
+    /// trigger is a power loss: acknowledge it and recover — the
+    /// unacknowledged tail is discardable, and for a checkpoint whichever
+    /// image, old XOR new, reached stable storage folds to the same
+    /// committed state. Any other failure means the live device refused and
+    /// the backend rolled the append back, so nothing of it is durable:
+    /// degrade to read-only. What success means is the caller's business.
+    fn durable_write<T>(
+        &mut self,
+        kind: Write,
+        total: Option<SpanToken>,
+        write: impl FnOnce(&mut B) -> Result<T, StoreFailureKind>,
+    ) -> Result<T, Lost> {
+        let span = (kind != Write::Checkpoint)
+            .then(|| self.vol.sys.obs_mut().span_begin(Phase::JournalAppend));
+        let wrote = write(&mut self.backend);
+        self.drain_retry_events();
+        for s in span.into_iter().chain(total) {
+            self.vol.sys.obs_mut().span_end(s);
+        }
+        let fail = match wrote {
+            Ok(v) => return Ok(v),
+            Err(fail) => fail,
+        };
+        let (interrupted, refused) = kind.labels();
+        match fail {
+            StoreFailureKind::Device(DiskError::Crashed) => {
+                self.backend.crash();
+                match self.recover_with(TornPolicy::DiscardTail) {
+                    Ok(()) => return Err(Lost::PowerCycled),
+                    Err(e) => self.enter_degraded(format!(
+                        "device crashed mid-{interrupted} and recovery failed: {e:?}"
+                    )),
+                }
+            }
+            refusal => self.enter_degraded(format!("{refused} failed: {refusal:?}")),
+        }
+        Err(Lost::Degraded)
+    }
+
+    /// Commit: commit in the volatile system, then journal the
+    /// transaction's operations (force to stable storage, in commit order).
     ///
     /// In [`SystemMode::Degraded`] the commit is refused with
     /// [`TxnError::ReadOnly`] and the transaction aborted (its effects were
-    /// volatile). A device failure during the append either degrades the
-    /// system (retries exhausted, device full — the backend rolled the
-    /// append back, so nothing of the record is durable) or, for a tripped
-    /// crash-at-op trigger, power-cycles and recovers on the spot: the
-    /// transaction then surfaces as [`TxnError::NotActive`], exactly as if
-    /// the process had crashed before acknowledging.
+    /// volatile). A failed append either degrades the system
+    /// ([`TxnError::ReadOnly`]) or power-cycles it ([`TxnError::NotActive`])
+    /// — see DESIGN.md §9, "The durable write path".
     pub fn commit(&mut self, txn: TxnId) -> Result<(), TxnError> {
         if self.mode == SystemMode::Degraded {
-            self.pending_ops.remove(&txn);
-            let _ = self.sys.abort(txn);
+            let _ = self.vol.abort(txn);
             return Err(TxnError::ReadOnly);
         }
-        // Span accounting: the volatile commit (lock release + validate +
-        // apply) runs inside the total, as does the journal append with its
-        // retry events; both spans close before the append result is judged
-        // so a crash-path recovery's events are not charged to this commit.
-        let total = self.sys.obs_mut().span_begin(Phase::CommitTotal);
-        if let Err(e) = self.sys.commit(txn) {
-            self.sys.obs_mut().span_end(total);
-            return Err(e);
-        }
-        let ops = self.pending_ops.remove(&txn).unwrap_or_default();
-        // The floor is read back from the log on recovery: journal it.
-        let rec = CommitRecord { floor: self.sys.next_txn_id(), ops };
-        let journal_span = self.sys.obs_mut().span_begin(Phase::JournalAppend);
-        let append = self.backend.append_commit(&rec);
-        self.drain_retry_events();
-        self.sys.obs_mut().span_end(journal_span);
-        self.sys.obs_mut().span_end(total);
-        match append {
-            Ok(()) => {
-                self.journal.records.push(rec);
-                self.observe_stalls();
+        // The volatile commit (lock release + validate + apply) runs inside
+        // the total, as does the journal append with its retry events.
+        let total = self.vol.sys.obs_mut().span_begin(Phase::CommitTotal);
+        let rec = match self.vol.commit(txn) {
+            Ok(rec) => rec,
+            Err(e) => {
+                self.vol.sys.obs_mut().span_end(total);
+                return Err(e);
             }
-            Err(fail) => {
-                return Err(match fail.kind {
-                    StoreFailureKind::Device(DiskError::Crashed) => {
-                        // The device lost power mid-append: durability of the
-                        // record is undecided. Acknowledge the power loss and
-                        // recover; the unacknowledged tail is discardable.
-                        self.backend.crash();
-                        match self.recover_with(TornPolicy::DiscardTail) {
-                            Ok(()) => TxnError::NotActive(txn),
-                            Err(e) => {
-                                self.enter_degraded(format!(
-                                    "device crashed mid-commit and recovery failed: {e:?}"
-                                ));
-                                TxnError::ReadOnly
-                            }
-                        }
-                    }
-                    kind => {
-                        self.enter_degraded(format!("commit append failed: {kind:?}"));
-                        TxnError::ReadOnly
-                    }
-                });
-            }
-        }
-        // Wound-wait victims and wound storms never reach `abort` here.
-        self.sys.retain_active(&mut self.pending_ops);
+        };
+        self.durable_write(Write::Commit, Some(total), |b| {
+            b.append_commit(&rec).map_err(|f| f.kind)
+        })
+        .map_err(|lost| lost.error_for(txn))?;
+        self.journal.records.push(rec);
+        self.observe_stalls();
+        self.vol.prune();
         Ok(())
     }
 
@@ -381,8 +432,7 @@ where
             return txns
                 .iter()
                 .map(|&t| {
-                    self.pending_ops.remove(&t);
-                    let _ = self.sys.abort(t);
+                    let _ = self.vol.abort(t);
                     Err(TxnError::ReadOnly)
                 })
                 .collect();
@@ -390,7 +440,7 @@ where
         // One CommitTotal span covers the whole group: every member's
         // volatile commit (with its own Validate span) plus the single
         // batched journal append.
-        let total = self.sys.obs_mut().span_begin(Phase::CommitTotal);
+        let total = self.vol.sys.obs_mut().span_begin(Phase::CommitTotal);
         let mut results = Vec::with_capacity(txns.len());
         let mut recs: Vec<CommitRecord<A>> = Vec::new();
         for &txn in txns {
@@ -400,75 +450,43 @@ where
             // atomicity-preserving by construction (equivalent to a clean
             // abort). Callers retry shed transactions with backoff.
             if self.max_staged > 0 && recs.len() >= self.max_staged {
-                self.pending_ops.remove(&txn);
-                self.sys.obs_mut().on_shed(txn);
-                let _ = self.sys.abort(txn);
+                self.vol.sys.obs_mut().on_shed(txn);
+                let _ = self.vol.abort(txn);
                 results.push(Err(TxnError::Shed));
                 continue;
             }
-            match self.sys.commit(txn) {
-                Ok(()) => {
-                    let ops = self.pending_ops.remove(&txn).unwrap_or_default();
-                    recs.push(CommitRecord { floor: self.sys.next_txn_id(), ops });
-                    results.push(Ok(()));
-                }
-                Err(e) => results.push(Err(e)),
-            }
+            results.push(self.vol.commit(txn).map(|rec| recs.push(rec)));
         }
         if recs.is_empty() {
-            self.sys.obs_mut().span_end(total);
+            self.vol.sys.obs_mut().span_end(total);
         } else {
-            let journal_span = self.sys.obs_mut().span_begin(Phase::JournalAppend);
-            let append = self.backend.append_commits(&recs);
-            self.drain_retry_events();
-            self.sys.obs_mut().span_end(journal_span);
-            self.sys.obs_mut().span_end(total);
-            match append {
+            match self.durable_write(Write::BatchFlush, Some(total), |b| {
+                b.append_commits(&recs).map_err(|f| f.kind)
+            }) {
                 Ok(()) => {
-                    self.sys.obs_mut().on_group_flush(recs.len() as u64, 0);
+                    self.vol.sys.obs_mut().on_group_flush(recs.len() as u64, 0);
                     self.journal.records.extend(recs);
                     self.observe_stalls();
                 }
-                Err(fail) => {
-                    // The whole batch's durability failed together; rewrite
-                    // every volatile acknowledgement. `None` marks the
-                    // power-cycle path, where each transaction evaporated
-                    // with the crash (NotActive per slot).
-                    let err = match fail.kind {
-                        StoreFailureKind::Device(DiskError::Crashed) => {
-                            self.backend.crash();
-                            match self.recover_with(TornPolicy::DiscardTail) {
-                                Ok(()) => None,
-                                Err(e) => {
-                                    self.enter_degraded(format!(
-                                        "device crashed mid-batch-flush and recovery failed: {e:?}"
-                                    ));
-                                    Some(TxnError::ReadOnly)
-                                }
-                            }
-                        }
-                        kind => {
-                            self.enter_degraded(format!("batch flush failed: {kind:?}"));
-                            Some(TxnError::ReadOnly)
-                        }
-                    };
+                Err(lost) => {
+                    // The whole batch's durability failed together: rewrite
+                    // every volatile acknowledgement.
                     for (slot, &t) in results.iter_mut().zip(txns) {
                         if slot.is_ok() {
-                            *slot = Err(err.clone().unwrap_or(TxnError::NotActive(t)));
+                            *slot = Err(lost.error_for(t));
                         }
                     }
                     return results;
                 }
             }
         }
-        self.sys.retain_active(&mut self.pending_ops);
+        self.vol.prune();
         results
     }
 
     /// Abort (nothing reaches the journal).
     pub fn abort(&mut self, txn: TxnId) -> Result<(), TxnError> {
-        self.pending_ops.remove(&txn);
-        self.sys.abort(txn)
+        self.vol.abort(txn)
     }
 
     /// 2PC phase one, participant side: durably journal a PREPARE record for
@@ -480,56 +498,31 @@ where
     /// crashes (recovery restores the in-doubt transaction as a ghost).
     ///
     /// Any error is a no-vote — per presumed abort the coordinator needs no
-    /// durable record to conclude abort. A tripped crash-at-op trigger
-    /// power-cycles and recovers on the spot ([`TxnError::NotActive`]); the
-    /// prepare may still have reached stable storage, in which case the gtid
-    /// resurfaces [in doubt](Self::in_doubt) and the coordinator's abort
-    /// decision (or presumption) resolves it.
+    /// durable record to conclude abort. After a power-cycle
+    /// ([`TxnError::NotActive`]) the prepare may still have reached stable
+    /// storage, in which case the gtid resurfaces [in doubt](Self::in_doubt)
+    /// and the coordinator's abort decision (or presumption) resolves it.
     pub fn prepare(&mut self, txn: TxnId, gtid: u64) -> Result<(), TxnError> {
         if self.mode == SystemMode::Degraded {
-            self.pending_ops.remove(&txn);
-            let _ = self.sys.abort(txn);
+            let _ = self.vol.abort(txn);
             return Err(TxnError::ReadOnly);
         }
-        if !self.sys.is_active(txn) {
+        if !self.vol.sys.is_active(txn) {
             return Err(TxnError::NotActive(txn));
         }
         assert!(
             !self.prepared.contains_key(&gtid),
             "coordinator bug: gtid {gtid} prepared twice on one participant"
         );
-        let ops = self.pending_ops.remove(&txn).unwrap_or_default();
-        let rec = CommitRecord { floor: self.sys.next_txn_id(), ops };
-        let journal_span = self.sys.obs_mut().span_begin(Phase::JournalAppend);
-        let append = self.backend.append_prepare(gtid, &rec);
-        self.drain_retry_events();
-        self.sys.obs_mut().span_end(journal_span);
-        match append {
-            Ok(()) => {
-                self.sys.obs_mut().on_prepare(txn, gtid);
-                self.prepared.insert(gtid, (txn, rec));
-                self.observe_stalls();
-                Ok(())
-            }
-            Err(fail) => Err(match fail.kind {
-                StoreFailureKind::Device(DiskError::Crashed) => {
-                    self.backend.crash();
-                    match self.recover_with(TornPolicy::DiscardTail) {
-                        Ok(()) => TxnError::NotActive(txn),
-                        Err(e) => {
-                            self.enter_degraded(format!(
-                                "device crashed mid-prepare and recovery failed: {e:?}"
-                            ));
-                            TxnError::ReadOnly
-                        }
-                    }
-                }
-                kind => {
-                    self.enter_degraded(format!("prepare append failed: {kind:?}"));
-                    TxnError::ReadOnly
-                }
-            }),
-        }
+        let rec = self.vol.record(txn);
+        self.durable_write(Write::Prepare, None, |b| {
+            b.append_prepare(gtid, &rec).map_err(|f| f.kind)
+        })
+        .map_err(|lost| lost.error_for(txn))?;
+        self.vol.sys.obs_mut().on_prepare(txn, gtid);
+        self.prepared.insert(gtid, (txn, rec));
+        self.observe_stalls();
+        Ok(())
     }
 
     /// 2PC phase two, participant side: durably journal the coordinator's
@@ -540,10 +533,10 @@ where
     /// prepare never survived) acknowledges with `Ok` and journals nothing,
     /// so coordinators may retransmit decisions freely.
     ///
-    /// A tripped crash-at-op trigger power-cycles and recovers
-    /// ([`TxnError::NotActive`]): the decision may or may not have reached
-    /// stable storage — the caller re-checks [`in_doubt`](Self::in_doubt)
-    /// and retransmits if the gtid still surfaces.
+    /// After a power-cycle ([`TxnError::NotActive`]) the decision may or may
+    /// not have reached stable storage — the caller re-checks
+    /// [`in_doubt`](Self::in_doubt) and retransmits if the gtid still
+    /// surfaces.
     pub fn resolve(&mut self, gtid: u64, commit: bool) -> Result<(), TxnError> {
         if self.mode == SystemMode::Degraded {
             return Err(TxnError::ReadOnly);
@@ -551,53 +544,28 @@ where
         let Some(txn) = self.prepared.get(&gtid).map(|(t, _)| *t) else {
             return Ok(());
         };
-        let journal_span = self.sys.obs_mut().span_begin(Phase::JournalAppend);
-        let append = self.backend.append_decision(gtid, commit);
-        self.drain_retry_events();
-        self.sys.obs_mut().span_end(journal_span);
-        match append {
-            Ok(()) => {
-                let (txn, rec) = self.prepared.remove(&gtid).expect("checked above");
-                self.sys.obs_mut().on_decide(gtid, commit);
-                self.observe_stalls();
-                if commit {
-                    match self.sys.commit(txn) {
-                        Ok(()) => self.journal.records.push(rec),
-                        Err(_) => {
-                            // The durable decision is the commit point; the
-                            // volatile refusal (a theorem-impossible wound of
-                            // a lock-holding preparee) cannot unwind it.
-                            // Record durable truth and re-sync the mirror.
-                            self.journal.records.push(rec);
-                            let _ = self.rebuild_from_journal();
-                        }
-                    }
-                } else {
-                    self.pending_ops.remove(&txn);
-                    let _ = self.sys.abort(txn);
-                }
-                self.sys.retain_active(&mut self.pending_ops);
-                Ok(())
+        self.durable_write(Write::Decide, None, |b| {
+            b.append_decision(gtid, commit).map_err(|f| f.kind)
+        })
+        .map_err(|lost| lost.error_for(txn))?;
+        let (txn, rec) = self.prepared.remove(&gtid).expect("checked above");
+        self.vol.sys.obs_mut().on_decide(gtid, commit);
+        self.observe_stalls();
+        if commit {
+            let refused = self.vol.sys.commit(txn).is_err();
+            self.journal.records.push(rec);
+            if refused {
+                // The durable decision is the commit point; the volatile
+                // refusal (a theorem-impossible wound of a lock-holding
+                // preparee) cannot unwind it. Durable truth is recorded
+                // above; re-sync the mirror to it.
+                let _ = self.rebuild_from_journal();
             }
-            Err(fail) => Err(match fail.kind {
-                StoreFailureKind::Device(DiskError::Crashed) => {
-                    self.backend.crash();
-                    match self.recover_with(TornPolicy::DiscardTail) {
-                        Ok(()) => TxnError::NotActive(txn),
-                        Err(e) => {
-                            self.enter_degraded(format!(
-                                "device crashed mid-decide and recovery failed: {e:?}"
-                            ));
-                            TxnError::ReadOnly
-                        }
-                    }
-                }
-                kind => {
-                    self.enter_degraded(format!("decision append failed: {kind:?}"));
-                    TxnError::ReadOnly
-                }
-            }),
+        } else {
+            let _ = self.vol.abort(txn);
         }
+        self.vol.prune();
+        Ok(())
     }
 
     /// [`resolve`](Self::resolve) for a decision reached *after* recovery —
@@ -609,7 +577,7 @@ where
         let known = self.prepared.contains_key(&gtid);
         self.resolve(gtid, commit)?;
         if known {
-            self.sys.obs_mut().on_resolved(gtid, commit);
+            self.vol.sys.obs_mut().on_resolved(gtid, commit);
         }
         Ok(())
     }
@@ -631,10 +599,12 @@ where
     /// returning 0 when nothing was committed since the last checkpoint.
     ///
     /// This is also the exit from [`SystemMode::Degraded`]: a checkpoint
-    /// that reaches stable storage is durable proof the
-    /// [healed](Self::heal_device) device accepts writes again, so the
-    /// system returns to [`SystemMode::Normal`]. A checkpoint the device
-    /// refuses (returning 0) enters — or stays in — degraded mode.
+    /// that reaches stable storage is durable proof the healed device
+    /// (`LogBackend::heal_device`) accepts writes again, so the system
+    /// returns to [`SystemMode::Normal`]. A checkpoint the device refuses
+    /// (returning 0) enters — or stays in — degraded mode; the journal
+    /// mirror then keeps the old base, and whichever image is durably
+    /// complete wins at the next recovery.
     pub fn checkpoint(&mut self) -> u64 {
         // A checkpoint image captures only *committed* state; truncating the
         // log while prepares are in doubt would orphan their PREPARE frames.
@@ -647,57 +617,35 @@ where
             return 0;
         }
         let states: Vec<(ObjectId, A::State)> = self
+            .vol
             .sys
             .object_ids()
             .into_iter()
             .map(|obj| {
-                let state = self.sys.committed_state(obj);
+                let state = self.vol.sys.committed_state(obj);
                 (obj, state)
             })
             .collect();
         let img = CheckpointImage {
             base_records: self.journal.base_records + records,
-            txn_floor: self.sys.next_txn_id(),
-            next_exec_seq: self.op_seq,
+            txn_floor: self.vol.sys.next_txn_id(),
+            next_exec_seq: self.vol.exec_seq(),
             states: states.clone(),
         };
-        let write = self.backend.write_checkpoint(&img);
-        self.drain_retry_events();
-        match write {
-            Ok(truncated) => {
-                self.journal.base_records = img.base_records;
-                self.journal.base = Some(states);
-                self.journal.records.clear();
-                self.sys.obs_mut().on_checkpoint(records, truncated);
-                if self.mode == SystemMode::Degraded {
-                    self.mode = SystemMode::Normal;
-                    self.sys.obs_mut().on_degraded(false, String::new);
-                }
-                truncated
-            }
-            Err(fail) => {
-                match fail.kind {
-                    StoreFailureKind::Device(DiskError::Crashed) => {
-                        // Power loss mid-checkpoint: recover from whichever
-                        // image — old XOR new — reached stable storage
-                        // (both fold to the same committed state).
-                        self.backend.crash();
-                        if let Err(e) = self.recover_with(TornPolicy::DiscardTail) {
-                            self.enter_degraded(format!(
-                                "device crashed mid-checkpoint and recovery failed: {e:?}"
-                            ));
-                        }
-                    }
-                    kind => {
-                        // The journal mirror keeps the old base: whichever
-                        // image is durably complete wins at the next
-                        // recovery.
-                        self.enter_degraded(format!("checkpoint write failed: {kind:?}"));
-                    }
-                }
-                0
-            }
+        let Ok(truncated) = self.durable_write(Write::Checkpoint, None, |b| {
+            b.write_checkpoint(&img).map_err(|f| f.kind)
+        }) else {
+            return 0;
+        };
+        self.journal.base_records = img.base_records;
+        self.journal.base = Some(states);
+        self.journal.records.clear();
+        self.vol.sys.obs_mut().on_checkpoint(records, truncated);
+        if self.mode == SystemMode::Degraded {
+            self.mode = SystemMode::Normal;
+            self.vol.sys.obs_mut().on_degraded(false, String::new);
         }
+        truncated
     }
 
     /// Simulate a crash: every piece of volatile state is lost — active
@@ -722,14 +670,15 @@ where
 
     /// Re-run recovery against the *current* durable image, without crashing
     /// again. This is the retry path after a failed scan whose cause was
-    /// repaired in place (e.g. [`repair_flips`](Self::repair_flips)): a
-    /// fresh crash would wipe the backend's volatile detection counters, so
-    /// the repair flow must not take one.
+    /// repaired in place (e.g. `LogBackend::repair_flips`): a fresh crash
+    /// would wipe the backend's volatile detection counters, so the repair
+    /// flow must not take one.
     pub fn recover_with(&mut self, policy: TornPolicy) -> Result<(), RedoError> {
         // Phase accounting: the scan/classify/repair stage splits come from
         // the backend's ScanReport (their op counts tile the successful
         // attempt's device-op delta exactly); rebuild and replay are timed
-        // here. Units for the recovery total are the attempt's device ops.
+        // by `rebuild`. Units for the recovery total are the attempt's
+        // device ops.
         let wall = std::time::Instant::now();
         let mut attempt_ops;
         let recovered = loop {
@@ -737,125 +686,72 @@ where
             let attempt = self.backend.recover(policy.tail());
             self.drain_retry_events();
             attempt_ops = self.backend.device_op_count() - ops0;
-            match attempt {
+            let fail = match attempt {
                 Ok(r) => break r,
-                Err(fail) => {
-                    match fail.kind {
-                        // A crash-at-op trigger tripped *during recovery*:
-                        // acknowledge the nested power loss and recover from
-                        // whatever the interrupted attempt left durable. The
-                        // trigger is one-shot (tripping consumes it), so
-                        // this converges.
-                        StoreFailureKind::Device(DiskError::Crashed) => {
-                            self.backend.crash();
-                            continue;
-                        }
-                        // A transient-error burst outlasted one op's retry
-                        // budget mid-scan. The burst is finite and every
-                        // failed attempt consumes part of it, so re-running
-                        // the scan converges — recovery is the one path that
-                        // must not give up on a retryable error, since
-                        // nothing downstream can serve until it completes.
-                        StoreFailureKind::Device(DiskError::Transient) => continue,
-                        kind => {
-                            // Surface the scan evidence on the surviving
-                            // tracer even though the rebuild is refused.
-                            emit_scan(self.sys.obs_mut(), &fail.report);
-                            self.sys.obs_mut().on_phase(
-                                Phase::RecoveryTotal,
-                                attempt_ops,
-                                wall.elapsed().as_nanos() as u64,
-                            );
-                            return Err(match kind {
-                                StoreFailureKind::Torn { record, expected, found } => {
-                                    RedoError::TornRecord { record, expected, found }
-                                }
-                                StoreFailureKind::Corrupt { sector } => {
-                                    RedoError::CorruptRecord { sector }
-                                }
-                                StoreFailureKind::Device(error) => RedoError::Device { error },
-                            });
-                        }
-                    }
+                Err(fail) => fail,
+            };
+            let refused = match fail.kind {
+                // A crash-at-op trigger tripped *during recovery*: acknowledge
+                // the nested power loss and recover from whatever the
+                // interrupted attempt left durable. The trigger is one-shot
+                // (tripping consumes it), so this converges.
+                StoreFailureKind::Device(DiskError::Crashed) => {
+                    self.backend.crash();
+                    continue;
                 }
-            }
+                // A transient-error burst outlasted one op's retry budget
+                // mid-scan. The burst is finite and every failed attempt
+                // consumes part of it, so re-running the scan converges —
+                // recovery is the one path that must not give up on a
+                // retryable error, since nothing downstream can serve until
+                // it completes.
+                StoreFailureKind::Device(DiskError::Transient) => continue,
+                StoreFailureKind::Torn { record, expected, found } => {
+                    RedoError::TornRecord { record, expected, found }
+                }
+                StoreFailureKind::Corrupt { sector } => RedoError::CorruptRecord { sector },
+                StoreFailureKind::Device(error) => RedoError::Device { error },
+            };
+            // Surface the scan evidence on the surviving tracer even though
+            // the rebuild is refused.
+            emit_scan(self.vol.sys.obs_mut(), &fail.report);
+            self.vol.sys.obs_mut().on_phase(
+                Phase::RecoveryTotal,
+                attempt_ops,
+                wall.elapsed().as_nanos() as u64,
+            );
+            return Err(refused);
         };
-        // The tracer models durable monitoring state: carry it across the
-        // rebuild so counters/histograms survive. The replay below runs
-        // against the fresh system's own throwaway tracer (recovery must not
-        // double-count the replayed commits), which is discarded on success.
-        let rebuild_clock = std::time::Instant::now();
-        let mut fresh = self.fresh_system();
-        let mut restored = 0u64;
-        if let Some(cp) = &recovered.checkpoint {
-            for (obj, state) in &cp.states {
-                fresh.restore_committed(*obj, state.clone());
-                restored += 1;
-            }
-        }
-        let rebuild_ns = rebuild_clock.elapsed().as_nanos() as u64;
-        let replay_clock = std::time::Instant::now();
-        let replayed = recovered.records.len();
-        for (ri, rec) in recovered.records.iter().enumerate() {
-            let t = fresh.begin();
-            for (oi, (_seq, obj, op)) in rec.ops.iter().enumerate() {
-                match fresh.invoke(t, *obj, op.inv.clone()) {
-                    Ok(resp) if resp == op.resp => {}
-                    Ok(_) => return Err(RedoError::ResponseDiverged { record: ri, op: oi }),
-                    Err(_) => return Err(RedoError::ReplayRefused { record: ri }),
-                }
-            }
-            fresh.commit(t).map_err(|_| RedoError::ReplayRefused { record: ri })?;
-        }
         // Floors come from the log, not from pre-crash process memory — and
-        // they already cover the in-doubt prepares, so the ghosts begun
-        // below get fresh post-crash ids.
-        fresh.reserve_txn_ids(recovered.txn_floor);
-        // Restore each in-doubt prepare as a *ghost*: a fresh active
-        // transaction that re-executes the prepared operations (responses
-        // verified — two-phase locking kept conflicting committed work out,
-        // so replaying committed-then-in-doubt must reproduce them) and is
-        // left uncommitted, re-holding every lock until the coordinator's
-        // decision resolves it. The original record (original execution
-        // stamps) stays in the in-doubt map; the ghost's re-execution is
-        // reconstruction, not new workload.
-        let mut prepared: BTreeMap<u64, (TxnId, CommitRecord<A>)> = BTreeMap::new();
-        for (gi, (gtid, rec)) in recovered.in_doubt.iter().enumerate() {
-            let t = fresh.begin();
-            for (oi, (_seq, obj, op)) in rec.ops.iter().enumerate() {
-                match fresh.invoke(t, *obj, op.inv.clone()) {
-                    Ok(resp) if resp == op.resp => {}
-                    Ok(_) => {
-                        return Err(RedoError::ResponseDiverged { record: replayed + gi, op: oi })
-                    }
-                    Err(_) => return Err(RedoError::ReplayRefused { record: replayed + gi }),
-                }
-            }
-            prepared.insert(*gtid, (t, rec.clone()));
-        }
-        // Replay succeeded: move the surviving tracer over, record the scan
-        // evidence and the recovery on it (on `Err` above the pre-crash
-        // system is left in place, preserving all-or-nothing recovery).
-        let replay_ns = replay_clock.elapsed().as_nanos() as u64;
-        let mut obs = self.sys.take_obs();
+        // they already cover the in-doubt prepares, so the ghosts get fresh
+        // post-crash ids.
+        let base = recovered.checkpoint.as_ref().map(|c| c.states.as_slice());
+        let in_doubt = recovered.in_doubt.iter().map(|(gtid, rec)| (*gtid, rec));
+        let rebuilt = self.rebuild(base, &recovered.records, recovered.txn_floor, in_doubt)?;
+        // Replay succeeded: move the surviving tracer over (it models
+        // durable monitoring state, so counters and histograms survive),
+        // record the scan evidence and the recovery on it (on `Err` above
+        // the pre-crash system is left in place, preserving all-or-nothing
+        // recovery).
+        let mut fresh = rebuilt.sys;
+        let replayed = recovered.records.len();
+        let mut obs = self.vol.sys.take_obs();
         emit_scan(&mut obs, &recovered.scan);
-        obs.on_phase(Phase::Rebuild, restored, rebuild_ns);
-        obs.on_phase(Phase::Replay, replayed as u64, replay_ns);
+        obs.on_phase(Phase::Rebuild, base.map_or(0, |b| b.len() as u64), rebuilt.restore_ns);
+        obs.on_phase(Phase::Replay, replayed as u64, rebuilt.replay_ns);
         obs.on_recovery(replayed);
-        if !prepared.is_empty() {
-            obs.on_in_doubt(prepared.len() as u64);
+        if !rebuilt.ghosts.is_empty() {
+            obs.on_in_doubt(rebuilt.ghosts.len() as u64);
         }
         obs.on_phase(Phase::RecoveryTotal, attempt_ops, wall.elapsed().as_nanos() as u64);
         fresh.set_obs(obs);
-        self.op_seq = recovered.next_exec_seq;
-        self.pending_ops.clear();
-        self.prepared = prepared;
+        self.vol = WriteAhead::new(fresh, recovered.next_exec_seq);
+        self.prepared = rebuilt.ghosts;
         self.journal = Journal {
             base_records: recovered.checkpoint.as_ref().map_or(0, |c| c.base_records),
             base: recovered.checkpoint.map(|c| c.states),
             records: recovered.records,
         };
-        self.sys = fresh;
         // A successful recovery proved the device writable (the epoch bump
         // reached stable storage): leave degraded mode. The stall sampler
         // re-anchors on the recovered device — recovery's own ticks are not
@@ -864,71 +760,84 @@ where
         self.stall_streak = 0;
         if self.mode == SystemMode::Degraded {
             self.mode = SystemMode::Normal;
-            self.sys.obs_mut().on_degraded(false, String::new);
+            self.vol.sys.obs_mut().on_degraded(false, String::new);
         }
         Ok(())
     }
 
-    /// Inject a torn write: drop the last `drop_ops` units of the final
-    /// journal append, leaving its header intact — as if the crash
-    /// interrupted the record's flush to stable storage. Returns `false`
-    /// when the backend's stable image cannot be torn that way.
-    pub fn tear_last_record(&mut self, drop_ops: usize) -> bool {
-        if !self.backend.tear_last_flush(drop_ops) {
-            return false;
-        }
-        let record = self.journal.len().saturating_sub(1);
-        self.sys.obs_mut().on_torn(record);
-        true
-    }
-
-    /// Tear the last commit flush at the backend's physical granularity
-    /// (sectors for the WAL, operations for the mem backend) *without*
-    /// counting it as a torn-record fault — the simulator's sector-tear
-    /// fault reports itself through its own counter. Returns `false` when
-    /// the stable image cannot be torn that way.
-    pub fn tear_last_flush(&mut self, sectors: usize) -> bool {
-        self.backend.tear_last_flush(sectors)
-    }
-
-    /// Lose the first sector of the last multi-sector commit flush, as if
-    /// the device reordered persistence across the un-fsynced write. Returns
-    /// `false` when the backend's image cannot express that fault.
-    pub fn reorder_last_flush(&mut self) -> bool {
-        self.backend.reorder_last_flush()
-    }
-
-    /// Flip one durable bit (index reduced modulo the stable image size).
-    /// Returns `false` for backends with no byte image.
-    pub fn flip_bit(&mut self, bit: u64) -> bool {
-        self.backend.flip_bit(bit)
-    }
-
-    /// Undo all injected bit flips (the medium is repaired; the log bytes
-    /// return to what was written). Returns the number of repairs.
-    pub fn repair_flips(&mut self) -> usize {
-        self.backend.repair_flips()
-    }
-
-    /// An empty volatile system to rebuild into, serving as the current one
-    /// does: `make` knows only the construction-time shape (ADT, objects,
-    /// conflict relation), so the conflict policy and the history-recording
-    /// switch set since then are carried over. Its own tracer is a silent
-    /// throwaway (replay must not double-count); the caller installs the
-    /// surviving one.
-    fn fresh_system(&self) -> TxnSystem<A, E, C> {
+    /// Build a volatile system that holds exactly what a log holds: `base`
+    /// restored, `records` replayed and committed in order, the id floor
+    /// reserved, and each `in_doubt` prepare re-installed as a *ghost* — a
+    /// fresh active transaction that re-executes the prepared operations
+    /// and is left uncommitted, re-holding every lock until the
+    /// coordinator's decision resolves it. Every replayed response is
+    /// verified against the record (two-phase locking kept conflicting
+    /// committed work out, so committed-then-in-doubt must reproduce them
+    /// too); the ghost map keeps the original records with their original
+    /// execution stamps — re-execution is reconstruction, not new workload.
+    ///
+    /// Both ways back from the log come through here: a recovery
+    /// ([`recover_with`](Self::recover_with)) passes what the backend's scan
+    /// found and the floor it read; a degrade
+    /// ([`rebuild_from_journal`](Self::rebuild_from_journal)) passes the
+    /// journal mirror and the live floor. The system is returned, not
+    /// installed: on `Err` the caller's current one stays in place. It
+    /// serves as the current one does — `make` knows only the
+    /// construction-time shape, so the conflict policy and the
+    /// history-recording switch set since are carried over — but with a
+    /// silent throwaway tracer (replay must not double-count); the caller
+    /// installs the surviving one.
+    fn rebuild<'r>(
+        &self,
+        base: Option<&[(ObjectId, A::State)]>,
+        records: &[CommitRecord<A>],
+        floor: u32,
+        in_doubt: impl Iterator<Item = (u64, &'r CommitRecord<A>)>,
+    ) -> Result<Rebuilt<A, E, C>, RedoError>
+    where
+        A: 'r,
+    {
+        let restore_clock = std::time::Instant::now();
         let mut fresh = (self.make)();
-        fresh.set_policy(self.sys.policy());
-        fresh.set_record_trace(self.sys.records_trace());
+        fresh.set_policy(self.vol.sys.policy());
+        fresh.set_record_trace(self.vol.sys.records_trace());
         fresh.obs_mut().set_record_events(false);
-        fresh
+        for (obj, state) in base.unwrap_or_default() {
+            fresh.restore_committed(*obj, state.clone());
+        }
+        let restore_ns = restore_clock.elapsed().as_nanos() as u64;
+        let replay_clock = std::time::Instant::now();
+        // Re-execute record `ri` under a fresh transaction, left active.
+        let reexecute = |fresh: &mut TxnSystem<A, E, C>, ri: usize, rec: &CommitRecord<A>| {
+            let t = fresh.begin();
+            for (oi, (_seq, obj, op)) in rec.ops.iter().enumerate() {
+                match fresh.invoke(t, *obj, op.inv.clone()) {
+                    Ok(resp) if resp == op.resp => {}
+                    Ok(_) => return Err(RedoError::ResponseDiverged { record: ri, op: oi }),
+                    Err(_) => return Err(RedoError::ReplayRefused { record: ri }),
+                }
+            }
+            Ok(t)
+        };
+        for (ri, rec) in records.iter().enumerate() {
+            let t = reexecute(&mut fresh, ri, rec)?;
+            fresh.commit(t).map_err(|_| RedoError::ReplayRefused { record: ri })?;
+        }
+        fresh.reserve_txn_ids(floor);
+        let mut ghosts = BTreeMap::new();
+        for (gi, (gtid, rec)) in in_doubt.enumerate() {
+            let t = reexecute(&mut fresh, records.len() + gi, rec)?;
+            ghosts.insert(gtid, (t, rec.clone()));
+        }
+        let replay_ns = replay_clock.elapsed().as_nanos() as u64;
+        Ok(Rebuilt { sys: fresh, ghosts, restore_ns, replay_ns })
     }
 
     /// Forward the backend's retry telemetry to the tracer (one `IoRetry`
     /// event per checked device op that needed retries).
     fn drain_retry_events(&mut self) {
         for r in self.backend.drain_retries() {
-            self.sys.obs_mut().on_io_retry(r.attempts, r.backoff, r.ok);
+            self.vol.sys.obs_mut().on_io_retry(r.attempts, r.backoff, r.ok);
         }
     }
 
@@ -948,9 +857,9 @@ where
     /// Arm the gray-failure health detector: a commit attempt whose
     /// device-stall delta reaches `threshold` ticks counts as one strike;
     /// `strikes` *consecutive* over-threshold attempts degrade the system
-    /// (read-only until the device is [healed](Self::heal_device) and a
-    /// checkpoint or recovery proves it writable). `threshold == 0`
-    /// disables the detector; stall deltas are still observed and counted.
+    /// (read-only until the device is healed and a checkpoint or recovery
+    /// proves it writable). `threshold == 0` disables the detector; stall
+    /// deltas are still observed and counted.
     pub fn set_stall_detector(&mut self, threshold: u64, strikes: u32) {
         self.stall_threshold = threshold;
         self.stall_strikes = strikes.max(1);
@@ -965,7 +874,7 @@ where
         let delta = now.saturating_sub(self.seen_stall_ticks);
         self.seen_stall_ticks = now;
         if delta > 0 {
-            self.sys.obs_mut().on_stall(delta);
+            self.vol.sys.obs_mut().on_stall(delta);
         }
         if self.stall_threshold == 0 {
             return;
@@ -993,7 +902,7 @@ where
             return;
         }
         self.mode = SystemMode::Degraded;
-        self.sys.obs_mut().on_degraded(true, || reason);
+        self.vol.sys.obs_mut().on_degraded(true, || reason);
         // On the (theorem-impossible) replay failure the stale volatile
         // system stays in place; the simulator's oracle surfaces the
         // divergence.
@@ -1004,49 +913,19 @@ where
     /// — the device just refused writes). Unlike a real recovery, the id
     /// floor and execution sequence carry over from process memory: the
     /// process did not crash, so monotonicity is preserved without re-reading
-    /// the log.
+    /// the log. The in-doubt prepares get fresh ghosts all the same.
     fn rebuild_from_journal(&mut self) -> Result<(), RedoError> {
-        let mut fresh = self.fresh_system();
-        if let Some(base) = self.journal.base.as_deref() {
-            for (obj, state) in base {
-                fresh.restore_committed(*obj, state.clone());
-            }
-        }
-        for (ri, rec) in self.journal.records.iter().enumerate() {
-            let t = fresh.begin();
-            for (oi, (_seq, obj, op)) in rec.ops.iter().enumerate() {
-                match fresh.invoke(t, *obj, op.inv.clone()) {
-                    Ok(resp) if resp == op.resp => {}
-                    Ok(_) => return Err(RedoError::ResponseDiverged { record: ri, op: oi }),
-                    Err(_) => return Err(RedoError::ReplayRefused { record: ri }),
-                }
-            }
-            fresh.commit(t).map_err(|_| RedoError::ReplayRefused { record: ri })?;
-        }
-        let floor = self.sys.next_txn_id();
-        fresh.reserve_txn_ids(floor);
-        // Re-install the in-doubt ghosts: the process did not crash, but the
-        // volatile mirror is being rebuilt, so each durably prepared
-        // transaction gets a fresh ghost re-holding its locks (responses
-        // verified, original records kept).
-        let base = self.journal.records.len();
-        let mut ghosts: BTreeMap<u64, (TxnId, CommitRecord<A>)> = BTreeMap::new();
-        for (gi, (gtid, (_old, rec))) in self.prepared.iter().enumerate() {
-            let t = fresh.begin();
-            for (oi, (_seq, obj, op)) in rec.ops.iter().enumerate() {
-                match fresh.invoke(t, *obj, op.inv.clone()) {
-                    Ok(resp) if resp == op.resp => {}
-                    Ok(_) => return Err(RedoError::ResponseDiverged { record: base + gi, op: oi }),
-                    Err(_) => return Err(RedoError::ReplayRefused { record: base + gi }),
-                }
-            }
-            ghosts.insert(*gtid, (t, rec.clone()));
-        }
-        let obs = self.sys.take_obs();
-        fresh.set_obs(obs);
-        self.pending_ops.clear();
-        self.prepared = ghosts;
-        self.sys = fresh;
+        let in_doubt = self.prepared.iter().map(|(gtid, (_old, rec))| (*gtid, rec));
+        let rebuilt = self.rebuild(
+            self.journal.base.as_deref(),
+            &self.journal.records,
+            self.vol.sys.next_txn_id(),
+            in_doubt,
+        )?;
+        let mut fresh = rebuilt.sys;
+        fresh.set_obs(self.vol.sys.take_obs());
+        self.vol = WriteAhead::new(fresh, self.vol.exec_seq());
+        self.prepared = rebuilt.ghosts;
         Ok(())
     }
 
@@ -1060,30 +939,16 @@ where
         self.mode == SystemMode::Degraded
     }
 
-    /// Heal the device: clear the full condition and any un-consumed
-    /// transient-error budget (the operator freed space / replaced the
-    /// cable). Returns `false` for backends with no device. Healing alone
-    /// does not exit degraded mode — a successful [`checkpoint`]
-    /// (Self::checkpoint) or recovery must first prove the device writable.
-    pub fn heal_device(&mut self) -> bool {
-        self.backend.heal_device()
-    }
-
-    /// Replace the backend's transient-I/O retry policy.
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.backend.set_retry_policy(policy);
-    }
-
     /// The global execution-sequence counter (the next stamp to allocate).
     /// Part of the model checker's canonical state: two states that differ
     /// only here still journal different records from now on.
     pub fn exec_seq(&self) -> u64 {
-        self.op_seq
+        self.vol.exec_seq()
     }
 
     /// The committed state of `obj`.
     pub fn committed_state(&mut self, obj: ObjectId) -> A::State {
-        self.sys.committed_state(obj)
+        self.vol.sys.committed_state(obj)
     }
 
     /// The volatile mirror of stable storage (what an undamaged recovery
@@ -1097,8 +962,9 @@ where
         &self.backend
     }
 
-    /// Mutable backend access (tests and fault injection reach the disk
-    /// through this).
+    /// Mutable backend access: fault injection, device healing and the
+    /// retry policy all reach the device through this, not through
+    /// pass-throughs here.
     pub fn backend_mut(&mut self) -> &mut B {
         &mut self.backend
     }
@@ -1111,31 +977,41 @@ where
 
     /// Access the volatile system (e.g. for trace inspection).
     pub fn system(&self) -> &TxnSystem<A, E, C> {
-        &self.sys
+        &self.vol.sys
     }
 
     /// Mutable access to the volatile system (scheduler loops and fault
     /// injection need `abort_with`, `find_deadlock` etc.).
     pub fn system_mut(&mut self) -> &mut TxnSystem<A, E, C> {
-        &mut self.sys
+        &mut self.vol.sys
     }
 
     /// Execution counters (carried across crashes).
     pub fn stats(&self) -> &crate::system::SystemStats {
-        self.sys.stats()
+        self.vol.sys.stats()
     }
 }
 
+/// What [`DurableSystem::rebuild`] built: the system, the in-doubt ghosts
+/// it holds, and the wall time of its two stages.
+struct Rebuilt<A: Adt, E: RecoveryEngine<A>, C: Conflict<A>> {
+    sys: TxnSystem<A, E, C>,
+    ghosts: BTreeMap<u64, (TxnId, CommitRecord<A>)>,
+    restore_ns: u64,
+    replay_ns: u64,
+}
+
 /// A full snapshot of a [`DurableSystem`] at one instant: the volatile
-/// system (lock table, engines, tracer), the stable backend (durable image
-/// plus write cache and armed faults), the journal mirror and the counters.
-/// The model checker's DFS explorer forks execution by taking a snapshot at
-/// each decision point, trying one action, and [`DurableSystem::restore`]-ing
-/// before trying the next.
+/// system (lock table, engines, tracer) with its write-ahead buffer, the
+/// stable backend (durable image plus write cache and armed faults), the
+/// journal mirror and the counters. The model checker's DFS explorer forks
+/// execution by taking a snapshot at each decision point, trying one action,
+/// and [`DurableSystem::restore`]-ing before trying the next.
 ///
 /// The one piece *not* captured is the `make` closure — it is immutable
 /// configuration (ADT, object count, conflict relation), so restoring into
 /// the same `DurableSystem` is exact.
+#[derive(Clone)]
 pub struct SystemSnapshot<A, E, C, B>
 where
     A: Adt,
@@ -1143,33 +1019,11 @@ where
     C: Conflict<A>,
     B: LogBackend<A>,
 {
-    sys: TxnSystem<A, E, C>,
+    vol: WriteAhead<A, E, C>,
     backend: B,
     journal: Journal<A>,
-    op_seq: u64,
-    pending_ops: BTreeMap<TxnId, Vec<(u64, ObjectId, Op<A>)>>,
     prepared: BTreeMap<u64, (TxnId, CommitRecord<A>)>,
     mode: SystemMode,
-}
-
-impl<A, E, C, B> Clone for SystemSnapshot<A, E, C, B>
-where
-    A: Adt,
-    E: RecoveryEngine<A> + Clone,
-    C: Conflict<A> + Clone,
-    B: LogBackend<A>,
-{
-    fn clone(&self) -> Self {
-        SystemSnapshot {
-            sys: self.sys.clone(),
-            backend: self.backend.clone(),
-            journal: self.journal.clone(),
-            op_seq: self.op_seq,
-            pending_ops: self.pending_ops.clone(),
-            prepared: self.prepared.clone(),
-            mode: self.mode,
-        }
-    }
 }
 
 impl<A, E, C, B> DurableSystem<A, E, C, B>
@@ -1183,11 +1037,9 @@ where
     /// [`restore`](Self::restore). See [`SystemSnapshot`].
     pub fn snapshot(&self) -> SystemSnapshot<A, E, C, B> {
         SystemSnapshot {
-            sys: self.sys.clone(),
+            vol: self.vol.clone(),
             backend: self.backend.clone(),
             journal: self.journal.clone(),
-            op_seq: self.op_seq,
-            pending_ops: self.pending_ops.clone(),
             prepared: self.prepared.clone(),
             mode: self.mode,
         }
@@ -1197,64 +1049,14 @@ where
     /// system. Non-consuming: the explorer restores the same snapshot once
     /// per branch of the decision point.
     pub fn restore(&mut self, snap: &SystemSnapshot<A, E, C, B>) {
-        self.sys = snap.sys.clone();
-        self.backend = snap.backend.clone();
-        self.journal = snap.journal.clone();
-        self.op_seq = snap.op_seq;
-        self.pending_ops = snap.pending_ops.clone();
-        self.prepared = snap.prepared.clone();
-        self.mode = snap.mode;
+        let SystemSnapshot { vol, backend, journal, prepared, mode } = snap.clone();
+        (self.vol, self.backend, self.journal, self.prepared, self.mode) =
+            (vol, backend, journal, prepared, mode);
         // Re-anchor the stall sampler on the restored backend so the next
         // observation charges only post-restore deltas; the strike streak
         // does not survive a rewind.
         self.seen_stall_ticks = self.backend.stall_ticks();
         self.stall_streak = 0;
-    }
-
-    /// Checked device operations performed so far (0 for backends with no
-    /// device). Monotone except across [`restore`](Self::restore).
-    pub fn device_op_count(&self) -> u64 {
-        self.backend.device_op_count()
-    }
-
-    /// Count the checked device operations a clean crash-recovery would
-    /// perform from the current state, without perturbing it: snapshot,
-    /// crash + recover, measure, restore. Returns `None` when the backend
-    /// has no checked-op notion (mem) or the probe recovery fails — in
-    /// either case there are no crash points to enumerate.
-    pub fn probe_recovery_ops(&mut self, policy: TornPolicy) -> Option<u64> {
-        if self.backend.device_op_count() == 0 && self.backend.name() == "mem" {
-            return None;
-        }
-        let snap = self.snapshot();
-        self.backend.crash();
-        let start = self.backend.device_op_count();
-        let ok = self.recover_with(policy).is_ok();
-        let ops = self.backend.device_op_count().saturating_sub(start);
-        self.restore(&snap);
-        if ok && ops > 0 {
-            Some(ops)
-        } else {
-            None
-        }
-    }
-
-    /// Crash, then arm the device to lose power again after `at_op` checked
-    /// operations *of the recovery itself*, then recover. The nested power
-    /// loss is absorbed by [`recover_with`](Self::recover_with)'s internal
-    /// loop (the trigger is one-shot), so on `Ok` the system has fully
-    /// recovered — possibly through an interrupted first attempt. Returns
-    /// whether the backend could arm the trigger at all.
-    pub fn crash_recover_interrupted(
-        &mut self,
-        policy: TornPolicy,
-        at_op: u64,
-    ) -> Result<bool, RedoError> {
-        self.backend.crash();
-        // Arm *after* the crash: crashing clears armed triggers (power-on
-        // resets the device), so the order matters.
-        let armed = self.backend.arm_crash_at_op(at_op);
-        self.recover_with(policy).map(|()| armed)
     }
 }
 
@@ -1284,7 +1086,7 @@ mod tests {
     use super::*;
     use crate::engine::UipEngine;
     use ccr_adt::bank::{bank_nrbc, BankAccount, BankInv};
-    use ccr_store::{WalBackend, WalConfig};
+    use ccr_store::{RetryPolicy, WalBackend, WalConfig};
 
     const X: ObjectId = ObjectId::SOLE;
 
@@ -1370,7 +1172,7 @@ mod tests {
         sys.invoke(u, X, BankInv::Withdraw(2)).unwrap();
         sys.commit(u).unwrap();
 
-        assert!(sys.tear_last_record(1));
+        assert!(sys.backend_mut().tear_last_flush(1));
         // Strict recovery refuses the torn record — never silent corruption.
         assert_eq!(
             sys.crash_and_recover(),
@@ -1380,7 +1182,6 @@ mod tests {
         sys.crash_and_recover_with(TornPolicy::DiscardTail).unwrap();
         assert_eq!(sys.committed_state(X), 10);
         assert_eq!(sys.journal().len(), 1);
-        assert_eq!(sys.stats().torn_crashes, 1);
     }
 
     #[test]
@@ -1481,7 +1282,7 @@ mod tests {
             sys.invoke(t, X, BankInv::Deposit(i)).unwrap();
             sys.commit(t).unwrap();
         }
-        assert!(sys.flip_bit(700));
+        assert!(sys.backend_mut().flip_bit(700));
         let err = sys.crash_and_recover().unwrap_err();
         assert!(
             matches!(err, RedoError::CorruptRecord { .. } | RedoError::TornRecord { .. }),
@@ -1490,7 +1291,7 @@ mod tests {
         // The medium is repaired; the retry must NOT crash again (that would
         // wipe the backend's volatile detection counters before they are
         // persisted by the successful recovery).
-        assert_eq!(sys.repair_flips(), 1);
+        assert_eq!(sys.backend_mut().repair_flips(), 1);
         sys.recover_with(TornPolicy::Strict).unwrap();
         assert_eq!(sys.committed_state(X), 3);
         let stats = sys.store_stats();
@@ -1548,7 +1349,7 @@ mod tests {
         assert!(sys.commit_group(&txns).iter().all(|r| r.is_ok()));
         // Tear one sector off the batch flush: the final record is torn
         // mid-frame; the first two survive as an unacknowledged prefix.
-        assert!(sys.tear_last_flush(1));
+        assert!(sys.backend_mut().tear_last_flush(1));
         assert!(matches!(sys.crash_and_recover(), Err(RedoError::TornRecord { .. })));
         sys.crash_and_recover_with(TornPolicy::DiscardTail).unwrap();
         assert_eq!(sys.committed_state(X), 100 + 1 + 10);
@@ -1580,7 +1381,7 @@ mod tests {
         assert_eq!(sys.commit(r), Err(TxnError::ReadOnly));
         // ...and healing alone is not enough: the checkpoint must prove the
         // device writable again.
-        assert!(sys.heal_device());
+        assert!(sys.backend_mut().heal_device());
         assert!(sys.is_degraded());
         sys.checkpoint();
         assert!(!sys.is_degraded());
@@ -1611,7 +1412,7 @@ mod tests {
     #[test]
     fn exhausted_retries_degrade_and_recovery_restores_writes() {
         let mut sys = disk_sys(1);
-        sys.set_retry_policy(RetryPolicy { attempts: 2, ..RetryPolicy::default() });
+        sys.backend_mut().set_retry_policy(RetryPolicy { attempts: 2, ..RetryPolicy::default() });
         let t = sys.begin();
         sys.invoke(t, X, BankInv::Deposit(4)).unwrap();
         sys.commit(t).unwrap();
@@ -1623,7 +1424,7 @@ mod tests {
         assert!(sys.is_degraded());
         assert_eq!(sys.committed_state(X), 4, "the rolled-back append left nothing durable");
         // Recovery on the healed device is the other exit from degraded mode.
-        assert!(sys.heal_device());
+        assert!(sys.backend_mut().heal_device());
         sys.crash_and_recover().unwrap();
         assert!(!sys.is_degraded());
         let v = sys.begin();
@@ -1733,7 +1534,7 @@ mod tests {
         assert_eq!(sys.commit(w), Err(TxnError::ReadOnly));
         // Healing clears the armed stall channel; the checkpoint proves the
         // device writable again and exits degraded mode.
-        assert!(sys.heal_device());
+        assert!(sys.backend_mut().heal_device());
         sys.checkpoint();
         assert!(!sys.is_degraded());
         let x2 = sys.begin();
@@ -1757,7 +1558,7 @@ mod tests {
         sys.invoke(u, X, BankInv::Deposit(1)).unwrap();
         sys.invoke(u, X, BankInv::Withdraw(2)).unwrap();
         sys.commit(u).unwrap();
-        assert!(sys.tear_last_record(1), "multi-sector commit frame is tearable");
+        assert!(sys.backend_mut().tear_last_flush(1), "multi-sector commit frame is tearable");
         assert!(matches!(sys.crash_and_recover(), Err(RedoError::TornRecord { .. })));
         sys.crash_and_recover_with(TornPolicy::DiscardTail).unwrap();
         assert_eq!(sys.committed_state(X), 5);
@@ -1955,4 +1756,219 @@ mod tests {
             assert_eq!(sys.committed_state(X), 10);
         }
     }
+
+    /// The two ways back from the log — a degrade rebuilding from the
+    /// journal mirror (no power loss) and a recovery rebuilding from the
+    /// backend's scan — must land in the same place: same committed
+    /// states, same in-doubt set, a ghost re-holding the same locks.
+    #[test]
+    fn degrade_and_recovery_rebuild_the_same_system() {
+        let (y, z) = (ObjectId(1), ObjectId(2));
+        // A checkpoint base, a record after it, one in-doubt prepare and
+        // one transaction in flight.
+        let pre_failure = || {
+            let mut sys = disk_sys(3);
+            let t = sys.begin();
+            sys.invoke(t, X, BankInv::Deposit(10)).unwrap();
+            sys.commit(t).unwrap();
+            sys.checkpoint();
+            let t = sys.begin();
+            sys.invoke(t, y, BankInv::Deposit(4)).unwrap();
+            sys.commit(t).unwrap();
+            let p = sys.begin();
+            sys.invoke(p, z, BankInv::Deposit(7)).unwrap();
+            sys.prepare(p, 9).unwrap();
+            let u = sys.begin();
+            sys.invoke(u, X, BankInv::Deposit(1)).unwrap();
+            (sys, u)
+        };
+        let (mut degraded, u) = pre_failure();
+        assert!(degraded.backend_mut().set_device_full(true));
+        assert_eq!(degraded.commit(u), Err(TxnError::ReadOnly));
+        assert!(degraded.is_degraded());
+        let (mut recovered, _) = pre_failure();
+        recovered.crash_and_recover().unwrap();
+        // The documented difference: a degrade keeps the live counters (the
+        // in-flight deposit's stamp and id stay spent), a recovery reads
+        // both floors back from the log.
+        assert_eq!((degraded.exec_seq(), recovered.exec_seq()), (4, 3));
+        assert!(degraded.system().next_txn_id() > recovered.system().next_txn_id());
+
+        for sys in [&mut degraded, &mut recovered] {
+            assert_eq!([X, y, z].map(|obj| sys.committed_state(obj)), [10, 4, 0]);
+            assert_eq!(sys.in_doubt(), vec![9]);
+            assert_eq!(sys.journal().base_records(), 1);
+            assert_eq!(sys.journal().records().len(), 1);
+            // The ghost holds the prepared deposit's lock, and only that.
+            let w = sys.begin();
+            assert!(matches!(
+                sys.invoke(w, z, BankInv::Withdraw(1)),
+                Err(TxnError::Blocked { .. })
+            ));
+            sys.invoke(w, y, BankInv::Withdraw(1)).unwrap();
+            sys.abort(w).unwrap();
+        }
+        assert_eq!(degraded.in_doubt_record(9), recovered.in_doubt_record(9));
+    }
+
+    /// The durable writes, each run against the same set-up: a committed
+    /// deposit of 10 on X and — for the resolve rows — a durably prepared
+    /// deposit of 5 on Y under gtid 7.
+    #[derive(Clone, Copy, Debug)]
+    enum Case {
+        Commit,
+        Group3,
+        Prepare,
+        ResolveCommit,
+        ResolveAbort,
+        Checkpoint,
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum Fault {
+        /// A transient burst longer than the retry budget.
+        Transient,
+        Full,
+        /// Power loss at the `k`-th checked device op of the write.
+        CrashAt(u64),
+    }
+
+    /// Performs the write under test and renders what it returned.
+    type Run = Box<dyn FnOnce(&mut DiskDurable) -> String>;
+
+    /// Build the set-up for `case`, and its write.
+    fn staged(case: Case) -> (DiskDurable, Run) {
+        let y = ObjectId(1);
+        let mut sys = disk_sys(2);
+        let t = sys.begin();
+        sys.invoke(t, X, BankInv::Deposit(10)).unwrap();
+        sys.commit(t).unwrap();
+        let run: Run = match case {
+            Case::Commit => {
+                let u = sys.begin();
+                sys.invoke(u, X, BankInv::Deposit(1)).unwrap();
+                sys.invoke(u, y, BankInv::Deposit(2)).unwrap();
+                Box::new(move |s| format!("{:?}", s.commit(u)))
+            }
+            Case::Group3 => {
+                let txns: Vec<TxnId> = [(X, 1), (y, 2), (X, 4)]
+                    .into_iter()
+                    .map(|(obj, amount)| {
+                        let u = sys.begin();
+                        sys.invoke(u, obj, BankInv::Deposit(amount)).unwrap();
+                        u
+                    })
+                    .collect();
+                Box::new(move |s| format!("{:?}", s.commit_group(&txns)))
+            }
+            Case::Prepare => {
+                let p = sys.begin();
+                sys.invoke(p, y, BankInv::Deposit(5)).unwrap();
+                Box::new(move |s| format!("{:?}", s.prepare(p, 7)))
+            }
+            Case::ResolveCommit | Case::ResolveAbort => {
+                let p = sys.begin();
+                sys.invoke(p, y, BankInv::Deposit(5)).unwrap();
+                sys.prepare(p, 7).unwrap();
+                let commit = matches!(case, Case::ResolveCommit);
+                Box::new(move |s| format!("{:?}", s.resolve(7, commit)))
+            }
+            Case::Checkpoint => {
+                let u = sys.begin();
+                sys.invoke(u, y, BankInv::Deposit(3)).unwrap();
+                sys.commit(u).unwrap();
+                Box::new(|s| format!("truncated={}", s.checkpoint()))
+            }
+        };
+        (sys, run)
+    }
+
+    /// One row of the table: what the write returned under the fault, the
+    /// mode, in-doubt set and failure counters it left behind, and what a
+    /// final discard-tail recovery of the healed device serves.
+    fn failed_write_row(case: Case, fault: Fault) -> String {
+        let y = ObjectId(1);
+        let (mut sys, run) = staged(case);
+        let armed = match fault {
+            Fault::Transient => sys.backend_mut().arm_transient_io(64),
+            Fault::Full => sys.backend_mut().set_device_full(true),
+            Fault::CrashAt(k) => sys.backend_mut().arm_crash_at_op(k),
+        };
+        assert!(armed, "the WAL backend has a device to fault");
+        let returned = run(&mut sys);
+        let (mode, doubt) = (sys.mode(), sys.in_doubt());
+        let st = sys.stats().clone();
+        sys.backend_mut().heal_device();
+        sys.crash_and_recover_with(TornPolicy::DiscardTail).unwrap();
+        format!(
+            "{case:?}/{fault:?}: {returned} mode={mode:?} doubt={doubt:?} io_retries={} \
+             degraded={}/{} crashes={} | recovered: states={:?} doubt={:?}",
+            st.io_retries,
+            st.degraded_entries,
+            st.degraded_exits,
+            st.crashes,
+            [sys.committed_state(X), sys.committed_state(y)],
+            sys.in_doubt(),
+        )
+    }
+
+    /// Every durable write × every way its append can fail, against values
+    /// recorded before the five failure ladders became one: the error per
+    /// slot, the mode, the in-doubt set, the counters, and the state a
+    /// recovery serves afterwards.
+    #[test]
+    fn every_durable_write_fails_the_same_way_under_every_device_fault() {
+        let mut rows = Vec::new();
+        for case in [
+            Case::Commit,
+            Case::Group3,
+            Case::Prepare,
+            Case::ResolveCommit,
+            Case::ResolveAbort,
+            Case::Checkpoint,
+        ] {
+            // The write's checked device ops, measured on a fault-free twin.
+            let (mut twin, run) = staged(case);
+            let before = twin.backend().device_op_count();
+            run(&mut twin);
+            let ops = twin.backend().device_op_count() - before;
+            assert!(ops >= 2, "{case:?}: a durable write is at least a write and a flush");
+            rows.push(failed_write_row(case, Fault::Transient));
+            rows.push(failed_write_row(case, Fault::Full));
+            rows.extend((0..ops).map(|k| failed_write_row(case, Fault::CrashAt(k))));
+        }
+        let got = rows.join("\n");
+        assert!(got == FAILED_WRITE_ROWS.trim(), "failed-write table changed:\n{got}");
+    }
+
+    const FAILED_WRITE_ROWS: &str = "
+Commit/Transient: Err(ReadOnly) mode=Degraded doubt=[] io_retries=1 degraded=1/0 crashes=0 | recovered: states=[10, 0] doubt=[]
+Commit/Full: Err(ReadOnly) mode=Degraded doubt=[] io_retries=0 degraded=1/0 crashes=0 | recovered: states=[10, 0] doubt=[]
+Commit/CrashAt(0): Err(NotActive(T1)) mode=Normal doubt=[] io_retries=0 degraded=0/0 crashes=1 | recovered: states=[10, 0] doubt=[]
+Commit/CrashAt(1): Err(NotActive(T1)) mode=Normal doubt=[] io_retries=0 degraded=0/0 crashes=1 | recovered: states=[10, 0] doubt=[]
+Group3/Transient: [Err(ReadOnly), Err(ReadOnly), Err(ReadOnly)] mode=Degraded doubt=[] io_retries=1 degraded=1/0 crashes=0 | recovered: states=[10, 0] doubt=[]
+Group3/Full: [Err(ReadOnly), Err(ReadOnly), Err(ReadOnly)] mode=Degraded doubt=[] io_retries=0 degraded=1/0 crashes=0 | recovered: states=[10, 0] doubt=[]
+Group3/CrashAt(0): [Err(NotActive(T1)), Err(NotActive(T2)), Err(NotActive(T3))] mode=Normal doubt=[] io_retries=0 degraded=0/0 crashes=1 | recovered: states=[10, 0] doubt=[]
+Group3/CrashAt(1): [Err(NotActive(T1)), Err(NotActive(T2)), Err(NotActive(T3))] mode=Normal doubt=[] io_retries=0 degraded=0/0 crashes=1 | recovered: states=[10, 0] doubt=[]
+Group3/CrashAt(2): [Err(NotActive(T1)), Err(NotActive(T2)), Err(NotActive(T3))] mode=Normal doubt=[] io_retries=0 degraded=0/0 crashes=1 | recovered: states=[10, 0] doubt=[]
+Group3/CrashAt(3): [Err(NotActive(T1)), Err(NotActive(T2)), Err(NotActive(T3))] mode=Normal doubt=[] io_retries=0 degraded=0/0 crashes=1 | recovered: states=[10, 0] doubt=[]
+Prepare/Transient: Err(ReadOnly) mode=Degraded doubt=[] io_retries=1 degraded=1/0 crashes=0 | recovered: states=[10, 0] doubt=[]
+Prepare/Full: Err(ReadOnly) mode=Degraded doubt=[] io_retries=0 degraded=1/0 crashes=0 | recovered: states=[10, 0] doubt=[]
+Prepare/CrashAt(0): Err(NotActive(T1)) mode=Normal doubt=[] io_retries=0 degraded=0/0 crashes=1 | recovered: states=[10, 0] doubt=[]
+Prepare/CrashAt(1): Err(NotActive(T1)) mode=Normal doubt=[] io_retries=0 degraded=0/0 crashes=1 | recovered: states=[10, 0] doubt=[]
+ResolveCommit/Transient: Err(ReadOnly) mode=Degraded doubt=[7] io_retries=1 degraded=1/0 crashes=0 | recovered: states=[10, 0] doubt=[7]
+ResolveCommit/Full: Err(ReadOnly) mode=Degraded doubt=[7] io_retries=0 degraded=1/0 crashes=0 | recovered: states=[10, 0] doubt=[7]
+ResolveCommit/CrashAt(0): Err(NotActive(T1)) mode=Normal doubt=[7] io_retries=0 degraded=0/0 crashes=1 | recovered: states=[10, 0] doubt=[7]
+ResolveCommit/CrashAt(1): Err(NotActive(T1)) mode=Normal doubt=[7] io_retries=0 degraded=0/0 crashes=1 | recovered: states=[10, 0] doubt=[7]
+ResolveAbort/Transient: Err(ReadOnly) mode=Degraded doubt=[7] io_retries=1 degraded=1/0 crashes=0 | recovered: states=[10, 0] doubt=[7]
+ResolveAbort/Full: Err(ReadOnly) mode=Degraded doubt=[7] io_retries=0 degraded=1/0 crashes=0 | recovered: states=[10, 0] doubt=[7]
+ResolveAbort/CrashAt(0): Err(NotActive(T1)) mode=Normal doubt=[7] io_retries=0 degraded=0/0 crashes=1 | recovered: states=[10, 0] doubt=[7]
+ResolveAbort/CrashAt(1): Err(NotActive(T1)) mode=Normal doubt=[7] io_retries=0 degraded=0/0 crashes=1 | recovered: states=[10, 0] doubt=[7]
+Checkpoint/Transient: truncated=0 mode=Degraded doubt=[] io_retries=1 degraded=1/0 crashes=0 | recovered: states=[10, 3] doubt=[]
+Checkpoint/Full: truncated=0 mode=Degraded doubt=[] io_retries=0 degraded=1/0 crashes=0 | recovered: states=[10, 3] doubt=[]
+Checkpoint/CrashAt(0): truncated=0 mode=Normal doubt=[] io_retries=0 degraded=0/0 crashes=1 | recovered: states=[10, 3] doubt=[]
+Checkpoint/CrashAt(1): truncated=0 mode=Normal doubt=[] io_retries=0 degraded=0/0 crashes=1 | recovered: states=[10, 3] doubt=[]
+Checkpoint/CrashAt(2): truncated=0 mode=Normal doubt=[] io_retries=0 degraded=0/0 crashes=1 | recovered: states=[10, 3] doubt=[]
+Checkpoint/CrashAt(3): truncated=0 mode=Normal doubt=[] io_retries=0 degraded=0/0 crashes=1 | recovered: states=[10, 3] doubt=[]
+";
 }

@@ -14,6 +14,13 @@ use std::str::FromStr;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use ccr_core::adt::Adt;
+use ccr_core::conflict::Conflict;
+use ccr_store::LogBackend;
+
+use crate::crash::{DurableSystem, RedoError, TornPolicy};
+use crate::engine::RecoveryEngine;
+
 /// One kind of injected failure.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultKind {
@@ -370,6 +377,54 @@ impl FromStr for FaultPlan {
         }
         Ok(FaultPlan::new(faults))
     }
+}
+
+/// Count the checked device operations a clean crash-recovery of `sys`
+/// would perform from its current state, without perturbing it: snapshot,
+/// crash + recover, measure, restore. `None` when the backend has no
+/// checked-op notion (mem) or the probe recovery fails — in either case
+/// there are no crash points to enumerate.
+pub fn probe_recovery_ops<A, E, C, B>(
+    sys: &mut DurableSystem<A, E, C, B>,
+    policy: TornPolicy,
+) -> Option<u64>
+where
+    A: Adt,
+    E: RecoveryEngine<A> + Clone,
+    C: Conflict<A> + Clone,
+    B: LogBackend<A>,
+{
+    let snap = sys.snapshot();
+    sys.backend_mut().crash();
+    let start = sys.backend().device_op_count();
+    let ok = sys.recover_with(policy).is_ok();
+    let ops = sys.backend().device_op_count().saturating_sub(start);
+    sys.restore(&snap);
+    (ok && ops > 0).then_some(ops)
+}
+
+/// Crash `sys`, then arm its device to lose power again after `at_op`
+/// checked operations *of the recovery itself*, then recover. The nested
+/// power loss is absorbed by [`DurableSystem::recover_with`]'s internal loop
+/// (the trigger is one-shot), so on `Ok` the system has fully recovered —
+/// possibly through an interrupted first attempt. Returns whether the
+/// backend could arm the trigger at all.
+pub fn crash_recover_interrupted<A, E, C, B>(
+    sys: &mut DurableSystem<A, E, C, B>,
+    policy: TornPolicy,
+    at_op: u64,
+) -> Result<bool, RedoError>
+where
+    A: Adt,
+    E: RecoveryEngine<A>,
+    C: Conflict<A> + Clone,
+    B: LogBackend<A>,
+{
+    sys.backend_mut().crash();
+    // Arm *after* the crash: crashing clears armed triggers (power-on
+    // resets the device), so the order matters.
+    let armed = sys.backend_mut().arm_crash_at_op(at_op);
+    sys.recover_with(policy).map(|()| armed)
 }
 
 #[cfg(test)]

@@ -61,6 +61,7 @@ pub mod shard;
 pub mod sim;
 pub mod system;
 pub mod threaded;
+mod writeahead;
 
 pub use crash::{DurableSystem, Journal, RedoError, SystemMode, SystemSnapshot, TornPolicy};
 pub use engine::{DuEngine, RecoveryEngine, UipEngine, UipInverseEngine};

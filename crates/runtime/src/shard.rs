@@ -46,6 +46,7 @@ use ccr_store::LogBackend;
 use crate::crash::{DurableSystem, RedoError, SystemSnapshot, TornPolicy};
 use crate::engine::RecoveryEngine;
 use crate::error::TxnError;
+use crate::fault::crash_recover_interrupted;
 
 /// The coordinator's stable storage: the set of global transaction ids
 /// durably decided **commit**. Presumed abort needs nothing else — an id
@@ -280,11 +281,18 @@ where
     /// participants, durable abort decisions on prepared ones. Per
     /// presumed abort the coordinator records nothing.
     pub fn abort_global(&mut self, gtid: u64) {
+        self.abort_global_after(0, gtid);
+    }
+
+    /// [`abort_global`](Self::abort_global) after the shards in `crashed`
+    /// lost power: their unprepared halves evaporated with them, and the
+    /// dead local ids must not be aborted again.
+    fn abort_global_after(&mut self, crashed: u32, gtid: u64) {
         let Some(gt) = self.live.remove(&gtid) else { return };
         for (&s, &txn) in &gt.parts {
             if gt.prepared.contains(&s) {
                 let _ = self.shards[s].resolve(gtid, false);
-            } else {
+            } else if crashed & (1 << s) == 0 {
                 let _ = self.shards[s].abort(txn);
             }
         }
@@ -337,17 +345,21 @@ where
         s: usize,
         commit: bool,
     ) -> Result<(), TxnError> {
-        let r = self.shards[s].resolve(gtid, commit);
-        if r.is_ok() {
-            if let Some(gt) = self.live.get_mut(&gtid) {
-                gt.parts.remove(&s);
-                gt.prepared.remove(&s);
-                if gt.parts.is_empty() {
-                    self.live.remove(&gtid);
-                }
+        self.shards[s].resolve(gtid, commit)?;
+        self.settle(gtid, s);
+        Ok(())
+    }
+
+    /// Scrub the settled half on shard `s` from the live table, dropping
+    /// the entry once no part is left.
+    fn settle(&mut self, gtid: u64, s: usize) {
+        if let Some(gt) = self.live.get_mut(&gtid) {
+            gt.parts.remove(&s);
+            gt.prepared.remove(&s);
+            if gt.parts.is_empty() {
+                self.live.remove(&gtid);
             }
         }
-        r
     }
 
     /// Commit a global transaction. Single-participant transactions take
@@ -410,15 +422,8 @@ where
             .map(|(&g, _)| g)
             .collect();
         for gtid in doomed {
-            let gt = self.live.remove(&gtid).expect("collected from live");
             debug_assert!(!self.coord.decision(gtid), "commit decided without every yes-vote");
-            for (&s, &txn) in &gt.parts {
-                if gt.prepared.contains(&s) {
-                    let _ = self.shards[s].resolve(gtid, false);
-                } else if mask & (1 << s) == 0 {
-                    let _ = self.shards[s].abort(txn);
-                }
-            }
+            self.abort_global_after(mask, gtid);
         }
         Ok(())
     }
@@ -432,24 +437,15 @@ where
     /// record or an in-doubt prepare), so no live id is ever reissued.
     pub fn crash_coordinator(&mut self) {
         let live = std::mem::take(&mut self.live);
-        for (gtid, gt) in live {
+        for gt in live.into_values() {
             for (&s, &txn) in &gt.parts {
+                // A prepared half stays in doubt on its shard.
                 if !gt.prepared.contains(&s) {
                     let _ = self.shards[s].abort(txn);
-                } else {
-                    let _ = gtid; // stays in doubt on shard `s`
                 }
             }
         }
-        let mut floor = 0u64;
-        for g in self.coord.committed() {
-            floor = floor.max(g);
-        }
-        for shard in &self.shards {
-            for g in shard.in_doubt() {
-                floor = floor.max(g);
-            }
-        }
+        let floor = self.coord.committed().chain(self.in_doubt()).max().unwrap_or(0);
         self.next_gtid = floor + 1;
     }
 
@@ -465,15 +461,8 @@ where
                 let commit = self.coord.decision(gtid);
                 if self.shards[s].resolve_in_doubt(gtid, commit).is_ok() {
                     resolved += 1;
-                    // Scrub the settled half from the live table (the
-                    // ghost's pre-crash TxnId is long dead).
-                    if let Some(gt) = self.live.get_mut(&gtid) {
-                        gt.parts.remove(&s);
-                        gt.prepared.remove(&s);
-                        if gt.parts.is_empty() {
-                            self.live.remove(&gtid);
-                        }
-                    }
+                    // The ghost's pre-crash TxnId is long dead.
+                    self.settle(gtid, s);
                 }
             }
         }
@@ -572,7 +561,7 @@ where
                 // The participant dies in doubt, then its recovery is
                 // itself interrupted by a nested power loss (absorbed
                 // internally; doubt must still be stable across it).
-                self.shards[first].crash_recover_interrupted(TornPolicy::DiscardTail, 2)?;
+                crash_recover_interrupted(&mut self.shards[first], TornPolicy::DiscardTail, 2)?;
                 self.crash_coordinator();
                 self.resolve_in_doubt();
                 Ok(false)

@@ -589,7 +589,7 @@ where
     // crash the device at every op index recovery itself consumes; every
     // eventual recovery must reproduce the baseline outcome.
     if cfg.fault_during_recovery {
-        sys.heal_device();
+        sys.backend_mut().heal_device();
         match sys.backend_mut().check_recovery_convergence(TailPolicy::DiscardTail) {
             Ok(probe) => {
                 report.oracle_checks += 1;
@@ -672,10 +672,46 @@ where
     C: Conflict<A> + Clone,
     B: LogBackend<A>,
 {
+    /// Apply `kind`'s damage to the device, or arm it. `false` when this
+    /// backend cannot express the fault.
+    fn arm<A: Adt, B: LogBackend<A>>(kind: FaultKind, backend: &mut B) -> bool {
+        match kind {
+            // Nothing journaled yet, no tearable flush, or the tear would
+            // remove the whole flush — indistinguishable from a plain crash
+            // before the write.
+            FaultKind::TornCrash { drop_ops } => backend.tear_last_flush(drop_ops),
+            FaultKind::SectorTorn { sectors } => backend.tear_last_flush(sectors),
+            // The last flush was a single sector, or there is no sector
+            // image: reordering is inexpressible.
+            FaultKind::ReorderFlush => backend.reorder_last_flush(),
+            // No durable byte image (mem backend).
+            FaultKind::BitFlip { bit } => backend.flip_bit(bit),
+            // No device to misbehave, fill, slow down or stall (mem
+            // backend). The gray arms charge a fixed surcharge — 4 ticks per
+            // slow op, 32 per hung flush — which keeps the run a pure
+            // function of the plan.
+            FaultKind::TransientIo { errors } => backend.arm_transient_io(errors),
+            FaultKind::DiskFull => backend.set_device_full(true),
+            FaultKind::SlowDisk { ops } => backend.arm_slow_ops(ops, 4),
+            FaultKind::FsyncStall { stalls } => backend.arm_fsync_stall(stalls, 32),
+            // Sharded arms in a single-system run: there is exactly one
+            // "shard", so any subset crash (and any 2PC step crash — no
+            // cross-shard commit exists) is a plain crash. The sharded
+            // simulator in `crate::shard` handles them natively.
+            FaultKind::CrashShards { .. } | FaultKind::TwoPcCrash { .. } => false,
+            FaultKind::Crash
+            | FaultKind::ForceAbort
+            | FaultKind::WoundStorm
+            | FaultKind::DelayCommit { .. } => true,
+        }
+    }
     let at = report.events;
     let fail = |failure| SimFailure { at_event: at, failure };
+    // A fault this backend cannot express degrades to a plain crash.
+    let kind = if arm(kind, sys.backend_mut()) { kind } else { FaultKind::Crash };
     match kind {
-        FaultKind::Crash => {
+        // (`arm` has already turned the sharded arms into `Crash`.)
+        FaultKind::Crash | FaultKind::CrashShards { .. } | FaultKind::TwoPcCrash { .. } => {
             sys.system_mut().obs_mut().on_fault(None, || kind.to_string());
             let pre_states = committed_states(sys);
             *fp_fold = fold_fp(*fp_fold, sys.system().trace());
@@ -690,82 +726,25 @@ where
             restart_all(drivers, cfg, report);
             oracle(sys, spec, cfg, invariant, Some(&pre_states), at, report)
         }
-        FaultKind::TornCrash { drop_ops } => {
-            if !sys.tear_last_record(drop_ops) {
-                // Nothing journaled yet: degrade to a plain crash.
-                return inject(
-                    FaultKind::Crash,
-                    sys,
-                    drivers,
-                    cfg,
-                    spec,
-                    invariant,
-                    report,
-                    fp_fold,
-                    delay_next_commit,
-                );
-            }
+        FaultKind::TornCrash { .. } => {
+            let record = sys.journal().len().saturating_sub(1);
+            sys.system_mut().obs_mut().on_torn(record);
             sys.system_mut().obs_mut().on_fault(None, || kind.to_string());
             torn_storage_flow(sys, drivers, cfg, spec, invariant, report, fp_fold, at)
         }
-        FaultKind::SectorTorn { sectors } => {
-            if !sys.tear_last_flush(sectors) {
-                // No tearable flush (nothing journaled, or the tear would
-                // remove the whole flush — indistinguishable from a plain
-                // crash before the write): degrade to a plain crash.
-                return inject(
-                    FaultKind::Crash,
-                    sys,
-                    drivers,
-                    cfg,
-                    spec,
-                    invariant,
-                    report,
-                    fp_fold,
-                    delay_next_commit,
-                );
-            }
+        FaultKind::SectorTorn { .. } => {
             sys.system_mut()
                 .obs_mut()
                 .on_fault(Some(FaultCounter::SectorTear), || kind.to_string());
             torn_storage_flow(sys, drivers, cfg, spec, invariant, report, fp_fold, at)
         }
         FaultKind::ReorderFlush => {
-            if !sys.reorder_last_flush() {
-                // The last flush was a single sector (or the backend has no
-                // sector image): reordering is inexpressible, degrade.
-                return inject(
-                    FaultKind::Crash,
-                    sys,
-                    drivers,
-                    cfg,
-                    spec,
-                    invariant,
-                    report,
-                    fp_fold,
-                    delay_next_commit,
-                );
-            }
             sys.system_mut()
                 .obs_mut()
                 .on_fault(Some(FaultCounter::ReorderedFlush), || kind.to_string());
             torn_storage_flow(sys, drivers, cfg, spec, invariant, report, fp_fold, at)
         }
-        FaultKind::BitFlip { bit } => {
-            if !sys.flip_bit(bit) {
-                // No durable byte image (mem backend): degrade.
-                return inject(
-                    FaultKind::Crash,
-                    sys,
-                    drivers,
-                    cfg,
-                    spec,
-                    invariant,
-                    report,
-                    fp_fold,
-                    delay_next_commit,
-                );
-            }
+        FaultKind::BitFlip { .. } => {
             sys.system_mut().obs_mut().on_fault(None, || kind.to_string());
             let pre_states = committed_states(sys);
             *fp_fold = fold_fp(*fp_fold, sys.system().trace());
@@ -785,7 +764,7 @@ where
                     // detection counters before a successful recovery
                     // persists them); nothing was lost, so strict recovery
                     // must now succeed.
-                    sys.repair_flips();
+                    sys.backend_mut().repair_flips();
                     sys.recover_with(TornPolicy::Strict)
                         .map_err(|e| fail(OracleFailure::Redo(e)))?;
                     true
@@ -851,114 +830,27 @@ where
                 .on_fault(Some(FaultCounter::DelayedCommit), || kind.to_string());
             Ok(())
         }
-        FaultKind::TransientIo { errors } => {
-            if !sys.backend_mut().arm_transient_io(errors) {
-                // No device to misbehave (mem backend): degrade.
-                return inject(
-                    FaultKind::Crash,
-                    sys,
-                    drivers,
-                    cfg,
-                    spec,
-                    invariant,
-                    report,
-                    fp_fold,
-                    delay_next_commit,
-                );
-            }
-            // Arming is not yet an observable failure: the next commits'
-            // bounded retries are expected to absorb the budget (visible
-            // only in the retry telemetry), so no oracle pass here.
-            sys.system_mut()
-                .obs_mut()
-                .on_fault(Some(FaultCounter::TransientIo), || kind.to_string());
+        // Arming a device fault is not yet an observable failure, so no
+        // oracle pass here. The next commits' bounded retries are expected
+        // to absorb a transient budget (visible only in the retry
+        // telemetry). A full device drives the system into read-only
+        // degraded mode at the next durable append; the scheduler's heal
+        // flow then restarts the killed drivers and exits it through a
+        // checkpoint. A slow or stalling device serves, just late — the
+        // classic gray symptoms — and becomes visible in the stall-latency
+        // telemetry and, when armed, to the hysteresis detector.
+        FaultKind::TransientIo { .. }
+        | FaultKind::DiskFull
+        | FaultKind::SlowDisk { .. }
+        | FaultKind::FsyncStall { .. } => {
+            let counter = match kind {
+                FaultKind::TransientIo { .. } => FaultCounter::TransientIo,
+                FaultKind::DiskFull => FaultCounter::DiskFull,
+                FaultKind::SlowDisk { .. } => FaultCounter::SlowDevice,
+                _ => FaultCounter::FsyncStall,
+            };
+            sys.system_mut().obs_mut().on_fault(Some(counter), || kind.to_string());
             Ok(())
-        }
-        FaultKind::DiskFull => {
-            if !sys.backend_mut().set_device_full(true) {
-                // No device to fill (mem backend): degrade.
-                return inject(
-                    FaultKind::Crash,
-                    sys,
-                    drivers,
-                    cfg,
-                    spec,
-                    invariant,
-                    report,
-                    fp_fold,
-                    delay_next_commit,
-                );
-            }
-            // The next durable append drives the system into read-only
-            // degraded mode; the scheduler's heal flow then restarts the
-            // killed drivers and exits it through a checkpoint.
-            sys.system_mut().obs_mut().on_fault(Some(FaultCounter::DiskFull), || kind.to_string());
-            Ok(())
-        }
-        FaultKind::SlowDisk { ops } => {
-            // Fixed per-op surcharge keeps the run a pure function of the
-            // plan: the device serves, just slowly — no error surfaces, so
-            // no oracle pass here. The stall-latency telemetry (and, when
-            // armed, the hysteresis detector) is how the fault becomes
-            // visible.
-            if !sys.backend_mut().arm_slow_ops(ops, 4) {
-                // No device to slow down (mem backend): degrade.
-                return inject(
-                    FaultKind::Crash,
-                    sys,
-                    drivers,
-                    cfg,
-                    spec,
-                    invariant,
-                    report,
-                    fp_fold,
-                    delay_next_commit,
-                );
-            }
-            sys.system_mut()
-                .obs_mut()
-                .on_fault(Some(FaultCounter::SlowDevice), || kind.to_string());
-            Ok(())
-        }
-        FaultKind::FsyncStall { stalls } => {
-            // The classic gray symptom: flushes hang (32 extra ticks each)
-            // but complete. Like SlowDisk, arming is not an observable
-            // failure in itself.
-            if !sys.backend_mut().arm_fsync_stall(stalls, 32) {
-                // No device to stall (mem backend): degrade.
-                return inject(
-                    FaultKind::Crash,
-                    sys,
-                    drivers,
-                    cfg,
-                    spec,
-                    invariant,
-                    report,
-                    fp_fold,
-                    delay_next_commit,
-                );
-            }
-            sys.system_mut()
-                .obs_mut()
-                .on_fault(Some(FaultCounter::FsyncStall), || kind.to_string());
-            Ok(())
-        }
-        FaultKind::CrashShards { .. } | FaultKind::TwoPcCrash { .. } => {
-            // Sharded arms in a single-system run: there is exactly one
-            // "shard", so any subset crash (and any 2PC step crash — no
-            // cross-shard commit exists) degrades to a plain crash. The
-            // sharded simulator in `crate::shard` handles them natively.
-            inject(
-                FaultKind::Crash,
-                sys,
-                drivers,
-                cfg,
-                spec,
-                invariant,
-                report,
-                fp_fold,
-                delay_next_commit,
-            )
         }
     }
 }
@@ -1035,7 +927,7 @@ fn heal_device_failures<A, E, C, B>(
     }
     if sys.is_degraded() {
         restart_all(drivers, cfg, report);
-        sys.heal_device();
+        sys.backend_mut().heal_device();
         sys.checkpoint();
     }
 }

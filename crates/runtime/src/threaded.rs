@@ -18,15 +18,15 @@
 //! fsync while the followers hold no lock on the system — the next batch
 //! forms behind the in-flight flush. See DESIGN.md §10.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
-use ccr_core::adt::{Adt, Op};
+use ccr_core::adt::Adt;
 use ccr_core::conflict::Conflict;
-use ccr_core::ids::{ObjectId, TxnId};
+use ccr_core::ids::TxnId;
 use ccr_obs::Phase;
 use ccr_store::{CommitRecord, LogBackend};
 
@@ -35,6 +35,7 @@ use crate::error::{AbortReason, TxnError};
 use crate::scheduler::RunReport;
 use crate::script::{Script, Step};
 use crate::system::TxnSystem;
+use crate::writeahead::WriteAhead;
 
 /// Threaded-executor configuration.
 #[derive(Clone, Copy, Debug)]
@@ -421,17 +422,6 @@ where
     pub commit_latencies_us: Vec<u64>,
 }
 
-/// The volatile half of the durable executor, guarded by one mutex: the
-/// transaction system plus the write-ahead buffer that commit journals
-/// (mirrors `DurableSystem`'s bookkeeping).
-struct Volatile<A: Adt, E: RecoveryEngine<A>, C: Conflict<A>> {
-    sys: TxnSystem<A, E, C>,
-    /// Global execution-sequence allocator (stamps every executed op).
-    op_seq: u64,
-    /// Executed-but-uncommitted operations per live transaction.
-    pending: BTreeMap<TxnId, Vec<(u64, ObjectId, Op<A>)>>,
-}
-
 /// Commit-barrier state: staged records, the durable watermark the barrier
 /// waits on, and the measured flush figures.
 struct Stage<A: Adt> {
@@ -463,7 +453,9 @@ where
     C: Conflict<A>,
     B: LogBackend<A>,
 {
-    vol: Mutex<Volatile<A, E, C>>,
+    /// The volatile half of the durable executor: the transaction system
+    /// plus the write-ahead buffer that commit journals.
+    vol: Mutex<WriteAhead<A, E, C>>,
     queue: Mutex<VecDeque<Box<dyn Script<A>>>>,
     completed: Condvar,
     tallies: Mutex<Tallies>,
@@ -506,7 +498,7 @@ where
     }
     sys.obs_mut().set_label("backend", backend.name());
     let shared = Arc::new(DurableShared {
-        vol: Mutex::new(Volatile { sys, op_seq: 0, pending: BTreeMap::new() }),
+        vol: Mutex::new(WriteAhead::new(sys, 0)),
         queue: Mutex::new(scripts.into_iter().collect::<VecDeque<_>>()),
         completed: Condvar::new(),
         tallies: Mutex::new(Tallies::default()),
@@ -593,7 +585,7 @@ fn make_durable<A, E, C, B>(
     shared: &DurableShared<A, E, C, B>,
     rec: CommitRecord<A>,
     entered: Instant,
-    vol: parking_lot::MutexGuard<'_, Volatile<A, E, C>>,
+    vol: parking_lot::MutexGuard<'_, WriteAhead<A, E, C>>,
 ) where
     A: Adt,
     E: RecoveryEngine<A>,
@@ -696,15 +688,8 @@ fn drive_durable<A, E, C, B>(
                     let mut vol = shared.vol.lock();
                     let mut first_attempt = true;
                     loop {
-                        match vol.sys.invoke(txn, obj, inv.clone()) {
+                        match vol.invoke(txn, obj, inv.clone()) {
                             Ok(resp) => {
-                                let seq = vol.op_seq;
-                                vol.op_seq += 1;
-                                vol.pending.entry(txn).or_default().push((
-                                    seq,
-                                    obj,
-                                    Op::new(inv.clone(), resp.clone()),
-                                ));
                                 last = Some(resp);
                                 break;
                             }
@@ -720,7 +705,7 @@ fn drive_durable<A, E, C, B>(
                                         vol.sys
                                             .abort_with(txn, AbortReason::Deadlock)
                                             .expect("active");
-                                        vol.pending.remove(&txn);
+                                        vol.discard(txn);
                                         shared.tallies.lock().deadlock_aborts += 1;
                                         shared.completed.notify_all();
                                         drop(vol);
@@ -747,7 +732,7 @@ fn drive_durable<A, E, C, B>(
                                 // and retry.
                                 if !cfg.deadline.is_zero() && began.elapsed() > cfg.deadline {
                                     vol.sys.abort_with(txn, AbortReason::Deadline).expect("active");
-                                    vol.pending.remove(&txn);
+                                    vol.discard(txn);
                                     shared.completed.notify_all();
                                     drop(vol);
                                     release(&shared.tallies, &shared.admitted);
@@ -764,7 +749,7 @@ fn drive_durable<A, E, C, B>(
                                 }
                             }
                             Err(TxnError::Aborted(_)) => {
-                                vol.pending.remove(&txn);
+                                vol.discard(txn);
                                 drop(vol);
                                 shared.completed.notify_all();
                                 release(&shared.tallies, &shared.admitted);
@@ -786,15 +771,11 @@ fn drive_durable<A, E, C, B>(
                 Step::Commit => {
                     let entered = Instant::now();
                     let mut vol = shared.vol.lock();
-                    match vol.sys.commit(txn) {
-                        Ok(()) => {
-                            let ops = vol.pending.remove(&txn).unwrap_or_default();
-                            let rec = CommitRecord { floor: vol.sys.next_txn_id(), ops };
-                            // Prune buffers of transactions aborted behind
-                            // our back (wound-wait victims never reach the
-                            // abort arm here).
-                            let Volatile { sys, pending, .. } = &mut *vol;
-                            sys.retain_active(pending);
+                    match vol.commit(txn) {
+                        Ok(rec) => {
+                            // Wound-wait victims never reach an abort arm
+                            // here.
+                            vol.prune();
                             // The system mutex is released inside
                             // make_durable (after the log slot is claimed):
                             // other workers invoke and commit while this
@@ -808,7 +789,7 @@ fn drive_durable<A, E, C, B>(
                             return;
                         }
                         Err(TxnError::Aborted(_)) => {
-                            vol.pending.remove(&txn);
+                            vol.discard(txn);
                             drop(vol);
                             shared.completed.notify_all();
                             release(&shared.tallies, &shared.admitted);
@@ -828,8 +809,7 @@ fn drive_durable<A, E, C, B>(
                 }
                 Step::Abort => {
                     let mut vol = shared.vol.lock();
-                    vol.pending.remove(&txn);
-                    vol.sys.abort(txn).expect("active");
+                    vol.abort(txn).expect("active");
                     drop(vol);
                     shared.completed.notify_all();
                     release(&shared.tallies, &shared.admitted);

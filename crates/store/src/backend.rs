@@ -900,7 +900,7 @@ mod tests {
         let adt = BankAccount::default();
         let base: BTreeMap<ObjectId, u64> = [(ObjectId(0), 0u64)].into_iter().collect();
         let bad = rec(1, vec![(0, ObjectId(0), Op::new(BankInv::Withdraw(5), BankResp::Ok))]);
-        assert!(replay_uip(&adt, &base, &[bad.clone()]).is_none());
+        assert!(replay_uip(&adt, &base, std::slice::from_ref(&bad)).is_none());
         assert!(replay_du(&adt, &base, &[bad]).is_none());
     }
 }

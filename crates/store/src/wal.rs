@@ -711,15 +711,43 @@ where
         Ok(())
     }
 
+    /// Advance the floors over `rec`: a recovery must resume above every id
+    /// and execution stamp the log has seen.
+    fn cover(&mut self, rec: &CommitRecord<A>) {
+        self.txn_floor = rec.floor;
+        if let Some(max) = rec.ops.iter().map(|(s, _, _)| s + 1).max() {
+            self.next_exec_seq = self.next_exec_seq.max(max);
+        }
+    }
+
+    /// Run one durable append — floors advanced, frames written and
+    /// fsynced by `write` — as a unit. If the device fails while it is
+    /// still alive the whole append is [rolled back](Self::rollback_append),
+    /// which is what lets every `append_*` promise "on `Err` nothing of this
+    /// is durable". A tripped device ([`DiskError::Crashed`]) is about to
+    /// power-cycle: only the floors are taken back, and whatever prefix
+    /// reached the platter follows ordinary crash semantics.
+    fn guarded_append<T>(
+        &mut self,
+        write: impl FnOnce(&mut Self) -> Result<T, DiskError>,
+    ) -> Result<T, DiskError> {
+        let start = (self.seg, self.head);
+        let floors = (self.txn_floor, self.next_exec_seq);
+        write(self).inspect_err(|&e| {
+            if e == DiskError::Crashed {
+                (self.txn_floor, self.next_exec_seq) = floors;
+            } else {
+                self.rollback_append(start, floors);
+            }
+        })
+    }
+
     /// Undo a failed append on a still-live device: scrub the staged bytes
     /// from the write cache (so no later flush can leak them out), delete
     /// any sectors the append already made durable (a mid-batch roll
     /// flushes a prefix), and rewind the head and floors. After this the
     /// log is exactly what it was before the append — the record the caller
-    /// reports as failed can never resurface at recovery. Not called for
-    /// [`DiskError::Crashed`]: a tripped device is about to power-cycle,
-    /// and whatever prefix it made durable follows ordinary crash
-    /// semantics.
+    /// reports as failed can never resurface at recovery.
     fn rollback_append(&mut self, start: (u64, u64), floors: (u32, u64)) {
         self.disk.discard_pending();
         let abs = start.0 * self.cfg.seg_sectors + start.1;
@@ -881,23 +909,11 @@ where
     A::State: Persist,
 {
     fn append_commit(&mut self, rec: &CommitRecord<A>) -> Result<(), StoreFailure> {
-        let start = (self.seg, self.head);
-        let floors = (self.txn_floor, self.next_exec_seq);
-        self.txn_floor = rec.floor;
-        if let Some(max) = rec.ops.iter().map(|(s, _, _)| s + 1).max() {
-            self.next_exec_seq = self.next_exec_seq.max(max);
-        }
-        match self.append_frame(KIND_COMMIT, &encode_commit(rec)) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                if e == DiskError::Crashed {
-                    (self.txn_floor, self.next_exec_seq) = floors;
-                } else {
-                    self.rollback_append(start, floors);
-                }
-                Err(StoreFailure::device(e))
-            }
-        }
+        self.guarded_append(|wal| {
+            wal.cover(rec);
+            wal.append_frame(KIND_COMMIT, &encode_commit(rec))
+        })
+        .map_err(StoreFailure::device)
     }
 
     fn append_commits(&mut self, recs: &[CommitRecord<A>]) -> Result<(), StoreFailure> {
@@ -909,119 +925,73 @@ where
             }
             return Ok(());
         }
-        let start = (self.seg, self.head);
-        let floors = (self.txn_floor, self.next_exec_seq);
-        let id = (self.epoch << 32) ^ self.next_batch_id;
-        self.next_batch_id += 1;
-        let len = recs.len() as u32;
-        let mut stage = || -> Result<(), DiskError> {
+        // The all-or-prefix contract holds for crashes, but a *reported*
+        // failure promises "none durable": the guard undoes a prefix that a
+        // mid-batch roll already flushed.
+        self.guarded_append(|wal| {
+            let id = (wal.epoch << 32) ^ wal.next_batch_id;
+            wal.next_batch_id += 1;
+            let len = recs.len() as u32;
             let mut staged = false;
             for (i, rec) in recs.iter().enumerate() {
-                self.txn_floor = rec.floor;
-                if let Some(max) = rec.ops.iter().map(|(s, _, _)| s + 1).max() {
-                    self.next_exec_seq = self.next_exec_seq.max(max);
-                }
+                wal.cover(rec);
                 let meta = BatchMeta { id, pos: i as u32, len };
-                let frame = build_frame(KIND_BATCH, &encode_batch(meta, rec), self.cfg.sector);
-                let sectors = (frame.len() / self.cfg.sector) as u64;
+                let frame = build_frame(KIND_BATCH, &encode_batch(meta, rec), wal.cfg.sector);
+                let sectors = (frame.len() / wal.cfg.sector) as u64;
                 assert!(
-                    sectors <= self.cfg.seg_sectors - self.header_sectors(),
+                    sectors <= wal.cfg.seg_sectors - wal.header_sectors(),
                     "frame of {sectors} sectors exceeds segment capacity"
                 );
-                if self.head + sectors > self.cfg.seg_sectors {
+                if wal.head + sectors > wal.cfg.seg_sectors {
                     // Roll mid-batch: make the staged prefix durable first
                     // (its sectors must not share a flush with the new
                     // segment's non-tearable header fsync), then open the
                     // next segment.
                     if staged {
-                        flush_retried(&mut self.disk, self.retry, &mut self.retries)?;
-                        self.tearable = true;
+                        flush_retried(&mut wal.disk, wal.retry, &mut wal.retries)?;
+                        wal.tearable = true;
                     }
-                    self.seg += 1;
-                    self.head = self.header_sectors();
-                    self.write_header()?;
+                    wal.seg += 1;
+                    wal.head = wal.header_sectors();
+                    wal.write_header()?;
                 }
-                let at = self.seg * self.cfg.seg_sectors + self.head;
-                write_retried(&mut self.disk, self.retry, &mut self.retries, at, &frame)?;
-                self.head += sectors;
+                let at = wal.seg * wal.cfg.seg_sectors + wal.head;
+                write_retried(&mut wal.disk, wal.retry, &mut wal.retries, at, &frame)?;
+                wal.head += sectors;
                 staged = true;
             }
-            if staged {
-                // The single fsync the whole batch was waiting on.
-                flush_retried(&mut self.disk, self.retry, &mut self.retries)?;
-                self.tearable = true;
-            }
+            // The single fsync the whole batch was waiting on.
+            flush_retried(&mut wal.disk, wal.retry, &mut wal.retries)?;
+            wal.tearable = true;
             Ok(())
-        };
-        match stage() {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                if e == DiskError::Crashed {
-                    (self.txn_floor, self.next_exec_seq) = floors;
-                } else {
-                    // The device still works: the all-or-prefix contract
-                    // holds for crashes, but a *reported* failure promises
-                    // "none durable" — undo the flushed prefix too.
-                    self.rollback_append(start, floors);
-                }
-                Err(StoreFailure::device(e))
-            }
-        }
+        })
+        .map_err(StoreFailure::device)
     }
 
     fn append_prepare(&mut self, gtid: u64, rec: &CommitRecord<A>) -> Result<(), StoreFailure> {
-        let start = (self.seg, self.head);
-        let floors = (self.txn_floor, self.next_exec_seq);
-        // A prepare advances the floors exactly as its commit would: the
-        // record's ops are durable from here even though the outcome is
-        // still open, and a recovery must not hand out ids or exec stamps
-        // that collide with the in-doubt transaction's.
-        self.txn_floor = rec.floor;
-        if let Some(max) = rec.ops.iter().map(|(s, _, _)| s + 1).max() {
-            self.next_exec_seq = self.next_exec_seq.max(max);
-        }
-        match self.append_frame(KIND_PREPARE, &encode_prepare(gtid, rec)) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                if e == DiskError::Crashed {
-                    (self.txn_floor, self.next_exec_seq) = floors;
-                } else {
-                    self.rollback_append(start, floors);
-                }
-                Err(StoreFailure::device(e))
-            }
-        }
+        self.guarded_append(|wal| {
+            // A prepare advances the floors exactly as its commit would: the
+            // record's ops are durable from here even though the outcome is
+            // still open, and a recovery must not hand out ids or exec stamps
+            // that collide with the in-doubt transaction's.
+            wal.cover(rec);
+            wal.append_frame(KIND_PREPARE, &encode_prepare(gtid, rec))
+        })
+        .map_err(StoreFailure::device)
     }
 
     fn append_decision(&mut self, gtid: u64, commit: bool) -> Result<(), StoreFailure> {
-        let start = (self.seg, self.head);
-        let floors = (self.txn_floor, self.next_exec_seq);
-        match self.append_frame(KIND_DECIDE, &encode_decide(gtid, commit)) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                if e == DiskError::Crashed {
-                    (self.txn_floor, self.next_exec_seq) = floors;
-                } else {
-                    self.rollback_append(start, floors);
-                }
-                Err(StoreFailure::device(e))
-            }
-        }
+        self.guarded_append(|wal| wal.append_frame(KIND_DECIDE, &encode_decide(gtid, commit)))
+            .map_err(StoreFailure::device)
     }
 
     fn write_checkpoint(&mut self, img: &CheckpointImage<A>) -> Result<u64, StoreFailure> {
-        let start = (self.seg, self.head);
-        let floors = (self.txn_floor, self.next_exec_seq);
-        self.txn_floor = img.txn_floor;
-        self.next_exec_seq = img.next_exec_seq;
-        if let Err(e) = self.append_frame(KIND_CHECKPOINT, &encode_checkpoint(img)) {
-            if e == DiskError::Crashed {
-                (self.txn_floor, self.next_exec_seq) = floors;
-            } else {
-                self.rollback_append(start, floors);
-            }
-            return Err(StoreFailure::device(e));
-        }
+        self.guarded_append(|wal| {
+            wal.txn_floor = img.txn_floor;
+            wal.next_exec_seq = img.next_exec_seq;
+            wal.append_frame(KIND_CHECKPOINT, &encode_checkpoint(img))
+        })
+        .map_err(StoreFailure::device)?;
         // The checkpoint frame is durable: from here on the new image is
         // the replay base and failure no longer rolls anything back. Whole
         // segments before the checkpoint's segment are now redundant.
@@ -1116,8 +1086,8 @@ where
 
         let mut governing = SegHeader::default();
         let mut frames: Vec<ScannedFrame<A>> = Vec::new();
-        // Damage site: (absolute sector, detection, strict failure kind).
-        let mut damage: Option<(u64, Detection, StoreFailureKind)> = None;
+        // Damage site: (absolute sector, strict failure kind).
+        let mut damage: Option<(u64, StoreFailureKind)> = None;
         let mut end = (segs[0], header_sectors);
 
         'walk: for (i, &seg_idx) in segs.iter().enumerate() {
@@ -1125,70 +1095,64 @@ where
             let seg_end = base + seg_sectors;
             let last_seg = i + 1 == segs.len();
 
-            match read_frame(&self.disk, &self.cfg, base, seg_end, self.retry, &mut self.retries)
-                .map_err(StoreFailure::device)?
+            let header = match read_frame(
+                &self.disk,
+                &self.cfg,
+                base,
+                seg_end,
+                self.retry,
+                &mut self.retries,
+            )
+            .map_err(StoreFailure::device)?
             {
-                FrameRead::Valid { kind: KIND_SEG_HEADER, payload, sectors: _ } => {
-                    match SegHeader::decode(&payload) {
-                        Some(h) => governing = h,
-                        None => {
-                            let d = Detection::CrcMismatch { sector: base };
-                            note_detection(&mut self.detected, &mut self.seen_damage, &d);
-                            report.detections.push(d);
-                            report.damage = "corrupt-header";
-                            report.scan_ops = self.disk.device_ops() - scan_ops0;
-                            report.scan_ns = scan_clock.elapsed().as_nanos() as u64;
-                            return Err(StoreFailure {
-                                report,
-                                kind: StoreFailureKind::Corrupt { sector: base },
-                            });
-                        }
-                    }
-                    report.frames += 1;
+                FrameRead::Valid { kind: KIND_SEG_HEADER, payload, .. } => {
+                    SegHeader::decode(&payload)
                 }
+                _ => None,
+            };
+            let Some(header) = header else {
                 // A segment whose header is damaged is unrecoverable under
                 // any policy: headers are fsynced in place, so a legitimate
                 // crash cannot tear them — only corruption explains this.
-                _ => {
-                    let d = Detection::CrcMismatch { sector: base };
-                    note_detection(&mut self.detected, &mut self.seen_damage, &d);
-                    report.detections.push(d);
-                    report.damage = "corrupt-header";
-                    report.scan_ops = self.disk.device_ops() - scan_ops0;
-                    report.scan_ns = scan_clock.elapsed().as_nanos() as u64;
-                    return Err(StoreFailure {
-                        report,
-                        kind: StoreFailureKind::Corrupt { sector: base },
-                    });
-                }
-            }
+                let d = Detection::CrcMismatch { sector: base };
+                note_detection(&mut self.detected, &mut self.seen_damage, &d);
+                report.detections.push(d);
+                report.damage = "corrupt-header";
+                report.scan_ops = self.disk.device_ops() - scan_ops0;
+                report.scan_ns = scan_clock.elapsed().as_nanos() as u64;
+                return Err(StoreFailure {
+                    report,
+                    kind: StoreFailureKind::Corrupt { sector: base },
+                });
+            };
+            governing = header;
+            report.frames += 1;
 
             let mut pos = base + header_sectors;
             while pos < seg_end {
-                match read_frame(&self.disk, &self.cfg, pos, seg_end, self.retry, &mut self.retries)
-                    .map_err(StoreFailure::device)?
+                // What is wrong at `pos`, if anything: the evidence and how
+                // a strict scan refuses it.
+                let found = match read_frame(
+                    &self.disk,
+                    &self.cfg,
+                    pos,
+                    seg_end,
+                    self.retry,
+                    &mut self.retries,
+                )
+                .map_err(StoreFailure::device)?
                 {
+                    // Candidate end of log. A clean tail / clean roll leaves
+                    // nothing after it in this segment; data after a hole
+                    // means the flush persisted out of order.
+                    FrameRead::Absent
+                        if (pos + 1..seg_end).any(|q| self.disk.read(q).is_some()) =>
+                    {
+                        let torn =
+                            StoreFailureKind::Torn { record: frames.len(), expected: 1, found: 0 };
+                        (Detection::MissingData { sector: pos }, torn)
+                    }
                     FrameRead::Absent => {
-                        // Candidate end of log. A clean tail / clean roll
-                        // leaves nothing after it in this segment; data
-                        // after a hole means the flush persisted out of
-                        // order.
-                        if (pos + 1..seg_end).any(|q| self.disk.read(q).is_some()) {
-                            let d = Detection::MissingData { sector: pos };
-                            note_detection(&mut self.detected, &mut self.seen_damage, &d);
-                            report.detections.push(d);
-                            damage = Some((
-                                pos,
-                                d,
-                                StoreFailureKind::Torn {
-                                    record: frames.len(),
-                                    expected: 1,
-                                    found: 0,
-                                },
-                            ));
-                            end = (seg_idx, pos - base);
-                            break 'walk;
-                        }
                         end = (seg_idx, pos - base);
                         if last_seg {
                             break 'walk;
@@ -1215,44 +1179,32 @@ where
                             // write). Treat as corruption.
                             _ => None,
                         };
-                        match decoded {
-                            Some(f) => {
-                                frames.push(f);
-                                report.frames += 1;
-                                pos += sectors;
-                                end = (seg_idx, pos - base);
-                            }
-                            None => {
-                                let d = Detection::CrcMismatch { sector: pos };
-                                note_detection(&mut self.detected, &mut self.seen_damage, &d);
-                                report.detections.push(d);
-                                damage = Some((pos, d, StoreFailureKind::Corrupt { sector: pos }));
-                                end = (seg_idx, pos - base);
-                                break 'walk;
-                            }
+                        if let Some(f) = decoded {
+                            frames.push(f);
+                            report.frames += 1;
+                            pos += sectors;
+                            end = (seg_idx, pos - base);
+                            continue;
                         }
+                        (
+                            Detection::CrcMismatch { sector: pos },
+                            StoreFailureKind::Corrupt { sector: pos },
+                        )
                     }
-                    FrameRead::Torn { expected, found } => {
-                        let d = Detection::TornFrame { sector: pos };
-                        note_detection(&mut self.detected, &mut self.seen_damage, &d);
-                        report.detections.push(d);
-                        damage = Some((
-                            pos,
-                            d,
-                            StoreFailureKind::Torn { record: frames.len(), expected, found },
-                        ));
-                        end = (seg_idx, pos - base);
-                        break 'walk;
-                    }
-                    FrameRead::Corrupt => {
-                        let d = Detection::CrcMismatch { sector: pos };
-                        note_detection(&mut self.detected, &mut self.seen_damage, &d);
-                        report.detections.push(d);
-                        damage = Some((pos, d, StoreFailureKind::Corrupt { sector: pos }));
-                        end = (seg_idx, pos - base);
-                        break 'walk;
-                    }
-                }
+                    FrameRead::Torn { expected, found } => (
+                        Detection::TornFrame { sector: pos },
+                        StoreFailureKind::Torn { record: frames.len(), expected, found },
+                    ),
+                    FrameRead::Corrupt => (
+                        Detection::CrcMismatch { sector: pos },
+                        StoreFailureKind::Corrupt { sector: pos },
+                    ),
+                };
+                note_detection(&mut self.detected, &mut self.seen_damage, &found.0);
+                report.detections.push(found.0);
+                damage = Some((pos, found.1));
+                end = (seg_idx, pos - base);
+                break 'walk;
             }
         }
 
@@ -1263,7 +1215,7 @@ where
         // fold below must then repair a surviving batch prefix *without*
         // counting a second detection for the same physical fault.
         let mut discarded = false;
-        if let Some((at, _, strict_kind)) = damage {
+        if let Some((at, strict_kind)) = damage {
             let seg_idx = at / seg_sectors;
             let classify_clock = std::time::Instant::now();
             let classify_ops0 = self.disk.device_ops();
@@ -1271,7 +1223,7 @@ where
                 self.probe_beyond_damage(&segs, seg_idx, at).map_err(StoreFailure::device)?;
             report.classify_ops = self.disk.device_ops() - classify_ops0;
             report.classify_ns = classify_clock.elapsed().as_nanos() as u64;
-            match probe {
+            report.damage = match probe {
                 // A tear or hole whose entire valid remainder belongs to one
                 // single batch: one interrupted group flush. Its records were
                 // never acknowledged (the batch's one fsync did not complete
@@ -1279,26 +1231,9 @@ where
                 // A CRC mismatch never qualifies — intact frames behind bit
                 // rot were acknowledged, and discarding them loses commits.
                 TailProbe::SameBatch(_) if matches!(strict_kind, StoreFailureKind::Torn { .. }) => {
-                    report.damage = "torn-batch";
-                    match policy {
-                        TailPolicy::Strict => {
-                            return Err(StoreFailure { report, kind: strict_kind });
-                        }
-                        TailPolicy::DiscardTail => {
-                            let repair_clock = std::time::Instant::now();
-                            let repair_ops0 = self.disk.device_ops();
-                            let doomed: Vec<u64> =
-                                self.disk.durable_sectors().filter(|&s| s >= at).collect();
-                            for s in doomed {
-                                delete_retried(&mut self.disk, self.retry, &mut self.retries, s)
-                                    .map_err(StoreFailure::device)?;
-                            }
-                            report.repair_ops += self.disk.device_ops() - repair_ops0;
-                            report.repair_ns += repair_clock.elapsed().as_nanos() as u64;
-                            discarded = true;
-                        }
-                    }
+                    "torn-batch"
                 }
+                TailProbe::Nothing => "torn-tail",
                 TailProbe::SameBatch(p) | TailProbe::Interior(p) => {
                     // Valid data beyond the damage that no interrupted flush
                     // explains: interior corruption. Tail discard would lose
@@ -1310,28 +1245,20 @@ where
                         kind: StoreFailureKind::Corrupt { sector: at },
                     });
                 }
-                TailProbe::Nothing => {
-                    report.damage = "torn-tail";
-                    match policy {
-                        TailPolicy::Strict => {
-                            return Err(StoreFailure { report, kind: strict_kind });
-                        }
-                        TailPolicy::DiscardTail => {
-                            let repair_clock = std::time::Instant::now();
-                            let repair_ops0 = self.disk.device_ops();
-                            let doomed: Vec<u64> =
-                                self.disk.durable_sectors().filter(|&s| s >= at).collect();
-                            for s in doomed {
-                                delete_retried(&mut self.disk, self.retry, &mut self.retries, s)
-                                    .map_err(StoreFailure::device)?;
-                            }
-                            report.repair_ops += self.disk.device_ops() - repair_ops0;
-                            report.repair_ns += repair_clock.elapsed().as_nanos() as u64;
-                            discarded = true;
-                        }
-                    }
-                }
+            };
+            if policy == TailPolicy::Strict {
+                return Err(StoreFailure { report, kind: strict_kind });
             }
+            let repair_clock = std::time::Instant::now();
+            let repair_ops0 = self.disk.device_ops();
+            let doomed: Vec<u64> = self.disk.durable_sectors().filter(|&s| s >= at).collect();
+            for s in doomed {
+                delete_retried(&mut self.disk, self.retry, &mut self.retries, s)
+                    .map_err(StoreFailure::device)?;
+            }
+            report.repair_ops += self.disk.device_ops() - repair_ops0;
+            report.repair_ns += repair_clock.elapsed().as_nanos() as u64;
+            discarded = true;
         }
 
         // Judge the trailing batch run. A crash (or a tail discard above) can

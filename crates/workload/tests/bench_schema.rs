@@ -284,14 +284,18 @@ fn unflip_repair_reconciles_disk_and_header_stats() {
     let bits = sys.backend().storage_bits();
     let mut reconciled = false;
     for bit in 0..bits {
-        assert!(sys.flip_bit(bit), "bit {bit} must be flippable");
+        assert!(sys.backend_mut().flip_bit(bit), "bit {bit} must be flippable");
         match sys.crash_and_recover() {
             Ok(()) => {
                 // Slack bit: undo it so later flips stay single-site.
-                assert_eq!(sys.repair_flips(), 1);
+                assert_eq!(sys.backend_mut().repair_flips(), 1);
             }
             Err(RedoError::CorruptRecord { .. }) | Err(RedoError::TornRecord { .. }) => {
-                assert_eq!(sys.repair_flips(), 1, "exactly the injected flip repairs");
+                assert_eq!(
+                    sys.backend_mut().repair_flips(),
+                    1,
+                    "exactly the injected flip repairs"
+                );
                 sys.recover_with(TornPolicy::Strict)
                     .unwrap_or_else(|e| panic!("bit {bit}: repaired medium must recover: {e:?}"));
                 let disk = sys.backend_mut().disk_mut().stats();

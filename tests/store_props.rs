@@ -195,7 +195,7 @@ fn torn_group_flush_recovers_a_prefix_under_both_replayers() {
         let mut seen = std::collections::BTreeSet::new();
         for n in 1usize.. {
             let mut sys = image::<E>(conflict.clone());
-            if !sys.tear_last_flush(n) {
+            if !sys.backend_mut().tear_last_flush(n) {
                 // n reached the whole flush; the sweep is exhausted.
                 break;
             }
@@ -275,7 +275,7 @@ fn torn_or_missing_decide_presumed_aborts_every_participant() {
                 7,
                 "tear {n}: shard 0 applied the commit before the tear"
             );
-            if !fleet.shard_mut(0).tear_last_flush(n) {
+            if !fleet.shard_mut(0).backend_mut().tear_last_flush(n) {
                 // n reached the whole decide flush; the sweep is exhausted
                 // (losing the entire flush is the n == 0 missing case).
                 break;
@@ -400,7 +400,7 @@ fn exhaustive_bit_flip_sweep_never_diverges_silently() {
     let mut detected = 0u64;
     for bit in 0..bits {
         let mut sys = committed_image();
-        assert!(sys.flip_bit(bit), "bit {bit} must be flippable");
+        assert!(sys.backend_mut().flip_bit(bit), "bit {bit} must be flippable");
         match sys.crash_and_recover() {
             Ok(()) => {
                 let got: Vec<u64> =
@@ -409,7 +409,11 @@ fn exhaustive_bit_flip_sweep_never_diverges_silently() {
             }
             Err(RedoError::CorruptRecord { .. }) | Err(RedoError::TornRecord { .. }) => {
                 detected += 1;
-                assert_eq!(sys.repair_flips(), 1, "exactly the injected flip is repaired");
+                assert_eq!(
+                    sys.backend_mut().repair_flips(),
+                    1,
+                    "exactly the injected flip is repaired"
+                );
                 sys.recover_with(TornPolicy::Strict)
                     .unwrap_or_else(|e| panic!("bit {bit}: repaired medium must recover: {e:?}"));
                 let got: Vec<u64> =
