@@ -616,21 +616,13 @@ where
         if records == 0 && self.journal.base.is_some() && self.mode == SystemMode::Normal {
             return 0;
         }
-        let states: Vec<(ObjectId, A::State)> = self
-            .vol
-            .sys
-            .object_ids()
-            .into_iter()
-            .map(|obj| {
-                let state = self.vol.sys.committed_state(obj);
-                (obj, state)
-            })
-            .collect();
+        // The image is built once: the backend encodes it by reference, and
+        // once it is durable its states become the journal mirror's base.
         let img = CheckpointImage {
             base_records: self.journal.base_records + records,
             txn_floor: self.vol.sys.next_txn_id(),
             next_exec_seq: self.vol.exec_seq(),
-            states: states.clone(),
+            states: self.vol.sys.committed_states(),
         };
         let Ok(truncated) = self.durable_write(Write::Checkpoint, None, |b| {
             b.write_checkpoint(&img).map_err(|f| f.kind)
@@ -638,7 +630,7 @@ where
             return 0;
         };
         self.journal.base_records = img.base_records;
-        self.journal.base = Some(states);
+        self.journal.base = Some(img.states);
         self.journal.records.clear();
         self.vol.sys.obs_mut().on_checkpoint(records, truncated);
         if self.mode == SystemMode::Degraded {

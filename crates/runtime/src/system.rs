@@ -605,6 +605,12 @@ impl<A: Adt, E: RecoveryEngine<A>, C: Conflict<A>> TxnSystem<A, E, C> {
             .committed_state()
     }
 
+    /// Every object's committed state, ascending by id, in one walk of the
+    /// objects — what a checkpoint image is made of.
+    pub fn committed_states(&mut self) -> Vec<(ObjectId, A::State)> {
+        self.objects.0.iter_mut().map(|(id, o)| (*id, o.engine.committed_state())).collect()
+    }
+
     /// Reset `obj`'s engine so `state` is its committed base — crash
     /// recovery seeds freshly built systems from a checkpoint image this way
     /// before replaying the log suffix. Only valid on a system with no

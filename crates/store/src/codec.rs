@@ -8,10 +8,14 @@
 //! ([`ccr_adt::bank`], [`ccr_adt::escrow`]).
 //!
 //! The CRC is the IEEE 802.3 polynomial (the one `crc32fast` implements),
-//! table-driven and computed over the *entire sector-aligned frame extent*
+//! table-driven and taken over the *entire sector-aligned frame extent*
 //! including zero padding — so any single-bit flip anywhere inside a frame's
 //! sectors, padding included, changes the checksum (satellite: corruption
-//! exhaustion).
+//! exhaustion). The padding is not read byte by byte: appending `k` zero
+//! bytes multiplies the CRC register by `x^8k mod P`, so
+//! [`crc32_zero_tail`] checksums the occupied head and folds the zero tail
+//! in with one polynomial multiplication (zlib's `crc32_combine`
+//! arithmetic) — the same value as the bytewise CRC of the whole extent.
 
 use ccr_core::adt::{Adt, Op};
 use ccr_core::ids::{ObjectId, TxnId};
@@ -69,12 +73,74 @@ fn crc32_update(mut c: u32, data: &[u8]) -> u32 {
 /// IEEE CRC32 of `data` (same polynomial and pre/post-conditioning as
 /// `crc32fast` / zlib).
 pub fn crc32(data: &[u8]) -> u32 {
-    crc32_parts(&[data])
+    crc32_zero_tail(&[data], 0)
 }
 
-/// IEEE CRC32 of the concatenation of `parts`, without concatenating them.
-pub(crate) fn crc32_parts(parts: &[&[u8]]) -> u32 {
-    parts.iter().fold(0xFFFF_FFFF, |c, part| crc32_update(c, part)) ^ 0xFFFF_FFFF
+/// The reflected IEEE polynomial `P`: bit 31 is the coefficient of `x^0`.
+const POLY: u32 = 0xEDB8_8320;
+
+/// `ZERO_BYTES[k]` is `x^8k mod P`: feeding one zero byte to the CRC
+/// register multiplies it by `x^8`, so the table is the register's walk
+/// from `x^0` under zero bytes.
+const ZERO_BYTES: [u32; 1024] = {
+    let mut powers = [0u32; 1024];
+    let mut c = 1u32 << 31;
+    let mut k = 0;
+    while k < powers.len() {
+        powers[k] = c;
+        c = CRC_TABLES[0][(c & 0xFF) as usize] ^ (c >> 8);
+        k += 1;
+    }
+    powers
+};
+
+/// `a * b mod P` over GF(2), both in the reflected representation.
+fn mul_mod_p(a: u32, mut b: u32) -> u32 {
+    let mut product = 0;
+    let mut bit = 1u32 << 31;
+    while bit != 0 {
+        if a & bit != 0 {
+            product ^= b;
+        }
+        b = (b >> 1) ^ (POLY & 0u32.wrapping_sub(b & 1));
+        bit >>= 1;
+    }
+    product
+}
+
+/// The CRC register after `zeros` more zero bytes. No input bits enter, so
+/// the step is linear: a multiplication by `x^(8 * zeros)`.
+fn crc32_skip_zeros(mut c: u32, mut zeros: usize) -> u32 {
+    const STRIDE: usize = ZERO_BYTES.len() - 1;
+    while zeros > STRIDE {
+        c = mul_mod_p(c, ZERO_BYTES[STRIDE]);
+        zeros -= STRIDE;
+    }
+    if zeros == 0 {
+        c
+    } else {
+        mul_mod_p(c, ZERO_BYTES[zeros])
+    }
+}
+
+/// IEEE CRC32 of the concatenation of `parts` followed by `zeros` zero
+/// bytes, without concatenating the parts or reading the zeros.
+pub(crate) fn crc32_zero_tail(parts: &[&[u8]], zeros: usize) -> u32 {
+    let head = parts.iter().fold(0xFFFF_FFFF, |c, part| crc32_update(c, part));
+    crc32_skip_zeros(head, zeros) ^ 0xFFFF_FFFF
+}
+
+/// How many zero bytes `data` ends with.
+pub(crate) fn zero_tail_len(data: &[u8]) -> usize {
+    let mut wide = data.rchunks_exact(16);
+    let mut zeros = 0;
+    for chunk in &mut wide {
+        if u128::from_le_bytes(chunk.try_into().expect("16 bytes")) != 0 {
+            return zeros + chunk.iter().rev().take_while(|&&b| b == 0).count();
+        }
+        zeros += 16;
+    }
+    zeros + wide.remainder().iter().rev().take_while(|&&b| b == 0).count()
 }
 
 /// Fixed-endian byte serialization for durable records.
@@ -351,7 +417,33 @@ mod tests {
             assert_eq!(crc32(d), crc32_bytewise(d), "length {len}");
             // Any split into parts checksums like the whole.
             let cut = len / 3;
-            assert_eq!(crc32_parts(&[&d[..cut], &d[cut..]]), crc32_bytewise(d), "split {len}");
+            let split = crc32_zero_tail(&[&d[..cut], &d[cut..]], 0);
+            assert_eq!(split, crc32_bytewise(d), "split {len}");
+        }
+    }
+
+    #[test]
+    fn folded_zero_tail_equals_the_bytewise_reference() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let noise: Vec<u8> = (0..512)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 24) as u8 | 1 // never zero: the head ends where it says
+            })
+            .collect();
+        for head in [0, 1, 7, 13, 109, 512] {
+            for tail in [0, 1, 3, 8, 403, 511, 4096, 5000, 48_000] {
+                let mut whole = noise[..head].to_vec();
+                whole.resize(head + tail, 0);
+                let want = crc32_bytewise(&whole);
+                assert_eq!(crc32_zero_tail(&[&noise[..head]], tail), want, "{head}+{tail}");
+                assert_eq!(zero_tail_len(&whole), tail, "{head}+{tail}");
+                // Zeroes read as bytes and zeroes folded are the same zeroes.
+                let read = head + tail / 3;
+                assert_eq!(crc32_zero_tail(&[&whole[..read]], whole.len() - read), want);
+            }
         }
     }
 

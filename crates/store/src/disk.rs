@@ -6,7 +6,7 @@
 //!
 //! - Writes land in a volatile *pending* buffer; nothing is durable until
 //!   [`SimDisk::flush`] (the fsync analogue) moves pending sectors to the
-//!   durable map.
+//!   durable medium.
 //! - [`SimDisk::crash`] drops the pending buffer — un-fsynced data is lost,
 //!   fsynced data survives. Crash is idempotent.
 //! - Faults are *armed* on the disk ahead of time and fire at the next
@@ -25,9 +25,13 @@
 //!     sector delta, modeling a misdirected write (firmware writes good data
 //!     to the wrong LBA).
 //!
-//! Everything is plain `BTreeMap` state iterated in key order, so the same
-//! call sequence always produces the same bytes — the determinism the
-//! simulator's byte-identical-replay acceptance criterion needs.
+//! The durable medium is a map of fixed **tracks** of [`TRACK_SECTORS`]
+//! sectors: one allocation per track, a presence bitmap and a torn-sector
+//! bitmap beside it, so a sector write, read or delete costs a track lookup
+//! and a bit, not an allocation and a map node. Tracks and their bits are
+//! walked in ascending order, so the same call sequence always produces the
+//! same bytes — the determinism the simulator's byte-identical-replay
+//! acceptance criterion needs.
 //!
 //! Besides the raw (always-succeeding) operations above, the disk exposes a
 //! *checked* interface — [`SimDisk::try_read`], [`SimDisk::try_write`],
@@ -62,8 +66,10 @@
 //! omniscient view tests and repair tooling use to inspect or fix the
 //! medium, and they never tick the op counter.
 
+use std::borrow::Cow;
 use std::cell::Cell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
+use std::ops::{Bound, RangeBounds};
 
 /// Why a checked device operation failed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -101,24 +107,175 @@ pub enum SectorRead<'a> {
     Absent,
 }
 
+/// Sectors per track of the durable medium.
+pub const TRACK_SECTORS: u64 = 64;
+
+/// One track: [`TRACK_SECTORS`] sector slots in a single allocation.
+#[derive(Clone, Debug)]
+struct Track {
+    /// Bit `i` set: slot `i` holds durable bytes.
+    present: u64,
+    /// Bit `i` set: slot `i` was durable until a tear/reorder destroyed it,
+    /// and has not been rewritten or deliberately deleted since. Disjoint
+    /// from `present`.
+    torn: u64,
+    /// The slots' bytes, allocated for the whole track up front and grown
+    /// (zero-filled) to the highest slot written so far, so opening a track
+    /// costs an allocation but no 64-sector clear. A slot's bytes mean
+    /// something only while its `present` bit is set.
+    data: Vec<u8>,
+}
+
+impl Track {
+    /// Slot `slot`'s bytes, if it holds durable ones.
+    fn read(&self, slot: u32, size: usize) -> Option<&[u8]> {
+        let at = slot as usize * size;
+        (self.present >> slot & 1 != 0).then(|| &self.data[at..at + size])
+    }
+}
+
+/// Ascending indices of the set bits of `bits`.
+fn set_bits(mut bits: u64) -> impl Iterator<Item = u64> {
+    std::iter::from_fn(move || {
+        (bits != 0).then(|| {
+            let i = bits.trailing_zeros() as u64;
+            bits &= bits - 1;
+            i
+        })
+    })
+}
+
+/// The durable medium: every sector that survives a crash, plus the
+/// tombstones of sectors a tear or reorder destroyed. A track is in the map
+/// exactly while one of its bitmaps is non-zero.
+#[derive(Clone, Debug)]
+struct Medium {
+    sector: usize,
+    tracks: BTreeMap<u64, Track>,
+    /// Durable sectors on the medium (the sum of the `present` popcounts).
+    durable: u64,
+}
+
+impl Medium {
+    fn slot(sector: u64) -> (u64, u32) {
+        (sector / TRACK_SECTORS, (sector % TRACK_SECTORS) as u32)
+    }
+
+    fn read(&self, sector: u64) -> Option<&[u8]> {
+        let (t, slot) = Self::slot(sector);
+        self.tracks.get(&t)?.read(slot, self.sector)
+    }
+
+    fn is_torn(&self, sector: u64) -> bool {
+        let (t, slot) = Self::slot(sector);
+        self.tracks.get(&t).is_some_and(|track| track.torn >> slot & 1 != 0)
+    }
+
+    fn read_mut(&mut self, sector: u64) -> Option<&mut [u8]> {
+        let (t, slot) = Self::slot(sector);
+        let track = self.tracks.get_mut(&t)?;
+        let at = slot as usize * self.sector;
+        (track.present >> slot & 1 != 0).then(|| &mut track.data[at..at + self.sector])
+    }
+
+    /// Make `sectors[i]` durable with bytes `data[i * sector..]`, in order
+    /// (a later write of the same sector wins). One track lookup per run of
+    /// sectors that share a track.
+    fn store(&mut self, sectors: &[u64], data: &[u8]) {
+        let size = self.sector;
+        let mut i = 0;
+        while i < sectors.len() {
+            let t = sectors[i] / TRACK_SECTORS;
+            let track = self.tracks.entry(t).or_insert_with(|| Track {
+                present: 0,
+                torn: 0,
+                data: Vec::with_capacity(TRACK_SECTORS as usize * size),
+            });
+            while i < sectors.len() && sectors[i] / TRACK_SECTORS == t {
+                let slot = (sectors[i] % TRACK_SECTORS) as usize;
+                if track.data.len() < (slot + 1) * size {
+                    track.data.resize((slot + 1) * size, 0);
+                }
+                track.data[slot * size..(slot + 1) * size]
+                    .copy_from_slice(&data[i * size..(i + 1) * size]);
+                self.durable += u64::from(track.present >> slot & 1 == 0);
+                track.present |= 1 << slot;
+                track.torn &= !(1 << slot);
+                i += 1;
+            }
+        }
+    }
+
+    /// Remove `sector`'s bytes, leaving a tombstone if `tombstone` (a tear)
+    /// and clearing any if not (a deliberate delete). Returns whether the
+    /// sector was durable.
+    fn remove(&mut self, sector: u64, tombstone: bool) -> bool {
+        let (t, slot) = Self::slot(sector);
+        let Some(track) = self.tracks.get_mut(&t) else { return false };
+        let bit = 1u64 << slot;
+        let was = track.present & bit != 0;
+        track.present &= !bit;
+        if was && tombstone {
+            track.torn |= bit;
+        } else if !tombstone {
+            track.torn &= !bit;
+        }
+        self.durable -= u64::from(was);
+        if track.present | track.torn == 0 {
+            self.tracks.remove(&t);
+        }
+        was
+    }
+
+    fn durable_in(&self, range: impl RangeBounds<u64>) -> impl Iterator<Item = u64> + '_ {
+        let lo = match range.start_bound() {
+            Bound::Included(&s) => Some(s),
+            Bound::Excluded(&s) => s.checked_add(1),
+            Bound::Unbounded => Some(0),
+        };
+        let hi = match range.end_bound() {
+            Bound::Included(&e) => Some(e),
+            Bound::Excluded(&e) => e.checked_sub(1),
+            Bound::Unbounded => Some(u64::MAX),
+        };
+        lo.zip(hi).filter(|(lo, hi)| lo <= hi).into_iter().flat_map(move |(lo, hi)| {
+            self.tracks.range(lo / TRACK_SECTORS..=hi / TRACK_SECTORS).flat_map(
+                move |(&t, track)| {
+                    set_bits(track.present)
+                        .map(move |slot| t * TRACK_SECTORS + slot)
+                        .filter(move |s| (lo..=hi).contains(s))
+                },
+            )
+        })
+    }
+}
+
 /// A copy of the durable image, for snapshot/restore replay (the
 /// recovery-convergence probe re-runs recovery many times from one image).
 #[derive(Clone, Debug)]
 pub struct DiskImage {
-    durable: BTreeMap<u64, Vec<u8>>,
-    torn: BTreeSet<u64>,
+    medium: Medium,
 }
 
 impl DiskImage {
     /// The durable sectors, in index order — the enumeration hook the
     /// explorer's canonical-state fingerprint folds over.
     pub fn sectors(&self) -> impl Iterator<Item = (u64, &[u8])> {
-        self.durable.iter().map(|(s, b)| (*s, b.as_slice()))
+        let size = self.medium.sector;
+        self.medium.tracks.iter().flat_map(move |(&t, track)| {
+            set_bits(track.present).map(move |slot| {
+                let bytes = track.read(slot as u32, size).expect("a set presence bit");
+                (t * TRACK_SECTORS + slot, bytes)
+            })
+        })
     }
 
     /// Sectors destroyed by a tear/reorder and not rewritten since.
     pub fn torn_sectors(&self) -> impl Iterator<Item = u64> + '_ {
-        self.torn.iter().copied()
+        self.medium
+            .tracks
+            .iter()
+            .flat_map(|(&t, track)| set_bits(track.torn).map(move |slot| t * TRACK_SECTORS + slot))
     }
 }
 
@@ -160,20 +317,18 @@ pub struct DiskStats {
 /// [`SimDisk::restore`] remain the narrower durable-image hooks.
 #[derive(Clone, Debug)]
 pub struct SimDisk {
-    sector: usize,
-    /// Durable sectors, by sector index. Absent means never written (reads
-    /// as zeroes).
-    durable: BTreeMap<u64, Vec<u8>>,
-    /// Written but not yet flushed, in write order.
-    pending: Vec<(u64, Vec<u8>)>,
+    /// Durable sectors and torn-sector tombstones.
+    medium: Medium,
+    /// Sector indices written but not yet flushed, in write order.
+    pending: Vec<u64>,
+    /// The bytes of `pending`, one sector each, in the same order. Both
+    /// vectors keep their capacity across flushes.
+    pending_data: Vec<u8>,
     /// Sector indices made durable by the most recent flush, in write order.
     last_flush: Vec<u64>,
     /// Journal of applied bit flips `(sector, byte, mask)` so tests can
     /// repair the medium.
     flips: Vec<(u64, usize, u8)>,
-    /// Sectors that were durable until a tear/reorder destroyed them, and
-    /// have not been rewritten or deliberately deleted since.
-    torn: BTreeSet<u64>,
     /// Sector delta applied to the next write, then cleared.
     misdirect: Option<i64>,
     /// Checked device ops performed (reads, writes, flushes, deletes).
@@ -210,12 +365,11 @@ impl SimDisk {
     pub fn new(sector: usize) -> Self {
         assert!(sector > 0, "sector size must be positive");
         SimDisk {
-            sector,
-            durable: BTreeMap::new(),
+            medium: Medium { sector, tracks: BTreeMap::new(), durable: 0 },
             pending: Vec::new(),
+            pending_data: Vec::new(),
             last_flush: Vec::new(),
             flips: Vec::new(),
-            torn: BTreeSet::new(),
             misdirect: None,
             ops: Cell::new(0),
             transient: Cell::new(0),
@@ -235,7 +389,7 @@ impl SimDisk {
 
     /// Sector size in bytes.
     pub fn sector_size(&self) -> usize {
-        self.sector
+        self.medium.sector
     }
 
     pub fn stats(&self) -> DiskStats {
@@ -248,11 +402,11 @@ impl SimDisk {
     /// Queue a write of `data` starting at `sector` (volatile until
     /// [`flush`](Self::flush)). `data` must be a whole number of sectors.
     pub fn write(&mut self, sector: u64, data: &[u8]) {
+        let size = self.medium.sector;
         assert!(
-            data.len().is_multiple_of(self.sector) && !data.is_empty(),
-            "writes must cover whole sectors (got {} bytes, sector {})",
+            data.len().is_multiple_of(size) && !data.is_empty(),
+            "writes must cover whole sectors (got {} bytes, sector {size})",
             data.len(),
-            self.sector
         );
         let base = match self.misdirect.take() {
             Some(delta) => {
@@ -261,9 +415,8 @@ impl SimDisk {
             }
             None => sector,
         };
-        for (i, chunk) in data.chunks(self.sector).enumerate() {
-            self.pending.push((base + i as u64, chunk.to_vec()));
-        }
+        self.pending.extend((0..(data.len() / size) as u64).map(|i| base + i));
+        self.pending_data.extend_from_slice(data);
     }
 
     /// Make all pending writes durable, in write order. Returns the number
@@ -272,14 +425,10 @@ impl SimDisk {
         if self.pending.is_empty() {
             return 0;
         }
-        self.last_flush.clear();
-        let pending = std::mem::take(&mut self.pending);
-        let n = pending.len();
-        for (idx, bytes) in pending {
-            self.durable.insert(idx, bytes);
-            self.torn.remove(&idx);
-            self.last_flush.push(idx);
-        }
+        let n = self.pending.len();
+        self.medium.store(&self.pending, &self.pending_data);
+        std::mem::swap(&mut self.last_flush, &mut self.pending);
+        self.discard_pending();
         self.stats.sectors_flushed += n as u64;
         self.stats.flushes += 1;
         n
@@ -292,7 +441,7 @@ impl SimDisk {
         if !self.pending.is_empty() {
             self.stats.lossy_crashes += 1;
         }
-        self.pending.clear();
+        self.discard_pending();
         self.misdirect = None;
         self.trip_at.set(None);
         self.tripped.set(false);
@@ -302,7 +451,30 @@ impl SimDisk {
     /// Reads see only durable data — the pending buffer is the device
     /// cache, and the recovery scanner runs strictly post-crash.
     pub fn read(&self, sector: u64) -> Option<&[u8]> {
-        self.durable.get(&sector).map(Vec::as_slice)
+        self.medium.read(sector)
+    }
+
+    /// The bytes of the `n` sectors from `first`, if all are durable:
+    /// borrowed in place when the run lies inside one track, concatenated
+    /// when it crosses a boundary. `Err(i)` when only the first `i` are
+    /// durable. Raw, like [`read`](Self::read).
+    pub fn read_run(&self, first: u64, n: u64) -> Result<Cow<'_, [u8]>, usize> {
+        let (t, slot) = Medium::slot(first);
+        if n > 0 && slot as u64 + n <= TRACK_SECTORS {
+            let Some(track) = self.medium.tracks.get(&t) else { return Err(0) };
+            let run = (track.present >> slot).trailing_ones() as u64;
+            if run < n {
+                return Err(run as usize);
+            }
+            let size = self.medium.sector;
+            let at = slot as usize * size;
+            return Ok(Cow::Borrowed(&track.data[at..at + n as usize * size]));
+        }
+        let mut buf = Vec::with_capacity(n as usize * self.medium.sector);
+        for (i, s) in (first..first + n).enumerate() {
+            buf.extend_from_slice(self.medium.read(s).ok_or(i)?);
+        }
+        Ok(Cow::Owned(buf))
     }
 
     /// Drop every staged-but-unflushed write without a power loss: the
@@ -311,6 +483,7 @@ impl SimDisk {
     /// data is untouched.
     pub fn discard_pending(&mut self) {
         self.pending.clear();
+        self.pending_data.clear();
     }
 
     /// Read one sector with explicit damage classification: durable bytes,
@@ -319,9 +492,9 @@ impl SimDisk {
     /// uses this form so a torn-away sector is never mistaken for a clean
     /// log end. Never returns `Data(&[])` — writes cover whole sectors.
     pub fn read_classified(&self, sector: u64) -> SectorRead<'_> {
-        match self.durable.get(&sector) {
-            Some(bytes) => SectorRead::Data(bytes.as_slice()),
-            None if self.torn.contains(&sector) => SectorRead::Torn,
+        match self.medium.read(sector) {
+            Some(bytes) => SectorRead::Data(bytes),
+            None if self.medium.is_torn(sector) => SectorRead::Torn,
             None => SectorRead::Absent,
         }
     }
@@ -333,20 +506,30 @@ impl SimDisk {
 
     /// Indices of all durable sectors, ascending.
     pub fn durable_sectors(&self) -> impl Iterator<Item = u64> + '_ {
-        self.durable.keys().copied()
+        self.medium.durable_in(..)
+    }
+
+    /// Indices of the durable sectors inside `range`, ascending. Visits only
+    /// the tracks the range touches.
+    pub fn durable_in(&self, range: impl RangeBounds<u64>) -> impl Iterator<Item = u64> + '_ {
+        self.medium.durable_in(range)
+    }
+
+    /// How many sectors are durable.
+    pub fn durable_len(&self) -> u64 {
+        self.medium.durable
     }
 
     /// Total durable bits on the medium (the bit-flip address space).
     pub fn durable_bits(&self) -> u64 {
-        self.durable.values().map(|v| v.len() as u64 * 8).sum()
+        self.medium.durable * self.medium.sector as u64 * 8
     }
 
     /// Delete a durable sector (used by log truncation and tail discard).
     /// A deliberate delete also clears any torn-sector tombstone — the
     /// caller has classified the damage and disposed of the sector.
     pub fn delete(&mut self, sector: u64) -> bool {
-        self.torn.remove(&sector);
-        self.durable.remove(&sector).is_some()
+        self.medium.remove(sector, false)
     }
 
     /// Retroactively shorten the most recent flush to its first `keep`
@@ -358,9 +541,7 @@ impl SimDisk {
             return false;
         }
         for &idx in &self.last_flush[keep..] {
-            if self.durable.remove(&idx).is_some() {
-                self.torn.insert(idx);
-            }
+            self.medium.remove(idx, true);
             self.stats.torn_sectors += 1;
         }
         self.last_flush.truncate(keep);
@@ -376,9 +557,7 @@ impl SimDisk {
             return false;
         }
         let first = self.last_flush.remove(0);
-        if self.durable.remove(&first).is_some() {
-            self.torn.insert(first);
-        }
+        self.medium.remove(first, true);
         self.stats.reordered_sectors += 1;
         true
     }
@@ -392,20 +571,19 @@ impl SimDisk {
         if total == 0 {
             return false;
         }
-        let mut target = bit % total;
-        for (&idx, bytes) in self.durable.iter_mut() {
-            let here = bytes.len() as u64 * 8;
-            if target < here {
-                let byte = (target / 8) as usize;
-                let mask = 1u8 << (target % 8);
-                bytes[byte] ^= mask;
-                self.flips.push((idx, byte, mask));
-                self.stats.flipped_bits += 1;
-                return true;
-            }
-            target -= here;
-        }
-        unreachable!("target bit within durable_bits() total");
+        let target = bit % total;
+        let sector_bits = self.medium.sector as u64 * 8;
+        let idx = self
+            .medium
+            .durable_in(..)
+            .nth((target / sector_bits) as usize)
+            .expect("target bit within durable_bits() total");
+        let byte = (target % sector_bits / 8) as usize;
+        let mask = 1u8 << (target % 8);
+        self.medium.read_mut(idx).expect("a durable sector")[byte] ^= mask;
+        self.flips.push((idx, byte, mask));
+        self.stats.flipped_bits += 1;
+        true
     }
 
     /// Undo every flip applied by [`flip_bit`](Self::flip_bit) whose sector
@@ -417,11 +595,9 @@ impl SimDisk {
         let flips = std::mem::take(&mut self.flips);
         let mut repaired = 0;
         for (idx, byte, mask) in flips {
-            if let Some(bytes) = self.durable.get_mut(&idx) {
-                if byte < bytes.len() {
-                    bytes[byte] ^= mask;
-                    repaired += 1;
-                }
+            if let Some(bytes) = self.medium.read_mut(idx) {
+                bytes[byte] ^= mask;
+                repaired += 1;
             }
         }
         self.stats.repaired_bits += repaired as u64;
@@ -601,7 +777,7 @@ impl SimDisk {
     /// Snapshot the durable image (and torn-sector tombstones) for later
     /// [`restore`](Self::restore).
     pub fn snapshot(&self) -> DiskImage {
-        DiskImage { durable: self.durable.clone(), torn: self.torn.clone() }
+        DiskImage { medium: self.medium.clone() }
     }
 
     /// Restore a snapshot: the durable image and tombstones come back
@@ -609,9 +785,8 @@ impl SimDisk {
     /// armed faults are cleared (the snapshot models re-imaging the
     /// medium). The op counter and wear stats keep accumulating.
     pub fn restore(&mut self, image: &DiskImage) {
-        self.durable = image.durable.clone();
-        self.torn = image.torn.clone();
-        self.pending.clear();
+        self.medium = image.medium.clone();
+        self.discard_pending();
         self.last_flush.clear();
         self.flips.clear();
         self.misdirect = None;

@@ -22,11 +22,12 @@ use ccr_core::adt::Adt;
 
 use crate::backend::Detection;
 use crate::codec::Persist;
-use crate::disk::{SectorRead, SimDisk};
+use crate::disk::SimDisk;
 use crate::wal::{
     decode_batch, decode_checkpoint, decode_commit, decode_decide, decode_prepare,
-    frame_crc_matches, SegHeader, WalConfig, FRAME_OVERHEAD, HEADER_PAYLOAD, KIND_BATCH,
-    KIND_CHECKPOINT, KIND_COMMIT, KIND_DECIDE, KIND_PREPARE, KIND_SEG_HEADER, MAGIC,
+    durable_segments, frame_at, frame_payload, FrameRead, SegHeader, WalConfig, FRAME_OVERHEAD,
+    HEADER_PAYLOAD, KIND_BATCH, KIND_CHECKPOINT, KIND_COMMIT, KIND_DECIDE, KIND_PREPARE,
+    KIND_SEG_HEADER,
 };
 
 /// One frame (or damaged frame position) in the listing.
@@ -111,15 +112,6 @@ pub struct WalInspection {
     pub decisions: Vec<(u64, bool)>,
 }
 
-/// Raw, unchecked view of one frame position (mirror of the scanner's
-/// `FrameRead`, but over `read_classified` — never a checked device op).
-enum RawFrame {
-    Absent,
-    Torn { expected: u64, found: u64 },
-    Corrupt { kind: &'static str },
-    Valid { kind: u8, payload: Vec<u8>, sectors: u64 },
-}
-
 fn kind_name(kind: u8) -> &'static str {
     match kind {
         KIND_SEG_HEADER => "seg-header",
@@ -133,42 +125,9 @@ fn kind_name(kind: u8) -> &'static str {
 }
 
 /// Read the frame starting at `pos` exactly the way the recovery scanner
-/// does, using only raw reads.
-fn read_frame_raw(disk: &SimDisk, cfg: &WalConfig, pos: u64, seg_end: u64) -> RawFrame {
-    let first = match disk.read_classified(pos) {
-        SectorRead::Data(bytes) => bytes,
-        SectorRead::Torn | SectorRead::Absent => return RawFrame::Absent,
-    };
-    if first.len() < FRAME_OVERHEAD {
-        return RawFrame::Corrupt { kind: "unknown" };
-    }
-    let magic = u32::from_le_bytes(first[0..4].try_into().expect("4 bytes"));
-    if magic != MAGIC {
-        return RawFrame::Corrupt { kind: "unknown" };
-    }
-    let kind = first[4];
-    if !(KIND_SEG_HEADER..=KIND_DECIDE).contains(&kind) {
-        return RawFrame::Corrupt { kind: "unknown" };
-    }
-    let len = u32::from_le_bytes(first[5..9].try_into().expect("4 bytes")) as usize;
-    let Some(total) = FRAME_OVERHEAD.checked_add(len) else {
-        return RawFrame::Corrupt { kind: kind_name(kind) };
-    };
-    let sectors = total.div_ceil(cfg.sector) as u64;
-    if pos + sectors > seg_end {
-        return RawFrame::Corrupt { kind: kind_name(kind) };
-    }
-    let mut buf = Vec::with_capacity(sectors as usize * cfg.sector);
-    for (i, s) in (pos..pos + sectors).enumerate() {
-        match disk.read(s) {
-            Some(bytes) => buf.extend_from_slice(bytes),
-            None => return RawFrame::Torn { expected: sectors, found: i as u64 },
-        }
-    }
-    if !frame_crc_matches(&buf) {
-        return RawFrame::Corrupt { kind: kind_name(kind) };
-    }
-    RawFrame::Valid { kind, payload: buf[FRAME_OVERHEAD..FRAME_OVERHEAD + len].to_vec(), sectors }
+/// does, but over `read_classified` — never a checked device op.
+fn read_frame_raw<'d>(disk: &'d SimDisk, cfg: &WalConfig, pos: u64, seg_end: u64) -> FrameRead<'d> {
+    frame_at(disk, cfg, pos, seg_end, disk.read_classified(pos))
 }
 
 /// A decoded data frame of the replayable prefix (pre-damage walk only).
@@ -190,15 +149,14 @@ where
 {
     let seg_sectors = cfg.seg_sectors;
     let header_sectors = (FRAME_OVERHEAD + HEADER_PAYLOAD).div_ceil(cfg.sector) as u64;
-    let mut segs: Vec<u64> = disk.durable_sectors().map(|s| s / seg_sectors).collect();
-    segs.dedup();
+    let segs = durable_segments(disk, seg_sectors);
 
     let mut out = WalInspection {
         sector_size: cfg.sector as u64,
         seg_sectors,
         segments: Vec::new(),
         frames: 0,
-        sectors: disk.durable_sectors().count() as u64,
+        sectors: disk.durable_len(),
         detections: Vec::new(),
         damage: "clean",
         checkpoint: false,
@@ -232,8 +190,8 @@ where
         // the probe (sector-by-sector), which visits this position too.
         if damage.is_none() {
             match read_frame_raw(disk, cfg, base, seg_end) {
-                RawFrame::Valid { kind: KIND_SEG_HEADER, payload, sectors } => {
-                    match SegHeader::decode(&payload) {
+                FrameRead::Valid { kind: KIND_SEG_HEADER, frame, sectors } => {
+                    match SegHeader::decode(frame_payload(&frame)) {
                         Some(h) => {
                             out.frames += 1;
                             seg.frames.push(FrameInfo {
@@ -276,7 +234,7 @@ where
                     out.detections.push(Detection::CrcMismatch { sector: base });
                     out.damage = "corrupt-header";
                     let status = match other {
-                        RawFrame::Torn { .. } => "torn",
+                        FrameRead::Torn { .. } => "torn",
                         _ => "corrupt",
                     };
                     seg.frames.push(FrameInfo {
@@ -298,10 +256,12 @@ where
             if damage.is_some() {
                 // Probe mode: every sector position may start a frame; only
                 // valid frames matter for classification, but list them all.
-                if let RawFrame::Valid { kind, payload, sectors } =
+                if let FrameRead::Valid { kind, frame, sectors } =
                     read_frame_raw(disk, cfg, pos, seg_end)
                 {
-                    let batch = (kind == KIND_BATCH).then(|| decode_batch::<A>(&payload)).flatten();
+                    let batch = (kind == KIND_BATCH)
+                        .then(|| decode_batch::<A>(frame_payload(&frame)))
+                        .flatten();
                     let detail = match &batch {
                         Some((meta, rec)) => {
                             tail_batch_ids.insert(meta.id);
@@ -332,10 +292,10 @@ where
                 continue;
             }
             match read_frame_raw(disk, cfg, pos, seg_end) {
-                RawFrame::Absent => {
+                FrameRead::Absent => {
                     // Candidate end of log: data after a hole in the same
                     // segment means the flush persisted out of order.
-                    if (pos + 1..seg_end).any(|q| disk.read(q).is_some()) {
+                    if disk.durable_in(pos + 1..seg_end).next().is_some() {
                         out.detections.push(Detection::MissingData { sector: pos });
                         damage = Some((pos, true));
                         seg.frames.push(FrameInfo {
@@ -352,7 +312,7 @@ where
                     // Clean tail (or clean roll into the next segment).
                     break;
                 }
-                RawFrame::Torn { expected, found } => {
+                FrameRead::Torn { expected, found } => {
                     out.detections.push(Detection::TornFrame { sector: pos });
                     damage = Some((pos, true));
                     seg.frames.push(FrameInfo {
@@ -365,22 +325,23 @@ where
                     });
                     pos += 1;
                 }
-                RawFrame::Corrupt { kind } => {
+                FrameRead::Corrupt { kind } => {
                     out.detections.push(Detection::CrcMismatch { sector: pos });
                     damage = Some((pos, false));
                     seg.frames.push(FrameInfo {
                         sector: pos,
                         sectors: 0,
-                        kind,
+                        kind: kind.map_or("unknown", kind_name),
                         status: "corrupt",
                         beyond_damage: false,
                         detail: "bad magic, length, or CRC".to_string(),
                     });
                     pos += 1;
                 }
-                RawFrame::Valid { kind, payload, sectors } => {
+                FrameRead::Valid { kind, frame, sectors } => {
+                    let payload = frame_payload(&frame);
                     let (dec, detail) = match kind {
-                        KIND_COMMIT => match decode_commit::<A>(&payload) {
+                        KIND_COMMIT => match decode_commit::<A>(payload) {
                             Some(rec) => {
                                 let max_seq = rec.ops.iter().map(|(s, _, _)| s + 1).max();
                                 let detail = format!("floor={} ops={}", rec.floor, rec.ops.len());
@@ -395,7 +356,7 @@ where
                             }
                             None => (None, String::new()),
                         },
-                        KIND_BATCH => match decode_batch::<A>(&payload) {
+                        KIND_BATCH => match decode_batch::<A>(payload) {
                             Some((meta, rec)) => {
                                 let max_seq = rec.ops.iter().map(|(s, _, _)| s + 1).max();
                                 let detail = format!(
@@ -417,7 +378,7 @@ where
                             }
                             None => (None, String::new()),
                         },
-                        KIND_CHECKPOINT => match decode_checkpoint::<A>(&payload) {
+                        KIND_CHECKPOINT => match decode_checkpoint::<A>(payload) {
                             Some(img) => {
                                 let detail = format!(
                                     "base_records={} floor={} seq={} states={}",
@@ -436,7 +397,7 @@ where
                             }
                             None => (None, String::new()),
                         },
-                        KIND_PREPARE => match decode_prepare::<A>(&payload) {
+                        KIND_PREPARE => match decode_prepare::<A>(payload) {
                             Some((gtid, rec)) => {
                                 let max_seq = rec.ops.iter().map(|(s, _, _)| s + 1).max();
                                 let detail = format!(
@@ -449,7 +410,7 @@ where
                             }
                             None => (None, String::new()),
                         },
-                        KIND_DECIDE => match decode_decide(&payload) {
+                        KIND_DECIDE => match decode_decide(payload) {
                             Some((gtid, commit)) => {
                                 let detail = format!("gtid={gtid} commit={commit}");
                                 (Some(Decoded::Decide { gtid, commit }), detail)

@@ -41,7 +41,7 @@ pub use backend::{
     StoreFailure, StoreFailureKind, StoreStats, TailPolicy,
 };
 pub use codec::{crc32, Persist};
-pub use disk::{DiskError, DiskImage, DiskStats, SectorRead, SimDisk};
+pub use disk::{DiskError, DiskImage, DiskStats, SectorRead, SimDisk, TRACK_SECTORS};
 pub use inspect::{inspect_wal, BatchRun, FrameInfo, SegmentInfo, WalInspection};
 pub use wal::{
     build_frame, check_frame, decode_batch, decode_decide, decode_prepare, encode_batch,

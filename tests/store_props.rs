@@ -426,6 +426,66 @@ fn exhaustive_bit_flip_sweep_never_diverges_silently() {
     assert!(detected > 0, "the CRC layer must detect at least the payload flips");
 }
 
+/// The exact bytes of one frame of each kind (1–6), as a `WalBackend` lays
+/// them down on the 32-byte geometry. Round-trip tests pass whenever builder
+/// and checker drift *together*; these bytes — header layout, payload
+/// encoding, zero padding and the CRC of the padded extent — may not drift at
+/// all, because logs written by an older build must still scan.
+#[test]
+fn one_frame_of_each_kind_is_pinned_byte_for_byte() {
+    use ccr::adt::bank::BankResp;
+    use ccr::core::adt::Op;
+    use ccr::store::{inspect_wal, CheckpointImage, CommitRecord};
+
+    let rec = |floor: u32, seq: u64, amount: u64| CommitRecord::<BankAccount> {
+        floor,
+        ops: vec![(seq, ObjectId(1), Op::new(BankInv::Deposit(amount), BankResp::Ok))],
+    };
+    let mut w: WalBackend<BankAccount> = WalBackend::new(WalConfig::default());
+    w.append_commit(&rec(1, 0, 5)).unwrap();
+    w.append_commits(&[rec(2, 1, 6), rec(3, 2, 7)]).unwrap();
+    w.append_prepare(0xABCD, &rec(4, 3, 8)).unwrap();
+    w.append_decision(0xABCD, true).unwrap();
+    w.write_checkpoint(&CheckpointImage {
+        base_records: 4,
+        txn_floor: 4,
+        next_exec_seq: 4,
+        states: vec![(ObjectId(0), 0u64), (ObjectId(1), 26)],
+    })
+    .unwrap();
+
+    let ins = inspect_wal::<BankAccount>(w.disk(), &w.config());
+    assert_eq!(ins.damage, "clean");
+    let first_of = |kind: &str| -> String {
+        let f = ins.segments[0].frames.iter().find(|f| f.kind == kind).expect(kind);
+        (f.sector..f.sector + f.sectors)
+            .flat_map(|s| w.disk().read(s).expect("a durable sector").to_vec())
+            .map(|b| format!("{b:02x}"))
+            .collect()
+    };
+    let pinned = [
+        ("seg-header", 
+            "4343524601450000000af32ed90000000000000000000000000000000000040000000400000000000000010000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000",
+        ),
+        ("commit", 
+            "43435246021e0000003794209d010000000100000000000000000000000100000000050000000000000000000000000000000000000000000000000000000000",
+        ),
+        ("checkpoint", 
+            "434352460330000000ea8267b2040000000000000004000000040000000000000002000000000000000000000000000000010000001a00000000000000000000",
+        ),
+        ("batch", 
+            "43435246042e000000c2ffeb1f000000000000000000000000020000000200000001000000010000000000000001000000000600000000000000000000000000",
+        ),
+        ("prepare", 
+            "4343524605260000001d3dd17acdab00000000000004000000010000000300000000000000010000000008000000000000000000000000000000000000000000",
+        ),
+        ("decide", "434352460609000000cf9088c8cdab0000000000000100000000000000000000"),
+    ];
+    for (kind, hex) in pinned {
+        assert_eq!(first_of(kind), hex, "{kind}");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Wire-format properties (DESIGN.md §9/§10): epoch-header and group-commit
 // batch frames round-trip exactly, impossible batch metas are refused, and
@@ -582,7 +642,284 @@ mod wire_format {
         fn intact_frames_return_kind_and_payload(kind in 1u8..=4, rec in records()) {
             let payload = encode_batch(BatchMeta { id: 7, pos: 0, len: 1 }, &rec);
             let frame = build_frame(kind, &payload, 32);
-            prop_assert_eq!(check_frame(&frame), Some((kind, payload)));
+            prop_assert_eq!(check_frame(&frame), Some((kind, payload.as_slice())));
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Device differential (DESIGN.md §16, "The durable write"): the track-backed
+// `SimDisk` against the per-sector map it replaced, kept here as the
+// reference model. Everything a caller can observe must agree after every
+// step of any raw-operation sequence.
+// ---------------------------------------------------------------------------
+
+mod device_model {
+    use std::collections::{BTreeMap, BTreeSet};
+
+    use ccr::store::{DiskStats, SectorRead, SimDisk, TRACK_SECTORS};
+
+    /// The device as it was: one `Vec<u8>` per durable sector in a map, a
+    /// set of tombstones, a list of pending sectors.
+    #[derive(Clone, Default)]
+    struct ModelDisk {
+        durable: BTreeMap<u64, Vec<u8>>,
+        torn: BTreeSet<u64>,
+        pending: Vec<(u64, Vec<u8>)>,
+        last_flush: Vec<u64>,
+        flips: Vec<(u64, usize, u8)>,
+        misdirect: Option<i64>,
+        stats: DiskStats,
+    }
+
+    impl ModelDisk {
+        fn write(&mut self, sector: u64, data: &[u8], size: usize) {
+            let base = match self.misdirect.take() {
+                Some(delta) => {
+                    self.stats.misdirected_writes += 1;
+                    sector.wrapping_add_signed(delta)
+                }
+                None => sector,
+            };
+            for (i, chunk) in data.chunks(size).enumerate() {
+                self.pending.push((base + i as u64, chunk.to_vec()));
+            }
+        }
+
+        fn flush(&mut self) -> usize {
+            if self.pending.is_empty() {
+                return 0;
+            }
+            self.last_flush.clear();
+            let pending = std::mem::take(&mut self.pending);
+            self.stats.sectors_flushed += pending.len() as u64;
+            self.stats.flushes += 1;
+            for (idx, bytes) in &pending {
+                self.durable.insert(*idx, bytes.clone());
+                self.torn.remove(idx);
+                self.last_flush.push(*idx);
+            }
+            pending.len()
+        }
+
+        fn crash(&mut self) {
+            self.stats.lossy_crashes += u64::from(!self.pending.is_empty());
+            self.pending.clear();
+            self.misdirect = None;
+        }
+
+        fn lose(&mut self, idx: u64) {
+            if self.durable.remove(&idx).is_some() {
+                self.torn.insert(idx);
+            }
+        }
+
+        fn tear(&mut self, keep: usize) -> bool {
+            if self.last_flush.len() <= keep {
+                return false;
+            }
+            for idx in self.last_flush.split_off(keep) {
+                self.lose(idx);
+                self.stats.torn_sectors += 1;
+            }
+            true
+        }
+
+        fn reorder(&mut self) -> bool {
+            if self.last_flush.len() < 2 {
+                return false;
+            }
+            let first = self.last_flush.remove(0);
+            self.lose(first);
+            self.stats.reordered_sectors += 1;
+            true
+        }
+
+        fn bits(&self) -> u64 {
+            self.durable.values().map(|v| v.len() as u64 * 8).sum()
+        }
+
+        fn flip(&mut self, bit: u64) -> bool {
+            let total = self.bits();
+            if total == 0 {
+                return false;
+            }
+            let mut target = bit % total;
+            for (&idx, bytes) in self.durable.iter_mut() {
+                let here = bytes.len() as u64 * 8;
+                if target < here {
+                    let (byte, mask) = ((target / 8) as usize, 1u8 << (target % 8));
+                    bytes[byte] ^= mask;
+                    self.flips.push((idx, byte, mask));
+                    self.stats.flipped_bits += 1;
+                    return true;
+                }
+                target -= here;
+            }
+            unreachable!()
+        }
+
+        fn unflip_all(&mut self) -> usize {
+            let mut repaired = 0;
+            for (idx, byte, mask) in std::mem::take(&mut self.flips) {
+                if let Some(bytes) = self.durable.get_mut(&idx) {
+                    bytes[byte] ^= mask;
+                    repaired += 1;
+                }
+            }
+            self.stats.repaired_bits += repaired as u64;
+            repaired
+        }
+
+        fn delete(&mut self, sector: u64) -> bool {
+            self.torn.remove(&sector);
+            self.durable.remove(&sector).is_some()
+        }
+
+        fn restore(&mut self, image: &(BTreeMap<u64, Vec<u8>>, BTreeSet<u64>)) {
+            (self.durable, self.torn) = image.clone();
+            self.pending.clear();
+            self.last_flush.clear();
+            self.flips.clear();
+            self.misdirect = None;
+        }
+
+        fn classify(&self, sector: u64) -> SectorRead<'_> {
+            match self.durable.get(&sector) {
+                Some(bytes) => SectorRead::Data(bytes),
+                None if self.torn.contains(&sector) => SectorRead::Torn,
+                None => SectorRead::Absent,
+            }
+        }
+    }
+
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// Everything observable, compared after every step.
+    fn assert_same(disk: &SimDisk, model: &ModelDisk, touched: &BTreeSet<u64>, at: &str) {
+        for &s in touched {
+            assert_eq!(disk.read_classified(s), model.classify(s), "{at}: sector {s}");
+            assert_eq!(disk.read(s), model.durable.get(&s).map(Vec::as_slice), "{at}: read {s}");
+        }
+        let sectors: Vec<u64> = model.durable.keys().copied().collect();
+        assert_eq!(disk.durable_sectors().collect::<Vec<_>>(), sectors, "{at}: durable order");
+        assert_eq!(disk.durable_len(), sectors.len() as u64, "{at}: durable count");
+        assert_eq!(disk.durable_bits(), model.bits(), "{at}: durable bits");
+        assert_eq!(disk.last_flush_len(), model.last_flush.len(), "{at}: last flush");
+        assert_eq!(disk.stats(), model.stats, "{at}: stats");
+        // What the explorer's state fingerprint folds over.
+        let image = disk.snapshot();
+        let torn: Vec<u64> = model.torn.iter().copied().collect();
+        assert_eq!(image.torn_sectors().collect::<Vec<_>>(), torn, "{at}: tombstones");
+        assert!(image.sectors().eq(model.durable.iter().map(|(s, b)| (*s, b.as_slice()))), "{at}");
+    }
+
+    fn run(size: usize, seed: u64) {
+        let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
+        let mut disk = SimDisk::new(size);
+        let mut model = ModelDisk::default();
+        let mut images = Vec::new();
+        // Writes start just under the first track boundary, so multi-sector
+        // writes straddle it; a misdirect throws some far away.
+        let window = TRACK_SECTORS - 6..TRACK_SECTORS + 10;
+        let mut touched: BTreeSet<u64> = (window.start - 2..window.end + 6).collect();
+        for step in 0..400 {
+            let at = format!("sector size {size}, seed {seed}, step {step}");
+            match rng.below(16) {
+                0..=4 => {
+                    let sector = window.start + rng.below(window.end - window.start);
+                    let n = 1 + rng.below(5);
+                    let data: Vec<u8> = (0..n as usize * size).map(|_| rng.next() as u8).collect();
+                    let landed = model.misdirect.map_or(sector, |d| sector.wrapping_add_signed(d));
+                    touched.extend(landed..landed + n);
+                    disk.write(sector, &data);
+                    model.write(sector, &data, size);
+                }
+                5..=7 => assert_eq!(disk.flush(), model.flush(), "{at}"),
+                8 => {
+                    disk.crash();
+                    model.crash();
+                }
+                9 => {
+                    let keep = rng.below(4) as usize;
+                    assert_eq!(disk.tear_last_flush(keep), model.tear(keep), "{at}");
+                }
+                10 => assert_eq!(disk.reorder_last_flush(), model.reorder(), "{at}"),
+                11 => {
+                    let bit = rng.next();
+                    assert_eq!(disk.flip_bit(bit), model.flip(bit), "{at}");
+                    if rng.below(3) == 0 {
+                        assert_eq!(disk.unflip_all(), model.unflip_all(), "{at}");
+                    }
+                }
+                12 => {
+                    let pick = rng.below(touched.len() as u64) as usize;
+                    let sector = *touched.iter().nth(pick).expect("in range");
+                    assert_eq!(disk.delete(sector), model.delete(sector), "{at}");
+                }
+                13 => {
+                    let delta = [4, -3, TRACK_SECTORS as i64, 1_000_003][rng.below(4) as usize];
+                    disk.arm_misdirect(delta);
+                    model.misdirect = Some(delta);
+                }
+                14 => {
+                    disk.discard_pending();
+                    model.pending.clear();
+                }
+                _ => match rng.below(3) {
+                    0 => {
+                        images.push((disk.snapshot(), (model.durable.clone(), model.torn.clone())))
+                    }
+                    1 => {
+                        if let Some((image, model_image)) = images.last() {
+                            disk.restore(image);
+                            model.restore(model_image);
+                        }
+                    }
+                    // Carry on with a clone: it must hold the write cache,
+                    // the flip journal and the armed misdirect too.
+                    _ => disk = disk.clone(),
+                },
+            }
+            assert_same(&disk, &model, &touched, &at);
+            // The range query and the run read, against the model's map.
+            let lo = window.start - 2 + rng.below(20);
+            let hi = lo + rng.below(2 * TRACK_SECTORS);
+            let want: Vec<u64> = model.durable.range(lo..hi).map(|(s, _)| *s).collect();
+            assert_eq!(disk.durable_in(lo..hi).collect::<Vec<_>>(), want, "{at}: {lo}..{hi}");
+            let n = 1 + rng.below(6);
+            let run: Result<Vec<u8>, usize> =
+                (lo..lo + n).enumerate().try_fold(Vec::new(), |mut run, (i, s)| {
+                    run.extend_from_slice(model.durable.get(&s).ok_or(i)?);
+                    Ok(run)
+                });
+            assert_eq!(
+                disk.read_run(lo, n).map(|bytes| bytes.into_owned()),
+                run,
+                "{at}: run {lo}+{n}"
+            );
+        }
+    }
+
+    #[test]
+    fn track_backed_disk_matches_the_per_sector_map_it_replaced() {
+        for size in [32, 512] {
+            for seed in 0..24 {
+                run(size, seed);
+            }
         }
     }
 }
