@@ -25,10 +25,13 @@ use crate::order::TxnOrder;
 use crate::spec::ReachSet;
 
 /// The serial specifications of all objects in a system: one ADT instance
-/// per object (instances may differ in configuration/initial state).
+/// per object (instances may differ in configuration/initial state), and
+/// optionally the state a checked history starts an object from.
 #[derive(Clone, Debug)]
 pub struct SystemSpec<A: Adt> {
     adts: BTreeMap<ObjectId, A>,
+    /// Objects whose histories start from a state other than `initial()`.
+    starts: BTreeMap<ObjectId, A::State>,
 }
 
 impl<A: Adt> SystemSpec<A> {
@@ -36,7 +39,7 @@ impl<A: Adt> SystemSpec<A> {
     pub fn single(adt: A) -> Self {
         let mut adts = BTreeMap::new();
         adts.insert(ObjectId::SOLE, adt);
-        SystemSpec { adts }
+        SystemSpec { adts, starts: BTreeMap::new() }
     }
 
     /// A system where `n` objects (ids `0..n`) share the same specification.
@@ -45,13 +48,29 @@ impl<A: Adt> SystemSpec<A> {
         for i in 0..n {
             adts.insert(ObjectId(i), adt.clone());
         }
-        SystemSpec { adts }
+        SystemSpec { adts, starts: BTreeMap::new() }
     }
 
     /// Add or replace an object's specification.
     pub fn with_object(mut self, obj: ObjectId, adt: A) -> Self {
         self.adts.insert(obj, adt);
         self
+    }
+
+    /// Judge histories as starting from `states` instead of each listed
+    /// object's `initial()`: a history recorded by a system rebuilt from a
+    /// checkpoint image begins at that image, not at the empty object.
+    pub fn starting_from(mut self, states: &[(ObjectId, A::State)]) -> Self {
+        self.starts = states.iter().cloned().collect();
+        self
+    }
+
+    /// The reach-set of the empty sequence at `obj`: its starting state.
+    fn start(&self, obj: ObjectId) -> ReachSet<A> {
+        match self.starts.get(&obj) {
+            Some(state) => ReachSet::singleton(state.clone()),
+            None => ReachSet::initial(self.adt(obj)),
+        }
     }
 
     /// The specification of `obj` (panics if absent — a programming error).
@@ -67,7 +86,9 @@ impl<A: Adt> SystemSpec<A> {
     /// Whether the serial failure-free history `h` is acceptable: at every
     /// object, the operation sequence is legal (paper §3.3).
     pub fn acceptable(&self, h: &History<A>) -> bool {
-        h.objects().iter().all(|obj| crate::spec::legal(self.adt(*obj), &h.opseq_at(*obj)))
+        h.objects()
+            .iter()
+            .all(|obj| !self.start(*obj).advance_seq(self.adt(*obj), &h.opseq_at(*obj)).is_empty())
     }
 }
 
@@ -99,7 +120,7 @@ pub fn find_serialization<A: Adt>(spec: &SystemSpec<A>, h: &History<A>) -> Optio
         }
     }
     let init: Vec<(ObjectId, ReachSet<A>)> =
-        objects.iter().map(|&obj| (obj, ReachSet::initial(spec.adt(obj)))).collect();
+        objects.iter().map(|&obj| (obj, spec.start(obj))).collect();
 
     fn rec<A: Adt>(
         spec: &SystemSpec<A>,
@@ -512,6 +533,26 @@ mod tests {
         // Above the limit: the sampler takes over (64 samples find the 2-txn
         // refutation with overwhelming probability at any seed).
         assert!(check_dynamic_atomic_auto(&s, &bad, 1, 64, 7).is_err());
+    }
+
+    #[test]
+    fn a_starting_state_replaces_the_initial_one_for_every_checker() {
+        // A history recorded after a rebuild from a checkpoint image: the
+        // counter already stood at 1, so `dec → Ok; read → 0` is serial.
+        let h = HistoryBuilder::new(None)
+            .op(T(0), X, CInv::Dec, CResp::Ok)
+            .commit(T(0), X)
+            .op(T(1), X, CInv::Read, CResp::Val(0))
+            .commit(T(1), X)
+            .build();
+        assert!(!is_atomic(&spec(), &h), "from the empty counter the decrement must refuse");
+        let from_one = spec().starting_from(&[(X, 1)]);
+        assert!(from_one.acceptable(&h.serial(&[T(0), T(1)])));
+        assert_eq!(find_serialization(&from_one, &h), Some(vec![T(0), T(1)]));
+        assert!(check_dynamic_atomic(&from_one, &h).is_ok());
+        // The seed is a starting point, not a licence: a response that is
+        // wrong from the image is still refuted.
+        assert!(check_dynamic_atomic(&spec().starting_from(&[(X, 2)]), &h).is_err());
     }
 
     #[test]

@@ -258,6 +258,12 @@ where
     /// Rebuilt from the recovery scan's `in_doubt` set after a crash, with
     /// fresh ghost transactions re-holding the locks.
     prepared: BTreeMap<u64, (TxnId, CommitRecord<A>)>,
+    /// The image the current history epoch was rebuilt from: the recorded
+    /// trace restarts at every rebuild, from this base plus the replayed
+    /// records. Kept only while history recording is on (nobody can ask
+    /// what a trace starts from without a trace); a checkpoint taken
+    /// mid-epoch moves the journal's base but not this one.
+    trace_base: Option<Vec<(ObjectId, A::State)>>,
     /// Normal, or read-only degraded after a device failure the backend's
     /// retry budget could not hide.
     mode: SystemMode,
@@ -312,6 +318,7 @@ where
             journal: Journal::default(),
             make,
             prepared: BTreeMap::new(),
+            trace_base: None,
             mode: SystemMode::Normal,
             max_staged: 0,
             stall_threshold: 0,
@@ -739,6 +746,7 @@ where
         fresh.set_obs(obs);
         self.vol = WriteAhead::new(fresh, recovered.next_exec_seq);
         self.prepared = rebuilt.ghosts;
+        self.trace_base = rebuilt.trace_base;
         self.journal = Journal {
             base_records: recovered.checkpoint.as_ref().map_or(0, |c| c.base_records),
             base: recovered.checkpoint.map(|c| c.states),
@@ -822,7 +830,8 @@ where
             ghosts.insert(gtid, (t, rec.clone()));
         }
         let replay_ns = replay_clock.elapsed().as_nanos() as u64;
-        Ok(Rebuilt { sys: fresh, ghosts, restore_ns, replay_ns })
+        let trace_base = base.filter(|_| fresh.records_trace()).map(<[_]>::to_vec);
+        Ok(Rebuilt { sys: fresh, ghosts, trace_base, restore_ns, replay_ns })
     }
 
     /// Forward the backend's retry telemetry to the tracer (one `IoRetry`
@@ -918,6 +927,7 @@ where
         fresh.set_obs(self.vol.sys.take_obs());
         self.vol = WriteAhead::new(fresh, self.vol.exec_seq());
         self.prepared = rebuilt.ghosts;
+        self.trace_base = rebuilt.trace_base;
         Ok(())
     }
 
@@ -947,6 +957,14 @@ where
     /// would reconstruct).
     pub fn journal(&self) -> &Journal<A> {
         &self.journal
+    }
+
+    /// The per-object states the recorded history
+    /// ([`TxnSystem::trace`]) starts from, when the current system was
+    /// rebuilt from a checkpoint image (`None`: from `initial()`, or
+    /// history recording is off).
+    pub fn trace_base(&self) -> Option<&[(ObjectId, A::State)]> {
+        self.trace_base.as_deref()
     }
 
     /// The storage backend.
@@ -989,6 +1007,8 @@ where
 struct Rebuilt<A: Adt, E: RecoveryEngine<A>, C: Conflict<A>> {
     sys: TxnSystem<A, E, C>,
     ghosts: BTreeMap<u64, (TxnId, CommitRecord<A>)>,
+    /// The restored base, when the rebuilt system records its history.
+    trace_base: Option<Vec<(ObjectId, A::State)>>,
     restore_ns: u64,
     replay_ns: u64,
 }
@@ -1015,6 +1035,7 @@ where
     backend: B,
     journal: Journal<A>,
     prepared: BTreeMap<u64, (TxnId, CommitRecord<A>)>,
+    trace_base: Option<Vec<(ObjectId, A::State)>>,
     mode: SystemMode,
 }
 
@@ -1033,6 +1054,7 @@ where
             backend: self.backend.clone(),
             journal: self.journal.clone(),
             prepared: self.prepared.clone(),
+            trace_base: self.trace_base.clone(),
             mode: self.mode,
         }
     }
@@ -1041,9 +1063,9 @@ where
     /// system. Non-consuming: the explorer restores the same snapshot once
     /// per branch of the decision point.
     pub fn restore(&mut self, snap: &SystemSnapshot<A, E, C, B>) {
-        let SystemSnapshot { vol, backend, journal, prepared, mode } = snap.clone();
-        (self.vol, self.backend, self.journal, self.prepared, self.mode) =
-            (vol, backend, journal, prepared, mode);
+        let SystemSnapshot { vol, backend, journal, prepared, trace_base, mode } = snap.clone();
+        (self.vol, self.backend, self.journal, self.prepared, self.trace_base, self.mode) =
+            (vol, backend, journal, prepared, trace_base, mode);
         // Re-anchor the stall sampler on the restored backend so the next
         // observation charges only post-restore deltas; the strike streak
         // does not survive a rewind.

@@ -136,6 +136,69 @@ impl fmt::Display for FaultKind {
     }
 }
 
+/// Which fault kinds a seeded plan draws from, and how often: the mix is
+/// data — an RNG salt and a weight table — and [`FaultPlan::from_seed`] is
+/// the one generator over it. Each mix salts its own RNG stream, so the
+/// plans of one mix never move when another mix's table changes (replay
+/// command lines keep producing byte-identical plans).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FaultMix {
+    /// Crashes, aborts, delays and the storage arms (`sect`/`reorder`/`flip`/
+    /// `io`/`full`).
+    Storage,
+    /// The storage mix plus the stalling-device arms (`slow{n}`/`stall{n}`).
+    Gray,
+    /// The sharded arms — crash of any non-empty shard subset
+    /// (`shards{mask}`, masks bounded to the `nshards`-shard fleet) and a
+    /// crash at every 2PC step (`twopc{step}`) — beside a thinner storage
+    /// mix.
+    Sharded {
+        /// Shards in the fleet the plan is for.
+        nshards: u32,
+    },
+}
+
+impl FaultMix {
+    /// The mix's RNG salt and its weight column in [`ARMS`].
+    fn salt_and_column(self) -> (u64, usize) {
+        match self {
+            FaultMix::Storage => (0xFA17_FA17_FA17_FA17, 0),
+            FaultMix::Gray => (0x6BA7_6BA7_6BA7_6BA7, 1),
+            FaultMix::Sharded { .. } => (0x5AAD_5AAD_5AAD_5AAD, 2),
+        }
+    }
+}
+
+/// One row of the planner's table: the arm's weight in the storage, gray and
+/// sharded mix, and how one fault of that kind draws its parameters (the
+/// second argument is the fleet size, for the subset masks).
+type Arm = ([u32; 3], fn(&mut StdRng, u32) -> FaultKind);
+
+/// The planner's weight table. Row order is part of the plan format: a
+/// ticket walks the rows top to bottom.
+const ARMS: &[Arm] = &[
+    ([2, 2, 1], |_, _| FaultKind::Crash),
+    ([1, 1, 1], |r, _| FaultKind::TornCrash { drop_ops: r.gen_range(1usize..3) }),
+    ([2, 2, 2], |_, _| FaultKind::ForceAbort),
+    ([1, 1, 1], |r, _| FaultKind::DelayCommit { rounds: r.gen_range(1u32..6) }),
+    ([1, 1, 1], |_, _| FaultKind::WoundStorm),
+    ([2, 2, 1], |r, _| FaultKind::SectorTorn { sectors: r.gen_range(1usize..3) }),
+    ([1, 1, 1], |_, _| FaultKind::ReorderFlush),
+    ([1, 1, 0], |r, _| FaultKind::BitFlip { bit: r.gen_range(0u64..1_000_000) }),
+    // A budget below the default retry attempt cap: transient errors are
+    // expected to be absorbed, not to degrade.
+    ([2, 2, 1], |r, _| FaultKind::TransientIo { errors: r.gen_range(1u32..4) }),
+    ([1, 1, 0], |_, _| FaultKind::DiskFull),
+    ([0, 2, 0], |r, _| FaultKind::SlowDisk { ops: r.gen_range(2u32..8) }),
+    ([0, 2, 0], |r, _| FaultKind::FsyncStall { stalls: r.gen_range(1u32..4) }),
+    // The sharded arms take the weight the sharded mix saves on storage:
+    // any non-empty shard subset, and every 2PC decision point.
+    ([0, 0, 4], |r, n| FaultKind::CrashShards {
+        mask: r.gen_range(1..=(1u32 << n.clamp(1, 5)) - 1),
+    }),
+    ([0, 0, 3], |r, _| FaultKind::TwoPcCrash { step: r.gen_range(0u32..4) }),
+];
+
 /// A fault scheduled at a global event index.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FaultSpec {
@@ -170,95 +233,28 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// Derive `count` faults over event indices `1..horizon` from `seed`.
-    /// Deterministic: the same arguments always yield the same plan.
-    pub fn from_seed(seed: u64, horizon: u64, count: usize) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xFA17_FA17_FA17_FA17);
-        let horizon = horizon.max(2);
-        let faults = (0..count)
-            .map(|_| {
-                let at_event = rng.gen_range(1..horizon);
-                let kind = match rng.gen_range(0u32..14) {
-                    0 | 1 => FaultKind::Crash,
-                    2 => FaultKind::TornCrash { drop_ops: rng.gen_range(1usize..3) },
-                    3 | 4 => FaultKind::ForceAbort,
-                    5 => FaultKind::DelayCommit { rounds: rng.gen_range(1u32..6) },
-                    6 => FaultKind::WoundStorm,
-                    7 | 8 => FaultKind::SectorTorn { sectors: rng.gen_range(1usize..3) },
-                    9 => FaultKind::ReorderFlush,
-                    10 => FaultKind::BitFlip { bit: rng.gen_range(0u64..1_000_000) },
-                    // A budget below the default retry attempt cap: transient
-                    // errors are expected to be absorbed, not to degrade.
-                    11 | 12 => FaultKind::TransientIo { errors: rng.gen_range(1u32..4) },
-                    _ => FaultKind::DiskFull,
-                };
-                FaultSpec { at_event, kind }
-            })
-            .collect();
-        FaultPlan::new(faults)
-    }
-
     /// Derive `count` faults over event indices `1..horizon` from `seed`,
-    /// with the gray-failure arms (`slow{n}`, `stall{n}`) in the kind
-    /// table. A *separate* generator — not a flag on
-    /// [`from_seed`](Self::from_seed) — so existing replay command lines
-    /// keep producing byte-identical plans.
-    pub fn from_seed_gray(seed: u64, horizon: u64, count: usize) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x6BA7_6BA7_6BA7_6BA7);
+    /// their kinds drawn from `mix`. Deterministic: the same arguments always
+    /// yield the same plan.
+    pub fn from_seed(seed: u64, horizon: u64, count: usize, mix: FaultMix) -> Self {
+        let (salt, column) = mix.salt_and_column();
+        let nshards = if let FaultMix::Sharded { nshards } = mix { nshards } else { 1 };
+        let mut rng = StdRng::seed_from_u64(seed ^ salt);
         let horizon = horizon.max(2);
+        let total: u32 = ARMS.iter().map(|(weights, _)| weights[column]).sum();
         let faults = (0..count)
             .map(|_| {
                 let at_event = rng.gen_range(1..horizon);
-                let kind = match rng.gen_range(0u32..18) {
-                    0 | 1 => FaultKind::Crash,
-                    2 => FaultKind::TornCrash { drop_ops: rng.gen_range(1usize..3) },
-                    3 | 4 => FaultKind::ForceAbort,
-                    5 => FaultKind::DelayCommit { rounds: rng.gen_range(1u32..6) },
-                    6 => FaultKind::WoundStorm,
-                    7 | 8 => FaultKind::SectorTorn { sectors: rng.gen_range(1usize..3) },
-                    9 => FaultKind::ReorderFlush,
-                    10 => FaultKind::BitFlip { bit: rng.gen_range(0u64..1_000_000) },
-                    11 | 12 => FaultKind::TransientIo { errors: rng.gen_range(1u32..4) },
-                    13 => FaultKind::DiskFull,
-                    14 | 15 => FaultKind::SlowDisk { ops: rng.gen_range(2u32..8) },
-                    _ => FaultKind::FsyncStall { stalls: rng.gen_range(1u32..4) },
+                let mut ticket = rng.gen_range(0u32..total);
+                let mut arms = ARMS.iter();
+                let draw = loop {
+                    let (weights, draw) = arms.next().expect("a ticket is below the total weight");
+                    if ticket < weights[column] {
+                        break draw;
+                    }
+                    ticket -= weights[column];
                 };
-                FaultSpec { at_event, kind }
-            })
-            .collect();
-        FaultPlan::new(faults)
-    }
-
-    /// Derive `count` faults over event indices `1..horizon` from `seed`,
-    /// with the sharded arms (`shards{mask}`, `twopc{step}`) in the kind
-    /// table — crash-of-any-shard-subset and crash-at-every-2PC-step.
-    /// `nshards` bounds the subset masks to the actual fleet (every
-    /// non-empty subset is reachable). A *separate* generator — not a flag
-    /// on [`from_seed`](Self::from_seed) or
-    /// [`from_seed_gray`](Self::from_seed_gray) — so existing replay
-    /// command lines keep producing byte-identical plans.
-    pub fn from_seed_sharded(seed: u64, horizon: u64, count: usize, nshards: u32) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x5AAD_5AAD_5AAD_5AAD);
-        let horizon = horizon.max(2);
-        let subsets = (1u32 << nshards.clamp(1, 5)) - 1;
-        let faults = (0..count)
-            .map(|_| {
-                let at_event = rng.gen_range(1..horizon);
-                let kind = match rng.gen_range(0u32..16) {
-                    0 => FaultKind::Crash,
-                    1 => FaultKind::TornCrash { drop_ops: rng.gen_range(1usize..3) },
-                    2 | 3 => FaultKind::ForceAbort,
-                    4 => FaultKind::DelayCommit { rounds: rng.gen_range(1u32..6) },
-                    5 => FaultKind::WoundStorm,
-                    6 => FaultKind::SectorTorn { sectors: rng.gen_range(1usize..3) },
-                    7 => FaultKind::ReorderFlush,
-                    8 => FaultKind::TransientIo { errors: rng.gen_range(1u32..4) },
-                    // The sharded arms get the remaining weight: any
-                    // non-empty shard subset, and every 2PC decision point.
-                    9..=12 => FaultKind::CrashShards { mask: rng.gen_range(1..=subsets) },
-                    _ => FaultKind::TwoPcCrash { step: rng.gen_range(0u32..4) },
-                };
-                FaultSpec { at_event, kind }
+                FaultSpec { at_event, kind: draw(&mut rng, nshards) }
             })
             .collect();
         FaultPlan::new(faults)
@@ -284,11 +280,6 @@ impl FaultPlan {
         let mut faults = self.faults.clone();
         faults.remove(index);
         FaultPlan { faults }
-    }
-
-    /// The plan restricted to the given fault indices (for delta-debugging).
-    pub fn subset(&self, indices: &[usize]) -> Self {
-        FaultPlan::new(indices.iter().filter_map(|&i| self.faults.get(i).copied()).collect())
     }
 }
 
@@ -460,6 +451,13 @@ mod tests {
         let s = gray.to_string();
         assert_eq!(s, "3:slow4,8:stall2");
         assert_eq!(s.parse::<FaultPlan>().unwrap(), gray);
+        let sharded = FaultPlan::new(vec![
+            FaultSpec { at_event: 4, kind: FaultKind::CrashShards { mask: 3 } },
+            FaultSpec { at_event: 8, kind: FaultKind::TwoPcCrash { step: 2 } },
+        ]);
+        let s = sharded.to_string();
+        assert_eq!(s, "4:shards3,8:twopc2");
+        assert_eq!(s.parse::<FaultPlan>().unwrap(), sharded);
         assert_eq!("none".parse::<FaultPlan>().unwrap(), FaultPlan::none());
         assert_eq!("".parse::<FaultPlan>().unwrap(), FaultPlan::none());
         assert!("7:meteor".parse::<FaultPlan>().is_err());
@@ -468,67 +466,55 @@ mod tests {
 
     #[test]
     fn from_seed_is_deterministic_and_sorted() {
-        let a = FaultPlan::from_seed(9, 100, 6);
-        let b = FaultPlan::from_seed(9, 100, 6);
+        let a = FaultPlan::from_seed(9, 100, 6, FaultMix::Storage);
+        let b = FaultPlan::from_seed(9, 100, 6, FaultMix::Storage);
         assert_eq!(a, b);
         assert_eq!(a.len(), 6);
         assert!(a.faults().windows(2).all(|w| w[0].at_event <= w[1].at_event));
         assert!(a.faults().iter().all(|f| (1..100).contains(&f.at_event)));
-        assert_ne!(a, FaultPlan::from_seed(10, 100, 6));
+        assert_ne!(a, FaultPlan::from_seed(10, 100, 6, FaultMix::Storage));
     }
 
     #[test]
-    fn gray_generator_is_deterministic_and_distinct() {
-        let a = FaultPlan::from_seed_gray(9, 100, 8);
-        assert_eq!(a, FaultPlan::from_seed_gray(9, 100, 8));
-        assert_eq!(a.len(), 8);
-        assert!(a.faults().windows(2).all(|w| w[0].at_event <= w[1].at_event));
-        // The plain generator's byte stream is untouched: same seed, both
-        // tables, different plans.
-        assert_ne!(a, FaultPlan::from_seed(9, 100, 8));
-        // Over enough draws the gray arms actually appear.
-        let many = FaultPlan::from_seed_gray(7, 1000, 64);
-        assert!(many
-            .faults()
-            .iter()
-            .any(|f| matches!(f.kind, FaultKind::SlowDisk { .. } | FaultKind::FsyncStall { .. })));
-    }
-
-    #[test]
-    fn sharded_generator_round_trips_and_keeps_old_plans_identical() {
-        let a = FaultPlan::from_seed_sharded(9, 100, 8, 2);
-        assert_eq!(a, FaultPlan::from_seed_sharded(9, 100, 8, 2));
-        assert!(a.faults().windows(2).all(|w| w[0].at_event <= w[1].at_event));
-        // Display/parse round trip for the new arms.
-        let plan = FaultPlan::new(vec![
-            FaultSpec { at_event: 4, kind: FaultKind::CrashShards { mask: 3 } },
-            FaultSpec { at_event: 8, kind: FaultKind::TwoPcCrash { step: 2 } },
-        ]);
-        let s = plan.to_string();
-        assert_eq!(s, "4:shards3,8:twopc2");
-        assert_eq!(s.parse::<FaultPlan>().unwrap(), plan);
-        // The older generators' byte streams are untouched.
-        assert_ne!(a, FaultPlan::from_seed(9, 100, 8));
-        assert_ne!(a, FaultPlan::from_seed_gray(9, 100, 8));
-        // Masks stay within the 2-shard fleet and both arms appear over
-        // enough draws.
-        let many = FaultPlan::from_seed_sharded(7, 1000, 64, 2);
-        for f in many.faults() {
-            if let FaultKind::CrashShards { mask } = f.kind {
+    fn each_mix_draws_its_own_stream_and_its_own_arms() {
+        let sharded = FaultMix::Sharded { nshards: 2 };
+        let plans = [FaultMix::Storage, FaultMix::Gray, sharded]
+            .map(|mix| FaultPlan::from_seed(9, 100, 8, mix));
+        for plan in &plans {
+            assert_eq!(plan.len(), 8);
+            assert!(plan.faults().windows(2).all(|w| w[0].at_event <= w[1].at_event));
+            assert_eq!(plan.to_string().parse::<FaultPlan>().unwrap(), *plan);
+        }
+        // Same seed, three salts: three different plans.
+        assert_ne!(plans[0], plans[1]);
+        assert_ne!(plans[0], plans[2]);
+        assert_ne!(plans[1], plans[2]);
+        // Over enough draws every mix-specific arm appears, and only in its
+        // own mix; subset masks stay within the 2-shard fleet.
+        let is_gray =
+            |k: &FaultKind| matches!(k, FaultKind::SlowDisk { .. } | FaultKind::FsyncStall { .. });
+        let is_sharded = |k: &FaultKind| {
+            matches!(k, FaultKind::CrashShards { .. } | FaultKind::TwoPcCrash { .. })
+        };
+        let many = |mix| FaultPlan::from_seed(7, 1000, 64, mix);
+        let kinds = |mix| many(mix).faults().iter().map(|f| f.kind).collect::<Vec<_>>();
+        assert!(!kinds(FaultMix::Storage).iter().any(|k| is_gray(k) || is_sharded(k)));
+        assert!(kinds(FaultMix::Gray).iter().any(is_gray));
+        assert!(!kinds(FaultMix::Gray).iter().any(is_sharded));
+        assert!(kinds(sharded).iter().any(|k| matches!(k, FaultKind::CrashShards { .. })));
+        assert!(kinds(sharded).iter().any(|k| matches!(k, FaultKind::TwoPcCrash { .. })));
+        for k in kinds(sharded) {
+            if let FaultKind::CrashShards { mask } = k {
                 assert!((1..=3).contains(&mask));
             }
         }
-        assert!(many.faults().iter().any(|f| matches!(f.kind, FaultKind::CrashShards { .. })));
-        assert!(many.faults().iter().any(|f| matches!(f.kind, FaultKind::TwoPcCrash { .. })));
     }
 
     #[test]
-    fn subset_and_without_support_shrinking() {
-        let plan = FaultPlan::from_seed(3, 50, 4);
-        assert_eq!(plan.without_index(0).len(), 3);
-        let sub = plan.subset(&[1, 3]);
-        assert_eq!(sub.len(), 2);
-        assert_eq!(sub.faults()[0], plan.faults()[1]);
-        assert_eq!(sub.faults()[1], plan.faults()[3]);
+    fn without_index_supports_shrinking() {
+        let plan = FaultPlan::from_seed(3, 50, 4, FaultMix::Storage);
+        let dropped = plan.without_index(1);
+        assert_eq!(dropped.len(), 3);
+        assert_eq!(dropped.faults(), [plan.faults()[0], plan.faults()[2], plan.faults()[3]]);
     }
 }

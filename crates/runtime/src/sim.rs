@@ -56,7 +56,7 @@ use crate::script::{Script, Step};
 use crate::system::SystemStats;
 
 /// Simulator configuration.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SimCfg {
     /// RNG seed for the interleaving order.
     pub seed: u64,
@@ -261,6 +261,25 @@ pub enum OracleFailure {
         /// Which driver and how its accounting failed.
         detail: String,
     },
+}
+
+impl OracleFailure {
+    /// Stable failure-kind token: which oracle leg fired.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            OracleFailure::NotDynamicAtomic(_) => "not-dynamic-atomic",
+            OracleFailure::Redo(_) => "redo",
+            OracleFailure::TornNotDetected { .. } => "torn-not-detected",
+            OracleFailure::StateDiverged { .. } => "state-diverged",
+            OracleFailure::ShadowRefused { .. } => "shadow-refused",
+            OracleFailure::CrashStateMismatch { .. } => "crash-state-mismatch",
+            OracleFailure::RecoveryViewDiverged { .. } => "recovery-view-diverged",
+            OracleFailure::SilentCorruption { .. } => "silent-corruption",
+            OracleFailure::InvariantViolated { .. } => "invariant-violated",
+            OracleFailure::RecoveryDiverged { .. } => "recovery-diverged",
+            OracleFailure::UnboundedOutcome { .. } => "unbounded-outcome",
+        }
+    }
 }
 
 impl std::fmt::Display for OracleFailure {
@@ -716,8 +735,7 @@ where
             let pre_states = committed_states(sys);
             *fp_fold = fold_fp(*fp_fold, sys.system().trace());
             // The oracle examines the pre-crash history *before* it is lost.
-            let pre_trace = sys.system().trace().clone();
-            check_history(spec, cfg, &pre_trace, at, report)?;
+            check_history(sys, spec, cfg, at, report)?;
             // Restarting after a power loss includes the operator freeing
             // space: a still-full device would fail recovery's epoch seal
             // on a correct pairing.
@@ -748,8 +766,7 @@ where
             sys.system_mut().obs_mut().on_fault(None, || kind.to_string());
             let pre_states = committed_states(sys);
             *fp_fold = fold_fp(*fp_fold, sys.system().trace());
-            let pre_trace = sys.system().trace().clone();
-            check_history(spec, cfg, &pre_trace, at, report)?;
+            check_history(sys, spec, cfg, at, report)?;
             // The restart model frees a full device (see FaultKind::Crash).
             sys.backend_mut().set_device_full(false);
             let detected = match sys.crash_and_recover() {
@@ -882,8 +899,7 @@ where
 {
     let fail = |failure| SimFailure { at_event: at, failure };
     *fp_fold = fold_fp(*fp_fold, sys.system().trace());
-    let pre_trace = sys.system().trace().clone();
-    check_history(spec, cfg, &pre_trace, at, report)?;
+    check_history(sys, spec, cfg, at, report)?;
     // The restart model frees a full device (see FaultKind::Crash).
     sys.backend_mut().set_device_full(false);
     match sys.crash_and_recover() {
@@ -952,17 +968,29 @@ where
     sys.system().object_ids().into_iter().map(|obj| (obj, sys.committed_state(obj))).collect()
 }
 
-/// Dynamic-atomicity leg of the oracle, over an explicit history (the live
-/// trace, or a pre-crash clone).
-fn check_history<A: Adt>(
+/// Dynamic-atomicity leg of the oracle, over the system's recorded history.
+/// The trace restarts at every rebuild — from the restored checkpoint image
+/// plus the replayed suffix — so it is judged from the image *this* epoch was
+/// rebuilt from, not from `initial()` and not from the journal's current
+/// base (a checkpoint taken mid-epoch advances that one while the trace
+/// still holds the transactions it folded).
+fn check_history<A, E, C, B>(
+    sys: &DurableSystem<A, E, C, B>,
     spec: &SystemSpec<A>,
     cfg: &SimCfg,
-    h: &History<A>,
     at: u64,
     report: &mut SimReport,
-) -> Result<(), SimFailure> {
+) -> Result<(), SimFailure>
+where
+    A: Adt,
+    E: RecoveryEngine<A>,
+    C: Conflict<A> + Clone,
+    B: LogBackend<A>,
+{
     report.oracle_checks += 1;
-    check_dynamic_atomic_auto(spec, h, cfg.exhaustive_limit, cfg.oracle_samples, cfg.seed ^ at)
+    let seeded = sys.trace_base().map(|base| spec.clone().starting_from(base));
+    let (spec, trace) = (seeded.as_ref().unwrap_or(spec), sys.system().trace());
+    check_dynamic_atomic_auto(spec, trace, cfg.exhaustive_limit, cfg.oracle_samples, cfg.seed ^ at)
         .map_err(|v| SimFailure { at_event: at, failure: OracleFailure::NotDynamicAtomic(v) })
 }
 
@@ -985,8 +1013,7 @@ where
     B: LogBackend<A>,
 {
     let fail = |failure| SimFailure { at_event: at, failure };
-    let trace = sys.system().trace().clone();
-    check_history(spec, cfg, &trace, at, report)?;
+    check_history(sys, spec, cfg, at, report)?;
 
     // Shadow fold: refold the journal through the serial spec, starting
     // from the checkpoint base when one was taken (the image stands in for
@@ -1274,7 +1301,7 @@ where
 mod tests {
     use super::*;
     use crate::engine::{DuEngine, UipEngine};
-    use crate::fault::FaultSpec;
+    use crate::fault::{FaultMix, FaultSpec};
     use crate::script::OpsScript;
     use ccr_adt::bank::{bank_nfc, bank_nrbc, BankAccount, BankInv};
     use ccr_core::conflict::{FnConflict, SymmetricClosure};
@@ -1370,7 +1397,7 @@ mod tests {
 
     #[test]
     fn same_seed_and_plan_give_identical_reports() {
-        let plan = FaultPlan::from_seed(11, 40, 4);
+        let plan = FaultPlan::from_seed(11, 40, 4, FaultMix::Storage);
         let run_once = || {
             let mut sys: UipDurable = DurableSystem::new(BankAccount::default(), 1, bank_nrbc());
             run_sim(
@@ -1633,7 +1660,7 @@ mod tests {
 
     #[test]
     fn group_commit_disk_runs_are_deterministic_under_faults() {
-        let plan = FaultPlan::from_seed(23, 60, 5);
+        let plan = FaultPlan::from_seed(23, 60, 5, FaultMix::Storage);
         let run_once = || {
             let mut sys: DiskUip = DurableSystem::with_backend(
                 BankAccount::default(),
@@ -1655,7 +1682,7 @@ mod tests {
 
     #[test]
     fn disk_backend_runs_are_deterministic_with_checkpoints() {
-        let plan = FaultPlan::from_seed(23, 60, 5);
+        let plan = FaultPlan::from_seed(23, 60, 5, FaultMix::Storage);
         let run_once = || {
             let mut sys: DiskUip = DurableSystem::with_backend(
                 BankAccount::default(),
@@ -1726,7 +1753,7 @@ mod tests {
 
     #[test]
     fn recovery_convergence_leg_passes_on_the_disk_backend() {
-        let plan = FaultPlan::from_seed(31, 60, 4);
+        let plan = FaultPlan::from_seed(31, 60, 4, FaultMix::Storage);
         let mut sys: DiskUip = DurableSystem::with_backend(
             BankAccount::default(),
             6,
@@ -1744,7 +1771,7 @@ mod tests {
 
     #[test]
     fn convergence_runs_are_deterministic() {
-        let plan = FaultPlan::from_seed(31, 60, 4);
+        let plan = FaultPlan::from_seed(31, 60, 4, FaultMix::Storage);
         let run_once = || {
             let mut sys: DiskUip = DurableSystem::with_backend(
                 BankAccount::default(),
@@ -1846,7 +1873,7 @@ mod tests {
 
     #[test]
     fn overload_protected_runs_are_deterministic() {
-        let plan = FaultPlan::from_seed_gray(23, 60, 5);
+        let plan = FaultPlan::from_seed(23, 60, 5, FaultMix::Gray);
         let run_once = || {
             let mut sys: DiskUip = DurableSystem::with_backend(
                 BankAccount::default(),

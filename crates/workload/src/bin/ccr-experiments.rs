@@ -10,6 +10,8 @@
 //! ccr-experiments sim --combo uip-nrbc --seed 7 --faults 20:io3,40:full
 //! ccr-experiments sim --combo uip-sym-nfc --sweep 64        # hunt + shrink
 //! ccr-experiments sim --combo uip-nrbc --sweep 32 --fault-during-recovery
+//! # a sweep runs the scenario as a template, so every flag reaches it:
+//! ccr-experiments sim --combo du-nfc --policy wound --objects 4 --ckpt 4 --sweep 32
 //!
 //! # Sharded durable runtime under presumed-abort 2PC (DESIGN.md §15):
 //! # crash-any-shard-subset / crash-at-every-2PC-step sweeps with the
@@ -42,198 +44,136 @@
 //!
 //! # Perf-regression guard (CI): fresh bench run vs committed bounds.
 //! ccr-experiments bench --guard reports/BENCH_profile.json
+//!
+//! # Gray-failure survival benchmark (see DESIGN.md §14, EXPERIMENTS.md S8):
+//! ccr-experiments overload --out reports/BENCH_overload.json
+//!
+//! # Bounded exhaustive model checker (see DESIGN.md §12):
+//! ccr-experiments mc --txns 2 --objects 2 --crash-budget 2 --backend disk --json
 //! ```
+//!
+//! Every subcommand is a row of `SUBCOMMANDS`; a test keeps this header and
+//! README.md's command list naming exactly those rows. The flags that
+//! describe a run (`sim`, `trace`, `profile`, `inspect`) are the rows of
+//! `ccr_workload::sim::FLAGS`; a refused command line prints them.
 
 use std::process::ExitCode;
 
 use ccr_mc::{McBackendKind, McConfig, McTrace};
-use ccr_runtime::fault::FaultPlan;
+use ccr_runtime::fault::FaultMix;
+use ccr_runtime::sim::{SimFailure, SimReport};
 use ccr_workload::bench::{guard_violations, run_bench, BenchCfg};
 use ccr_workload::experiments;
 use ccr_workload::harness::json_string;
 use ccr_workload::overload::{run_overload, OverloadCfg};
-use ccr_workload::shard_sim::{
-    run_shard_bench, run_shard_scenario, shrink_shard, sweep_shard, ShardBenchCfg,
-};
+use ccr_workload::shard_sim::{run_shard_bench, ShardBenchCfg};
 use ccr_workload::sim::{
-    parse_policy, run_scenario, run_scenario_traced, shrink, sweep, Backend, Combo, SimScenario,
-    SweepCfg,
+    parse_flags, run, run_scenario_traced, shrink, sweep, usage, Failure, Report, SimScenario,
+    Sweep, SweepFailure, TraceArtifacts,
 };
+
+/// One subcommand: its name, its entry point, whether it takes the scenario
+/// flags, and its own flags and notes — what the usage text printed after a
+/// refused command line (exit code 2) is assembled from.
+struct Subcommand {
+    name: &'static str,
+    run: fn(&[String]) -> Result<ExitCode, String>,
+    scenario: bool,
+    usage: &'static str,
+}
+
+const SUBCOMMANDS: &[Subcommand] = &[
+    Subcommand {
+        name: "sim",
+        run: sim_main,
+        scenario: true,
+        usage: "[--json] [--sweep SEEDS [--horizon N] [--fault-count N] [--gray]]
+--sweep runs the scenario as a template: seed s is the scenario with --seed s and a seed-s
+fault plan, drawn from the sharded mix with --shards >= 2, the gray mix with --gray, the
+storage mix otherwise
+fault SPEC: e.g. 12:crash,30:torn2,45:abort,60:delay5,80:wound
+  sharded faults (--shards >= 2): 10:shards3 (crash subset mask), 20:twopc1 (2PC-step crash)
+  storage faults (disk backend): 16:sect2,20:reorder,25:flip4093
+  device faults (disk backend): 20:io3 (transient I/O), 40:full (disk full)
+  gray faults (disk backend): 20:slow4 (slow sectors), 40:stall2 (fsync stalls)\n",
+    },
+    Subcommand {
+        name: "trace",
+        run: trace_main,
+        scenario: true,
+        usage: "[--out trace.json] [--flame flame.txt] [--metrics metrics.json]
+without --out the Chrome trace JSON (chrome://tracing, ui.perfetto.dev) goes to stdout\n",
+    },
+    Subcommand {
+        name: "profile",
+        run: profile_main,
+        scenario: true,
+        usage: "[--out profile.json] [--flame flame.txt]
+without --out the profile JSON goes to stdout\n",
+    },
+    Subcommand {
+        name: "inspect",
+        run: inspect_main,
+        scenario: true,
+        usage: "[--out wal.json] [--check]
+without --out the WAL inspection JSON goes to stdout;
+--check cross-checks the inspector against recovery (exit 1 on disagreement)\n",
+    },
+    Subcommand {
+        name: "report",
+        run: report_main,
+        scenario: false,
+        usage: "[--out reports/experiment_report.md]\n",
+    },
+    Subcommand {
+        name: "bench",
+        run: bench_main,
+        scenario: false,
+        usage: "[--txns N] [--ops N] [--objects N] [--workers N] [--flush-delay-us N]
+           [--seed N] [--out FILE] [--guard BASELINE.json]
+without --out the report JSON goes to stdout;
+--guard checks the run against the committed bounds (exit 1 on regression)\n",
+    },
+    Subcommand {
+        name: "bench-shard",
+        run: bench_shard_main,
+        scenario: false,
+        usage: "[--txns N] [--shards N] [--out FILE]
+without --out the report JSON goes to stdout;
+exit 1 unless the 2PC frame ledger holds exactly (cross-shard commit = one prepare + one
+decide frame per participant; fast path = one commit frame)\n",
+    },
+    Subcommand {
+        name: "overload",
+        run: overload_main,
+        scenario: false,
+        usage: "[--seed N] [--txns N] [--objects N] [--mpl N] [--deadline ROUNDS]
+           [--max-staged N] [--stall-threshold TICKS] [--out FILE]
+without --out the report JSON goes to stdout;
+exit 1 unless the protected run beats the unprotected baseline on the SLOs\n",
+    },
+    Subcommand {
+        name: "mc",
+        run: mc_main,
+        scenario: false,
+        usage: "[--txns N] [--objects N] [--crash-budget N] [--ckpt-budget N] [--max-tears N]
+           [--group-commit] [--backend disk|mem] [--shards N] [--mutate M] [--json]
+           [--min-states N] [--replay \"b0 c0 x\"] [--tla FILE|-]
+mutations M: drop-acked-commit|reorder-last-batch|resurrect-aborted|skip-epoch-bump
+  sharded (--shards >= 2, alphabet b/p/q/s/z): lose-decision
+exit codes: 0 all invariants hold; 1 violation (or --min-states bound missed)\n",
+    },
+];
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("sim") {
-        return match sim_main(&args[1..]) {
-            Ok(code) => code,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                eprintln!(
-                    "usage: ccr-experiments sim --combo <uip-nrbc|du-nfc|uip-sym-nfc|escrow-uip-nrbc|escrow-du-nfc>"
-                );
-                eprintln!(
-                    "           [--policy block|wound|nowait] [--seed N] [--txns N] [--ops N]"
-                );
-                eprintln!(
-                    "           [--objects N] [--skip i,j,...] [--faults SPEC|none] [--json]"
-                );
-                eprintln!("           [--backend disk|mem] [--ckpt N] [--group-commit]");
-                eprintln!("           [--fault-during-recovery]");
-                eprintln!("           [--mpl N] [--deadline ROUNDS] [--max-staged N] [--stall-threshold TICKS]");
-                eprintln!("           [--shards N] [--2pc-crash] [--lose-decision]");
-                eprintln!("       ccr-experiments sim --combo C --sweep SEEDS [--horizon N] [--fault-count N] [--gray]");
-                eprintln!("fault SPEC: e.g. 12:crash,30:torn2,45:abort,60:delay5,80:wound");
-                eprintln!("  sharded faults (--shards >= 2): 10:shards3 (crash subset mask), 20:twopc1 (2PC-step crash)");
-                eprintln!("  storage faults (disk backend): 16:sect2,20:reorder,25:flip4093");
-                eprintln!(
-                    "  device faults (disk backend): 20:io3 (transient I/O), 40:full (disk full)"
-                );
-                eprintln!(
-                    "  gray faults (disk backend): 20:slow4 (slow sectors), 40:stall2 (fsync stalls)"
-                );
-                ExitCode::from(2)
-            }
-        };
-    }
-    if args.first().map(String::as_str) == Some("trace") {
-        return match trace_main(&args[1..]) {
-            Ok(code) => code,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                eprintln!(
-                    "usage: ccr-experiments trace --combo <uip-nrbc|du-nfc|uip-sym-nfc|escrow-uip-nrbc|escrow-du-nfc>"
-                );
-                eprintln!(
-                    "           [--policy block|wound|nowait] [--seed N] [--txns N] [--ops N]"
-                );
-                eprintln!("           [--objects N] [--skip i,j,...] [--faults SPEC|none]");
-                eprintln!("           [--backend disk|mem] [--ckpt N] [--group-commit]");
-                eprintln!("           [--fault-during-recovery]");
-                eprintln!(
-                    "           [--out trace.json] [--flame flame.txt] [--metrics metrics.json]"
-                );
-                eprintln!("without --out the Chrome trace JSON goes to stdout");
-                ExitCode::from(2)
-            }
-        };
-    }
-    if args.first().map(String::as_str) == Some("profile") {
-        return match profile_main(&args[1..]) {
-            Ok(code) => code,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                eprintln!(
-                    "usage: ccr-experiments profile --combo <uip-nrbc|du-nfc|uip-sym-nfc|escrow-uip-nrbc|escrow-du-nfc>"
-                );
-                eprintln!(
-                    "           [--policy block|wound|nowait] [--seed N] [--txns N] [--ops N]"
-                );
-                eprintln!("           [--objects N] [--skip i,j,...] [--faults SPEC|none]");
-                eprintln!("           [--backend disk|mem] [--ckpt N] [--group-commit]");
-                eprintln!("           [--fault-during-recovery]");
-                eprintln!("           [--out profile.json] [--flame flame.txt]");
-                eprintln!("without --out the profile JSON goes to stdout");
-                ExitCode::from(2)
-            }
-        };
-    }
-    if args.first().map(String::as_str) == Some("inspect") {
-        return match inspect_main(&args[1..]) {
-            Ok(code) => code,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                eprintln!(
-                    "usage: ccr-experiments inspect --combo <uip-nrbc|du-nfc|uip-sym-nfc|escrow-uip-nrbc|escrow-du-nfc>"
-                );
-                eprintln!(
-                    "           [--policy block|wound|nowait] [--seed N] [--txns N] [--ops N]"
-                );
-                eprintln!("           [--objects N] [--skip i,j,...] [--faults SPEC|none]");
-                eprintln!("           [--ckpt N] [--group-commit] [--fault-during-recovery]");
-                eprintln!("           [--out wal.json] [--check]");
-                eprintln!("without --out the WAL inspection JSON goes to stdout;");
-                eprintln!(
-                    "--check cross-checks the inspector against recovery (exit 1 on disagreement)"
-                );
-                ExitCode::from(2)
-            }
-        };
-    }
-    if args.first().map(String::as_str) == Some("report") {
-        return match report_main(&args[1..]) {
-            Ok(code) => code,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                eprintln!("usage: ccr-experiments report [--out reports/experiment_report.md]");
-                ExitCode::from(2)
-            }
-        };
-    }
-    if args.first().map(String::as_str) == Some("bench") {
-        return match bench_main(&args[1..]) {
-            Ok(code) => code,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                eprintln!("usage: ccr-experiments bench [--txns N] [--ops N] [--objects N]");
-                eprintln!("           [--workers N] [--flush-delay-us N] [--seed N] [--out FILE]");
-                eprintln!("           [--guard BASELINE.json]");
-                eprintln!("without --out the report JSON goes to stdout;");
-                eprintln!(
-                    "--guard checks the run against the committed bounds (exit 1 on regression)"
-                );
-                ExitCode::from(2)
-            }
-        };
-    }
-    if args.first().map(String::as_str) == Some("bench-shard") {
-        return match bench_shard_main(&args[1..]) {
-            Ok(code) => code,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                eprintln!(
-                    "usage: ccr-experiments bench-shard [--txns N] [--shards N] [--out FILE]"
-                );
-                eprintln!("without --out the report JSON goes to stdout;");
-                eprintln!(
-                    "exit 1 unless the 2PC frame ledger holds exactly (cross-shard commit = one \
-                     prepare + one decide frame per participant; fast path = one commit frame)"
-                );
-                ExitCode::from(2)
-            }
-        };
-    }
-    if args.first().map(String::as_str) == Some("overload") {
-        return match overload_main(&args[1..]) {
-            Ok(code) => code,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                eprintln!("usage: ccr-experiments overload [--seed N] [--txns N] [--objects N]");
-                eprintln!("           [--mpl N] [--deadline ROUNDS] [--max-staged N]");
-                eprintln!("           [--stall-threshold TICKS] [--out FILE]");
-                eprintln!("without --out the report JSON goes to stdout;");
-                eprintln!(
-                    "exit 1 unless the protected run beats the unprotected baseline on the SLOs"
-                );
-                ExitCode::from(2)
-            }
-        };
-    }
-    if args.first().map(String::as_str) == Some("mc") {
-        return match mc_main(&args[1..]) {
-            Ok(code) => code,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                eprintln!("usage: ccr-experiments mc [--txns N] [--objects N] [--crash-budget N]");
-                eprintln!("           [--ckpt-budget N] [--max-tears N] [--group-commit]");
-                eprintln!("           [--backend disk|mem] [--shards N] [--mutate M] [--json]");
-                eprintln!("           [--min-states N] [--replay \"b0 c0 x\"] [--tla FILE|-]");
-                eprintln!("mutations M: drop-acked-commit|reorder-last-batch|resurrect-aborted|skip-epoch-bump");
-                eprintln!("  sharded (--shards >= 2, alphabet b/p/q/s/z): lose-decision");
-                eprintln!(
-                    "exit codes: 0 all invariants hold; 1 violation (or --min-states bound missed)"
-                );
-                ExitCode::from(2)
-            }
-        };
+    let subcommand = args.first().and_then(|name| SUBCOMMANDS.iter().find(|c| c.name == name));
+    if let Some(cmd) = subcommand {
+        return (cmd.run)(&args[1..]).unwrap_or_else(|msg| {
+            eprintln!("error: {msg}");
+            eprint!("{}", usage(cmd.name, cmd.scenario, cmd.usage));
+            ExitCode::from(2)
+        });
     }
     if args.iter().any(|a| a == "--json") {
         // Structured outcomes of the measurement experiments (the figure /
@@ -257,6 +197,30 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
+fn parse_num<T: std::str::FromStr>(flag: &str, s: &str) -> Result<T, String> {
+    s.parse().map_err(|_| format!("{flag}: bad number {s:?}"))
+}
+
+/// Write a document to the `--out` path, or to stdout without one.
+fn emit(out: Option<&str>, body: &str) -> Result<(), String> {
+    match out {
+        Some(path) => {
+            std::fs::write(path, body).map_err(|e| format!("write {path}: {e}"))?;
+            eprintln!("wrote {path}");
+        }
+        None => print!("{body}"),
+    }
+    Ok(())
+}
+
+fn exit_code(pass: bool) -> ExitCode {
+    if pass {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
+}
+
 /// Parse and run the `mc` subcommand: the bounded exhaustive model checker
 /// (see DESIGN.md §12). Exit code 0: every invariant held over the whole
 /// state space (and any `--min-states` bound was met); 1: a violation was
@@ -269,11 +233,8 @@ fn mc_main(args: &[String]) -> Result<ExitCode, String> {
     let mut replay: Option<McTrace> = None;
     let mut tla: Option<String> = None;
 
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value =
-            || it.next().map(String::as_str).ok_or_else(|| format!("{flag} needs a value"));
-        match flag.as_str() {
+    parse_flags(args, |flag, value| {
+        match flag {
             "--txns" => cfg.txns = parse_num(flag, value()?)?,
             "--objects" => cfg.objects = parse_num(flag, value()?)?,
             "--crash-budget" => cfg.crash_budget = parse_num(flag, value()?)?,
@@ -287,9 +248,10 @@ fn mc_main(args: &[String]) -> Result<ExitCode, String> {
             "--min-states" => min_states = Some(parse_num(flag, value()?)?),
             "--replay" => replay = Some(value()?.parse().map_err(|e| format!("--replay: {e}"))?),
             "--tla" => tla = Some(value()?.to_string()),
-            other => return Err(format!("unknown flag {other}")),
+            _ => return Ok(false),
         }
-    }
+        Ok(true)
+    })?;
     if cfg.txns == 0 || cfg.txns > 6 {
         return Err("--txns must be in 1..=6 (amounts are distinct powers of two)".to_string());
     }
@@ -387,241 +349,186 @@ fn mc_main(args: &[String]) -> Result<ExitCode, String> {
             failed = true;
         }
     }
-    Ok(if failed { ExitCode::from(1) } else { ExitCode::SUCCESS })
+    Ok(exit_code(!failed))
 }
 
-/// Parse and run the `sim` subcommand. Exit code 0: oracle passed; 1: an
-/// oracle failure was found (with a shrunk reproducer printed); 2: bad args.
+/// Parse and run the `sim` subcommand: one scenario, or (`--sweep`) the
+/// scenario as a template over a range of seeds. Exit code 0: oracle passed;
+/// 1: an oracle failure was found (with a shrunk reproducer printed); 2: bad
+/// args. Which driver runs — one durable domain or a fleet under 2PC — is
+/// [`run`]'s business; the text and `--json` forms differ between the two
+/// only in the fields the reports and failures themselves carry.
 fn sim_main(args: &[String]) -> Result<ExitCode, String> {
-    let mut combo: Option<Combo> = None;
-    let mut scenario = SimScenario::new(Combo::UipNrbc, 0, FaultPlan::none());
-    let mut sweep_seeds: Option<u64> = None;
-    let mut horizon = 60u64;
-    let mut fault_count = 4usize;
-    let mut gray = false;
-    let mut json = false;
-
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value =
-            || it.next().map(String::as_str).ok_or_else(|| format!("{flag} needs a value"));
-        if scenario_flag(flag, &mut value, &mut scenario, &mut combo)? {
-            continue;
-        }
-        match flag.as_str() {
-            "--sweep" => sweep_seeds = Some(parse_num(flag, value()?)?),
+    let (mut seeds, mut horizon, mut faults) = (None, 60u64, 4usize);
+    let (mut gray, mut json) = (false, false);
+    let scenario = SimScenario::parse_args(args, |flag, value| {
+        match flag {
+            "--sweep" => seeds = Some(parse_num(flag, value()?)?),
             "--horizon" => horizon = parse_num(flag, value()?)?,
-            "--fault-count" => fault_count = parse_num(flag, value()?)?,
+            "--fault-count" => faults = parse_num(flag, value()?)?,
             "--gray" => gray = true,
             "--json" => json = true,
-            other => return Err(format!("unknown flag {other:?}")),
+            _ => return Ok(false),
         }
-    }
-    let combo = combo.ok_or("missing --combo")?;
-    scenario.combo = combo;
-    let sweep_cfg = sweep_seeds.map(|seeds| SweepCfg {
-        seeds,
-        horizon,
-        faults: fault_count,
-        backend: scenario.backend,
-        group_commit: scenario.group_commit,
-        fault_during_recovery: scenario.fault_during_recovery,
-        gray,
-        mpl: scenario.mpl,
-        deadline: scenario.deadline,
-        max_staged: scenario.max_staged,
-        stall_threshold: scenario.stall_threshold,
-        shards: scenario.shards,
-        twopc_crash: scenario.twopc_crash,
-        ..SweepCfg::new(combo, seeds)
-    });
-
-    if scenario.shards > 8 {
-        return Err(format!(
-            "--shards takes 2..=8 (got {}); larger fleets explode the crash-subset space",
-            scenario.shards
-        ));
-    }
-    if scenario.shards >= 2 {
-        // The sharded 2PC driver: its own runner, sweep and shrinker.
-        if gray {
-            return Err("--gray is single-domain; sharded sweeps draw from the sharded \
-                        fault generator (crash subsets + 2PC steps) already"
-                .to_string());
+        Ok(true)
+    })?;
+    let mix = scenario.fault_mix(gray)?;
+    Ok(match seeds {
+        Some(seeds) => {
+            sweep_verdict(&Sweep { template: scenario, seeds, horizon, faults, mix }, json)
         }
-        if scenario.fault_during_recovery {
-            return Err("--fault-during-recovery is single-domain; the sharded driver's \
-                        twopc step 3 crashes a participant inside its own recovery"
-                .to_string());
-        }
-        return Ok(shard_sim_run(&scenario, sweep_cfg.as_ref(), json));
-    }
-    if scenario.lose_decision {
-        return Err(
-            "--lose-decision needs --shards >= 2 (it sabotages the 2PC coordinator)".to_string()
-        );
-    }
-    if scenario.twopc_crash {
-        return Err("--2pc-crash needs --shards >= 2 (there is no 2PC on one shard)".to_string());
-    }
-
-    if json {
-        return Ok(sim_json(&scenario, sweep_cfg.as_ref()));
-    }
-
-    if let Some(cfg) = &sweep_cfg {
-        println!(
-            "sweeping {} seeds of {combo} (horizon {horizon}, {fault_count} faults per plan{})",
-            cfg.seeds,
-            if gray { ", gray generator" } else { "" },
-        );
-        return Ok(match sweep(cfg) {
-            None => {
-                println!("oracle passed on every seed");
-                ExitCode::SUCCESS
-            }
-            Some(f) => {
-                println!("\noracle FAILED: {}", f.failure);
-                println!("original: {}", f.original.reproducer());
-                println!(
-                    "shrunk to {} txns, {} faults in {} runs:",
-                    f.shrunk.live_txns(),
-                    f.shrunk.plan.len(),
-                    f.shrink_runs
-                );
-                println!("  {}", f.shrunk.reproducer());
-                ExitCode::FAILURE
-            }
-        });
-    }
-
-    Ok(match run_scenario(&scenario) {
-        Ok(report) => {
-            println!("oracle passed: {}", scenario.reproducer());
-            println!(
-                "committed {}  gave-up {}  retries {}  rounds {}  events {}  oracle-checks {}",
-                report.committed,
-                report.gave_up,
-                report.retries,
-                report.rounds,
-                report.events,
-                report.oracle_checks,
-            );
-            println!(
-                "faults injected {}  crashes {}  torn {}  forced-aborts {}  delayed-commits {}  wound-storms {}",
-                report.faults_injected,
-                report.stats.crashes,
-                report.stats.torn_crashes,
-                report.stats.forced_aborts,
-                report.stats.delayed_commits,
-                report.stats.wound_storms,
-            );
-            println!(
-                "storage: sector-tears {}  reordered-flushes {}  bitflips-detected {}  checkpoints {}",
-                report.stats.sector_tears,
-                report.stats.reordered_flushes,
-                report.stats.bitflips_detected,
-                report.stats.checkpoints,
-            );
-            println!(
-                "device: transient-io {}  disk-full {}  io-retries {}  degraded-entries {}  degraded-exits {}  convergence-checks {}",
-                report.stats.transient_io_faults,
-                report.stats.disk_full_faults,
-                report.stats.io_retries,
-                report.stats.degraded_entries,
-                report.stats.degraded_exits,
-                report.stats.convergence_checks,
-            );
-            println!(
-                "overload: slow-device {}  fsync-stalls {}  stall-ticks {}  sheds {}  deadline-aborts {}  mode-flips {}",
-                report.stats.slow_device_faults,
-                report.stats.fsync_stall_faults,
-                report.stats.stall_ticks,
-                report.stats.sheds,
-                report.stats.deadline_aborts,
-                report.stats.mode_flips,
-            );
-            println!("history fingerprint {:#018x}", report.history_fingerprint);
-            ExitCode::SUCCESS
-        }
-        Err(failure) => {
-            println!("oracle FAILED: {failure}");
-            let (shrunk, shrunk_failure, runs) = shrink(&scenario);
-            println!(
-                "shrunk to {} txns, {} faults in {} runs ({}):",
-                shrunk.live_txns(),
-                shrunk.plan.len(),
-                runs,
-                shrunk_failure,
-            );
-            println!("  {}", shrunk.reproducer());
-            ExitCode::FAILURE
-        }
+        None => run_verdict(&scenario, json),
     })
 }
 
-/// The `sim --json` structured run report: one JSON object on stdout with an
-/// oracle verdict, the run counters, per-fault-kind counters and (on
-/// failure) the shrink result. Exit codes match the text mode.
-fn sim_json(scenario: &SimScenario, sweep_cfg: Option<&SweepCfg>) -> ExitCode {
-    if let Some(cfg) = sweep_cfg {
-        let seeds = cfg.seeds;
-        return match sweep(cfg) {
-            None => {
-                println!(
-                    "{{\"mode\":\"sweep\",\"combo\":{},\"seeds\":{seeds},\"verdict\":\"pass\"}}",
-                    json_string(&scenario.combo.to_string()),
-                );
-                ExitCode::SUCCESS
-            }
-            Some(f) => {
-                println!(
-                    concat!(
-                        "{{\"mode\":\"sweep\",\"combo\":{},\"seeds\":{},\"verdict\":\"fail\",",
-                        "\"failure\":{},\"at_event\":{},\"original\":{},\"shrunk\":{},",
-                        "\"shrunk_txns\":{},\"shrunk_faults\":{},\"shrink_runs\":{}}}"
-                    ),
-                    json_string(&scenario.combo.to_string()),
-                    seeds,
-                    json_string(&f.failure.failure.to_string()),
-                    f.failure.at_event,
-                    json_string(&f.original.reproducer()),
-                    json_string(&f.shrunk.reproducer()),
-                    f.shrunk.live_txns(),
-                    f.shrunk.plan.len(),
-                    f.shrink_runs,
-                );
-                ExitCode::FAILURE
-            }
-        };
+/// `oracle FAILED…` with the failure's own text; a fleet failure names its
+/// kind, which its shrinker preserved.
+fn failed_line(failure: &Failure) -> String {
+    match failure {
+        Failure::Single(f) => format!("oracle FAILED: {f}"),
+        Failure::Sharded(f) => format!("oracle FAILED [{}]: {f}", f.kind()),
     }
-    match run_scenario(scenario) {
-        Ok(report) => {
-            let s = &report.stats;
-            println!(
-                concat!(
-                    "{{\"mode\":\"run\",\"verdict\":\"pass\",\"reproducer\":{},",
-                    "\"committed\":{},\"gave_up\":{},\"retries\":{},\"rounds\":{},",
-                    "\"events\":{},\"oracle_checks\":{},\"faults_injected\":{},",
-                    "\"fault_counters\":{{\"crashes\":{},\"torn_crashes\":{},",
-                    "\"forced_aborts\":{},\"delayed_commits\":{},\"wound_storms\":{},",
-                    "\"sector_tears\":{},\"reordered_flushes\":{},",
-                    "\"bitflips_detected\":{},\"transient_io\":{},\"disk_full\":{},",
-                    "\"slow_device\":{},\"fsync_stall\":{}}},",
-                    "\"checkpoints\":{},\"io_retries\":{},\"degraded_entries\":{},",
-                    "\"degraded_exits\":{},\"convergence_checks\":{},",
-                    "\"sheds\":{},\"deadline_aborts\":{},\"stall_ticks\":{},",
-                    "\"mode_flips\":{},",
-                    "\"history_fingerprint\":{}}}"
+}
+
+/// The tail of every failing `--json` verdict: what failed (as the shrunk
+/// scenario reproduces it; a single-domain failure also says at which event
+/// it `first` surfaced), then the original and shrunk reproducers.
+fn failure_json(first: &Failure, found: &SweepFailure) -> String {
+    let SweepFailure { original, shrunk, failure: shrunk_failure, shrink_runs: runs } = found;
+    let what = match (shrunk_failure, first) {
+        (Failure::Single(s), Failure::Single(f)) => format!(
+            "\"failure\":{},\"at_event\":{}",
+            json_string(&s.failure.to_string()),
+            f.at_event
+        ),
+        _ => format!(
+            "\"failure\":{},\"failure_kind\":{}",
+            json_string(&shrunk_failure.to_string()),
+            json_string(shrunk_failure.kind())
+        ),
+    };
+    format!(
+        "\"verdict\":\"fail\",{what},\"original\":{},\"shrunk\":{},\"shrunk_txns\":{},\
+         \"shrunk_faults\":{},\"shrink_runs\":{runs}",
+        json_string(&original.reproducer()),
+        json_string(&shrunk.reproducer()),
+        shrunk.live_txns(),
+        shrunk.plan.len(),
+    )
+}
+
+/// Run a sweep and print its verdict.
+fn sweep_verdict(cells: &Sweep, json: bool) -> ExitCode {
+    let Sweep { template, seeds, horizon, faults, mix } = cells;
+    let (head, pass_line, pass_json) = match mix {
+        FaultMix::Sharded { nshards } => (
+            format!("\"mode\":\"shard-sweep\",\"shards\":{nshards},\"seeds\":{seeds}"),
+            format!(
+                "swept {seeds} seeds over {nshards} shards (sharded fault planner): \
+                 oracle passed on every seed"
+            ),
+            format!("\"twopc_crash\":{},\"verdict\":\"pass\"", template.twopc_crash),
+        ),
+        FaultMix::Storage | FaultMix::Gray => {
+            if !json {
+                let gray = if *mix == FaultMix::Gray { ", gray generator" } else { "" };
+                println!(
+                    "sweeping {seeds} seeds of {} (horizon {horizon}, {faults} faults per plan{gray})",
+                    template.combo
+                );
+            }
+            (
+                format!(
+                    "\"mode\":\"sweep\",\"combo\":{},\"seeds\":{seeds}",
+                    json_string(&template.combo.to_string())
                 ),
-                json_string(&scenario.reproducer()),
-                report.committed,
-                report.gave_up,
-                report.retries,
-                report.rounds,
-                report.events,
-                report.oracle_checks,
-                report.faults_injected,
+                "oracle passed on every seed".to_string(),
+                "\"verdict\":\"pass\"".to_string(),
+            )
+        }
+    };
+    let found = sweep(cells);
+    match (&found, json) {
+        (None, false) => println!("{pass_line}"),
+        (None, true) => println!("{{{head},{pass_json}}}"),
+        (Some(f), false) => {
+            if let Failure::Single(_) = f.failure {
+                println!();
+            }
+            println!("{}", failed_line(&f.failure));
+            println!("original: {}", f.original.reproducer());
+            println!(
+                "shrunk to {} txns, {} faults in {} runs:",
+                f.shrunk.live_txns(),
+                f.shrunk.plan.len(),
+                f.shrink_runs
+            );
+            println!("  {}", f.shrunk.reproducer());
+        }
+        (Some(f), true) => println!("{{{head},{}}}", failure_json(&f.failure, f)),
+    }
+    exit_code(found.is_none())
+}
+
+/// Run one scenario and print its verdict: the report's counters, or the
+/// failure and what it shrinks to.
+fn run_verdict(scenario: &SimScenario, json: bool) -> ExitCode {
+    let failure = match run(scenario) {
+        Ok(report) => {
+            if json {
+                print!("{}", report_json(&report, scenario));
+            } else {
+                println!("oracle passed: {}", scenario.reproducer());
+                print!("{}", report_text(&report));
+            }
+            return ExitCode::SUCCESS;
+        }
+        Err(failure) => failure,
+    };
+    let found = shrink(scenario);
+    if json {
+        let mode = match failure {
+            Failure::Single(_) => "run",
+            Failure::Sharded(_) => "shard-run",
+        };
+        println!("{{\"mode\":\"{mode}\",{}}}", failure_json(&failure, &found));
+    } else {
+        println!("{}", failed_line(&failure));
+        println!(
+            "shrunk to {} txns, {} faults in {} runs ({}):",
+            found.shrunk.live_txns(),
+            found.shrunk.plan.len(),
+            found.shrink_runs,
+            found.failure,
+        );
+        println!("  {}", found.shrunk.reproducer());
+    }
+    ExitCode::FAILURE
+}
+
+/// The counter lines under `oracle passed: …`.
+fn report_text(report: &Report) -> String {
+    match report {
+        Report::Single(r) => {
+            let s = &r.stats;
+            format!(
+                "committed {}  gave-up {}  retries {}  rounds {}  events {}  oracle-checks {}\n\
+                 faults injected {}  crashes {}  torn {}  forced-aborts {}  delayed-commits {}  \
+                 wound-storms {}\n\
+                 storage: sector-tears {}  reordered-flushes {}  bitflips-detected {}  \
+                 checkpoints {}\n\
+                 device: transient-io {}  disk-full {}  io-retries {}  degraded-entries {}  \
+                 degraded-exits {}  convergence-checks {}\n\
+                 overload: slow-device {}  fsync-stalls {}  stall-ticks {}  sheds {}  \
+                 deadline-aborts {}  mode-flips {}\n\
+                 history fingerprint {:#018x}\n",
+                r.committed,
+                r.gave_up,
+                r.retries,
+                r.rounds,
+                r.events,
+                r.oracle_checks,
+                r.faults_injected,
                 s.crashes,
                 s.torn_crashes,
                 s.forced_aborts,
@@ -630,221 +537,181 @@ fn sim_json(scenario: &SimScenario, sweep_cfg: Option<&SweepCfg>) -> ExitCode {
                 s.sector_tears,
                 s.reordered_flushes,
                 s.bitflips_detected,
+                s.checkpoints,
                 s.transient_io_faults,
                 s.disk_full_faults,
-                s.slow_device_faults,
-                s.fsync_stall_faults,
-                s.checkpoints,
                 s.io_retries,
                 s.degraded_entries,
                 s.degraded_exits,
                 s.convergence_checks,
+                s.slow_device_faults,
+                s.fsync_stall_faults,
+                s.stall_ticks,
                 s.sheds,
                 s.deadline_aborts,
-                s.stall_ticks,
                 s.mode_flips,
-                json_string(&format!("{:#018x}", report.history_fingerprint)),
-            );
-            ExitCode::SUCCESS
+                r.history_fingerprint,
+            )
         }
-        Err(failure) => {
-            let (shrunk, shrunk_failure, runs) = shrink(scenario);
-            println!(
-                concat!(
-                    "{{\"mode\":\"run\",\"verdict\":\"fail\",\"failure\":{},\"at_event\":{},",
-                    "\"original\":{},\"shrunk\":{},\"shrunk_txns\":{},\"shrunk_faults\":{},",
-                    "\"shrink_runs\":{}}}"
-                ),
-                json_string(&shrunk_failure.failure.to_string()),
-                failure.at_event,
-                json_string(&scenario.reproducer()),
-                json_string(&shrunk.reproducer()),
-                shrunk.live_txns(),
-                shrunk.plan.len(),
-                runs,
-            );
-            ExitCode::FAILURE
-        }
+        Report::Sharded(r) => format!(
+            "committed {} (cross-shard {})  aborted {}  oracle-checks {}\n\
+             crashes {}  crash-subsets {}  2pc-crashes {}  forced-aborts {}  \
+             resolved-in-doubt {}  skipped-faults {}\n\
+             fleet fingerprint {:#018x}\n",
+            r.committed,
+            r.cross_committed,
+            r.aborted,
+            r.oracle_checks,
+            r.crashes,
+            r.crash_subsets,
+            r.twopc_crashes,
+            r.forced_aborts,
+            r.resolved_in_doubt,
+            r.skipped_faults,
+            r.fingerprint,
+        ),
     }
 }
 
-/// Run a sharded (`--shards >= 2`) scenario or sweep: the presumed-abort
-/// 2PC fleet driver with the eighth oracle leg (global uniform outcome
-/// across every crash subset). Text and `--json` forms mirror the
-/// single-domain ones; exit codes match (0 pass, 1 failure with a shrunk
-/// reproducer).
-fn shard_sim_run(scenario: &SimScenario, sweep_cfg: Option<&SweepCfg>, json: bool) -> ExitCode {
-    if let Some(cfg) = sweep_cfg {
-        return match sweep_shard(cfg) {
-            None => {
-                if json {
-                    println!(
-                        "{{\"mode\":\"shard-sweep\",\"shards\":{},\"seeds\":{},\"twopc_crash\":{},\"verdict\":\"pass\"}}",
-                        cfg.shards, cfg.seeds, cfg.twopc_crash,
-                    );
-                } else {
-                    println!(
-                        "swept {} seeds over {} shards (sharded fault planner): oracle passed on every seed",
-                        cfg.seeds, cfg.shards,
-                    );
-                }
-                ExitCode::SUCCESS
+/// The `sim --json` structured run report of a passing run: the oracle
+/// verdict, the run counters and the per-fault-kind counters.
+fn report_json(report: &Report, scenario: &SimScenario) -> String {
+    let r = match report {
+        Report::Single(r) => r,
+        Report::Sharded(r) => return r.to_json(scenario),
+    };
+    let s = &r.stats;
+    format!(
+        concat!(
+            "{{\"mode\":\"run\",\"verdict\":\"pass\",\"reproducer\":{},",
+            "\"committed\":{},\"gave_up\":{},\"retries\":{},\"rounds\":{},",
+            "\"events\":{},\"oracle_checks\":{},\"faults_injected\":{},",
+            "\"fault_counters\":{{\"crashes\":{},\"torn_crashes\":{},",
+            "\"forced_aborts\":{},\"delayed_commits\":{},\"wound_storms\":{},",
+            "\"sector_tears\":{},\"reordered_flushes\":{},",
+            "\"bitflips_detected\":{},\"transient_io\":{},\"disk_full\":{},",
+            "\"slow_device\":{},\"fsync_stall\":{}}},",
+            "\"checkpoints\":{},\"io_retries\":{},\"degraded_entries\":{},",
+            "\"degraded_exits\":{},\"convergence_checks\":{},",
+            "\"sheds\":{},\"deadline_aborts\":{},\"stall_ticks\":{},",
+            "\"mode_flips\":{},",
+            "\"history_fingerprint\":{}}}\n"
+        ),
+        json_string(&scenario.reproducer()),
+        r.committed,
+        r.gave_up,
+        r.retries,
+        r.rounds,
+        r.events,
+        r.oracle_checks,
+        r.faults_injected,
+        s.crashes,
+        s.torn_crashes,
+        s.forced_aborts,
+        s.delayed_commits,
+        s.wound_storms,
+        s.sector_tears,
+        s.reordered_flushes,
+        s.bitflips_detected,
+        s.transient_io_faults,
+        s.disk_full_faults,
+        s.slow_device_faults,
+        s.fsync_stall_faults,
+        s.checkpoints,
+        s.io_retries,
+        s.degraded_entries,
+        s.degraded_exits,
+        s.convergence_checks,
+        s.sheds,
+        s.deadline_aborts,
+        s.stall_ticks,
+        s.mode_flips,
+        json_string(&format!("{:#018x}", r.history_fingerprint)),
+    )
+}
+
+/// What `trace`, `profile` and `inspect` share: one scenario parse, taking
+/// the subcommand's own output `files` (flags with a path) and `switches`
+/// beside the scenario flags, and one traced single-domain run.
+struct Traced {
+    scenario: SimScenario,
+    result: Result<SimReport, SimFailure>,
+    artifacts: TraceArtifacts,
+    paths: Vec<(&'static str, String)>,
+    switched: Vec<&'static str>,
+}
+
+impl Traced {
+    fn run(
+        args: &[String],
+        files: &[&'static str],
+        switches: &[&'static str],
+    ) -> Result<Traced, String> {
+        let (mut paths, mut switched) = (Vec::new(), Vec::new());
+        let scenario = SimScenario::parse_args(args, |flag, value| {
+            if let Some(file) = files.iter().find(|f| **f == flag) {
+                paths.push((*file, value()?.to_string()));
+            } else if let Some(switch) = switches.iter().find(|s| **s == flag) {
+                switched.push(*switch);
+            } else {
+                return Ok(false);
             }
-            Some(f) => {
-                if json {
-                    println!(
-                        concat!(
-                            "{{\"mode\":\"shard-sweep\",\"shards\":{},\"seeds\":{},\"verdict\":\"fail\",",
-                            "\"failure\":{},\"failure_kind\":{},\"original\":{},\"shrunk\":{},",
-                            "\"shrunk_txns\":{},\"shrunk_faults\":{},\"shrink_runs\":{}}}"
-                        ),
-                        cfg.shards,
-                        cfg.seeds,
-                        json_string(&f.failure.to_string()),
-                        json_string(f.failure.kind()),
-                        json_string(&f.original.reproducer()),
-                        json_string(&f.shrunk.reproducer()),
-                        f.shrunk.live_txns(),
-                        f.shrunk.plan.len(),
-                        f.shrink_runs,
-                    );
-                } else {
-                    println!("oracle FAILED [{}]: {}", f.failure.kind(), f.failure);
-                    println!("original: {}", f.original.reproducer());
-                    println!(
-                        "shrunk to {} txns, {} faults in {} runs:",
-                        f.shrunk.live_txns(),
-                        f.shrunk.plan.len(),
-                        f.shrink_runs
-                    );
-                    println!("  {}", f.shrunk.reproducer());
-                }
-                ExitCode::FAILURE
-            }
-        };
+            Ok(true)
+        })?;
+        if scenario.sharded() {
+            return Err("sharded scenarios are sim-only: trace/profile/inspect drive one durable \
+                        domain (drop --shards, or use `sim --shards N`)"
+                .to_string());
+        }
+        let (result, artifacts) = run_scenario_traced(&scenario);
+        Ok(Traced { scenario, result, artifacts, paths, switched })
     }
-    match run_shard_scenario(scenario) {
-        Ok(report) => {
-            if json {
-                print!("{}", report.to_json(scenario));
-            } else {
-                println!("oracle passed: {}", scenario.reproducer());
-                println!(
-                    "committed {} (cross-shard {})  aborted {}  oracle-checks {}",
-                    report.committed, report.cross_committed, report.aborted, report.oracle_checks,
-                );
-                println!(
-                    "crashes {}  crash-subsets {}  2pc-crashes {}  forced-aborts {}  resolved-in-doubt {}  skipped-faults {}",
-                    report.crashes,
-                    report.crash_subsets,
-                    report.twopc_crashes,
-                    report.forced_aborts,
-                    report.resolved_in_doubt,
-                    report.skipped_faults,
-                );
-                println!("fleet fingerprint {:#018x}", report.fingerprint);
-            }
-            ExitCode::SUCCESS
+
+    /// The path given for `file` (the last one wins), if any.
+    fn path(&self, file: &str) -> Option<&str> {
+        self.paths.iter().rev().find(|(f, _)| *f == file).map(|(_, path)| path.as_str())
+    }
+
+    /// Write a side artifact if its flag was given.
+    fn emit_if_asked(&self, file: &str, body: &str) -> Result<(), String> {
+        match self.path(file) {
+            Some(path) => emit(Some(path), body),
+            None => Ok(()),
         }
-        Err(failure) => {
-            let (shrunk, shrunk_failure, runs) = shrink_shard(scenario);
-            if json {
-                println!(
-                    concat!(
-                        "{{\"mode\":\"shard-run\",\"verdict\":\"fail\",\"failure\":{},",
-                        "\"failure_kind\":{},\"original\":{},\"shrunk\":{},\"shrunk_txns\":{},",
-                        "\"shrunk_faults\":{},\"shrink_runs\":{}}}"
-                    ),
-                    json_string(&shrunk_failure.to_string()),
-                    json_string(shrunk_failure.kind()),
-                    json_string(&scenario.reproducer()),
-                    json_string(&shrunk.reproducer()),
-                    shrunk.live_txns(),
-                    shrunk.plan.len(),
-                    runs,
-                );
-            } else {
-                println!("oracle FAILED [{}]: {failure}", failure.kind());
-                println!(
-                    "shrunk to {} txns, {} faults in {} runs ({}):",
-                    shrunk.live_txns(),
-                    shrunk.plan.len(),
-                    runs,
-                    shrunk_failure,
-                );
-                println!("  {}", shrunk.reproducer());
-            }
-            ExitCode::FAILURE
+    }
+
+    /// The verdict epilogue: one line on stderr, and whether the oracle
+    /// passed. The artifacts are written either way — a failing run's are
+    /// the ones worth opening.
+    fn verdict(&self) -> bool {
+        match &self.result {
+            Ok(report) => eprintln!(
+                "oracle passed: {} (committed {}, events {}, faults {})",
+                self.scenario.reproducer(),
+                report.committed,
+                report.events,
+                report.faults_injected,
+            ),
+            Err(failure) => eprintln!("oracle FAILED: {failure}"),
         }
+        self.result.is_ok()
     }
 }
 
 /// Parse and run the `trace` subcommand: run one scenario with full event
 /// recording and write the Chrome `trace_event` JSON (stdout, or `--out`),
 /// plus an optional flamegraph summary and metrics report. Exit code 0 when
-/// the oracle passed, 1 when it failed — the artifacts are written either
-/// way, since a failing run's trace is the one worth opening.
+/// the oracle passed, 1 when it failed.
 fn trace_main(args: &[String]) -> Result<ExitCode, String> {
-    let mut combo: Option<Combo> = None;
-    let mut scenario = SimScenario::new(Combo::UipNrbc, 0, FaultPlan::none());
-    let mut out: Option<String> = None;
-    let mut flame: Option<String> = None;
-    let mut metrics: Option<String> = None;
-
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value =
-            || it.next().map(String::as_str).ok_or_else(|| format!("{flag} needs a value"));
-        if scenario_flag(flag, &mut value, &mut scenario, &mut combo)? {
-            continue;
-        }
-        match flag.as_str() {
-            "--out" => out = Some(value()?.to_string()),
-            "--flame" => flame = Some(value()?.to_string()),
-            "--metrics" => metrics = Some(value()?.to_string()),
-            other => return Err(format!("unknown flag {other:?}")),
-        }
+    let t = Traced::run(args, &["--out", "--flame", "--metrics"], &[])?;
+    // The file is the bare document; stdout gets a line.
+    match t.path("--out") {
+        Some(path) => emit(Some(path), &t.artifacts.chrome)?,
+        None => println!("{}", t.artifacts.chrome),
     }
-    scenario.combo = combo.ok_or("missing --combo")?;
-    if scenario.shards >= 2 {
-        return Err("sharded scenarios are sim-only: trace/profile/inspect drive one durable \
-                    domain (drop --shards, or use `sim --shards N`)"
-            .to_string());
-    }
-
-    let (result, artifacts) = run_scenario_traced(&scenario);
-    match &out {
-        Some(path) => {
-            std::fs::write(path, &artifacts.chrome).map_err(|e| format!("write {path}: {e}"))?;
-            eprintln!("wrote {path} (open in chrome://tracing or ui.perfetto.dev)");
-        }
-        None => println!("{}", artifacts.chrome),
-    }
-    if let Some(path) = &flame {
-        std::fs::write(path, &artifacts.flame).map_err(|e| format!("write {path}: {e}"))?;
-        eprintln!("wrote {path}");
-    }
-    if let Some(path) = &metrics {
-        std::fs::write(path, artifacts.metrics.to_json())
-            .map_err(|e| format!("write {path}: {e}"))?;
-        eprintln!("wrote {path}");
-    }
-    Ok(match result {
-        Ok(report) => {
-            eprintln!(
-                "oracle passed: {} (committed {}, events {}, faults {})",
-                scenario.reproducer(),
-                report.committed,
-                report.events,
-                report.faults_injected,
-            );
-            ExitCode::SUCCESS
-        }
-        Err(failure) => {
-            eprintln!("oracle FAILED: {failure}");
-            ExitCode::FAILURE
-        }
-    })
+    t.emit_if_asked("--flame", &t.artifacts.flame)?;
+    t.emit_if_asked("--metrics", &t.artifacts.metrics.to_json())?;
+    Ok(exit_code(t.verdict()))
 }
 
 /// Parse and run the `profile` subcommand: run one scenario with full event
@@ -852,63 +719,13 @@ fn trace_main(args: &[String]) -> Result<ExitCode, String> {
 /// commit/recovery histograms with coverage fractions, the observed-conflict
 /// matrix, and the ADT's static admitted-concurrency tables (see DESIGN.md
 /// §13, EXPERIMENTS.md S7). The document is byte-identical across runs of
-/// the same scenario. Exit code 0 when the oracle passed, 1 when it failed —
-/// the profile is written either way, and carries the verdict.
+/// the same scenario and carries the verdict. Exit code 0 when the oracle
+/// passed, 1 when it failed.
 fn profile_main(args: &[String]) -> Result<ExitCode, String> {
-    let mut combo: Option<Combo> = None;
-    let mut scenario = SimScenario::new(Combo::UipNrbc, 0, FaultPlan::none());
-    let mut out: Option<String> = None;
-    let mut flame: Option<String> = None;
-
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value =
-            || it.next().map(String::as_str).ok_or_else(|| format!("{flag} needs a value"));
-        if scenario_flag(flag, &mut value, &mut scenario, &mut combo)? {
-            continue;
-        }
-        match flag.as_str() {
-            "--out" => out = Some(value()?.to_string()),
-            "--flame" => flame = Some(value()?.to_string()),
-            other => return Err(format!("unknown flag {other:?}")),
-        }
-    }
-    scenario.combo = combo.ok_or("missing --combo")?;
-    if scenario.shards >= 2 {
-        return Err("sharded scenarios are sim-only: trace/profile/inspect drive one durable \
-                    domain (drop --shards, or use `sim --shards N`)"
-            .to_string());
-    }
-
-    let (result, artifacts) = run_scenario_traced(&scenario);
-    match &out {
-        Some(path) => {
-            std::fs::write(path, format!("{}\n", artifacts.profile))
-                .map_err(|e| format!("write {path}: {e}"))?;
-            eprintln!("wrote {path}");
-        }
-        None => println!("{}", artifacts.profile),
-    }
-    if let Some(path) = &flame {
-        std::fs::write(path, &artifacts.flame).map_err(|e| format!("write {path}: {e}"))?;
-        eprintln!("wrote {path}");
-    }
-    Ok(match result {
-        Ok(report) => {
-            eprintln!(
-                "oracle passed: {} (committed {}, events {}, faults {})",
-                scenario.reproducer(),
-                report.committed,
-                report.events,
-                report.faults_injected,
-            );
-            ExitCode::SUCCESS
-        }
-        Err(failure) => {
-            eprintln!("oracle FAILED: {failure}");
-            ExitCode::FAILURE
-        }
-    })
+    let t = Traced::run(args, &["--out", "--flame"], &[])?;
+    emit(t.path("--out"), &format!("{}\n", t.artifacts.profile))?;
+    t.emit_if_asked("--flame", &t.artifacts.flame)?;
+    Ok(exit_code(t.verdict()))
 }
 
 /// Parse and run the `inspect` subcommand: run one scenario and dump the
@@ -919,63 +736,31 @@ fn profile_main(args: &[String]) -> Result<ExitCode, String> {
 /// disagreement exits 1. The oracle verdict goes to stderr but does not set
 /// the exit code — a failing run's WAL is exactly the one worth inspecting.
 fn inspect_main(args: &[String]) -> Result<ExitCode, String> {
-    let mut combo: Option<Combo> = None;
-    let mut scenario = SimScenario::new(Combo::UipNrbc, 0, FaultPlan::none());
-    let mut out: Option<String> = None;
-    let mut check = false;
-
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value =
-            || it.next().map(String::as_str).ok_or_else(|| format!("{flag} needs a value"));
-        if scenario_flag(flag, &mut value, &mut scenario, &mut combo)? {
-            continue;
-        }
-        match flag.as_str() {
-            "--out" => out = Some(value()?.to_string()),
-            "--check" => check = true,
-            other => return Err(format!("unknown flag {other:?}")),
-        }
-    }
-    scenario.combo = combo.ok_or("missing --combo")?;
-    if scenario.shards >= 2 {
-        return Err("sharded scenarios are sim-only: trace/profile/inspect drive one durable \
-                    domain (drop --shards, or use `sim --shards N`)"
-            .to_string());
-    }
-
-    let (result, artifacts) = run_scenario_traced(&scenario);
-    let inspection = artifacts
+    let t = Traced::run(args, &["--out"], &["--check"])?;
+    let inspection = t
+        .artifacts
         .inspection
+        .as_ref()
         .ok_or("no WAL image to inspect (the mem backend keeps no log; use --backend disk)")?;
-    match &out {
-        Some(path) => {
-            std::fs::write(path, format!("{inspection}\n"))
-                .map_err(|e| format!("write {path}: {e}"))?;
-            eprintln!("wrote {path}");
+    emit(t.path("--out"), &format!("{inspection}\n"))?;
+    t.verdict();
+    if t.switched.is_empty() {
+        return Ok(ExitCode::SUCCESS);
+    }
+    Ok(match &t.artifacts.inspect_agreement {
+        Some(Ok(())) => {
+            eprintln!("inspector agrees with recovery (final image and re-torn tail)");
+            ExitCode::SUCCESS
         }
-        None => println!("{inspection}"),
-    }
-    if let Err(failure) = &result {
-        eprintln!("note: oracle FAILED on this run: {failure}");
-    }
-    if check {
-        return Ok(match artifacts.inspect_agreement {
-            Some(Ok(())) => {
-                eprintln!("inspector agrees with recovery (final image and re-torn tail)");
-                ExitCode::SUCCESS
-            }
-            Some(Err(msg)) => {
-                eprintln!("inspector DISAGREES with recovery: {msg}");
-                ExitCode::FAILURE
-            }
-            None => {
-                eprintln!("--check needs a disk-backed run");
-                ExitCode::FAILURE
-            }
-        });
-    }
-    Ok(ExitCode::SUCCESS)
+        Some(Err(msg)) => {
+            eprintln!("inspector DISAGREES with recovery: {msg}");
+            ExitCode::FAILURE
+        }
+        None => {
+            eprintln!("--check needs a disk-backed run");
+            ExitCode::FAILURE
+        }
+    })
 }
 
 /// Parse and run the `report` subcommand: regenerate the full markdown
@@ -983,23 +768,14 @@ fn inspect_main(args: &[String]) -> Result<ExitCode, String> {
 /// `reports/experiment_report.md`.
 fn report_main(args: &[String]) -> Result<ExitCode, String> {
     let mut out: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value =
-            || it.next().map(String::as_str).ok_or_else(|| format!("{flag} needs a value"));
-        match flag.as_str() {
+    parse_flags(args, |flag, value| {
+        match flag {
             "--out" => out = Some(value()?.to_string()),
-            other => return Err(format!("unknown flag {other:?}")),
+            _ => return Ok(false),
         }
-    }
-    let md = experiments::report_markdown();
-    match &out {
-        Some(path) => {
-            std::fs::write(path, &md).map_err(|e| format!("write {path}: {e}"))?;
-            eprintln!("wrote {path}");
-        }
-        None => print!("{md}"),
-    }
+        Ok(true)
+    })?;
+    emit(out.as_deref(), &experiments::report_markdown())?;
     Ok(ExitCode::SUCCESS)
 }
 
@@ -1014,11 +790,8 @@ fn bench_main(args: &[String]) -> Result<ExitCode, String> {
     let mut out: Option<String> = None;
     let mut guard: Option<String> = None;
 
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value =
-            || it.next().map(String::as_str).ok_or_else(|| format!("{flag} needs a value"));
-        match flag.as_str() {
+    parse_flags(args, |flag, value| {
+        match flag {
             "--txns" => cfg.txns = parse_num(flag, value()?)?,
             "--ops" => cfg.ops_per_txn = parse_num(flag, value()?)?,
             "--objects" => cfg.objects = parse_num(flag, value()?)?,
@@ -1027,9 +800,10 @@ fn bench_main(args: &[String]) -> Result<ExitCode, String> {
             "--seed" => cfg.seed = parse_num(flag, value()?)?,
             "--out" => out = Some(value()?.to_string()),
             "--guard" => guard = Some(value()?.to_string()),
-            other => return Err(format!("unknown flag {other:?}")),
+            _ => return Ok(false),
         }
-    }
+        Ok(true)
+    })?;
 
     // Read the guard baseline before writing --out: pointing both at the
     // same file must judge the run against the *committed* bounds, not the
@@ -1039,14 +813,7 @@ fn bench_main(args: &[String]) -> Result<ExitCode, String> {
         None => None,
     };
     let report = run_bench(&cfg);
-    let json = report.to_json();
-    match &out {
-        Some(path) => {
-            std::fs::write(path, format!("{json}\n")).map_err(|e| format!("write {path}: {e}"))?;
-            eprintln!("wrote {path}");
-        }
-        None => println!("{json}"),
-    }
+    emit(out.as_deref(), &format!("{}\n", report.to_json()))?;
     eprintln!(
         "baseline: {} commits, {} fsyncs, p50/p90/p99 {}/{}/{} us",
         report.baseline.committed,
@@ -1087,7 +854,7 @@ fn bench_main(args: &[String]) -> Result<ExitCode, String> {
             }
         }
     }
-    Ok(if pass { ExitCode::SUCCESS } else { ExitCode::FAILURE })
+    Ok(exit_code(pass))
 }
 
 /// Parse and run the `bench-shard` subcommand: the deterministic 2PC
@@ -1099,17 +866,15 @@ fn bench_shard_main(args: &[String]) -> Result<ExitCode, String> {
     let mut cfg = ShardBenchCfg::default();
     let mut out: Option<String> = None;
 
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value =
-            || it.next().map(String::as_str).ok_or_else(|| format!("{flag} needs a value"));
-        match flag.as_str() {
+    parse_flags(args, |flag, value| {
+        match flag {
             "--txns" => cfg.txns = parse_num(flag, value()?)?,
             "--shards" => cfg.shards = parse_num(flag, value()?)?,
             "--out" => out = Some(value()?.to_string()),
-            other => return Err(format!("unknown flag {other}")),
+            _ => return Ok(false),
         }
-    }
+        Ok(true)
+    })?;
     if !(2..=8).contains(&cfg.shards) {
         return Err("--shards must be in 2..=8".to_string());
     }
@@ -1118,14 +883,7 @@ fn bench_shard_main(args: &[String]) -> Result<ExitCode, String> {
     }
 
     let report = run_shard_bench(&cfg);
-    let json = report.to_json();
-    match &out {
-        Some(path) => {
-            std::fs::write(path, &json).map_err(|e| format!("write {path}: {e}"))?;
-            eprintln!("wrote {path}");
-        }
-        None => print!("{json}"),
-    }
+    emit(out.as_deref(), &report.to_json())?;
     eprintln!(
         "single: {} commits, frames c/p/d {}/{}/{} ({}m frames per commit)",
         report.single.committed,
@@ -1151,7 +909,7 @@ fn bench_shard_main(args: &[String]) -> Result<ExitCode, String> {
     for v in &violations {
         eprintln!("bound violated: {v}");
     }
-    Ok(if violations.is_empty() { ExitCode::SUCCESS } else { ExitCode::FAILURE })
+    Ok(exit_code(violations.is_empty()))
 }
 
 /// Parse and run the `overload` subcommand: the gray-failure survival
@@ -1164,11 +922,8 @@ fn overload_main(args: &[String]) -> Result<ExitCode, String> {
     let mut cfg = OverloadCfg::default();
     let mut out: Option<String> = None;
 
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value =
-            || it.next().map(String::as_str).ok_or_else(|| format!("{flag} needs a value"));
-        match flag.as_str() {
+    parse_flags(args, |flag, value| {
+        match flag {
             "--seed" => cfg.seed = parse_num(flag, value()?)?,
             "--txns" => cfg.txns = parse_num(flag, value()?)?,
             "--objects" => cfg.objects = parse_num(flag, value()?)?,
@@ -1177,19 +932,13 @@ fn overload_main(args: &[String]) -> Result<ExitCode, String> {
             "--max-staged" => cfg.max_staged = parse_num(flag, value()?)?,
             "--stall-threshold" => cfg.stall_threshold = parse_num(flag, value()?)?,
             "--out" => out = Some(value()?.to_string()),
-            other => return Err(format!("unknown flag {other}")),
+            _ => return Ok(false),
         }
-    }
+        Ok(true)
+    })?;
 
     let report = run_overload(&cfg);
-    let json = report.to_json();
-    match &out {
-        Some(path) => {
-            std::fs::write(path, format!("{json}\n")).map_err(|e| format!("write {path}: {e}"))?;
-            eprintln!("wrote {path}");
-        }
-        None => println!("{json}"),
-    }
+    emit(out.as_deref(), &format!("{}\n", report.to_json()))?;
     eprintln!(
         "unprotected: committed {} / gave-up {} in {} rounds (goodput {}m/round), p99 {} rounds, stall-ticks {}",
         report.unprotected.committed,
@@ -1214,52 +963,27 @@ fn overload_main(args: &[String]) -> Result<ExitCode, String> {
         "verdicts: goodput_improved={} p99_bounded={}",
         report.goodput_improved, report.p99_bounded
     );
-    Ok(if report.goodput_improved && report.p99_bounded {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
+    Ok(exit_code(report.goodput_improved && report.p99_bounded))
 }
 
-/// Parse one shared scenario-shape flag — the `sim`, `trace`, `profile` and
-/// `inspect` subcommands all accept the same run shape. Returns `Ok(false)`
-/// when the flag is not a scenario flag, so the caller can try its own.
-fn scenario_flag<'a>(
-    flag: &str,
-    value: &mut dyn FnMut() -> Result<&'a str, String>,
-    scenario: &mut SimScenario,
-    combo: &mut Option<Combo>,
-) -> Result<bool, String> {
-    match flag {
-        "--combo" => *combo = Some(value()?.parse()?),
-        "--policy" => scenario.policy = parse_policy(value()?)?,
-        "--seed" => scenario.seed = parse_num(flag, value()?)?,
-        "--txns" => scenario.txns = parse_num(flag, value()?)?,
-        "--ops" => scenario.ops_per_txn = parse_num(flag, value()?)?,
-        "--objects" => scenario.objects = parse_num(flag, value()?)?,
-        "--skip" => {
-            scenario.skip = value()?
-                .split(',')
-                .map(|s| parse_num("--skip", s.trim()))
-                .collect::<Result<_, _>>()?;
-        }
-        "--faults" => scenario.plan = value()?.parse().map_err(|e| format!("{e}"))?,
-        "--backend" => scenario.backend = value()?.parse::<Backend>()?,
-        "--ckpt" => scenario.checkpoint_every = Some(parse_num(flag, value()?)?),
-        "--group-commit" => scenario.group_commit = true,
-        "--fault-during-recovery" => scenario.fault_during_recovery = true,
-        "--mpl" => scenario.mpl = parse_num(flag, value()?)?,
-        "--deadline" => scenario.deadline = parse_num(flag, value()?)?,
-        "--max-staged" => scenario.max_staged = parse_num(flag, value()?)?,
-        "--stall-threshold" => scenario.stall_threshold = parse_num(flag, value()?)?,
-        "--shards" => scenario.shards = parse_num(flag, value()?)?,
-        "--2pc-crash" => scenario.twopc_crash = true,
-        "--lose-decision" => scenario.lose_decision = true,
-        _ => return Ok(false),
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeSet;
+
+    /// The subcommands a hand-written text shows: every word after the
+    /// binary's name that is not a flag or a comment.
+    fn shown(text: &str) -> BTreeSet<&str> {
+        let after = text.split("ccr-experiments ").skip(1);
+        let words = after.filter_map(|rest| rest.split_whitespace().next());
+        words.filter(|w| w.starts_with(|c: char| c.is_ascii_lowercase())).collect()
     }
-    Ok(true)
-}
 
-fn parse_num<T: std::str::FromStr>(flag: &str, s: &str) -> Result<T, String> {
-    s.parse().map_err(|_| format!("{flag}: bad number {s:?}"))
+    #[test]
+    fn the_module_header_and_the_readme_show_exactly_the_tabled_subcommands() {
+        let tabled: BTreeSet<&str> = super::SUBCOMMANDS.iter().map(|c| c.name).collect();
+        let source = include_str!("ccr-experiments.rs");
+        let header: Vec<&str> = source.lines().take_while(|l| l.starts_with("//!")).collect();
+        assert_eq!(shown(&header.join("\n")), tabled, "module header");
+        assert_eq!(shown(include_str!("../../../../README.md")), tabled, "README.md");
+    }
 }

@@ -21,10 +21,14 @@
 //! * [`profile`] — the contention & recovery profiler's report assembly:
 //!   per-phase span histograms, observed-conflict attribution, and the
 //!   static admitted-concurrency tables, as one schema-pinned JSON document;
-//! * [`sim`] — fault-injection scenarios over the `ccr-runtime` simulator:
-//!   engine × relation combos (including a deliberately weakened one),
-//!   seed sweeps, and a delta-debugging shrinker that reduces an oracle
-//!   failure to a replayable `ccr-experiments sim …` command line.
+//! * [`shard_sim`] — the fleet driver: durable shards under presumed-abort
+//!   2PC with the global uniform-outcome oracle leg, and the 2PC frame-cost
+//!   bench;
+//! * [`sim`] — fault-injection scenarios: one flag table that parses,
+//!   prints and documents a run, engine × relation combos (including a
+//!   deliberately weakened one), one `run` over either driver, template
+//!   sweeps over seeds, and a delta-debugging shrinker that reduces an
+//!   oracle failure to a replayable `ccr-experiments sim …` command line.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

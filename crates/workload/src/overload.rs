@@ -177,12 +177,12 @@ fn side(cfg: &OverloadCfg, protected: bool) -> OverloadSide {
     scenario.ops_per_txn = 3;
     scenario.objects = cfg.objects;
     scenario.backend = Backend::Disk;
-    scenario.group_commit = true;
+    scenario.cfg.group_commit = true;
     if protected {
-        scenario.mpl = cfg.mpl;
-        scenario.deadline = cfg.deadline;
-        scenario.max_staged = cfg.max_staged;
-        scenario.stall_threshold = cfg.stall_threshold;
+        scenario.cfg.mpl = cfg.mpl;
+        scenario.cfg.deadline = cfg.deadline;
+        scenario.cfg.max_staged = cfg.max_staged;
+        scenario.cfg.stall_threshold = cfg.stall_threshold;
     }
     let report = run_scenario(&scenario)
         .unwrap_or_else(|f| panic!("overload bench scenario must pass its oracle: {f}"));

@@ -116,8 +116,8 @@ pub fn profile_json(
         json_string(&scenario.combo.to_string()),
         json_string(scenario.combo.adt_name()),
         json_string(&scenario.backend.to_string()),
-        scenario.seed,
-        scenario.group_commit,
+        scenario.cfg.seed,
+        scenario.cfg.group_commit,
         json_string(verdict),
         json_string(&failure),
         r.committed,

@@ -1,7 +1,7 @@
 //! Sharded fault-simulation driver: a fleet of durable shards under
-//! presumed-abort 2PC, a seeded sweep over crash-of-any-shard-subset and
-//! crash-at-every-2PC-step plans, a failure shrinker, and a deterministic
-//! 2PC frame-cost bench.
+//! presumed-abort 2PC — the driver [`crate::sim::run`] hands a scenario with
+//! `shards >= 2` to, so the one sweep and the one shrinker of [`crate::sim`]
+//! reach it — and a deterministic 2PC frame-cost bench.
 //!
 //! The instance mirrors the model checker's fully decodable one: logical
 //! transaction `i` deposits `1 << i` into each participant's home object
@@ -19,7 +19,7 @@
 //! single-shard and driven directly on their home shard — through
 //! `commit_group` when the scenario's group-commit knob is on, so batch
 //! frames and 2PC frames coexist on the same logs. Fault kinds the sharded
-//! planner emits map as: `shards{mask}` crashes that subset (each shard
+//! mix draws map as: `shards{mask}` crashes that subset (each shard
 //! recovering under `DiscardTail`), `twopc{step}` arms a crash at that
 //! protocol step for the next cross-shard commit, plain crashes take the
 //! whole fleet plus the coordinator down, `abort`/`wound` force-abort;
@@ -31,7 +31,6 @@
 //! field against a real recovery scan — prepare/decide frames included —
 //! so the forensics tooling can never drift from recovery on 2PC logs.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use ccr_adt::bank::{bank_nrbc, BankAccount, BankInv};
@@ -39,19 +38,18 @@ use ccr_core::conflict::FnConflict;
 use ccr_core::ids::{ObjectId, TxnId};
 use ccr_runtime::crash::DurableSystem;
 use ccr_runtime::engine::UipEngine;
-use ccr_runtime::fault::FaultPlan;
 use ccr_runtime::fault::{FaultKind, FaultSpec};
 use ccr_runtime::{check_uniform_outcome, GlobalAtomicityViolation, ShardedSystem, TwoPcStep};
 use ccr_store::{inspect_wal, LogBackend, MemBackend, TailPolicy, WalBackend, WalConfig};
 
-use crate::sim::{Backend, SimScenario, SweepCfg};
+use crate::sim::{Backend, SimScenario};
 
 type Shard<B> = DurableSystem<BankAccount, UipEngine<BankAccount>, FnConflict<BankAccount>, B>;
 type Fleet<B> = ShardedSystem<BankAccount, UipEngine<BankAccount>, FnConflict<BankAccount>, B>;
 
 /// Most transactions one sharded scenario can carry: each owns one bit of
 /// every participant's balance.
-const MAX_TXNS: usize = 60;
+pub(crate) const MAX_TXNS: usize = 60;
 
 /// Outcome counters of one passing sharded run. Deterministic in the
 /// scenario — [`ShardReport::to_json`] is byte-identical across reruns.
@@ -99,7 +97,7 @@ impl ShardReport {
         out.push_str(&format!("  \"seed\": {},\n", self.seed));
         out.push_str(&format!("  \"txns\": {},\n", scenario.txns));
         out.push_str(&format!("  \"backend\": \"{}\",\n", scenario.backend));
-        out.push_str(&format!("  \"group_commit\": {},\n", scenario.group_commit));
+        out.push_str(&format!("  \"group_commit\": {},\n", scenario.cfg.group_commit));
         out.push_str(&format!("  \"twopc_crash\": {},\n", scenario.twopc_crash));
         out.push_str(&format!("  \"committed\": {},\n", self.committed));
         out.push_str(&format!("  \"cross_committed\": {},\n", self.cross_committed));
@@ -260,7 +258,7 @@ impl<'a, B: LogBackend<BankAccount>> Driver<'a, B> {
             gtid_of: vec![None; scenario.txns],
             local_of: vec![None; scenario.txns],
             parts_of: (0..scenario.txns)
-                .map(|i| parts_for(scenario.seed, i, n, scenario.lose_decision))
+                .map(|i| parts_for(scenario.cfg.seed, i, n, scenario.lose_decision))
                 .collect(),
             pending_batch: vec![Vec::new(); n],
             pending_step: None,
@@ -269,7 +267,7 @@ impl<'a, B: LogBackend<BankAccount>> Driver<'a, B> {
             lose_fired: false,
             report: ShardReport {
                 shards: n,
-                seed: scenario.seed,
+                seed: scenario.cfg.seed,
                 committed: 0,
                 cross_committed: 0,
                 aborted: 0,
@@ -444,7 +442,10 @@ impl<'a, B: LogBackend<BankAccount>> Driver<'a, B> {
             .collect();
         let visible = |i: usize, s: usize| states[s] & (1u64 << i) != 0;
 
-        let mut txn_of = BTreeMap::new();
+        // The book is keyed by logical index, not by gtid: a fleet crash
+        // restarts the id allocator above every id with a *durable* trace,
+        // so a transaction aborted before it left one and its successor are
+        // issued the same gtid — two transactions, two participant lists.
         let mut settled_cross: Vec<(u64, Vec<usize>)> = Vec::new();
         for i in 0..self.phase.len() {
             let Some(g) = self.gtid_of[i] else { continue };
@@ -452,12 +453,13 @@ impl<'a, B: LogBackend<BankAccount>> Driver<'a, B> {
                 continue; // unresolved doubt has no outcome yet
             }
             if matches!(self.phase[i], Phase::Committed | Phase::Aborted) {
-                txn_of.insert(g, i);
-                settled_cross.push((g, self.parts_of[i].clone()));
+                settled_cross.push((i as u64, self.parts_of[i].clone()));
             }
         }
-        check_uniform_outcome(&settled_cross, |g, s| visible(txn_of[&g], s))
-            .map_err(ShardFailure::GlobalSplit)?;
+        check_uniform_outcome(&settled_cross, |i, s| visible(i as usize, s)).map_err(|split| {
+            let gtid = self.gtid_of[split.gtid as usize].expect("only global txns are listed");
+            ShardFailure::GlobalSplit(GlobalAtomicityViolation { gtid, ..split })
+        })?;
 
         for i in 0..self.phase.len() {
             if let Some(g) = self.gtid_of[i] {
@@ -550,7 +552,7 @@ impl<'a, B: LogBackend<BankAccount>> Driver<'a, B> {
             }
         } else {
             let (s, t) = self.local_of[i].expect("non-global txns carry a local handle");
-            if self.scenario.group_commit {
+            if self.scenario.cfg.group_commit {
                 self.pending_batch[s].push((t, i));
                 self.phase[i] = Phase::Staged;
                 if self.pending_batch[s].len() >= 2 {
@@ -664,129 +666,26 @@ impl<'a, B: LogBackend<BankAccount>> Driver<'a, B> {
     }
 }
 
-/// Run one sharded scenario (`scenario.shards >= 2`) to completion or its
-/// first oracle failure. Fully deterministic in the scenario.
+/// A fleet of `n` bank shards (one home object per shard) under NRBC, each
+/// journaling to its own `backend()`.
+fn fleet<B: LogBackend<BankAccount>>(n: usize, backend: impl Fn() -> B) -> Fleet<B> {
+    Fleet::new_with(n, |_| {
+        Shard::with_backend(BankAccount::default(), n as u32, bank_nrbc(), backend())
+    })
+}
+
+/// Run one sharded scenario to completion or its first oracle failure — the
+/// arm of [`crate::sim::run`] for callers that need the typed
+/// [`ShardReport`]. Fully deterministic in the scenario.
 pub fn run_shard_scenario(scenario: &SimScenario) -> Result<ShardReport, ShardFailure> {
-    assert!(
-        (2..=8).contains(&scenario.shards),
-        "sharded runs need 2..=8 shards (got {}); single-domain scenarios use sim::run_scenario",
-        scenario.shards
-    );
     assert!(scenario.txns <= MAX_TXNS, "at most {MAX_TXNS} transactions (one bit each)");
     let n = scenario.shards;
     match scenario.backend {
         Backend::Disk => {
-            let sys = Fleet::new_with(n, |_| {
-                Shard::with_backend(
-                    BankAccount::default(),
-                    n as u32,
-                    bank_nrbc(),
-                    WalBackend::new(WalConfig::default()),
-                )
-            });
-            Driver::new(scenario, sys).run()
+            Driver::new(scenario, fleet(n, || WalBackend::new(WalConfig::default()))).run()
         }
-        Backend::Mem => {
-            let sys = Fleet::new_with(n, |_| {
-                Shard::with_backend(
-                    BankAccount::default(),
-                    n as u32,
-                    bank_nrbc(),
-                    MemBackend::new(),
-                )
-            });
-            Driver::new(scenario, sys).run()
-        }
+        Backend::Mem => Driver::new(scenario, fleet(n, MemBackend::new)).run(),
     }
-}
-
-/// Outcome of a [`sweep_shard`]: the first failing scenario, already shrunk.
-#[derive(Clone, Debug)]
-pub struct ShardSweepFailure {
-    /// The original (pre-shrink) failing scenario.
-    pub original: SimScenario,
-    /// The minimised scenario.
-    pub shrunk: SimScenario,
-    /// The failure the shrunk scenario still reproduces.
-    pub failure: ShardFailure,
-    /// Scenario runs spent shrinking.
-    pub shrink_runs: u64,
-}
-
-/// Sweep `cfg.seeds` seeds of the sharded driver: seed `s` runs under a
-/// seed-`s` sharded fault plan (crash-subset and 2PC-step arms included)
-/// on `cfg.backend` with `cfg.shards` shards. Returns the first oracle
-/// failure, shrunk — or `None` if every run passed.
-pub fn sweep_shard(cfg: &SweepCfg) -> Option<ShardSweepFailure> {
-    for seed in 0..cfg.seeds {
-        let plan = FaultPlan::from_seed_sharded(seed, cfg.horizon, cfg.faults, cfg.shards as u32);
-        let mut scenario = SimScenario::new(cfg.combo, seed, plan);
-        scenario.backend = cfg.backend;
-        scenario.group_commit = cfg.group_commit;
-        scenario.shards = cfg.shards;
-        scenario.twopc_crash = cfg.twopc_crash;
-        if run_shard_scenario(&scenario).is_err() {
-            let (shrunk, failure, shrink_runs) = shrink_shard(&scenario);
-            return Some(ShardSweepFailure { original: scenario, shrunk, failure, shrink_runs });
-        }
-    }
-    None
-}
-
-/// Minimise a failing sharded scenario by delta debugging (drop faults,
-/// skip transactions), preserving the failure *kind*. Panics if `scenario`
-/// does not fail.
-pub fn shrink_shard(scenario: &SimScenario) -> (SimScenario, ShardFailure, u64) {
-    let mut runs = 0u64;
-    let mut best = scenario.clone();
-    let mut failure = match run_shard_scenario(&best) {
-        Err(e) => e,
-        Ok(_) => panic!("shrink_shard() called on a passing scenario"),
-    };
-    runs += 1;
-    let kind = failure.kind();
-    loop {
-        let mut changed = false;
-
-        // 1. Drop faults one at a time.
-        let mut i = 0;
-        while i < best.plan.len() {
-            let candidate = SimScenario { plan: best.plan.without_index(i), ..best.clone() };
-            runs += 1;
-            match run_shard_scenario(&candidate) {
-                Err(e) if e.kind() == kind => {
-                    best = candidate;
-                    failure = e;
-                    changed = true;
-                }
-                _ => i += 1,
-            }
-        }
-
-        // 2. Skip transactions (latest first, keeping surviving indices —
-        //    and their bit positions — stable for the reproducer).
-        for idx in (0..best.txns).rev() {
-            if best.skip.contains(&idx) {
-                continue;
-            }
-            let mut candidate = best.clone();
-            candidate.skip.push(idx);
-            candidate.skip.sort_unstable();
-            runs += 1;
-            if let Err(e) = run_shard_scenario(&candidate) {
-                if e.kind() == kind {
-                    best = candidate;
-                    failure = e;
-                    changed = true;
-                }
-            }
-        }
-
-        if !changed {
-            break;
-        }
-    }
-    (best, failure, runs)
 }
 
 /// Shape of the deterministic 2PC frame-cost bench.
@@ -841,14 +740,7 @@ pub struct ShardBenchReport {
 
 fn bench_side(cfg: &ShardBenchCfg, cross: bool) -> ShardBenchSide {
     let n = cfg.shards;
-    let mut sys = Fleet::new_with(n, |_| {
-        Shard::with_backend(
-            BankAccount::default(),
-            n as u32,
-            bank_nrbc(),
-            WalBackend::new(WalConfig::default()),
-        )
-    });
+    let mut sys = fleet(n, || WalBackend::new(WalConfig::default()));
     let mut committed = 0u64;
     for i in 0..cfg.txns {
         let g = sys.begin_global();
@@ -993,49 +885,45 @@ impl ShardBenchReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::Combo;
+    use crate::sim::{run, shrink, sweep, Combo, Sweep};
+    use ccr_runtime::fault::{FaultMix, FaultPlan};
 
     fn base(seed: u64, shards: usize) -> SimScenario {
-        let plan = FaultPlan::from_seed_sharded(seed, 40, 3, shards as u32);
+        let plan = FaultPlan::from_seed(seed, 40, 3, FaultMix::Sharded { nshards: shards as u32 });
         let mut s = SimScenario::new(Combo::UipNrbc, seed, plan);
         s.shards = shards;
         s
     }
 
+    fn template(shards: usize) -> SimScenario {
+        SimScenario { twopc_crash: true, ..base(0, shards) }
+    }
+
     #[test]
     fn sharded_sweeps_pass_on_both_backends() {
         for backend in [Backend::Disk, Backend::Mem] {
-            let cfg = SweepCfg {
-                backend,
-                shards: 2,
-                twopc_crash: true,
-                ..SweepCfg::new(Combo::UipNrbc, 4)
-            };
-            assert!(sweep_shard(&cfg).is_none(), "sharded sweep must pass on {backend}");
+            let cells = Sweep::new(SimScenario { backend, ..template(2) }, 4);
+            assert!(sweep(&cells).is_none(), "sharded sweep must pass on {backend}");
         }
     }
 
     #[test]
     fn group_commit_and_three_shards_survive_the_sweep() {
-        let cfg = SweepCfg {
-            shards: 3,
-            group_commit: true,
-            twopc_crash: true,
-            ..SweepCfg::new(Combo::UipNrbc, 4)
-        };
-        assert!(sweep_shard(&cfg).is_none());
+        let mut template = template(3);
+        template.cfg.group_commit = true;
+        assert!(sweep(&Sweep::new(template, 4)).is_none());
     }
 
     #[test]
     fn lose_decision_is_caught_as_a_global_split() {
         let mut scenario = base(11, 2);
         scenario.lose_decision = true;
-        let failure = run_shard_scenario(&scenario).expect_err("the planted bug must be caught");
+        let failure = run(&scenario).expect_err("the planted bug must be caught");
         assert_eq!(failure.kind(), "global-split", "got {failure}");
         // The shrunk reproducer still pins the driver-routing knobs.
-        let (shrunk, shrunk_failure, _) = shrink_shard(&scenario);
-        assert_eq!(shrunk_failure.kind(), "global-split");
-        let line = shrunk.reproducer();
+        let found = shrink(&scenario);
+        assert_eq!(found.failure.kind(), "global-split");
+        let line = found.shrunk.reproducer();
         assert!(line.contains(" --shards 2"), "reproducer must pin shards: {line}");
         assert!(line.contains(" --lose-decision"), "reproducer must pin the control: {line}");
     }
@@ -1060,6 +948,31 @@ mod tests {
         scenario.twopc_crash = true;
         let report = run_shard_scenario(&scenario).unwrap();
         assert!(report.twopc_crashes >= 4, "want every step exercised: {report:?}");
+    }
+
+    #[test]
+    fn a_reissued_gtid_names_two_transactions_in_the_book() {
+        // ROADMAP item 7: a fleet crash aborts a global transaction that
+        // left no durable trace, the allocator restarts below its gtid by
+        // design, and the next global transaction is issued the same id.
+        // The eighth leg must judge each against its own participants.
+        let mut scenario = SimScenario::new(Combo::UipNrbc, 0, FaultPlan::none());
+        scenario.shards = 3;
+        scenario.txns = 2;
+        let mut d = Driver::new(&scenario, fleet(3, MemBackend::new));
+        d.parts_of = vec![vec![0, 1, 2], vec![0, 1]];
+        d.begin_txn(0);
+        d.crash_fleet();
+        d.begin_txn(1);
+        d.commit_txn(1).unwrap();
+        assert_eq!(d.gtid_of[0], d.gtid_of[1], "the crash must reissue the gtid");
+        assert_eq!(d.phase, [Phase::Aborted, Phase::Committed]);
+        d.check().expect("txn 0 aborted everywhere, txn 1 committed on both its shards");
+        // The leg still fires on a real split of the successor: forget its
+        // effects on one of its two participants.
+        d.parts_of[1] = vec![0, 1, 2];
+        let split = d.check().expect_err("visible on 0 and 1 but not on participant 2");
+        assert_eq!(split.kind(), "global-split", "got {split}");
     }
 
     #[test]

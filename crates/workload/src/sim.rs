@@ -1,15 +1,19 @@
 //! Fault-simulation scenarios: seeded workloads × engine/relation combos ×
-//! fault plans, with a sweep driver and a failure shrinker.
+//! fault plans — one way to describe, run, sweep and shrink them.
 //!
 //! A [`SimScenario`] is a fully serialisable description of one simulated
-//! run — everything needed to reproduce it is in the struct, and
-//! [`SimScenario::reproducer`] renders it as a replayable
-//! `ccr-experiments sim …` command line. [`sweep`] searches seeds and fault
-//! plans for an oracle failure; [`shrink`] then minimises a failing scenario
-//! with a delta-debugging loop (drop faults, drop scripts, shorten
-//! transactions, bisect fault event indices) so the reproducer is as small
-//! as the defect allows — typically two or three transactions for a
-//! weakened conflict relation.
+//! run. Its command-line form is declared once, in the flag table [`FLAGS`]:
+//! [`SimScenario::parse_args`] reads a command line through the table,
+//! [`SimScenario::reproducer`] prints the scenario back through it as a
+//! replayable `ccr-experiments sim …` line, and [`usage`] lists it. [`run`]
+//! runs a scenario under the driver its shard count calls for — one durable
+//! domain ([`run_scenario`]) or a fleet under 2PC
+//! ([`crate::shard_sim`]); [`sweep`] runs a scenario as a template over a
+//! range of seeds and seeded fault plans; [`shrink`] minimises a failing
+//! scenario with a delta-debugging loop over a list of passes (drop faults,
+//! skip scripts, shorten transactions, bisect fault event indices) so the
+//! reproducer is as small as the defect allows — typically two or three
+//! transactions for a weakened conflict relation.
 
 use std::fmt;
 use std::str::FromStr;
@@ -22,13 +26,14 @@ use ccr_core::conflict::{Conflict, SymmetricClosure};
 use ccr_obs::{chrome_trace, flame_summary, MetricsReport};
 use ccr_runtime::crash::DurableSystem;
 use ccr_runtime::engine::{DuEngine, RecoveryEngine, UipEngine};
-use ccr_runtime::fault::FaultPlan;
+use ccr_runtime::fault::{FaultMix, FaultPlan};
 use ccr_runtime::script::Script;
 use ccr_runtime::sim::{run_sim, SimCfg, SimFailure, SimReport, StateInvariant};
 use ccr_runtime::system::ConflictPolicy;
 use ccr_store::{LogBackend, MemBackend, Persist, TailPolicy, WalBackend, WalConfig};
 
 use crate::gen::{banking, escrow_mix, WorkloadCfg};
+use crate::shard_sim::{run_shard_scenario, ShardFailure, ShardReport};
 
 /// Escrow capacity used by the escrow scenarios.
 const ESCROW_CAP: u64 = 20;
@@ -99,41 +104,14 @@ impl FromStr for Combo {
     }
 }
 
-/// Which storage backend a scenario journals through.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Backend {
-    /// `ccr-store`'s segmented WAL on the simulated sector device — the
-    /// default, and the only backend that can express sector-level storage
-    /// faults (`sect`/`reorder`/`flip`).
-    #[default]
-    Disk,
-    /// The fast in-memory backend; storage faults degrade to plain crashes.
-    Mem,
-}
+/// Which storage backend a scenario journals through: `ccr-store`'s
+/// segmented WAL on the simulated sector device (`disk`, the default, and
+/// the only backend that can express the sector-level storage faults), or
+/// the fast in-memory one (`mem`, where those faults degrade to plain
+/// crashes). The model checker's instances take the same choice.
+pub use ccr_mc::McBackendKind as Backend;
 
-impl fmt::Display for Backend {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Backend::Disk => write!(f, "disk"),
-            Backend::Mem => write!(f, "mem"),
-        }
-    }
-}
-
-impl FromStr for Backend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "disk" => Ok(Backend::Disk),
-            "mem" => Ok(Backend::Mem),
-            other => Err(format!("unknown backend {other:?}")),
-        }
-    }
-}
-
-/// Parse a conflict policy name (`block` / `wound` / `nowait`).
-pub fn parse_policy(s: &str) -> Result<ConflictPolicy, String> {
+fn parse_policy(s: &str) -> Result<ConflictPolicy, String> {
     match s {
         "block" => Ok(ConflictPolicy::Block),
         "wound" => Ok(ConflictPolicy::WoundWait),
@@ -151,14 +129,12 @@ fn policy_name(p: ConflictPolicy) -> &'static str {
 }
 
 /// One fully reproducible simulated run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SimScenario {
     /// Engine × conflict-relation pairing.
     pub combo: Combo,
     /// Conflict policy.
     pub policy: ConflictPolicy,
-    /// Seed for both workload generation and scheduler interleaving.
-    pub seed: u64,
     /// Scripts generated (before `skip` filtering).
     pub txns: usize,
     /// Operations per script.
@@ -171,33 +147,19 @@ pub struct SimScenario {
     pub plan: FaultPlan,
     /// Storage backend the journal lives on.
     pub backend: Backend,
-    /// Checkpoint cadence (every N commits), if any.
-    pub checkpoint_every: Option<u64>,
-    /// Group commit: a round's commits are staged and flushed as one batch
-    /// with a single fsync (see DESIGN.md §10). The torn-batch oracle leg
-    /// only exercises multi-record flushes when this is on.
-    pub group_commit: bool,
-    /// Run the sixth oracle leg at the end of the run: inject a fresh crash
-    /// at every device-op index of recovery itself and demand every eventual
-    /// recovery reproduce the baseline outcome (see DESIGN.md §11). No-op on
-    /// the mem backend.
-    pub fault_during_recovery: bool,
-    /// Admission control: maximum transactions in flight (0 = unlimited).
-    pub mpl: usize,
-    /// Per-transaction deadline in scheduler rounds (0 = none).
-    pub deadline: u64,
-    /// WAL-lag admission bound: maximum records staged per group-commit
-    /// flush; the tail beyond it is shed with `TxnError::Shed`
-    /// (0 = unbounded).
-    pub max_staged: usize,
-    /// Gray-failure detector: stall ticks per commit that count as a strike
-    /// (two consecutive strikes flip the system into `Degraded`); 0 = off.
-    pub stall_threshold: u64,
+    /// The simulator configuration the run goes under, handed to
+    /// [`run_sim`] as it stands. `cfg.seed` seeds both workload generation
+    /// and scheduler interleaving; the checkpoint cadence, group commit, the
+    /// recovery-convergence leg and the overload knobs (`mpl`, `deadline`,
+    /// `max_staged`, `stall_threshold`) are the ones with a flag in
+    /// [`FLAGS`].
+    pub cfg: SimCfg,
     /// Durable shard count. `1` (the default) is the classic single-domain
-    /// run; `>= 2` routes the scenario to the sharded presumed-abort 2PC
-    /// driver ([`crate::shard_sim::run_shard_scenario`]), where `combo`,
-    /// `policy`, `ops_per_txn` and `objects` are ignored (the sharded
-    /// instance is one object per shard under the bank ADT).
+    /// run; `>= 2` is a fleet under presumed-abort 2PC
+    /// ([`crate::shard_sim`]), where `combo`, `policy`, `ops_per_txn`,
+    /// `objects` and every `cfg` field but the seed and group commit are
+    /// ignored (the sharded instance is one object per shard under the bank
+    /// ADT).
     pub shards: usize,
     /// Crash-at-every-2PC-step arm: drive every cross-shard commit through
     /// `commit_global_with_crash` at a step cycling through the four
@@ -210,29 +172,256 @@ pub struct SimScenario {
     pub lose_decision: bool,
 }
 
+impl Default for SimScenario {
+    /// The default workload shape: what a command line with no scenario
+    /// flag but `--combo uip-nrbc` runs.
+    fn default() -> Self {
+        SimScenario {
+            combo: Combo::UipNrbc,
+            policy: ConflictPolicy::Block,
+            txns: 8,
+            ops_per_txn: 2,
+            objects: 1,
+            skip: Vec::new(),
+            plan: FaultPlan::none(),
+            backend: Backend::Disk,
+            cfg: SimCfg::default(),
+            shards: 1,
+            twopc_crash: false,
+            lose_decision: false,
+        }
+    }
+}
+
+/// One scenario flag. [`FLAGS`] is the only place a scenario flag is named:
+/// the parser ([`SimScenario::parse_args`]), the reproducer
+/// ([`SimScenario::reproducer`]) and every usage text ([`usage`]) are read
+/// off it.
+pub struct Flag {
+    /// The flag as typed, dashes included.
+    pub name: &'static str,
+    /// The value's placeholder in the usage text; `None` marks a switch.
+    pub value: Option<&'static str>,
+    /// Whether a reproducer prints the flag even at its default. A
+    /// reproducer that leans on a default silently replays the wrong run
+    /// when that default changes, so everything that shapes the workload,
+    /// changes scheduling (the overload knobs) or routes the run (`--backend`,
+    /// `--shards`) is pinned; only the off-by-default extras are elided.
+    pub pinned: bool,
+    /// Whether the command line must give it.
+    pub required: bool,
+    /// One usage line.
+    pub help: &'static str,
+    /// Store the value (`""` for a switch).
+    set: fn(&mut SimScenario, &str) -> Result<(), String>,
+    /// The value as a reproducer prints it (for a switch: whether it is on).
+    get: fn(&SimScenario) -> String,
+}
+
+type Access = (fn(&mut SimScenario, &str) -> Result<(), String>, fn(&SimScenario) -> String);
+
+const fn pinned(name: &'static str, value: &'static str, help: &'static str, at: Access) -> Flag {
+    Flag { name, value: Some(value), pinned: true, required: false, help, set: at.0, get: at.1 }
+}
+
+const fn elided(name: &'static str, value: &'static str, help: &'static str, at: Access) -> Flag {
+    Flag { pinned: false, ..pinned(name, value, help, at) }
+}
+
+const fn switch(name: &'static str, help: &'static str, at: Access) -> Flag {
+    Flag { value: None, ..elided(name, "", help, at) }
+}
+
+/// Access to a scenario field that parses with `FromStr` and prints with
+/// `Display`.
+macro_rules! field {
+    ($($place:tt)+) => {
+        (
+            |s, v| {
+                s.$($place)+ = v.parse().map_err(|e| format!("{e}"))?;
+                Ok(())
+            },
+            |s| s.$($place)+.to_string(),
+        )
+    };
+}
+
+/// Access to a boolean scenario field its switch turns on.
+macro_rules! on {
+    ($($place:tt)+) => {
+        (
+            |s, _| {
+                s.$($place)+ = true;
+                Ok(())
+            },
+            |s| s.$($place)+.to_string(),
+        )
+    };
+}
+
+const COMBOS: &str = "uip-nrbc | du-nfc | uip-sym-nfc | escrow-uip-nrbc | escrow-du-nfc";
+const POLICY: Access = (
+    |s, v| {
+        s.policy = parse_policy(v)?;
+        Ok(())
+    },
+    |s| policy_name(s.policy).to_string(),
+);
+const SKIP: Access = (
+    |s, v| {
+        s.skip = v
+            .split(',')
+            .map(|i| i.trim().parse().map_err(|e| format!("{e}")))
+            .collect::<Result<_, _>>()?;
+        Ok(())
+    },
+    |s| s.skip.iter().map(usize::to_string).collect::<Vec<_>>().join(","),
+);
+const CKPT: Access = (
+    |s, v| {
+        s.cfg.checkpoint_every = Some(v.parse().map_err(|e| format!("{e}"))?);
+        Ok(())
+    },
+    |s| s.cfg.checkpoint_every.map_or(String::new(), |every| every.to_string()),
+);
+
+/// The scenario flags, in the order a reproducer prints them.
+pub const FLAGS: &[Flag] = &[
+    Flag { required: true, ..pinned("--combo", "C", COMBOS, field!(combo)) },
+    pinned("--policy", "block|wound|nowait", "what a conflicting request does", POLICY),
+    pinned("--seed", "N", "workload and interleaving seed", field!(cfg.seed)),
+    pinned("--txns", "N", "scripts generated", field!(txns)),
+    pinned("--ops", "N", "operations per script", field!(ops_per_txn)),
+    pinned("--objects", "N", "objects in the system", field!(objects)),
+    elided("--skip", "i,j,...", "script indices to leave out", SKIP),
+    pinned("--backend", "disk|mem", "where the journal lives", field!(backend)),
+    pinned("--mpl", "N", "transactions in flight (0 = unlimited)", field!(cfg.mpl)),
+    pinned("--deadline", "ROUNDS", "per-transaction deadline (0 = none)", field!(cfg.deadline)),
+    pinned("--max-staged", "N", "group-flush shed bound (0 = none)", field!(cfg.max_staged)),
+    pinned("--stall-threshold", "TICKS", "stall strike (0 = off)", field!(cfg.stall_threshold)),
+    pinned("--shards", "N", "durable shards; 2..=8 is a fleet under 2PC", field!(shards)),
+    switch("--2pc-crash", "fleet: crash each global commit at a 2PC step", on!(twopc_crash)),
+    switch("--lose-decision", "fleet: lose a decision record (exit 1)", on!(lose_decision)),
+    elided("--ckpt", "N", "checkpoint every N commits", CKPT),
+    switch("--group-commit", "one flush per scheduler round", on!(cfg.group_commit)),
+    switch(
+        "--fault-during-recovery",
+        "crash recovery at each of its device ops",
+        on!(cfg.fault_during_recovery),
+    ),
+    pinned("--faults", "SPEC|none", "fault plan, e.g. 12:crash,30:torn2", field!(plan)),
+];
+
+/// Reads the value of the flag being parsed off the argument list.
+pub type NextValue<'a, 'v> = &'v mut dyn FnMut() -> Result<&'a str, String>;
+
+/// Walk a flag list, handing each flag and a reader for its value to
+/// `on_flag`; a flag it does not take (`Ok(false)`) is an error.
+pub fn parse_flags<'a>(
+    args: &'a [String],
+    mut on_flag: impl FnMut(&'a str, NextValue<'a, '_>) -> Result<bool, String>,
+) -> Result<(), String> {
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        let mut value =
+            || rest.next().map(String::as_str).ok_or_else(|| format!("{arg} needs a value"));
+        if !on_flag(arg, &mut value)? {
+            return Err(format!("unknown flag {arg:?}"));
+        }
+    }
+    Ok(())
+}
+
+/// Usage text of a subcommand: its `own` flags and notes, and — if it takes
+/// a `scenario` — one line per scenario flag.
+pub fn usage(subcommand: &str, scenario: bool, own: &str) -> String {
+    let mut text = format!("usage: ccr-experiments {subcommand} ");
+    if !scenario {
+        return text + own;
+    }
+    text += &format!("<scenario flags> {own}scenario flags:\n");
+    for f in FLAGS {
+        let flag = format!("{} {}", f.name, f.value.unwrap_or_default());
+        let required = if f.required { " (required)" } else { "" };
+        text += &format!("  {flag:<34} {}{required}\n", f.help);
+    }
+    text
+}
+
 impl SimScenario {
     /// A scenario with the default workload shape.
     pub fn new(combo: Combo, seed: u64, plan: FaultPlan) -> Self {
         SimScenario {
             combo,
-            policy: ConflictPolicy::Block,
-            seed,
-            txns: 8,
-            ops_per_txn: 2,
-            objects: 1,
-            skip: Vec::new(),
             plan,
-            backend: Backend::Disk,
-            checkpoint_every: None,
-            group_commit: false,
-            fault_during_recovery: false,
-            mpl: 0,
-            deadline: 0,
-            max_staged: 0,
-            stall_threshold: 0,
-            shards: 1,
-            twopc_crash: false,
-            lose_decision: false,
+            cfg: SimCfg { seed, ..SimCfg::default() },
+            ..SimScenario::default()
+        }
+    }
+
+    /// Parse a command line: the scenario flags of [`FLAGS`] fill the
+    /// scenario, every other flag is offered to `extra`. The scenario is
+    /// [`validate`](Self::validate)d before it is returned.
+    pub fn parse_args<'a>(
+        args: &'a [String],
+        mut extra: impl FnMut(&'a str, NextValue<'a, '_>) -> Result<bool, String>,
+    ) -> Result<SimScenario, String> {
+        let mut scenario = SimScenario::default();
+        let mut missing: Vec<&str> = FLAGS.iter().filter(|f| f.required).map(|f| f.name).collect();
+        parse_flags(args, |arg, value| {
+            let Some(flag) = FLAGS.iter().find(|f| f.name == arg) else {
+                return extra(arg, value);
+            };
+            let v = if flag.value.is_some() { value()? } else { "" };
+            (flag.set)(&mut scenario, v).map_err(|e| format!("{arg}: {e}"))?;
+            missing.retain(|name| *name != arg);
+            Ok(true)
+        })?;
+        if let Some(name) = missing.first() {
+            return Err(format!("missing {name}"));
+        }
+        scenario.validate()?;
+        Ok(scenario)
+    }
+
+    /// Refuse flag combinations no driver can run.
+    pub fn validate(&self) -> Result<(), String> {
+        let max_txns = crate::shard_sim::MAX_TXNS;
+        let refusal = if self.shards > 8 {
+            "--shards takes 2..=8; larger fleets explode the crash-subset space".to_string()
+        } else if self.sharded() && self.cfg.fault_during_recovery {
+            "--fault-during-recovery is single-domain; the sharded driver's twopc step 3 \
+             crashes a participant inside its own recovery"
+                .to_string()
+        } else if self.sharded() && self.txns > max_txns {
+            format!("--txns takes at most {max_txns} on a fleet (one balance bit each)")
+        } else if !self.sharded() && self.lose_decision {
+            "--lose-decision needs --shards >= 2 (it sabotages the 2PC coordinator)".to_string()
+        } else if !self.sharded() && self.twopc_crash {
+            "--2pc-crash needs --shards >= 2 (there is no 2PC on one shard)".to_string()
+        } else {
+            return Ok(());
+        };
+        Err(refusal)
+    }
+
+    /// Whether the scenario is a fleet of durable shards under 2PC rather
+    /// than one durable domain.
+    pub fn sharded(&self) -> bool {
+        self.shards >= 2
+    }
+
+    /// The mix a sweep of this scenario draws its fault plans from: the
+    /// sharded mix for a fleet, else the gray mix when asked for, else the
+    /// storage mix.
+    pub fn fault_mix(&self, gray: bool) -> Result<FaultMix, String> {
+        match (self.sharded(), gray) {
+            (true, true) => Err("--gray is single-domain; sharded sweeps draw from the sharded \
+                                 fault mix (crash subsets + 2PC steps) already"
+                .to_string()),
+            (true, false) => Ok(FaultMix::Sharded { nshards: self.shards as u32 }),
+            (false, true) => Ok(FaultMix::Gray),
+            (false, false) => Ok(FaultMix::Storage),
         }
     }
 
@@ -243,51 +432,20 @@ impl SimScenario {
 
     /// The replayable command line for this scenario.
     pub fn reproducer(&self) -> String {
-        let mut s = format!(
-            "ccr-experiments sim --combo {} --policy {} --seed {} --txns {} --ops {} --objects {}",
-            self.combo,
-            policy_name(self.policy),
-            self.seed,
-            self.txns,
-            self.ops_per_txn,
-            self.objects,
-        );
-        if !self.skip.is_empty() {
-            let list: Vec<String> = self.skip.iter().map(|i| i.to_string()).collect();
-            s.push_str(&format!(" --skip {}", list.join(",")));
+        let default = SimScenario::default();
+        let mut line = String::from("ccr-experiments sim");
+        for flag in FLAGS {
+            let value = (flag.get)(self);
+            if flag.pinned || value != (flag.get)(&default) {
+                line.push(' ');
+                line.push_str(flag.name);
+                if flag.value.is_some() {
+                    line.push(' ');
+                    line.push_str(&value);
+                }
+            }
         }
-        // Always explicit: a reproducer that leans on the default backend —
-        // or on default overload knobs — silently replays the wrong
-        // configuration if a default changes. The gray-survival knobs (MPL,
-        // deadline, shed bound, stall detector) all change scheduling, so
-        // they are pinned even at their defaults.
-        s.push_str(&format!(" --backend {}", self.backend));
-        s.push_str(&format!(" --mpl {}", self.mpl));
-        s.push_str(&format!(" --deadline {}", self.deadline));
-        s.push_str(&format!(" --max-staged {}", self.max_staged));
-        s.push_str(&format!(" --stall-threshold {}", self.stall_threshold));
-        // The shard count routes the replay to a different driver entirely,
-        // so it is pinned even at its default of 1 (the same bug class as an
-        // unpinned --backend or --gray: a default change silently replays
-        // the wrong run).
-        s.push_str(&format!(" --shards {}", self.shards));
-        if self.twopc_crash {
-            s.push_str(" --2pc-crash");
-        }
-        if self.lose_decision {
-            s.push_str(" --lose-decision");
-        }
-        if let Some(every) = self.checkpoint_every {
-            s.push_str(&format!(" --ckpt {every}"));
-        }
-        if self.group_commit {
-            s.push_str(" --group-commit");
-        }
-        if self.fault_during_recovery {
-            s.push_str(" --fault-during-recovery");
-        }
-        s.push_str(&format!(" --faults {}", self.plan));
-        s
+        line
     }
 }
 
@@ -314,12 +472,18 @@ pub struct TraceArtifacts {
     pub inspect_agreement: Option<Result<(), String>>,
 }
 
-fn run_combo<A, E, C>(
-    scenario: &SimScenario,
+/// What a combo runs over: the ADT, its conflict relation, the generated
+/// scripts (after skipping) and the ADT's state invariant, if it has one.
+struct Workload<A: Adt, C> {
     adt: A,
     conflict: C,
     scripts: Vec<Box<dyn Script<A>>>,
-    invariant: Option<&StateInvariant<A>>,
+    invariant: Option<&'static StateInvariant<A>>,
+}
+
+fn run_combo<A, E, C>(
+    scenario: &SimScenario,
+    workload: Workload<A, C>,
     traced: bool,
 ) -> (Result<SimReport, SimFailure>, Option<TraceArtifacts>)
 where
@@ -331,35 +495,18 @@ where
     C: Conflict<A> + Clone,
 {
     match scenario.backend {
-        Backend::Disk => run_combo_on::<A, E, C, _>(
-            scenario,
-            adt,
-            conflict,
-            WalBackend::new(WalConfig::default()),
-            scripts,
-            invariant,
-            traced,
-        ),
-        Backend::Mem => run_combo_on::<A, E, C, _>(
-            scenario,
-            adt,
-            conflict,
-            MemBackend::new(),
-            scripts,
-            invariant,
-            traced,
-        ),
+        Backend::Disk => {
+            let wal = WalBackend::new(WalConfig::default());
+            run_combo_on::<A, E, C, _>(scenario, workload, wal, traced)
+        }
+        Backend::Mem => run_combo_on::<A, E, C, _>(scenario, workload, MemBackend::new(), traced),
     }
 }
 
-#[allow(clippy::too_many_arguments)] // internal plumbing of one dispatcher
 fn run_combo_on<A, E, C, B>(
     scenario: &SimScenario,
-    adt: A,
-    conflict: C,
+    Workload { adt, conflict, scripts, invariant }: Workload<A, C>,
     backend: B,
-    scripts: Vec<Box<dyn Script<A>>>,
-    invariant: Option<&StateInvariant<A>>,
     traced: bool,
 ) -> (Result<SimReport, SimFailure>, Option<TraceArtifacts>)
 where
@@ -375,7 +522,7 @@ where
         let obs = sys.system_mut().obs_mut();
         obs.set_label("combo", scenario.combo.to_string());
         obs.set_label("adt", scenario.combo.adt_name());
-        obs.set_label("seed", scenario.seed.to_string());
+        obs.set_label("seed", scenario.cfg.seed.to_string());
     } else {
         // Counters and histograms stay on; only the per-event records (and
         // their string rendering) are skipped. The shrinker runs thousands
@@ -383,18 +530,7 @@ where
         sys.system_mut().obs_mut().set_record_events(false);
     }
     let spec = SystemSpec::uniform(adt, scenario.objects);
-    let cfg = SimCfg {
-        seed: scenario.seed,
-        checkpoint_every: scenario.checkpoint_every,
-        group_commit: scenario.group_commit,
-        fault_during_recovery: scenario.fault_during_recovery,
-        mpl: scenario.mpl,
-        deadline: scenario.deadline,
-        max_staged: scenario.max_staged,
-        stall_threshold: scenario.stall_threshold,
-        ..Default::default()
-    };
-    let result = run_sim(&mut sys, scripts, &scenario.plan, &cfg, &spec, invariant);
+    let result = run_sim(&mut sys, scripts, &scenario.plan, &scenario.cfg, &spec, invariant);
     let artifacts = traced.then(|| {
         // The forensic leg: the inspector must agree with recovery on the
         // final image, and on a copy with its last flush re-torn (so every
@@ -426,16 +562,11 @@ where
     (result, artifacts)
 }
 
-fn filter_scripts<A: Adt>(
-    scripts: Vec<Box<dyn Script<A>>>,
-    skip: &[usize],
-) -> Vec<Box<dyn Script<A>>> {
-    scripts.into_iter().enumerate().filter(|(i, _)| !skip.contains(i)).map(|(_, s)| s).collect()
-}
-
-/// Run one scenario to completion (or its first oracle failure). Structured
-/// event recording is off on this path — the sweep and shrink drivers call
-/// it thousands of times; use [`run_scenario_traced`] to render artifacts.
+/// Run one single-domain scenario to completion (or its first oracle
+/// failure) — the arm of [`run`] for callers that need the typed
+/// [`SimReport`]. Structured event recording is off on this path — the sweep
+/// and shrink drivers call it thousands of times; use
+/// [`run_scenario_traced`] to render artifacts.
 pub fn run_scenario(scenario: &SimScenario) -> Result<SimReport, SimFailure> {
     run_scenario_inner(scenario, false).0
 }
@@ -455,76 +586,49 @@ fn run_scenario_inner(
     scenario: &SimScenario,
     traced: bool,
 ) -> (Result<SimReport, SimFailure>, Option<TraceArtifacts>) {
-    assert!(
-        scenario.shards <= 1,
-        "sharded scenarios (--shards >= 2) run under shard_sim::run_shard_scenario"
-    );
+    type Uip<A> = UipEngine<A>;
+    type Du<A> = DuEngine<A>;
+    match scenario.combo {
+        Combo::UipNrbc => run_combo::<_, Uip<_>, _>(scenario, bank(scenario, bank_nrbc()), traced),
+        Combo::DuNfc => run_combo::<_, Du<_>, _>(scenario, bank(scenario, bank_nfc()), traced),
+        Combo::UipSymNfc => {
+            let weakened = SymmetricClosure(bank_nfc());
+            run_combo::<_, Uip<_>, _>(scenario, bank(scenario, weakened), traced)
+        }
+        Combo::EscrowUipNrbc => {
+            run_combo::<_, Uip<_>, _>(scenario, escrow(scenario, escrow_nrbc()), traced)
+        }
+        Combo::EscrowDuNfc => {
+            run_combo::<_, Du<_>, _>(scenario, escrow(scenario, escrow_nfc()), traced)
+        }
+    }
+}
+
+/// The scenario's generated scripts, minus the skipped ones.
+fn scripts_of<A: Adt>(
+    scenario: &SimScenario,
+    generate: impl Fn(&WorkloadCfg) -> Vec<Box<dyn Script<A>>>,
+) -> Vec<Box<dyn Script<A>>> {
     let wcfg = WorkloadCfg {
         txns: scenario.txns,
         ops_per_txn: scenario.ops_per_txn,
         objects: scenario.objects,
         hot_fraction: 0.8,
-        seed: scenario.seed,
+        seed: scenario.cfg.seed,
     };
-    match scenario.combo {
-        Combo::UipNrbc => {
-            let scripts = filter_scripts(banking(&wcfg, 0.8), &scenario.skip);
-            run_combo::<_, UipEngine<BankAccount>, _>(
-                scenario,
-                BankAccount::default(),
-                bank_nrbc(),
-                scripts,
-                None,
-                traced,
-            )
-        }
-        Combo::DuNfc => {
-            let scripts = filter_scripts(banking(&wcfg, 0.8), &scenario.skip);
-            run_combo::<_, DuEngine<BankAccount>, _>(
-                scenario,
-                BankAccount::default(),
-                bank_nfc(),
-                scripts,
-                None,
-                traced,
-            )
-        }
-        Combo::UipSymNfc => {
-            let scripts = filter_scripts(banking(&wcfg, 0.8), &scenario.skip);
-            run_combo::<_, UipEngine<BankAccount>, _>(
-                scenario,
-                BankAccount::default(),
-                SymmetricClosure(bank_nfc()),
-                scripts,
-                None,
-                traced,
-            )
-        }
-        Combo::EscrowUipNrbc => {
-            let adt = EscrowAccount::new(ESCROW_CAP, [1, 2, 3]);
-            let scripts = filter_scripts(escrow_mix(&wcfg, ESCROW_CAP), &scenario.skip);
-            run_combo::<_, UipEngine<EscrowAccount>, _>(
-                scenario,
-                adt,
-                escrow_nrbc(),
-                scripts,
-                Some(&escrow_invariant),
-                traced,
-            )
-        }
-        Combo::EscrowDuNfc => {
-            let adt = EscrowAccount::new(ESCROW_CAP, [1, 2, 3]);
-            let scripts = filter_scripts(escrow_mix(&wcfg, ESCROW_CAP), &scenario.skip);
-            run_combo::<_, DuEngine<EscrowAccount>, _>(
-                scenario,
-                adt,
-                escrow_nfc(),
-                scripts,
-                Some(&escrow_invariant),
-                traced,
-            )
-        }
-    }
+    let kept = generate(&wcfg).into_iter().enumerate().filter(|(i, _)| !scenario.skip.contains(i));
+    kept.map(|(_, script)| script).collect()
+}
+
+fn bank<C>(scenario: &SimScenario, conflict: C) -> Workload<BankAccount, C> {
+    let scripts = scripts_of(scenario, |wcfg| banking(wcfg, 0.8));
+    Workload { adt: BankAccount::default(), conflict, scripts, invariant: None }
+}
+
+fn escrow<C>(scenario: &SimScenario, conflict: C) -> Workload<EscrowAccount, C> {
+    let adt = EscrowAccount::new(ESCROW_CAP, [1, 2, 3]);
+    let scripts = scripts_of(scenario, |wcfg| escrow_mix(wcfg, ESCROW_CAP));
+    Workload { adt, conflict, scripts, invariant: Some(&escrow_invariant) }
 }
 
 /// Escrow conservation: every committed balance stays within the capacity
@@ -540,7 +644,84 @@ fn escrow_invariant(
     Ok(())
 }
 
-/// Outcome of a [`sweep`]: the first failing scenario found, already shrunk.
+/// What a passing [`run`] reports: the driver's own counters.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Report {
+    /// One durable domain ([`run_scenario`]).
+    Single(Box<SimReport>),
+    /// A fleet under 2PC ([`run_shard_scenario`]).
+    Sharded(ShardReport),
+}
+
+/// The oracle violation a failing [`run`] stopped at.
+#[derive(Clone, Debug)]
+pub enum Failure {
+    /// One of the seven single-domain legs, with the event it surfaced at.
+    Single(SimFailure),
+    /// One of the fleet legs (the eighth among them).
+    Sharded(ShardFailure),
+}
+
+impl Failure {
+    /// Stable failure-kind token: which oracle leg fired.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            Failure::Single(f) => f.failure.kind(),
+            Failure::Sharded(f) => f.kind(),
+        }
+    }
+}
+
+impl fmt::Display for Failure {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Failure::Single(failure) => failure.fmt(f),
+            Failure::Sharded(failure) => failure.fmt(f),
+        }
+    }
+}
+
+/// Run one scenario under the driver its shard count calls for. This is the
+/// only place a driver is chosen: [`sweep`], [`shrink`] and the CLI all come
+/// through here.
+pub fn run(scenario: &SimScenario) -> Result<Report, Failure> {
+    if scenario.sharded() {
+        run_shard_scenario(scenario).map(Report::Sharded).map_err(Failure::Sharded)
+    } else {
+        run_scenario(scenario).map(|r| Report::Single(Box::new(r))).map_err(Failure::Single)
+    }
+}
+
+/// A seed sweep: the `template` scenario run once per seed `0..seeds`, seed
+/// `s` being the template with `cfg.seed = s` under a seed-`s` plan of
+/// `faults` faults over `horizon` events drawn from `mix`. Everything else —
+/// combo, policy, shape, backend, checkpoint cadence, knobs, shard count — is
+/// the template's, so every scenario flag reaches every sweep.
+#[derive(Clone, Debug)]
+pub struct Sweep {
+    /// The scenario every seed runs (its own seed and plan are replaced).
+    pub template: SimScenario,
+    /// Seeds `0..seeds` to run.
+    pub seeds: u64,
+    /// Fault-plan event horizon.
+    pub horizon: u64,
+    /// Faults per plan.
+    pub faults: usize,
+    /// The mix plans are drawn from (see [`SimScenario::fault_mix`]).
+    pub mix: FaultMix,
+}
+
+impl Sweep {
+    /// A sweep of `template` over `seeds` seeds with the default fault shape
+    /// (horizon 40, 3 faults) from the template's own non-gray mix.
+    pub fn new(template: SimScenario, seeds: u64) -> Self {
+        let mix = template.fault_mix(false).expect("only the gray mix can be refused");
+        Sweep { template, seeds, horizon: 40, faults: 3, mix }
+    }
+}
+
+/// A failing scenario and what [`shrink`] made of it — what a [`sweep`]
+/// stops at.
 #[derive(Clone, Debug)]
 pub struct SweepFailure {
     /// The original (pre-shrink) failing scenario.
@@ -548,240 +729,196 @@ pub struct SweepFailure {
     /// The minimised scenario.
     pub shrunk: SimScenario,
     /// The failure the shrunk scenario still reproduces.
-    pub failure: SimFailure,
+    pub failure: Failure,
     /// Scenario runs spent shrinking.
     pub shrink_runs: u64,
 }
 
-/// Configuration of one [`sweep`]: which combo, how many seeds, how fault
-/// plans are drawn, and which runtime knobs every swept scenario carries.
-/// (The old positional signature grew a parameter per PR; a struct keeps
-/// call sites readable and additions non-breaking.)
-#[derive(Clone, Copy, Debug)]
-pub struct SweepCfg {
-    /// Engine × conflict-relation pairing to sweep.
-    pub combo: Combo,
-    /// Seeds `0..seeds` to run.
-    pub seeds: u64,
-    /// Fault-plan event horizon.
-    pub horizon: u64,
-    /// Faults per plan.
-    pub faults: usize,
-    /// Storage backend.
-    pub backend: Backend,
-    /// Group commit on every scenario.
-    pub group_commit: bool,
-    /// Run the crash-during-recovery convergence leg.
-    pub fault_during_recovery: bool,
-    /// Draw plans from [`FaultPlan::from_seed_gray`] instead of
-    /// [`FaultPlan::from_seed`]: the gray generator adds stalling-device
-    /// kinds (`slow{n}` / `stall{n}`) to the fault mix.
-    pub gray: bool,
-    /// Admission control for every scenario (0 = unlimited).
-    pub mpl: usize,
-    /// Per-transaction deadline in rounds (0 = none).
-    pub deadline: u64,
-    /// WAL-lag shed bound per group-commit flush (0 = unbounded).
-    pub max_staged: usize,
-    /// Stall-detector strike threshold in ticks (0 = off).
-    pub stall_threshold: u64,
-    /// Durable shard count; `>= 2` makes [`crate::shard_sim::sweep_shard`]
-    /// the right driver (this crate's [`sweep`] is single-domain only).
-    pub shards: usize,
-    /// Drive every cross-shard commit through a crash at a cycling 2PC step.
-    pub twopc_crash: bool,
-}
-
-impl SweepCfg {
-    /// A sweep over `seeds` seeds of `combo` with the default fault shape
-    /// (horizon 40, 3 faults, disk backend) and no overload knobs.
-    pub fn new(combo: Combo, seeds: u64) -> Self {
-        SweepCfg {
-            combo,
-            seeds,
-            horizon: 40,
-            faults: 3,
-            backend: Backend::Disk,
-            group_commit: false,
-            fault_during_recovery: false,
-            gray: false,
-            mpl: 0,
-            deadline: 0,
-            max_staged: 0,
-            stall_threshold: 0,
-            shards: 1,
-            twopc_crash: false,
-        }
-    }
-}
-
-/// Sweep `cfg.seeds` seeds of `cfg.combo`: seed `s` runs the seeded
-/// workload under a seed-`s` fault plan (the gray generator when
-/// `cfg.gray`) on `cfg.backend`, carrying the sweep's overload knobs.
-/// Returns the first oracle failure, shrunk to a minimal reproducer — or
-/// `None` if every run passed.
-pub fn sweep(cfg: &SweepCfg) -> Option<SweepFailure> {
-    for seed in 0..cfg.seeds {
-        let plan = if cfg.gray {
-            FaultPlan::from_seed_gray(seed, cfg.horizon, cfg.faults)
-        } else {
-            FaultPlan::from_seed(seed, cfg.horizon, cfg.faults)
-        };
-        let mut scenario = SimScenario::new(cfg.combo, seed, plan);
-        scenario.backend = cfg.backend;
-        scenario.group_commit = cfg.group_commit;
-        scenario.fault_during_recovery = cfg.fault_during_recovery;
-        scenario.mpl = cfg.mpl;
-        scenario.deadline = cfg.deadline;
-        scenario.max_staged = cfg.max_staged;
-        scenario.stall_threshold = cfg.stall_threshold;
-        if run_scenario(&scenario).is_err() {
-            let (shrunk, failure, shrink_runs) = shrink(&scenario);
-            return Some(SweepFailure { original: scenario, shrunk, failure, shrink_runs });
+/// Run every seed of `sweep`. Returns the first oracle failure, shrunk to a
+/// minimal reproducer — or `None` if every run passed.
+pub fn sweep(sweep: &Sweep) -> Option<SweepFailure> {
+    for seed in 0..sweep.seeds {
+        let mut scenario = sweep.template.clone();
+        scenario.cfg.seed = seed;
+        scenario.plan = FaultPlan::from_seed(seed, sweep.horizon, sweep.faults, sweep.mix);
+        if run(&scenario).is_err() {
+            return Some(shrink(&scenario));
         }
     }
     None
 }
 
-/// Minimise a failing scenario by delta debugging. Returns the smallest
+/// A shrink in progress: the smallest failing scenario so far, its failure,
+/// and the runs spent.
+struct Shrink {
+    best: SimScenario,
+    failure: Failure,
+    runs: u64,
+    /// The failure kind every accepted candidate must reproduce; `None`
+    /// accepts any failure.
+    keep_kind: Option<&'static str>,
+}
+
+impl Shrink {
+    /// Run `candidate`; if it still fails the way the rule demands it
+    /// becomes the new best.
+    fn adopt_if_failing(&mut self, candidate: SimScenario) -> bool {
+        self.runs += 1;
+        match run(&candidate) {
+            Err(e) if self.keep_kind.is_none_or(|kind| e.kind() == kind) => {
+                self.best = candidate;
+                self.failure = e;
+                true
+            }
+            _ => false,
+        }
+    }
+}
+
+/// One reduction dimension of the shrinker. Returns whether it shrank the
+/// scenario.
+type Pass = fn(&mut Shrink) -> bool;
+
+/// Drop faults one at a time.
+fn drop_faults(s: &mut Shrink) -> bool {
+    let mut changed = false;
+    let mut i = 0;
+    while i < s.best.plan.len() {
+        let plan = s.best.plan.without_index(i);
+        if s.adopt_if_failing(SimScenario { plan, ..s.best.clone() }) {
+            changed = true;
+        } else {
+            i += 1;
+        }
+    }
+    changed
+}
+
+/// Skip scripts one at a time (latest first, so surviving indices — and, on
+/// a fleet, their bit positions — stay meaningful for the reproducer).
+fn skip_txns(s: &mut Shrink) -> bool {
+    let mut changed = false;
+    for idx in (0..s.best.txns).rev() {
+        if s.best.skip.contains(&idx) {
+            continue;
+        }
+        let mut candidate = s.best.clone();
+        candidate.skip.push(idx);
+        candidate.skip.sort_unstable();
+        changed |= s.adopt_if_failing(candidate);
+    }
+    changed
+}
+
+/// Greedy skipping can stall above the true minimum because removing a
+/// script reshuffles the interleaving: each single drop may pass while a pair
+/// or triple alone still fails. When few enough scripts remain, search all
+/// 2- and 3-element script subsets outright — each candidate run is tiny, and
+/// this guarantees a minimal script set whenever one exists.
+fn txn_subsets(s: &mut Shrink) -> bool {
+    if s.best.live_txns() <= 3 || s.best.txns > 16 {
+        return false;
+    }
+    let live: Vec<usize> = (0..s.best.txns).filter(|i| !s.best.skip.contains(i)).collect();
+    for size in 2..=3usize {
+        for subset in k_subsets(&live, size) {
+            let skip = (0..s.best.txns).filter(|i| !subset.contains(i)).collect();
+            if s.adopt_if_failing(SimScenario { skip, ..s.best.clone() }) {
+                return true;
+            }
+        }
+    }
+    false
+}
+
+/// Shorten transactions.
+fn shorten_txns(s: &mut Shrink) -> bool {
+    let mut changed = false;
+    while s.best.ops_per_txn > 1 {
+        let ops_per_txn = s.best.ops_per_txn - 1;
+        if !s.adopt_if_failing(SimScenario { ops_per_txn, ..s.best.clone() }) {
+            break;
+        }
+        changed = true;
+    }
+    changed
+}
+
+/// Bisect each fault's event index to the smallest still-failing trigger
+/// point.
+fn bisect_faults(s: &mut Shrink) -> bool {
+    let mut changed = false;
+    for fi in 0..s.best.plan.len() {
+        let (mut lo, mut hi) = (1u64, s.best.plan.faults()[fi].at_event);
+        // Invariant: firing at `hi` fails; search the least such index.
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            let mut faults = s.best.plan.faults().to_vec();
+            faults[fi].at_event = mid;
+            if s.adopt_if_failing(SimScenario { plan: FaultPlan::new(faults), ..s.best.clone() }) {
+                changed = true;
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+    }
+    changed
+}
+
+impl SimScenario {
+    /// The shrinker's passes for this scenario and whether they must
+    /// preserve the failure *kind*. One durable domain takes every pass
+    /// under any-failure (a weakened relation fails several legs
+    /// interchangeably); a fleet drops faults and skips transactions only —
+    /// its shape is drawn from the seed and its plan's event indices are
+    /// protocol steps — and keeps the kind, so a planted split cannot shrink
+    /// into an unrelated finding.
+    fn shrink_rule(&self) -> (&'static [Pass], bool) {
+        const PASSES: &[Pass] = &[drop_faults, skip_txns, txn_subsets, shorten_txns, bisect_faults];
+        if self.sharded() {
+            (&PASSES[..2], true)
+        } else {
+            (PASSES, false)
+        }
+    }
+}
+
+/// Minimise a failing scenario by delta debugging: the smallest
 /// still-failing scenario found, its failure, and the number of candidate
 /// runs spent. Panics if `scenario` does not fail (a shrinker needs a
 /// failure to preserve).
-pub fn shrink(scenario: &SimScenario) -> (SimScenario, SimFailure, u64) {
-    let mut runs = 0u64;
-    let mut best = scenario.clone();
-    let mut failure = match run_scenario(&best) {
-        Err(e) => e,
-        Ok(_) => panic!("shrink() called on a passing scenario"),
-    };
-    runs += 1;
+pub fn shrink(scenario: &SimScenario) -> SweepFailure {
+    let failure = run(scenario).expect_err("shrink() called on a passing scenario");
+    let (passes, same_kind) = scenario.shrink_rule();
+    let keep_kind = same_kind.then(|| failure.kind());
+    let mut s = Shrink { best: scenario.clone(), failure, runs: 1, keep_kind };
     // Each pass may unlock further reductions in another dimension; iterate
     // to a global fixpoint (bounded: every accepted step strictly shrinks).
     loop {
         let mut changed = false;
-
-        // 1. Drop faults one at a time.
-        let mut i = 0;
-        while i < best.plan.len() {
-            let candidate = SimScenario { plan: best.plan.without_index(i), ..best.clone() };
-            runs += 1;
-            if let Err(e) = run_scenario(&candidate) {
-                best = candidate;
-                failure = e;
-                changed = true;
-            } else {
-                i += 1;
-            }
+        for pass in passes {
+            changed |= pass(&mut s);
         }
-
-        // 2. Drop scripts one at a time (latest first, so surviving indices
-        //    stay meaningful for the reproducer).
-        for idx in (0..best.txns).rev() {
-            if best.skip.contains(&idx) {
-                continue;
-            }
-            let mut candidate = best.clone();
-            candidate.skip.push(idx);
-            candidate.skip.sort_unstable();
-            runs += 1;
-            if let Err(e) = run_scenario(&candidate) {
-                best = candidate;
-                failure = e;
-                changed = true;
-            }
-        }
-
-        // 2b. Greedy dropping can stall above the true minimum because
-        //     removing a script reshuffles the interleaving: each single
-        //     drop may pass while a pair or triple alone still fails. When
-        //     few enough scripts remain, search all 2- and 3-element script
-        //     subsets outright — each candidate run is tiny, and this
-        //     guarantees a minimal script set whenever one exists.
-        if best.live_txns() > 3 && best.txns <= 16 {
-            let live: Vec<usize> = (0..best.txns).filter(|i| !best.skip.contains(i)).collect();
-            'subsets: for size in 2..=3usize {
-                for subset in k_subsets(&live, size) {
-                    let candidate = SimScenario {
-                        skip: (0..best.txns).filter(|i| !subset.contains(i)).collect(),
-                        ..best.clone()
-                    };
-                    runs += 1;
-                    if let Err(e) = run_scenario(&candidate) {
-                        best = candidate;
-                        failure = e;
-                        changed = true;
-                        break 'subsets;
-                    }
-                }
-            }
-        }
-
-        // 3. Shorten transactions.
-        while best.ops_per_txn > 1 {
-            let candidate = SimScenario { ops_per_txn: best.ops_per_txn - 1, ..best.clone() };
-            runs += 1;
-            match run_scenario(&candidate) {
-                Err(e) => {
-                    best = candidate;
-                    failure = e;
-                    changed = true;
-                }
-                Ok(_) => break,
-            }
-        }
-
-        // 4. Bisect each fault's event index to the smallest still-failing
-        //    trigger point.
-        for fi in 0..best.plan.len() {
-            let (mut lo, mut hi) = (1u64, best.plan.faults()[fi].at_event);
-            // Invariant: firing at `hi` fails; search the least such index.
-            while lo < hi {
-                let mid = lo + (hi - lo) / 2;
-                let mut faults: Vec<_> = best.plan.faults().to_vec();
-                faults[fi].at_event = mid;
-                let candidate = SimScenario { plan: FaultPlan::new(faults), ..best.clone() };
-                runs += 1;
-                match run_scenario(&candidate) {
-                    Err(e) => {
-                        best = candidate;
-                        failure = e;
-                        changed = true;
-                        hi = mid;
-                    }
-                    Ok(_) => lo = mid + 1,
-                }
-            }
-        }
-
         if !changed {
-            break;
+            let original = scenario.clone();
+            let Shrink { best: shrunk, failure, runs: shrink_runs, .. } = s;
+            return SweepFailure { original, shrunk, failure, shrink_runs };
         }
     }
-    (best, failure, runs)
 }
 
-/// All `k`-element subsets of `items`, in lexicographic order (`k` ∈ {2,3}
-/// in practice; the shrinker bounds `items` to 16, so at most 560 subsets).
+/// All `k`-element subsets of `items`, in lexicographic order (the shrinker
+/// bounds `items` to 16 and `k` to 3, so at most 560 subsets).
 fn k_subsets(items: &[usize], k: usize) -> Vec<Vec<usize>> {
+    if k == 0 {
+        return vec![Vec::new()];
+    }
     let mut out = Vec::new();
-    match k {
-        2 => {
-            for i in 0..items.len() {
-                for j in i + 1..items.len() {
-                    out.push(vec![items[i], items[j]]);
-                }
-            }
+    for (i, first) in items.iter().enumerate() {
+        for rest in k_subsets(&items[i + 1..], k - 1) {
+            out.push([&[*first][..], &rest].concat());
         }
-        3 => {
-            for i in 0..items.len() {
-                for j in i + 1..items.len() {
-                    for l in j + 1..items.len() {
-                        out.push(vec![items[i], items[j], items[l]]);
-                    }
-                }
-            }
-        }
-        _ => unreachable!("only pair/triple subsets are searched"),
     }
     out
 }
@@ -790,6 +927,10 @@ fn k_subsets(items: &[usize], k: usize) -> Vec<Vec<usize>> {
 mod tests {
     use super::*;
 
+    fn template(combo: Combo) -> SimScenario {
+        SimScenario::new(combo, 0, FaultPlan::none())
+    }
+
     #[test]
     fn correct_pairings_survive_a_fault_sweep() {
         for combo in Combo::ALL {
@@ -797,7 +938,7 @@ mod tests {
                 continue;
             }
             assert!(
-                sweep(&SweepCfg::new(combo, 6)).is_none(),
+                sweep(&Sweep::new(template(combo), 6)).is_none(),
                 "correct pairing {combo} failed a fault sweep"
             );
         }
@@ -808,9 +949,10 @@ mod tests {
         // Group commit turns every round's commits into one multi-record
         // flush, so the same sweep now exercises torn *batch* tails.
         for combo in [Combo::UipNrbc, Combo::DuNfc] {
-            let cfg = SweepCfg { group_commit: true, ..SweepCfg::new(combo, 6) };
+            let mut template = template(combo);
+            template.cfg.group_commit = true;
             assert!(
-                sweep(&cfg).is_none(),
+                sweep(&Sweep::new(template, 6)).is_none(),
                 "correct pairing {combo} failed a group-commit fault sweep"
             );
         }
@@ -818,21 +960,22 @@ mod tests {
 
     #[test]
     fn correct_pairings_survive_a_gray_sweep_with_overload_knobs() {
-        // The gray generator mixes stalling-device faults into the plan;
-        // deadlines, MPL, a shed bound, and the stall detector are all on.
-        // Every admitted transaction must still reach a bounded outcome
-        // (the seventh oracle leg runs inside every scenario).
+        // The gray mix adds stalling-device faults to the plan; deadlines,
+        // MPL, a shed bound, and the stall detector are all on. Every
+        // admitted transaction must still reach a bounded outcome (the
+        // seventh oracle leg runs inside every scenario).
         for combo in [Combo::UipNrbc, Combo::DuNfc] {
-            let cfg = SweepCfg {
-                gray: true,
+            let mut template = template(combo);
+            template.cfg = SimCfg {
                 group_commit: true,
                 mpl: 4,
                 deadline: 50,
                 max_staged: 2,
                 stall_threshold: 64,
-                ..SweepCfg::new(combo, 6)
+                ..template.cfg
             };
-            assert!(sweep(&cfg).is_none(), "correct pairing {combo} failed a gray sweep");
+            let gray = Sweep { mix: FaultMix::Gray, ..Sweep::new(template, 6) };
+            assert!(sweep(&gray).is_none(), "correct pairing {combo} failed a gray sweep");
         }
     }
 
@@ -840,9 +983,9 @@ mod tests {
     fn gray_sweep_degrades_cleanly_on_the_mem_backend() {
         // Device-latency faults degrade to crashes on the mem backend; the
         // sweep must still pass end to end.
-        let cfg =
-            SweepCfg { gray: true, backend: Backend::Mem, ..SweepCfg::new(Combo::UipNrbc, 6) };
-        assert!(sweep(&cfg).is_none(), "gray sweep must degrade cleanly on mem");
+        let template = SimScenario { backend: Backend::Mem, ..template(Combo::UipNrbc) };
+        let gray = Sweep { mix: FaultMix::Gray, ..Sweep::new(template, 6) };
+        assert!(sweep(&gray).is_none(), "gray sweep must degrade cleanly on mem");
     }
 
     #[test]
@@ -850,7 +993,7 @@ mod tests {
         // A reproducer that leaned on default knobs would silently replay
         // the wrong configuration if a default changed: every gray-survival
         // knob is rendered even at its default, like --backend.
-        let plan = FaultPlan::from_seed_gray(7, 40, 3);
+        let plan = FaultPlan::from_seed(7, 40, 3, FaultMix::Gray);
         let mut scenario = SimScenario::new(Combo::UipNrbc, 7, plan);
         let line = scenario.reproducer();
         assert!(line.contains(" --mpl 0"), "default mpl must be pinned: {line}");
@@ -858,18 +1001,15 @@ mod tests {
         assert!(line.contains(" --max-staged 0"), "default shed bound must be pinned: {line}");
         assert!(line.contains(" --stall-threshold 0"), "default detector must be pinned: {line}");
 
-        scenario.mpl = 2;
-        scenario.deadline = 40;
-        scenario.max_staged = 2;
-        scenario.stall_threshold = 16;
+        scenario.cfg.mpl = 2;
+        scenario.cfg.deadline = 40;
+        scenario.cfg.max_staged = 2;
+        scenario.cfg.stall_threshold = 16;
         let line = scenario.reproducer();
         assert!(line.contains(" --mpl 2"));
         assert!(line.contains(" --deadline 40"));
         assert!(line.contains(" --max-staged 2"));
         assert!(line.contains(" --stall-threshold 16"));
-        // Gray fault kinds survive the plan's text round trip.
-        let rendered = scenario.plan.to_string();
-        assert_eq!(rendered.parse::<FaultPlan>().unwrap(), scenario.plan);
         assert!(run_scenario(&scenario).is_ok());
     }
 
@@ -878,7 +1018,7 @@ mod tests {
         // Same bug class as the once-unpinned --backend (PR 6) and --gray
         // (PR 8): the shard count routes the replay to a different driver,
         // so it is rendered even at its default of 1.
-        let plan = FaultPlan::from_seed_sharded(3, 40, 3, 2);
+        let plan = FaultPlan::from_seed(3, 40, 3, FaultMix::Sharded { nshards: 2 });
         let mut scenario = SimScenario::new(Combo::UipNrbc, 3, plan);
         let line = scenario.reproducer();
         assert!(line.contains(" --shards 1"), "default shard count must be pinned: {line}");
@@ -891,25 +1031,21 @@ mod tests {
         assert!(line.contains(" --shards 3"));
         assert!(line.contains(" --2pc-crash"));
         assert!(line.contains(" --lose-decision"));
-        // Sharded fault kinds (shards{mask} / twopc{step}) survive the
-        // plan's text round trip, so the pinned --faults list replays.
-        let rendered = scenario.plan.to_string();
-        assert_eq!(rendered.parse::<FaultPlan>().unwrap(), scenario.plan);
     }
 
     #[test]
     fn group_commit_reproducer_round_trips() {
-        let plan = FaultPlan::from_seed(5, 40, 3);
+        let plan = FaultPlan::from_seed(5, 40, 3, FaultMix::Storage);
         let mut scenario = SimScenario::new(Combo::UipNrbc, 5, plan);
-        scenario.group_commit = true;
+        scenario.cfg.group_commit = true;
         assert!(scenario.reproducer().contains(" --group-commit"));
         assert!(run_scenario(&scenario).is_ok());
     }
 
     #[test]
     fn weakened_combo_is_caught_and_shrunk_small() {
-        let cfg = SweepCfg { horizon: 60, faults: 4, ..SweepCfg::new(Combo::UipSymNfc, 64) };
-        let fail = sweep(&cfg).expect("uip-sym-nfc must fail within the sweep");
+        let hunt = Sweep { horizon: 60, faults: 4, ..Sweep::new(template(Combo::UipSymNfc), 64) };
+        let fail = sweep(&hunt).expect("uip-sym-nfc must fail within the sweep");
         // The shrunk reproducer involves at most 3 live transactions.
         assert!(
             fail.shrunk.live_txns() <= 3,
@@ -918,14 +1054,27 @@ mod tests {
             fail.shrunk.reproducer()
         );
         // The reproducer line round-trips through the scenario runner.
-        assert!(run_scenario(&fail.shrunk).is_err(), "shrunk scenario must still fail");
+        assert!(run(&fail.shrunk).is_err(), "shrunk scenario must still fail");
         let line = fail.shrunk.reproducer();
         assert!(line.contains("--combo uip-sym-nfc") && line.contains("--faults"));
     }
 
     #[test]
+    fn k_subsets_come_in_lexicographic_order() {
+        assert_eq!(
+            k_subsets(&[1, 2, 4, 7], 2),
+            [[1, 2], [1, 4], [1, 7], [2, 4], [2, 7], [4, 7]].map(Vec::from)
+        );
+        assert_eq!(
+            k_subsets(&[1, 2, 4, 7], 3),
+            [[1, 2, 4], [1, 2, 7], [1, 4, 7], [2, 4, 7]].map(Vec::from)
+        );
+        assert!(k_subsets(&[1, 2], 3).is_empty());
+    }
+
+    #[test]
     fn scenario_runs_are_deterministic() {
-        let plan = FaultPlan::from_seed(3, 40, 3);
+        let plan = FaultPlan::from_seed(3, 40, 3, FaultMix::Storage);
         let scenario = SimScenario::new(Combo::DuNfc, 3, plan);
         let a = run_scenario(&scenario).unwrap();
         let b = run_scenario(&scenario).unwrap();

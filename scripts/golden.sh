@@ -80,6 +80,13 @@ commands() {
   done
   echo "mc --backend disk --mutate skip-epoch-bump --json"
   echo "mc --backend disk --shards 2 --mutate lose-decision --json"
+  # Closed oracle findings (ROADMAP items 7 and 8), appended in PR 16: a
+  # gtid reissued after a fleet crash, and three histories that restart
+  # from a checkpoint image (crash, degrade-rebuild, storage tear).
+  echo "sim --combo uip-nrbc --seed 0 --txns 8 --skip 6,7 --shards 3 --faults 9:crash --json"
+  echo "sim --combo uip-nrbc --policy wound --seed 7 --txns 16 --objects 4 --ckpt 4 --faults 78:crash --json"
+  echo "sim --combo du-nfc --seed 5 --group-commit --faults 25:full,53:crash --json"
+  echo "sim --combo escrow-uip-nrbc --seed 7 --objects 4 --ckpt 4 --faults 24:sect1,40:flip4093 --json"
 }
 
 run_all() {

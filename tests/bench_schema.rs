@@ -5,13 +5,13 @@
 
 use std::collections::BTreeSet;
 
-use ccr_adt::bank::{bank_nrbc, BankAccount, BankInv};
-use ccr_core::ids::ObjectId;
-use ccr_runtime::engine::UipEngine;
-use ccr_workload::gen::{banking, WorkloadCfg};
-use ccr_workload::harness::{run_config, HarnessCfg};
+use ccr::adt::bank::{bank_nrbc, BankAccount, BankInv};
+use ccr::core::ids::ObjectId;
+use ccr::runtime::engine::UipEngine;
+use ccr::workload::gen::{banking, WorkloadCfg};
+use ccr::workload::harness::{run_config, HarnessCfg};
 
-const BASELINE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../reports/BENCH_baseline.json");
+const BASELINE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/reports/BENCH_baseline.json");
 
 /// Collect every distinct `"key":` token in a JSON blob (nested objects
 /// included — histogram sub-keys are part of the schema).
@@ -79,8 +79,8 @@ fn baseline_report_schema_matches_fresh_outcomes() {
 /// that contract.
 #[test]
 fn sim_metrics_schema_pins_the_storage_fault_counters() {
-    use ccr_runtime::fault::FaultPlan;
-    use ccr_workload::sim::{run_scenario_traced, Combo, SimScenario};
+    use ccr::runtime::fault::FaultPlan;
+    use ccr::workload::sim::{run_scenario_traced, Combo, SimScenario};
 
     let scenario = SimScenario::new(Combo::UipNrbc, 7, FaultPlan::none());
     let (result, artifacts) = run_scenario_traced(&scenario);
@@ -160,11 +160,11 @@ fn sim_metrics_schema_pins_the_storage_fault_counters() {
 /// smoke step and EXPERIMENTS.md S4 script against.
 #[test]
 fn group_commit_bench_schema_matches_fresh_report() {
-    use ccr_workload::bench::{run_bench, BenchCfg};
+    use ccr::workload::bench::{run_bench, BenchCfg};
 
     let committed = std::fs::read_to_string(concat!(
         env!("CARGO_MANIFEST_DIR"),
-        "/../../reports/BENCH_group_commit.json"
+        "/reports/BENCH_group_commit.json"
     ))
     .expect(
         "reports/BENCH_group_commit.json is committed; regenerate with \
@@ -194,11 +194,11 @@ fn group_commit_bench_schema_matches_fresh_report() {
 /// EXPERIMENTS.md S8 script against.
 #[test]
 fn overload_bench_schema_matches_fresh_report() {
-    use ccr_workload::overload::{run_overload, OverloadCfg};
+    use ccr::workload::overload::{run_overload, OverloadCfg};
 
     let committed = std::fs::read_to_string(concat!(
         env!("CARGO_MANIFEST_DIR"),
-        "/../../reports/BENCH_overload.json"
+        "/reports/BENCH_overload.json"
     ))
     .expect(
         "reports/BENCH_overload.json is committed; regenerate with \
@@ -226,16 +226,14 @@ fn overload_bench_schema_matches_fresh_report() {
 /// `cargo test` time with a smaller shape.
 #[test]
 fn shard_bench_schema_matches_fresh_report() {
-    use ccr_workload::shard_sim::{run_shard_bench, ShardBenchCfg};
+    use ccr::workload::shard_sim::{run_shard_bench, ShardBenchCfg};
 
-    let committed = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../reports/BENCH_shard.json"
-    ))
-    .expect(
-        "reports/BENCH_shard.json is committed; regenerate with \
+    let committed =
+        std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/reports/BENCH_shard.json"))
+            .expect(
+                "reports/BENCH_shard.json is committed; regenerate with \
          `ccr-experiments bench-shard --out reports/BENCH_shard.json`",
-    );
+            );
     let committed_keys = json_keys(&committed);
     assert!(!committed_keys.is_empty(), "committed report must contain JSON objects");
 
@@ -257,12 +255,12 @@ fn shard_bench_schema_matches_fresh_report() {
 /// count the damage site exactly once.
 #[test]
 fn unflip_repair_reconciles_disk_and_header_stats() {
-    use ccr_adt::bank::{bank_nrbc, BankAccount, BankInv};
-    use ccr_core::conflict::FnConflict;
-    use ccr_core::ids::ObjectId;
-    use ccr_runtime::crash::{DurableSystem, RedoError, TornPolicy};
-    use ccr_runtime::engine::UipEngine;
-    use ccr_store::{LogBackend, WalBackend, WalConfig};
+    use ccr::adt::bank::{bank_nrbc, BankAccount, BankInv};
+    use ccr::core::conflict::FnConflict;
+    use ccr::core::ids::ObjectId;
+    use ccr::runtime::crash::{DurableSystem, RedoError, TornPolicy};
+    use ccr::runtime::engine::UipEngine;
+    use ccr::store::{LogBackend, WalBackend, WalConfig};
 
     let mut sys: DurableSystem<
         BankAccount,
@@ -324,14 +322,14 @@ fn unflip_repair_reconciles_disk_and_header_stats() {
 /// every hole).
 #[test]
 fn recovery_scan_counters_count_each_fault_once() {
-    use ccr_runtime::fault::FaultPlan;
-    use ccr_workload::sim::{run_scenario, Combo, SimScenario};
+    use ccr::runtime::fault::FaultPlan;
+    use ccr::workload::sim::{run_scenario, Combo, SimScenario};
 
     let plan: FaultPlan = "30:reorder,45:sect1".parse().expect("fault spec parses");
     let mut scenario = SimScenario::new(Combo::UipNrbc, 3, plan);
     // Group commit makes the flushes multi-record, so the tears land on
     // batch tails — the case whose repair takes the most re-scanning.
-    scenario.group_commit = true;
+    scenario.cfg.group_commit = true;
     let report = run_scenario(&scenario).expect("oracle must pass");
     assert_eq!(report.faults_injected, 2, "both storage faults must fire");
     assert_eq!(

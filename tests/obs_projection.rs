@@ -1,23 +1,23 @@
 //! The `SystemStats` counters are maintained incrementally by the tracer's
-//! `absorb` as events are emitted — and `ccr_obs::project` replays the same
+//! `absorb` as events are emitted — and `ccr::obs::project` replays the same
 //! `absorb` over the recorded event stream. These tests pin the refactor's
 //! core invariant: on every scenario (policies, engines, every fault kind,
 //! crash recovery) the projection of the recorded events equals the
 //! incrementally maintained counters, i.e. the counters really are a pure
 //! function of the trace.
 
-use ccr_adt::bank::{bank_nfc, bank_nrbc, BankAccount, BankInv};
-use ccr_core::atomicity::SystemSpec;
-use ccr_core::ids::ObjectId;
-use ccr_runtime::crash::DurableSystem;
-use ccr_runtime::engine::{DuEngine, UipEngine};
-use ccr_runtime::fault::{FaultKind, FaultPlan, FaultSpec};
-use ccr_runtime::scheduler::{run, SchedulerCfg};
-use ccr_runtime::script::{OpsScript, Script};
-use ccr_runtime::sim::{run_sim, SimCfg};
-use ccr_runtime::system::{ConflictPolicy, TxnSystem};
-use ccr_runtime::threaded::{run_threaded, ThreadedCfg};
-use ccr_store::{WalBackend, WalConfig};
+use ccr::adt::bank::{bank_nfc, bank_nrbc, BankAccount, BankInv};
+use ccr::core::atomicity::SystemSpec;
+use ccr::core::ids::ObjectId;
+use ccr::runtime::crash::DurableSystem;
+use ccr::runtime::engine::{DuEngine, UipEngine};
+use ccr::runtime::fault::{FaultKind, FaultMix, FaultPlan, FaultSpec};
+use ccr::runtime::scheduler::{run, SchedulerCfg};
+use ccr::runtime::script::{OpsScript, Script};
+use ccr::runtime::sim::{run_sim, SimCfg};
+use ccr::runtime::system::{ConflictPolicy, TxnSystem};
+use ccr::runtime::threaded::{run_threaded, ThreadedCfg};
+use ccr::store::{WalBackend, WalConfig};
 
 const X: ObjectId = ObjectId::SOLE;
 
@@ -32,9 +32,9 @@ fn scripts(n: usize) -> Vec<Box<dyn Script<BankAccount>>> {
 
 fn assert_projection_matches<A, E, C>(sys: &TxnSystem<A, E, C>)
 where
-    A: ccr_core::adt::Adt,
-    E: ccr_runtime::engine::RecoveryEngine<A>,
-    C: ccr_core::conflict::Conflict<A>,
+    A: ccr::core::adt::Adt,
+    E: ccr::runtime::engine::RecoveryEngine<A>,
+    C: ccr::core::conflict::Conflict<A>,
 {
     let obs = sys.obs();
     assert!(obs.record_events(), "projection needs the event stream");
@@ -179,7 +179,7 @@ fn projection_matches_on_seeded_fault_plans() {
     // a broader net than the hand-picked plan above.
     let spec = SystemSpec::single(BankAccount::default());
     for seed in 0..8 {
-        let plan = FaultPlan::from_seed(seed, 40, 4);
+        let plan = FaultPlan::from_seed(seed, 40, 4, FaultMix::Storage);
         let mut sys: DurableSystem<BankAccount, UipEngine<BankAccount>, _> =
             DurableSystem::new(BankAccount::default(), 1, bank_nrbc());
         run_sim(&mut sys, scripts(6), &plan, &SimCfg { seed, ..Default::default() }, &spec, None)

@@ -4,14 +4,14 @@
 //! off here), so any nondeterminism in scheduling, iteration order or string
 //! rendering shows up as a byte diff.
 
-use ccr_adt::bank::{bank_nrbc, BankAccount};
-use ccr_obs::chrome_trace;
-use ccr_runtime::engine::UipEngine;
-use ccr_runtime::fault::FaultPlan;
-use ccr_runtime::system::TxnSystem;
-use ccr_runtime::threaded::{run_threaded, ThreadedCfg};
-use ccr_workload::gen::{banking, WorkloadCfg};
-use ccr_workload::sim::{run_scenario_traced, Combo, SimScenario};
+use ccr::adt::bank::{bank_nrbc, BankAccount};
+use ccr::obs::chrome_trace;
+use ccr::runtime::engine::UipEngine;
+use ccr::runtime::fault::FaultPlan;
+use ccr::runtime::system::TxnSystem;
+use ccr::runtime::threaded::{run_threaded, ThreadedCfg};
+use ccr::workload::gen::{banking, WorkloadCfg};
+use ccr::workload::sim::{run_scenario_traced, Combo, SimScenario};
 
 #[test]
 fn same_seed_renders_byte_identical_chrome_traces() {

@@ -9,8 +9,8 @@
 
 use std::collections::BTreeSet;
 
-use ccr_runtime::fault::FaultPlan;
-use ccr_workload::sim::{run_scenario_traced, Combo, SimScenario};
+use ccr::runtime::fault::{FaultMix, FaultPlan};
+use ccr::workload::sim::{run_scenario_traced, Combo, SimScenario};
 
 /// Collect every distinct `"key":` token in a JSON blob (nested objects
 /// included — histogram and row sub-keys are part of the schema).
@@ -54,7 +54,7 @@ fn num_field(json: &str, key: &str) -> f64 {
 fn traced_scenario() -> SimScenario {
     let plan: FaultPlan = "12:crash,30:torn2".parse().expect("fault spec parses");
     let mut scenario = SimScenario::new(Combo::UipNrbc, 7, plan);
-    scenario.group_commit = true;
+    scenario.cfg.group_commit = true;
     scenario
 }
 
@@ -172,9 +172,9 @@ fn inspector_agrees_with_recovery_across_a_32_seed_sweep() {
     // itself confirms — both on the image as-is and with its last flush
     // re-torn.
     for seed in 0..32 {
-        let plan = FaultPlan::from_seed(seed, 60, 4);
+        let plan = FaultPlan::from_seed(seed, 60, 4, FaultMix::Storage);
         let mut scenario = SimScenario::new(Combo::UipNrbc, seed, plan);
-        scenario.group_commit = true;
+        scenario.cfg.group_commit = true;
         let (_, artifacts) = run_scenario_traced(&scenario);
         assert_eq!(
             artifacts.inspect_agreement,
@@ -188,13 +188,13 @@ fn inspector_agrees_with_recovery_across_a_32_seed_sweep() {
 fn threaded_wall_coverage_accounts_for_commit_time() {
     use std::time::Duration;
 
-    use ccr_adt::bank::{bank_nrbc, BankAccount};
-    use ccr_obs::Phase;
-    use ccr_runtime::engine::UipEngine;
-    use ccr_runtime::system::TxnSystem;
-    use ccr_runtime::threaded::{run_threaded_durable, GroupCommitCfg, ThreadedCfg};
-    use ccr_store::{WalBackend, WalConfig};
-    use ccr_workload::gen::{banking, WorkloadCfg};
+    use ccr::adt::bank::{bank_nrbc, BankAccount};
+    use ccr::obs::Phase;
+    use ccr::runtime::engine::UipEngine;
+    use ccr::runtime::system::TxnSystem;
+    use ccr::runtime::threaded::{run_threaded_durable, GroupCommitCfg, ThreadedCfg};
+    use ccr::store::{WalBackend, WalConfig};
+    use ccr::workload::gen::{banking, WorkloadCfg};
 
     let sys: TxnSystem<BankAccount, UipEngine<BankAccount>, _> =
         TxnSystem::new(BankAccount::default(), 8, bank_nrbc());

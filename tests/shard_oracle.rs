@@ -6,9 +6,18 @@
 //! shards) staying quiet on correct runs, and the lose-the-decision-record
 //! negative control being caught, shrunk, and pinned in its reproducer.
 
-use ccr::runtime::fault::FaultPlan;
-use ccr::workload::shard_sim::{run_shard_scenario, shrink_shard, sweep_shard};
-use ccr::workload::sim::{Backend, Combo, SimScenario, SweepCfg};
+use ccr::runtime::fault::{FaultMix, FaultPlan};
+use ccr::workload::shard_sim::run_shard_scenario;
+use ccr::workload::sim::{run, shrink, sweep, Backend, Combo, SimScenario, Sweep};
+
+/// A fault-free `shards`-shard scenario with every cross-shard commit routed
+/// through a 2PC-step crash — the template the acceptance sweeps run.
+fn crashing_fleet(shards: usize) -> SimScenario {
+    let mut template = SimScenario::new(Combo::UipNrbc, 0, FaultPlan::none());
+    template.shards = shards;
+    template.twopc_crash = true;
+    template
+}
 
 /// The acceptance sweep: 32 seeds per cell over shard count × group commit
 /// on the disk backend, every cross-shard commit routed through
@@ -20,15 +29,9 @@ use ccr::workload::sim::{Backend, Combo, SimScenario, SweepCfg};
 fn sharded_sweep_survives_crashes_of_every_shard_subset_and_2pc_step() {
     for shards in [2usize, 3] {
         for group_commit in [false, true] {
-            let cfg = SweepCfg {
-                horizon: 60,
-                faults: 4,
-                shards,
-                group_commit,
-                twopc_crash: true,
-                ..SweepCfg::new(Combo::UipNrbc, 32)
-            };
-            let failure = sweep_shard(&cfg);
+            let mut template = crashing_fleet(shards);
+            template.cfg.group_commit = group_commit;
+            let failure = sweep(&Sweep { horizon: 60, faults: 4, ..Sweep::new(template, 32) });
             assert!(
                 failure.is_none(),
                 "sharded sweep failed (shards: {shards}, group_commit: {group_commit}): {:?}",
@@ -43,15 +46,9 @@ fn sharded_sweep_survives_crashes_of_every_shard_subset_and_2pc_step() {
 /// must still hold (the coordinator log is the only durable truth).
 #[test]
 fn sharded_sweep_passes_on_the_mem_backend() {
-    let cfg = SweepCfg {
-        horizon: 60,
-        faults: 4,
-        backend: Backend::Mem,
-        shards: 2,
-        twopc_crash: true,
-        ..SweepCfg::new(Combo::UipNrbc, 32)
-    };
-    assert!(sweep_shard(&cfg).is_none(), "mem-backend sharded sweep must pass");
+    let template = SimScenario { backend: Backend::Mem, ..crashing_fleet(2) };
+    let cells = Sweep { horizon: 60, faults: 4, ..Sweep::new(template, 32) };
+    assert!(sweep(&cells).is_none(), "mem-backend sharded sweep must pass");
 }
 
 /// Same sharded scenario ⇒ identical reports and byte-identical JSON —
@@ -59,7 +56,7 @@ fn sharded_sweep_passes_on_the_mem_backend() {
 /// with `cmp` on two CLI runs.
 #[test]
 fn sharded_runs_are_deterministic_through_the_facade() {
-    let plan = FaultPlan::from_seed_sharded(9, 60, 4, 3);
+    let plan = FaultPlan::from_seed(9, 60, 4, FaultMix::Sharded { nshards: 3 });
     let mut scenario = SimScenario::new(Combo::UipNrbc, 9, plan);
     scenario.shards = 3;
     scenario.twopc_crash = true;
@@ -78,42 +75,37 @@ fn sharded_runs_are_deterministic_through_the_facade() {
 /// `--backend` in PR 6 and `--gray` in PR 8 must not recur here.
 #[test]
 fn lost_decision_record_is_caught_shrunk_and_pinned() {
-    let plan = FaultPlan::from_seed_sharded(11, 40, 3, 2);
+    let plan = FaultPlan::from_seed(11, 40, 3, FaultMix::Sharded { nshards: 2 });
     let mut scenario = SimScenario::new(Combo::UipNrbc, 11, plan);
     scenario.shards = 2;
     scenario.lose_decision = true;
-    let failure = run_shard_scenario(&scenario).expect_err("the planted bug must be caught");
+    let failure = run(&scenario).expect_err("the planted bug must be caught");
     assert_eq!(failure.kind(), "global-split", "wrong leg fired: {failure}");
 
-    let (shrunk, shrunk_failure, _) = shrink_shard(&scenario);
-    assert_eq!(shrunk_failure.kind(), "global-split", "shrinking must preserve the kind");
-    assert!(
-        run_shard_scenario(&shrunk).is_err(),
-        "shrunk reproducer must still fail: {}",
-        shrunk.reproducer()
-    );
-    let line = shrunk.reproducer();
+    let found = shrink(&scenario);
+    assert_eq!(found.failure.kind(), "global-split", "shrinking must preserve the kind");
+    let line = found.shrunk.reproducer();
+    assert!(run(&found.shrunk).is_err(), "shrunk reproducer must still fail: {line}");
     for flag in [" --shards 2", " --lose-decision", " --backend "] {
         assert!(line.contains(flag), "reproducer missing {flag:?}: {line}");
     }
 }
 
-/// Open finding (ROADMAP item 7), red since PR 11: one `crash` fault at
-/// event 9 of this three-shard run leaves gtid 3 committed on shards 0 and 1
-/// and aborted on shard 2, and the eighth oracle leg says so
-/// (`global atomicity split`). The assertion is the behaviour the fix must
-/// produce; un-ignore the test in the PR that makes it pass. The same run
-/// from the command line:
-/// `ccr-experiments sim --combo uip-nrbc --seed 0 --txns 8 --ops 2
-/// --objects 1 --skip 6,7 --shards 3 --faults 9:crash`.
+/// ROADMAP item 7, red from PR 11 to PR 15: one `crash` fault at event 9 of
+/// this three-shard run aborts logical transaction 4 while it holds gtid 3
+/// with no durable trace; the coordinator's allocator restarts below it by
+/// design and transaction 5 is issued gtid 3 again. The eighth leg used to
+/// key its book by gtid and judged 4's participant list `[0, 1, 2]` against
+/// 5's visibility on `[0, 1]` — an oracle false positive, not a split. The
+/// same run from the command line: `ccr-experiments sim --combo uip-nrbc
+/// --seed 0 --txns 8 --skip 6,7 --shards 3 --faults 9:crash`.
 #[test]
-#[ignore = "open finding: global atomicity split under a plain crash on 3 shards (ROADMAP item 7)"]
 fn a_plain_crash_on_three_shards_must_not_split_a_global_transaction() {
     let plan = "9:crash".parse().expect("a well-formed fault plan");
     let mut scenario = SimScenario::new(Combo::UipNrbc, 0, plan);
     scenario.skip = vec![6, 7];
     scenario.shards = 3;
-    if let Err(failure) = run_shard_scenario(&scenario) {
+    if let Err(failure) = run(&scenario) {
         panic!("{failure}\n  {}", scenario.reproducer());
     }
 }

@@ -6,7 +6,7 @@
 
 use ccr::runtime::fault::FaultPlan;
 use ccr::workload::sim::{
-    run_scenario, run_scenario_traced, sweep, Backend, Combo, SimScenario, SweepCfg,
+    run, run_scenario, run_scenario_traced, sweep, Backend, Combo, SimScenario, Sweep,
 };
 
 /// Same `(seed, FaultPlan)` ⇒ identical run reports (which embed the
@@ -51,11 +51,12 @@ fn traced_runs_report_the_legacy_counters() {
 /// still fails.
 #[test]
 fn weakened_relation_is_caught_and_shrunk() {
-    let cfg = SweepCfg { horizon: 60, faults: 4, ..SweepCfg::new(Combo::UipSymNfc, 64) };
-    let f = sweep(&cfg).expect("weakened combo must be caught");
+    let template = SimScenario::new(Combo::UipSymNfc, 0, FaultPlan::none());
+    let hunt = Sweep { horizon: 60, faults: 4, ..Sweep::new(template, 64) };
+    let f = sweep(&hunt).expect("weakened combo must be caught");
     assert!(f.shrunk.live_txns() <= 3, "reproducer too large: {}", f.shrunk.reproducer());
     assert!(
-        run_scenario(&f.shrunk).is_err(),
+        run(&f.shrunk).is_err(),
         "shrunk reproducer must still fail: {}",
         f.shrunk.reproducer()
     );
@@ -70,15 +71,12 @@ fn weakened_relation_is_caught_and_shrunk() {
 fn recovery_convergence_survives_a_32_seed_sweep() {
     for combo in [Combo::UipNrbc, Combo::DuNfc] {
         for group_commit in [false, true] {
-            let cfg = SweepCfg {
-                horizon: 60,
-                faults: 4,
-                group_commit,
-                fault_during_recovery: true,
-                ..SweepCfg::new(combo, 32)
-            };
+            let mut template = SimScenario::new(combo, 0, FaultPlan::none());
+            template.cfg.group_commit = group_commit;
+            template.cfg.fault_during_recovery = true;
+            let cells = Sweep { horizon: 60, faults: 4, ..Sweep::new(template, 32) };
             assert!(
-                sweep(&cfg).is_none(),
+                sweep(&cells).is_none(),
                 "recovery convergence failed for {combo} (group_commit: {group_commit})"
             );
         }
@@ -125,6 +123,58 @@ fn skipped_epoch_bump_divergence_is_caught_by_the_convergence_leg() {
         .check_recovery_convergence(TailPolicy::DiscardTail)
         .expect_err("skipping the epoch bump must be caught");
     assert!(err.reason.contains("epoch"), "unexpected divergence reason: {}", err.reason);
+}
+
+/// Parse a `sim` command line exactly as the CLI does.
+fn scenario(flags: &str) -> SimScenario {
+    let args: Vec<String> = flags.split_whitespace().map(str::to_string).collect();
+    SimScenario::parse_args(&args, |_, _| Ok(false)).expect("a well-formed sim command line")
+}
+
+/// ROADMAP item 8, red from PR 14 to PR 15: a crash (or a degrade) after a
+/// checkpoint rebuilds the system from the checkpoint image, and the
+/// recorded history restarts from there — but the history leg judged it
+/// against objects starting at `initial()`, so any response that was only
+/// legal thanks to the image's balance read as a dynamic-atomicity
+/// violation. The leg is now seeded from the image the trace epoch was
+/// rebuilt from; these four runs (checkpoint-then-crash on both backends, a
+/// degrade-rebuild under group commit, a storage tear across a checkpoint on
+/// escrow) are correct pairings and must pass.
+#[test]
+fn histories_that_restart_from_a_checkpoint_image_pass_the_history_leg() {
+    for flags in [
+        "--combo uip-nrbc --policy wound --seed 7 --txns 16 --objects 4 --ckpt 4 --faults 78:crash",
+        "--combo uip-nrbc --policy wound --seed 7 --txns 16 --objects 4 --ckpt 4 --backend mem \
+         --faults 78:crash",
+        "--combo du-nfc --seed 5 --group-commit --faults 25:full,53:crash",
+        "--combo escrow-uip-nrbc --seed 7 --objects 4 --ckpt 4 --faults 24:sect1,40:flip4093",
+    ] {
+        let scenario = scenario(flags);
+        if let Err(failure) = run(&scenario) {
+            panic!("{failure}\n  {}", scenario.reproducer());
+        }
+    }
+}
+
+/// The other direction: seeding the history leg from the checkpoint image
+/// must not blind it. Three checkpoints precede this run's crash, the
+/// weakened relation then commits a serially impossible response in the
+/// epoch rebuilt from the third image, and the leg must still refuse it.
+#[test]
+fn a_non_atomic_history_across_a_checkpoint_still_fails_the_history_leg() {
+    let scenario = scenario(
+        "--combo uip-sym-nfc --policy wound --seed 13 --txns 16 --objects 2 --ckpt 2 \
+         --faults 60:crash",
+    );
+    let (result, artifacts) = run_scenario_traced(&scenario);
+    let failure = result.expect_err("the weakened relation must be caught after the rebuild");
+    assert_eq!(failure.failure.kind(), "not-dynamic-atomic", "wrong leg fired: {failure}");
+    assert!(failure.at_event > 60, "the refuted epoch must be the post-crash one: {failure}");
+    let first = |name: &str| artifacts.chrome.find(&format!("\"name\":\"{name}\""));
+    assert!(
+        first("checkpoint").expect("checkpoints traced") < first("fault").expect("crash traced"),
+        "a checkpoint must precede the crash for the epoch to start from an image"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -195,6 +245,74 @@ mod leg_controls {
 
     fn one_crash() -> FaultPlan {
         FaultPlan::new(vec![FaultSpec { at_event: 10, kind: FaultKind::Crash }])
+    }
+
+    /// Leg 1 across a rebuild: with balance 5 folded into a checkpoint
+    /// image, a crash restarts the recorded history from that image, and a
+    /// committed `withdraw(4) → Ok` — impossible from the empty account — is
+    /// serial from it. The history leg must judge the epoch from the image
+    /// it was rebuilt from.
+    #[test]
+    fn history_leg_starts_each_epoch_from_the_image_it_was_rebuilt_from() {
+        let mut sys = fresh_uip();
+        let t = sys.begin();
+        sys.invoke(t, X, BankInv::Deposit(5)).unwrap();
+        sys.commit(t).unwrap();
+        sys.checkpoint();
+        let withdraw: Vec<Box<dyn Script<BankAccount>>> =
+            vec![Box::new(OpsScript::on(X, vec![BankInv::Withdraw(4)]))];
+        let crash_first = FaultPlan::new(vec![FaultSpec { at_event: 1, kind: FaultKind::Crash }]);
+        run_sim(&mut sys, withdraw, &crash_first, &SimCfg::default(), &spec(), None)
+            .expect("a withdrawal the image covers is serial from the image");
+        assert_eq!(sys.committed_state(X), 1);
+    }
+
+    /// ... and only from that image: under the weakened relation a
+    /// `withdraw(7)` reads through an uncommitted `deposit(3)` on top of the
+    /// image's 5; a fault aborting the depositor leaves a committed response
+    /// that is not serial from 5 either. Seeding the leg must not excuse it.
+    #[test]
+    fn history_leg_still_refutes_a_non_atomic_epoch_rebuilt_from_an_image() {
+        use ccr::core::conflict::SymmetricClosure;
+        type Weak = DurableSystem<
+            BankAccount,
+            UipEngine<BankAccount>,
+            SymmetricClosure<FnConflict<BankAccount>>,
+            WalBackend<BankAccount>,
+        >;
+        let mut caught = 0;
+        for seed in 0..32u64 {
+            for abort_at in 2..12u64 {
+                let mut sys: Weak = DurableSystem::with_backend(
+                    BankAccount::default(),
+                    1,
+                    SymmetricClosure(bank_nfc()),
+                    WalBackend::new(WalConfig::default()),
+                );
+                let t = sys.begin();
+                sys.invoke(t, X, BankInv::Deposit(5)).unwrap();
+                sys.commit(t).unwrap();
+                sys.checkpoint();
+                let scripts: Vec<Box<dyn Script<BankAccount>>> = vec![
+                    Box::new(OpsScript::on(X, vec![BankInv::Deposit(3)])),
+                    Box::new(OpsScript::on(X, vec![BankInv::Withdraw(7)])),
+                ];
+                let plan = FaultPlan::new(vec![
+                    FaultSpec { at_event: 1, kind: FaultKind::Crash },
+                    FaultSpec { at_event: abort_at, kind: FaultKind::ForceAbort },
+                ]);
+                let cfg = SimCfg { seed, ..Default::default() };
+                if let Err(e) = run_sim(&mut sys, scripts, &plan, &cfg, &spec(), None) {
+                    assert!(
+                        matches!(e.failure, OracleFailure::NotDynamicAtomic(_)),
+                        "wrong leg fired: {}",
+                        e.failure
+                    );
+                    caught += 1;
+                }
+            }
+        }
+        assert!(caught > 0, "the read-through must be refuted from the image within the sweep");
     }
 
     /// Leg 2 (journal equieffectivity): a WAL record whose recorded
@@ -345,8 +463,8 @@ fn reproducer_lines_pin_the_full_configuration() {
     let line = scenario.reproducer();
     assert!(line.contains("--backend disk"), "default backend must be explicit: {line}");
     scenario.backend = Backend::Mem;
-    scenario.group_commit = true;
-    scenario.fault_during_recovery = true;
+    scenario.cfg.group_commit = true;
+    scenario.cfg.fault_during_recovery = true;
     let line = scenario.reproducer();
     assert!(line.contains("--backend mem"), "missing backend: {line}");
     assert!(line.contains("--group-commit"), "missing group commit: {line}");
