@@ -84,7 +84,7 @@ impl Default for SchedulerCfg {
 ///   `rounds == committed + voluntary_aborts + retries` holds exactly.
 /// - `wait_rounds` is the executor's unit of lost concurrency: driver-rounds
 ///   spent blocked or sleeping (scheduler), condvar wait slices elapsed
-///   while blocked (threaded).
+///   while blocked or asleep after a restart (threaded).
 /// - `admission_rounds` counts time queued by admission control under an
 ///   MPL bound: driver-rounds held back (scheduler), admission wait slices
 ///   elapsed while parked (threaded). Zero when `mpl` is unlimited.
@@ -115,7 +115,7 @@ pub struct RunReport {
     pub rounds: u64,
     /// Driver-rounds spent waiting (blocked or sleeping after an abort) —
     /// the cross-configuration "lost concurrency" measure. Condvar wait
-    /// slices for the threaded executor.
+    /// slices, blocked or asleep after a restart, for the threaded executor.
     pub wait_rounds: u64,
     /// Final system counters.
     pub stats: SystemStats,
@@ -426,11 +426,14 @@ pub(crate) fn backoff_base(retries: usize) -> u64 {
 }
 
 /// Reset a driver after a system abort. The driver sleeps (via
-/// `blocked_epoch`) until the next completion event so that a restarted
+/// `sleep_until_commit`) until some transaction commits, so that a restarted
 /// deadlock victim does not immediately re-acquire its locks and get chosen
 /// as the victim again — without this, clique-shaped conflicts livelock.
-/// On top of that it backs off exponentially with the caller's seeded
-/// jitter, so repeat offenders retreat further each time.
+/// It is the wake rule `threaded.rs`'s `restart` states for the worker pool
+/// (there "or no transaction is active" is a clause of the wait; here the
+/// no-progress arm of [`run`] wakes a sleeper). On top of that it backs off
+/// exponentially with the caller's seeded jitter, so repeat offenders
+/// retreat further each time.
 fn restart<A: Adt>(
     d: &mut Driver<A>,
     cfg: &SchedulerCfg,

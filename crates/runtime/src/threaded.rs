@@ -1,40 +1,44 @@
-//! A multi-threaded executor over [`TxnSystem`].
+//! The multi-threaded executor over [`TxnSystem`]: one worker loop and one
+//! restart path, with or without a log underneath.
 //!
-//! Worker threads pull scripts from a shared queue and drive them against a
-//! mutex-protected system. Blocked invocations wait on a condvar that is
-//! signalled whenever any transaction completes (completion is what releases
-//! implicit locks). Deadlocks are detected while holding the manager lock:
-//! a blocked worker checks the wait-for graph and, if its own transaction is
-//! the youngest on a cycle, self-aborts and retries.
+//! Worker threads pull scripts from a shared queue and run each as one
+//! transaction per `attempt` against a mutex-protected `WriteAhead` (the
+//! system plus the buffer that turns executed operations into commit
+//! records). A blocked invocation waits on a condvar that is signalled
+//! whenever any transaction completes (completion is what releases implicit
+//! locks). Deadlocks are detected while holding the system mutex: a blocked
+//! worker checks the wait-for graph and, if its own transaction is the
+//! youngest on a cycle, aborts it. Every attempt the system aborts starts
+//! over through `restart`, which states the executor's wake rule.
 //!
-//! The manager lock serialises bookkeeping, not transactions: waiting
-//! transactions release the lock, so the admitted interleavings are those of
-//! the conflict relation, which is what the experiments measure.
+//! The system mutex serialises bookkeeping, not transactions: waiting
+//! transactions release it, so the admitted interleavings are those of the
+//! conflict relation, which is what the experiments measure.
 //!
-//! [`run_threaded_durable`] adds write-ahead journaling through a
-//! [`LogBackend`] with **group commit**: committers stage their record in a
+//! The one thing a log adds is where a commit's record goes: [`run_threaded`]
+//! drops it, [`run_threaded_durable`] hands it to a `CommitLog` over a
+//! [`LogBackend`] with **group commit** — committers stage their record in a
 //! shared batch buffer and wait on a commit barrier; one of them becomes the
 //! flush leader, drains the whole batch, and makes it durable with a single
 //! fsync while the followers hold no lock on the system — the next batch
 //! forms behind the in-flight flush. See DESIGN.md §10.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use ccr_core::adt::Adt;
 use ccr_core::conflict::Conflict;
 use ccr_core::ids::TxnId;
 use ccr_obs::Phase;
-use ccr_store::{CommitRecord, LogBackend};
+use ccr_store::{CommitRecord, LogBackend, MemBackend};
 
 use crate::engine::RecoveryEngine;
 use crate::error::{AbortReason, TxnError};
 use crate::scheduler::RunReport;
 use crate::script::{Script, Step};
-use crate::system::TxnSystem;
+use crate::system::{SystemStats, TxnSystem};
 use crate::writeahead::WriteAhead;
 
 /// Threaded-executor configuration.
@@ -89,9 +93,16 @@ impl Default for ThreadedCfg {
     }
 }
 
+/// A held system mutex.
+type Vol<'s, A, E, C> = MutexGuard<'s, WriteAhead<A, E, C>>;
+
 struct Shared<A: Adt, E: RecoveryEngine<A>, C: Conflict<A>> {
-    sys: Mutex<TxnSystem<A, E, C>>,
+    /// The system mutex: the transaction system plus the write-ahead buffer
+    /// a commit takes its record from.
+    vol: Mutex<WriteAhead<A, E, C>>,
     queue: Mutex<VecDeque<Box<dyn Script<A>>>>,
+    /// Signalled on every completion (paired with `vol`): blocked
+    /// invocations and restarted scripts wait on it.
     completed: Condvar,
     tallies: Mutex<Tallies>,
     /// Signalled when an admission slot frees up (paired with `tallies`).
@@ -100,38 +111,29 @@ struct Shared<A: Adt, E: RecoveryEngine<A>, C: Conflict<A>> {
 
 #[derive(Default)]
 struct Tallies {
-    committed: u64,
-    voluntary_aborts: u64,
-    gave_up: u64,
-    deadlock_aborts: u64,
-    retries: u64,
-    blocked_ops: u64,
-    /// Transaction attempts (each `begin` of a script attempt) — the
-    /// threaded meaning of [`RunReport::rounds`].
-    rounds: u64,
-    /// Condvar wait slices elapsed while blocked — the threaded meaning of
-    /// [`RunReport::wait_rounds`].
-    wait_rounds: u64,
-    /// Admission wait slices elapsed while parked for an MPL slot — the
-    /// threaded meaning of [`RunReport::admission_rounds`].
-    admission_rounds: u64,
-    /// Transactions currently holding an admission slot (live, or — on the
-    /// durable executor — committed but still riding the commit barrier, so
-    /// WAL lag exerts backpressure on admission).
+    /// The workers' counters under the shared [`RunReport`] semantics:
+    /// `rounds` counts transaction attempts, `wait_rounds` the wait slices
+    /// elapsed while blocked or asleep after a restart, `admission_rounds`
+    /// those elapsed while parked for an MPL slot.
+    report: RunReport,
+    /// Transactions currently holding an admission slot (live, or — with a
+    /// log attached — committed but still riding the commit barrier, so WAL
+    /// lag exerts backpressure on admission).
     in_flight: u64,
 }
 
-/// Claim an admission slot: with `cfg.mpl > 0`, park until fewer than `mpl`
-/// transactions are in flight, tallying each elapsed wait slice into
-/// `admission_rounds`. With `mpl == 0` admission is unbounded and this only
-/// tracks the in-flight count.
+/// Claim an admission slot for one more attempt: with `cfg.mpl > 0`, park
+/// until fewer than `mpl` transactions are in flight, tallying each elapsed
+/// wait slice into `admission_rounds`. With `mpl == 0` admission is
+/// unbounded and this only tracks the in-flight count.
 fn admit(tallies: &Mutex<Tallies>, admitted: &Condvar, cfg: &ThreadedCfg) {
     let mut t = tallies.lock();
     while cfg.mpl > 0 && t.in_flight as usize >= cfg.mpl {
-        t.admission_rounds += 1;
+        t.report.admission_rounds += 1;
         admitted.wait_for(&mut t, cfg.wait_slice);
     }
     t.in_flight += 1;
+    t.report.rounds += 1;
 }
 
 /// Release an admission slot (the transaction committed or aborted) and
@@ -158,7 +160,7 @@ fn pause_for_backoff(cfg: &ThreadedCfg, txn: TxnId, retries: usize, observe: imp
 /// Run `scripts` over `sys` with `cfg.workers` threads; returns the report
 /// and the system (for trace/state inspection).
 pub fn run_threaded<A, E, C>(
-    mut sys: TxnSystem<A, E, C>,
+    sys: TxnSystem<A, E, C>,
     scripts: Vec<Box<dyn Script<A>>>,
     cfg: &ThreadedCfg,
 ) -> (RunReport, TxnSystem<A, E, C>)
@@ -167,215 +169,215 @@ where
     E: RecoveryEngine<A>,
     C: Conflict<A> + Send + Sync,
 {
+    // No log: the backend type only names the `None`.
+    let (tallies, sys) = run(sys, scripts, cfg, None::<&CommitLog<A, MemBackend<A>>>);
+    (report_from(tallies, sys.stats()), sys)
+}
+
+/// The executor proper: drain `scripts` with `cfg.workers` threads, handing
+/// every commit record to `log` if there is one.
+fn run<A, E, C, B>(
+    mut sys: TxnSystem<A, E, C>,
+    scripts: Vec<Box<dyn Script<A>>>,
+    cfg: &ThreadedCfg,
+    log: Option<&CommitLog<A, B>>,
+) -> (Tallies, TxnSystem<A, E, C>)
+where
+    A: Adt,
+    E: RecoveryEngine<A>,
+    C: Conflict<A> + Send + Sync,
+    B: LogBackend<A>,
+{
     if cfg.wall_clock {
         sys.obs_mut().enable_wall_clock();
     }
-    let shared = Arc::new(Shared {
-        sys: Mutex::new(sys),
-        queue: Mutex::new(scripts.into_iter().collect::<VecDeque<_>>()),
+    let shared = Shared {
+        vol: Mutex::new(WriteAhead::new(sys, 0)),
+        queue: Mutex::new(VecDeque::from(scripts)),
         completed: Condvar::new(),
-        tallies: Mutex::new(Tallies::default()),
+        tallies: Mutex::default(),
         admitted: Condvar::new(),
-    });
-
+    };
     std::thread::scope(|scope| {
         for _ in 0..cfg.workers.max(1) {
-            let shared = Arc::clone(&shared);
-            let cfg = *cfg;
-            scope.spawn(move || worker(&shared, &cfg));
+            scope.spawn(|| worker(&shared, cfg, log));
         }
     });
-
-    let shared = Arc::try_unwrap(shared).unwrap_or_else(|_| unreachable!("workers joined"));
-    let sys = shared.sys.into_inner();
-    let t = shared.tallies.into_inner();
-    let report = report_from(&t, &sys);
-    (report, sys)
+    (shared.tallies.into_inner(), shared.vol.into_inner().sys)
 }
 
-/// Assemble a [`RunReport`] from worker tallies under the shared field
-/// semantics documented on [`RunReport`]: `rounds` counts transaction
-/// attempts, `wait_rounds` counts elapsed lock-wait slices, and
-/// `admission_rounds` counts elapsed admission-wait slices (zero when
-/// [`ThreadedCfg::mpl`] is unlimited).
-fn report_from<A, E, C>(t: &Tallies, sys: &TxnSystem<A, E, C>) -> RunReport
+/// Complete the workers' tallies into a [`RunReport`] with the system's own
+/// counters.
+fn report_from(tallies: Tallies, stats: &SystemStats) -> RunReport {
+    RunReport { validation_aborts: stats.validation_aborts, stats: stats.clone(), ..tallies.report }
+}
+
+fn worker<A, E, C, B>(shared: &Shared<A, E, C>, cfg: &ThreadedCfg, log: Option<&CommitLog<A, B>>)
+where
+    A: Adt,
+    E: RecoveryEngine<A>,
+    C: Conflict<A> + Send + Sync,
+    B: LogBackend<A>,
+{
+    loop {
+        let Some(mut script) = shared.queue.lock().pop_front() else { return };
+        let mut retries = 0;
+        while let Some((txn, vol)) = attempt(shared, cfg, log, script.as_mut()) {
+            retries += 1;
+            if !restart(shared, cfg, vol, txn, retries) {
+                break;
+            }
+        }
+    }
+}
+
+/// Run `script` once as one transaction. `None` when it finished (committed
+/// or aborted voluntarily); when the system aborted the attempt, the dead
+/// transaction and the system guard the abort happened under, for
+/// [`restart`].
+fn attempt<'s, A, E, C, B>(
+    shared: &'s Shared<A, E, C>,
+    cfg: &ThreadedCfg,
+    log: Option<&CommitLog<A, B>>,
+    script: &mut dyn Script<A>,
+) -> Option<(TxnId, Vol<'s, A, E, C>)>
+where
+    A: Adt,
+    E: RecoveryEngine<A>,
+    C: Conflict<A> + Send + Sync,
+    B: LogBackend<A>,
+{
+    admit(&shared.tallies, &shared.admitted, cfg);
+    let began = Instant::now();
+    script.reset();
+    let mut last: Option<A::Response> = None;
+    let txn = shared.vol.lock().sys.begin();
+    loop {
+        match script.next(last.as_ref()) {
+            Step::Invoke(obj, inv) => {
+                let mut vol = shared.vol.lock();
+                let mut first_attempt = true;
+                last = loop {
+                    match vol.invoke(txn, obj, inv.clone()) {
+                        Ok(resp) => break Some(resp),
+                        Err(TxnError::Blocked { .. }) => {
+                            if first_attempt {
+                                shared.tallies.lock().report.blocked_ops += 1;
+                                first_attempt = false;
+                            }
+                            // Deadlock check: self-abort if this txn is the
+                            // youngest on a cycle it belongs to.
+                            if let Some(cycle) = vol.sys.find_deadlock(txn) {
+                                if cycle.iter().max() == Some(&txn) {
+                                    vol.sys.abort_with(txn, AbortReason::Deadlock).expect("active");
+                                    shared.tallies.lock().report.deadlock_aborts += 1;
+                                    return Some((txn, vol));
+                                }
+                                // Another worker owns the victim: wake every
+                                // waiter so the victim re-checks the cycle
+                                // *now* instead of sleeping out its full
+                                // wait slice.
+                                shared.completed.notify_all();
+                            }
+                            shared.tallies.lock().report.wait_rounds += 1;
+                            shared.completed.wait_for(&mut vol, cfg.wait_slice);
+                            // Deadline: a transaction still blocked past its
+                            // wall budget self-aborts with a typed reason
+                            // and retries — bounded time on any lock it
+                            // cannot get.
+                            if !cfg.deadline.is_zero() && began.elapsed() > cfg.deadline {
+                                vol.sys.abort_with(txn, AbortReason::Deadline).expect("active");
+                                return Some((txn, vol));
+                            }
+                        }
+                        Err(TxnError::Aborted(_)) => return Some((txn, vol)),
+                        Err(e) => panic!("script error: {e}"),
+                    }
+                };
+            }
+            Step::Commit => {
+                let entered = Instant::now();
+                let mut vol = shared.vol.lock();
+                match vol.commit(txn) {
+                    Ok(rec) => {
+                        // The admission slot is held until the record is
+                        // durable: commit-barrier lag (a stalling WAL
+                        // device) backpressures admission under MPL.
+                        match log {
+                            Some(log) => make_durable(log, &shared.completed, rec, entered, vol),
+                            None => {
+                                drop(vol);
+                                shared.completed.notify_all();
+                            }
+                        }
+                        release(&shared.tallies, &shared.admitted);
+                        shared.tallies.lock().report.committed += 1;
+                        return None;
+                    }
+                    Err(TxnError::Aborted(_)) => return Some((txn, vol)),
+                    Err(e) => panic!("commit error: {e}"),
+                }
+            }
+            Step::Abort => {
+                shared.vol.lock().abort(txn).expect("active");
+                shared.completed.notify_all();
+                release(&shared.tallies, &shared.admitted);
+                shared.tallies.lock().report.voluntary_aborts += 1;
+                return None;
+            }
+        }
+    }
+}
+
+/// The one way an attempt the system aborted starts over: `vol` is the
+/// guard the abort happened under, `retries` counts this restart, and the
+/// result is whether the script has budget left. In order: discard the dead
+/// transaction's write-ahead buffer; notify `completed` (the abort released
+/// locks); release the admission slot, so no sleeper holds back admission;
+/// charge the retry budget; then the **wake rule** — wait on `completed`
+/// until a transaction has committed since the abort or none is active —
+/// and only then [`pause_for_backoff`].
+///
+/// The `std` mutex is unfair: without the wait a deadlock victim re-takes
+/// it before the survivor it just woke is scheduled, re-acquires its first
+/// lock, rebuilds the cycle it lost and burns its retry budget against it.
+/// With it the victim cannot re-enter before that survivor has run (the
+/// second clause keeps a clique whose members all aborted from sleeping on
+/// each other). The commit count is sampled, and re-checked after every
+/// wake-up, under the guard the abort happened under, so no wake-up is
+/// lost; each elapsed slice counts into `wait_rounds`, as the scheduler
+/// counts its sleepers. `scheduler::restart` states the same rule.
+fn restart<A, E, C>(
+    shared: &Shared<A, E, C>,
+    cfg: &ThreadedCfg,
+    mut vol: Vol<'_, A, E, C>,
+    txn: TxnId,
+    retries: usize,
+) -> bool
 where
     A: Adt,
     E: RecoveryEngine<A>,
     C: Conflict<A>,
 {
-    RunReport {
-        committed: t.committed,
-        voluntary_aborts: t.voluntary_aborts,
-        gave_up: t.gave_up,
-        deadlock_aborts: t.deadlock_aborts,
-        validation_aborts: sys.stats().validation_aborts,
-        retries: t.retries,
-        admission_rounds: t.admission_rounds,
-        blocked_ops: t.blocked_ops,
-        rounds: t.rounds,
-        wait_rounds: t.wait_rounds,
-        stats: sys.stats().clone(),
-    }
-}
-
-fn worker<A, E, C>(shared: &Shared<A, E, C>, cfg: &ThreadedCfg)
-where
-    A: Adt,
-    E: RecoveryEngine<A>,
-    C: Conflict<A> + Send + Sync,
-{
-    loop {
-        let script = {
-            let mut q = shared.queue.lock();
-            match q.pop_front() {
-                Some(s) => s,
-                None => return,
-            }
-        };
-        drive(shared, cfg, script);
-    }
-}
-
-fn drive<A, E, C>(shared: &Shared<A, E, C>, cfg: &ThreadedCfg, mut script: Box<dyn Script<A>>)
-where
-    A: Adt,
-    E: RecoveryEngine<A>,
-    C: Conflict<A> + Send + Sync,
-{
-    let mut retries = 0usize;
-    'attempt: loop {
-        admit(&shared.tallies, &shared.admitted, cfg);
-        shared.tallies.lock().rounds += 1;
-        let began = Instant::now();
-        script.reset();
-        let mut last: Option<A::Response> = None;
-        let txn = shared.sys.lock().begin();
-        loop {
-            let step = script.next(last.as_ref());
-            match step {
-                Step::Invoke(obj, inv) => {
-                    let mut sys = shared.sys.lock();
-                    let mut first_attempt = true;
-                    loop {
-                        match sys.invoke(txn, obj, inv.clone()) {
-                            Ok(resp) => {
-                                last = Some(resp);
-                                break;
-                            }
-                            Err(TxnError::Blocked { .. }) => {
-                                if first_attempt {
-                                    shared.tallies.lock().blocked_ops += 1;
-                                    first_attempt = false;
-                                }
-                                // Deadlock check: self-abort if this txn is
-                                // the youngest on a cycle it belongs to.
-                                if let Some(cycle) = sys.find_deadlock(txn) {
-                                    let victim =
-                                        cycle.iter().copied().max().expect("non-empty cycle");
-                                    if victim == txn {
-                                        sys.abort_with(txn, AbortReason::Deadlock).expect("active");
-                                        shared.tallies.lock().deadlock_aborts += 1;
-                                        shared.completed.notify_all();
-                                        drop(sys);
-                                        release(&shared.tallies, &shared.admitted);
-                                        retries += 1;
-                                        shared.tallies.lock().retries += 1;
-                                        if retries > cfg.max_retries {
-                                            shared.tallies.lock().gave_up += 1;
-                                            return;
-                                        }
-                                        pause_for_backoff(cfg, txn, retries, |j| {
-                                            shared.sys.lock().obs_mut().on_retry_jitter(j)
-                                        });
-                                        continue 'attempt;
-                                    }
-                                    // Another worker owns the victim: wake
-                                    // every waiter so the victim re-checks
-                                    // the cycle *now* instead of sleeping
-                                    // out its full wait slice.
-                                    shared.completed.notify_all();
-                                }
-                                shared.tallies.lock().wait_rounds += 1;
-                                shared.completed.wait_for(&mut sys, cfg.wait_slice);
-                                // Deadline: a transaction still blocked past
-                                // its wall budget self-aborts with a typed
-                                // reason and retries — bounded time on any
-                                // lock it cannot get.
-                                if !cfg.deadline.is_zero() && began.elapsed() > cfg.deadline {
-                                    sys.abort_with(txn, AbortReason::Deadline).expect("active");
-                                    shared.completed.notify_all();
-                                    drop(sys);
-                                    release(&shared.tallies, &shared.admitted);
-                                    retries += 1;
-                                    shared.tallies.lock().retries += 1;
-                                    if retries > cfg.max_retries {
-                                        shared.tallies.lock().gave_up += 1;
-                                        return;
-                                    }
-                                    pause_for_backoff(cfg, txn, retries, |j| {
-                                        shared.sys.lock().obs_mut().on_retry_jitter(j)
-                                    });
-                                    continue 'attempt;
-                                }
-                            }
-                            Err(TxnError::Aborted(_)) => {
-                                drop(sys);
-                                shared.completed.notify_all();
-                                release(&shared.tallies, &shared.admitted);
-                                retries += 1;
-                                shared.tallies.lock().retries += 1;
-                                if retries > cfg.max_retries {
-                                    shared.tallies.lock().gave_up += 1;
-                                    return;
-                                }
-                                pause_for_backoff(cfg, txn, retries, |j| {
-                                    shared.sys.lock().obs_mut().on_retry_jitter(j)
-                                });
-                                continue 'attempt;
-                            }
-                            Err(e) => panic!("script error: {e}"),
-                        }
-                    }
-                }
-                Step::Commit => {
-                    let mut sys = shared.sys.lock();
-                    match sys.commit(txn) {
-                        Ok(()) => {
-                            drop(sys);
-                            shared.completed.notify_all();
-                            release(&shared.tallies, &shared.admitted);
-                            shared.tallies.lock().committed += 1;
-                            return;
-                        }
-                        Err(TxnError::Aborted(_)) => {
-                            drop(sys);
-                            shared.completed.notify_all();
-                            release(&shared.tallies, &shared.admitted);
-                            retries += 1;
-                            shared.tallies.lock().retries += 1;
-                            if retries > cfg.max_retries {
-                                shared.tallies.lock().gave_up += 1;
-                                return;
-                            }
-                            pause_for_backoff(cfg, txn, retries, |j| {
-                                shared.sys.lock().obs_mut().on_retry_jitter(j)
-                            });
-                            continue 'attempt;
-                        }
-                        Err(e) => panic!("commit error: {e}"),
-                    }
-                }
-                Step::Abort => {
-                    shared.sys.lock().abort(txn).expect("active");
-                    shared.completed.notify_all();
-                    release(&shared.tallies, &shared.admitted);
-                    shared.tallies.lock().voluntary_aborts += 1;
-                    return;
-                }
-            }
+    vol.discard(txn);
+    shared.completed.notify_all();
+    release(&shared.tallies, &shared.admitted);
+    {
+        let mut t = shared.tallies.lock();
+        t.report.retries += 1;
+        if retries > cfg.max_retries {
+            t.report.gave_up += 1;
+            return false;
         }
     }
+    let commits = vol.sys.stats().committed;
+    while vol.sys.stats().committed == commits && vol.sys.active().next().is_some() {
+        shared.tallies.lock().report.wait_rounds += 1;
+        shared.completed.wait_for(&mut vol, cfg.wait_slice);
+    }
+    drop(vol);
+    pause_for_backoff(cfg, txn, retries, |j| shared.vol.lock().sys.obs_mut().on_retry_jitter(j));
+    true
 }
 
 /// Durability discipline for [`run_threaded_durable`].
@@ -446,30 +448,16 @@ struct Stage<A: Adt> {
     barrier_ns: Vec<u64>,
 }
 
-struct DurableShared<A, E, C, B>
-where
-    A: Adt,
-    E: RecoveryEngine<A>,
-    C: Conflict<A>,
-    B: LogBackend<A>,
-{
-    /// The volatile half of the durable executor: the transaction system
-    /// plus the write-ahead buffer that commit journals.
-    vol: Mutex<WriteAhead<A, E, C>>,
-    queue: Mutex<VecDeque<Box<dyn Script<A>>>>,
-    completed: Condvar,
-    tallies: Mutex<Tallies>,
-    /// Signalled when an admission slot frees up (paired with `tallies`).
-    /// A committer holds its slot until its record is durable, so a lagging
-    /// WAL throttles admission.
-    admitted: Condvar,
+/// What a durable run adds to the executor: the commit barrier and the log
+/// device behind it.
+struct CommitLog<A: Adt, B> {
     stage: Mutex<Stage<A>>,
     /// Signalled by the flush leader when a batch becomes durable.
     durable: Condvar,
     /// The log device. Held across `append`+`flush_delay` so fsyncs
-    /// serialise; never acquired while holding `vol` or `stage` — that is
-    /// what lets followers (and fresh committers) run while a flush is in
-    /// flight.
+    /// serialise; never acquired while holding the system mutex or `stage`
+    /// — that is what lets followers (and fresh committers) run while a
+    /// flush is in flight.
     backend: Mutex<B>,
     gc: GroupCommitCfg,
 }
@@ -493,16 +481,8 @@ where
     C: Conflict<A> + Send + Sync,
     B: LogBackend<A> + Send,
 {
-    if cfg.wall_clock {
-        sys.obs_mut().enable_wall_clock();
-    }
     sys.obs_mut().set_label("backend", backend.name());
-    let shared = Arc::new(DurableShared {
-        vol: Mutex::new(WriteAhead::new(sys, 0)),
-        queue: Mutex::new(scripts.into_iter().collect::<VecDeque<_>>()),
-        completed: Condvar::new(),
-        tallies: Mutex::new(Tallies::default()),
-        admitted: Condvar::new(),
+    let log = CommitLog {
         stage: Mutex::new(Stage {
             staged: Vec::new(),
             seq: 0,
@@ -515,20 +495,9 @@ where
         durable: Condvar::new(),
         backend: Mutex::new(backend),
         gc: *gc,
-    });
-
-    std::thread::scope(|scope| {
-        for _ in 0..cfg.workers.max(1) {
-            let shared = Arc::clone(&shared);
-            let cfg = *cfg;
-            scope.spawn(move || durable_worker(&shared, &cfg));
-        }
-    });
-
-    let shared = Arc::try_unwrap(shared).unwrap_or_else(|_| unreachable!("workers joined"));
-    let mut vol = shared.vol.into_inner();
-    let t = shared.tallies.into_inner();
-    let stage = shared.stage.into_inner();
+    };
+    let (tallies, mut sys) = run(sys, scripts, cfg, Some(&log));
+    let stage = log.stage.into_inner();
     // Replay the flush log into the tracer: one group_flush event per fsync
     // feeds the batch-size and flush-latency histograms, and one `Fsync`
     // phase sample per fsync feeds the per-phase profile. Barrier-park and
@@ -536,43 +505,23 @@ where
     // samples (wall stamps survive only when `cfg.wall_clock` armed the
     // tracer's wall epoch, so deterministic runs stay byte-identical).
     for &(batch, micros) in &stage.flushes {
-        vol.sys.obs_mut().on_group_flush(batch, micros);
-        vol.sys.obs_mut().on_phase(Phase::Fsync, batch, micros * 1_000);
+        sys.obs_mut().on_group_flush(batch, micros);
+        sys.obs_mut().on_phase(Phase::Fsync, batch, micros * 1_000);
     }
     for &ns in &stage.barrier_ns {
-        vol.sys.obs_mut().on_phase(Phase::BarrierWait, 1, ns);
+        sys.obs_mut().on_phase(Phase::BarrierWait, 1, ns);
     }
     for &us in &stage.latencies_us {
-        vol.sys.obs_mut().on_phase(Phase::CommitTotal, 1, us * 1_000);
+        sys.obs_mut().on_phase(Phase::CommitTotal, 1, us * 1_000);
     }
-    let report = report_from(&t, &vol.sys);
     let mut latencies = stage.latencies_us;
     latencies.sort_unstable();
     DurableRun {
-        report,
-        sys: vol.sys,
-        backend: shared.backend.into_inner(),
+        report: report_from(tallies, sys.stats()),
+        sys,
+        backend: log.backend.into_inner(),
         fsyncs: stage.flushes.len() as u64,
         commit_latencies_us: latencies,
-    }
-}
-
-fn durable_worker<A, E, C, B>(shared: &DurableShared<A, E, C, B>, cfg: &ThreadedCfg)
-where
-    A: Adt,
-    E: RecoveryEngine<A>,
-    C: Conflict<A> + Send + Sync,
-    B: LogBackend<A> + Send,
-{
-    loop {
-        let script = {
-            let mut q = shared.queue.lock();
-            match q.pop_front() {
-                Some(s) => s,
-                None => return,
-            }
-        };
-        drive_durable(shared, cfg, script);
     }
 }
 
@@ -582,10 +531,11 @@ where
 /// so the log's record order always equals the volatile commit order — and
 /// only then is `vol` dropped, letting other workers run during the flush.
 fn make_durable<A, E, C, B>(
-    shared: &DurableShared<A, E, C, B>,
+    log: &CommitLog<A, B>,
+    completed: &Condvar,
     rec: CommitRecord<A>,
     entered: Instant,
-    vol: parking_lot::MutexGuard<'_, WriteAhead<A, E, C>>,
+    vol: Vol<'_, A, E, C>,
 ) where
     A: Adt,
     E: RecoveryEngine<A>,
@@ -598,9 +548,9 @@ fn make_durable<A, E, C, B>(
     // stage's. The leader drains the whole staged batch either way — with
     // group commit it costs ONE fsync, without it one fsync per record (the
     // per-commit baseline: same ordering discipline, no amortisation).
-    let mut stage = shared.stage.lock();
+    let mut stage = log.stage.lock();
     drop(vol);
-    shared.completed.notify_all();
+    completed.notify_all();
     stage.staged.push(rec);
     stage.seq += 1;
     let my_seq = stage.seq;
@@ -610,19 +560,19 @@ fn make_durable<A, E, C, B>(
             stage.leader = true;
             let batch = std::mem::take(&mut stage.staged);
             drop(stage);
-            if shared.gc.group_commit {
+            if log.gc.group_commit {
                 let micros = {
-                    let mut backend = shared.backend.lock();
+                    let mut backend = log.backend.lock();
                     let t0 = Instant::now();
                     backend
                         .append_commits(&batch)
                         .expect("threaded harness runs on a healthy device");
-                    if !shared.gc.flush_delay.is_zero() {
-                        std::thread::sleep(shared.gc.flush_delay);
+                    if !log.gc.flush_delay.is_zero() {
+                        std::thread::sleep(log.gc.flush_delay);
                     }
                     t0.elapsed().as_micros() as u64
                 };
-                stage = shared.stage.lock();
+                stage = log.stage.lock();
                 stage.durable += batch.len() as u64;
                 stage.flushes.push((batch.len() as u64, micros));
             } else {
@@ -631,28 +581,28 @@ fn make_durable<A, E, C, B>(
                 // durable.
                 for r in &batch {
                     let micros = {
-                        let mut backend = shared.backend.lock();
+                        let mut backend = log.backend.lock();
                         let t0 = Instant::now();
                         backend
                             .append_commit(r)
                             .expect("threaded harness runs on a healthy device");
-                        if !shared.gc.flush_delay.is_zero() {
-                            std::thread::sleep(shared.gc.flush_delay);
+                        if !log.gc.flush_delay.is_zero() {
+                            std::thread::sleep(log.gc.flush_delay);
                         }
                         t0.elapsed().as_micros() as u64
                     };
-                    let mut s = shared.stage.lock();
+                    let mut s = log.stage.lock();
                     s.durable += 1;
                     s.flushes.push((1, micros));
-                    shared.durable.notify_all();
+                    log.durable.notify_all();
                 }
-                stage = shared.stage.lock();
+                stage = log.stage.lock();
             }
             stage.leader = false;
-            shared.durable.notify_all();
+            log.durable.notify_all();
         } else {
             let parked = Instant::now();
-            shared.durable.wait(&mut stage);
+            log.durable.wait(&mut stage);
             waited_ns += parked.elapsed().as_nanos() as u64;
         }
     }
@@ -663,175 +613,33 @@ fn make_durable<A, E, C, B>(
     stage.latencies_us.push(latency);
 }
 
-fn drive_durable<A, E, C, B>(
-    shared: &DurableShared<A, E, C, B>,
-    cfg: &ThreadedCfg,
-    mut script: Box<dyn Script<A>>,
-) where
-    A: Adt,
-    E: RecoveryEngine<A>,
-    C: Conflict<A> + Send + Sync,
-    B: LogBackend<A> + Send,
-{
-    let mut retries = 0usize;
-    'attempt: loop {
-        admit(&shared.tallies, &shared.admitted, cfg);
-        shared.tallies.lock().rounds += 1;
-        let began = Instant::now();
-        script.reset();
-        let mut last: Option<A::Response> = None;
-        let txn = shared.vol.lock().sys.begin();
-        loop {
-            let step = script.next(last.as_ref());
-            match step {
-                Step::Invoke(obj, inv) => {
-                    let mut vol = shared.vol.lock();
-                    let mut first_attempt = true;
-                    loop {
-                        match vol.invoke(txn, obj, inv.clone()) {
-                            Ok(resp) => {
-                                last = Some(resp);
-                                break;
-                            }
-                            Err(TxnError::Blocked { .. }) => {
-                                if first_attempt {
-                                    shared.tallies.lock().blocked_ops += 1;
-                                    first_attempt = false;
-                                }
-                                if let Some(cycle) = vol.sys.find_deadlock(txn) {
-                                    let victim =
-                                        cycle.iter().copied().max().expect("non-empty cycle");
-                                    if victim == txn {
-                                        vol.sys
-                                            .abort_with(txn, AbortReason::Deadlock)
-                                            .expect("active");
-                                        vol.discard(txn);
-                                        shared.tallies.lock().deadlock_aborts += 1;
-                                        shared.completed.notify_all();
-                                        drop(vol);
-                                        release(&shared.tallies, &shared.admitted);
-                                        retries += 1;
-                                        shared.tallies.lock().retries += 1;
-                                        if retries > cfg.max_retries {
-                                            shared.tallies.lock().gave_up += 1;
-                                            return;
-                                        }
-                                        pause_for_backoff(cfg, txn, retries, |j| {
-                                            shared.vol.lock().sys.obs_mut().on_retry_jitter(j)
-                                        });
-                                        continue 'attempt;
-                                    }
-                                    // Another worker owns the victim: wake
-                                    // every waiter so it re-checks now.
-                                    shared.completed.notify_all();
-                                }
-                                shared.tallies.lock().wait_rounds += 1;
-                                shared.completed.wait_for(&mut vol, cfg.wait_slice);
-                                // Deadline: still blocked past the wall
-                                // budget — self-abort with a typed reason
-                                // and retry.
-                                if !cfg.deadline.is_zero() && began.elapsed() > cfg.deadline {
-                                    vol.sys.abort_with(txn, AbortReason::Deadline).expect("active");
-                                    vol.discard(txn);
-                                    shared.completed.notify_all();
-                                    drop(vol);
-                                    release(&shared.tallies, &shared.admitted);
-                                    retries += 1;
-                                    shared.tallies.lock().retries += 1;
-                                    if retries > cfg.max_retries {
-                                        shared.tallies.lock().gave_up += 1;
-                                        return;
-                                    }
-                                    pause_for_backoff(cfg, txn, retries, |j| {
-                                        shared.vol.lock().sys.obs_mut().on_retry_jitter(j)
-                                    });
-                                    continue 'attempt;
-                                }
-                            }
-                            Err(TxnError::Aborted(_)) => {
-                                vol.discard(txn);
-                                drop(vol);
-                                shared.completed.notify_all();
-                                release(&shared.tallies, &shared.admitted);
-                                retries += 1;
-                                shared.tallies.lock().retries += 1;
-                                if retries > cfg.max_retries {
-                                    shared.tallies.lock().gave_up += 1;
-                                    return;
-                                }
-                                pause_for_backoff(cfg, txn, retries, |j| {
-                                    shared.vol.lock().sys.obs_mut().on_retry_jitter(j)
-                                });
-                                continue 'attempt;
-                            }
-                            Err(e) => panic!("script error: {e}"),
-                        }
-                    }
-                }
-                Step::Commit => {
-                    let entered = Instant::now();
-                    let mut vol = shared.vol.lock();
-                    match vol.commit(txn) {
-                        Ok(rec) => {
-                            // Wound-wait victims never reach an abort arm
-                            // here.
-                            vol.prune();
-                            // The system mutex is released inside
-                            // make_durable (after the log slot is claimed):
-                            // other workers invoke and commit while this
-                            // record rides the barrier.
-                            // The admission slot is held until the record is
-                            // durable: commit-barrier lag (a stalling WAL
-                            // device) backpressures admission under MPL.
-                            make_durable(shared, rec, entered, vol);
-                            release(&shared.tallies, &shared.admitted);
-                            shared.tallies.lock().committed += 1;
-                            return;
-                        }
-                        Err(TxnError::Aborted(_)) => {
-                            vol.discard(txn);
-                            drop(vol);
-                            shared.completed.notify_all();
-                            release(&shared.tallies, &shared.admitted);
-                            retries += 1;
-                            shared.tallies.lock().retries += 1;
-                            if retries > cfg.max_retries {
-                                shared.tallies.lock().gave_up += 1;
-                                return;
-                            }
-                            pause_for_backoff(cfg, txn, retries, |j| {
-                                shared.vol.lock().sys.obs_mut().on_retry_jitter(j)
-                            });
-                            continue 'attempt;
-                        }
-                        Err(e) => panic!("commit error: {e}"),
-                    }
-                }
-                Step::Abort => {
-                    let mut vol = shared.vol.lock();
-                    vol.abort(txn).expect("active");
-                    drop(vol);
-                    shared.completed.notify_all();
-                    release(&shared.tallies, &shared.admitted);
-                    shared.tallies.lock().voluntary_aborts += 1;
-                    return;
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crash::{DurableSystem, TornPolicy};
     use crate::engine::{DuEngine, UipEngine};
     use crate::script::OpsScript;
     use ccr_adt::bank::{bank_nfc, bank_nrbc, BankAccount, BankInv};
     use ccr_core::atomicity::{check_dynamic_atomic, SystemSpec};
+    use ccr_core::conflict::FnConflict;
     use ccr_core::ids::ObjectId;
+    use ccr_obs::EventKind;
+    use ccr_store::{WalBackend, WalConfig};
+    use std::sync::{Arc, Barrier};
+
+    include!("../../../tests/common/rendezvous.rs");
 
     const X: ObjectId = ObjectId::SOLE;
+    const Y: ObjectId = ObjectId(1);
 
+    type Bank = FnConflict<BankAccount>;
+    type Uip = TxnSystem<BankAccount, UipEngine<BankAccount>, Bank>;
+
+    fn uip(objects: u32) -> Uip {
+        TxnSystem::new(BankAccount::default(), objects, bank_nrbc())
+    }
+
+    /// The hot spot: every script deposits 2 and withdraws 1 on `X`.
     fn scripts(n: usize) -> Vec<Box<dyn Script<BankAccount>>> {
         (0..n)
             .map(|_| {
@@ -841,11 +649,34 @@ mod tests {
             .collect()
     }
 
+    /// The crosswise clique: balance-then-deposit over `X` and `Y`, half the
+    /// scripts in each order (the deadlock pattern from the system tests).
+    fn crosswise(n: usize) -> Vec<Box<dyn Script<BankAccount>>> {
+        (0..n)
+            .map(|i| {
+                let (first, second) = if i % 2 == 0 { (X, Y) } else { (Y, X) };
+                Box::new(OpsScript::new(vec![
+                    (first, BankInv::Balance),
+                    (second, BankInv::Deposit(1)),
+                ])) as Box<dyn Script<BankAccount>>
+            })
+            .collect()
+    }
+
+    /// A fresh system recovered, strictly, from what `backend` holds durably.
+    fn recovered(
+        backend: WalBackend<BankAccount>,
+        objects: u32,
+    ) -> DurableSystem<BankAccount, UipEngine<BankAccount>, Bank, WalBackend<BankAccount>> {
+        let mut rec =
+            DurableSystem::with_backend(BankAccount::default(), objects, bank_nrbc(), backend);
+        rec.crash_and_recover_with(TornPolicy::Strict).unwrap();
+        rec
+    }
+
     #[test]
     fn threaded_uip_commits_everything() {
-        let sys: TxnSystem<BankAccount, UipEngine<BankAccount>, _> =
-            TxnSystem::new(BankAccount::default(), 1, bank_nrbc());
-        let (report, mut sys) = run_threaded(sys, scripts(16), &ThreadedCfg::default());
+        let (report, mut sys) = run_threaded(uip(1), scripts(16), &ThreadedCfg::default());
         assert_eq!(report.committed, 16);
         assert_eq!(sys.committed_state(X), 16);
         let spec = SystemSpec::single(BankAccount::default());
@@ -867,9 +698,7 @@ mod tests {
         // commit, a voluntary abort, or a retry — so `rounds` (attempts)
         // must equal their sum. With no MPL configured, admission never
         // parks anyone.
-        let sys: TxnSystem<BankAccount, UipEngine<BankAccount>, _> =
-            TxnSystem::new(BankAccount::default(), 1, bank_nrbc());
-        let (report, _) = run_threaded(sys, scripts(16), &ThreadedCfg::default());
+        let (report, _) = run_threaded(uip(1), scripts(16), &ThreadedCfg::default());
         assert_eq!(
             report.rounds,
             report.committed + report.voluntary_aborts + report.retries,
@@ -880,31 +709,66 @@ mod tests {
     }
 
     #[test]
+    fn a_restarted_victim_waits_for_a_commit() {
+        // ROADMAP item 6's reproducer: 2 048 scripts of the crosswise clique
+        // and of the hot spot, four workers, the default 64-retry budget.
+        // Without the wake rule in `restart` a deadlock victim re-takes the
+        // unfair mutex before the survivor it woke is scheduled, rebuilds
+        // the cycle and exhausts its budget (`gave_up > 0`, thousands of
+        // deadlock aborts); with it every script commits. The small tests
+        // above cannot show this — their 16 scripts finish before a second
+        // worker is scheduled.
+        const N: u64 = 2048;
+        let cfg = ThreadedCfg::default();
+        let check = |arm: &str, report: &RunReport| {
+            assert_eq!(report.gave_up, 0, "{arm}: a victim burnt its budget: {report:?}");
+            assert_eq!(report.committed, N, "{arm}: {report:?}");
+            assert!(report.deadlock_aborts < N, "{arm}: victims rebuilt their cycles: {report:?}");
+        };
+
+        let (report, mut sys) = run_threaded(uip(2), crosswise(N as usize), &cfg);
+        check("clique", &report);
+        assert_eq!((sys.committed_state(X), sys.committed_state(Y)), (N / 2, N / 2));
+
+        let (report, mut sys) = run_threaded(uip(1), scripts(N as usize), &cfg);
+        check("hot spot", &report);
+        assert_eq!(sys.committed_state(X), N);
+
+        let wal = || WalBackend::new(WalConfig::default());
+        let gc = GroupCommitCfg::default();
+        let run = run_threaded_durable(uip(2), wal(), crosswise(N as usize), &cfg, &gc);
+        check("durable clique", &run.report);
+        let mut rec = recovered(run.backend, 2);
+        assert_eq!(rec.journal().len() as u64, N);
+        assert_eq!((rec.committed_state(X), rec.committed_state(Y)), (N / 2, N / 2));
+
+        let run = run_threaded_durable(uip(1), wal(), scripts(N as usize), &cfg, &gc);
+        check("durable hot spot", &run.report);
+        let mut rec = recovered(run.backend, 1);
+        assert_eq!(rec.journal().len() as u64, N);
+        assert_eq!(rec.committed_state(X), N);
+    }
+
+    #[test]
     fn mpl_serialises_the_crosswise_clique_without_deadlocks() {
         // The same admission gate the scheduler has: with MPL 1 the
         // crosswise deadlock clique serialises — no blocks, no deadlock
         // aborts — and the parked workers' wait slices show up in
         // `admission_rounds` instead of a hardcoded zero.
-        let sys: TxnSystem<BankAccount, UipEngine<BankAccount>, _> =
-            TxnSystem::new(BankAccount::default(), 2, bank_nrbc());
-        let y = ObjectId(1);
-        // 2048 scripts so the run comfortably outlasts worker-thread startup
-        // and someone is always parked at the single admission slot.
-        let mut scripts: Vec<Box<dyn Script<BankAccount>>> = Vec::new();
-        for i in 0..2048 {
-            let (first, second) = if i % 2 == 0 { (X, y) } else { (y, X) };
-            scripts.push(Box::new(OpsScript::new(vec![
-                (first, BankInv::Balance),
-                (second, BankInv::Deposit(1)),
-            ])));
-        }
+        //
+        // Someone must be parked for that: the first slot-holder leaves its
+        // rendezvous four admission slices in, by when every other worker
+        // has started and found the single slot taken.
         let cfg = ThreadedCfg { workers: 4, mpl: 1, ..Default::default() };
-        let (report, mut sys) = run_threaded(sys, scripts, &cfg);
-        assert_eq!(report.committed, 2048);
+        let gate = Arc::new(Barrier::new(2));
+        let scripts = meeting_first(crosswise(64), 1, 1, &gate);
+        let (report, mut sys) =
+            opened_after(&gate, 4 * cfg.wait_slice, || run_threaded(uip(2), scripts, &cfg));
+        assert_eq!(report.committed, 64);
         assert_eq!(report.blocked_ops, 0);
         assert_eq!(report.deadlock_aborts, 0);
         assert!(report.admission_rounds > 0, "parked workers must be tallied: {report:?}");
-        assert_eq!(sys.committed_state(X) + sys.committed_state(y), 2048);
+        assert_eq!(sys.committed_state(X) + sys.committed_state(Y), 64);
     }
 
     #[test]
@@ -912,20 +776,11 @@ mod tests {
         // A deadline of one nanosecond turns every blocked wait into a
         // typed Deadline self-abort on wakeup; jittered backoff decorrelates
         // the retries, and the crosswise clique still fully commits without
-        // a single hung transaction. 2048 scripts so the run comfortably
-        // outlasts worker-thread startup and waits actually happen.
-        let sys: TxnSystem<BankAccount, UipEngine<BankAccount>, _> =
-            TxnSystem::new(BankAccount::default(), 2, bank_nrbc());
-        let y = ObjectId(1);
-        let mut scripts: Vec<Box<dyn Script<BankAccount>>> = Vec::new();
-        let n = 2048;
-        for i in 0..n {
-            let (first, second) = if i % 2 == 0 { (X, y) } else { (y, X) };
-            scripts.push(Box::new(OpsScript::new(vec![
-                (first, BankInv::Balance),
-                (second, BankInv::Deposit(1)),
-            ])));
-        }
+        // a single hung transaction. The first four scripts (one per worker)
+        // meet once each holds its balance lock, so all four block on their
+        // deposit and waits actually happen.
+        let n = 64;
+        let gate = Arc::new(Barrier::new(4));
         let cfg = ThreadedCfg {
             workers: 4,
             max_retries: 10_000,
@@ -934,14 +789,15 @@ mod tests {
             backoff: true,
             ..Default::default()
         };
-        let (report, mut sys) = run_threaded(sys, scripts, &cfg);
+        let (report, mut sys) =
+            run_threaded(uip(2), meeting_first(crosswise(n), 4, 1, &gate), &cfg);
         assert_eq!(report.committed, n as u64);
         assert_eq!(report.gave_up, 0);
         assert!(
             report.stats.deadline_aborts > 0,
             "blocked waits must become typed deadline aborts: {report:?}"
         );
-        assert_eq!(sys.committed_state(X) + sys.committed_state(y), n as u64);
+        assert_eq!(sys.committed_state(X) + sys.committed_state(Y), n as u64);
     }
 
     #[test]
@@ -951,21 +807,10 @@ mod tests {
         // re-checks the cycle immediately. Before the fix the victim slept
         // out its full wait slice — with a 5-second slice, any reliance on
         // the timeout makes this run take multiple seconds.
-        let sys: TxnSystem<BankAccount, UipEngine<BankAccount>, _> =
-            TxnSystem::new(BankAccount::default(), 2, bank_nrbc());
-        let y = ObjectId(1);
-        let mut scripts: Vec<Box<dyn Script<BankAccount>>> = Vec::new();
-        for i in 0..16 {
-            let (first, second) = if i % 2 == 0 { (X, y) } else { (y, X) };
-            scripts.push(Box::new(OpsScript::new(vec![
-                (first, BankInv::Balance),
-                (second, BankInv::Deposit(1)),
-            ])));
-        }
         let cfg =
             ThreadedCfg { workers: 4, wait_slice: Duration::from_secs(5), ..Default::default() };
         let t0 = Instant::now();
-        let (report, _sys) = run_threaded(sys, scripts, &cfg);
+        let (report, _sys) = run_threaded(uip(2), crosswise(16), &cfg);
         let elapsed = t0.elapsed();
         assert_eq!(report.committed + report.gave_up, 16);
         assert_eq!(report.gave_up, 0);
@@ -977,31 +822,14 @@ mod tests {
 
     #[test]
     fn cross_object_deadlocks_resolve() {
-        // Balance-then-deposit crosswise over two objects (the deadlock
-        // pattern from the system tests), many times over.
-        let sys: TxnSystem<BankAccount, UipEngine<BankAccount>, _> =
-            TxnSystem::new(BankAccount::default(), 2, bank_nrbc());
-        let y = ObjectId(1);
-        let mut scripts: Vec<Box<dyn Script<BankAccount>>> = Vec::new();
-        for i in 0..8 {
-            let (first, second) = if i % 2 == 0 { (X, y) } else { (y, X) };
-            scripts.push(Box::new(OpsScript::new(vec![
-                (first, BankInv::Balance),
-                (second, BankInv::Deposit(1)),
-            ])));
-        }
         let cfg = ThreadedCfg { workers: 4, ..Default::default() };
-        let (report, mut sys) = run_threaded(sys, scripts, &cfg);
+        let (report, mut sys) = run_threaded(uip(2), crosswise(8), &cfg);
         assert_eq!(report.committed + report.gave_up, 8);
         assert_eq!(report.gave_up, 0, "retries must eventually succeed");
         let spec = SystemSpec::uniform(BankAccount::default(), 2);
         assert!(check_dynamic_atomic(&spec, sys.trace()).is_ok());
         let _ = sys.committed_state(X);
     }
-
-    use crate::crash::{DurableSystem, TornPolicy};
-    use ccr_obs::EventKind;
-    use ccr_store::{WalBackend, WalConfig};
 
     fn spread_scripts(n: u32, objects: u32) -> Vec<Box<dyn Script<BankAccount>>> {
         (0..n)
@@ -1014,12 +842,10 @@ mod tests {
 
     #[test]
     fn durable_group_commit_amortises_fsyncs_and_recovers() {
-        let sys: TxnSystem<BankAccount, UipEngine<BankAccount>, _> =
-            TxnSystem::new(BankAccount::default(), 8, bank_nrbc());
         let cfg = ThreadedCfg { workers: 4, ..Default::default() };
         let gc = GroupCommitCfg { group_commit: true, flush_delay: Duration::from_micros(500) };
         let run = run_threaded_durable(
-            sys,
+            uip(8),
             WalBackend::new(WalConfig::default()),
             spread_scripts(32, 8),
             &cfg,
@@ -1042,13 +868,7 @@ mod tests {
         assert_eq!(flushed, 32);
         // Every acknowledged commit is durable: a fresh system recovering
         // from the backend's stable image replays all 32 records strictly.
-        let mut rec: DurableSystem<
-            BankAccount,
-            UipEngine<BankAccount>,
-            _,
-            WalBackend<BankAccount>,
-        > = DurableSystem::with_backend(BankAccount::default(), 8, bank_nrbc(), run.backend);
-        rec.crash_and_recover_with(TornPolicy::Strict).unwrap();
+        let mut rec = recovered(run.backend, 8);
         assert_eq!(rec.journal().len(), 32);
         for i in 0..8 {
             assert_eq!(rec.committed_state(ObjectId(i)), 4);
@@ -1057,12 +877,10 @@ mod tests {
 
     #[test]
     fn durable_baseline_pays_one_fsync_per_commit() {
-        let sys: TxnSystem<BankAccount, UipEngine<BankAccount>, _> =
-            TxnSystem::new(BankAccount::default(), 8, bank_nrbc());
         let cfg = ThreadedCfg { workers: 4, ..Default::default() };
         let gc = GroupCommitCfg { group_commit: false, flush_delay: Duration::ZERO };
         let run = run_threaded_durable(
-            sys,
+            uip(8),
             WalBackend::new(WalConfig::default()),
             spread_scripts(16, 8),
             &cfg,
@@ -1082,12 +900,10 @@ mod tests {
         // MPL on the durable executor: a committer keeps its admission slot
         // until its record is durable, so a slow flush device throttles
         // admission instead of letting transactions pile up behind the WAL.
-        let sys: TxnSystem<BankAccount, UipEngine<BankAccount>, _> =
-            TxnSystem::new(BankAccount::default(), 8, bank_nrbc());
         let cfg = ThreadedCfg { workers: 4, mpl: 1, ..Default::default() };
         let gc = GroupCommitCfg { group_commit: true, flush_delay: Duration::from_micros(500) };
         let run = run_threaded_durable(
-            sys,
+            uip(8),
             WalBackend::new(WalConfig::default()),
             spread_scripts(16, 8),
             &cfg,
@@ -1095,14 +911,7 @@ mod tests {
         );
         assert_eq!(run.report.committed, 16);
         assert!(run.report.admission_rounds > 0, "slow flushes must park admitters");
-        let mut rec: DurableSystem<
-            BankAccount,
-            UipEngine<BankAccount>,
-            _,
-            WalBackend<BankAccount>,
-        > = DurableSystem::with_backend(BankAccount::default(), 8, bank_nrbc(), run.backend);
-        rec.crash_and_recover_with(TornPolicy::Strict).unwrap();
-        assert_eq!(rec.journal().len(), 16);
+        assert_eq!(recovered(run.backend, 8).journal().len(), 16);
     }
 
     #[test]
@@ -1110,30 +919,18 @@ mod tests {
         // The contended crosswise pattern under the durable executor with
         // group commit: every script must still commit, and the journal must
         // replay to the same state.
-        let sys: TxnSystem<BankAccount, UipEngine<BankAccount>, _> =
-            TxnSystem::new(BankAccount::default(), 2, bank_nrbc());
-        let y = ObjectId(1);
-        let mut scripts: Vec<Box<dyn Script<BankAccount>>> = Vec::new();
-        for i in 0..8 {
-            let (first, second) = if i % 2 == 0 { (X, y) } else { (y, X) };
-            scripts.push(Box::new(OpsScript::new(vec![
-                (first, BankInv::Balance),
-                (second, BankInv::Deposit(1)),
-            ])));
-        }
         let cfg = ThreadedCfg { workers: 4, ..Default::default() };
         let gc = GroupCommitCfg { group_commit: true, flush_delay: Duration::from_micros(200) };
-        let run =
-            run_threaded_durable(sys, WalBackend::new(WalConfig::default()), scripts, &cfg, &gc);
+        let run = run_threaded_durable(
+            uip(2),
+            WalBackend::new(WalConfig::default()),
+            crosswise(8),
+            &cfg,
+            &gc,
+        );
         assert_eq!(run.report.committed, 8);
-        let mut rec: DurableSystem<
-            BankAccount,
-            UipEngine<BankAccount>,
-            _,
-            WalBackend<BankAccount>,
-        > = DurableSystem::with_backend(BankAccount::default(), 2, bank_nrbc(), run.backend);
-        rec.crash_and_recover_with(TornPolicy::Strict).unwrap();
+        let mut rec = recovered(run.backend, 2);
         assert_eq!(rec.journal().len(), 8);
-        assert_eq!(rec.committed_state(X) + rec.committed_state(y), 8);
+        assert_eq!(rec.committed_state(X) + rec.committed_state(Y), 8);
     }
 }

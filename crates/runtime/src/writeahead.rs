@@ -6,7 +6,7 @@
 //! in. [`WriteAhead`] is the one place that bookkeeping lives: it stamps on
 //! invoke, drops the buffer on abort, and hands out the record on commit.
 //! [`DurableSystem`](crate::crash::DurableSystem) is built from it, and the
-//! threaded durable executor guards one with its system mutex.
+//! threaded executor guards one with its system mutex.
 
 use std::collections::BTreeMap;
 

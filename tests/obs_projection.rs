@@ -6,18 +6,23 @@
 //! incrementally maintained counters, i.e. the counters really are a pure
 //! function of the trace.
 
+use std::sync::{Arc, Barrier};
+
 use ccr::adt::bank::{bank_nfc, bank_nrbc, BankAccount, BankInv};
+use ccr::core::adt::Adt;
 use ccr::core::atomicity::SystemSpec;
 use ccr::core::ids::ObjectId;
 use ccr::runtime::crash::DurableSystem;
 use ccr::runtime::engine::{DuEngine, UipEngine};
 use ccr::runtime::fault::{FaultKind, FaultMix, FaultPlan, FaultSpec};
-use ccr::runtime::scheduler::{run, SchedulerCfg};
-use ccr::runtime::script::{OpsScript, Script};
+use ccr::runtime::scheduler::{run, RunReport, SchedulerCfg};
+use ccr::runtime::script::{OpsScript, Script, Step};
 use ccr::runtime::sim::{run_sim, SimCfg};
 use ccr::runtime::system::{ConflictPolicy, TxnSystem};
-use ccr::runtime::threaded::{run_threaded, ThreadedCfg};
+use ccr::runtime::threaded::{run_threaded, run_threaded_durable, GroupCommitCfg, ThreadedCfg};
 use ccr::store::{WalBackend, WalConfig};
+
+include!("common/rendezvous.rs");
 
 const X: ObjectId = ObjectId::SOLE;
 
@@ -130,14 +135,16 @@ fn run_report_semantics_agree_across_executors() {
     assert!(r.admission_rounds > 0, "MPL 1 must queue scheduler drivers");
     assert_projection_matches(&sys);
 
-    // 4096 scripts so the run comfortably outlasts worker-thread startup:
-    // some worker is always parked at admission while another holds the
-    // single slot.
+    // Someone must be parked for that: the first slot-holder leaves its
+    // rendezvous four admission slices in, by when every other worker has
+    // started and found the single slot taken.
     let tsys: TxnSystem<BankAccount, UipEngine<BankAccount>, _> =
         TxnSystem::new(BankAccount::default(), 1, bank_nrbc());
-    let (tr, tsys) =
-        run_threaded(tsys, scripts(4096), &ThreadedCfg { mpl: 1, ..Default::default() });
-    assert_eq!(tr.committed, 4096);
+    let cfg = ThreadedCfg { mpl: 1, ..Default::default() };
+    let gate = Arc::new(Barrier::new(2));
+    let held = meeting_first(scripts(64), 1, 1, &gate);
+    let (tr, tsys) = opened_after(&gate, 4 * cfg.wait_slice, || run_threaded(tsys, held, &cfg));
+    assert_eq!(tr.committed, 64);
     assert!(tr.admission_rounds > 0, "MPL 1 must park threaded workers");
     assert_eq!(
         tr.rounds,
@@ -145,6 +152,42 @@ fn run_report_semantics_agree_across_executors() {
         "attempt identity under MPL: {tr:?}"
     );
     assert_projection_matches(&tsys);
+
+    // Contention, on both threaded executors: two crosswise scripts that
+    // meet once each holds its balance lock deadlock by construction. One is
+    // the victim and retries; the first to ask for its deposit waited at
+    // least one slice; the victim sleeps until the survivor has committed,
+    // so nobody gives up; and the attempt identity still holds.
+    let deadlocked_pair = || {
+        let y = ObjectId(1);
+        let pair: Vec<Box<dyn Script<BankAccount>>> = vec![
+            Box::new(OpsScript::new(vec![(X, BankInv::Balance), (y, BankInv::Deposit(1))])),
+            Box::new(OpsScript::new(vec![(y, BankInv::Balance), (X, BankInv::Deposit(1))])),
+        ];
+        meeting_first(pair, 2, 1, &Arc::new(Barrier::new(2)))
+    };
+    let two_accounts = || -> TxnSystem<BankAccount, UipEngine<BankAccount>, _> {
+        TxnSystem::new(BankAccount::default(), 2, bank_nrbc())
+    };
+    let check = |r: &RunReport| {
+        assert_eq!((r.committed, r.gave_up), (2, 0), "{r:?}");
+        assert!(r.deadlock_aborts >= 1 && r.retries >= 1 && r.wait_rounds >= 1, "{r:?}");
+        assert_eq!(r.rounds, r.committed + r.voluntary_aborts + r.retries, "{r:?}");
+        assert!(r.blocked_ops <= r.stats.blocks);
+        assert_eq!(r.stats.committed, r.committed);
+    };
+    let (tr, tsys) = run_threaded(two_accounts(), deadlocked_pair(), &ThreadedCfg::default());
+    check(&tr);
+    assert_projection_matches(&tsys);
+    let run = run_threaded_durable(
+        two_accounts(),
+        WalBackend::new(WalConfig::default()),
+        deadlocked_pair(),
+        &ThreadedCfg::default(),
+        &GroupCommitCfg::default(),
+    );
+    check(&run.report);
+    assert_projection_matches(&run.sys);
 }
 
 #[test]

@@ -129,7 +129,7 @@ fn threaded_wound_wait_keeps_wait_for_acyclic() {
     let sys: TxnSystem<BankAccount, UipEngine<BankAccount>, _> =
         TxnSystem::new(BankAccount::default(), 2, bank_nrbc())
             .with_policy(ConflictPolicy::WoundWait);
-    let cfg = ThreadedCfg { workers: 6, max_retries: 512, ..Default::default() };
+    let cfg = ThreadedCfg { workers: 6, ..Default::default() };
     let (report, sys) = run_threaded(sys, crosswise_scripts(10), &cfg);
     assert_eq!(report.deadlock_aborts, 0, "wound-wait admits no wait-for cycles");
     assert_eq!(report.gave_up, 0, "the oldest transaction always progresses");
@@ -140,18 +140,20 @@ fn threaded_wound_wait_keeps_wait_for_acyclic() {
 
 /// No-wait under the threaded executor: a conflicting request aborts
 /// immediately instead of blocking, so nothing ever waits — zero blocked
-/// operations and zero deadlock aborts by construction; every script either
-/// commits or exhausts its retry budget, and the committed trace is dynamic
-/// atomic.
+/// operations and zero deadlock aborts by construction; a refused script
+/// stays off the system until a commit (the executor's wake rule), so every
+/// script commits within the default retry budget, and the committed trace
+/// is dynamic atomic.
 #[test]
 fn threaded_no_wait_never_deadlocks() {
     let sys: TxnSystem<BankAccount, UipEngine<BankAccount>, _> =
         TxnSystem::new(BankAccount::default(), 2, bank_nrbc()).with_policy(ConflictPolicy::NoWait);
-    let cfg = ThreadedCfg { workers: 6, max_retries: 512, ..Default::default() };
+    let cfg = ThreadedCfg { workers: 6, ..Default::default() };
     let (report, sys) = run_threaded(sys, crosswise_scripts(10), &cfg);
     assert_eq!(report.blocked_ops, 0, "no-wait must never block");
     assert_eq!(report.deadlock_aborts, 0, "nothing waits, so nothing deadlocks");
-    assert_eq!(report.committed + report.gave_up, 10);
+    assert_eq!(report.gave_up, 0, "a refused script waits for a commit, not for its budget");
+    assert_eq!(report.committed, 10);
     let spec = SystemSpec::uniform(BankAccount::default(), 2);
     assert!(check_dynamic_atomic_auto(&spec, sys.trace(), 6, 64, 0).is_ok());
 }
