@@ -14,7 +14,7 @@
 //! *computed* from this specification over a parameter grid, which is the
 //! machine-checked reproduction of both figures.
 
-use ccr_core::adt::{Adt, EnumerableAdt, Op, OpDeterministicAdt, StateCover};
+use ccr_core::adt::{Adt, EnumerableAdt, Op, OpDeterministicAdt, Outcomes, StateCover};
 use ccr_core::conflict::FnConflict;
 
 use crate::traits::{InvertibleAdt, RwClassify};
@@ -99,19 +99,19 @@ impl Adt for BankAccount {
         0
     }
 
-    fn step(&self, s: &Amount, inv: &BankInv) -> Vec<(BankResp, Amount)> {
+    fn step(&self, s: &Amount, inv: &BankInv) -> Outcomes<(BankResp, Amount)> {
         match inv {
-            BankInv::Deposit(i) if *i > 0 => vec![(BankResp::Ok, s + i)],
-            BankInv::Deposit(_) => vec![], // the paper requires i > 0
+            BankInv::Deposit(i) if *i > 0 => Outcomes::one((BankResp::Ok, s + i)),
+            BankInv::Deposit(_) => Outcomes::none(), // the paper requires i > 0
             BankInv::Withdraw(i) if *i > 0 => {
                 if *s >= *i {
-                    vec![(BankResp::Ok, s - i)]
+                    Outcomes::one((BankResp::Ok, s - i))
                 } else {
-                    vec![(BankResp::No, *s)]
+                    Outcomes::one((BankResp::No, *s))
                 }
             }
-            BankInv::Withdraw(_) => vec![],
-            BankInv::Balance => vec![(BankResp::Val(*s), *s)],
+            BankInv::Withdraw(_) => Outcomes::none(),
+            BankInv::Balance => Outcomes::one((BankResp::Val(*s), *s)),
         }
     }
 }

@@ -5,7 +5,7 @@
 //! `A` or a `B`. Invocations of the wrong side are simply not enabled
 //! (partiality), so a mismatched invocation can never produce a response.
 
-use ccr_core::adt::{Adt, EnumerableAdt, Op, StateCover};
+use ccr_core::adt::{Adt, EnumerableAdt, Op, Outcomes, StateCover};
 
 /// One of two ADTs, chosen per object at configuration time.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -37,7 +37,11 @@ impl<A: Adt, B: Adt> Adt for SumAdt<A, B> {
         }
     }
 
-    fn step(&self, s: &Self::State, inv: &Self::Invocation) -> Vec<(Self::Response, Self::State)> {
+    fn step(
+        &self,
+        s: &Self::State,
+        inv: &Self::Invocation,
+    ) -> Outcomes<(Self::Response, Self::State)> {
         match (self, s, inv) {
             (SumAdt::Left(a), Either::L(s), Either::L(i)) => {
                 a.step(s, i).into_iter().map(|(r, s2)| (Either::L(r), Either::L(s2))).collect()
@@ -45,7 +49,7 @@ impl<A: Adt, B: Adt> Adt for SumAdt<A, B> {
             (SumAdt::Right(b), Either::R(s), Either::R(i)) => {
                 b.step(s, i).into_iter().map(|(r, s2)| (Either::R(r), Either::R(s2))).collect()
             }
-            _ => Vec::new(), // wrong side: not enabled
+            _ => Outcomes::none(), // wrong side: not enabled
         }
     }
 }

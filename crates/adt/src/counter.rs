@@ -5,7 +5,7 @@
 //! pervasively in hot-spot workloads (the "increment a shared aggregate"
 //! pattern the paper's introduction calls out).
 
-use ccr_core::adt::{Adt, EnumerableAdt, Op, OpDeterministicAdt, StateCover};
+use ccr_core::adt::{Adt, EnumerableAdt, Op, OpDeterministicAdt, Outcomes, StateCover};
 use ccr_core::conflict::FnConflict;
 
 use crate::traits::{InvertibleAdt, RwClassify};
@@ -45,17 +45,17 @@ impl Adt for Counter {
         0
     }
 
-    fn step(&self, s: &u64, inv: &CounterInv) -> Vec<(CounterResp, u64)> {
+    fn step(&self, s: &u64, inv: &CounterInv) -> Outcomes<(CounterResp, u64)> {
         match inv {
-            CounterInv::Inc => vec![(CounterResp::Ok, s + 1)],
+            CounterInv::Inc => Outcomes::one((CounterResp::Ok, s + 1)),
             CounterInv::Dec => {
                 if *s > 0 {
-                    vec![(CounterResp::Ok, s - 1)]
+                    Outcomes::one((CounterResp::Ok, s - 1))
                 } else {
-                    vec![(CounterResp::No, 0)]
+                    Outcomes::one((CounterResp::No, 0))
                 }
             }
-            CounterInv::Read => vec![(CounterResp::Val(*s), *s)],
+            CounterInv::Read => Outcomes::one((CounterResp::Val(*s), *s)),
         }
     }
 }

@@ -17,7 +17,7 @@
 //! outside the conflict-relation framework (the paper's §8 says exactly
 //! this), and `ccr-runtime::escrow` implements it as an extension.
 
-use ccr_core::adt::{Adt, EnumerableAdt, Op, OpDeterministicAdt, StateCover};
+use ccr_core::adt::{Adt, EnumerableAdt, Op, OpDeterministicAdt, Outcomes, StateCover};
 use ccr_core::conflict::FnConflict;
 
 use crate::traits::{InvertibleAdt, RwClassify};
@@ -75,23 +75,23 @@ impl Adt for EscrowAccount {
         0
     }
 
-    fn step(&self, s: &u64, inv: &EscrowInv) -> Vec<(EscrowResp, u64)> {
+    fn step(&self, s: &u64, inv: &EscrowInv) -> Outcomes<(EscrowResp, u64)> {
         match inv {
             EscrowInv::Credit(i) if *i > 0 => {
                 if s + i <= self.cap {
-                    vec![(EscrowResp::Ok, s + i)]
+                    Outcomes::one((EscrowResp::Ok, s + i))
                 } else {
-                    vec![(EscrowResp::No, *s)]
+                    Outcomes::one((EscrowResp::No, *s))
                 }
             }
             EscrowInv::Debit(i) if *i > 0 => {
                 if *s >= *i {
-                    vec![(EscrowResp::Ok, s - i)]
+                    Outcomes::one((EscrowResp::Ok, s - i))
                 } else {
-                    vec![(EscrowResp::No, *s)]
+                    Outcomes::one((EscrowResp::No, *s))
                 }
             }
-            _ => vec![],
+            _ => Outcomes::none(),
         }
     }
 }

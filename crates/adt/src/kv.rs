@@ -13,7 +13,7 @@
 
 use std::collections::BTreeMap;
 
-use ccr_core::adt::{Adt, EnumerableAdt, Op, OpDeterministicAdt, StateCover};
+use ccr_core::adt::{Adt, EnumerableAdt, Op, OpDeterministicAdt, Outcomes, StateCover};
 use ccr_core::conflict::FnConflict;
 
 use crate::traits::RwClassify;
@@ -67,18 +67,22 @@ impl Adt for KvStore {
         BTreeMap::new()
     }
 
-    fn step(&self, s: &BTreeMap<Key, Value>, inv: &KvInv) -> Vec<(KvResp, BTreeMap<Key, Value>)> {
+    fn step(
+        &self,
+        s: &BTreeMap<Key, Value>,
+        inv: &KvInv,
+    ) -> Outcomes<(KvResp, BTreeMap<Key, Value>)> {
         match inv {
             KvInv::Put(k, v) => {
                 let mut s2 = s.clone();
                 s2.insert(*k, *v);
-                vec![(KvResp::Ok, s2)]
+                Outcomes::one((KvResp::Ok, s2))
             }
-            KvInv::Get(k) => vec![(KvResp::Val(s.get(k).copied()), s.clone())],
+            KvInv::Get(k) => Outcomes::one((KvResp::Val(s.get(k).copied()), s.clone())),
             KvInv::Del(k) => {
                 let mut s2 = s.clone();
                 s2.remove(k);
-                vec![(KvResp::Ok, s2)]
+                Outcomes::one((KvResp::Ok, s2))
             }
         }
     }

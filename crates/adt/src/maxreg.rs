@@ -8,7 +8,7 @@
 //! even those only against *larger* concurrent writes (a write below the
 //! read value is invisible).
 
-use ccr_core::adt::{Adt, EnumerableAdt, Op, OpDeterministicAdt, StateCover};
+use ccr_core::adt::{Adt, EnumerableAdt, Op, OpDeterministicAdt, Outcomes, StateCover};
 use ccr_core::conflict::FnConflict;
 
 use crate::traits::RwClassify;
@@ -56,10 +56,10 @@ impl Adt for MaxRegister {
         0
     }
 
-    fn step(&self, s: &Val, inv: &MaxInv) -> Vec<(MaxResp, Val)> {
+    fn step(&self, s: &Val, inv: &MaxInv) -> Outcomes<(MaxResp, Val)> {
         match inv {
-            MaxInv::WriteMax(v) => vec![(MaxResp::Ok, (*s).max(*v))],
-            MaxInv::Read => vec![(MaxResp::Val(*s), *s)],
+            MaxInv::WriteMax(v) => Outcomes::one((MaxResp::Ok, (*s).max(*v))),
+            MaxInv::Read => Outcomes::one((MaxResp::Val(*s), *s)),
         }
     }
 }

@@ -10,7 +10,7 @@
 
 use std::collections::BTreeMap;
 
-use ccr_core::adt::{Adt, EnumerableAdt, Op, OpDeterministicAdt, StateCover};
+use ccr_core::adt::{Adt, EnumerableAdt, Op, OpDeterministicAdt, Outcomes, StateCover};
 use ccr_core::conflict::FnConflict;
 
 use crate::traits::{InvertibleAdt, RwClassify};
@@ -63,12 +63,12 @@ impl Adt for PQueue {
         Heap::new()
     }
 
-    fn step(&self, s: &Heap, inv: &PqInv) -> Vec<(PqResp, Heap)> {
+    fn step(&self, s: &Heap, inv: &PqInv) -> Outcomes<(PqResp, Heap)> {
         match inv {
             PqInv::Insert(v) => {
                 let mut s2 = s.clone();
                 *s2.entry(*v).or_insert(0) += 1;
-                vec![(PqResp::Ok, s2)]
+                Outcomes::one((PqResp::Ok, s2))
             }
             PqInv::ExtractMin => match s.keys().next().copied() {
                 Some(min) => {
@@ -79,9 +79,9 @@ impl Adt for PQueue {
                             s2.remove(&min);
                         }
                     }
-                    vec![(PqResp::Got(min), s2)]
+                    Outcomes::one((PqResp::Got(min), s2))
                 }
-                None => vec![(PqResp::Empty, Heap::new())],
+                None => Outcomes::one((PqResp::Empty, Heap::new())),
             },
         }
     }

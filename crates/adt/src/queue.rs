@@ -8,7 +8,7 @@
 //! waits for a concurrent consumer — compare [`crate::semiqueue`], where
 //! giving up FIFO order buys far more concurrency.
 
-use ccr_core::adt::{Adt, EnumerableAdt, Op, OpDeterministicAdt, StateCover};
+use ccr_core::adt::{Adt, EnumerableAdt, Op, OpDeterministicAdt, Outcomes, StateCover};
 use ccr_core::conflict::FnConflict;
 
 use crate::traits::RwClassify;
@@ -61,16 +61,16 @@ impl Adt for FifoQueue {
         Vec::new()
     }
 
-    fn step(&self, s: &QueueState, inv: &QueueInv) -> Vec<(QueueResp, QueueState)> {
+    fn step(&self, s: &QueueState, inv: &QueueInv) -> Outcomes<(QueueResp, QueueState)> {
         match inv {
             QueueInv::Enq(v) => {
                 let mut s2 = s.clone();
                 s2.push(*v);
-                vec![(QueueResp::Ok, s2)]
+                Outcomes::one((QueueResp::Ok, s2))
             }
             QueueInv::Deq => match s.split_first() {
-                Some((&head, rest)) => vec![(QueueResp::Got(head), rest.to_vec())],
-                None => vec![(QueueResp::Empty, Vec::new())],
+                Some((&head, rest)) => Outcomes::one((QueueResp::Got(head), rest.to_vec())),
+                None => Outcomes::one((QueueResp::Empty, Vec::new())),
             },
         }
     }

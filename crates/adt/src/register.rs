@@ -3,7 +3,7 @@
 //! commutativity shows its advantage: the only non-conflicting pairs are
 //! read/read, same-value write/write, and read-of-the-written-value.
 
-use ccr_core::adt::{Adt, EnumerableAdt, Op, OpDeterministicAdt, StateCover};
+use ccr_core::adt::{Adt, EnumerableAdt, Op, OpDeterministicAdt, Outcomes, StateCover};
 use ccr_core::conflict::FnConflict;
 
 use crate::traits::RwClassify;
@@ -51,10 +51,10 @@ impl Adt for RwRegister {
         0
     }
 
-    fn step(&self, s: &Val, inv: &RegInv) -> Vec<(RegResp, Val)> {
+    fn step(&self, s: &Val, inv: &RegInv) -> Outcomes<(RegResp, Val)> {
         match inv {
-            RegInv::Read => vec![(RegResp::Val(*s), *s)],
-            RegInv::Write(v) => vec![(RegResp::Ok, *v)],
+            RegInv::Read => Outcomes::one((RegResp::Val(*s), *s)),
+            RegInv::Write(v) => Outcomes::one((RegResp::Ok, *v)),
         }
     }
 }

@@ -15,7 +15,7 @@
 
 use std::collections::BTreeMap;
 
-use ccr_core::adt::{Adt, EnumerableAdt, Op, OpDeterministicAdt, StateCover};
+use ccr_core::adt::{Adt, EnumerableAdt, Op, OpDeterministicAdt, Outcomes, StateCover};
 use ccr_core::conflict::FnConflict;
 
 use crate::traits::{InvertibleAdt, RwClassify};
@@ -68,16 +68,16 @@ impl Adt for Semiqueue {
         Bag::new()
     }
 
-    fn step(&self, s: &Bag, inv: &SqInv) -> Vec<(SqResp, Bag)> {
+    fn step(&self, s: &Bag, inv: &SqInv) -> Outcomes<(SqResp, Bag)> {
         match inv {
             SqInv::Enq(v) => {
                 let mut s2 = s.clone();
                 *s2.entry(*v).or_insert(0) += 1;
-                vec![(SqResp::Ok, s2)]
+                Outcomes::one((SqResp::Ok, s2))
             }
             SqInv::Deq => {
                 if s.is_empty() {
-                    return vec![(SqResp::Empty, Bag::new())];
+                    return Outcomes::one((SqResp::Empty, Bag::new()));
                 }
                 // One transition per removable value: response
                 // non-determinism, visible in the result.

@@ -12,7 +12,7 @@
 
 use std::collections::BTreeSet;
 
-use ccr_core::adt::{Adt, EnumerableAdt, Op, OpDeterministicAdt, StateCover};
+use ccr_core::adt::{Adt, EnumerableAdt, Op, OpDeterministicAdt, Outcomes, StateCover};
 use ccr_core::conflict::FnConflict;
 
 use crate::traits::{InvertibleAdt, RwClassify};
@@ -68,27 +68,27 @@ impl Adt for IntSet {
         BTreeSet::new()
     }
 
-    fn step(&self, s: &BTreeSet<Elem>, inv: &SetInv) -> Vec<(SetResp, BTreeSet<Elem>)> {
+    fn step(&self, s: &BTreeSet<Elem>, inv: &SetInv) -> Outcomes<(SetResp, BTreeSet<Elem>)> {
         match inv {
             SetInv::Insert(x) => {
                 if s.contains(x) {
-                    vec![(SetResp::Present, s.clone())]
+                    Outcomes::one((SetResp::Present, s.clone()))
                 } else {
                     let mut s2 = s.clone();
                     s2.insert(*x);
-                    vec![(SetResp::Added, s2)]
+                    Outcomes::one((SetResp::Added, s2))
                 }
             }
             SetInv::Remove(x) => {
                 if s.contains(x) {
                     let mut s2 = s.clone();
                     s2.remove(x);
-                    vec![(SetResp::Removed, s2)]
+                    Outcomes::one((SetResp::Removed, s2))
                 } else {
-                    vec![(SetResp::Absent, s.clone())]
+                    Outcomes::one((SetResp::Absent, s.clone()))
                 }
             }
-            SetInv::Contains(x) => vec![(SetResp::Is(s.contains(x)), s.clone())],
+            SetInv::Contains(x) => Outcomes::one((SetResp::Is(s.contains(x)), s.clone())),
         }
     }
 }

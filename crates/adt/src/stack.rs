@@ -6,7 +6,7 @@
 //! update-in-place recovery too — compare [`crate::queue`], where
 //! `(enq, got)` never conflicts.
 
-use ccr_core::adt::{Adt, EnumerableAdt, Op, OpDeterministicAdt, StateCover};
+use ccr_core::adt::{Adt, EnumerableAdt, Op, OpDeterministicAdt, Outcomes, StateCover};
 use ccr_core::conflict::FnConflict;
 
 use crate::traits::RwClassify;
@@ -56,16 +56,16 @@ impl Adt for Stack {
         Vec::new()
     }
 
-    fn step(&self, s: &Vec<Val>, inv: &StackInv) -> Vec<(StackResp, Vec<Val>)> {
+    fn step(&self, s: &Vec<Val>, inv: &StackInv) -> Outcomes<(StackResp, Vec<Val>)> {
         match inv {
             StackInv::Push(v) => {
                 let mut s2 = s.clone();
                 s2.push(*v);
-                vec![(StackResp::Ok, s2)]
+                Outcomes::one((StackResp::Ok, s2))
             }
             StackInv::Pop => match s.split_last() {
-                Some((&top, rest)) => vec![(StackResp::Got(top), rest.to_vec())],
-                None => vec![(StackResp::Empty, Vec::new())],
+                Some((&top, rest)) => Outcomes::one((StackResp::Got(top), rest.to_vec())),
+                None => Outcomes::one((StackResp::Empty, Vec::new())),
             },
         }
     }

@@ -23,6 +23,120 @@
 use std::fmt;
 use std::hash::Hash;
 
+/// What one transition produced: the `(response, post-state)` pairs of
+/// [`Adt::step`], or the post-states of [`Adt::apply`].
+///
+/// None and one — all a deterministic invocation ever yields — are held
+/// inline; only a non-deterministic invocation's second outcome spills to
+/// the heap. Reads as a slice, compares with a `Vec`, iterates by value.
+#[derive(Clone)]
+pub struct Outcomes<T>(Repr<T>);
+
+#[derive(Clone)]
+enum Repr<T> {
+    None,
+    One(T),
+    /// Whatever is left of a spilled collection (any length, after
+    /// [`Outcomes::remove`]).
+    Many(Vec<T>),
+}
+
+impl<T> Outcomes<T> {
+    /// No outcome: the invocation is not enabled (partiality).
+    pub const fn none() -> Self {
+        Outcomes(Repr::None)
+    }
+
+    /// The one outcome of a deterministic transition.
+    pub const fn one(outcome: T) -> Self {
+        Outcomes(Repr::One(outcome))
+    }
+
+    /// Append an outcome; the second one spills to a `Vec`.
+    pub fn push(&mut self, outcome: T) {
+        self.0 = match std::mem::replace(&mut self.0, Repr::None) {
+            Repr::None => Repr::One(outcome),
+            Repr::One(first) => Repr::Many(vec![first, outcome]),
+            Repr::Many(mut all) => {
+                all.push(outcome);
+                Repr::Many(all)
+            }
+        };
+    }
+
+    /// Remove and return the outcome at `index`, shifting the later ones
+    /// down, as [`Vec::remove`] does.
+    ///
+    /// # Panics
+    ///
+    /// If `index` is out of bounds.
+    pub fn remove(&mut self, index: usize) -> T {
+        match std::mem::replace(&mut self.0, Repr::None) {
+            Repr::One(only) if index == 0 => only,
+            Repr::Many(mut all) => {
+                let removed = all.remove(index);
+                self.0 = Repr::Many(all);
+                removed
+            }
+            _ => panic!("removal index {index} is out of bounds"),
+        }
+    }
+}
+
+impl<T> std::ops::Deref for Outcomes<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        match &self.0 {
+            Repr::None => &[],
+            Repr::One(only) => std::slice::from_ref(only),
+            Repr::Many(all) => all,
+        }
+    }
+}
+
+impl<T> FromIterator<T> for Outcomes<T> {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
+        let mut out = Outcomes::none();
+        for outcome in iter {
+            out.push(outcome);
+        }
+        out
+    }
+}
+
+impl<T> IntoIterator for Outcomes<T> {
+    type Item = T;
+    type IntoIter = std::iter::Chain<std::option::IntoIter<T>, std::vec::IntoIter<T>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        let (inline, spilled) = match self.0 {
+            Repr::None => (None, Vec::new()),
+            Repr::One(only) => (Some(only), Vec::new()),
+            Repr::Many(all) => (None, all),
+        };
+        inline.into_iter().chain(spilled)
+    }
+}
+
+impl<T: PartialEq> PartialEq for Outcomes<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self[..] == other[..]
+    }
+}
+
+impl<T: PartialEq> PartialEq<Vec<T>> for Outcomes<T> {
+    fn eq(&self, other: &Vec<T>) -> bool {
+        self[..] == other[..]
+    }
+}
+
+impl<T: fmt::Debug> fmt::Debug for Outcomes<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self[..].fmt(f)
+    }
+}
+
 /// A state-machine presentation of a serial specification.
 ///
 /// `Spec(X)` is the set of operation sequences that have at least one legal
@@ -52,11 +166,11 @@ pub trait Adt: Clone + fmt::Debug + Send + Sync + 'static {
         &self,
         state: &Self::State,
         inv: &Self::Invocation,
-    ) -> Vec<(Self::Response, Self::State)>;
+    ) -> Outcomes<(Self::Response, Self::State)>;
 
     /// Post-states of executing the *operation* `op` (invocation plus fixed
     /// response) in `state`. Empty means the operation is not legal here.
-    fn apply(&self, state: &Self::State, op: &Op<Self>) -> Vec<Self::State> {
+    fn apply(&self, state: &Self::State, op: &Op<Self>) -> Outcomes<Self::State> {
         self.step(state, &op.inv)
             .into_iter()
             .filter(|(resp, _)| *resp == op.resp)
@@ -246,10 +360,10 @@ pub(crate) mod test_adt {
             0
         }
 
-        fn step(&self, s: &u32, inv: &CInv) -> Vec<(CResp, u32)> {
+        fn step(&self, s: &u32, inv: &CInv) -> Outcomes<(CResp, u32)> {
             match inv {
                 CInv::Inc => {
-                    let mut out = Vec::new();
+                    let mut out = Outcomes::none();
                     if *s < self.max {
                         out.push((CResp::Ok, s + 1));
                     }
@@ -260,12 +374,12 @@ pub(crate) mod test_adt {
                 }
                 CInv::Dec => {
                     if *s > 0 {
-                        vec![(CResp::Ok, s - 1)]
+                        Outcomes::one((CResp::Ok, s - 1))
                     } else {
-                        vec![(CResp::No, *s)]
+                        Outcomes::one((CResp::No, *s))
                     }
                 }
-                CInv::Read => vec![(CResp::Val(*s), *s)],
+                CInv::Read => Outcomes::one((CResp::Val(*s), *s)),
             }
         }
     }
@@ -302,6 +416,52 @@ pub(crate) mod test_adt {
 mod tests {
     use super::test_adt::*;
     use super::*;
+
+    #[test]
+    fn outcomes_hold_none_one_and_many() {
+        let none: Outcomes<u32> = Outcomes::none();
+        assert!(none.is_empty());
+        assert_eq!(none, Vec::new());
+        assert_eq!(none.into_iter().next(), None);
+
+        let one = Outcomes::one(7);
+        assert_eq!((one.len(), one[0]), (1, 7));
+        assert_eq!(one, vec![7]);
+        assert_ne!(one, vec![7, 7]);
+        assert_eq!(one.clone().into_iter().collect::<Vec<_>>(), [7]);
+        assert_eq!(format!("{one:?}"), "[7]");
+
+        let many: Outcomes<u32> = (1..=3).collect();
+        assert_eq!(many, vec![1, 2, 3]);
+        assert!(many.contains(&2) && !many.contains(&7));
+        assert_eq!(many.iter().sum::<u32>(), 6);
+        assert_eq!(many.into_iter().collect::<Vec<_>>(), [1, 2, 3]);
+        // Collecting is how `apply` filters: nothing and one stay inline.
+        assert_eq!((0..0).collect::<Outcomes<u32>>(), Outcomes::none());
+        assert_eq!((7..8).collect::<Outcomes<u32>>(), one);
+    }
+
+    #[test]
+    fn outcomes_remove_shifts_like_a_vec() {
+        let mut one = Outcomes::one('a');
+        assert_eq!(one.remove(0), 'a');
+        assert!(one.is_empty());
+
+        let mut many: Outcomes<char> = "abc".chars().collect();
+        assert_eq!(many.remove(1), 'b');
+        assert_eq!(many, vec!['a', 'c']);
+        assert_eq!(many.remove(0), 'a');
+        // A spilled collection that shrank still compares by contents.
+        assert_eq!(many, Outcomes::one('c'));
+        many.push('d');
+        assert_eq!(many, vec!['c', 'd']);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn outcomes_remove_past_the_end_panics() {
+        Outcomes::one(1).remove(1);
+    }
 
     #[test]
     fn step_models_partiality() {

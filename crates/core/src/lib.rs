@@ -47,11 +47,11 @@
 //!     type Invocation = Inv;
 //!     type Response = Resp;
 //!     fn initial(&self) -> bool { false }
-//!     fn step(&self, s: &bool, inv: &Inv) -> Vec<(Resp, bool)> {
-//!         match inv {
-//!             Inv::Set => vec![(Resp::Ok, true)],
-//!             Inv::Get => vec![(Resp::Val(*s), *s)],
-//!         }
+//!     fn step(&self, s: &bool, inv: &Inv) -> Outcomes<(Resp, bool)> {
+//!         Outcomes::one(match inv {
+//!             Inv::Set => (Resp::Ok, true),
+//!             Inv::Get => (Resp::Val(*s), *s),
+//!         })
 //!     }
 //! }
 //!
@@ -79,7 +79,7 @@ pub mod view;
 
 /// Convenience re-exports of the most common items.
 pub mod prelude {
-    pub use crate::adt::{Adt, EnumerableAdt, Op, OpDeterministicAdt, StateCover};
+    pub use crate::adt::{Adt, EnumerableAdt, Op, OpDeterministicAdt, Outcomes, StateCover};
     pub use crate::atomicity::{
         check_dynamic_atomic, check_dynamic_atomic_sampled, check_online_dynamic_atomic,
         find_serialization, is_atomic, is_dynamic_atomic, is_serializable, SystemSpec,

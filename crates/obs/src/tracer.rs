@@ -20,7 +20,7 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use ccr_core::ids::{ObjectId, TxnId};
+use ccr_core::ids::{ObjectId, TxnId, TxnTable};
 
 use crate::conflict::{ConflictKey, ConflictMatrix};
 use crate::event::{AbortCause, CorruptionKind, EventKind, FaultCounter, ObsEvent, WaitGraph};
@@ -50,12 +50,12 @@ pub struct Tracer {
     stall_latency: LogHistogram,
     prepare_to_decide: LogHistogram,
     /// Logical begin stamp of each live transaction.
-    begin_seq: BTreeMap<TxnId, u64>,
+    begin_seq: TxnTable<u64>,
     /// Logical prepare stamp of each in-flight 2PC participant vote, by
     /// gtid — consumed by the decide that closes the doubt window.
     prepare_seq: BTreeMap<u64, u64>,
     /// First blocked-attempt stamp of each currently blocked transaction.
-    block_start: BTreeMap<TxnId, u64>,
+    block_start: TxnTable<u64>,
     /// Per-phase duration histograms (commit + recovery pipelines).
     phases: PhaseProfiles,
     /// Observed-conflict matrix (populated only while events are recorded).
@@ -85,9 +85,9 @@ impl Default for Tracer {
             retry_jitter: LogHistogram::new(),
             stall_latency: LogHistogram::new(),
             prepare_to_decide: LogHistogram::new(),
-            begin_seq: BTreeMap::new(),
+            begin_seq: TxnTable::new(),
             prepare_seq: BTreeMap::new(),
-            block_start: BTreeMap::new(),
+            block_start: TxnTable::new(),
             phases: PhaseProfiles::new(),
             conflicts: ConflictMatrix::new(),
             pending_conflicts: BTreeMap::new(),
@@ -305,7 +305,9 @@ impl Tracer {
         let (inv, on, graph) =
             if self.record_events { snapshot() } else { (String::new(), Vec::new(), Vec::new()) };
         let seq = self.emit(Some(txn), Some(obj), EventKind::Block { inv, on, graph });
-        self.block_start.entry(txn).or_insert(seq);
+        if !self.block_start.contains_key(&txn) {
+            self.block_start.insert(txn, seq);
+        }
     }
 
     /// A holder was wounded by the older requester `by`.

@@ -1589,7 +1589,7 @@ mod tests {
         // The preparee is still active and still holds its locks: a
         // conflicting withdrawal blocks on it.
         let u = sys.begin();
-        assert!(matches!(sys.invoke(u, X, BankInv::Withdraw(1)), Err(TxnError::Blocked { .. })));
+        assert!(matches!(sys.invoke(u, X, BankInv::Withdraw(1)), Err(TxnError::Blocked)));
         sys.abort(u).unwrap();
         // Checkpoints refuse while a prepare is in doubt.
         assert_eq!(sys.checkpoint(), 0);
@@ -1639,7 +1639,7 @@ mod tests {
         // The ghost re-holds the lock; the prepared deposit is not visible.
         assert_eq!(sys.committed_state(X), 0);
         let u = sys.begin();
-        assert!(matches!(sys.invoke(u, X, BankInv::Withdraw(1)), Err(TxnError::Blocked { .. })));
+        assert!(matches!(sys.invoke(u, X, BankInv::Withdraw(1)), Err(TxnError::Blocked)));
         sys.abort(u).unwrap();
         assert_eq!(sys.stats().in_doubt, 1);
         // A second crash keeps it in doubt — doubt is stable.
@@ -1815,10 +1815,7 @@ mod tests {
             assert_eq!(sys.journal().records().len(), 1);
             // The ghost holds the prepared deposit's lock, and only that.
             let w = sys.begin();
-            assert!(matches!(
-                sys.invoke(w, z, BankInv::Withdraw(1)),
-                Err(TxnError::Blocked { .. })
-            ));
+            assert!(matches!(sys.invoke(w, z, BankInv::Withdraw(1)), Err(TxnError::Blocked)));
             sys.invoke(w, y, BankInv::Withdraw(1)).unwrap();
             sys.abort(w).unwrap();
         }

@@ -66,6 +66,22 @@ pub trait RecoveryEngine<A: Adt>: Send + 'static {
     fn name() -> &'static str;
 }
 
+/// What an engine keeps of the lists that empty when its object goes quiet,
+/// so that the next transaction to visit allocates nothing: a list with room
+/// for at most this many entries keeps its capacity, and at most this many
+/// emptied lists are kept aside. Anything larger is freed, so an idle object
+/// that was ever touched keeps at most `SPARE + 2` lists of `SPARE` entries —
+/// in practice a few hundred bytes.
+const SPARE: usize = 8;
+
+/// Give up an emptied list's capacity unless it is small enough to keep.
+fn settle<T>(emptied: &mut Vec<T>) {
+    debug_assert!(emptied.is_empty());
+    if emptied.capacity() > SPARE {
+        *emptied = Vec::new();
+    }
+}
+
 /// How [`UipEngine`] rebuilds state on abort.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum UndoStrategy {
@@ -140,33 +156,26 @@ impl<A: Adt> RecoveryEngine<A> for UipEngine<A> {
     }
 
     fn abort(&mut self, txn: TxnId) -> Result<(), RecoveryError> {
-        let undone: Vec<Op<A>> =
-            self.log.iter().filter(|(t, _)| *t == txn).map(|(_, op)| op.clone()).collect();
-        if undone.is_empty() {
+        let mut undone =
+            self.log.iter().rev().filter(|(t, _)| *t == txn).map(|(_, op)| op).peekable();
+        if undone.peek().is_none() {
             return Ok(());
         }
-        self.log.retain(|(t, _)| *t != txn);
-        if self.strategy == UndoStrategy::Inverse {
-            if let Some(invert) = self.use_inverses {
-                let mut s = self.current.clone();
-                let mut ok = true;
-                for op in undone.iter().rev() {
-                    match invert(&self.adt, &s, op) {
-                        Some(s2) => s = s2,
-                        None => {
-                            ok = false;
-                            break;
-                        }
-                    }
-                }
-                if ok {
-                    self.current = s;
-                    return Ok(());
-                }
-                // fall through to replay
+        // Newest first; an operation without an inverse falls back to replay.
+        let inverted = match (self.strategy, self.use_inverses) {
+            (UndoStrategy::Inverse, Some(invert)) => {
+                undone.try_fold(self.current.clone(), |s, op| invert(&self.adt, &s, op))
             }
+            _ => None,
+        };
+        self.log.retain(|(t, _)| *t != txn);
+        match inverted {
+            Some(s) => {
+                self.current = s;
+                Ok(())
+            }
+            None => self.replay(),
         }
-        self.replay()
     }
 
     fn committed_state(&mut self) -> A::State {
@@ -240,7 +249,7 @@ impl<A: Adt> UipEngine<A> {
             let log = &self.log;
             self.committed.retain(|t| log.iter().any(|(owner, _)| owner == t));
             if self.committed.is_empty() {
-                self.committed = Vec::new(); // a quiet object keeps no memory for markers
+                settle(&mut self.committed);
             }
         }
     }
@@ -305,8 +314,8 @@ impl<A: InvertibleAdt> RecoveryEngine<A> for UipInverseEngine<A> {
 
 /// Deferred-update engine. See module docs.
 ///
-/// `Clone` snapshots committed base plus every private workspace.
-#[derive(Clone)]
+/// `Clone` snapshots committed base plus every private workspace (and none
+/// of the spare lists).
 pub struct DuEngine<A: Adt> {
     adt: A,
     obj: ObjectId,
@@ -321,6 +330,22 @@ pub struct DuEngine<A: Adt> {
     ///
     /// [`record`]: RecoveryEngine::record
     workspaces: Vec<(TxnId, Workspace<A>)>,
+    /// Emptied intentions lists of closed workspaces, at most [`SPARE`], for
+    /// the next workspace to open.
+    spare: Vec<Vec<Op<A>>>,
+}
+
+impl<A: Adt> Clone for DuEngine<A> {
+    fn clone(&self) -> Self {
+        DuEngine {
+            adt: self.adt.clone(),
+            obj: self.obj,
+            base: self.base.clone(),
+            base_version: self.base_version,
+            workspaces: self.workspaces.clone(),
+            spare: Vec::new(),
+        }
+    }
 }
 
 #[derive(Clone)]
@@ -369,14 +394,22 @@ impl<A: Adt> DuEngine<A> {
     }
 
     /// Take `txn`'s workspace out, if it has one. An object nobody has a
-    /// workspace at keeps no memory for them.
+    /// workspace at keeps no more memory for them than [`SPARE`] allows.
     fn close(&mut self, txn: TxnId) -> Option<Workspace<A>> {
         let slot = self.slot(txn).ok()?;
         let (_, ws) = self.workspaces.remove(slot);
         if self.workspaces.is_empty() {
-            self.workspaces = Vec::new();
+            settle(&mut self.workspaces);
         }
         Some(ws)
+    }
+
+    /// Keep a closed workspace's intentions list, emptied, for the next one.
+    fn recycle(&mut self, mut intentions: Vec<Op<A>>) {
+        intentions.clear();
+        if self.spare.len() < SPARE && intentions.capacity() <= SPARE {
+            self.spare.push(intentions);
+        }
     }
 
     /// The transactions holding a workspace, ascending.
@@ -388,7 +421,14 @@ impl<A: Adt> DuEngine<A> {
 
 impl<A: Adt> RecoveryEngine<A> for DuEngine<A> {
     fn new(adt: A, obj: ObjectId) -> Self {
-        DuEngine { base: adt.initial(), adt, obj, base_version: 0, workspaces: Vec::new() }
+        DuEngine {
+            base: adt.initial(),
+            adt,
+            obj,
+            base_version: 0,
+            workspaces: Vec::new(),
+            spare: Vec::new(),
+        }
     }
 
     fn view_state(&mut self, txn: TxnId) -> A::State {
@@ -407,8 +447,10 @@ impl<A: Adt> RecoveryEngine<A> for DuEngine<A> {
                 ws.cached = post;
             }
             Err(slot) => {
+                let mut intentions = self.spare.pop().unwrap_or_default();
+                intentions.push(op);
                 let ws = Workspace {
-                    intentions: vec![op],
+                    intentions,
                     cached: post,
                     cached_version: self.base_version,
                     doomed: false,
@@ -449,11 +491,14 @@ impl<A: Adt> RecoveryEngine<A> for DuEngine<A> {
         }
         self.base = s;
         self.base_version += 1;
+        self.recycle(ws.intentions);
     }
 
     fn abort(&mut self, txn: TxnId) -> Result<(), RecoveryError> {
         // Deferred update makes aborts trivial: discard the workspace.
-        self.close(txn);
+        if let Some(ws) = self.close(txn) {
+            self.recycle(ws.intentions);
+        }
         Ok(())
     }
 

@@ -40,13 +40,11 @@ impl fmt::Display for AbortReason {
 /// Errors surfaced by [`crate::system::TxnSystem`] operations.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum TxnError {
-    /// The operation conflicts with operations held by the listed active
+    /// The operation conflicts with operations held by other active
     /// transactions; the caller should wait for one of them to finish (or
-    /// abort and retry, per policy).
-    Blocked {
-        /// Transactions holding conflicting operations.
-        on: Vec<TxnId>,
-    },
+    /// abort and retry, per policy). Whom it waits for is the system's to
+    /// say: `TxnSystem::waiting_on`.
+    Blocked,
     /// The transaction has been aborted.
     Aborted(AbortReason),
     /// The transaction id is unknown or already completed.
@@ -72,7 +70,7 @@ pub enum TxnError {
 impl fmt::Display for TxnError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TxnError::Blocked { on } => write!(f, "blocked on {on:?}"),
+            TxnError::Blocked => write!(f, "blocked by a conflicting holder"),
             TxnError::Aborted(r) => write!(f, "aborted: {r}"),
             TxnError::NotActive(t) => write!(f, "transaction {t} is not active"),
             TxnError::NoSuchObject(o) => write!(f, "no such object {o}"),

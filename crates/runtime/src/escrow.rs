@@ -68,7 +68,7 @@ impl EscrowObject {
 
     /// Request `debit(n)` for `txn`. `Ok(Ok)` reserves the amount; `Ok(No)`
     /// is a definite refusal; `Err(Blocked)` means the outcome depends on
-    /// concurrent transactions.
+    /// concurrent transactions ([`holders`](Self::holders) names them).
     pub fn debit(&mut self, txn: TxnId, n: u64) -> Result<EscrowOutcome, TxnError> {
         let (low, high) = self.bounds();
         if low >= n {
@@ -77,7 +77,7 @@ impl EscrowObject {
         } else if high < n {
             Ok(EscrowOutcome::No)
         } else {
-            Err(TxnError::Blocked { on: self.holders(txn) })
+            Err(TxnError::Blocked)
         }
     }
 
@@ -90,11 +90,13 @@ impl EscrowObject {
         } else if low + n > self.cap {
             Ok(EscrowOutcome::No)
         } else {
-            Err(TxnError::Blocked { on: self.holders(txn) })
+            Err(TxnError::Blocked)
         }
     }
 
-    fn holders(&self, requester: TxnId) -> Vec<TxnId> {
+    /// The transactions other than `requester` holding reservations — whom a
+    /// blocked `requester` is waiting for — ascending.
+    pub fn holders(&self, requester: TxnId) -> Vec<TxnId> {
         self.pending.keys().copied().filter(|t| *t != requester).collect()
     }
 
@@ -146,7 +148,8 @@ mod tests {
         let mut e = EscrowObject::new(100, 50);
         assert_eq!(e.debit(T(0), 30), Ok(EscrowOutcome::Ok));
         // low = 20, high = 50: a debit of 30 is uncertain.
-        assert!(matches!(e.debit(T(1), 30), Err(TxnError::Blocked { .. })));
+        assert_eq!(e.debit(T(1), 30), Err(TxnError::Blocked));
+        assert_eq!(e.holders(T(1)), [T(0)]);
         // After T0 aborts, the debit is guaranteed again.
         e.abort(T(0));
         assert_eq!(e.debit(T(1), 30), Ok(EscrowOutcome::Ok));
@@ -165,7 +168,7 @@ mod tests {
         let mut e = EscrowObject::new(20, 10);
         assert_eq!(e.debit(T(0), 5), Ok(EscrowOutcome::Ok)); // low 5, high 10
         assert_eq!(e.credit(T(1), 10), Ok(EscrowOutcome::Ok)); // high 20 ≤ cap
-        assert!(matches!(e.credit(T(2), 5), Err(TxnError::Blocked { .. })));
+        assert!(matches!(e.credit(T(2), 5), Err(TxnError::Blocked)));
         assert_eq!(e.credit(T(3), 20), Ok(EscrowOutcome::No)); // low+20 > cap
         e.commit(T(0));
         e.commit(T(1));

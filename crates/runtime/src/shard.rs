@@ -79,7 +79,7 @@ impl CoordinatorLog {
     }
 
     /// Every durably committed global id, ascending.
-    pub fn committed(&self) -> impl Iterator<Item = u64> + '_ {
+    pub fn committed(&self) -> impl DoubleEndedIterator<Item = u64> + '_ {
         self.durable.iter().copied()
     }
 
@@ -445,7 +445,10 @@ where
                 }
             }
         }
-        let floor = self.coord.committed().chain(self.in_doubt()).max().unwrap_or(0);
+        // The greatest committed id is the last one: the set holds every
+        // cross-shard commit ever decided and must not be walked here.
+        let newest = self.coord.committed().next_back();
+        let floor = newest.into_iter().chain(self.in_doubt()).max().unwrap_or(0);
         self.next_gtid = floor + 1;
     }
 

@@ -504,11 +504,14 @@ where
                 }
             }
             // Transaction deadline: abort over-age transactions with a typed
-            // reason and restart the driver under jittered backoff.
+            // reason and restart the driver under jittered backoff. One that
+            // wound-wait already killed is left to its next `invoke`, which
+            // consumes the wound marker and restarts the script.
             if cfg.deadline > 0 {
                 if let Some(t) = drivers[i].txn {
                     if !drivers[i].awaiting_flush
                         && rounds.saturating_sub(drivers[i].began_round) > cfg.deadline
+                        && sys.system().is_active(t)
                     {
                         sys.system_mut()
                             .abort_with(t, AbortReason::Deadline)
@@ -1222,7 +1225,7 @@ where
                 d.blocked_epoch = None;
                 true
             }
-            Err(TxnError::Blocked { .. }) => {
+            Err(TxnError::Blocked) => {
                 d.pending = Some(Step::Invoke(obj, inv));
                 d.blocked_epoch = Some(epoch(sys.stats()));
                 false

@@ -9,8 +9,8 @@
 //!   object are its locks; they are released when it commits or aborts;
 //! * an invocation executes only if its operation (invocation *plus* chosen
 //!   response) conflicts with no operation held by another active
-//!   transaction — otherwise the caller gets [`TxnError::Blocked`] with the
-//!   blockers listed (wait-for edges for deadlock detection live here);
+//!   transaction — otherwise the caller gets [`TxnError::Blocked`] and the
+//!   wait-for edges are registered here, where deadlock detection reads them;
 //! * responses are chosen against the recovery engine's view, so the same
 //!   system runs update-in-place or deferred-update by swapping the engine.
 //!
@@ -18,12 +18,12 @@
 //! checked dynamic atomic by `ccr-core` — the strongest end-to-end invariant
 //! in the test suite.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use ccr_core::adt::{Adt, Op};
 use ccr_core::conflict::Conflict;
 use ccr_core::history::{Event, History};
-use ccr_core::ids::{ObjectId, TxnId};
+use ccr_core::ids::{ObjectId, TxnId, TxnTable};
 use ccr_obs::{AbortCause, Phase, Tracer, WaitGraph};
 
 use crate::engine::RecoveryEngine;
@@ -39,10 +39,11 @@ pub enum ConflictPolicy {
     #[default]
     Block,
     /// Wound-wait (Rosenkrantz et al.): an **older** requester wounds
-    /// (aborts) younger conflicting holders and proceeds; a younger
-    /// requester waits. Waits only ever point from younger to older
-    /// transactions, so the wait-for graph is acyclic — deadlock-free by
-    /// construction (asserted in tests).
+    /// (aborts) younger conflicting holders and proceeds; a requester with an
+    /// older conflicting holder waits for the older ones (any younger ones
+    /// are wounded on the retry, once the older have finished). Waits only
+    /// ever point from younger to older transactions, so the wait-for graph
+    /// is acyclic — deadlock-free by construction (asserted in tests).
     WoundWait,
     /// No-wait: a conflicting requester is aborted immediately (it never
     /// waits). Trivially deadlock-free; trades waiting for retry work.
@@ -100,14 +101,14 @@ pub struct TxnSystem<A: Adt, E: RecoveryEngine<A>, C: Conflict<A>> {
     /// Active transactions, each with the objects it holds operations at,
     /// ascending: `obj ∈ active[t]` iff `objects[obj].held` has an entry for
     /// `t`. Commit and abort release exactly these, in that order.
-    active: BTreeMap<TxnId, Vec<ObjectId>>,
+    active: TxnTable<Vec<ObjectId>>,
     next_txn: u32,
     /// (waiter, holders) wait-for edges from the last `Blocked` results,
     /// holders ascending.
-    waits: BTreeMap<TxnId, Vec<TxnId>>,
+    waits: TxnTable<Vec<TxnId>>,
     /// Transactions aborted by the wound-wait policy whose owners have not
     /// yet observed the abort.
-    wounded: BTreeSet<TxnId>,
+    wounded: TxnTable<()>,
     policy: ConflictPolicy,
     trace: History<A>,
     /// Structured tracer; the stats counters are a projection of its events.
@@ -116,7 +117,14 @@ pub struct TxnSystem<A: Adt, E: RecoveryEngine<A>, C: Conflict<A>> {
     /// Scratch for the holders an invocation conflicts with; kept for its
     /// capacity, meaningless between calls.
     blockers: Vec<TxnId>,
+    /// Emptied lock vectors of objects that went quiet, for the next object
+    /// somebody takes a first lock at.
+    lock_lists: Vec<LockList<A>>,
 }
+
+/// How many emptied lock vectors the system keeps: room for every object a
+/// few dozen short transactions hold at once, however many objects exist.
+const SPARE_LOCK_LISTS: usize = 64;
 
 struct ObjectRt<A: Adt, E> {
     engine: E,
@@ -177,8 +185,11 @@ impl<A: Adt, E> Objects<A, E> {
 /// operations in execution order). A release drains a range, so while
 /// anybody holds an operation here the vector keeps its capacity and the
 /// object allocates nothing; an object nobody holds anything at keeps no
-/// memory for locks.
-struct Held<A: Adt>(Vec<(TxnId, Op<A>)>);
+/// memory for locks — its vector goes to the system's bounded pool of spares
+/// and the next object to be locked picks it up.
+struct Held<A: Adt>(LockList<A>);
+
+type LockList<A> = Vec<(TxnId, Op<A>)>;
 
 impl<A: Adt> Clone for Held<A> {
     fn clone(&self) -> Self {
@@ -187,17 +198,23 @@ impl<A: Adt> Clone for Held<A> {
 }
 
 impl<A: Adt> Held<A> {
-    fn push(&mut self, txn: TxnId, op: Op<A>) {
+    fn push(&mut self, txn: TxnId, op: Op<A>, spares: &mut Vec<LockList<A>>) {
+        if self.0.capacity() == 0 {
+            self.0 = spares.pop().unwrap_or_default();
+        }
         let at = self.0.partition_point(|(holder, _)| *holder <= txn);
         self.0.insert(at, (txn, op));
     }
 
-    fn remove(&mut self, txn: &TxnId) {
+    fn remove(&mut self, txn: &TxnId, spares: &mut Vec<LockList<A>>) {
         let from = self.0.partition_point(|(holder, _)| holder < txn);
         let len = self.0[from..].partition_point(|(holder, _)| holder == txn);
         self.0.drain(from..from + len);
         if self.0.is_empty() {
-            self.0 = Vec::new();
+            let quiet = std::mem::take(&mut self.0);
+            if spares.len() < SPARE_LOCK_LISTS {
+                spares.push(quiet);
+            }
         }
     }
 }
@@ -228,10 +245,11 @@ impl<'a, A: Adt> Iterator for Holders<'a, A> {
 
 // Snapshot hook for the model checker: cloning a `TxnSystem` duplicates
 // every object's engine, the lock table, the wait graph and the tracer, so
-// an explorer can fork execution at any decision point. A manual impl
-// (rather than `derive`) keeps the bounds honest: `derive` would demand
-// `A: Clone` on the *derived* impl twice over and, more importantly, hide
-// that `E` and `C` must themselves be snapshot-able.
+// an explorer can fork execution at any decision point — contents only,
+// never scratch or spare capacity. A manual impl (rather than `derive`)
+// keeps the bounds honest: `derive` would demand `A: Clone` on the *derived*
+// impl twice over and, more importantly, hide that `E` and `C` must
+// themselves be snapshot-able.
 impl<A: Adt, E: RecoveryEngine<A> + Clone, C: Conflict<A> + Clone> Clone for TxnSystem<A, E, C> {
     fn clone(&self) -> Self {
         TxnSystem {
@@ -246,6 +264,7 @@ impl<A: Adt, E: RecoveryEngine<A> + Clone, C: Conflict<A> + Clone> Clone for Txn
             obs: self.obs.clone(),
             record_trace: self.record_trace,
             blockers: Vec::new(),
+            lock_lists: Vec::new(),
         }
     }
 }
@@ -273,14 +292,15 @@ impl<A: Adt, E: RecoveryEngine<A>, C: Conflict<A>> TxnSystem<A, E, C> {
             obs: Self::init_obs(&conflict),
             conflict,
             objects,
-            active: BTreeMap::new(),
+            active: TxnTable::new(),
             next_txn: 0,
-            waits: BTreeMap::new(),
-            wounded: BTreeSet::new(),
+            waits: TxnTable::new(),
+            wounded: TxnTable::new(),
             policy: ConflictPolicy::Block,
             trace: History::new(),
             record_trace: true,
             blockers: Vec::new(),
+            lock_lists: Vec::new(),
         }
     }
 
@@ -326,7 +346,7 @@ impl<A: Adt, E: RecoveryEngine<A>, C: Conflict<A>> TxnSystem<A, E, C> {
     pub fn begin(&mut self) -> TxnId {
         let t = TxnId(self.next_txn);
         self.next_txn += 1;
-        self.active.insert(t, Vec::new());
+        self.active.open(t);
         self.obs.on_begin(t);
         t
     }
@@ -404,12 +424,12 @@ impl<A: Adt, E: RecoveryEngine<A>, C: Conflict<A>> TxnSystem<A, E, C> {
                         .push(Event::Respond { txn, obj, resp: resp.clone() })
                         .expect("well-formed respond");
                 }
-                o.held.push(txn, op);
+                o.held.push(txn, op, &mut self.lock_lists);
                 let touched = self.active.get_mut(&txn).expect("checked active above");
                 if let Err(at) = touched.binary_search(&obj) {
                     touched.insert(at, obj);
                 }
-                self.waits.remove(&txn);
+                self.waits.close(&txn);
                 self.obs.span_end(lock_span);
                 self.obs.on_op(txn, obj, || rendered.expect("rendered when recording"));
                 return Ok(resp);
@@ -436,20 +456,30 @@ impl<A: Adt, E: RecoveryEngine<A>, C: Conflict<A>> TxnSystem<A, E, C> {
                 let graph = recording.then(|| self.graph_snapshot());
                 self.obs.on_wound(v, txn, || graph.unwrap_or_default());
                 self.abort_inner(v, AbortCause::Wounded);
-                self.wounded.insert(v);
+                self.wounded.insert(v, ());
             }
             self.blockers = victims;
             return self.invoke(txn, obj, inv);
         }
-        // The caller's copy is the one allocation of a blocked attempt: a
-        // retry that blocks again rewrites its wait-for edges in place.
-        let on = self.blockers.clone();
-        let edges = self.waits.entry(txn).or_default();
+        // A retry that blocks again rewrites its wait-for edges in place.
+        // Under wound-wait the requester waits for its *older* blockers only
+        // — the younger ones it wounds on the retry that finds no older one
+        // left — so that every edge points from younger to older.
+        let older_only = self.policy == ConflictPolicy::WoundWait;
+        let edges = self.waits.open(txn);
         edges.clear();
-        edges.extend_from_slice(&on);
-        let snap = recording.then(|| (format!("{inv:?}"), on.clone(), self.graph_snapshot()));
+        edges.extend(self.blockers.iter().filter(|b| !older_only || **b < txn));
+        let snap =
+            recording.then(|| (format!("{inv:?}"), self.blockers.clone(), self.graph_snapshot()));
         self.obs.on_block(txn, obj, || snap.expect("rendered when recording"));
-        Err(TxnError::Blocked { on })
+        Err(TxnError::Blocked)
+    }
+
+    /// The transactions `txn` registered wait-for edges to when its last
+    /// invocation was refused with [`TxnError::Blocked`], ascending; empty
+    /// once it has been granted an operation, committed or aborted.
+    pub fn waiting_on(&self, txn: TxnId) -> &[TxnId] {
+        self.waits.get(&txn).map_or(&[], Vec::as_slice)
     }
 
     /// Snapshot the wait-for graph (for block/wound events).
@@ -460,7 +490,7 @@ impl<A: Adt, E: RecoveryEngine<A>, C: Conflict<A>> TxnSystem<A, E, C> {
     /// If `txn` was wounded, consume the marker. Returns `Ok(true)` when the
     /// caller should observe the abort.
     fn take_wound(&mut self, txn: TxnId) -> Result<bool, TxnError> {
-        Ok(self.wounded.remove(&txn))
+        Ok(self.wounded.remove(&txn).is_some())
     }
 
     /// Commit `txn` at all objects it touched (atomic commitment: validate
@@ -488,15 +518,17 @@ impl<A: Adt, E: RecoveryEngine<A>, C: Conflict<A>> TxnSystem<A, E, C> {
         // Phase 2: apply. The span closes after the commit event so the
         // validate+apply window and the journal window tile the commit
         // total exactly (the profiler's tick-coverage check leans on this).
-        for obj in self.active.remove(&txn).expect("checked active above") {
+        let touched = self.active.remove(&txn).expect("checked active above");
+        for &obj in &touched {
             let o = self.objects.get_mut(&obj).expect("touched object exists");
             o.engine.commit(txn);
-            o.held.remove(&txn);
+            o.held.remove(&txn, &mut self.lock_lists);
             if self.record_trace {
                 self.trace.push(Event::Commit { txn, obj }).expect("well-formed commit");
             }
         }
-        self.waits.remove(&txn);
+        self.active.recycle(touched);
+        self.waits.close(&txn);
         self.obs.on_commit(txn);
         self.obs.span_end(validate_span);
         Ok(())
@@ -536,17 +568,20 @@ impl<A: Adt, E: RecoveryEngine<A>, C: Conflict<A>> TxnSystem<A, E, C> {
     }
 
     fn abort_inner(&mut self, txn: TxnId, cause: AbortCause) {
-        for obj in self.active.remove(&txn).unwrap_or_default() {
-            let o = self.objects.get_mut(&obj).expect("touched object exists");
-            if let Err(RecoveryError::ReplayFailed { .. }) = o.engine.abort(txn) {
-                self.obs.on_replay_failure(txn, obj);
+        if let Some(touched) = self.active.remove(&txn) {
+            for &obj in &touched {
+                let o = self.objects.get_mut(&obj).expect("touched object exists");
+                if let Err(RecoveryError::ReplayFailed { .. }) = o.engine.abort(txn) {
+                    self.obs.on_replay_failure(txn, obj);
+                }
+                o.held.remove(&txn, &mut self.lock_lists);
+                if self.record_trace {
+                    self.trace.push(Event::Abort { txn, obj }).expect("well-formed abort");
+                }
             }
-            o.held.remove(&txn);
-            if self.record_trace {
-                self.trace.push(Event::Abort { txn, obj }).expect("well-formed abort");
-            }
+            self.active.recycle(touched);
         }
-        self.waits.remove(&txn);
+        self.waits.close(&txn);
         self.obs.on_abort(txn, cause);
     }
 
@@ -557,7 +592,7 @@ impl<A: Adt, E: RecoveryEngine<A>, C: Conflict<A>> TxnSystem<A, E, C> {
         // cycle. Waits only exist for blocked transactions, so graphs are
         // tiny.
         fn dfs(
-            waits: &BTreeMap<TxnId, Vec<TxnId>>,
+            waits: &TxnTable<Vec<TxnId>>,
             node: TxnId,
             stack: &mut Vec<TxnId>,
             visited: &mut BTreeSet<TxnId>,
@@ -586,7 +621,7 @@ impl<A: Adt, E: RecoveryEngine<A>, C: Conflict<A>> TxnSystem<A, E, C> {
 
     /// Clear `txn`'s wait-for edges (caller stopped waiting).
     pub fn clear_wait(&mut self, txn: TxnId) {
-        self.waits.remove(&txn);
+        self.waits.close(&txn);
     }
 
     /// The serial state `txn` currently observes at `obj` (the engine's
@@ -639,9 +674,9 @@ impl<A: Adt, E: RecoveryEngine<A>, C: Conflict<A>> TxnSystem<A, E, C> {
     /// Every live entry belongs to an active transaction, so the table is
     /// walked only when it has more entries than there are active
     /// transactions; otherwise this is one comparison.
-    pub(crate) fn retain_active<V>(&self, table: &mut BTreeMap<TxnId, V>) {
+    pub(crate) fn retain_active<T>(&self, table: &mut TxnTable<Vec<T>>) {
         if table.len() > self.active.len() {
-            table.retain(|t, _| self.is_active(*t));
+            table.retain(|t| self.is_active(t));
         }
     }
 
@@ -793,13 +828,12 @@ mod tests {
         let a = sys.begin();
         let b = sys.begin();
         assert_eq!(sys.invoke(a, X, BankInv::Withdraw(4)).unwrap(), BankResp::Ok);
-        match sys.invoke(b, X, BankInv::Withdraw(4)) {
-            Err(TxnError::Blocked { on }) => assert_eq!(on, vec![a]),
-            other => panic!("expected block, got {other:?}"),
-        }
+        assert_eq!(sys.invoke(b, X, BankInv::Withdraw(4)), Err(TxnError::Blocked));
+        assert_eq!(sys.waiting_on(b), [a]);
         sys.commit(a).unwrap();
         // After a's commit the lock is released and b can proceed.
         assert_eq!(sys.invoke(b, X, BankInv::Withdraw(4)).unwrap(), BankResp::Ok);
+        assert_eq!(sys.waiting_on(b), []);
         sys.commit(b).unwrap();
         assert_eq!(sys.committed_state(X), 2);
     }
@@ -850,8 +884,8 @@ mod tests {
         sys.invoke(a, X, BankInv::Balance).unwrap();
         sys.invoke(b, y, BankInv::Balance).unwrap();
         // (deposit, balance) ∈ NRBC: each deposit blocks on the other's read.
-        assert!(matches!(sys.invoke(a, y, BankInv::Deposit(1)), Err(TxnError::Blocked { .. })));
-        assert!(matches!(sys.invoke(b, X, BankInv::Deposit(1)), Err(TxnError::Blocked { .. })));
+        assert!(matches!(sys.invoke(a, y, BankInv::Deposit(1)), Err(TxnError::Blocked)));
+        assert!(matches!(sys.invoke(b, X, BankInv::Deposit(1)), Err(TxnError::Blocked)));
         let cycle = sys.find_deadlock(b).expect("deadlock");
         assert!(cycle.contains(&a) && cycle.contains(&b));
         sys.abort_with(b, AbortReason::Deadlock).unwrap();
@@ -868,6 +902,34 @@ mod tests {
         // The transaction survives and can continue.
         assert_eq!(sys.invoke(t, X, BankInv::Deposit(1)).unwrap(), BankResp::Ok);
         sys.commit(t).unwrap();
+    }
+
+    #[test]
+    fn a_nondeterministic_invocation_executes_its_first_free_candidate() {
+        use ccr_adt::semiqueue::{semiqueue_nfc, Semiqueue, SqInv, SqResp};
+        // `deq` on {1, 2, 3} has three legal responses, tried in that order;
+        // under NFC two removals of one value conflict.
+        let mut sys: TxnSystem<Semiqueue, DuEngine<Semiqueue>, _> =
+            TxnSystem::new(Semiqueue::default(), 1, semiqueue_nfc());
+        let setup = sys.begin();
+        for v in [1, 2, 3] {
+            sys.invoke(setup, X, SqInv::Enq(v)).unwrap();
+        }
+        sys.commit(setup).unwrap();
+        let takers = [sys.begin(), sys.begin(), sys.begin()];
+        for (t, v) in takers.iter().zip([1, 2, 3]) {
+            assert_eq!(sys.invoke(*t, X, SqInv::Deq), Ok(SqResp::Got(v)));
+        }
+        // Every candidate is taken: the blockers of all three are merged.
+        let late = sys.begin();
+        assert_eq!(sys.invoke(late, X, SqInv::Deq), Err(TxnError::Blocked));
+        assert_eq!(sys.waiting_on(late), takers);
+        sys.abort(takers[1]).unwrap();
+        assert_eq!(sys.invoke(late, X, SqInv::Deq), Ok(SqResp::Got(2)));
+        for t in [takers[0], takers[2], late] {
+            sys.commit(t).unwrap();
+        }
+        assert!(sys.committed_state(X).is_empty());
     }
 
     #[test]
@@ -922,11 +984,40 @@ mod tests {
         let younger = sys.begin();
         sys.invoke(older, X, BankInv::Balance).unwrap();
         // Younger requester vs older holder: must block, not wound.
-        assert!(matches!(
-            sys.invoke(younger, X, BankInv::Deposit(1)),
-            Err(TxnError::Blocked { .. })
-        ));
+        assert!(matches!(sys.invoke(younger, X, BankInv::Deposit(1)), Err(TxnError::Blocked)));
         assert_eq!(sys.stats().wounds, 0);
+    }
+
+    #[test]
+    fn wound_wait_requesters_wait_for_their_older_blockers_only() {
+        // T1 and T3 read; T2's deposit conflicts with both. It may not wound
+        // (T1 is older), so it waits — for T1 alone: an edge to the younger
+        // T3 would close a cycle as soon as T3 blocks on T2.
+        let y = ObjectId(1);
+        let mut sys: UipSys = TxnSystem::new(BankAccount::default(), 2, bank_nrbc())
+            .with_policy(ConflictPolicy::WoundWait);
+        let (t1, t2, t3) = (sys.begin(), sys.begin(), sys.begin());
+        sys.invoke(t1, X, BankInv::Balance).unwrap();
+        sys.invoke(t3, X, BankInv::Balance).unwrap();
+        sys.invoke(t2, y, BankInv::Balance).unwrap();
+        assert_eq!(sys.invoke(t2, X, BankInv::Deposit(1)), Err(TxnError::Blocked));
+        assert_eq!(sys.waiting_on(t2), [t1]);
+        assert_eq!(sys.invoke(t3, y, BankInv::Deposit(1)), Err(TxnError::Blocked));
+        assert_eq!(sys.waiting_on(t3), [t2]);
+        assert_eq!(sys.find_deadlock(t2), None);
+        assert_eq!(sys.find_deadlock(t3), None);
+        assert_eq!(sys.stats().wounds, 0);
+        // Once the older holder is gone the retry wounds the younger one.
+        sys.commit(t1).unwrap();
+        assert_eq!(sys.invoke(t2, X, BankInv::Deposit(1)), Ok(BankResp::Ok));
+        assert_eq!((sys.stats().wounds, sys.is_active(t3)), (1, false));
+        // Under plain blocking the same requester waits for both.
+        let mut sys: UipSys = TxnSystem::new(BankAccount::default(), 1, bank_nrbc());
+        let (t1, t2, t3) = (sys.begin(), sys.begin(), sys.begin());
+        sys.invoke(t1, X, BankInv::Balance).unwrap();
+        sys.invoke(t3, X, BankInv::Balance).unwrap();
+        assert_eq!(sys.invoke(t2, X, BankInv::Deposit(1)), Err(TxnError::Blocked));
+        assert_eq!(sys.waiting_on(t2), [t1, t3]);
     }
 
     #[test]
@@ -1013,7 +1104,7 @@ mod tests {
             }
         }
         for (txn, touched) in &sys.active {
-            assert!(!sys.wounded.contains(txn));
+            assert!(!sys.wounded.contains_key(txn));
             for obj in touched {
                 assert!(sys.objects[obj].held.contains_key(txn), "{txn} indexed at {obj}, no lock");
             }
@@ -1065,7 +1156,7 @@ mod tests {
             };
             check(&sys);
             match done {
-                Ok(false) | Err(TxnError::Blocked { .. }) => {}
+                Ok(false) | Err(TxnError::Blocked) => {}
                 Ok(true) | Err(TxnError::Aborted(_)) => *slot = None,
                 Err(e) => panic!("unexpected {e:?}"),
             }
@@ -1126,10 +1217,8 @@ mod tests {
             let reader = sys.begin();
             let waiter = sys.begin();
             sys.invoke(waiter, y, BankInv::Deposit(1)).unwrap();
-            assert_eq!(
-                sys.invoke(waiter, X, BankInv::Withdraw(1)),
-                Err(TxnError::Blocked { on: vec![holder] })
-            );
+            assert_eq!(sys.invoke(waiter, X, BankInv::Withdraw(1)), Err(TxnError::Blocked));
+            assert_eq!(sys.waiting_on(waiter), [holder]);
             if i % 2 == 0 {
                 sys.abort(waiter).unwrap();
             } else {

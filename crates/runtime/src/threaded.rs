@@ -260,7 +260,7 @@ where
                 last = loop {
                     match vol.invoke(txn, obj, inv.clone()) {
                         Ok(resp) => break Some(resp),
-                        Err(TxnError::Blocked { .. }) => {
+                        Err(TxnError::Blocked) => {
                             if first_attempt {
                                 shared.tallies.lock().report.blocked_ops += 1;
                                 first_attempt = false;
@@ -284,8 +284,12 @@ where
                             // Deadline: a transaction still blocked past its
                             // wall budget self-aborts with a typed reason
                             // and retries — bounded time on any lock it
-                            // cannot get.
-                            if !cfg.deadline.is_zero() && began.elapsed() > cfg.deadline {
+                            // cannot get. One that was wounded while it
+                            // slept learns so from the `invoke` that follows.
+                            if !cfg.deadline.is_zero()
+                                && began.elapsed() > cfg.deadline
+                                && vol.sys.is_active(txn)
+                            {
                                 vol.sys.abort_with(txn, AbortReason::Deadline).expect("active");
                                 return Some((txn, vol));
                             }

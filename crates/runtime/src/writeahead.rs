@@ -8,11 +8,9 @@
 //! [`DurableSystem`](crate::crash::DurableSystem) is built from it, and the
 //! threaded executor guards one with its system mutex.
 
-use std::collections::BTreeMap;
-
 use ccr_core::adt::{Adt, Op};
 use ccr_core::conflict::Conflict;
-use ccr_core::ids::{ObjectId, TxnId};
+use ccr_core::ids::{ObjectId, TxnId, TxnTable};
 use ccr_store::CommitRecord;
 
 use crate::engine::RecoveryEngine;
@@ -28,13 +26,15 @@ pub(crate) struct WriteAhead<A: Adt, E: RecoveryEngine<A>, C: Conflict<A>> {
     /// The next execution stamp (stamps every executed op, so UIP replay can
     /// restore execution order across transactions).
     next_seq: u64,
-    pending: BTreeMap<TxnId, Vec<(u64, ObjectId, Op<A>)>>,
+    /// A committed transaction's list leaves with its record; an aborted
+    /// one's is emptied and reused.
+    pending: TxnTable<Vec<(u64, ObjectId, Op<A>)>>,
 }
 
 impl<A: Adt, E: RecoveryEngine<A>, C: Conflict<A>> WriteAhead<A, E, C> {
     /// An empty buffer over `sys`, stamping from `next_seq` on.
     pub(crate) fn new(sys: TxnSystem<A, E, C>, next_seq: u64) -> Self {
-        WriteAhead { sys, next_seq, pending: BTreeMap::new() }
+        WriteAhead { sys, next_seq, pending: TxnTable::new() }
     }
 
     /// The next execution stamp to allocate.
@@ -52,14 +52,14 @@ impl<A: Adt, E: RecoveryEngine<A>, C: Conflict<A>> WriteAhead<A, E, C> {
         let resp = self.sys.invoke(txn, obj, inv.clone())?;
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.pending.entry(txn).or_default().push((seq, obj, Op::new(inv, resp.clone())));
+        self.pending.open(txn).push((seq, obj, Op::new(inv, resp.clone())));
         Ok(resp)
     }
 
     /// Forget `txn`'s buffered operations (it died, or is being killed,
     /// outside [`abort`](Self::abort)).
     pub(crate) fn discard(&mut self, txn: TxnId) {
-        self.pending.remove(&txn);
+        self.pending.close(&txn);
     }
 
     /// Abort `txn`: nothing of it will ever reach a log.

@@ -89,7 +89,7 @@ where
 fn probe(r: Result<ccr_adt::bank::BankResp, TxnError>) -> Probe {
     match r {
         Ok(_) => Probe::Proceeded,
-        Err(TxnError::Blocked { .. }) => Probe::Blocked,
+        Err(TxnError::Blocked) => Probe::Blocked,
         Err(e) => panic!("unexpected probe error: {e}"),
     }
 }

@@ -32,8 +32,8 @@ fn main() {
     let b = sys.begin();
     sys.invoke(a, ObjectId::SOLE, EscrowInv::Credit(10)).unwrap();
     match sys.invoke(b, ObjectId::SOLE, EscrowInv::Debit(40)) {
-        Err(TxnError::Blocked { on }) => {
-            println!("debit(40) while credit held: BLOCKED on {on:?}");
+        Err(TxnError::Blocked) => {
+            println!("debit(40) while credit held: BLOCKED on {:?}", sys.waiting_on(b));
         }
         other => println!("debit(40): {other:?}"),
     }

@@ -1,0 +1,220 @@
+//! The operation path allocates nothing: a budget on heap allocations, counted
+//! by this binary's own global allocator (which is why the file holds one
+//! test — a second one would run beside it and be counted too).
+//!
+//! Eight round-robin clients run four-operation bank scripts over eight
+//! objects under wound-wait, history and event recording off, for both
+//! recovery methods. After warm-up every table, pool and scratch list has met
+//! its working size, so a bare `TxnSystem` may allocate only when one of them
+//! still grows, and a `DurableSystem` owes one list per commit: the record's
+//! operations, which the journal mirror keeps.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use ccr::adt::bank::{bank_nfc, bank_nrbc, BankAccount, BankInv, BankResp};
+use ccr::core::conflict::Conflict;
+use ccr::core::ids::{ObjectId, TxnId};
+use ccr::runtime::engine::{DuEngine, RecoveryEngine, UipEngine};
+use ccr::runtime::{ConflictPolicy, DurableSystem, TxnError, TxnSystem};
+use ccr::store::{LogBackend, WalBackend, WalConfig};
+
+thread_local! {
+    /// Allocations made by this thread (the harness's own threads do not
+    /// count against the test's).
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+fn count() {
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, whose
+// contract is the one `GlobalAlloc` states; the counter is a `const`-initialised
+// thread-local `Cell` without a destructor, so touching it neither allocates
+// nor runs after the thread's locals are gone.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract, and
+        // `ptr` came from `System` because every method here forwards to it.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as for `realloc`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+const CLIENTS: usize = 8;
+const OBJECTS: u32 = 8;
+const SCRIPT: usize = 4;
+const WARM_UP: u64 = 2_000;
+const MEASURED: u64 = 10_000;
+
+/// What the driver needs of a system, bare or durable.
+trait Sut {
+    fn begin(&mut self) -> TxnId;
+    fn invoke(&mut self, txn: TxnId, obj: ObjectId, inv: BankInv) -> Result<BankResp, TxnError>;
+    fn commit(&mut self, txn: TxnId) -> Result<(), TxnError>;
+}
+
+impl<E: RecoveryEngine<BankAccount>, C: Conflict<BankAccount>> Sut
+    for TxnSystem<BankAccount, E, C>
+{
+    fn begin(&mut self) -> TxnId {
+        TxnSystem::begin(self)
+    }
+
+    fn invoke(&mut self, txn: TxnId, obj: ObjectId, inv: BankInv) -> Result<BankResp, TxnError> {
+        TxnSystem::invoke(self, txn, obj, inv)
+    }
+
+    fn commit(&mut self, txn: TxnId) -> Result<(), TxnError> {
+        TxnSystem::commit(self, txn)
+    }
+}
+
+impl<E, C, B> Sut for DurableSystem<BankAccount, E, C, B>
+where
+    E: RecoveryEngine<BankAccount>,
+    C: Conflict<BankAccount> + Clone,
+    B: LogBackend<BankAccount>,
+{
+    fn begin(&mut self) -> TxnId {
+        DurableSystem::begin(self)
+    }
+
+    fn invoke(&mut self, txn: TxnId, obj: ObjectId, inv: BankInv) -> Result<BankResp, TxnError> {
+        DurableSystem::invoke(self, txn, obj, inv)
+    }
+
+    fn commit(&mut self, txn: TxnId) -> Result<(), TxnError> {
+        DurableSystem::commit(self, txn)
+    }
+}
+
+fn configure<E, C>(sys: &mut TxnSystem<BankAccount, E, C>)
+where
+    E: RecoveryEngine<BankAccount>,
+    C: Conflict<BankAccount>,
+{
+    sys.set_policy(ConflictPolicy::WoundWait);
+    sys.set_record_trace(false);
+    sys.obs_mut().set_record_events(false);
+}
+
+struct Client {
+    script: [(ObjectId, BankInv); SCRIPT],
+    txn: Option<TxnId>,
+    done: usize,
+}
+
+#[derive(Default, Debug)]
+struct Tally {
+    invokes: u64,
+    blocked: u64,
+    wounded: u64,
+}
+
+/// Drive `sys` for `WARM_UP + MEASURED` commits; returns the allocations of
+/// the measured part and what the attempts came to.
+fn allocations_of(sys: &mut impl Sut) -> (u64, Tally) {
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let mut below = move |n: u64| {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        (x >> 11) % n
+    };
+    let mut script = move || {
+        std::array::from_fn(|_| {
+            let inv = match below(4) {
+                0 | 1 => BankInv::Deposit(1 + below(3)),
+                2 => BankInv::Withdraw(1 + below(3)),
+                _ => BankInv::Balance,
+            };
+            (ObjectId(below(u64::from(OBJECTS)) as u32), inv)
+        })
+    };
+    let mut clients: [Client; CLIENTS] =
+        std::array::from_fn(|_| Client { script: script(), txn: None, done: 0 });
+    let (mut commits, mut start, mut tally) = (0, 0, Tally::default());
+    for turn in 0.. {
+        if commits == WARM_UP && start == 0 {
+            start = ALLOCATIONS.get();
+            tally = Tally::default();
+        }
+        if commits == WARM_UP + MEASURED {
+            break;
+        }
+        let c = &mut clients[turn % CLIENTS];
+        let txn = *c.txn.get_or_insert_with(|| sys.begin());
+        let outcome = match c.script.get(c.done) {
+            Some((obj, inv)) => {
+                tally.invokes += 1;
+                sys.invoke(txn, *obj, inv.clone()).map(|_| c.done += 1)
+            }
+            None => sys.commit(txn).map(|()| {
+                commits += 1;
+                *c = Client { script: script(), txn: None, done: 0 };
+            }),
+        };
+        match outcome {
+            Ok(()) => {}
+            Err(TxnError::Blocked) => tally.blocked += 1,
+            // Wounded behind its back: the same script runs again.
+            Err(TxnError::Aborted(_)) => {
+                tally.wounded += 1;
+                (c.txn, c.done) = (None, 0);
+            }
+            Err(e) => panic!("unexpected {e:?}"),
+        }
+    }
+    (ALLOCATIONS.get() - start, tally)
+}
+
+fn check<E: RecoveryEngine<BankAccount>>(conflict: impl Conflict<BankAccount> + Clone) {
+    let mut bare: TxnSystem<BankAccount, E, _> =
+        TxnSystem::new(BankAccount::default(), OBJECTS, conflict.clone());
+    configure(&mut bare);
+    let (spent, tally) = allocations_of(&mut bare);
+    // The run is the contended one the budget is about.
+    assert!(tally.blocked * 4 > tally.invokes && tally.wounded > 1_000, "{tally:?}");
+    assert!(spent <= 32, "{}: {spent} allocations over {MEASURED} commits, {tally:?}", E::name());
+
+    let wal = WalBackend::new(WalConfig { sector: 512, seg_sectors: 2048 });
+    let mut durable: DurableSystem<BankAccount, E, _, _> =
+        DurableSystem::with_backend(BankAccount::default(), OBJECTS, conflict, wal);
+    configure(durable.system_mut());
+    let (spent, tally) = allocations_of(&mut durable);
+    assert!(
+        spent <= 2 * MEASURED,
+        "{} through the WAL: {spent} allocations over {MEASURED} commits, {tally:?}",
+        E::name()
+    );
+}
+
+#[test]
+fn the_operation_path_allocates_nothing() {
+    check::<UipEngine<BankAccount>>(bank_nrbc());
+    check::<DuEngine<BankAccount>>(bank_nfc());
+}

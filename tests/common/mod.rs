@@ -10,7 +10,7 @@
 
 #![allow(dead_code)]
 
-use ccr::core::adt::{Adt, EnumerableAdt, Op, StateCover};
+use ccr::core::adt::{Adt, EnumerableAdt, Op, Outcomes, StateCover};
 use proptest::prelude::*;
 
 /// States of a [`TableAdt`] are `0..N_STATES`.
@@ -97,10 +97,10 @@ impl Adt for TableAdt {
         0
     }
 
-    fn step(&self, s: &u8, inv: &u8) -> Vec<(u8, u8)> {
+    fn step(&self, s: &u8, inv: &u8) -> Outcomes<(u8, u8)> {
         match self.trans[*s as usize][*inv as usize] {
-            Some(t) => vec![(0, t)],
-            None => vec![],
+            Some(t) => Outcomes::one((0, t)),
+            None => Outcomes::none(),
         }
     }
 }

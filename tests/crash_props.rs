@@ -82,8 +82,8 @@ fn exhaustive_crash_prefix_sweep_two_txns_two_ops() {
                             BankInv::Withdraw(i) => pending[who] -= i as i64,
                             BankInv::Balance => {}
                         },
-                        Ok(_) => {}                         // refused withdrawal
-                        Err(TxnError::Blocked { .. }) => {} // op lost to a conflict
+                        Ok(_) => {}                  // refused withdrawal
+                        Err(TxnError::Blocked) => {} // op lost to a conflict
                         Err(e) => panic!("unexpected: {e}"),
                     }
                 } else if let Some(t) = txn[who].take() {
@@ -139,7 +139,7 @@ proptest! {
                                 BankInv::Balance => {}
                             },
                             Ok(_) => {}
-                            Err(TxnError::Blocked { .. }) => {}
+                            Err(TxnError::Blocked) => {}
                             Err(e) => panic!("unexpected: {e}"),
                         }
                     }

@@ -46,7 +46,7 @@ proptest! {
                         Ok(EscrowOutcome::Ok) => {
                             if !live.contains(&t) { live.push(t); }
                         }
-                        Ok(EscrowOutcome::No) | Err(TxnError::Blocked { .. }) => {}
+                        Ok(EscrowOutcome::No) | Err(TxnError::Blocked) => {}
                         Err(other) => panic!("unexpected {other}"),
                     }
                 }
@@ -56,7 +56,7 @@ proptest! {
                         Ok(EscrowOutcome::Ok) => {
                             if !live.contains(&t) { live.push(t); }
                         }
-                        Ok(EscrowOutcome::No) | Err(TxnError::Blocked { .. }) => {}
+                        Ok(EscrowOutcome::No) | Err(TxnError::Blocked) => {}
                         Err(other) => panic!("unexpected {other}"),
                     }
                 }
@@ -142,7 +142,7 @@ proptest! {
                     match e.debit(t, *n) {
                         Ok(EscrowOutcome::Ok) => prop_assert!(low >= *n),
                         Ok(EscrowOutcome::No) => prop_assert!(high < *n),
-                        Err(TxnError::Blocked { .. }) => {
+                        Err(TxnError::Blocked) => {
                             prop_assert!(low < *n && high >= *n)
                         }
                         Err(other) => panic!("unexpected {other}"),
@@ -154,7 +154,7 @@ proptest! {
                     match e.credit(t, *n) {
                         Ok(EscrowOutcome::Ok) => prop_assert!(high + *n <= cap),
                         Ok(EscrowOutcome::No) => prop_assert!(low + *n > cap),
-                        Err(TxnError::Blocked { .. }) => {
+                        Err(TxnError::Blocked) => {
                             prop_assert!(high + *n > cap && low + *n <= cap)
                         }
                         Err(other) => panic!("unexpected {other}"),

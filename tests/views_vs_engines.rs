@@ -50,7 +50,7 @@ where
             Action::Invoke(slot, obj, inv) => {
                 let txn = *slots[*slot as usize].get_or_insert_with(|| sys.begin());
                 match sys.invoke(txn, ObjectId(*obj), inv.clone()) {
-                    Ok(_) | Err(TxnError::Blocked { .. }) => {}
+                    Ok(_) | Err(TxnError::Blocked) => {}
                     Err(TxnError::Aborted(_)) => slots[*slot as usize] = None,
                     Err(e) => panic!("unexpected: {e}"),
                 }
