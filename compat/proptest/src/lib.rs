@@ -2,7 +2,7 @@
 //!
 //! The build environment has no crates.io access, so the workspace vendors
 //! the slice of proptest it uses: the [`proptest!`] test macro with
-//! `#![proptest_config(...)]`, range / tuple / [`Just`] / `prop_map` /
+//! `#![proptest_config(...)]`, range / tuple / [`strategy::Just`] / `prop_map` /
 //! [`prop_oneof!`] / [`collection::vec`] strategies, and the
 //! `prop_assert*` family. Case generation is seeded deterministically per
 //! test name, so failures are reproducible by re-running the test.

@@ -426,9 +426,11 @@ impl Tracer {
         self.stall_latency.record(ticks);
     }
 
-    /// A transaction restart added `jitter` seeded ticks on top of its
-    /// exponential backoff. Histogram-only: jitter shapes the schedule, the
-    /// restart's outcome is counted by its own commit/abort events.
+    /// A transaction restart drew `jitter` seeded ticks to sit out (the
+    /// whole pause in the round-robin executor; on top of the exponential
+    /// base in the threaded one, when its backoff is on). Histogram-only:
+    /// jitter shapes the schedule, the restart's outcome is counted by its
+    /// own commit/abort events.
     pub fn on_retry_jitter(&mut self, jitter: u64) {
         self.retry_jitter.record(jitter);
     }

@@ -842,10 +842,10 @@ where
         }
     }
 
-    /// Bound the group-commit admission queue: [`commit_group`]
-    /// (Self::commit_group) sheds batch members beyond `max_staged` staged
-    /// records with [`TxnError::Shed`], before their volatile commit. 0
-    /// (the default) admits everything.
+    /// Bound the group-commit admission queue:
+    /// [`commit_group`](Self::commit_group) sheds batch members beyond
+    /// `max_staged` staged records with [`TxnError::Shed`], before their
+    /// volatile commit. 0 (the default) admits everything.
     pub fn set_admission_bound(&mut self, max_staged: usize) {
         self.max_staged = max_staged;
     }

@@ -7,6 +7,13 @@
 //! cycle), and restarts scripts whose transactions were aborted by the
 //! system. Determinism (same seed ⇒ same execution) makes experiment runs
 //! reproducible and lets property tests shrink failures.
+//!
+//! That sequence — begin → invoke → blocked / deadlock / deadline → commit
+//! → restart — is written once, in the crate-private `RoundRobin`: [`run`]
+//! drives it over a bare [`TxnSystem`], and the fault simulator
+//! ([`crate::sim::run_sim`]) drives the same executor over a durable system,
+//! adding a fault plan, a durable commit and an oracle (DESIGN.md, "The
+//! cooperative executor").
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -14,7 +21,7 @@ use rand::SeedableRng;
 
 use ccr_core::adt::Adt;
 use ccr_core::conflict::Conflict;
-use ccr_core::ids::TxnId;
+use ccr_core::ids::{ObjectId, TxnId};
 use ccr_obs::Phase;
 
 use crate::engine::RecoveryEngine;
@@ -39,28 +46,15 @@ pub struct SchedulerCfg {
     /// Per-transaction deadline in scheduler rounds (0 = none): a
     /// transaction still in flight this many rounds after it began is
     /// aborted with [`AbortReason::Deadline`] and its script restarted
-    /// against the retry budget. Bounds the time any admitted transaction
-    /// can hold locks on a stalling system.
+    /// against the retry budget, sitting out a seeded jitter of at most
+    /// `2^min(retries,5)` rounds first. Bounds the time any admitted
+    /// transaction can hold locks on a stalling system.
     pub deadline: u64,
-    /// Exponential post-restart backoff with seeded jitter: a restarted
-    /// script sleeps `2^min(retries,5) + jitter` rounds before its next
-    /// attempt, decorrelating the wakeups of a conflict clique. Off by
-    /// default — it lengthens logical makespans, so the comparative
-    /// experiments keep the bare restart-on-commit discipline unless a run
-    /// opts in (the fault simulator's overload path does).
-    pub backoff: bool,
 }
 
 impl Default for SchedulerCfg {
     fn default() -> Self {
-        SchedulerCfg {
-            seed: 0,
-            max_retries: 64,
-            max_rounds: 1_000_000,
-            mpl: 0,
-            deadline: 0,
-            backoff: false,
-        }
+        SchedulerCfg { seed: 0, max_retries: 64, max_rounds: 1_000_000, mpl: 0, deadline: 0 }
     }
 }
 
@@ -121,9 +115,58 @@ pub struct RunReport {
     pub stats: SystemStats,
 }
 
-struct Driver<A: Adt> {
+/// What a bare [`TxnSystem`] and a
+/// [`DurableSystem`](crate::crash::DurableSystem) do differently under a
+/// driver: the durable one buffers every executed operation for its
+/// write-ahead log and drops the buffer on abort. Everything else a driver
+/// needs — begin, liveness, the wait-for graph, the counters, the tracer —
+/// is the transaction system's own.
+pub(crate) trait Driven<A: Adt> {
+    /// The recovery engine of the system underneath.
+    type Engine: RecoveryEngine<A>;
+    /// The conflict relation of the system underneath.
+    type Conflict: Conflict<A>;
+    /// The transaction system underneath.
+    fn txns(&mut self) -> &mut TxnSystem<A, Self::Engine, Self::Conflict>;
+    /// Execute one operation of `txn` at `obj`.
+    fn invoke(
+        &mut self,
+        txn: TxnId,
+        obj: ObjectId,
+        inv: A::Invocation,
+    ) -> Result<A::Response, TxnError>;
+    /// Abort `txn` at its script's request.
+    fn abort(&mut self, txn: TxnId) -> Result<(), TxnError>;
+}
+
+impl<A: Adt, E: RecoveryEngine<A>, C: Conflict<A>> Driven<A> for TxnSystem<A, E, C> {
+    type Engine = E;
+    type Conflict = C;
+    fn txns(&mut self) -> &mut TxnSystem<A, E, C> {
+        self
+    }
+    fn invoke(
+        &mut self,
+        txn: TxnId,
+        obj: ObjectId,
+        inv: A::Invocation,
+    ) -> Result<A::Response, TxnError> {
+        TxnSystem::invoke(self, txn, obj, inv)
+    }
+    fn abort(&mut self, txn: TxnId) -> Result<(), TxnError> {
+        TxnSystem::abort(self, txn)
+    }
+}
+
+/// One script being driven through the system as one transaction (re-begun
+/// on retry).
+pub(crate) struct Driver<A: Adt> {
     script: Box<dyn Script<A>>,
-    txn: Option<TxnId>,
+    /// The transaction in flight. A finished driver has none: a rebuilt
+    /// system numbers transactions from the floor its log gives it, so an id
+    /// a finished script once ran under can be issued again, and no lookup
+    /// by id may then reach the stale handle.
+    pub(crate) txn: Option<TxnId>,
     last: Option<A::Response>,
     pending: Option<Step<A>>,
     /// Completion epoch at the time this driver last blocked — retried only
@@ -133,20 +176,359 @@ struct Driver<A: Adt> {
     /// abort — it stays asleep until someone commits (backoff that lets a
     /// conflict clique drain one committer at a time).
     sleep_until_commit: Option<u64>,
-    /// Exponential-backoff rounds (with seeded jitter) left to sleep after
-    /// a restart, ticked down once per scheduler visit.
-    backoff_rounds: u64,
-    /// Scheduler round at which the current transaction began (deadline
-    /// accounting; meaningless while `txn` is `None`).
-    began_round: u64,
-    retries: usize,
-    done: bool,
-    committed: bool,
-    voluntary_abort: bool,
+    /// Rounds left to sit out, ticked down once per visit: the seeded jitter
+    /// of a deadline or shed victim, or a delayed-commit fault.
+    pause: u64,
+    /// Commit staged for the round-end group flush (the simulator's
+    /// group-commit mode); the driver is acknowledged only once its record's
+    /// batch is durable, and no deadline reaches it in between.
+    pub(crate) staged: bool,
+    /// The round the current transaction began — the deadline and liveness
+    /// clocks both measure from here (meaningless while `txn` is `None`).
+    pub(crate) began_round: u64,
+    pub(crate) retries: usize,
+    pub(crate) done: bool,
+    pub(crate) committed: bool,
+    pub(crate) voluntary_abort: bool,
+    /// Typed give-up marker: an invocation or commit was *refused* (not
+    /// aborted) and the script stopped. The bounded-outcome leg accepts
+    /// this — and an exhausted retry budget — as the only legitimate ways
+    /// to give up.
+    pub(crate) refused: bool,
+}
+
+impl<A: Adt> Driver<A> {
+    /// The script is over, for whichever reason the caller recorded.
+    pub(crate) fn retire(&mut self) {
+        self.done = true;
+        self.txn = None;
+        self.staged = false;
+    }
+}
+
+/// When a restarted script may try again.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Wake {
+    /// Once some transaction has committed — for victims the system picked
+    /// by conflict (deadlock, validation, no-wait, wound, forced abort), so
+    /// that a restarted victim does not immediately re-acquire its locks and
+    /// get chosen again; without this, clique-shaped conflicts livelock. It
+    /// is the wake rule `threaded.rs`'s `restart` states for the worker pool
+    /// (there "or no transaction is active" is a clause of the wait; here
+    /// [`RoundRobin::break_stall`] wakes a sleeper).
+    AfterCommit,
+    /// After a commit *and* `seeded_jitter(seed, txn, retries)` rounds — for
+    /// victims the system did not pick by conflict (a deadline ran out, the
+    /// group flush shed its commit): all victims of one overload episode
+    /// would otherwise wake in lockstep and collide again. The sample lands
+    /// in the `retry_jitter` histogram.
+    AfterCommitAndJitter,
+    /// At its next visit — crash-style restarts: the rebuilt system holds
+    /// no locks.
+    Now,
+}
+
+/// What one [`RoundRobin::step`] did.
+pub(crate) enum Stepped {
+    /// An operation executed, the script aborted of its own accord, or the
+    /// system aborted the transaction and the script restarted.
+    Progressed,
+    /// The operation conflicts; it stays pending until a transaction
+    /// completes.
+    Blocked,
+    /// The script asks to commit — the caller's business, since committing
+    /// is exactly where a volatile and a durable run differ.
+    Commit(TxnId),
+    /// The system refused the invocation outright; the script gave up.
+    Refused(TxnError),
 }
 
 fn epoch(stats: &SystemStats) -> u64 {
     stats.committed + stats.aborted
+}
+
+/// The one cooperative executor: scripts visited round-robin in a seeded
+/// order, one step per visit. [`run`] drives it over a bare [`TxnSystem`],
+/// the fault simulator over a durable one with a fault plan and an oracle
+/// around the same calls.
+pub(crate) struct RoundRobin<A: Adt> {
+    cfg: SchedulerCfg,
+    rng: StdRng,
+    pub(crate) drivers: Vec<Driver<A>>,
+    pub(crate) round: u64,
+    /// Whether any visit of the current round made progress.
+    progressed: bool,
+    report: RunReport,
+}
+
+impl<A: Adt> RoundRobin<A> {
+    pub(crate) fn new(scripts: Vec<Box<dyn Script<A>>>, cfg: SchedulerCfg) -> Self {
+        let drivers = scripts
+            .into_iter()
+            .map(|mut script| {
+                script.reset();
+                Driver {
+                    script,
+                    txn: None,
+                    last: None,
+                    pending: None,
+                    blocked_epoch: None,
+                    sleep_until_commit: None,
+                    pause: 0,
+                    staged: false,
+                    began_round: 0,
+                    retries: 0,
+                    done: false,
+                    committed: false,
+                    voluntary_abort: false,
+                    refused: false,
+                }
+            })
+            .collect();
+        RoundRobin {
+            cfg,
+            rng: StdRng::seed_from_u64(cfg.seed),
+            drivers,
+            round: 0,
+            progressed: false,
+            report: RunReport::default(),
+        }
+    }
+
+    /// Open the next round: the unfinished drivers in this round's seeded
+    /// visiting order, or `None` once every script is over (or the round cap
+    /// is hit).
+    pub(crate) fn next_round(&mut self) -> Option<Vec<usize>> {
+        self.round += 1;
+        if self.round > self.cfg.max_rounds {
+            return None;
+        }
+        let mut order: Vec<usize> =
+            (0..self.drivers.len()).filter(|&i| !self.drivers[i].done).collect();
+        if order.is_empty() {
+            return None;
+        }
+        order.shuffle(&mut self.rng);
+        self.progressed = false;
+        Some(order)
+    }
+
+    /// Whether driver `i` may take a step at this visit. The checks run in a
+    /// fixed order — deadline, pause tick, sleep-until-commit, blocked epoch,
+    /// admission — and the first that holds the driver back ends the visit.
+    pub(crate) fn gate<S: Driven<A>>(&mut self, sys: &mut S, i: usize) -> bool {
+        let d = &mut self.drivers[i];
+        if d.done {
+            return false;
+        }
+        // Deadline: a transaction in flight past its budget is aborted
+        // with a typed reason and its script restarted (against the
+        // retry budget) under jittered backoff — bounded outcome on a
+        // stalling system. One that wound-wait already killed is left to its
+        // next `invoke`, which consumes the wound marker and restarts the
+        // script.
+        if self.cfg.deadline > 0 && !d.staged {
+            if let Some(t) = d.txn {
+                if self.round.saturating_sub(d.began_round) > self.cfg.deadline
+                    && sys.txns().is_active(t)
+                {
+                    sys.txns().abort_with(t, AbortReason::Deadline).expect("txn is active");
+                    self.restart(sys, i, Wake::AfterCommitAndJitter);
+                    self.progressed = true;
+                    return false;
+                }
+            }
+        }
+        // The tick-down is forward progress (the pause is finite), not a
+        // stall.
+        if d.pause > 0 {
+            d.pause -= 1;
+            self.report.wait_rounds += 1;
+            self.progressed = true;
+            return false;
+        }
+        // A blocked driver is only retried once some transaction has
+        // completed since it blocked (locks are released on completion);
+        // a restarted victim additionally waits for a commit.
+        let stats = sys.txns().stats();
+        if let Some(c) = d.sleep_until_commit {
+            if stats.committed == c {
+                self.report.wait_rounds += 1;
+                return false;
+            }
+            d.sleep_until_commit = None;
+        }
+        if d.blocked_epoch == Some(epoch(stats)) {
+            self.report.wait_rounds += 1;
+            return false;
+        }
+        // Admission control: a driver without a transaction may only begin
+        // one while fewer than `mpl` are in flight. It waits without
+        // progress — the stall breaker must still see a stuck round.
+        if self.cfg.mpl > 0 && self.drivers[i].txn.is_none() {
+            let in_flight = self.drivers.iter().filter(|d| d.txn.is_some()).count();
+            if in_flight >= self.cfg.mpl {
+                self.report.admission_rounds += 1;
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Advance driver `i` by one step of its script.
+    pub(crate) fn step<S: Driven<A>>(&mut self, sys: &mut S, i: usize) -> Stepped {
+        let d = &mut self.drivers[i];
+        let txn = match d.txn {
+            Some(t) => t,
+            None => {
+                let t = sys.txns().begin();
+                d.txn = Some(t);
+                d.began_round = self.round;
+                t
+            }
+        };
+        let (step, fresh) = match d.pending.take() {
+            Some(s) => (s, false),
+            None => (d.script.next(d.last.as_ref()), true),
+        };
+        let stepped = match step {
+            Step::Invoke(obj, inv) => match sys.invoke(txn, obj, inv.clone()) {
+                Ok(resp) => {
+                    d.last = Some(resp);
+                    d.blocked_epoch = None;
+                    Stepped::Progressed
+                }
+                Err(TxnError::Blocked) => {
+                    if fresh {
+                        self.report.blocked_ops += 1;
+                    }
+                    d.pending = Some(Step::Invoke(obj, inv));
+                    d.blocked_epoch = Some(epoch(sys.txns().stats()));
+                    self.report.wait_rounds += 1;
+                    return Stepped::Blocked;
+                }
+                Err(TxnError::Aborted(_)) => {
+                    self.restart(sys, i, Wake::AfterCommit);
+                    Stepped::Progressed
+                }
+                // A refusal is typed and terminal. A bare system refuses
+                // only what the script got wrong; under fault injection a
+                // script can be stranded in a state its generator never
+                // anticipated, gives up, and the oracle remains the arbiter
+                // of correctness — the caller tells the two apart.
+                Err(e) => {
+                    let _ = sys.abort(txn);
+                    d.refused = true;
+                    d.retire();
+                    Stepped::Refused(e)
+                }
+            },
+            Step::Commit => Stepped::Commit(txn),
+            Step::Abort => {
+                // The script ends by its own choice whether or not the
+                // transaction was still there to abort.
+                let _ = sys.abort(txn);
+                d.voluntary_abort = true;
+                d.retire();
+                Stepped::Progressed
+            }
+        };
+        self.progressed = true;
+        stepped
+    }
+
+    /// Put a commit the caller is not taking yet back as driver `i`'s
+    /// pending step, to be asked for again after `rounds` visits.
+    pub(crate) fn postpone_commit(&mut self, i: usize, rounds: u64) {
+        self.drivers[i].pending = Some(Step::Commit);
+        self.drivers[i].pause = rounds;
+    }
+
+    /// Driver `i`'s commit was acknowledged.
+    pub(crate) fn committed(&mut self, i: usize) {
+        self.drivers[i].committed = true;
+        self.drivers[i].retire();
+    }
+
+    /// The driver whose transaction in flight is `txn`.
+    pub(crate) fn holder(&self, txn: TxnId) -> Option<usize> {
+        self.drivers.iter().position(|d| d.txn == Some(txn))
+    }
+
+    /// Reset driver `i` after its transaction was aborted (by the system, a
+    /// fault, or a crash) and charge its retry budget; `wake` says when it
+    /// may try again.
+    pub(crate) fn restart<S: Driven<A>>(&mut self, sys: &mut S, i: usize, wake: Wake) {
+        let d = &mut self.drivers[i];
+        let sys = sys.txns();
+        d.pause = 0;
+        if wake == Wake::AfterCommitAndJitter {
+            let victim = d.txn.expect("a victim held a transaction");
+            d.pause = seeded_jitter(self.cfg.seed, u64::from(victim.0), d.retries);
+            sys.obs_mut().on_retry_jitter(d.pause);
+        }
+        d.sleep_until_commit = (wake != Wake::Now).then_some(sys.stats().committed);
+        d.txn = None;
+        d.last = None;
+        d.pending = None;
+        d.blocked_epoch = None;
+        d.staged = false;
+        d.retries += 1;
+        self.report.retries += 1;
+        d.script.reset();
+        if d.retries > self.cfg.max_retries {
+            d.retire();
+        }
+    }
+
+    /// Close a round. One in which no visit made progress has every live
+    /// driver blocked or sleeping: a cycle must exist in the wait-for graph
+    /// — abort the youngest transaction on some cycle; failing that the
+    /// youngest in flight, to guarantee progress; and when no driver holds a
+    /// transaction at all (everyone sleeps after a restart with no commit in
+    /// sight) wake one. `false` when nobody is left to run.
+    pub(crate) fn break_stall<S: Driven<A>>(&mut self, sys: &mut S) -> bool {
+        if self.progressed {
+            return true;
+        }
+        let in_flight = || self.drivers.iter().filter_map(|d| d.txn);
+        let on_cycle = in_flight()
+            .find_map(|t| sys.txns().find_deadlock(t))
+            .and_then(|cycle| cycle.into_iter().max());
+        let Some(victim) = on_cycle.or_else(|| in_flight().max()) else {
+            let Some(sleeper) = self.drivers.iter_mut().find(|d| !d.done) else {
+                return false;
+            };
+            sleeper.blocked_epoch = None;
+            sleeper.sleep_until_commit = None;
+            return true;
+        };
+        self.report.deadlock_aborts += u64::from(on_cycle.is_some());
+        sys.txns().abort_with(victim, AbortReason::Deadlock).expect("victim is active");
+        if let Some(i) = self.holder(victim) {
+            self.restart(sys, i, Wake::AfterCommit);
+        }
+        true
+    }
+
+    /// Fold the drivers into the report: `committed` / `voluntary_aborts` /
+    /// `gave_up` partition the scripts.
+    pub(crate) fn finish<S: Driven<A>>(mut self, sys: &mut S) -> RunReport {
+        self.report.rounds = self.round;
+        for d in &self.drivers {
+            if d.committed {
+                self.report.committed += 1;
+            } else if d.voluntary_abort {
+                self.report.voluntary_aborts += 1;
+            } else {
+                self.report.gave_up += 1;
+            }
+        }
+        let stats = sys.txns().stats();
+        self.report.validation_aborts = stats.validation_aborts;
+        self.report.stats = stats.clone();
+        self.report
+    }
 }
 
 /// Drive `scripts` to completion over `sys`. Each script runs as one
@@ -161,253 +543,35 @@ where
     E: RecoveryEngine<A>,
     C: Conflict<A>,
 {
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut report = RunReport::default();
-    let mut drivers: Vec<Driver<A>> = scripts
-        .into_iter()
-        .map(|mut script| {
-            script.reset();
-            Driver {
-                script,
-                txn: None,
-                last: None,
-                pending: None,
-                blocked_epoch: None,
-                sleep_until_commit: None,
-                backoff_rounds: 0,
-                began_round: 0,
-                retries: 0,
-                done: false,
-                committed: false,
-                voluntary_abort: false,
-            }
-        })
-        .collect();
-
-    let mut rounds = 0u64;
-    loop {
-        rounds += 1;
-        if rounds > cfg.max_rounds {
-            break;
-        }
-        let mut order: Vec<usize> = (0..drivers.len()).filter(|&i| !drivers[i].done).collect();
-        if order.is_empty() {
-            break;
-        }
-        order.shuffle(&mut rng);
-        let mut progressed = false;
+    let mut exec = RoundRobin::new(scripts, *cfg);
+    while let Some(order) = exec.next_round() {
         for i in order {
-            if drivers[i].done {
+            if !exec.gate(sys, i) {
                 continue;
             }
-            // Deadline: a transaction in flight past its budget is aborted
-            // with a typed reason and its script restarted (against the
-            // retry budget) — bounded outcome on a stalling system. One that
-            // wound-wait already killed is left to its next `invoke`, which
-            // consumes the wound marker and restarts the script.
-            if cfg.deadline > 0 {
-                if let Some(t) = drivers[i].txn {
-                    if rounds.saturating_sub(drivers[i].began_round) > cfg.deadline
-                        && sys.is_active(t)
-                    {
-                        sys.abort_with(t, AbortReason::Deadline).expect("txn is active");
-                        let commits = sys.stats().committed;
-                        let jitter = restart_jitter(sys, cfg, t, drivers[i].retries);
-                        restart(&mut drivers[i], cfg, &mut report, commits, jitter);
-                        progressed = true;
-                        continue;
+            match exec.step(sys, i) {
+                Stepped::Progressed | Stepped::Blocked => {}
+                Stepped::Commit(txn) => {
+                    // Volatile runs still get a commit-total phase window:
+                    // here it covers exactly the validate+apply work (no
+                    // journal below us).
+                    let total = sys.obs_mut().span_begin(Phase::CommitTotal);
+                    let outcome = sys.commit(txn);
+                    sys.obs_mut().span_end(total);
+                    match outcome {
+                        Ok(()) => exec.committed(i),
+                        Err(TxnError::Aborted(_)) => exec.restart(sys, i, Wake::AfterCommit),
+                        Err(e) => panic!("commit error: {e}"),
                     }
                 }
-            }
-            // Exponential backoff after a restart: the tick-down is forward
-            // progress (the sleep is finite), not a stall.
-            if drivers[i].backoff_rounds > 0 {
-                drivers[i].backoff_rounds -= 1;
-                report.wait_rounds += 1;
-                progressed = true;
-                continue;
-            }
-            // A blocked driver is only retried once some transaction has
-            // completed since it blocked (locks are released on completion);
-            // a restarted victim additionally waits for a commit.
-            if let Some(c) = drivers[i].sleep_until_commit {
-                if sys.stats().committed == c {
-                    report.wait_rounds += 1;
-                    continue;
-                }
-                drivers[i].sleep_until_commit = None;
-            }
-            if let Some(e) = drivers[i].blocked_epoch {
-                if epoch(sys.stats()) == e {
-                    report.wait_rounds += 1;
-                    continue;
-                }
-            }
-            // Admission control: a driver without a transaction may only
-            // begin one while fewer than `mpl` are in flight.
-            if cfg.mpl > 0 && drivers[i].txn.is_none() {
-                let in_flight = drivers.iter().filter(|d| !d.done && d.txn.is_some()).count();
-                if in_flight >= cfg.mpl {
-                    report.admission_rounds += 1;
-                    continue;
-                }
-            }
-            if step_driver(sys, &mut drivers[i], cfg, &mut report, rounds) {
-                progressed = true;
-            } else {
-                report.wait_rounds += 1;
+                Stepped::Refused(e) => panic!("script error: {e}"),
             }
         }
-        if !progressed {
-            // Every live driver is blocked: a cycle must exist in the
-            // wait-for graph. Abort the youngest transaction on some cycle.
-            let blocked: Vec<TxnId> =
-                drivers.iter().filter(|d| !d.done).filter_map(|d| d.txn).collect();
-            let mut victim = None;
-            for &t in &blocked {
-                if let Some(cycle) = sys.find_deadlock(t) {
-                    victim = cycle.into_iter().max();
-                    break;
-                }
-            }
-            let Some(victim) = victim else {
-                match blocked.into_iter().max() {
-                    // No cycle found: abort the youngest blocked transaction
-                    // to guarantee progress.
-                    Some(t) => {
-                        abort_and_restart(sys, &mut drivers, t, cfg, &mut report);
-                        continue;
-                    }
-                    // No driver holds a transaction: everyone is sleeping
-                    // after a restart with no commit in sight — wake one.
-                    None => match drivers.iter_mut().find(|d| !d.done) {
-                        Some(d) => {
-                            d.blocked_epoch = None;
-                            d.sleep_until_commit = None;
-                            d.backoff_rounds = 0;
-                            continue;
-                        }
-                        None => break,
-                    },
-                }
-            };
-            report.deadlock_aborts += 1;
-            abort_and_restart(sys, &mut drivers, victim, cfg, &mut report);
+        if !exec.break_stall(sys) {
+            break;
         }
     }
-
-    report.rounds = rounds;
-    for d in &drivers {
-        if d.committed {
-            report.committed += 1;
-        } else if d.voluntary_abort {
-            report.voluntary_aborts += 1;
-        } else {
-            report.gave_up += 1;
-        }
-    }
-    report.validation_aborts = sys.stats().validation_aborts;
-    report.stats = sys.stats().clone();
-    report
-}
-
-/// Advance one driver by one step. Returns whether it made progress.
-fn step_driver<A, E, C>(
-    sys: &mut TxnSystem<A, E, C>,
-    d: &mut Driver<A>,
-    cfg: &SchedulerCfg,
-    report: &mut RunReport,
-    round: u64,
-) -> bool
-where
-    A: Adt,
-    E: RecoveryEngine<A>,
-    C: Conflict<A>,
-{
-    let txn = match d.txn {
-        Some(t) => t,
-        None => {
-            let t = sys.begin();
-            d.txn = Some(t);
-            d.began_round = round;
-            t
-        }
-    };
-    let (step, fresh) = match d.pending.take() {
-        Some(s) => (s, false),
-        None => (d.script.next(d.last.as_ref()), true),
-    };
-    match step {
-        Step::Invoke(obj, inv) => match sys.invoke(txn, obj, inv.clone()) {
-            Ok(resp) => {
-                d.last = Some(resp);
-                d.blocked_epoch = None;
-                true
-            }
-            Err(TxnError::Blocked) => {
-                if fresh {
-                    report.blocked_ops += 1;
-                }
-                d.pending = Some(Step::Invoke(obj, inv));
-                d.blocked_epoch = Some(epoch(sys.stats()));
-                false
-            }
-            Err(TxnError::Aborted(_)) => {
-                let jitter = restart_jitter(sys, cfg, txn, d.retries);
-                restart(d, cfg, report, sys.stats().committed, jitter);
-                true
-            }
-            Err(e) => panic!("script error: {e}"),
-        },
-        Step::Commit => {
-            // Volatile runs still get a commit-total phase window: here it
-            // covers exactly the validate+apply work (no journal below us).
-            let total = sys.obs_mut().span_begin(Phase::CommitTotal);
-            let outcome = sys.commit(txn);
-            sys.obs_mut().span_end(total);
-            match outcome {
-                Ok(()) => {
-                    d.done = true;
-                    d.committed = true;
-                    true
-                }
-                Err(TxnError::Aborted(_)) => {
-                    let jitter = restart_jitter(sys, cfg, txn, d.retries);
-                    restart(d, cfg, report, sys.stats().committed, jitter);
-                    true
-                }
-                Err(e) => panic!("commit error: {e}"),
-            }
-        }
-        Step::Abort => {
-            sys.abort(txn).expect("active transaction");
-            d.done = true;
-            d.voluntary_abort = true;
-            true
-        }
-    }
-}
-
-/// With backoff enabled, compute this restart's seeded jitter and record it
-/// in the retry-jitter histogram; with backoff off the restart is immediate
-/// and nothing is sampled.
-fn restart_jitter<A, E, C>(
-    sys: &mut TxnSystem<A, E, C>,
-    cfg: &SchedulerCfg,
-    txn: TxnId,
-    retries: usize,
-) -> u64
-where
-    A: Adt,
-    E: RecoveryEngine<A>,
-    C: Conflict<A>,
-{
-    if !cfg.backoff {
-        return 0;
-    }
-    let jitter = seeded_jitter(cfg.seed, txn.0 as u64, retries);
-    sys.obs_mut().on_retry_jitter(jitter);
-    jitter
+    exec.finish(sys)
 }
 
 /// Deterministic restart jitter: a seeded hash of the restarting
@@ -427,55 +591,6 @@ pub(crate) fn seeded_jitter(seed: u64, salt: u64, retries: usize) -> u64 {
 /// stretch a run past `max_rounds`.
 pub(crate) fn backoff_base(retries: usize) -> u64 {
     1u64 << retries.min(5)
-}
-
-/// Reset a driver after a system abort. The driver sleeps (via
-/// `sleep_until_commit`) until some transaction commits, so that a restarted
-/// deadlock victim does not immediately re-acquire its locks and get chosen
-/// as the victim again — without this, clique-shaped conflicts livelock.
-/// It is the wake rule `threaded.rs`'s `restart` states for the worker pool
-/// (there "or no transaction is active" is a clause of the wait; here the
-/// no-progress arm of [`run`] wakes a sleeper). On top of that it backs off
-/// exponentially with the caller's seeded jitter, so repeat offenders
-/// retreat further each time.
-fn restart<A: Adt>(
-    d: &mut Driver<A>,
-    cfg: &SchedulerCfg,
-    report: &mut RunReport,
-    commits_now: u64,
-    jitter: u64,
-) {
-    d.txn = None;
-    d.last = None;
-    d.pending = None;
-    d.blocked_epoch = None;
-    d.sleep_until_commit = Some(commits_now);
-    d.backoff_rounds = if cfg.backoff { backoff_base(d.retries) + jitter } else { 0 };
-    d.retries += 1;
-    report.retries += 1;
-    d.script.reset();
-    if d.retries > cfg.max_retries {
-        d.done = true;
-    }
-}
-
-fn abort_and_restart<A, E, C>(
-    sys: &mut TxnSystem<A, E, C>,
-    drivers: &mut [Driver<A>],
-    victim: TxnId,
-    cfg: &SchedulerCfg,
-    report: &mut RunReport,
-) where
-    A: Adt,
-    E: RecoveryEngine<A>,
-    C: Conflict<A>,
-{
-    sys.abort_with(victim, AbortReason::Deadlock).expect("victim is active");
-    let commits = sys.stats().committed;
-    if let Some(d) = drivers.iter_mut().find(|d| d.txn == Some(victim)) {
-        let jitter = restart_jitter(sys, cfg, victim, d.retries);
-        restart(d, cfg, report, commits, jitter);
-    }
 }
 
 #[cfg(test)]
@@ -546,7 +661,7 @@ mod tests {
         // script still commits within the retry budget.
         let mut sys: TxnSystem<BankAccount, DuEngine<BankAccount>, _> =
             TxnSystem::new(BankAccount::default(), 1, bank_nfc());
-        let cfg = SchedulerCfg { deadline: 6, backoff: true, ..Default::default() };
+        let cfg = SchedulerCfg { deadline: 6, ..Default::default() };
         let report = run(&mut sys, transfer_scripts(8), &cfg);
         assert_eq!(report.committed, 8);
         assert_eq!(report.gave_up, 0);
@@ -562,7 +677,7 @@ mod tests {
         let run_once = || {
             let mut sys: TxnSystem<BankAccount, DuEngine<BankAccount>, _> =
                 TxnSystem::new(BankAccount::default(), 1, bank_nfc());
-            let cfg = SchedulerCfg { seed: 11, deadline: 6, backoff: true, ..Default::default() };
+            let cfg = SchedulerCfg { seed: 11, deadline: 6, ..Default::default() };
             let r = run(&mut sys, transfer_scripts(8), &cfg);
             (r.rounds, r.retries, r.stats.deadline_aborts, sys.trace().clone())
         };
@@ -689,7 +804,7 @@ mod tests {
                     ])) as Box<dyn Script<BankAccount>>
                 })
                 .collect();
-            let cfg = SchedulerCfg { seed, deadline: 5, backoff: true, ..Default::default() };
+            let cfg = SchedulerCfg { seed, deadline: 5, ..Default::default() };
             let report = run(&mut sys, scripts, &cfg);
             assert_eq!((report.committed, report.gave_up), (12, 0), "seed {seed}");
             wounds += report.stats.wounds;
@@ -698,6 +813,41 @@ mod tests {
             assert!(check_dynamic_atomic(&spec, sys.trace()).is_ok());
         }
         assert!(wounds > 0 && deadline_aborts > 0, "{wounds} wounds, {deadline_aborts} deadlines");
+    }
+
+    #[test]
+    fn each_wake_rule_sleeps_and_pauses_as_it_says() {
+        let mut sys: TxnSystem<BankAccount, UipEngine<BankAccount>, _> =
+            TxnSystem::new(BankAccount::default(), 1, bank_nrbc());
+        let cfg = SchedulerCfg { seed: 9, ..Default::default() };
+        let mut exec = RoundRobin::new(transfer_scripts(3), cfg);
+        exec.next_round().expect("three live drivers");
+        // Begin driver `i`'s transaction, abort it behind its back and
+        // restart the driver under `wake`; the retry-jitter samples drawn.
+        let mut victimise = |exec: &mut RoundRobin<BankAccount>, i: usize, wake| {
+            assert!(matches!(exec.step(&mut sys, i), Stepped::Progressed));
+            let txn = exec.drivers[i].txn.expect("the step began a transaction");
+            sys.abort_with(txn, AbortReason::ConflictAbort).expect("it is active");
+            let before = sys.obs().retry_jitter().count();
+            exec.restart(&mut sys, i, wake);
+            assert_eq!(exec.drivers[i].txn, None);
+            sys.obs().retry_jitter().count() - before
+        };
+        // `Now` neither sleeps nor pauses: the next visit steps.
+        assert_eq!(victimise(&mut exec, 0, Wake::Now), 0);
+        assert_eq!((exec.drivers[0].sleep_until_commit, exec.drivers[0].pause), (None, 0));
+        // `AfterCommit` sleeps on the commit count, without pause or sample.
+        assert_eq!(victimise(&mut exec, 1, Wake::AfterCommit), 0);
+        assert_eq!((exec.drivers[1].sleep_until_commit, exec.drivers[1].pause), (Some(0), 0));
+        // `AfterCommitAndJitter` sleeps, and sits out the one sample it
+        // records — at most the exponential base of the retries so far.
+        for retries in 0..8 {
+            assert_eq!(victimise(&mut exec, 2, Wake::AfterCommitAndJitter), 1);
+            let d = &exec.drivers[2];
+            assert_eq!((d.sleep_until_commit, d.retries), (Some(0), retries + 1));
+            assert!(d.pause <= backoff_base(retries), "retry {retries}: pause {}", d.pause);
+        }
+        assert!(sys.obs().retry_jitter().max() > 1, "the later draws range past the first base");
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! The paper's model (and every layer below this one) is a single recovery
 //! domain: one log, one crash, one recovery scan. This module partitions
 //! the object space across `n` full durable systems — each with its own
-//! WAL, checkpoint lifecycle, [`SystemMode`] and fault channels — and
+//! WAL, checkpoint lifecycle, [`SystemMode`](crate::SystemMode) and fault
+//! channels — and
 //! coordinates cross-shard transactions with **presumed-abort 2PC**
 //! journaled through the very same frame/recovery machinery:
 //!

@@ -1,11 +1,13 @@
 //! Deterministic fault-injection simulation with an atomicity oracle.
 //!
-//! [`run_sim`] drives seeded scripts through a [`DurableSystem`] exactly like
-//! the plain scheduler, but counts every driver step on a global *event
-//! counter* and injects the faults of a [`FaultPlan`] when the counter
-//! reaches their indices: crashes (with optional torn final journal record),
-//! forced aborts, delayed commits, wound storms, and — through the
-//! `ccr-store` backend — sector-granularity storage faults: torn flushes,
+//! [`run_sim`] drives seeded scripts through a [`DurableSystem`] with the
+//! plain scheduler's own executor (`scheduler.rs`'s `RoundRobin` — a
+//! fault-free run is [`crate::scheduler::run`] step for step), but counts
+//! every driver visit on a global *event counter* and injects the faults of
+//! a [`FaultPlan`] when the counter reaches their indices: crashes (with
+//! optional torn final journal record), forced aborts, delayed commits,
+//! wound storms, and — through the `ccr-store` backend —
+//! sector-granularity storage faults: torn flushes,
 //! reordered flushes, bit flips, transient I/O budgets (absorbed by the
 //! backend's bounded retries) and a disk-full condition (driving the system
 //! into read-only degraded mode until the scheduler's deterministic heal
@@ -36,24 +38,21 @@
 
 use std::collections::BTreeMap;
 
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-
 use ccr_core::adt::Adt;
 use ccr_core::atomicity::{check_dynamic_atomic_auto, DynAtomViolation, SystemSpec};
 use ccr_core::conflict::Conflict;
 use ccr_core::history::History;
 use ccr_core::ids::{ObjectId, TxnId};
-use ccr_obs::FaultCounter;
+use ccr_obs::{FaultCounter, Tracer};
 use ccr_store::{replay_uip, LogBackend, TailPolicy};
 
 use crate::crash::{DurableSystem, RedoError, TornPolicy};
 use crate::engine::RecoveryEngine;
 use crate::error::{AbortReason, TxnError};
 use crate::fault::{FaultKind, FaultPlan};
-use crate::script::{Script, Step};
-use crate::system::SystemStats;
+use crate::scheduler::{Driven, RoundRobin, SchedulerCfg, Stepped, Wake};
+use crate::script::Script;
+use crate::system::{SystemStats, TxnSystem};
 
 /// Simulator configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -343,74 +342,51 @@ impl std::fmt::Display for SimFailure {
 /// A caller-supplied invariant over the map of committed states.
 pub type StateInvariant<A> = dyn Fn(&BTreeMap<ObjectId, <A as Adt>::State>) -> Result<(), String>;
 
-struct Driver<A: Adt> {
-    script: Box<dyn Script<A>>,
-    txn: Option<TxnId>,
-    last: Option<A::Response>,
-    pending: Option<Step<A>>,
-    blocked_epoch: Option<u64>,
-    sleep_until_commit: Option<u64>,
-    /// Turns left to sleep before attempting a commit (delayed-commit fault).
-    delay_turns: u32,
-    /// Commit staged for the round-end group flush (group-commit mode); the
-    /// driver is acknowledged only once its record's batch is durable.
-    awaiting_flush: bool,
-    /// The round the current transaction began — the deadline and liveness
-    /// clocks both measure from here.
-    began_round: u64,
-    retries: usize,
-    done: bool,
-    committed: bool,
-    voluntary_abort: bool,
-    /// Typed give-up marker: an invocation or commit was *refused* (not
-    /// aborted) and the script stopped. The bounded-outcome leg accepts
-    /// this — and an exhausted retry budget — as the only legitimate ways
-    /// to give up.
-    refused: bool,
-}
-
-impl<A: Adt> Driver<A> {
-    fn new(mut script: Box<dyn Script<A>>) -> Self {
-        script.reset();
-        Driver {
-            script,
-            txn: None,
-            last: None,
-            pending: None,
-            blocked_epoch: None,
-            sleep_until_commit: None,
-            delay_turns: 0,
-            awaiting_flush: false,
-            began_round: 0,
-            retries: 0,
-            done: false,
-            committed: false,
-            voluntary_abort: false,
-            refused: false,
-        }
+impl<A, E, C, B> Driven<A> for DurableSystem<A, E, C, B>
+where
+    A: Adt,
+    E: RecoveryEngine<A>,
+    C: Conflict<A> + Clone,
+    B: LogBackend<A>,
+{
+    type Engine = E;
+    type Conflict = C;
+    fn txns(&mut self) -> &mut TxnSystem<A, E, C> {
+        self.system_mut()
     }
-
-    /// Reset after the driver's transaction was aborted (by the system, a
-    /// fault, or a crash). `commits_now` gates the post-abort backoff.
-    fn restart(&mut self, max_retries: usize, backoff_until: Option<u64>, retries: &mut u64) {
-        self.txn = None;
-        self.last = None;
-        self.pending = None;
-        self.blocked_epoch = None;
-        self.sleep_until_commit = backoff_until;
-        self.delay_turns = 0;
-        self.awaiting_flush = false;
-        self.retries += 1;
-        *retries += 1;
-        self.script.reset();
-        if self.retries > max_retries {
-            self.done = true;
-        }
+    fn invoke(
+        &mut self,
+        txn: TxnId,
+        obj: ObjectId,
+        inv: A::Invocation,
+    ) -> Result<A::Response, TxnError> {
+        DurableSystem::invoke(self, txn, obj, inv)
+    }
+    fn abort(&mut self, txn: TxnId) -> Result<(), TxnError> {
+        DurableSystem::abort(self, txn)
     }
 }
 
-fn epoch(stats: &SystemStats) -> u64 {
-    stats.committed + stats.aborted
+/// One simulated run: the system under test, the executor driving it, and
+/// what the fault clock and the oracle carry between calls.
+struct Sim<'a, A, E, C, B>
+where
+    A: Adt,
+    E: RecoveryEngine<A>,
+    C: Conflict<A>,
+    B: LogBackend<A>,
+{
+    sys: &'a mut DurableSystem<A, E, C, B>,
+    exec: RoundRobin<A>,
+    cfg: &'a SimCfg,
+    spec: &'a SystemSpec<A>,
+    invariant: Option<&'a StateInvariant<A>>,
+    report: SimReport,
+    /// Fingerprint fold across crash epochs: each crash seals the epoch's
+    /// history into the fold before the trace is lost.
+    fp_fold: u64,
+    /// A pending delayed-commit fault, consumed by the next committer.
+    delay_next_commit: Option<u32>,
 }
 
 /// Run `scripts` through `sys` under `plan`, checking the oracle after every
@@ -430,200 +406,97 @@ where
     C: Conflict<A> + Clone,
     B: LogBackend<A>,
 {
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut drivers: Vec<Driver<A>> = scripts.into_iter().map(Driver::new).collect();
-    let mut report = SimReport::default();
     // Overload-protection knobs live on the durable system; the sim config
     // is their single source of truth so reproducer command lines pin them.
     sys.set_admission_bound(cfg.max_staged);
     if cfg.stall_threshold > 0 {
         sys.set_stall_detector(cfg.stall_threshold, 2);
     }
-    let mut fault_idx = 0usize;
-    // Fingerprint fold across crash epochs: each crash seals the epoch's
-    // history into the fold before the trace is lost.
-    let mut fp_fold = 0u64;
-    // A pending delayed-commit fault, consumed by the next committer.
-    let mut delay_next_commit: Option<u32> = None;
+    // The executor is the plain scheduler's, under the same five knobs.
+    let exec_cfg = SchedulerCfg {
+        seed: cfg.seed,
+        max_retries: cfg.max_retries,
+        max_rounds: cfg.max_rounds,
+        mpl: cfg.mpl,
+        deadline: cfg.deadline,
+    };
+    let mut sim = Sim {
+        sys,
+        exec: RoundRobin::new(scripts, exec_cfg),
+        cfg,
+        spec,
+        invariant,
+        report: SimReport::default(),
+        fp_fold: 0,
+        delay_next_commit: None,
+    };
+    let mut faults = plan.faults().iter().peekable();
 
-    let mut rounds = 0u64;
-    'outer: loop {
-        rounds += 1;
-        if rounds > cfg.max_rounds {
-            break;
-        }
-        let mut order: Vec<usize> = (0..drivers.len()).filter(|&i| !drivers[i].done).collect();
-        if order.is_empty() {
-            break;
-        }
-        order.shuffle(&mut rng);
-        let mut progressed = false;
+    while let Some(order) = sim.exec.next_round() {
         for i in order {
-            if drivers[i].done {
+            if sim.exec.drivers[i].done {
                 continue;
             }
             // The fault clock ticks once per scheduled driver visit.
-            report.events += 1;
-            while let Some(f) = plan.faults().get(fault_idx) {
-                if f.at_event > report.events {
-                    break;
-                }
-                fault_idx += 1;
-                report.faults_injected += 1;
-                inject(
-                    f.kind,
-                    sys,
-                    &mut drivers,
-                    cfg,
-                    spec,
-                    invariant,
-                    &mut report,
-                    &mut fp_fold,
-                    &mut delay_next_commit,
-                )?;
-            }
-            if drivers[i].done {
-                continue; // a fault may have exhausted this driver's retries
+            sim.report.events += 1;
+            while let Some(f) = faults.next_if(|f| f.at_event <= sim.report.events) {
+                sim.report.faults_injected += 1;
+                sim.inject(f.kind)?;
             }
             // Seventh-leg in-run check: no live transaction may outlive the
             // liveness budget — an admitted transaction that neither commits
-            // nor aborts within it is a bounded-outcome violation.
-            if cfg.outcome_budget > 0 && drivers[i].txn.is_some() {
-                let age = rounds.saturating_sub(drivers[i].began_round);
-                if age > cfg.outcome_budget {
-                    return Err(SimFailure {
-                        at_event: report.events,
-                        failure: OracleFailure::UnboundedOutcome {
-                            detail: format!(
-                                "driver {i} transaction alive for {age} rounds \
-                                 (budget {})",
-                                cfg.outcome_budget
-                            ),
-                        },
-                    });
-                }
+            // nor aborts within it is a bounded-outcome violation. (A fault
+            // may have exhausted this driver's retries: it then holds no
+            // transaction, and the gate below skips it.)
+            let d = &sim.exec.drivers[i];
+            let age = sim.exec.round.saturating_sub(d.began_round);
+            if cfg.outcome_budget > 0 && d.txn.is_some() && age > cfg.outcome_budget {
+                return Err(sim.fail(OracleFailure::UnboundedOutcome {
+                    detail: format!(
+                        "driver {i} transaction alive for {age} rounds (budget {})",
+                        cfg.outcome_budget
+                    ),
+                }));
             }
-            // Transaction deadline: abort over-age transactions with a typed
-            // reason and restart the driver under jittered backoff. One that
-            // wound-wait already killed is left to its next `invoke`, which
-            // consumes the wound marker and restarts the script.
-            if cfg.deadline > 0 {
-                if let Some(t) = drivers[i].txn {
-                    if !drivers[i].awaiting_flush
-                        && rounds.saturating_sub(drivers[i].began_round) > cfg.deadline
-                        && sys.system().is_active(t)
-                    {
-                        sys.system_mut()
-                            .abort_with(t, AbortReason::Deadline)
-                            .expect("deadline victim is active");
-                        let jitter = crate::scheduler::seeded_jitter(
-                            cfg.seed,
-                            u64::from(t.0),
-                            drivers[i].retries,
-                        );
-                        sys.system_mut().obs_mut().on_retry_jitter(jitter);
-                        let commits = sys.stats().committed;
-                        drivers[i].restart(cfg.max_retries, Some(commits), &mut report.retries);
-                        drivers[i].delay_turns = jitter as u32;
-                        progressed = true;
-                        continue;
-                    }
-                }
-            }
-            if drivers[i].delay_turns > 0 {
-                drivers[i].delay_turns -= 1;
-                progressed = true; // the delay itself is ticking down
+            if !sim.exec.gate(sim.sys, i) {
                 continue;
             }
-            if let Some(c) = drivers[i].sleep_until_commit {
-                if sys.stats().committed == c {
-                    continue;
-                }
-                drivers[i].sleep_until_commit = None;
+            let pre_crashes = sim.sys.stats().crashes;
+            if let Stepped::Commit(txn) = sim.exec.step(sim.sys, i) {
+                sim.commit(i, txn);
             }
-            if let Some(e) = drivers[i].blocked_epoch {
-                if epoch(sys.stats()) == e {
-                    continue;
-                }
-            }
-            // Admission by multiprogramming level: a driver wanting to begin
-            // waits (without progress — the deadlock breaker must still see
-            // a stuck round) while `mpl` transactions are in flight.
-            if cfg.mpl > 0 && drivers[i].txn.is_none() {
-                let in_flight = drivers.iter().filter(|d| !d.done && d.txn.is_some()).count();
-                if in_flight >= cfg.mpl {
-                    continue;
-                }
-            }
-            let pre_crashes = sys.stats().crashes;
-            if step_driver(sys, &mut drivers[i], cfg, &mut report, &mut delay_next_commit, rounds) {
-                progressed = true;
-            }
-            heal_device_failures(sys, &mut drivers, cfg, &mut report, pre_crashes);
+            sim.heal_device_failures(pre_crashes);
         }
         if cfg.group_commit {
-            let pre_crashes = sys.stats().crashes;
-            flush_group(sys, &mut drivers, cfg, &mut report, rounds);
-            heal_device_failures(sys, &mut drivers, cfg, &mut report, pre_crashes);
+            let pre_crashes = sim.sys.stats().crashes;
+            sim.flush_group();
+            sim.heal_device_failures(pre_crashes);
         }
-        if !progressed {
-            // Every live driver is blocked or sleeping: break a deadlock or
-            // wake a sleeper, as the plain scheduler does.
-            let blocked: Vec<TxnId> =
-                drivers.iter().filter(|d| !d.done).filter_map(|d| d.txn).collect();
-            let mut victim = None;
-            for &t in &blocked {
-                if let Some(cycle) = sys.system().find_deadlock(t) {
-                    victim = cycle.into_iter().max();
-                    break;
-                }
-            }
-            let victim = match victim {
-                Some(v) => {
-                    report.deadlock_aborts += 1;
-                    v
-                }
-                None => match blocked.into_iter().max() {
-                    Some(t) => t,
-                    None => match drivers.iter_mut().find(|d| !d.done) {
-                        Some(d) => {
-                            d.blocked_epoch = None;
-                            d.sleep_until_commit = None;
-                            continue 'outer;
-                        }
-                        None => break,
-                    },
-                },
-            };
-            sys.system_mut().abort_with(victim, AbortReason::Deadlock).expect("victim is active");
-            let commits = sys.stats().committed;
-            if let Some(d) = drivers.iter_mut().find(|d| d.txn == Some(victim)) {
-                d.restart(cfg.max_retries, Some(commits), &mut report.retries);
-            }
+        // Every live driver blocked or sleeping: break a deadlock or wake a
+        // sleeper, as the plain scheduler does.
+        if !sim.exec.break_stall(sim.sys) {
+            break;
         }
     }
 
     // Final oracle pass over the last epoch.
-    oracle(sys, spec, cfg, invariant, None, report.events, &mut report)?;
+    sim.oracle(None)?;
 
     // Sixth leg: recovery convergence. Heal any armed-but-unexercised device
     // fault first (the probe demands a healthy device at the start) and
     // crash the device at every op index recovery itself consumes; every
     // eventual recovery must reproduce the baseline outcome.
     if cfg.fault_during_recovery {
-        sys.backend_mut().heal_device();
-        match sys.backend_mut().check_recovery_convergence(TailPolicy::DiscardTail) {
+        sim.sys.backend_mut().heal_device();
+        match sim.sys.backend_mut().check_recovery_convergence(TailPolicy::DiscardTail) {
             Ok(probe) => {
-                report.oracle_checks += 1;
+                sim.report.oracle_checks += 1;
                 if probe.device_ops > 0 {
-                    sys.system_mut().obs_mut().on_convergence_check(probe.trials, probe.device_ops);
+                    sim.obs().on_convergence_check(probe.trials, probe.device_ops);
                 }
             }
             Err(e) => {
-                return Err(SimFailure {
-                    at_event: report.events,
-                    failure: OracleFailure::RecoveryDiverged { detail: e.to_string() },
-                });
+                return Err(sim.fail(OracleFailure::RecoveryDiverged { detail: e.to_string() }))
             }
         }
     }
@@ -636,163 +509,147 @@ where
     // exactly this). An acknowledged commit is terminal by construction
     // (committed drivers are done and never restarted); durability of the
     // ack is covered by the shadow-fold and crash-state legs above.
-    report.oracle_checks += 1;
-    for (i, d) in drivers.iter().enumerate() {
+    sim.report.oracle_checks += 1;
+    for (i, d) in sim.exec.drivers.iter().enumerate() {
         if d.committed || d.voluntary_abort {
             continue;
         }
         let budget_exhausted = d.retries > cfg.max_retries;
         if !d.done || !(budget_exhausted || d.refused) {
-            return Err(SimFailure {
-                at_event: report.events,
-                failure: OracleFailure::UnboundedOutcome {
-                    detail: format!(
-                        "driver {i} ended unaccounted: done={}, retries={}/{}, refused={}",
-                        d.done, d.retries, cfg.max_retries, d.refused
-                    ),
-                },
-            });
+            return Err(sim.fail(OracleFailure::UnboundedOutcome {
+                detail: format!(
+                    "driver {i} ended unaccounted: done={}, retries={}/{}, refused={}",
+                    d.done, d.retries, cfg.max_retries, d.refused
+                ),
+            }));
         }
     }
 
-    report.rounds = rounds;
+    // The executor's accounting is the plain scheduler's; its wait and
+    // admission tallies are kept and simply not surfaced.
+    let Sim { sys, exec, mut report, fp_fold, .. } = sim;
+    let run = exec.finish(sys);
     report.commit_latency_rounds.sort_unstable();
-    for d in &drivers {
-        if d.committed {
-            report.committed += 1;
-        } else if d.voluntary_abort {
-            report.voluntary_aborts += 1;
-        } else {
-            report.gave_up += 1;
-        }
-    }
-    report.history_fingerprint = fold_fp(fp_fold, sys.system().trace());
-    report.stats = sys.stats().clone();
-    Ok(report)
+    Ok(SimReport {
+        committed: run.committed,
+        voluntary_aborts: run.voluntary_aborts,
+        gave_up: run.gave_up,
+        retries: run.retries,
+        rounds: run.rounds,
+        deadlock_aborts: run.deadlock_aborts,
+        history_fingerprint: fold_fp(fp_fold, sys.system().trace()),
+        stats: run.stats,
+        ..report
+    })
 }
 
 fn fold_fp<A: Adt>(fold: u64, trace: &History<A>) -> u64 {
     fold.rotate_left(7) ^ trace.fingerprint()
 }
 
-/// Inject one fault and run the oracle afterwards.
-#[allow(clippy::too_many_arguments)] // internal plumbing of one call site
-fn inject<A, E, C, B>(
-    kind: FaultKind,
-    sys: &mut DurableSystem<A, E, C, B>,
-    drivers: &mut [Driver<A>],
-    cfg: &SimCfg,
-    spec: &SystemSpec<A>,
-    invariant: Option<&StateInvariant<A>>,
-    report: &mut SimReport,
-    fp_fold: &mut u64,
-    delay_next_commit: &mut Option<u32>,
-) -> Result<(), SimFailure>
+impl<A, E, C, B> Sim<'_, A, E, C, B>
 where
     A: Adt,
     E: RecoveryEngine<A>,
     C: Conflict<A> + Clone,
     B: LogBackend<A>,
 {
-    /// Apply `kind`'s damage to the device, or arm it. `false` when this
-    /// backend cannot express the fault.
-    fn arm<A: Adt, B: LogBackend<A>>(kind: FaultKind, backend: &mut B) -> bool {
-        match kind {
-            // Nothing journaled yet, no tearable flush, or the tear would
-            // remove the whole flush — indistinguishable from a plain crash
-            // before the write.
-            FaultKind::TornCrash { drop_ops } => backend.tear_last_flush(drop_ops),
-            FaultKind::SectorTorn { sectors } => backend.tear_last_flush(sectors),
-            // The last flush was a single sector, or there is no sector
-            // image: reordering is inexpressible.
-            FaultKind::ReorderFlush => backend.reorder_last_flush(),
-            // No durable byte image (mem backend).
-            FaultKind::BitFlip { bit } => backend.flip_bit(bit),
-            // No device to misbehave, fill, slow down or stall (mem
-            // backend). The gray arms charge a fixed surcharge — 4 ticks per
-            // slow op, 32 per hung flush — which keeps the run a pure
-            // function of the plan.
-            FaultKind::TransientIo { errors } => backend.arm_transient_io(errors),
-            FaultKind::DiskFull => backend.set_device_full(true),
-            FaultKind::SlowDisk { ops } => backend.arm_slow_ops(ops, 4),
-            FaultKind::FsyncStall { stalls } => backend.arm_fsync_stall(stalls, 32),
-            // Sharded arms in a single-system run: there is exactly one
-            // "shard", so any subset crash (and any 2PC step crash — no
-            // cross-shard commit exists) is a plain crash. The sharded
-            // simulator in `crate::shard` handles them natively.
-            FaultKind::CrashShards { .. } | FaultKind::TwoPcCrash { .. } => false,
-            FaultKind::Crash
-            | FaultKind::ForceAbort
-            | FaultKind::WoundStorm
-            | FaultKind::DelayCommit { .. } => true,
-        }
+    fn obs(&mut self) -> &mut Tracer {
+        self.sys.system_mut().obs_mut()
     }
-    let at = report.events;
-    let fail = |failure| SimFailure { at_event: at, failure };
-    // A fault this backend cannot express degrades to a plain crash.
-    let kind = if arm(kind, sys.backend_mut()) { kind } else { FaultKind::Crash };
-    match kind {
-        // (`arm` has already turned the sharded arms into `Crash`.)
-        FaultKind::Crash | FaultKind::CrashShards { .. } | FaultKind::TwoPcCrash { .. } => {
-            sys.system_mut().obs_mut().on_fault(None, || kind.to_string());
-            let pre_states = committed_states(sys);
-            *fp_fold = fold_fp(*fp_fold, sys.system().trace());
-            // The oracle examines the pre-crash history *before* it is lost.
-            check_history(sys, spec, cfg, at, report)?;
-            // Restarting after a power loss includes the operator freeing
-            // space: a still-full device would fail recovery's epoch seal
-            // on a correct pairing.
-            sys.backend_mut().set_device_full(false);
-            sys.crash_and_recover().map_err(|e| fail(OracleFailure::Redo(e)))?;
-            restart_all(drivers, cfg, report);
-            oracle(sys, spec, cfg, invariant, Some(&pre_states), at, report)
+
+    /// An oracle failure at the current event.
+    fn fail(&self, failure: OracleFailure) -> SimFailure {
+        SimFailure { at_event: self.report.events, failure }
+    }
+
+    /// Inject one fault and run the oracle afterwards.
+    fn inject(&mut self, kind: FaultKind) -> Result<(), SimFailure> {
+        /// Apply `kind`'s damage to the device, or arm it. `false` when this
+        /// backend cannot express the fault.
+        fn arm<A: Adt, B: LogBackend<A>>(kind: FaultKind, backend: &mut B) -> bool {
+            match kind {
+                // Nothing journaled yet, no tearable flush, or the tear would
+                // remove the whole flush — indistinguishable from a plain
+                // crash before the write.
+                FaultKind::TornCrash { drop_ops } => backend.tear_last_flush(drop_ops),
+                FaultKind::SectorTorn { sectors } => backend.tear_last_flush(sectors),
+                // The last flush was a single sector, or there is no sector
+                // image: reordering is inexpressible.
+                FaultKind::ReorderFlush => backend.reorder_last_flush(),
+                // No durable byte image (mem backend).
+                FaultKind::BitFlip { bit } => backend.flip_bit(bit),
+                // No device to misbehave, fill, slow down or stall (mem
+                // backend). The gray arms charge a fixed surcharge — 4 ticks
+                // per slow op, 32 per hung flush — which keeps the run a pure
+                // function of the plan.
+                FaultKind::TransientIo { errors } => backend.arm_transient_io(errors),
+                FaultKind::DiskFull => backend.set_device_full(true),
+                FaultKind::SlowDisk { ops } => backend.arm_slow_ops(ops, 4),
+                FaultKind::FsyncStall { stalls } => backend.arm_fsync_stall(stalls, 32),
+                // Sharded arms in a single-system run: there is exactly one
+                // "shard", so any subset crash (and any 2PC step crash — no
+                // cross-shard commit exists) is a plain crash. The sharded
+                // simulator, `ccr_workload::shard_sim`, handles them
+                // natively.
+                FaultKind::CrashShards { .. } | FaultKind::TwoPcCrash { .. } => false,
+                FaultKind::Crash
+                | FaultKind::ForceAbort
+                | FaultKind::WoundStorm
+                | FaultKind::DelayCommit { .. } => true,
+            }
         }
-        FaultKind::TornCrash { .. } => {
-            let record = sys.journal().len().saturating_sub(1);
-            sys.system_mut().obs_mut().on_torn(record);
-            sys.system_mut().obs_mut().on_fault(None, || kind.to_string());
-            torn_storage_flow(sys, drivers, cfg, spec, invariant, report, fp_fold, at)
-        }
-        FaultKind::SectorTorn { .. } => {
-            sys.system_mut()
-                .obs_mut()
-                .on_fault(Some(FaultCounter::SectorTear), || kind.to_string());
-            torn_storage_flow(sys, drivers, cfg, spec, invariant, report, fp_fold, at)
-        }
-        FaultKind::ReorderFlush => {
-            sys.system_mut()
-                .obs_mut()
-                .on_fault(Some(FaultCounter::ReorderedFlush), || kind.to_string());
-            torn_storage_flow(sys, drivers, cfg, spec, invariant, report, fp_fold, at)
-        }
-        FaultKind::BitFlip { .. } => {
-            sys.system_mut().obs_mut().on_fault(None, || kind.to_string());
-            let pre_states = committed_states(sys);
-            *fp_fold = fold_fp(*fp_fold, sys.system().trace());
-            check_history(sys, spec, cfg, at, report)?;
-            // The restart model frees a full device (see FaultKind::Crash).
-            sys.backend_mut().set_device_full(false);
-            let detected = match sys.crash_and_recover() {
-                // Recovery claims the log is intact despite the flip: the
-                // oracle below decides with the pre-crash states whether
-                // that claim was honest (any divergence is the
-                // silent-corruption verdict).
-                Ok(()) => false,
-                Err(_) => {
-                    // Detected. Repair the medium and retry WITHOUT a fresh
-                    // crash (a crash would wipe the backend's volatile
-                    // detection counters before a successful recovery
-                    // persists them); nothing was lost, so strict recovery
-                    // must now succeed.
-                    sys.backend_mut().repair_flips();
-                    sys.recover_with(TornPolicy::Strict)
-                        .map_err(|e| fail(OracleFailure::Redo(e)))?;
-                    true
-                }
-            };
-            restart_all(drivers, cfg, report);
-            oracle(sys, spec, cfg, invariant, Some(&pre_states), at, report).map_err(|e| {
-                match e.failure {
+        // A fault this backend cannot express degrades to a plain crash.
+        let kind = if arm(kind, self.sys.backend_mut()) { kind } else { FaultKind::Crash };
+        match kind {
+            // (`arm` has already turned the sharded arms into `Crash`.)
+            FaultKind::Crash | FaultKind::CrashShards { .. } | FaultKind::TwoPcCrash { .. } => {
+                self.obs().on_fault(None, || kind.to_string());
+                let pre_states = self.committed_states();
+                self.seal_epoch()?;
+                self.sys.crash_and_recover().map_err(|e| self.fail(OracleFailure::Redo(e)))?;
+                self.restart_all();
+                self.oracle(Some(&pre_states))
+            }
+            FaultKind::TornCrash { .. } => {
+                let record = self.sys.journal().len().saturating_sub(1);
+                self.obs().on_torn(record);
+                self.obs().on_fault(None, || kind.to_string());
+                self.torn_storage_flow()
+            }
+            FaultKind::SectorTorn { .. } => {
+                self.obs().on_fault(Some(FaultCounter::SectorTear), || kind.to_string());
+                self.torn_storage_flow()
+            }
+            FaultKind::ReorderFlush => {
+                self.obs().on_fault(Some(FaultCounter::ReorderedFlush), || kind.to_string());
+                self.torn_storage_flow()
+            }
+            FaultKind::BitFlip { .. } => {
+                self.obs().on_fault(None, || kind.to_string());
+                let pre_states = self.committed_states();
+                self.seal_epoch()?;
+                let detected = match self.sys.crash_and_recover() {
+                    // Recovery claims the log is intact despite the flip: the
+                    // oracle below decides with the pre-crash states whether
+                    // that claim was honest (any divergence is the
+                    // silent-corruption verdict).
+                    Ok(()) => false,
+                    Err(_) => {
+                        // Detected. Repair the medium and retry WITHOUT a
+                        // fresh crash (a crash would wipe the backend's
+                        // volatile detection counters before a successful
+                        // recovery persists them); nothing was lost, so
+                        // strict recovery must now succeed.
+                        self.sys.backend_mut().repair_flips();
+                        self.sys
+                            .recover_with(TornPolicy::Strict)
+                            .map_err(|e| self.fail(OracleFailure::Redo(e)))?;
+                        true
+                    }
+                };
+                self.restart_all();
+                self.oracle(Some(&pre_states)).map_err(|e| match e.failure {
                     // An undetected flip that changed state is the silent-
                     // corruption verdict; after a *detected* flip the
                     // repair-and-retry path keeps the plain mismatch name.
@@ -803,499 +660,352 @@ where
                         }
                     }
                     _ => e,
-                }
-            })
-        }
-        FaultKind::ForceAbort => {
-            let victim = sys.system().active().max();
-            // The counter is bumped only when the fault found a victim; the
-            // fault *event* is recorded either way so traces show every
-            // injection.
-            sys.system_mut()
-                .obs_mut()
-                .on_fault(victim.map(|_| FaultCounter::ForcedAbort), || kind.to_string());
-            if let Some(t) = victim {
-                sys.system_mut()
-                    .abort_with(t, AbortReason::ConflictAbort)
-                    .expect("victim is active");
-                let commits = sys.stats().committed;
-                if let Some(d) = drivers.iter_mut().find(|d| d.txn == Some(t)) {
-                    d.restart(cfg.max_retries, Some(commits), &mut report.retries);
-                }
+                })
             }
-            oracle(sys, spec, cfg, invariant, None, at, report)
-        }
-        FaultKind::WoundStorm => {
-            sys.system_mut()
-                .obs_mut()
-                .on_fault(Some(FaultCounter::WoundStorm), || kind.to_string());
-            let victims: Vec<TxnId> = sys.system().active().collect();
-            for t in &victims {
-                sys.system_mut()
-                    .abort_with(*t, AbortReason::ConflictAbort)
-                    .expect("victim is active");
-            }
-            let commits = sys.stats().committed;
-            for d in drivers.iter_mut() {
-                if d.txn.is_some_and(|t| victims.contains(&t)) {
-                    d.restart(cfg.max_retries, Some(commits), &mut report.retries);
+            FaultKind::ForceAbort => {
+                let victim = self.sys.system().active().max();
+                // The counter is bumped only when the fault found a victim;
+                // the fault *event* is recorded either way so traces show
+                // every injection.
+                self.obs().on_fault(victim.map(|_| FaultCounter::ForcedAbort), || kind.to_string());
+                if let Some(t) = victim {
+                    self.sys
+                        .system_mut()
+                        .abort_with(t, AbortReason::ConflictAbort)
+                        .expect("victim is active");
+                    if let Some(i) = self.exec.holder(t) {
+                        self.exec.restart(self.sys, i, Wake::AfterCommit);
+                    }
                 }
+                self.oracle(None)
             }
-            oracle(sys, spec, cfg, invariant, None, at, report)
-        }
-        FaultKind::DelayCommit { rounds } => {
-            *delay_next_commit = Some(rounds);
-            sys.system_mut()
-                .obs_mut()
-                .on_fault(Some(FaultCounter::DelayedCommit), || kind.to_string());
-            Ok(())
-        }
-        // Arming a device fault is not yet an observable failure, so no
-        // oracle pass here. The next commits' bounded retries are expected
-        // to absorb a transient budget (visible only in the retry
-        // telemetry). A full device drives the system into read-only
-        // degraded mode at the next durable append; the scheduler's heal
-        // flow then restarts the killed drivers and exits it through a
-        // checkpoint. A slow or stalling device serves, just late — the
-        // classic gray symptoms — and becomes visible in the stall-latency
-        // telemetry and, when armed, to the hysteresis detector.
-        FaultKind::TransientIo { .. }
-        | FaultKind::DiskFull
-        | FaultKind::SlowDisk { .. }
-        | FaultKind::FsyncStall { .. } => {
-            let counter = match kind {
-                FaultKind::TransientIo { .. } => FaultCounter::TransientIo,
-                FaultKind::DiskFull => FaultCounter::DiskFull,
-                FaultKind::SlowDisk { .. } => FaultCounter::SlowDevice,
-                _ => FaultCounter::FsyncStall,
-            };
-            sys.system_mut().obs_mut().on_fault(Some(counter), || kind.to_string());
-            Ok(())
-        }
-    }
-}
-
-/// The shared tail of every torn-storage fault (torn record, torn flush,
-/// reordered flush), run after the damage was injected and the fault event
-/// emitted: seal the epoch's history into the fingerprint, check it, demand
-/// that strict recovery *refuses* the damaged tail (silence is itself an
-/// oracle failure), recover under `DiscardTail`, and re-run the oracle. The
-/// torn transaction's durability was legitimately lost, so there is no
-/// pre-crash state comparison — the journal shadow fold remains the
-/// equieffectivity authority.
-#[allow(clippy::too_many_arguments)] // internal plumbing of three call sites
-fn torn_storage_flow<A, E, C, B>(
-    sys: &mut DurableSystem<A, E, C, B>,
-    drivers: &mut [Driver<A>],
-    cfg: &SimCfg,
-    spec: &SystemSpec<A>,
-    invariant: Option<&StateInvariant<A>>,
-    report: &mut SimReport,
-    fp_fold: &mut u64,
-    at: u64,
-) -> Result<(), SimFailure>
-where
-    A: Adt,
-    E: RecoveryEngine<A>,
-    C: Conflict<A> + Clone,
-    B: LogBackend<A>,
-{
-    let fail = |failure| SimFailure { at_event: at, failure };
-    *fp_fold = fold_fp(*fp_fold, sys.system().trace());
-    check_history(sys, spec, cfg, at, report)?;
-    // The restart model frees a full device (see FaultKind::Crash).
-    sys.backend_mut().set_device_full(false);
-    match sys.crash_and_recover() {
-        Ok(()) => {
-            let record = sys.journal().len().saturating_sub(1);
-            return Err(fail(OracleFailure::TornNotDetected { record }));
-        }
-        Err(RedoError::TornRecord { .. }) => {}
-        Err(e) => return Err(fail(OracleFailure::Redo(e))),
-    }
-    sys.crash_and_recover_with(TornPolicy::DiscardTail)
-        .map_err(|e| fail(OracleFailure::Redo(e)))?;
-    restart_all(drivers, cfg, report);
-    oracle(sys, spec, cfg, invariant, None, at, report)
-}
-
-/// The liveness half of the degradation model, run after every driver step
-/// and group flush. Two device failures can strand the run mid-round:
-///
-/// - a commit-time power loss (`crashes` grew): the system already
-///   power-cycled and recovered in place, but every *other* driver's
-///   transaction evaporated with it — restart them before they mistake
-///   their stale handles for refusals;
-/// - the system entered read-only degraded mode: deterministic operator
-///   intervention — restart the killed drivers, heal the device, and prove
-///   it writable again with a checkpoint (the degraded-exit path).
-fn heal_device_failures<A, E, C, B>(
-    sys: &mut DurableSystem<A, E, C, B>,
-    drivers: &mut [Driver<A>],
-    cfg: &SimCfg,
-    report: &mut SimReport,
-    pre_crashes: u64,
-) where
-    A: Adt,
-    E: RecoveryEngine<A>,
-    C: Conflict<A> + Clone,
-    B: LogBackend<A>,
-{
-    if sys.stats().crashes > pre_crashes {
-        restart_all(drivers, cfg, report);
-    }
-    if sys.is_degraded() {
-        restart_all(drivers, cfg, report);
-        sys.backend_mut().heal_device();
-        sys.checkpoint();
-    }
-}
-
-/// Restart every driver whose transaction evaporated in a crash. Crash
-/// restarts carry no commit backoff: the rebuilt system holds no locks.
-fn restart_all<A: Adt>(drivers: &mut [Driver<A>], cfg: &SimCfg, report: &mut SimReport) {
-    for d in drivers.iter_mut() {
-        if !d.done && d.txn.is_some() {
-            d.restart(cfg.max_retries, None, &mut report.retries);
+            FaultKind::WoundStorm => {
+                self.obs().on_fault(Some(FaultCounter::WoundStorm), || kind.to_string());
+                let victims: Vec<TxnId> = self.sys.system().active().collect();
+                for t in &victims {
+                    self.sys
+                        .system_mut()
+                        .abort_with(*t, AbortReason::ConflictAbort)
+                        .expect("victim is active");
+                }
+                for i in 0..self.exec.drivers.len() {
+                    if self.exec.drivers[i].txn.is_some_and(|t| victims.contains(&t)) {
+                        self.exec.restart(self.sys, i, Wake::AfterCommit);
+                    }
+                }
+                self.oracle(None)
+            }
+            FaultKind::DelayCommit { rounds } => {
+                self.delay_next_commit = Some(rounds);
+                self.obs().on_fault(Some(FaultCounter::DelayedCommit), || kind.to_string());
+                Ok(())
+            }
+            // Arming a device fault is not yet an observable failure, so no
+            // oracle pass here. The next commits' bounded retries are
+            // expected to absorb a transient budget (visible only in the
+            // retry telemetry). A full device drives the system into
+            // read-only degraded mode at the next durable append; the
+            // scheduler's heal flow then restarts the killed drivers and
+            // exits it through a checkpoint. A slow or stalling device
+            // serves, just late — the classic gray symptoms — and becomes
+            // visible in the stall-latency telemetry and, when armed, to the
+            // hysteresis detector.
+            FaultKind::TransientIo { .. }
+            | FaultKind::DiskFull
+            | FaultKind::SlowDisk { .. }
+            | FaultKind::FsyncStall { .. } => {
+                let counter = match kind {
+                    FaultKind::TransientIo { .. } => FaultCounter::TransientIo,
+                    FaultKind::DiskFull => FaultCounter::DiskFull,
+                    FaultKind::SlowDisk { .. } => FaultCounter::SlowDevice,
+                    _ => FaultCounter::FsyncStall,
+                };
+                self.obs().on_fault(Some(counter), || kind.to_string());
+                Ok(())
+            }
         }
     }
-}
 
-fn committed_states<A, E, C, B>(sys: &mut DurableSystem<A, E, C, B>) -> BTreeMap<ObjectId, A::State>
-where
-    A: Adt,
-    E: RecoveryEngine<A>,
-    C: Conflict<A> + Clone,
-    B: LogBackend<A>,
-{
-    sys.system().object_ids().into_iter().map(|obj| (obj, sys.committed_state(obj))).collect()
-}
+    /// What every crash-style fault does before it pulls the plug: seal the
+    /// epoch's history into the fingerprint, let the oracle examine the
+    /// pre-crash history *before* it is lost, and free a full device —
+    /// restarting after a power loss includes the operator freeing space (a
+    /// still-full device would fail recovery's epoch seal on a correct
+    /// pairing).
+    fn seal_epoch(&mut self) -> Result<(), SimFailure> {
+        self.fp_fold = fold_fp(self.fp_fold, self.sys.system().trace());
+        self.check_history()?;
+        self.sys.backend_mut().set_device_full(false);
+        Ok(())
+    }
 
-/// Dynamic-atomicity leg of the oracle, over the system's recorded history.
-/// The trace restarts at every rebuild — from the restored checkpoint image
-/// plus the replayed suffix — so it is judged from the image *this* epoch was
-/// rebuilt from, not from `initial()` and not from the journal's current
-/// base (a checkpoint taken mid-epoch advances that one while the trace
-/// still holds the transactions it folded).
-fn check_history<A, E, C, B>(
-    sys: &DurableSystem<A, E, C, B>,
-    spec: &SystemSpec<A>,
-    cfg: &SimCfg,
-    at: u64,
-    report: &mut SimReport,
-) -> Result<(), SimFailure>
-where
-    A: Adt,
-    E: RecoveryEngine<A>,
-    C: Conflict<A> + Clone,
-    B: LogBackend<A>,
-{
-    report.oracle_checks += 1;
-    let seeded = sys.trace_base().map(|base| spec.clone().starting_from(base));
-    let (spec, trace) = (seeded.as_ref().unwrap_or(spec), sys.system().trace());
-    check_dynamic_atomic_auto(spec, trace, cfg.exhaustive_limit, cfg.oracle_samples, cfg.seed ^ at)
-        .map_err(|v| SimFailure { at_event: at, failure: OracleFailure::NotDynamicAtomic(v) })
-}
+    /// The shared tail of every torn-storage fault (torn record, torn flush,
+    /// reordered flush), run after the damage was injected and the fault
+    /// event emitted: seal the epoch, demand that strict recovery *refuses*
+    /// the damaged tail (silence is itself an oracle failure), recover under
+    /// `DiscardTail`, and re-run the oracle. The torn transaction's
+    /// durability was legitimately lost, so there is no pre-crash state
+    /// comparison — the journal shadow fold remains the equieffectivity
+    /// authority.
+    fn torn_storage_flow(&mut self) -> Result<(), SimFailure> {
+        self.seal_epoch()?;
+        match self.sys.crash_and_recover() {
+            Ok(()) => {
+                let record = self.sys.journal().len().saturating_sub(1);
+                return Err(self.fail(OracleFailure::TornNotDetected { record }));
+            }
+            Err(RedoError::TornRecord { .. }) => {}
+            Err(e) => return Err(self.fail(OracleFailure::Redo(e))),
+        }
+        self.sys
+            .crash_and_recover_with(TornPolicy::DiscardTail)
+            .map_err(|e| self.fail(OracleFailure::Redo(e)))?;
+        self.restart_all();
+        self.oracle(None)
+    }
 
-/// The full oracle: dynamic atomicity of the current trace, journal shadow
-/// fold vs engine committed states, optional pre-crash state comparison,
-/// optional caller invariant.
-fn oracle<A, E, C, B>(
-    sys: &mut DurableSystem<A, E, C, B>,
-    spec: &SystemSpec<A>,
-    cfg: &SimCfg,
-    invariant: Option<&StateInvariant<A>>,
-    pre_states: Option<&BTreeMap<ObjectId, A::State>>,
-    at: u64,
-    report: &mut SimReport,
-) -> Result<(), SimFailure>
-where
-    A: Adt,
-    E: RecoveryEngine<A>,
-    C: Conflict<A> + Clone,
-    B: LogBackend<A>,
-{
-    let fail = |failure| SimFailure { at_event: at, failure };
-    check_history(sys, spec, cfg, at, report)?;
+    /// The liveness half of the degradation model, run after every driver
+    /// step and group flush. Two device failures can strand the run
+    /// mid-round:
+    ///
+    /// - a commit-time power loss (`crashes` grew): the system already
+    ///   power-cycled and recovered in place, but every *other* driver's
+    ///   transaction evaporated with it — restart them before they mistake
+    ///   their stale handles for refusals;
+    /// - the system entered read-only degraded mode: deterministic operator
+    ///   intervention — restart the killed drivers, heal the device, and
+    ///   prove it writable again with a checkpoint (the degraded-exit path).
+    fn heal_device_failures(&mut self, pre_crashes: u64) {
+        if self.sys.stats().crashes > pre_crashes {
+            self.restart_all();
+        }
+        if self.sys.is_degraded() {
+            self.restart_all();
+            self.sys.backend_mut().heal_device();
+            self.sys.checkpoint();
+        }
+    }
 
-    // Shadow fold: refold the journal through the serial spec, starting
-    // from the checkpoint base when one was taken (the image stands in for
-    // the truncated records' effects). Every journaled response must be
-    // legal, and the final states must match the engines' committed states.
-    let base: BTreeMap<ObjectId, A::State> = match sys.journal().base_states() {
-        Some(states) => states.iter().cloned().collect(),
-        None => sys
-            .system()
-            .object_ids()
-            .into_iter()
-            .map(|obj| {
-                let adt = sys.system().adt_of(obj).expect("object exists");
-                (obj, adt.initial())
-            })
-            .collect(),
-    };
-    let base_records = sys.journal().base_records() as usize;
-    let mut shadow = base.clone();
-    for (ri, ops) in sys.journal().record_ops().enumerate() {
-        for (oi, (_seq, obj, op)) in ops.iter().enumerate() {
-            let adt = sys.system().adt_of(*obj).expect("object exists").clone();
-            let state = shadow.get_mut(obj).expect("object exists");
-            let next = adt
-                .step(state, &op.inv)
+    /// Restart every driver whose transaction evaporated in a crash. Crash
+    /// restarts carry no commit backoff: the rebuilt system holds no locks.
+    fn restart_all(&mut self) {
+        for i in 0..self.exec.drivers.len() {
+            if self.exec.drivers[i].txn.is_some() {
+                self.exec.restart(self.sys, i, Wake::Now);
+            }
+        }
+    }
+
+    fn committed_states(&mut self) -> BTreeMap<ObjectId, A::State> {
+        self.sys.system_mut().committed_states().into_iter().collect()
+    }
+
+    /// Dynamic-atomicity leg of the oracle, over the system's recorded
+    /// history. The trace restarts at every rebuild — from the restored
+    /// checkpoint image plus the replayed suffix — so it is judged from the
+    /// image *this* epoch was rebuilt from, not from `initial()` and not
+    /// from the journal's current base (a checkpoint taken mid-epoch
+    /// advances that one while the trace still holds the transactions it
+    /// folded).
+    fn check_history(&mut self) -> Result<(), SimFailure> {
+        self.report.oracle_checks += 1;
+        let (cfg, at) = (self.cfg, self.report.events);
+        let seeded = self.sys.trace_base().map(|base| self.spec.clone().starting_from(base));
+        let (spec, trace) = (seeded.as_ref().unwrap_or(self.spec), self.sys.system().trace());
+        check_dynamic_atomic_auto(
+            spec,
+            trace,
+            cfg.exhaustive_limit,
+            cfg.oracle_samples,
+            cfg.seed ^ at,
+        )
+        .map_err(|v| self.fail(OracleFailure::NotDynamicAtomic(v)))
+    }
+
+    /// The full oracle: dynamic atomicity of the current trace, journal
+    /// shadow fold vs engine committed states, optional pre-crash state
+    /// comparison, optional caller invariant.
+    fn oracle(
+        &mut self,
+        pre_states: Option<&BTreeMap<ObjectId, A::State>>,
+    ) -> Result<(), SimFailure> {
+        self.check_history()?;
+        let at = self.report.events;
+        let fail = |failure| SimFailure { at_event: at, failure };
+        let sys = &mut *self.sys;
+
+        // Shadow fold: refold the journal through the serial spec, starting
+        // from the checkpoint base when one was taken (the image stands in for
+        // the truncated records' effects). Every journaled response must be
+        // legal, and the final states must match the engines' committed states.
+        let base: BTreeMap<ObjectId, A::State> = match sys.journal().base_states() {
+            Some(states) => states.iter().cloned().collect(),
+            None => sys
+                .system()
+                .object_ids()
                 .into_iter()
-                .find(|(resp, _)| *resp == op.resp)
-                .map(|(_, post)| post);
-            match next {
-                Some(post) => *state = post,
+                .map(|obj| {
+                    let adt = sys.system().adt_of(obj).expect("object exists");
+                    (obj, adt.initial())
+                })
+                .collect(),
+        };
+        let base_records = sys.journal().base_records() as usize;
+        let mut shadow = base.clone();
+        for (ri, ops) in sys.journal().record_ops().enumerate() {
+            for (oi, (_seq, obj, op)) in ops.iter().enumerate() {
+                let adt = sys.system().adt_of(*obj).expect("object exists").clone();
+                let state = shadow.get_mut(obj).expect("object exists");
+                let next = adt
+                    .step(state, &op.inv)
+                    .into_iter()
+                    .find(|(resp, _)| *resp == op.resp)
+                    .map(|(_, post)| post);
+                match next {
+                    Some(post) => *state = post,
+                    None => {
+                        return Err(fail(OracleFailure::ShadowRefused {
+                            record: base_records + ri,
+                            op: oi,
+                        }))
+                    }
+                }
+            }
+        }
+        for (obj, shadow_state) in &shadow {
+            let engine_state = sys.committed_state(*obj);
+            if engine_state != *shadow_state {
+                return Err(fail(OracleFailure::StateDiverged {
+                    obj: *obj,
+                    engine: format!("{engine_state:?}"),
+                    shadow: format!("{shadow_state:?}"),
+                }));
+            }
+        }
+
+        // Fifth leg: the paper's two physical recovery views must agree. The
+        // shadow fold above *is* the DU view (commit-ordered replay, Theorem
+        // 10); redo the same journal in global execution order (the UIP view,
+        // Theorem 9) and demand the identical committed state.
+        if let Some(first) = sys.system().object_ids().first().copied() {
+            let adt = sys.system().adt_of(first).expect("object exists").clone();
+            match replay_uip(&adt, &base, sys.journal().records()) {
+                Some(uip) => {
+                    for (obj, du_state) in &shadow {
+                        if uip.get(obj) != Some(du_state) {
+                            return Err(fail(OracleFailure::RecoveryViewDiverged {
+                                obj: *obj,
+                                uip: format!("{:?}", uip.get(obj)),
+                                du: format!("{du_state:?}"),
+                            }));
+                        }
+                    }
+                }
                 None => {
-                    return Err(fail(OracleFailure::ShadowRefused {
-                        record: base_records + ri,
-                        op: oi,
+                    return Err(fail(OracleFailure::RecoveryViewDiverged {
+                        obj: first,
+                        uip: "refused".to_string(),
+                        du: "legal fold".to_string(),
                     }))
                 }
             }
         }
-    }
-    for (obj, shadow_state) in &shadow {
-        let engine_state = sys.committed_state(*obj);
-        if engine_state != *shadow_state {
-            return Err(fail(OracleFailure::StateDiverged {
-                obj: *obj,
-                engine: format!("{engine_state:?}"),
-                shadow: format!("{shadow_state:?}"),
-            }));
-        }
-    }
 
-    // Fifth leg: the paper's two physical recovery views must agree. The
-    // shadow fold above *is* the DU view (commit-ordered replay, Theorem
-    // 10); redo the same journal in global execution order (the UIP view,
-    // Theorem 9) and demand the identical committed state.
-    if let Some(first) = sys.system().object_ids().first().copied() {
-        let adt = sys.system().adt_of(first).expect("object exists").clone();
-        match replay_uip(&adt, &base, sys.journal().records()) {
-            Some(uip) => {
-                for (obj, du_state) in &shadow {
-                    if uip.get(obj) != Some(du_state) {
-                        return Err(fail(OracleFailure::RecoveryViewDiverged {
-                            obj: *obj,
-                            uip: format!("{:?}", uip.get(obj)),
-                            du: format!("{du_state:?}"),
-                        }));
-                    }
+        if let Some(pre) = pre_states {
+            for (obj, before) in pre {
+                let after = sys.committed_state(*obj);
+                if after != *before {
+                    return Err(fail(OracleFailure::CrashStateMismatch {
+                        obj: *obj,
+                        before: format!("{before:?}"),
+                        after: format!("{after:?}"),
+                    }));
                 }
             }
-            None => {
-                return Err(fail(OracleFailure::RecoveryViewDiverged {
-                    obj: first,
-                    uip: "refused".to_string(),
-                    du: "legal fold".to_string(),
-                }))
+        }
+
+        if let Some(inv) = self.invariant {
+            inv(&shadow).map_err(|detail| fail(OracleFailure::InvariantViolated { detail }))?;
+        }
+        Ok(())
+    }
+
+    /// Driver `i`'s script asks to commit `txn`: sit out a pending
+    /// delayed-commit fault, stage the commit in group-commit mode, or
+    /// commit durably now.
+    fn commit(&mut self, i: usize, txn: TxnId) {
+        if let Some(rounds) = self.delay_next_commit.take() {
+            self.exec.postpone_commit(i, u64::from(rounds));
+        } else if self.cfg.group_commit {
+            // Stage the commit for the round-end group flush; the driver
+            // is acknowledged (or restarted) only after the batch flush.
+            self.exec.drivers[i].staged = true;
+        } else {
+            let res = self.sys.commit(txn);
+            if let (Ok(()), Some(every)) = (&res, self.cfg.checkpoint_every) {
+                if every > 0 && self.sys.stats().committed.is_multiple_of(every) {
+                    self.sys.checkpoint();
+                }
+            }
+            self.settle_commit(i, res);
+        }
+    }
+
+    /// Commit every staged driver's transaction as one durable batch (group-
+    /// commit mode, end of a scheduler round). Drivers whose transaction
+    /// evaporated mid-round (a fault restarted them) simply drop out of the
+    /// batch; the rest are acknowledged or restarted from the per-transaction
+    /// results of [`DurableSystem::commit_group`].
+    fn flush_group(&mut self) {
+        let staged = self.exec.drivers.iter().enumerate().filter(|(_, d)| d.staged);
+        let (members, batch): (Vec<usize>, Vec<TxnId>) =
+            staged.filter_map(|(i, d)| Some((i, d.txn?))).unzip();
+        if batch.is_empty() {
+            return;
+        }
+        let pre = self.sys.stats().committed;
+        let results = self.sys.commit_group(&batch);
+        for (i, res) in members.into_iter().zip(results) {
+            self.settle_commit(i, res);
+        }
+        if let Some(every) = self.cfg.checkpoint_every {
+            // A batch can cross the cadence boundary anywhere inside itself;
+            // checkpoint whenever it did.
+            if every > 0 && self.sys.stats().committed / every > pre / every {
+                self.sys.checkpoint();
             }
         }
     }
 
-    if let Some(pre) = pre_states {
-        for (obj, before) in pre {
-            let after = sys.committed_state(*obj);
-            if after != *before {
-                return Err(fail(OracleFailure::CrashStateMismatch {
-                    obj: *obj,
-                    before: format!("{before:?}"),
-                    after: format!("{after:?}"),
-                }));
-            }
-        }
-    }
-
-    if let Some(inv) = invariant {
-        inv(&shadow).map_err(|detail| fail(OracleFailure::InvariantViolated { detail }))?;
-    }
-    Ok(())
-}
-
-/// Commit every staged driver's transaction as one durable batch (group-
-/// commit mode, end of a scheduler round). Drivers whose transaction
-/// evaporated mid-round (a fault restarted them) simply drop out of the
-/// batch; the rest are acknowledged or restarted from the per-transaction
-/// results of [`DurableSystem::commit_group`].
-fn flush_group<A, E, C, B>(
-    sys: &mut DurableSystem<A, E, C, B>,
-    drivers: &mut [Driver<A>],
-    cfg: &SimCfg,
-    report: &mut SimReport,
-    round: u64,
-) where
-    A: Adt,
-    E: RecoveryEngine<A>,
-    C: Conflict<A> + Clone,
-    B: LogBackend<A>,
-{
-    let batch: Vec<TxnId> =
-        drivers.iter().filter(|d| !d.done && d.awaiting_flush).filter_map(|d| d.txn).collect();
-    if batch.is_empty() {
-        return;
-    }
-    let pre = sys.stats().committed;
-    let results = sys.commit_group(&batch);
-    for (t, res) in batch.iter().zip(results) {
-        let d = drivers.iter_mut().find(|d| d.txn == Some(*t)).expect("staged driver");
-        d.awaiting_flush = false;
+    /// Acknowledge, restart or give up driver `i` on the result of its
+    /// commit — its own durable commit, or its slot of a batch's.
+    fn settle_commit(&mut self, i: usize, res: Result<(), TxnError>) {
         match res {
             Ok(()) => {
-                d.done = true;
-                d.committed = true;
-                report.commit_latency_rounds.push(round.saturating_sub(d.began_round) + 1);
+                let began = self.exec.drivers[i].began_round;
+                self.report.commit_latency_rounds.push(self.exec.round.saturating_sub(began) + 1);
+                self.exec.committed(i);
             }
-            Err(TxnError::Aborted(_)) => {
-                let commits = sys.stats().committed;
-                d.restart(cfg.max_retries, Some(commits), &mut report.retries);
-            }
+            Err(TxnError::Aborted(_)) => self.exec.restart(self.sys, i, Wake::AfterCommit),
             // The admission gate shed this member: it was cleanly aborted
             // before the journal saw it. Restart under backpressure — the
             // shed ack plus jittered backoff is the WAL-lag flow-control
             // loop. The negative control swallows the ack instead, leaving
             // the driver unaccounted for the bounded-outcome leg to catch.
-            Err(TxnError::Shed) => {
-                if cfg.mutate_swallow_shed {
-                    d.done = true;
-                } else {
-                    let jitter =
-                        crate::scheduler::seeded_jitter(cfg.seed, u64::from(t.0), d.retries);
-                    sys.system_mut().obs_mut().on_retry_jitter(jitter);
-                    let commits = sys.stats().committed;
-                    d.restart(cfg.max_retries, Some(commits), &mut report.retries);
-                    d.delay_turns = jitter as u32;
-                }
-            }
-            // The batch's durability failed as a whole: the flush either
-            // power-cycled (each transaction evaporated, NotActive) or
-            // degraded the system (ReadOnly). Crash-style restart, no
-            // backoff — the rebuilt system holds no locks.
+            Err(TxnError::Shed) if self.cfg.mutate_swallow_shed => self.exec.drivers[i].retire(),
+            Err(TxnError::Shed) => self.exec.restart(self.sys, i, Wake::AfterCommitAndJitter),
+            // The durability of the commit — or of its whole batch — failed:
+            // the write either power-cycled the system in place (each
+            // transaction evaporated, NotActive) or degraded it (ReadOnly).
+            // Crash-style restart, no backoff — the rebuilt system holds no
+            // locks.
             Err(TxnError::ReadOnly) | Err(TxnError::NotActive(_)) => {
-                d.restart(cfg.max_retries, None, &mut report.retries);
+                self.exec.restart(self.sys, i, Wake::Now)
             }
             Err(_) => {
-                d.done = true;
-                d.refused = true;
+                self.exec.drivers[i].refused = true;
+                self.exec.drivers[i].retire();
             }
-        }
-    }
-    if let Some(every) = cfg.checkpoint_every {
-        // A batch can cross the cadence boundary anywhere inside itself;
-        // checkpoint whenever it did.
-        if every > 0 && sys.stats().committed / every > pre / every {
-            sys.checkpoint();
-        }
-    }
-}
-
-/// Advance one driver by one step. Returns whether it made progress.
-fn step_driver<A, E, C, B>(
-    sys: &mut DurableSystem<A, E, C, B>,
-    d: &mut Driver<A>,
-    cfg: &SimCfg,
-    report: &mut SimReport,
-    delay_next_commit: &mut Option<u32>,
-    round: u64,
-) -> bool
-where
-    A: Adt,
-    E: RecoveryEngine<A>,
-    C: Conflict<A> + Clone,
-    B: LogBackend<A>,
-{
-    let txn = match d.txn {
-        Some(t) => t,
-        None => {
-            let t = sys.begin();
-            d.txn = Some(t);
-            d.began_round = round;
-            t
-        }
-    };
-    let step = match d.pending.take() {
-        Some(s) => s,
-        None => d.script.next(d.last.as_ref()),
-    };
-    match step {
-        Step::Invoke(obj, inv) => match sys.invoke(txn, obj, inv.clone()) {
-            Ok(resp) => {
-                d.last = Some(resp);
-                d.blocked_epoch = None;
-                true
-            }
-            Err(TxnError::Blocked) => {
-                d.pending = Some(Step::Invoke(obj, inv));
-                d.blocked_epoch = Some(epoch(sys.stats()));
-                false
-            }
-            Err(TxnError::Aborted(_)) => {
-                let commits = sys.stats().committed;
-                d.restart(cfg.max_retries, Some(commits), &mut report.retries);
-                true
-            }
-            // Unlike the plain scheduler, the simulator tolerates refused
-            // invocations (faults can strand scripts in states their
-            // generator never anticipated): the script simply gives up and
-            // the oracle remains the arbiter of correctness.
-            Err(_) => {
-                if let Some(t) = d.txn.take() {
-                    let _ = sys.abort(t);
-                }
-                d.done = true;
-                d.refused = true;
-                true
-            }
-        },
-        Step::Commit => {
-            if let Some(rounds) = delay_next_commit.take() {
-                d.pending = Some(Step::Commit);
-                d.delay_turns = rounds;
-                return true;
-            }
-            if cfg.group_commit {
-                // Stage the commit for the round-end group flush; the driver
-                // is acknowledged (or restarted) only after the batch flush.
-                d.awaiting_flush = true;
-                return true;
-            }
-            match sys.commit(txn) {
-                Ok(()) => {
-                    if let Some(every) = cfg.checkpoint_every {
-                        if every > 0 && sys.stats().committed.is_multiple_of(every) {
-                            sys.checkpoint();
-                        }
-                    }
-                    d.done = true;
-                    d.committed = true;
-                    report.commit_latency_rounds.push(round.saturating_sub(d.began_round) + 1);
-                    true
-                }
-                Err(TxnError::Aborted(_)) => {
-                    let commits = sys.stats().committed;
-                    d.restart(cfg.max_retries, Some(commits), &mut report.retries);
-                    true
-                }
-                // A device failure at commit: the transaction evaporated in
-                // an in-place power-cycle (NotActive) or the system went
-                // read-only (ReadOnly). Crash-style restart, no backoff.
-                Err(TxnError::ReadOnly) | Err(TxnError::NotActive(_)) => {
-                    d.restart(cfg.max_retries, None, &mut report.retries);
-                    true
-                }
-                Err(_) => {
-                    d.done = true;
-                    d.refused = true;
-                    true
-                }
-            }
-        }
-        Step::Abort => {
-            let _ = sys.abort(txn);
-            d.done = true;
-            d.voluntary_abort = true;
-            true
         }
     }
 }
@@ -1345,21 +1055,33 @@ mod tests {
     }
 
     #[test]
-    fn fault_free_sim_matches_plain_run() {
+    fn a_finished_driver_forgets_its_transaction() {
+        // Driver 0 finishes as some `Tk`. Tearing the flush of its
+        // acknowledged record and recovering under `DiscardTail`, as the
+        // torn faults do, drops the log's floor back, so the rebuilt system
+        // issues `Tk` again — to driver 1. A victim `Tk` is then driver 1's
+        // to restart; the finished driver's stale handle must not answer.
         let mut sys: UipDurable = DurableSystem::new(BankAccount::default(), 1, bank_nrbc());
-        let report = run_sim(
-            &mut sys,
-            transfer_scripts(6),
-            &FaultPlan::none(),
-            &SimCfg::default(),
-            &spec(),
-            None,
-        )
-        .unwrap();
-        assert_eq!(report.committed, 6);
-        assert_eq!(report.faults_injected, 0);
-        assert!(report.oracle_checks >= 1);
-        assert_eq!(sys.committed_state(X), 6);
+        let mut exec = RoundRobin::new(transfer_scripts(2), SchedulerCfg::default());
+        exec.next_round().expect("two live drivers");
+        let finished = loop {
+            if let Stepped::Commit(txn) = exec.step(&mut sys, 0) {
+                sys.commit(txn).expect("an uncontended commit");
+                exec.committed(0);
+                break txn;
+            }
+        };
+        assert!(sys.backend_mut().tear_last_flush(1), "the record's flush is tearable");
+        assert!(matches!(sys.crash_and_recover(), Err(RedoError::TornRecord { .. })));
+        sys.crash_and_recover_with(TornPolicy::DiscardTail).expect("the torn tail is discardable");
+        assert!(matches!(exec.step(&mut sys, 1), Stepped::Progressed));
+        assert_eq!(exec.drivers[1].txn, Some(finished), "the rebuilt system reissues the id");
+
+        sys.system_mut().abort_with(finished, AbortReason::Deadlock).expect("it is active");
+        let victim = exec.holder(finished).expect("a live driver holds it");
+        exec.restart(&mut sys, victim, Wake::AfterCommit);
+        assert_eq!((exec.drivers[0].retries, exec.drivers[1].retries), (0, 1));
+        assert!(exec.drivers[0].committed && exec.drivers[0].txn.is_none());
     }
 
     #[test]

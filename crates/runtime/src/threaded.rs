@@ -70,12 +70,11 @@ pub struct ThreadedCfg {
     ///
     /// [`SchedulerCfg::deadline`]: crate::scheduler::SchedulerCfg::deadline
     pub deadline: Duration,
-    /// Exponential post-restart backoff with seeded jitter, the threaded
-    /// analogue of [`SchedulerCfg::backoff`]: a restarted script sleeps
-    /// `2^min(retries,5) + jitter` tenths of a wait slice before its next
-    /// attempt, decorrelating the wakeups of a conflict clique.
-    ///
-    /// [`SchedulerCfg::backoff`]: crate::scheduler::SchedulerCfg::backoff
+    /// Exponential post-restart backoff with seeded jitter: a restarted
+    /// script sleeps `2^min(retries,5) + jitter` tenths of a wait slice
+    /// before its next attempt, decorrelating the wakeups of a conflict
+    /// clique. Off by default. (The round-robin executor has no such knob:
+    /// there a deadline or shed victim always sits out the jitter alone.)
     pub backoff: bool,
 }
 
@@ -350,7 +349,7 @@ where
 /// each other). The commit count is sampled, and re-checked after every
 /// wake-up, under the guard the abort happened under, so no wake-up is
 /// lost; each elapsed slice counts into `wait_rounds`, as the scheduler
-/// counts its sleepers. `scheduler::restart` states the same rule.
+/// counts its sleepers. `scheduler::Wake::AfterCommit` states the same rule.
 fn restart<A, E, C>(
     shared: &Shared<A, E, C>,
     cfg: &ThreadedCfg,

@@ -13,7 +13,7 @@
 //! sectors, padding included, changes the checksum (satellite: corruption
 //! exhaustion). The padding is not read byte by byte: appending `k` zero
 //! bytes multiplies the CRC register by `x^8k mod P`, so
-//! [`crc32_zero_tail`] checksums the occupied head and folds the zero tail
+//! `crc32_zero_tail` checksums the occupied head and folds the zero tail
 //! in with one polynomial multiplication (zlib's `crc32_combine`
 //! arithmetic) — the same value as the bytewise CRC of the whole extent.
 

@@ -43,10 +43,10 @@
 //!   [`DiskError::Transient`]; a retry later may succeed (a flaky cable, a
 //!   recoverable controller error).
 //! - [`SimDisk::set_full`]: checked mutations fail with [`DiskError::Full`]
-//!   until the device is [healed](Self::heal) (ENOSPC; reads keep working).
+//!   until the device is [healed](SimDisk::heal) (ENOSPC; reads keep working).
 //! - [`SimDisk::arm_crash_at_op`]: the device *trips* after the next `n`
 //!   checked ops succeed — every later op fails with [`DiskError::Crashed`]
-//!   until [`crash`](Self::crash) acknowledges the power loss. This is the
+//!   until [`crash`](SimDisk::crash) acknowledges the power loss. This is the
 //!   trigger the recovery-convergence oracle uses to kill recovery at every
 //!   device-op index.
 //!
@@ -56,10 +56,10 @@
 //! [`SimDisk::arm_slow_ops`] makes the next `n` checked ops each cost extra
 //! ticks (a degraded medium), and [`SimDisk::arm_fsync_stall`] makes the
 //! next `n` non-empty flushes stall for extra ticks (an fsync that hangs).
-//! The accumulated [`device_ticks`](Self::device_ticks) are the device's
+//! The accumulated [`device_ticks`](SimDisk::device_ticks) are the device's
 //! elapsed logical time, and the stall surplus is reported separately via
-//! [`stall_ticks`](Self::stall_ticks) so health detectors can tell a busy
-//! device from a lying one. [`heal`](Self::heal) clears the armed latency
+//! [`stall_ticks`](SimDisk::stall_ticks) so health detectors can tell a busy
+//! device from a lying one. [`heal`](SimDisk::heal) clears the armed latency
 //! channels along with the error budgets.
 //!
 //! The raw operations bypass the checked channels entirely: they are the
@@ -639,7 +639,7 @@ impl SimDisk {
 
     /// Arm the crash-at-op trigger: the next `n` checked ops succeed, then
     /// the device trips — every later op fails with [`DiskError::Crashed`]
-    /// until [`crash`](Self::crash) acknowledges the power loss.
+    /// until [`crash`](SimDisk::crash) acknowledges the power loss.
     pub fn arm_crash_at_op(&mut self, n: u64) {
         self.trip_at.set(Some(self.ops.get() + n));
         self.tripped.set(false);
@@ -658,7 +658,7 @@ impl SimDisk {
     }
 
     /// Accumulated latency surplus from the gray channels — the slice of
-    /// [`device_ticks`](Self::device_ticks) a healthy device would not have
+    /// [`device_ticks`](SimDisk::device_ticks) a healthy device would not have
     /// paid. Health detectors watch the delta of this figure to tell a busy
     /// device from a lying one.
     pub fn stall_ticks(&self) -> u64 {
@@ -684,7 +684,7 @@ impl SimDisk {
     /// Heal the device: clear the full condition, any remaining
     /// transient-error budget, and the armed slow-op / fsync-stall latency
     /// budgets (the operator replaced the gray hardware). A tripped device
-    /// stays dead until [`crash`](Self::crash) — power loss is not healable
+    /// stays dead until [`crash`](SimDisk::crash) — power loss is not healable
     /// in place. Accumulated ticks and stall surplus persist, like the op
     /// counter.
     pub fn heal(&mut self) {

@@ -21,7 +21,7 @@
 //!
 //! A batched-commit frame (kind 4) prefixes the commit payload with a
 //! [`BatchMeta`] header — `batch_id`, `pos`, `len` — naming the group-commit
-//! flush it belongs to and its position within it. [`append_commits`]
+//! flush it belongs to and its position within it. `append_commits`
 //! ([`LogBackend::append_commits`]) stages every frame of the batch in the
 //! device's write cache and makes the whole group durable with **one**
 //! tearable flush, which is what amortises the fsync cost across the batch.

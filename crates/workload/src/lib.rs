@@ -1,7 +1,7 @@
 //! # ccr-workload — workload generators, measurement harness and the
 //! paper-experiment drivers
 //!
-//! * [`bench`] — the group-commit durability benchmark: the same workload
+//! * [`mod@bench`] — the group-commit durability benchmark: the same workload
 //!   under per-commit fsyncs vs batched group flushes, producing
 //!   `reports/BENCH_group_commit.json`;
 //! * [`gen`] — seeded workload generators: hot-spot banking, counters,

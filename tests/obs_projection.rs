@@ -11,9 +11,10 @@ use std::sync::{Arc, Barrier};
 use ccr::adt::bank::{bank_nfc, bank_nrbc, BankAccount, BankInv};
 use ccr::core::adt::Adt;
 use ccr::core::atomicity::SystemSpec;
+use ccr::core::conflict::FnConflict;
 use ccr::core::ids::ObjectId;
 use ccr::runtime::crash::DurableSystem;
-use ccr::runtime::engine::{DuEngine, UipEngine};
+use ccr::runtime::engine::{DuEngine, RecoveryEngine, UipEngine};
 use ccr::runtime::fault::{FaultKind, FaultMix, FaultPlan, FaultSpec};
 use ccr::runtime::scheduler::{run, RunReport, SchedulerCfg};
 use ccr::runtime::script::{OpsScript, Script, Step};
@@ -21,6 +22,7 @@ use ccr::runtime::sim::{run_sim, SimCfg};
 use ccr::runtime::system::{ConflictPolicy, TxnSystem};
 use ccr::runtime::threaded::{run_threaded, run_threaded_durable, GroupCommitCfg, ThreadedCfg};
 use ccr::store::{WalBackend, WalConfig};
+use ccr::workload::gen::{banking, WorkloadCfg};
 
 include!("common/rendezvous.rs");
 
@@ -188,6 +190,68 @@ fn run_report_semantics_agree_across_executors() {
     );
     check(&run.report);
     assert_projection_matches(&run.sys);
+}
+
+/// The fault simulator drives the plain scheduler's executor: with no fault
+/// to inject, `run_sim` over a durable system and `run` over a bare one are
+/// the same function of (seed, scripts, policy, MPL, deadline) — the same
+/// history, rounds, retries and deadlock victims. It is the test that keeps
+/// a second scheduling loop from growing back (before PR 20 the two loops
+/// agreed on every cell without a deadline and on a third of those with one:
+/// a deadline victim sat out a different number of rounds in each).
+#[test]
+fn fault_free_sim_matches_plain_run() {
+    fn twin<E: RecoveryEngine<BankAccount>>(
+        pairing: &str,
+        conflict: fn() -> FnConflict<BankAccount>,
+    ) {
+        let spec = SystemSpec::uniform(BankAccount::default(), 2);
+        let mut restarted = 0;
+        for policy in [ConflictPolicy::Block, ConflictPolicy::WoundWait, ConflictPolicy::NoWait] {
+            for (seed, mpl, deadline) in
+                (0..16).flat_map(|s| [(s, 0, 0), (s, 3, 0), (s, 0, 4), (s, 3, 4)])
+            {
+                let scripts = || {
+                    let shape = WorkloadCfg {
+                        txns: 10,
+                        ops_per_txn: 3,
+                        objects: 2,
+                        hot_fraction: 0.8,
+                        seed,
+                    };
+                    banking(&shape, 0.8)
+                };
+                let mut plain: TxnSystem<BankAccount, E, _> =
+                    TxnSystem::new(BankAccount::default(), 2, conflict()).with_policy(policy);
+                let cfg = SchedulerCfg { seed, mpl, deadline, ..Default::default() };
+                let r = run(&mut plain, scripts(), &cfg);
+                let mut durable: DurableSystem<BankAccount, E, _> =
+                    DurableSystem::new(BankAccount::default(), 2, conflict());
+                durable.system_mut().set_policy(policy);
+                let cfg = SimCfg { seed, mpl, deadline, ..Default::default() };
+                let s = run_sim(&mut durable, scripts(), &FaultPlan::none(), &cfg, &spec, None)
+                    .expect("a correct pairing passes the oracle");
+                assert_eq!(
+                    (plain.trace().fingerprint(), r.rounds, r.retries, r.deadlock_aborts),
+                    (
+                        durable.system().trace().fingerprint(),
+                        s.rounds,
+                        s.retries,
+                        s.deadlock_aborts
+                    ),
+                    "{pairing} {policy:?} seed {seed} mpl {mpl} deadline {deadline}"
+                );
+                assert_eq!((r.committed, r.gave_up), (s.committed, s.gave_up));
+                restarted += u64::from(r.retries > 0);
+            }
+        }
+        assert!(
+            restarted > 96,
+            "{pairing}: the cells must restart scripts ({restarted} of 192 do)"
+        );
+    }
+    twin::<UipEngine<BankAccount>>("UIP+NRBC", bank_nrbc);
+    twin::<DuEngine<BankAccount>>("DU+NFC", bank_nfc);
 }
 
 #[test]

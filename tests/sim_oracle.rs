@@ -177,6 +177,41 @@ fn a_non_atomic_history_across_a_checkpoint_still_fails_the_history_leg() {
     );
 }
 
+/// A finished driver used to keep its `TxnId`, a rebuilt system numbers
+/// transactions from the floor its log gives it, and the simulator found
+/// "the driver of transaction t" by first match — so after a recovery a
+/// finished script's stale handle answered for a live transaction, and the
+/// verdict still read `pass` (PR 20; two pinned runs). In this one, at round
+/// 25 a batch member's `Ok` for `T1` went to driver 0, which had finished in
+/// an earlier epoch as a `T1` of its own, instead of the staged driver 1,
+/// whose script then ran — and committed — again: 11 acknowledged commits
+/// for 10 scripts.
+#[test]
+fn a_batch_acknowledgement_is_not_taken_by_a_finished_namesake() {
+    let scenario = scenario(
+        "--combo uip-nrbc --policy block --seed 14 --txns 10 --ops 3 --objects 2 --backend disk \
+         --ckpt 3 --group-commit --faults 4:sect1,8:crash,38:delay3,45:sect2,51:flip372626",
+    );
+    let report = run_scenario(&scenario).expect("a correct pairing passes the oracle");
+    assert_eq!(report.committed, 10);
+    assert_eq!(report.commit_latency_rounds.len(), 10, "one acknowledgement per script");
+    assert_eq!(report.stats.committed, 10, "and one commit per acknowledgement");
+}
+
+/// The other face of the stale handle: the wrong driver took a victim's
+/// restart, the live one's next `invoke` was refused `NotActive`, and its
+/// script was silently given up with half its retry budget unused — a
+/// refusal, not an exhausted budget (`committed 9, gave_up 1`).
+#[test]
+fn a_victims_restart_is_not_taken_by_a_finished_namesake() {
+    let scenario = scenario(
+        "--combo escrow-uip-nrbc --policy block --seed 27 --txns 10 --ops 3 --objects 2 \
+         --backend disk --faults 6:wound,11:full,11:crash,13:flip1131,57:sect2",
+    );
+    let report = run_scenario(&scenario).expect("a correct pairing passes the oracle");
+    assert_eq!((report.committed, report.gave_up), (10, 0), "{} retries", report.retries);
+}
+
 // ---------------------------------------------------------------------------
 // Mutation-style negative controls: one seeded bug per oracle leg, each
 // asserting that *this* leg — not a test-side recomputation — flags it.
