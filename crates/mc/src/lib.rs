@@ -31,9 +31,7 @@
 //!
 //! On a violation the explorer emits a *minimized* replayable trace (greedy
 //! delta-debugging over the action list) plus a `ccr-experiments mc`
-//! reproducer line carrying the exact instance configuration. A second
-//! output mode ([`tla::generate_module`]) renders the explored instance as a
-//! concrete `.tla` module so TLC can cross-check the same state space.
+//! reproducer line carrying the exact instance configuration.
 //!
 //! The instance is deliberately tiny and fully decodable: logical
 //! transaction `i` deposits `1 << i` into object `i mod objects`, so every
@@ -53,11 +51,9 @@ pub mod explorer;
 pub mod harness;
 pub mod shard_harness;
 pub mod shrink;
-pub mod tla;
 
 pub use action::{McAction, McTrace, ParseTraceError};
 pub use explorer::{explore, ExploreStats, McVerdict};
 pub use harness::{Harness, McBackend, McBackendKind, McConfig, McViolation, Mutation};
 pub use shard_harness::ShardHarness;
 pub use shrink::{reproducer, shrink};
-pub use tla::{generate_module, lint_tla};

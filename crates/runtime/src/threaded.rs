@@ -70,12 +70,6 @@ pub struct ThreadedCfg {
     ///
     /// [`SchedulerCfg::deadline`]: crate::scheduler::SchedulerCfg::deadline
     pub deadline: Duration,
-    /// Exponential post-restart backoff with seeded jitter: a restarted
-    /// script sleeps `2^min(retries,5) + jitter` tenths of a wait slice
-    /// before its next attempt, decorrelating the wakeups of a conflict
-    /// clique. Off by default. (The round-robin executor has no such knob:
-    /// there a deadline or shed victim always sits out the jitter alone.)
-    pub backoff: bool,
 }
 
 impl Default for ThreadedCfg {
@@ -87,7 +81,6 @@ impl Default for ThreadedCfg {
             wall_clock: false,
             mpl: 0,
             deadline: Duration::ZERO,
-            backoff: false,
         }
     }
 }
@@ -140,20 +133,6 @@ fn admit(tallies: &Mutex<Tallies>, admitted: &Condvar, cfg: &ThreadedCfg) {
 fn release(tallies: &Mutex<Tallies>, admitted: &Condvar) {
     tallies.lock().in_flight -= 1;
     admitted.notify_one();
-}
-
-/// With backoff enabled, sleep out this restart's exponential backoff
-/// (same schedule as the scheduler's, scaled to tenths of a wait slice so
-/// even a budget-capped backoff stays in the low milliseconds) after
-/// reporting the drawn jitter to `observe` for the retry-jitter histogram.
-fn pause_for_backoff(cfg: &ThreadedCfg, txn: TxnId, retries: usize, observe: impl FnOnce(u64)) {
-    if !cfg.backoff {
-        return;
-    }
-    let jitter = crate::scheduler::seeded_jitter(0, txn.0 as u64, retries);
-    observe(jitter);
-    let units = crate::scheduler::backoff_base(retries) + jitter;
-    std::thread::sleep(cfg.wait_slice / 10 * units as u32);
 }
 
 /// Run `scripts` over `sys` with `cfg.workers` threads; returns the report
@@ -338,8 +317,7 @@ where
 /// transaction's write-ahead buffer; notify `completed` (the abort released
 /// locks); release the admission slot, so no sleeper holds back admission;
 /// charge the retry budget; then the **wake rule** — wait on `completed`
-/// until a transaction has committed since the abort or none is active —
-/// and only then [`pause_for_backoff`].
+/// until a transaction has committed since the abort or none is active.
 ///
 /// The `std` mutex is unfair: without the wait a deadlock victim re-takes
 /// it before the survivor it just woke is scheduled, re-acquires its first
@@ -378,8 +356,6 @@ where
         shared.tallies.lock().report.wait_rounds += 1;
         shared.completed.wait_for(&mut vol, cfg.wait_slice);
     }
-    drop(vol);
-    pause_for_backoff(cfg, txn, retries, |j| shared.vol.lock().sys.obs_mut().on_retry_jitter(j));
     true
 }
 
@@ -777,9 +753,9 @@ mod tests {
     #[test]
     fn deadlines_type_the_abort_and_the_clique_still_drains() {
         // A deadline of one nanosecond turns every blocked wait into a
-        // typed Deadline self-abort on wakeup; jittered backoff decorrelates
-        // the retries, and the crosswise clique still fully commits without
-        // a single hung transaction. The first four scripts (one per worker)
+        // typed Deadline self-abort on wakeup; the wake rule alone paces the
+        // retries, and the crosswise clique still fully commits without a
+        // single hung transaction. The first four scripts (one per worker)
         // meet once each holds its balance lock, so all four block on their
         // deposit and waits actually happen.
         let n = 64;
@@ -789,7 +765,6 @@ mod tests {
             max_retries: 10_000,
             wait_slice: Duration::from_micros(200),
             deadline: Duration::from_nanos(1),
-            backoff: true,
             ..Default::default()
         };
         let (report, mut sys) =

@@ -505,12 +505,14 @@ pub trait LogBackend<A: Adt>: Send + Clone {
         None
     }
 
-    /// Cross-check the offline inspector against recovery proper: clone the
-    /// backend, crash + recover the clone under `policy`, and verify the
-    /// inspector's damage classification and log geometry agree with the
-    /// scanner's. `None` for backends without an image; `Err` describes the
-    /// first disagreement.
-    fn inspection_agrees_with_recovery(&self, _policy: TailPolicy) -> Option<Result<(), String>> {
+    /// The forensic leg: clone the backend, crash + recover the clone under
+    /// [`TailPolicy::DiscardTail`] — the policy whose plan the inspector
+    /// renders — and verify that the inspector's raw-read verdict on the
+    /// untouched image (damage class, detections, log geometry, floors) is
+    /// what recovery reported after checked reads and its repairs. `None`
+    /// for backends without an image; `Err` describes the first
+    /// disagreement.
+    fn inspection_agrees_with_recovery(&self) -> Option<Result<(), String>> {
         None
     }
 }

@@ -1,33 +1,30 @@
-//! Offline WAL forensics: a read-only walk of a [`SimDisk`] image that
-//! lists every segment and frame, re-derives the recovery scanner's damage
-//! classification, and renders it all as deterministic JSON — without
-//! mutating the image or ticking a single checked device op.
+//! Offline WAL forensics: the crate's reading of a [`SimDisk`] image,
+//! rendered. [`inspect_wal`] hands the scan that
+//! [`LogBackend::recover`](crate::LogBackend::recover) runs a raw sector
+//! reader, so the walk, the probe beyond a damage site and the verdict are
+//! recovery's own — over reads that tick no checked device op, on an image
+//! it never mutates — and lists every segment and frame the scan met as
+//! deterministic JSON.
 //!
-//! [`inspect_wal`] mirrors the classification rules of
-//! [`LogBackend::recover`](crate::LogBackend::recover) (see `wal.rs`) over
-//! raw sector reads. The invariant the workload tests pin: for any device
-//! image the simulator produces, `inspect_wal(...).damage` equals the
-//! `ScanReport::damage` a `TailPolicy::DiscardTail` recovery of the same
-//! image reports. (The inspector follows the repairing policy's flow — a
+//! The verdict is the one a [`TailPolicy::DiscardTail`] recovery of the
+//! same image reports: the inspector renders the repairing policy's plan (a
 //! `Strict` scan refuses at the first damage classification and so never
-//! reaches the missing-checkpoint judgement; `DiscardTail` agrees with it
-//! everywhere else.) Where recovery stops decoding at the first damage
-//! site, the inspector keeps walking and lists the frames *beyond* it too —
-//! that forensic tail is exactly what the scanner's probe uses to tell a
-//! torn group flush from interior corruption.
+//! reaches the judgements behind it). Where recovery replays only the
+//! prefix before the first damage site, the listing also shows the valid
+//! frames *beyond* it — the forensic tail that tells a torn group flush
+//! from interior corruption.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::convert::Infallible;
 
 use ccr_core::adt::Adt;
 
-use crate::backend::Detection;
+use crate::backend::{Detection, TailPolicy};
 use crate::codec::Persist;
 use crate::disk::SimDisk;
+use crate::scan::{self, Evidence, Frame};
 use crate::wal::{
-    decode_batch, decode_checkpoint, decode_commit, decode_decide, decode_prepare,
-    durable_segments, frame_at, frame_payload, FrameRead, SegHeader, WalConfig, FRAME_OVERHEAD,
-    HEADER_PAYLOAD, KIND_BATCH, KIND_CHECKPOINT, KIND_COMMIT, KIND_DECIDE, KIND_PREPARE,
-    KIND_SEG_HEADER,
+    BatchMeta, SegHeader, WalConfig, KIND_BATCH, KIND_CHECKPOINT, KIND_COMMIT, KIND_DECIDE,
+    KIND_PREPARE, KIND_SEG_HEADER,
 };
 
 /// One frame (or damaged frame position) in the listing.
@@ -124,22 +121,8 @@ fn kind_name(kind: u8) -> &'static str {
     }
 }
 
-/// Read the frame starting at `pos` exactly the way the recovery scanner
-/// does, but over `read_classified` — never a checked device op.
-fn read_frame_raw<'d>(disk: &'d SimDisk, cfg: &WalConfig, pos: u64, seg_end: u64) -> FrameRead<'d> {
-    frame_at(disk, cfg, pos, seg_end, disk.read_classified(pos))
-}
-
-/// A decoded data frame of the replayable prefix (pre-damage walk only).
-enum Decoded {
-    Commit { floor: u32, max_seq: Option<u64>, batch: Option<(u64, u32, u32)> },
-    Checkpoint { txn_floor: u32, next_exec_seq: u64 },
-    Prepare { gtid: u64, floor: u32, max_seq: Option<u64> },
-    Decide { gtid: u64, commit: bool },
-}
-
-/// Walk a WAL device image and derive the full forensic report. Read-only:
-/// takes `&SimDisk`, never mutates, never ticks `device_ops`.
+/// Inspect a WAL device image and derive the full forensic report.
+/// Read-only: takes `&SimDisk`, never mutates, never ticks `device_ops`.
 pub fn inspect_wal<A>(disk: &SimDisk, cfg: &WalConfig) -> WalInspection
 where
     A: Adt,
@@ -147,448 +130,143 @@ where
     A::Response: Persist,
     A::State: Persist,
 {
-    let seg_sectors = cfg.seg_sectors;
-    let header_sectors = (FRAME_OVERHEAD + HEADER_PAYLOAD).div_ceil(cfg.sector) as u64;
-    let segs = durable_segments(disk, seg_sectors);
+    // The inspector's reader: the raw, classified sector — never a checked
+    // device op, and so never an error.
+    let mut read = |sector| Ok::<_, Infallible>(disk.read_classified(sector));
+    let Ok(mut scan) = scan::walk::<A, _>(disk, cfg, &mut read);
+    let Ok(()) = scan.probe(disk, cfg, &mut read);
+    let plan = scan.plan(TailPolicy::DiscardTail);
 
-    let mut out = WalInspection {
-        sector_size: cfg.sector as u64,
-        seg_sectors,
-        segments: Vec::new(),
-        frames: 0,
-        sectors: disk.durable_len(),
-        detections: Vec::new(),
-        damage: "clean",
-        checkpoint: false,
-        replay_records: 0,
-        txn_floor: 0,
-        next_exec_seq: 0,
-        batches: Vec::new(),
-        in_doubt: Vec::new(),
-        decisions: Vec::new(),
+    let info = |at, sectors, kind, status, beyond_damage, detail: String| FrameInfo {
+        sector: at,
+        sectors,
+        kind,
+        status,
+        beyond_damage,
+        detail,
     };
-    if segs.is_empty() {
-        return out;
-    }
-
-    let mut governing = SegHeader::default();
-    let mut decoded: Vec<Decoded> = Vec::new();
-    // First damage site: (absolute sector, whether a tear/hole rather than
-    // CRC damage) — the tear-vs-corruption split steers the torn-batch rule.
-    let mut damage: Option<(u64, bool)> = None;
-    // Classification state of the forensic tail beyond the damage site:
-    // batch ids seen, and whether any valid non-batch frame appears.
-    let mut tail_batch_ids: BTreeSet<u64> = BTreeSet::new();
-    let mut tail_non_batch = false;
-
-    for &seg_idx in &segs {
-        let base = seg_idx * seg_sectors;
-        let seg_end = base + seg_sectors;
-        let mut seg = SegmentInfo { index: seg_idx, header: None, frames: Vec::new() };
-
-        // The header position. Beyond a damage site the walk degenerates to
-        // the probe (sector-by-sector), which visits this position too.
-        if damage.is_none() {
-            match read_frame_raw(disk, cfg, base, seg_end) {
-                FrameRead::Valid { kind: KIND_SEG_HEADER, frame, sectors } => {
-                    match SegHeader::decode(frame_payload(&frame)) {
-                        Some(h) => {
-                            out.frames += 1;
-                            seg.frames.push(FrameInfo {
-                                sector: base,
-                                sectors,
-                                kind: "seg-header",
-                                status: "valid",
-                                beyond_damage: false,
-                                detail: format!(
-                                    "epoch={} seg={} requires_checkpoint={} floor={} seq={}",
-                                    h.epoch,
-                                    h.seg_index,
-                                    h.requires_checkpoint,
-                                    h.txn_floor,
-                                    h.next_exec_seq
-                                ),
-                            });
-                            seg.header = Some(h);
-                            governing = h;
-                        }
-                        None => {
-                            out.detections.push(Detection::CrcMismatch { sector: base });
-                            out.damage = "corrupt-header";
-                            seg.frames.push(FrameInfo {
-                                sector: base,
-                                sectors,
-                                kind: "seg-header",
-                                status: "corrupt",
-                                beyond_damage: false,
-                                detail: "undecodable header payload".to_string(),
-                            });
-                            out.segments.push(seg);
-                            return finish(out, governing, decoded);
-                        }
-                    }
+    let mut segments = Vec::new();
+    for &index in &scan.segs {
+        let span = index * cfg.seg_sectors..(index + 1) * cfg.seg_sectors;
+        let header = scan.headers.iter().find(|h| h.at == span.start);
+        let mut frames = Vec::new();
+        if let Some(h) = header {
+            let detail = format!(
+                "epoch={} seg={} requires_checkpoint={} floor={} seq={}",
+                h.item.epoch,
+                h.item.seg_index,
+                h.item.requires_checkpoint,
+                h.item.txn_floor,
+                h.item.next_exec_seq
+            );
+            frames.push(info(h.at, h.sectors, "seg-header", "valid", false, detail));
+        }
+        for f in scan.frames.iter().filter(|f| span.contains(&f.at)) {
+            let (kind, detail) = match &f.item {
+                Frame::Commit(rec) => {
+                    (KIND_COMMIT, format!("floor={} ops={}", rec.floor, rec.ops.len()))
                 }
-                // Headers are fsynced in place; anything else here is
-                // unrecoverable corruption, exactly as in the scanner.
-                other => {
-                    out.detections.push(Detection::CrcMismatch { sector: base });
-                    out.damage = "corrupt-header";
-                    let status = match other {
-                        FrameRead::Torn { .. } => "torn",
-                        _ => "corrupt",
+                Frame::Batch(meta, rec) => {
+                    (KIND_BATCH, batch_detail(meta, rec.floor, rec.ops.len()))
+                }
+                Frame::Checkpoint(img) => (
+                    KIND_CHECKPOINT,
+                    format!(
+                        "base_records={} floor={} seq={} states={}",
+                        img.base_records,
+                        img.txn_floor,
+                        img.next_exec_seq,
+                        img.states.len()
+                    ),
+                ),
+                Frame::Prepare(gtid, rec) => (
+                    KIND_PREPARE,
+                    format!("gtid={} floor={} ops={}", gtid, rec.floor, rec.ops.len()),
+                ),
+                Frame::Decide(gtid, commit) => {
+                    (KIND_DECIDE, format!("gtid={gtid} commit={commit}"))
+                }
+            };
+            frames.push(info(f.at, f.sectors, kind_name(kind), "valid", false, detail));
+        }
+        let site = scan.site.as_ref().filter(|s| span.contains(&s.at));
+        if let Some(site) = site {
+            let (sectors, kind, status, detail) = match site.evidence {
+                Evidence::Undecodable { sectors, .. } if site.header => {
+                    (sectors, "seg-header", "corrupt", "undecodable header payload".to_string())
+                }
+                _ if site.header => {
+                    let status = if matches!(site.evidence, Evidence::Torn { .. }) {
+                        "torn"
+                    } else {
+                        "corrupt"
                     };
-                    seg.frames.push(FrameInfo {
-                        sector: base,
-                        sectors: 0,
-                        kind: "seg-header",
-                        status,
-                        beyond_damage: false,
-                        detail: "header position holds no valid header frame".to_string(),
-                    });
-                    out.segments.push(seg);
-                    return finish(out, governing, decoded);
+                    let detail = "header position holds no valid header frame".to_string();
+                    (0, "seg-header", status, detail)
                 }
-            }
+                Evidence::Hole => {
+                    (0, "unknown", "torn", "hole with surviving data after it".to_string())
+                }
+                Evidence::Torn { expected, found } => {
+                    (0, "unknown", "torn", format!("expected={expected} found={found}"))
+                }
+                Evidence::Corrupt { kind } => {
+                    let detail = "bad magic, length, or CRC".to_string();
+                    (0, kind.map_or("unknown", kind_name), "corrupt", detail)
+                }
+                Evidence::Undecodable { kind, sectors } => {
+                    (sectors, kind_name(kind), "corrupt", "undecodable payload".to_string())
+                }
+            };
+            frames.push(info(site.at, sectors, kind, status, false, detail));
         }
-
-        let mut pos = base + if damage.is_none() { header_sectors } else { 0 };
-        while pos < seg_end {
-            if damage.is_some() {
-                // Probe mode: every sector position may start a frame; only
-                // valid frames matter for classification, but list them all.
-                if let FrameRead::Valid { kind, frame, sectors } =
-                    read_frame_raw(disk, cfg, pos, seg_end)
-                {
-                    let batch = (kind == KIND_BATCH)
-                        .then(|| decode_batch::<A>(frame_payload(&frame)))
-                        .flatten();
-                    let detail = match &batch {
-                        Some((meta, rec)) => {
-                            tail_batch_ids.insert(meta.id);
-                            format!(
-                                "batch_id={} pos={} len={} floor={} ops={}",
-                                meta.id,
-                                meta.pos,
-                                meta.len,
-                                rec.floor,
-                                rec.ops.len()
-                            )
-                        }
-                        None => {
-                            tail_non_batch = true;
-                            format!("kind={}", kind_name(kind))
-                        }
-                    };
-                    seg.frames.push(FrameInfo {
-                        sector: pos,
-                        sectors,
-                        kind: kind_name(kind),
-                        status: "valid",
-                        beyond_damage: true,
-                        detail,
-                    });
-                }
-                pos += 1;
-                continue;
-            }
-            match read_frame_raw(disk, cfg, pos, seg_end) {
-                FrameRead::Absent => {
-                    // Candidate end of log: data after a hole in the same
-                    // segment means the flush persisted out of order.
-                    if disk.durable_in(pos + 1..seg_end).next().is_some() {
-                        out.detections.push(Detection::MissingData { sector: pos });
-                        damage = Some((pos, true));
-                        seg.frames.push(FrameInfo {
-                            sector: pos,
-                            sectors: 0,
-                            kind: "unknown",
-                            status: "torn",
-                            beyond_damage: false,
-                            detail: "hole with surviving data after it".to_string(),
-                        });
-                        pos += 1;
-                        continue;
-                    }
-                    // Clean tail (or clean roll into the next segment).
-                    break;
-                }
-                FrameRead::Torn { expected, found } => {
-                    out.detections.push(Detection::TornFrame { sector: pos });
-                    damage = Some((pos, true));
-                    seg.frames.push(FrameInfo {
-                        sector: pos,
-                        sectors: 0,
-                        kind: "unknown",
-                        status: "torn",
-                        beyond_damage: false,
-                        detail: format!("expected={expected} found={found}"),
-                    });
-                    pos += 1;
-                }
-                FrameRead::Corrupt { kind } => {
-                    out.detections.push(Detection::CrcMismatch { sector: pos });
-                    damage = Some((pos, false));
-                    seg.frames.push(FrameInfo {
-                        sector: pos,
-                        sectors: 0,
-                        kind: kind.map_or("unknown", kind_name),
-                        status: "corrupt",
-                        beyond_damage: false,
-                        detail: "bad magic, length, or CRC".to_string(),
-                    });
-                    pos += 1;
-                }
-                FrameRead::Valid { kind, frame, sectors } => {
-                    let payload = frame_payload(&frame);
-                    let (dec, detail) = match kind {
-                        KIND_COMMIT => match decode_commit::<A>(payload) {
-                            Some(rec) => {
-                                let max_seq = rec.ops.iter().map(|(s, _, _)| s + 1).max();
-                                let detail = format!("floor={} ops={}", rec.floor, rec.ops.len());
-                                (
-                                    Some(Decoded::Commit {
-                                        floor: rec.floor,
-                                        max_seq,
-                                        batch: None,
-                                    }),
-                                    detail,
-                                )
-                            }
-                            None => (None, String::new()),
-                        },
-                        KIND_BATCH => match decode_batch::<A>(payload) {
-                            Some((meta, rec)) => {
-                                let max_seq = rec.ops.iter().map(|(s, _, _)| s + 1).max();
-                                let detail = format!(
-                                    "batch_id={} pos={} len={} floor={} ops={}",
-                                    meta.id,
-                                    meta.pos,
-                                    meta.len,
-                                    rec.floor,
-                                    rec.ops.len()
-                                );
-                                (
-                                    Some(Decoded::Commit {
-                                        floor: rec.floor,
-                                        max_seq,
-                                        batch: Some((meta.id, meta.pos, meta.len)),
-                                    }),
-                                    detail,
-                                )
-                            }
-                            None => (None, String::new()),
-                        },
-                        KIND_CHECKPOINT => match decode_checkpoint::<A>(payload) {
-                            Some(img) => {
-                                let detail = format!(
-                                    "base_records={} floor={} seq={} states={}",
-                                    img.base_records,
-                                    img.txn_floor,
-                                    img.next_exec_seq,
-                                    img.states.len()
-                                );
-                                (
-                                    Some(Decoded::Checkpoint {
-                                        txn_floor: img.txn_floor,
-                                        next_exec_seq: img.next_exec_seq,
-                                    }),
-                                    detail,
-                                )
-                            }
-                            None => (None, String::new()),
-                        },
-                        KIND_PREPARE => match decode_prepare::<A>(payload) {
-                            Some((gtid, rec)) => {
-                                let max_seq = rec.ops.iter().map(|(s, _, _)| s + 1).max();
-                                let detail = format!(
-                                    "gtid={} floor={} ops={}",
-                                    gtid,
-                                    rec.floor,
-                                    rec.ops.len()
-                                );
-                                (Some(Decoded::Prepare { gtid, floor: rec.floor, max_seq }), detail)
-                            }
-                            None => (None, String::new()),
-                        },
-                        KIND_DECIDE => match decode_decide(payload) {
-                            Some((gtid, commit)) => {
-                                let detail = format!("gtid={gtid} commit={commit}");
-                                (Some(Decoded::Decide { gtid, commit }), detail)
-                            }
-                            None => (None, String::new()),
-                        },
-                        // A header frame in the data area: a misdirected
-                        // write. The scanner classifies it as corruption.
-                        _ => (None, String::new()),
-                    };
-                    match dec {
-                        Some(d) => {
-                            decoded.push(d);
-                            out.frames += 1;
-                            seg.frames.push(FrameInfo {
-                                sector: pos,
-                                sectors,
-                                kind: kind_name(kind),
-                                status: "valid",
-                                beyond_damage: false,
-                                detail,
-                            });
-                            pos += sectors;
-                        }
-                        None => {
-                            out.detections.push(Detection::CrcMismatch { sector: pos });
-                            damage = Some((pos, false));
-                            seg.frames.push(FrameInfo {
-                                sector: pos,
-                                sectors,
-                                kind: kind_name(kind),
-                                status: "corrupt",
-                                beyond_damage: false,
-                                detail: "undecodable payload".to_string(),
-                            });
-                            pos += 1;
-                        }
-                    }
-                }
-            }
+        for f in scan.beyond.iter().filter(|f| span.contains(&f.at)) {
+            let (kind, batch) = &f.item;
+            let detail = match batch {
+                Some((meta, rec)) => batch_detail(meta, rec.floor, rec.ops.len()),
+                None => format!("kind={}", kind_name(*kind)),
+            };
+            frames.push(info(f.at, f.sectors, kind_name(*kind), "valid", true, detail));
         }
-        out.segments.push(seg);
-    }
-
-    // Classify what lies beyond a damage site, mirroring the scanner's
-    // probe: nothing → torn tail; all-one-batch after a tear/hole → torn
-    // group flush; anything else → interior corruption.
-    if let Some((_, tearlike)) = damage {
-        let first_valid = out
-            .segments
-            .iter()
-            .flat_map(|s| s.frames.iter())
-            .find(|f| f.beyond_damage && f.status == "valid")
-            .map(|f| f.sector);
-        out.damage = match first_valid {
-            None => "torn-tail",
-            Some(p) => {
-                if tearlike && !tail_non_batch && tail_batch_ids.len() == 1 {
-                    "torn-batch"
-                } else {
-                    out.detections.push(Detection::InteriorFrame { sector: p });
-                    "interior"
-                }
-            }
-        };
-        return finish(out, governing, decoded);
-    }
-
-    // No physical damage: judge the trailing batch run for a frame-aligned
-    // tear (a group flush whose final members never landed).
-    let mut run: Option<(u64, u32, u32, bool)> = None; // (id, len, next, aligned)
-    for d in &decoded {
-        match d {
-            Decoded::Commit { batch: Some((id, bpos, blen)), .. } => match &mut run {
-                Some((rid, rlen, next, _)) if *id == *rid && *blen == *rlen && *bpos == *next => {
-                    *next += 1;
-                }
-                _ => run = Some((*id, *blen, *bpos + 1, *bpos == 0)),
-            },
-            _ => run = None,
-        }
-    }
-    if let Some((_, len, next, aligned)) = run {
-        if !aligned {
-            out.damage = "interior";
-            return finish(out, governing, decoded);
-        }
-        if next < len {
-            // The detection recovery counts sits at the log end — one past
-            // the last decoded frame.
-            let log_end = out
-                .segments
-                .iter()
-                .flat_map(|s| s.frames.iter())
-                .filter(|f| f.status == "valid" && !f.beyond_damage)
-                .map(|f| f.sector + f.sectors)
-                .max()
-                .unwrap_or(0);
-            out.detections.push(Detection::TornFrame { sector: log_end });
-            out.damage = "torn-batch";
-            return finish(out, governing, decoded);
+        segments.push(SegmentInfo { index, header: header.map(|h| h.item), frames });
+        if site.is_some_and(|s| s.header) {
+            // Nothing is read past a damaged header.
+            break;
         }
     }
 
-    finish(out, governing, decoded)
+    let mut batches: Vec<BatchRun> = Vec::new();
+    for f in &scan.frames {
+        if let Frame::Batch(meta, _) = &f.item {
+            match batches.iter_mut().find(|b| b.id == meta.id) {
+                Some(b) => b.seen += 1,
+                None => batches.push(BatchRun { id: meta.id, seen: 1, len: meta.len }),
+            }
+        }
+    }
+    let report = scan.report();
+    // Damaged images still report what *would* replay.
+    let log = scan.replay();
+    WalInspection {
+        sector_size: cfg.sector as u64,
+        seg_sectors: cfg.seg_sectors,
+        segments,
+        frames: report.frames,
+        sectors: report.sectors,
+        detections: plan.detections,
+        damage: plan.damage,
+        checkpoint: log.checkpoint.is_some(),
+        replay_records: log.records.len() as u64,
+        txn_floor: log.txn_floor,
+        next_exec_seq: log.next_exec_seq,
+        batches,
+        in_doubt: log.in_doubt.iter().map(|(gtid, _)| *gtid).collect(),
+        decisions: log.decisions,
+    }
 }
 
-/// Fold the decoded prefix into the replay summary (checkpoint base, record
-/// suffix, floors, batch runs) and close the report — shared by every exit
-/// path so damaged images still report what *would* replay.
-fn finish(mut out: WalInspection, governing: SegHeader, decoded: Vec<Decoded>) -> WalInspection {
-    let mut checkpoint: Option<(u32, u64)> = None;
-    let mut records: Vec<(u32, Option<u64>)> = Vec::new();
-    let mut batches: Vec<BatchRun> = Vec::new();
-    // 2PC fold, mirroring the scanner: a prepare is pending until its decide
-    // frame; decide-commit enters the replay suffix at the decide position;
-    // leftovers are in doubt.
-    let mut pending: BTreeMap<u64, (u32, Option<u64>)> = BTreeMap::new();
-    let mut decisions: Vec<(u64, bool)> = Vec::new();
-    for d in &decoded {
-        match d {
-            Decoded::Checkpoint { txn_floor, next_exec_seq } => {
-                checkpoint = Some((*txn_floor, *next_exec_seq));
-                records.clear();
-            }
-            Decoded::Commit { floor, max_seq, batch } => {
-                records.push((*floor, *max_seq));
-                if let Some((id, _, len)) = batch {
-                    match batches.iter_mut().find(|b| b.id == *id) {
-                        Some(b) => b.seen += 1,
-                        None => batches.push(BatchRun { id: *id, seen: 1, len: *len }),
-                    }
-                }
-            }
-            Decoded::Prepare { gtid, floor, max_seq } => {
-                pending.insert(*gtid, (*floor, *max_seq));
-            }
-            Decoded::Decide { gtid, commit } => {
-                decisions.push((*gtid, *commit));
-                if let Some(entry) = pending.remove(gtid) {
-                    if *commit {
-                        records.push(entry);
-                    }
-                }
-            }
-        }
-    }
-    // The missing-checkpoint judgement happens after damage repair in the
-    // DiscardTail flow, so it overrides the repairable damage strings; the
-    // refusal classifications (interior, corrupt-header) return before it.
-    if governing.requires_checkpoint
-        && checkpoint.is_none()
-        && matches!(out.damage, "clean" | "torn-tail" | "torn-batch")
-    {
-        out.damage = "missing-checkpoint";
-    }
-    out.checkpoint = checkpoint.is_some();
-    out.replay_records = records.len() as u64;
-    // Floors mirror the scanner: max over the replay suffix *and* the
-    // in-doubt set (a decide-commit carries its older prepare-time floor).
-    out.txn_floor = records
-        .iter()
-        .map(|(f, _)| *f)
-        .chain(pending.values().map(|(f, _)| *f))
-        .max()
-        .or(checkpoint.map(|(f, _)| f))
-        .unwrap_or(governing.txn_floor);
-    out.next_exec_seq = records
-        .iter()
-        .chain(pending.values())
-        .filter_map(|(_, s)| *s)
-        .max()
-        .or(checkpoint.map(|(_, s)| s))
-        .unwrap_or(governing.next_exec_seq);
-    out.batches = batches;
-    out.in_doubt = pending.into_keys().collect();
-    out.decisions = decisions;
-    out
+fn batch_detail(meta: &BatchMeta, floor: u32, ops: usize) -> String {
+    format!("batch_id={} pos={} len={} floor={} ops={}", meta.id, meta.pos, meta.len, floor, ops)
 }
 
 impl WalInspection {

@@ -33,6 +33,7 @@ pub mod backend;
 pub mod codec;
 pub mod disk;
 pub mod inspect;
+mod scan;
 pub mod wal;
 
 pub use backend::{

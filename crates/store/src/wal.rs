@@ -1,6 +1,7 @@
-//! Segmented write-ahead log on a [`SimDisk`], with CRC'd frames,
-//! epoch-stamped segment headers, checkpoint truncation, and a recovery
-//! scanner that classifies physical damage.
+//! Segmented write-ahead log on a [`SimDisk`]: the on-disk format (CRC'd
+//! frames, epoch-stamped segment headers) and its writer — appends, group
+//! flushes, checkpoint truncation, and the recovery that applies what the
+//! crate's one reading of an image (`scan.rs`) decides.
 //!
 //! # On-disk format
 //!
@@ -42,60 +43,22 @@
 //! counters. The header is rewritten in place at segment creation, at every
 //! checkpoint, and at every successful recovery (with the epoch bumped).
 //!
-//! # Recovery state machine
-//!
-//! The scanner walks candidate segments (every distinct durable
-//! `sector / seg_sectors`) in order, validates the header, then walks
-//! sector-aligned frame positions. At each position:
-//!
-//! * absent sector → candidate log end. All later sectors of the segment
-//!   must also be absent: a clean roll or clean tail leaves no data after
-//!   the end. Data after a hole is the signature of a reordered flush
-//!   ([`Detection::MissingData`]).
-//! * frame extends into absent sectors → torn write
-//!   ([`Detection::TornFrame`]).
-//! * structurally complete frame with bad magic/len/CRC → bit rot
-//!   ([`Detection::CrcMismatch`]).
-//!
-//! On damage the scanner probes every later frame position; a valid frame
-//! *after* the damage point usually upgrades the classification to interior
-//! corruption ([`Detection::InteriorFrame`]), which no policy may discard.
-//! The exception is a **torn group flush**: when the damage is a tear or a
-//! hole (never a CRC mismatch — CRC damage behind intact frames stays
-//! interior, because those frames were acknowledged) and every valid frame
-//! beyond it is a batched-commit frame of one single batch, the damage is
-//! classified `torn-batch` — the whole extent belongs to one interrupted
-//! group flush that was never acknowledged, so
-//! [`TailPolicy::DiscardTail`] may delete it. Otherwise the damage is a
-//! torn tail: [`TailPolicy::Strict`] refuses and
-//! [`TailPolicy::DiscardTail`] deletes the damaged suffix and recovers the
-//! valid prefix.
-//!
-//! A crash can also land exactly on a frame boundary inside a group flush,
-//! leaving a *well-formed* log whose final batch run is incomplete
-//! (`pos` reaches only `k < len`). The scanner detects this from the batch
-//! headers alone: Strict refuses it like any torn tail, and DiscardTail
-//! keeps the `k` surviving records — a prefix of the batch in commit order,
-//! none of them acknowledged — and rewrites their headers in place with
-//! `len = k` (the header is fixed-width, so the rewrite keeps every frame's
-//! sector footprint) so the repaired log scans clean from then on.
-//!
-//! The newest valid checkpoint becomes the replay base; commit frames after
-//! it are returned in commit order.
+//! How an image written in this format is read back — the walk, the damage
+//! classes, what each [`TailPolicy`] may discard — is stated once, in
+//! `scan.rs`, beside the code that decides it.
 
-use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::marker::PhantomData;
 
 use ccr_core::adt::Adt;
 
 use crate::backend::{
     CheckpointImage, CommitRecord, ConvergenceFailure, ConvergenceReport, Detection, LogBackend,
-    RecoveredLog, RetryPolicy, RetryRecord, ScanReport, StoreFailure, StoreFailureKind, StoreStats,
-    TailPolicy,
+    RecoveredLog, RetryPolicy, RetryRecord, StoreFailure, StoreFailureKind, StoreStats, TailPolicy,
 };
 use crate::codec::{crc32, crc32_zero_tail, zero_tail_len, Persist};
 use crate::disk::{DiskError, SectorRead, SimDisk};
+use crate::scan;
 
 /// Geometry of the simulated log device.
 ///
@@ -113,6 +76,14 @@ pub struct WalConfig {
 impl Default for WalConfig {
     fn default() -> Self {
         WalConfig { sector: 32, seg_sectors: 64 }
+    }
+}
+
+impl WalConfig {
+    /// Sectors a segment-header frame occupies: where a segment's data
+    /// area begins.
+    pub(crate) fn header_sectors(&self) -> u64 {
+        (FRAME_OVERHEAD + HEADER_PAYLOAD).div_ceil(self.sector) as u64
     }
 }
 
@@ -171,7 +142,7 @@ pub fn build_frame(kind: u8, payload: &[u8], sector: usize) -> Vec<u8> {
 
 /// The kind and payload length a frame's first bytes claim, if they start
 /// with the magic and a known kind.
-fn frame_head(first: &[u8]) -> Option<(u8, usize)> {
+pub(crate) fn frame_head(first: &[u8]) -> Option<(u8, usize)> {
     if first.len() < FRAME_OVERHEAD {
         return None;
     }
@@ -277,78 +248,6 @@ fn delete_retried(
     sector: u64,
 ) -> Result<bool, DiskError> {
     with_retries(policy, retries, || disk.try_delete(sector))
-}
-
-/// What one frame position holds.
-pub(crate) enum FrameRead<'d> {
-    /// No durable data at this position.
-    Absent,
-    /// A frame starts here but extends into absent sectors.
-    Torn { expected: usize, found: usize },
-    /// Durable data that is not a valid frame (bad magic, insane length, or
-    /// CRC mismatch). `kind` is what the head claims, when it is a frame
-    /// head at all.
-    Corrupt { kind: Option<u8> },
-    /// An intact frame: its whole sector-aligned extent, in place on the
-    /// device unless it crosses a track boundary.
-    Valid { kind: u8, frame: Cow<'d, [u8]>, sectors: u64 },
-}
-
-/// Classify the frame at `pos`, given the read of its head sector. A
-/// sector destroyed by a tear ([`SectorRead::Torn`]) holds no durable data,
-/// exactly like one never written — both read as `Absent` and the scan's
-/// hole rules classify the damage. The frame's interior sectors ride the
-/// head's physical request: they are raw reads, never checked ops.
-pub(crate) fn frame_at<'d>(
-    disk: &'d SimDisk,
-    cfg: &WalConfig,
-    pos: u64,
-    seg_end: u64,
-    first: SectorRead<'d>,
-) -> FrameRead<'d> {
-    let SectorRead::Data(first) = first else { return FrameRead::Absent };
-    let Some((kind, len)) = frame_head(first) else { return FrameRead::Corrupt { kind: None } };
-    let corrupt = FrameRead::Corrupt { kind: Some(kind) };
-    let Some(total) = FRAME_OVERHEAD.checked_add(len) else { return corrupt };
-    let sectors = total.div_ceil(cfg.sector) as u64;
-    if pos + sectors > seg_end {
-        // The claimed length runs past the segment — a flipped length field.
-        return corrupt;
-    }
-    match disk.read_run(pos, sectors) {
-        Err(found) => FrameRead::Torn { expected: sectors as usize, found },
-        Ok(frame) if frame_crc_matches(&frame) => FrameRead::Valid { kind, frame, sectors },
-        Ok(_) => corrupt,
-    }
-}
-
-/// Read the frame starting at `pos`. The probe of the frame's head sector is
-/// one *checked* device op (retried under `policy`), so a crash-at-op or
-/// exhausted transient budget can kill a recovery scan at any frame
-/// position.
-fn read_frame<'d>(
-    disk: &'d SimDisk,
-    cfg: &WalConfig,
-    pos: u64,
-    seg_end: u64,
-    policy: RetryPolicy,
-    retries: &mut Vec<RetryRecord>,
-) -> Result<FrameRead<'d>, DiskError> {
-    let first = read_retried(disk, policy, retries, pos)?;
-    Ok(frame_at(disk, cfg, pos, seg_end, first))
-}
-
-/// The segments that hold at least one durable sector, ascending. Jumps
-/// from each hit to the start of the next segment, so the cost follows the
-/// segments, not the sectors.
-pub(crate) fn durable_segments(disk: &SimDisk, seg_sectors: u64) -> Vec<u64> {
-    let mut segs = Vec::new();
-    let mut from = Some(0u64);
-    while let Some(s) = from.and_then(|from| disk.durable_in(from..).next()) {
-        segs.push(s / seg_sectors);
-        from = (s / seg_sectors + 1).checked_mul(seg_sectors);
-    }
-    segs
 }
 
 /// Decoded segment-header payload. Public (with the batch codec below) as
@@ -662,7 +561,7 @@ where
     A::State: Persist,
 {
     pub fn new(cfg: WalConfig) -> Self {
-        let header_sectors = (FRAME_OVERHEAD + HEADER_PAYLOAD).div_ceil(cfg.sector) as u64;
+        let header_sectors = cfg.header_sectors();
         assert!(
             cfg.seg_sectors > header_sectors,
             "segment must have room for data after its header"
@@ -706,10 +605,6 @@ where
 
     pub fn config(&self) -> WalConfig {
         self.cfg
-    }
-
-    fn header_sectors(&self) -> u64 {
-        (FRAME_OVERHEAD + HEADER_PAYLOAD).div_ceil(self.cfg.sector) as u64
     }
 
     fn header(&self) -> SegHeader {
@@ -785,7 +680,7 @@ where
     fn stage_frame(&mut self, frame: &[u8], mid_batch: bool) -> Result<u64, DiskError> {
         let sectors = (frame.len() / self.cfg.sector) as u64;
         assert!(
-            sectors <= self.cfg.seg_sectors - self.header_sectors(),
+            sectors <= self.cfg.seg_sectors - self.cfg.header_sectors(),
             "frame of {sectors} sectors exceeds segment capacity"
         );
         if self.head + sectors > self.cfg.seg_sectors {
@@ -794,7 +689,7 @@ where
                 self.tearable = true;
             }
             self.seg += 1;
-            self.head = self.header_sectors();
+            self.head = self.cfg.header_sectors();
             self.write_header()?;
         }
         self.write_at(self.seg * self.cfg.seg_sectors + self.head, frame)?;
@@ -858,57 +753,6 @@ where
         (self.seg, self.head) = start;
         (self.txn_floor, self.next_exec_seq) = floors;
         self.tearable = false;
-    }
-
-    /// Probe all sector-aligned frame positions after `pos` that could start
-    /// a frame — the rest of `pos`'s segment, then the whole area of every
-    /// later candidate segment — and classify what lies beyond the damage.
-    fn probe_beyond_damage(
-        &mut self,
-        segs: &[u64],
-        seg_idx: u64,
-        pos: u64,
-    ) -> Result<TailProbe, DiskError> {
-        let disk = &self.disk;
-        let cfg = &self.cfg;
-        let policy = self.retry;
-        let retries = &mut self.retries;
-        let mut first_valid: Option<u64> = None;
-        let mut batch_ids: BTreeSet<u64> = BTreeSet::new();
-        let mut non_batch = false;
-        let mut visit = |p: u64, seg_end: u64| -> Result<(), DiskError> {
-            if let FrameRead::Valid { kind, frame, .. } =
-                read_frame(disk, cfg, p, seg_end, policy, retries)?
-            {
-                first_valid.get_or_insert(p);
-                match (kind == KIND_BATCH)
-                    .then(|| decode_batch::<A>(frame_payload(&frame)))
-                    .flatten()
-                {
-                    Some((meta, _)) => {
-                        batch_ids.insert(meta.id);
-                    }
-                    None => non_batch = true,
-                }
-            }
-            Ok(())
-        };
-        let seg_end = (seg_idx + 1) * cfg.seg_sectors;
-        for p in pos + 1..seg_end {
-            visit(p, seg_end)?;
-        }
-        for &s in segs.iter().filter(|&&s| s > seg_idx) {
-            let base = s * cfg.seg_sectors;
-            let end = base + cfg.seg_sectors;
-            for p in base..end {
-                visit(p, end)?;
-            }
-        }
-        Ok(match first_valid {
-            None => TailProbe::Nothing,
-            Some(p) if !non_batch && batch_ids.len() == 1 => TailProbe::SameBatch(p),
-            Some(p) => TailProbe::Interior(p),
-        })
     }
 
     /// Fingerprint of everything a recovered log determines about the
@@ -983,25 +827,23 @@ fn note_detection(detected: &mut StoreStats, seen: &mut BTreeSet<(u8, u64)>, d: 
     }
 }
 
-/// A valid frame collected by the scan walk. Batched commits carry their
-/// batch header and absolute start sector, so the trailing-batch fold can
-/// judge completeness and rewrite a surviving prefix in place.
-enum ScannedFrame<A: Adt> {
-    Commit { rec: CommitRecord<A>, batch: Option<(BatchMeta, u64)> },
-    Checkpoint(CheckpointImage<A>),
-    Prepare { gtid: u64, rec: CommitRecord<A> },
-    Decide { gtid: u64, commit: bool },
+/// One timed window of a recovery attempt: the checked device ops and the
+/// wall time between `start` and `stop`, added to the report's fields for
+/// the window's stage.
+struct Stage {
+    clock: std::time::Instant,
+    ops0: u64,
 }
 
-/// What lies beyond a damage site.
-enum TailProbe {
-    /// No valid frame after the damage: an ordinary torn tail.
-    Nothing,
-    /// Valid frames after the damage, all of them members of one single
-    /// batch: the damage is inside one interrupted group flush.
-    SameBatch(u64),
-    /// Any other valid frame after the damage: interior corruption.
-    Interior(u64),
+impl Stage {
+    fn start(disk: &SimDisk) -> Stage {
+        Stage { clock: std::time::Instant::now(), ops0: disk.device_ops() }
+    }
+
+    fn stop(self, disk: &SimDisk, ops: &mut u64, ns: &mut u64) {
+        *ops += disk.device_ops() - self.ops0;
+        *ns += self.clock.elapsed().as_nanos() as u64;
+    }
 }
 
 impl<A> LogBackend<A> for WalBackend<A>
@@ -1113,7 +955,7 @@ where
         // medium, so it survives.)
         self.epoch = 0;
         self.seg = 0;
-        self.head = self.header_sectors();
+        self.head = self.cfg.header_sectors();
         self.requires_checkpoint = false;
         self.txn_floor = 0;
         self.next_exec_seq = 0;
@@ -1131,370 +973,70 @@ where
         // `*_ops` fields tile the attempt's device-op delta (the profiler's
         // recovery-coverage check relies on that). Wall time rides along but
         // is excluded from report equality.
-        let scan_clock = std::time::Instant::now();
-        let scan_ops0 = self.disk.device_ops();
-        let seg_sectors = self.cfg.seg_sectors;
-        let header_sectors = self.header_sectors();
-        let segs = durable_segments(&self.disk, seg_sectors);
+        let (disk, cfg, retry, retries) = (&self.disk, &self.cfg, self.retry, &mut self.retries);
+        // Every frame position the scan visits costs one *checked* read
+        // (retried under the policy), so a crash-at-op or an exhausted
+        // transient budget can kill a recovery at any of them.
+        let mut read = |sector| read_retried(disk, retry, retries, sector);
 
-        let mut report = ScanReport {
-            segments: segs.len() as u64,
-            sectors: self.disk.durable_len(),
-            damage: "clean",
-            ..ScanReport::default()
-        };
+        let stage = Stage::start(disk);
+        let mut scan = scan::walk::<A, _>(disk, cfg, &mut read).map_err(StoreFailure::device)?;
+        let mut report = scan.report();
+        stage.stop(disk, &mut report.scan_ops, &mut report.scan_ns);
 
-        if segs.is_empty() {
-            // Nothing durable at all: cold start on a fresh medium.
-            report.scan_ops = self.disk.device_ops() - scan_ops0;
-            report.scan_ns = scan_clock.elapsed().as_nanos() as u64;
-            self.detected.recoveries += 1;
-            self.stats = self.detected;
-            self.detected = StoreStats::default();
-            self.seen_damage.clear();
-            let repair_clock = std::time::Instant::now();
-            let repair_ops0 = self.disk.device_ops();
-            self.write_header().map_err(StoreFailure::device)?;
-            report.repair_ops = self.disk.device_ops() - repair_ops0;
-            report.repair_ns = repair_clock.elapsed().as_nanos() as u64;
-            return Ok(RecoveredLog {
-                checkpoint: None,
-                records: Vec::new(),
-                in_doubt: Vec::new(),
-                decisions: Vec::new(),
-                txn_floor: 0,
-                next_exec_seq: 0,
-                stats: self.stats,
-                scan: report,
-            });
+        if let Some(found) = scan.site.as_ref().map(scan::Site::detection) {
+            // Counted before the probe: a device error there must not lose
+            // the detection.
+            note_detection(&mut self.detected, &mut self.seen_damage, &found);
+            let stage = Stage::start(disk);
+            let probed = scan.probe(disk, cfg, &mut read);
+            stage.stop(disk, &mut report.classify_ops, &mut report.classify_ns);
+            probed.map_err(StoreFailure::device)?;
         }
 
-        let mut governing = SegHeader::default();
-        let mut frames: Vec<ScannedFrame<A>> = Vec::new();
-        // Damage site: (absolute sector, strict failure kind).
-        let mut damage: Option<(u64, StoreFailureKind)> = None;
-        let mut end = (segs[0], header_sectors);
-
-        'walk: for (i, &seg_idx) in segs.iter().enumerate() {
-            let base = seg_idx * seg_sectors;
-            let seg_end = base + seg_sectors;
-            let last_seg = i + 1 == segs.len();
-
-            let header = match read_frame(
-                &self.disk,
-                &self.cfg,
-                base,
-                seg_end,
-                self.retry,
-                &mut self.retries,
-            )
-            .map_err(StoreFailure::device)?
-            {
-                FrameRead::Valid { kind: KIND_SEG_HEADER, frame, .. } => {
-                    SegHeader::decode(frame_payload(&frame))
-                }
-                _ => None,
-            };
-            let Some(header) = header else {
-                // A segment whose header is damaged is unrecoverable under
-                // any policy: headers are fsynced in place, so a legitimate
-                // crash cannot tear them — only corruption explains this.
-                let d = Detection::CrcMismatch { sector: base };
-                note_detection(&mut self.detected, &mut self.seen_damage, &d);
-                report.detections.push(d);
-                report.damage = "corrupt-header";
-                report.scan_ops = self.disk.device_ops() - scan_ops0;
-                report.scan_ns = scan_clock.elapsed().as_nanos() as u64;
-                return Err(StoreFailure {
-                    report,
-                    kind: StoreFailureKind::Corrupt { sector: base },
-                });
-            };
-            governing = header;
-            report.frames += 1;
-
-            let mut pos = base + header_sectors;
-            while pos < seg_end {
-                // What is wrong at `pos`, if anything: the evidence and how
-                // a strict scan refuses it.
-                let found = match read_frame(
-                    &self.disk,
-                    &self.cfg,
-                    pos,
-                    seg_end,
-                    self.retry,
-                    &mut self.retries,
-                )
-                .map_err(StoreFailure::device)?
-                {
-                    // Candidate end of log. A clean tail / clean roll leaves
-                    // nothing after it in this segment; data after a hole
-                    // means the flush persisted out of order.
-                    FrameRead::Absent
-                        if self.disk.durable_in(pos + 1..seg_end).next().is_some() =>
-                    {
-                        let torn =
-                            StoreFailureKind::Torn { record: frames.len(), expected: 1, found: 0 };
-                        (Detection::MissingData { sector: pos }, torn)
-                    }
-                    FrameRead::Absent => {
-                        end = (seg_idx, pos - base);
-                        if last_seg {
-                            break 'walk;
-                        }
-                        // Clean roll: frames continue in the next segment.
-                        break;
-                    }
-                    FrameRead::Valid { kind, frame, sectors } => {
-                        let payload = frame_payload(&frame);
-                        let decoded = match kind {
-                            KIND_COMMIT => decode_commit::<A>(payload)
-                                .map(|rec| ScannedFrame::Commit { rec, batch: None }),
-                            KIND_BATCH => decode_batch::<A>(payload).map(|(meta, rec)| {
-                                ScannedFrame::Commit { rec, batch: Some((meta, pos)) }
-                            }),
-                            KIND_CHECKPOINT => {
-                                decode_checkpoint::<A>(payload).map(ScannedFrame::Checkpoint)
-                            }
-                            KIND_PREPARE => decode_prepare::<A>(payload)
-                                .map(|(gtid, rec)| ScannedFrame::Prepare { gtid, rec }),
-                            KIND_DECIDE => decode_decide(payload)
-                                .map(|(gtid, commit)| ScannedFrame::Decide { gtid, commit }),
-                            // A header frame in the data area: structurally
-                            // valid bytes in the wrong place (misdirected
-                            // write). Treat as corruption.
-                            _ => None,
-                        };
-                        if let Some(f) = decoded {
-                            frames.push(f);
-                            report.frames += 1;
-                            pos += sectors;
-                            end = (seg_idx, pos - base);
-                            continue;
-                        }
-                        (
-                            Detection::CrcMismatch { sector: pos },
-                            StoreFailureKind::Corrupt { sector: pos },
-                        )
-                    }
-                    FrameRead::Torn { expected, found } => (
-                        Detection::TornFrame { sector: pos },
-                        StoreFailureKind::Torn { record: frames.len(), expected, found },
-                    ),
-                    FrameRead::Corrupt { .. } => (
-                        Detection::CrcMismatch { sector: pos },
-                        StoreFailureKind::Corrupt { sector: pos },
-                    ),
-                };
-                note_detection(&mut self.detected, &mut self.seen_damage, &found.0);
-                report.detections.push(found.0);
-                damage = Some((pos, found.1));
-                end = (seg_idx, pos - base);
-                break 'walk;
-            }
+        let plan = scan.plan(policy);
+        // The plan may find more (a frame-aligned tear, the interior frame);
+        // the memo keeps the site from counting twice.
+        for d in &plan.detections {
+            note_detection(&mut self.detected, &mut self.seen_damage, d);
         }
+        report.damage = plan.damage;
+        report.detections = plan.detections;
 
-        report.scan_ops = self.disk.device_ops() - scan_ops0;
-        report.scan_ns = scan_clock.elapsed().as_nanos() as u64;
-
-        // Whether DiscardTail truncated damage this scan: the trailing-batch
-        // fold below must then repair a surviving batch prefix *without*
-        // counting a second detection for the same physical fault.
-        let mut discarded = false;
-        if let Some((at, strict_kind)) = damage {
-            let seg_idx = at / seg_sectors;
-            let classify_clock = std::time::Instant::now();
-            let classify_ops0 = self.disk.device_ops();
-            let probe =
-                self.probe_beyond_damage(&segs, seg_idx, at).map_err(StoreFailure::device)?;
-            report.classify_ops = self.disk.device_ops() - classify_ops0;
-            report.classify_ns = classify_clock.elapsed().as_nanos() as u64;
-            report.damage = match probe {
-                // A tear or hole whose entire valid remainder belongs to one
-                // single batch: one interrupted group flush. Its records were
-                // never acknowledged (the batch's one fsync did not complete
-                // intact), so the damaged extent is legitimately discardable.
-                // A CRC mismatch never qualifies — intact frames behind bit
-                // rot were acknowledged, and discarding them loses commits.
-                TailProbe::SameBatch(_) if matches!(strict_kind, StoreFailureKind::Torn { .. }) => {
-                    "torn-batch"
-                }
-                TailProbe::Nothing => "torn-tail",
-                TailProbe::SameBatch(p) | TailProbe::Interior(p) => {
-                    // Valid data beyond the damage that no interrupted flush
-                    // explains: interior corruption. Tail discard would lose
-                    // committed, fsynced records — refuse under every policy.
-                    report.detections.push(Detection::InteriorFrame { sector: p });
-                    report.damage = "interior";
-                    return Err(StoreFailure {
-                        report,
-                        kind: StoreFailureKind::Corrupt { sector: at },
-                    });
-                }
-            };
-            if policy == TailPolicy::Strict {
-                return Err(StoreFailure { report, kind: strict_kind });
-            }
-            let repair_clock = std::time::Instant::now();
-            let repair_ops0 = self.disk.device_ops();
+        // Apply the plan: what it discards and re-heads happens before what
+        // it refuses.
+        let stage = Stage::start(&self.disk);
+        if let Some(at) = plan.discard_from {
             let doomed: Vec<u64> = self.disk.durable_in(at..).collect();
             for s in doomed {
                 delete_retried(&mut self.disk, self.retry, &mut self.retries, s)
                     .map_err(StoreFailure::device)?;
             }
-            report.repair_ops += self.disk.device_ops() - repair_ops0;
-            report.repair_ns += repair_clock.elapsed().as_nanos() as u64;
-            discarded = true;
         }
-
-        // Judge the trailing batch run. A crash (or a tail discard above) can
-        // leave a *well-formed* log whose final run of batched commits stops
-        // at `pos = k` of a `len`-record group flush — a frame-aligned tear.
-        // Fold the frame list into the state of its trailing run: reset on
-        // every non-batch frame; extend while id/len match and `pos` stays
-        // contiguous.
-        let mut run: Option<(BatchMeta, bool, u32, Vec<u64>)> = None;
-        for f in &frames {
-            match f {
-                ScannedFrame::Commit { batch: Some((meta, start)), .. } => match &mut run {
-                    Some((m, _, next, starts))
-                        if meta.id == m.id && meta.len == m.len && meta.pos == *next =>
-                    {
-                        *next += 1;
-                        starts.push(*start);
-                    }
-                    _ => run = Some((*meta, meta.pos == 0, meta.pos + 1, vec![*start])),
-                },
-                _ => run = None,
+        if let Some((first, id)) = plan.rehead {
+            // Rewrite the survivors' batch headers in place with `len = k`
+            // so the repaired log scans clean from now on. The batch header
+            // is fixed width, so no frame changes its sector footprint; the
+            // header fsync at the end of this recovery makes the rewrites
+            // durable.
+            let len = (scan.frames.len() - first) as u32;
+            for (i, f) in scan.frames[first..].iter().enumerate() {
+                let scan::Frame::Batch(_, rec) = &f.item else {
+                    unreachable!("a plan re-heads batch members only")
+                };
+                let meta = BatchMeta { id, pos: i as u32, len };
+                self.with_frame(
+                    KIND_BATCH,
+                    |out| put_batch(out, meta, rec),
+                    |wal, frame| wal.write_at(f.at, frame),
+                )
+                .map_err(StoreFailure::device)?;
             }
         }
-        if let Some((meta, aligned, next, starts)) = run {
-            if !aligned {
-                // A batch run that does not begin at `pos = 0` lost *leading*
-                // members, which no tear or discard produces — the scanner's
-                // hole rules catch the physical causes first, so this is
-                // defensive. Refuse under every policy.
-                report.damage = "interior";
-                return Err(StoreFailure {
-                    report,
-                    kind: StoreFailureKind::Corrupt { sector: starts[0] },
-                });
-            }
-            if next < meta.len {
-                let log_end = end.0 * seg_sectors + end.1;
-                if !discarded {
-                    // A frame-aligned tear the walk itself could not see: the
-                    // one physical fault is counted here, at the log end.
-                    let d = Detection::TornFrame { sector: log_end };
-                    note_detection(&mut self.detected, &mut self.seen_damage, &d);
-                    report.detections.push(d);
-                    report.damage = "torn-batch";
-                }
-                match policy {
-                    TailPolicy::Strict => {
-                        return Err(StoreFailure {
-                            report,
-                            kind: StoreFailureKind::Torn {
-                                record: frames.len() - next as usize,
-                                expected: meta.len as usize,
-                                found: next as usize,
-                            },
-                        });
-                    }
-                    TailPolicy::DiscardTail => {
-                        // Keep the `k` survivors — a prefix of the batch in
-                        // commit order, none acknowledged — and rewrite their
-                        // headers in place with `len = k` so the repaired log
-                        // scans clean from now on. The batch header is fixed
-                        // width, so no frame changes its sector footprint;
-                        // the header fsync at the end of this recovery makes
-                        // the rewrites durable.
-                        let repair_clock = std::time::Instant::now();
-                        let repair_ops0 = self.disk.device_ops();
-                        let first = frames.len() - next as usize;
-                        for (i, f) in frames[first..].iter().enumerate() {
-                            let ScannedFrame::Commit { rec, .. } = f else { unreachable!() };
-                            let m = BatchMeta { id: meta.id, pos: i as u32, len: next };
-                            self.with_frame(
-                                KIND_BATCH,
-                                |out| put_batch(out, m, rec),
-                                |wal, frame| wal.write_at(starts[i], frame),
-                            )
-                            .map_err(StoreFailure::device)?;
-                        }
-                        report.repair_ops += self.disk.device_ops() - repair_ops0;
-                        report.repair_ns += repair_clock.elapsed().as_nanos() as u64;
-                    }
-                }
-            }
+        stage.stop(&self.disk, &mut report.repair_ops, &mut report.repair_ns);
+        if let Some(kind) = plan.refuse {
+            return Err(StoreFailure { report, kind });
         }
-
-        // Replay base: the newest valid checkpoint wins; commit frames after
-        // it are the live log suffix. 2PC frames fold by presumed abort: a
-        // prepare is pending until its decide frame arrives; decide-commit
-        // moves the prepared record into the replay suffix *at the decide
-        // position* (replay order is decision order); decide-abort drops it.
-        // A prepare with no durable decide survives the fold as in-doubt —
-        // the caller resolves it against the coordinator or presumes abort.
-        let mut checkpoint: Option<CheckpointImage<A>> = None;
-        let mut records: Vec<CommitRecord<A>> = Vec::new();
-        let mut pending: BTreeMap<u64, CommitRecord<A>> = BTreeMap::new();
-        let mut decisions: Vec<(u64, bool)> = Vec::new();
-        for f in frames {
-            match f {
-                ScannedFrame::Checkpoint(img) => {
-                    // Checkpoints refuse to run while prepares are pending,
-                    // so `pending` is empty here on any log we wrote; keep
-                    // whatever is there anyway rather than silently losing
-                    // an in-doubt transaction on a hand-damaged log.
-                    checkpoint = Some(img);
-                    records.clear();
-                }
-                ScannedFrame::Commit { rec, .. } => records.push(rec),
-                ScannedFrame::Prepare { gtid, rec } => {
-                    pending.insert(gtid, rec);
-                }
-                ScannedFrame::Decide { gtid, commit } => {
-                    decisions.push((gtid, commit));
-                    if let Some(rec) = pending.remove(&gtid) {
-                        if commit {
-                            records.push(rec);
-                        }
-                    }
-                }
-            }
-        }
-        let in_doubt: Vec<(u64, CommitRecord<A>)> = pending.into_iter().collect();
-        if governing.requires_checkpoint && checkpoint.is_none() {
-            // Truncation deleted segments that only a checkpoint can stand
-            // in for; without one the log prefix is gone. Starting cold here
-            // would silently drop committed state.
-            report.damage = "missing-checkpoint";
-            let at = end.0 * seg_sectors;
-            return Err(StoreFailure { report, kind: StoreFailureKind::Corrupt { sector: at } });
-        }
-
-        // Floors take the max over the replay suffix *and* the in-doubt set:
-        // a decide-commit lands its record at the decide position carrying
-        // its older prepare-time floor, so "last record" is no longer
-        // necessarily the newest (floors are monotone in append order, not
-        // decision order). On a log with no 2PC frames the max equals the
-        // last record's floor — byte-identical behavior.
-        let txn_floor = records
-            .iter()
-            .map(|r| r.floor)
-            .chain(in_doubt.iter().map(|(_, r)| r.floor))
-            .max()
-            .or_else(|| checkpoint.as_ref().map(|c| c.txn_floor))
-            .unwrap_or(governing.txn_floor);
-        let next_exec_seq = records
-            .iter()
-            .chain(in_doubt.iter().map(|(_, r)| r))
-            .flat_map(|r| r.ops.iter())
-            .map(|(s, _, _)| s + 1)
-            .max()
-            .or_else(|| checkpoint.as_ref().map(|c| c.next_exec_seq))
-            .unwrap_or(governing.next_exec_seq);
 
         // Adopt the durable counters from the log, fold in what this
         // process's scans detected, and persist the updated header with a
@@ -1502,11 +1044,16 @@ where
         // header fsync is recovery's commit point: it also makes the batch
         // repair rewrites durable, and until it lands a nested crash
         // re-runs the whole scan from the (idempotently re-repairable)
-        // prior image.
-        self.epoch = if self.skip_epoch_bump { governing.epoch } else { governing.epoch + 1 };
+        // prior image. An empty medium has no header to succeed: a cold
+        // start seals epoch 0, as a new log does.
+        let governing = scan.governing();
+        let cold = scan.headers.is_empty();
+        (self.seg, self.head) = scan.end;
+        let log = scan.replay();
+        self.epoch = governing.epoch + u64::from(!cold && !self.skip_epoch_bump);
         self.requires_checkpoint = governing.requires_checkpoint;
-        self.txn_floor = txn_floor;
-        self.next_exec_seq = next_exec_seq;
+        self.txn_floor = log.txn_floor;
+        self.next_exec_seq = log.next_exec_seq;
         self.stats = governing.stats;
         self.stats.add(&self.detected);
         self.stats.recoveries += 1;
@@ -1515,24 +1062,11 @@ where
         // discarded); damage a later scan finds at the same sector is a new
         // fault.
         self.seen_damage.clear();
-        self.seg = end.0;
-        self.head = end.1;
-        let repair_clock = std::time::Instant::now();
-        let repair_ops0 = self.disk.device_ops();
+        let stage = Stage::start(&self.disk);
         self.write_header().map_err(StoreFailure::device)?;
-        report.repair_ops += self.disk.device_ops() - repair_ops0;
-        report.repair_ns += repair_clock.elapsed().as_nanos() as u64;
+        stage.stop(&self.disk, &mut report.repair_ops, &mut report.repair_ns);
 
-        Ok(RecoveredLog {
-            checkpoint,
-            records,
-            in_doubt,
-            decisions,
-            txn_floor,
-            next_exec_seq,
-            stats: self.stats,
-            scan: report,
-        })
+        Ok(RecoveredLog { stats: self.stats, scan: report, ..log })
     }
 
     fn tear_last_flush(&mut self, n: usize) -> bool {
@@ -1765,11 +1299,11 @@ where
         Some(crate::inspect::inspect_wal::<A>(&self.disk, &self.cfg).to_json())
     }
 
-    fn inspection_agrees_with_recovery(&self, policy: TailPolicy) -> Option<Result<(), String>> {
+    fn inspection_agrees_with_recovery(&self) -> Option<Result<(), String>> {
         let ins = crate::inspect::inspect_wal::<A>(&self.disk, &self.cfg);
         let mut probe = self.clone();
         probe.crash();
-        let check = match probe.recover(policy) {
+        let check = match probe.recover(TailPolicy::DiscardTail) {
             Ok(out) => [
                 (ins.damage != out.scan.damage)
                     .then(|| format!("damage: {} vs {}", ins.damage, out.scan.damage)),
@@ -2032,7 +1566,7 @@ mod tests {
         // carries requires_checkpoint). DiscardTail must refuse to start
         // cold — the truncated prefix is unrecoverable without the
         // checkpoint.
-        let base = w.seg * w.cfg.seg_sectors + w.header_sectors();
+        let base = w.seg * w.cfg.seg_sectors + w.cfg.header_sectors();
         let doomed: Vec<u64> = w.disk.durable_sectors().filter(|&s| s >= base).collect();
         for s in doomed {
             w.disk.delete(s);

@@ -158,7 +158,7 @@ exit 1 unless the protected run beats the unprotected baseline on the SLOs\n",
         scenario: false,
         usage: "[--txns N] [--objects N] [--crash-budget N] [--ckpt-budget N] [--max-tears N]
            [--group-commit] [--backend disk|mem] [--shards N] [--mutate M] [--json]
-           [--min-states N] [--replay \"b0 c0 x\"] [--tla FILE|-]
+           [--min-states N] [--replay \"b0 c0 x\"]
 mutations M: drop-acked-commit|reorder-last-batch|resurrect-aborted|skip-epoch-bump
   sharded (--shards >= 2, alphabet b/p/q/s/z): lose-decision
 exit codes: 0 all invariants hold; 1 violation (or --min-states bound missed)\n",
@@ -231,7 +231,6 @@ fn mc_main(args: &[String]) -> Result<ExitCode, String> {
     let mut json = false;
     let mut min_states: Option<u64> = None;
     let mut replay: Option<McTrace> = None;
-    let mut tla: Option<String> = None;
 
     parse_flags(args, |flag, value| {
         match flag {
@@ -247,7 +246,6 @@ fn mc_main(args: &[String]) -> Result<ExitCode, String> {
             "--json" => json = true,
             "--min-states" => min_states = Some(parse_num(flag, value()?)?),
             "--replay" => replay = Some(value()?.parse().map_err(|e| format!("--replay: {e}"))?),
-            "--tla" => tla = Some(value()?.to_string()),
             _ => return Ok(false),
         }
         Ok(true)
@@ -289,18 +287,6 @@ fn mc_main(args: &[String]) -> Result<ExitCode, String> {
         return Err("--group-commit is single-system; the sharded instance's alphabet has no \
                     batch action"
             .to_string());
-    }
-
-    if let Some(path) = tla {
-        let module = ccr_mc::generate_module(&cfg);
-        ccr_mc::lint_tla(&module).map_err(|e| format!("generated module fails lint: {e}"))?;
-        if path == "-" {
-            print!("{module}");
-        } else {
-            std::fs::write(&path, &module).map_err(|e| format!("writing {path}: {e}"))?;
-            eprintln!("wrote {path} (module {})", ccr_mc::tla::module_name(&cfg));
-        }
-        return Ok(ExitCode::SUCCESS);
     }
 
     if let Some(trace) = replay {

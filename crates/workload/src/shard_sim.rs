@@ -40,7 +40,7 @@ use ccr_runtime::crash::DurableSystem;
 use ccr_runtime::engine::UipEngine;
 use ccr_runtime::fault::{FaultKind, FaultSpec};
 use ccr_runtime::{check_uniform_outcome, GlobalAtomicityViolation, ShardedSystem, TwoPcStep};
-use ccr_store::{inspect_wal, LogBackend, MemBackend, TailPolicy, WalBackend, WalConfig};
+use ccr_store::{inspect_wal, LogBackend, MemBackend, WalBackend, WalConfig};
 
 use crate::sim::{Backend, SimScenario};
 
@@ -655,9 +655,7 @@ impl<'a, B: LogBackend<BankAccount>> Driver<'a, B> {
         // shard's final image — prepare and decide frames included — must
         // agree field by field with a real recovery scan.
         for s in 0..self.nshards {
-            if let Some(r) =
-                self.sys.shard(s).backend().inspection_agrees_with_recovery(TailPolicy::DiscardTail)
-            {
+            if let Some(r) = self.sys.shard(s).backend().inspection_agrees_with_recovery() {
                 r.map_err(|error| ShardFailure::InspectorDisagreement { shard: s, error })?;
             }
         }

@@ -30,7 +30,7 @@ use ccr_runtime::fault::{FaultMix, FaultPlan};
 use ccr_runtime::script::Script;
 use ccr_runtime::sim::{run_sim, SimCfg, SimFailure, SimReport, StateInvariant};
 use ccr_runtime::system::ConflictPolicy;
-use ccr_store::{LogBackend, MemBackend, Persist, TailPolicy, WalBackend, WalConfig};
+use ccr_store::{LogBackend, MemBackend, Persist, WalBackend, WalConfig};
 
 use crate::gen::{banking, escrow_mix, WorkloadCfg};
 use crate::shard_sim::{run_shard_scenario, ShardFailure, ShardReport};
@@ -535,19 +535,18 @@ where
         // The forensic leg: the inspector must agree with recovery on the
         // final image, and on a copy with its last flush re-torn (so every
         // traced run exercises the damaged-image path too, not just clean).
-        let inspect_agreement =
-            sys.backend().inspection_agrees_with_recovery(TailPolicy::DiscardTail).map(|clean| {
-                clean.and_then(|()| {
-                    let mut torn = sys.backend().clone();
-                    if torn.tear_last_flush(1) {
-                        torn.inspection_agrees_with_recovery(TailPolicy::DiscardTail)
-                            .expect("a tearable backend has an image")
-                            .map_err(|e| format!("after tear: {e}"))
-                    } else {
-                        Ok(())
-                    }
-                })
-            });
+        let inspect_agreement = sys.backend().inspection_agrees_with_recovery().map(|clean| {
+            clean.and_then(|()| {
+                let mut torn = sys.backend().clone();
+                if torn.tear_last_flush(1) {
+                    torn.inspection_agrees_with_recovery()
+                        .expect("a tearable backend has an image")
+                        .map_err(|e| format!("after tear: {e}"))
+                } else {
+                    Ok(())
+                }
+            })
+        });
         let inspection = sys.backend().wal_inspection();
         let obs = sys.system().obs();
         TraceArtifacts {

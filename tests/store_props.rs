@@ -11,6 +11,8 @@
 //!   was slack) or fails loudly with a CRC/torn-tail error. Silent
 //!   divergence of the recovered state is the one outcome that must never
 //!   happen.
+//! * **Forensic agreement** — on hand-damaged images the simulator cannot
+//!   draw, the offline inspector's verdict is the repairing recovery's.
 
 use ccr::adt::bank::{bank_nfc, bank_nrbc, BankAccount, BankInv};
 use ccr::core::conflict::FnConflict;
@@ -483,6 +485,220 @@ fn one_frame_of_each_kind_is_pinned_byte_for_byte() {
     ];
     for (kind, hex) in pinned {
         assert_eq!(first_of(kind), hex, "{kind}");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The forensic leg on images the simulator cannot draw (DESIGN.md §13): the
+// inspector's verdict is the repairing recovery's plan, also where the
+// replayable prefix ends in a batch run that lost its leading members.
+// ---------------------------------------------------------------------------
+
+mod forensic_leg {
+    use ccr::adt::bank::{BankAccount, BankInv, BankResp};
+    use ccr::core::adt::Op;
+    use ccr::core::ids::ObjectId;
+    use ccr::store::{
+        build_frame, encode_batch, inspect_wal, BatchMeta, CheckpointImage, CommitRecord,
+        LogBackend, StoreFailureKind, TailPolicy, WalBackend, WalConfig,
+    };
+
+    type Wal = WalBackend<BankAccount>;
+    type Rec = CommitRecord<BankAccount>;
+
+    const SECTOR: usize = 32;
+
+    fn rec(floor: u32, seq: u64, amount: u64) -> Rec {
+        CommitRecord {
+            floor,
+            ops: vec![(seq, ObjectId(0), Op::new(BankInv::Deposit(amount), BankResp::Ok))],
+        }
+    }
+
+    /// Write members `1..len` of a group flush `id` from sector `at` on — a
+    /// batch run whose leading member is missing — the last of them torn
+    /// (only its first sector lands) when `tear` is set.
+    fn write_headless_run(w: &mut Wal, at: u64, id: u64, members: &[Rec], tear: bool) {
+        let len = members.len() as u32 + 1;
+        let mut at = at;
+        for (i, rec) in members.iter().enumerate() {
+            let meta = BatchMeta { id, pos: i as u32 + 1, len };
+            let frame = build_frame(4, &encode_batch(meta, rec), SECTOR);
+            let torn = tear && i + 1 == members.len();
+            w.disk_mut().write(at, if torn { &frame[..SECTOR] } else { &frame });
+            at += (frame.len() / SECTOR) as u64;
+        }
+        w.disk_mut().flush();
+    }
+
+    /// The smallest image on which the inspector and recovery used to part:
+    /// a valid `pos = 1` member at the log head with a torn `pos = 2` member
+    /// behind it. Recovery discards the torn tail and then refuses the
+    /// headless run as interior; an inspector that stops at the torn tail
+    /// reports `torn-tail` for an image recovery refuses.
+    #[test]
+    fn a_headless_batch_run_behind_a_torn_tail_is_interior_to_both() {
+        let mut w = Wal::new(WalConfig::default());
+        w.append_commit(&rec(1, 0, 5)).unwrap();
+        // Header 3 sectors + commit 2: the head is at sector 5.
+        write_headless_run(&mut w, 5, 7, &[rec(2, 1, 6), rec(3, 2, 7)], true);
+        assert!(w.disk().read(7).is_some() && w.disk().read(8).is_none());
+
+        let mut probe = w.clone();
+        probe.crash();
+        let refused = probe.recover(TailPolicy::DiscardTail).unwrap_err();
+        assert_eq!(refused.report.damage, "interior");
+        assert_eq!(refused.kind, StoreFailureKind::Corrupt { sector: 5 });
+        assert_eq!(w.inspection_agrees_with_recovery(), Some(Ok(())));
+    }
+
+    /// xorshift64*, and the floor of the last record drawn.
+    struct Rng(u64, u32);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_F491_4F6C_DD1D) % n
+        }
+
+        fn rec(&mut self) -> Rec {
+            self.1 += 1;
+            rec(self.1, u64::from(self.1) - 1, 1 + self.below(9))
+        }
+    }
+
+    /// A random log — 1–14 appends of every frame kind plus crash + recover,
+    /// on 16- or 64-sector segments — then 0–3 random injuries, among them
+    /// the headless batch run no fault arm of the simulator produces.
+    fn damaged_image(rng: &mut Rng) -> Wal {
+        let seg_sectors = if rng.below(2) == 0 { 16 } else { 64 };
+        let mut w = Wal::new(WalConfig { sector: SECTOR, seg_sectors });
+        rng.1 = 0;
+        let mut prepared = Vec::new();
+        for _ in 0..1 + rng.below(14) {
+            match rng.below(10) {
+                0..=2 => w.append_commit(&rng.rec()).unwrap(),
+                3..=5 => {
+                    let group: Vec<Rec> = (0..2 + rng.below(4)).map(|_| rng.rec()).collect();
+                    w.append_commits(&group).unwrap();
+                }
+                6 => {
+                    prepared.push(100 + rng.below(4));
+                    w.append_prepare(*prepared.last().unwrap(), &rng.rec()).unwrap();
+                }
+                7 => {
+                    let gtid = match prepared.len() as u64 {
+                        0 => 100 + rng.below(4),
+                        n => prepared[rng.below(n) as usize],
+                    };
+                    w.append_decision(gtid, rng.below(2) == 0).unwrap();
+                }
+                8 => {
+                    let states = vec![(ObjectId(0), rng.below(50))];
+                    let (txn_floor, next_exec_seq) = (rng.1, u64::from(rng.1));
+                    let img = CheckpointImage { base_records: 0, txn_floor, next_exec_seq, states };
+                    w.write_checkpoint(&img).unwrap();
+                }
+                _ => {
+                    w.crash();
+                    w.recover(TailPolicy::DiscardTail).unwrap();
+                }
+            }
+        }
+        for _ in 0..rng.below(4) {
+            let durable: Vec<u64> = w.disk().durable_sectors().collect();
+            let (pick, last) =
+                (durable[rng.below(durable.len() as u64) as usize], durable[durable.len() - 1]);
+            match rng.below(7) {
+                0 => drop(w.tear_last_flush(1 + rng.below(6) as usize)),
+                1 => drop(w.reorder_last_flush()),
+                2 => drop(w.flip_bit(rng.below((last + 1) * SECTOR as u64 * 8))),
+                3 => drop(w.disk_mut().delete(pick)),
+                4 => {
+                    let junk: Vec<u8> = (0..SECTOR).map(|_| rng.below(256) as u8).collect();
+                    w.disk_mut().write(pick, &junk);
+                    w.disk_mut().flush();
+                }
+                5 => {
+                    let copy = w.disk().read(pick).unwrap().to_vec();
+                    w.disk_mut().write(last + 1 + rng.below(3), &copy);
+                    w.disk_mut().flush();
+                }
+                _ => {
+                    // How a batch run loses its *leading* members: the rest
+                    // of a group flush lands where the first should have.
+                    let members: Vec<Rec> = (0..1 + rng.below(3)).map(|_| rng.rec()).collect();
+                    write_headless_run(&mut w, last + 1, 1 << 40, &members, rng.below(2) == 0);
+                }
+            }
+        }
+        w
+    }
+
+    /// Per image: the inspector ticks no checked device op; the forensic leg
+    /// agrees; a repairing recovery leaves an image that scans clean to the
+    /// same log; and a recovery killed at a device op and retried ends where
+    /// the uninterrupted one does.
+    #[test]
+    fn inspector_and_recovery_agree_on_hand_damaged_images() {
+        let mut rng = Rng(0x5EED_CC22, 0);
+        let mut refused = 0;
+        for image in 0..300 {
+            let w = damaged_image(&mut rng);
+            let ops = w.device_op_count();
+            let seen = inspect_wal::<BankAccount>(w.disk(), &w.config()).damage;
+            assert_eq!(w.device_op_count(), ops, "image {image}: the inspector ticked a device op");
+            assert_eq!(w.inspection_agrees_with_recovery(), Some(Ok(())), "image {image}: {seen}");
+            if image % 10 == 0 {
+                w.clone().check_recovery_convergence(TailPolicy::DiscardTail).unwrap();
+            }
+
+            let mut first = w.clone();
+            first.crash();
+            let before = first.device_op_count();
+            let Ok(out) = first.recover(TailPolicy::DiscardTail) else {
+                refused += 1;
+                continue;
+            };
+            let spent = first.device_op_count() - before;
+
+            let mut killed = w.clone();
+            killed.crash();
+            killed.arm_crash_at_op(rng.below(spent));
+            let died = killed.recover(TailPolicy::DiscardTail).unwrap_err();
+            assert!(matches!(died.kind, StoreFailureKind::Device(_)), "image {image}: {died:?}");
+            killed.crash();
+            let retried = killed.recover(TailPolicy::DiscardTail).unwrap();
+            let log = |o: &ccr::store::RecoveredLog<BankAccount>| {
+                (
+                    o.records.clone(),
+                    o.txn_floor,
+                    o.next_exec_seq,
+                    o.in_doubt.clone(),
+                    o.decisions.clone(),
+                )
+            };
+            assert_eq!(log(&retried), log(&out), "image {image}: a killed recovery diverged");
+            // A kill between a repair and the sealing header can cost the
+            // detection its count (telemetry, DESIGN.md §11) — nothing else.
+            if killed.stats() == first.stats() {
+                assert_eq!(killed.image_fingerprint(), first.image_fingerprint(), "image {image}");
+            }
+
+            first.crash();
+            let again = first.recover(TailPolicy::DiscardTail).unwrap();
+            assert_eq!(
+                again.scan.damage, "clean",
+                "image {image}: a repaired image must scan clean"
+            );
+            assert_eq!(log(&again), log(&out), "image {image}: the second scan read another log");
+        }
+        assert!(
+            (60..240).contains(&refused),
+            "the mix must reach both outcomes: {refused} refused"
+        );
     }
 }
 
