@@ -101,8 +101,8 @@ impl CorruptionKind {
 /// block or wound event.
 pub type WaitGraph = Vec<(TxnId, Vec<TxnId>)>;
 
-/// What happened. String payloads are rendered lazily (only when event
-/// recording is on), so the counters-only mode never allocates.
+/// What happened. An event is built lazily (only when event recording is
+/// on), so the counters-only mode renders and allocates nothing for it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum EventKind {
     /// A transaction began.
@@ -284,6 +284,81 @@ pub enum EventKind {
         /// Wall nanoseconds; 0 unless the tracer's wall clock is enabled.
         wall_ns: u64,
     },
+}
+
+/// What one observation adds to the counters: all that
+/// [`SystemStats::absorb`](crate::SystemStats::absorb) reads of an event, as
+/// a `Copy` value a hook can name without building the event. A variant is
+/// named after the event kind that carries it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Tally {
+    /// Nothing: the observation ticks the clock and feeds histograms only.
+    Neutral,
+    Begin,
+    Op,
+    Block,
+    Commit,
+    Abort(AbortCause),
+    ReplayFailure,
+    TornWrite,
+    Recovery,
+    /// A fault that took effect.
+    Fault(FaultCounter),
+    BitFlip,
+    Checkpoint,
+    IoRetry,
+    /// Degraded mode entered (`true`) or left.
+    Degraded(bool),
+    Shed,
+    Stall(u64),
+    ConvergenceCheck,
+    Prepare,
+    Decide,
+    InDoubt(u64),
+    Resolved,
+}
+
+impl EventKind {
+    /// The event's counter contribution. The tracer counts the tally its
+    /// hook names and, when it records, checks this derivation agrees.
+    pub(crate) fn tally(&self) -> Tally {
+        match *self {
+            EventKind::Begin => Tally::Begin,
+            EventKind::Op { .. } => Tally::Op,
+            EventKind::Block { .. } => Tally::Block,
+            EventKind::Commit => Tally::Commit,
+            EventKind::Abort { cause } => Tally::Abort(cause),
+            EventKind::ReplayFailure => Tally::ReplayFailure,
+            EventKind::TornWrite { .. } => Tally::TornWrite,
+            EventKind::Recovery { .. } => Tally::Recovery,
+            // A fault may be recorded without a counter bump, e.g. a
+            // force-abort that found no victim.
+            EventKind::Fault { counter, .. } => counter.map_or(Tally::Neutral, Tally::Fault),
+            // Torn tails and interior damage are counted by their fault /
+            // torn-write events; the CRC detections get their own counter.
+            EventKind::CorruptionDetected { kind: CorruptionKind::BitFlip, .. } => Tally::BitFlip,
+            EventKind::Checkpoint { .. } => Tally::Checkpoint,
+            EventKind::IoRetry { .. } => Tally::IoRetry,
+            EventKind::Degraded { entered, .. } => Tally::Degraded(entered),
+            EventKind::Shed => Tally::Shed,
+            EventKind::Stall { ticks } => Tally::Stall(ticks),
+            EventKind::ConvergenceCheck { .. } => Tally::ConvergenceCheck,
+            EventKind::Prepare { .. } => Tally::Prepare,
+            EventKind::Decide { .. } => Tally::Decide,
+            EventKind::InDoubt { count } => Tally::InDoubt(count),
+            EventKind::Resolved { .. } => Tally::Resolved,
+            // A wound is counted by the Abort(Wounded) that follows, a group
+            // flush's commits by their own Commit events; scans and spans
+            // measure where time goes, their outcomes are counted elsewhere.
+            EventKind::Unblock { .. }
+            | EventKind::Wound { .. }
+            | EventKind::SegmentScan { .. }
+            | EventKind::CorruptionDetected { .. }
+            | EventKind::GroupFlush { .. }
+            | EventKind::PhaseBegin { .. }
+            | EventKind::PhaseEnd { .. } => Tally::Neutral,
+        }
+    }
 }
 
 /// One structured trace event.

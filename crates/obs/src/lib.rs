@@ -11,8 +11,8 @@
 //! On top of the event stream sit:
 //!
 //! * [`SystemStats`] — the aggregate counters, now *derived* from events in
-//!   one place ([`SystemStats::absorb`]) instead of bumped ad hoc across the
-//!   runtime;
+//!   one place (`count(tally)`, behind the tracer's `emit` and
+//!   [`SystemStats::absorb`]) instead of bumped ad hoc across the runtime;
 //! * [`LogHistogram`] — log-bucketed, mergeable latency histograms for op
 //!   latency, lock-wait time, time-to-commit and recovery replay length;
 //! * exporters: [`chrome_trace`] (Chrome `trace_event` JSON for

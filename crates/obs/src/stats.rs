@@ -2,14 +2,14 @@
 //!
 //! [`SystemStats`] began life in `ccr-runtime` as a bag of manually bumped
 //! counters. It now lives here and is a **projection of the event stream**:
-//! the [`Tracer`](crate::Tracer) folds every emitted event into these
-//! counters in exactly one place ([`SystemStats::absorb`]), and
-//! [`Tracer::project_stats`](crate::Tracer::project_stats) recomputes the
-//! same struct from the recorded events — the equality of the two is a test
-//! invariant. `ccr-runtime` re-exports this type, so existing
-//! `sys.stats().committed`-style call sites are unchanged.
+//! the [`Tracer`](crate::Tracer) counts every observation's tally in
+//! exactly one place (`SystemStats::count`), whether or not the event is
+//! built, and [`Tracer::project_stats`](crate::Tracer::project_stats)
+//! recomputes the same struct from the recorded events' tallies — the
+//! equality of the two is a test invariant. `ccr-runtime` re-exports this
+//! type, so existing `sys.stats().committed`-style call sites are unchanged.
 
-use crate::event::{AbortCause, CorruptionKind, EventKind, FaultCounter, ObsEvent};
+use crate::event::{AbortCause, EventKind, FaultCounter, ObsEvent, Tally};
 
 /// Aggregate counters for an execution.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -91,18 +91,20 @@ pub struct SystemStats {
 }
 
 impl SystemStats {
-    /// Fold one event into the counters. This is the *only* place any of
-    /// these counters is incremented — every layer that used to bump a field
-    /// by hand now emits the corresponding event instead.
-    pub fn absorb(&mut self, kind: &EventKind) {
-        match kind {
-            EventKind::Begin => self.begun += 1,
-            EventKind::Op { .. } => self.ops += 1,
-            EventKind::Block { .. } => self.blocks += 1,
-            EventKind::Unblock { .. } => {}
-            EventKind::Wound { .. } => {} // counted by the Abort(Wounded) that follows
-            EventKind::Commit => self.committed += 1,
-            EventKind::Abort { cause } => {
+    /// Count one observation. This is the *only* place any of these counters
+    /// is incremented — every layer that used to bump a field by hand now
+    /// makes the corresponding observation instead. Inlined into `emit`
+    /// whatever its size: almost every hook's tally is a constant, and only
+    /// then does the match fold to that hook's one or two adds.
+    #[inline(always)]
+    pub(crate) fn count(&mut self, tally: Tally) {
+        match tally {
+            Tally::Neutral => {}
+            Tally::Begin => self.begun += 1,
+            Tally::Op => self.ops += 1,
+            Tally::Block => self.blocks += 1,
+            Tally::Commit => self.committed += 1,
+            Tally::Abort(cause) => {
                 self.aborted += 1;
                 match cause {
                     AbortCause::Validation => self.validation_aborts += 1,
@@ -112,63 +114,42 @@ impl SystemStats {
                     AbortCause::Requested | AbortCause::Deadlock | AbortCause::External => {}
                 }
             }
-            EventKind::ReplayFailure => self.replay_failures += 1,
-            EventKind::TornWrite { .. } => self.torn_crashes += 1,
-            EventKind::Recovery { .. } => self.crashes += 1,
-            EventKind::Fault { counter, .. } => {
-                if let Some(c) = counter {
-                    self.absorb_fault(*c);
-                }
-            }
-            EventKind::SegmentScan { .. } => {}
-            EventKind::CorruptionDetected { kind, .. } => {
-                // Torn tails and interior damage are counted by their fault /
-                // torn-write events; the CRC detections get their own counter.
-                if *kind == CorruptionKind::BitFlip {
-                    self.bitflips_detected += 1;
-                }
-            }
-            EventKind::Checkpoint { .. } => self.checkpoints += 1,
-            // Counter-neutral: the batch's commits are counted by their own
-            // Commit events; the flush itself feeds histograms only.
-            EventKind::GroupFlush { .. } => {}
-            EventKind::IoRetry { .. } => self.io_retries += 1,
-            EventKind::Degraded { entered, .. } => {
+            Tally::ReplayFailure => self.replay_failures += 1,
+            Tally::TornWrite => self.torn_crashes += 1,
+            Tally::Recovery => self.crashes += 1,
+            Tally::Fault(FaultCounter::ForcedAbort) => self.forced_aborts += 1,
+            Tally::Fault(FaultCounter::WoundStorm) => self.wound_storms += 1,
+            Tally::Fault(FaultCounter::DelayedCommit) => self.delayed_commits += 1,
+            Tally::Fault(FaultCounter::SectorTear) => self.sector_tears += 1,
+            Tally::Fault(FaultCounter::ReorderedFlush) => self.reordered_flushes += 1,
+            Tally::Fault(FaultCounter::TransientIo) => self.transient_io_faults += 1,
+            Tally::Fault(FaultCounter::DiskFull) => self.disk_full_faults += 1,
+            Tally::Fault(FaultCounter::SlowDevice) => self.slow_device_faults += 1,
+            Tally::Fault(FaultCounter::FsyncStall) => self.fsync_stall_faults += 1,
+            Tally::BitFlip => self.bitflips_detected += 1,
+            Tally::Checkpoint => self.checkpoints += 1,
+            Tally::IoRetry => self.io_retries += 1,
+            Tally::Degraded(entered) => {
                 self.mode_flips += 1;
-                if *entered {
+                if entered {
                     self.degraded_entries += 1;
                 } else {
                     self.degraded_exits += 1;
                 }
             }
-            EventKind::Shed => self.sheds += 1,
-            EventKind::Stall { ticks } => self.stall_ticks += ticks,
-            EventKind::ConvergenceCheck { .. } => self.convergence_checks += 1,
-            EventKind::Prepare { .. } => self.prepares += 1,
-            EventKind::Decide { .. } => self.decides += 1,
-            EventKind::InDoubt { count } => self.in_doubt += count,
-            EventKind::Resolved { .. } => self.resolved += 1,
-            // Counter-neutral: spans measure where time goes, the phases'
-            // outcomes are counted by their own commit/recovery events.
-            EventKind::PhaseBegin { .. } | EventKind::PhaseEnd { .. } => {}
+            Tally::Shed => self.sheds += 1,
+            Tally::Stall(ticks) => self.stall_ticks += ticks,
+            Tally::ConvergenceCheck => self.convergence_checks += 1,
+            Tally::Prepare => self.prepares += 1,
+            Tally::Decide => self.decides += 1,
+            Tally::InDoubt(count) => self.in_doubt += count,
+            Tally::Resolved => self.resolved += 1,
         }
     }
 
-    /// Fold one *effective* injected fault into its counter (separate from
-    /// [`absorb`](Self::absorb) because a fault event may be recorded
-    /// without a counter bump, e.g. a force-abort that found no victim).
-    pub fn absorb_fault(&mut self, counter: FaultCounter) {
-        match counter {
-            FaultCounter::ForcedAbort => self.forced_aborts += 1,
-            FaultCounter::WoundStorm => self.wound_storms += 1,
-            FaultCounter::DelayedCommit => self.delayed_commits += 1,
-            FaultCounter::SectorTear => self.sector_tears += 1,
-            FaultCounter::ReorderedFlush => self.reordered_flushes += 1,
-            FaultCounter::TransientIo => self.transient_io_faults += 1,
-            FaultCounter::DiskFull => self.disk_full_faults += 1,
-            FaultCounter::SlowDevice => self.slow_device_faults += 1,
-            FaultCounter::FsyncStall => self.fsync_stall_faults += 1,
-        }
+    /// Count a built event: `count` of its tally.
+    pub fn absorb(&mut self, kind: &EventKind) {
+        self.count(kind.tally());
     }
 
     /// Render the counters as a JSON object (field order fixed).
@@ -231,7 +212,7 @@ impl SystemStats {
 pub fn project(events: &[ObsEvent]) -> SystemStats {
     let mut s = SystemStats::default();
     for e in events {
-        s.absorb(&e.kind);
+        s.count(e.kind.tally());
     }
     s
 }

@@ -5,14 +5,15 @@
 //! → crash recovery, plus injected faults. Each observation
 //!
 //! * ticks the **logical event clock** (the deterministic timestamp),
-//! * folds into the [`SystemStats`] counter projection (the single place
-//!   any counter is incremented),
+//! * counts its tally into the [`SystemStats`] projection (`emit`'s
+//!   `stats.count(tally)` is the single place any counter is incremented),
 //! * feeds the latency histograms (op latency, lock-wait time,
 //!   time-to-commit, recovery replay length), and
 //! * — when event recording is on — appends a structured [`ObsEvent`].
 //!
-//! String payloads are rendered through `FnOnce` closures so the
-//! counters-only mode (used by long benchmark runs) never allocates.
+//! Every hook hands `emit` its event as an `FnOnce` closure, so the
+//! counters-only mode (used by long benchmark runs) builds no event: it
+//! renders no string, allocates nothing and has nothing to drop.
 //! Determinism: with wall stamping off (the default), the recorded event
 //! stream is a pure function of the observation sequence, so a seeded
 //! scheduler produces byte-identical exports run after run.
@@ -23,7 +24,9 @@ use std::time::Instant;
 use ccr_core::ids::{ObjectId, TxnId, TxnTable};
 
 use crate::conflict::{ConflictKey, ConflictMatrix};
-use crate::event::{AbortCause, CorruptionKind, EventKind, FaultCounter, ObsEvent, WaitGraph};
+use crate::event::{
+    AbortCause, CorruptionKind, EventKind, FaultCounter, ObsEvent, Tally, WaitGraph,
+};
 use crate::hist::LogHistogram;
 use crate::span::{Phase, PhaseProfiles, SpanToken};
 use crate::stats::{self, SystemStats};
@@ -250,10 +253,20 @@ impl Tracer {
         self.conflicts.merge(&other.conflicts);
     }
 
-    fn emit(&mut self, txn: Option<TxnId>, obj: Option<ObjectId>, kind: EventKind) -> u64 {
+    /// One observation: tick, count `tally`, and build the event only for
+    /// a recording run (where its own tally must be the one just counted).
+    fn emit(
+        &mut self,
+        txn: Option<TxnId>,
+        obj: Option<ObjectId>,
+        tally: Tally,
+        kind: impl FnOnce() -> EventKind,
+    ) -> u64 {
         self.clock += 1;
-        self.stats.absorb(&kind);
+        self.stats.count(tally);
         if self.record_events {
+            let kind = kind();
+            debug_assert_eq!(kind.tally(), tally);
             let wall_us = self.wall_epoch.map(|e| e.elapsed().as_micros() as u64);
             self.events.push(ObsEvent { seq: self.clock, wall_us, txn, obj, kind });
         }
@@ -262,7 +275,7 @@ impl Tracer {
 
     /// A transaction began.
     pub fn on_begin(&mut self, txn: TxnId) {
-        let seq = self.emit(Some(txn), None, EventKind::Begin);
+        let seq = self.emit(Some(txn), None, Tally::Begin, || EventKind::Begin);
         self.begin_seq.insert(txn, seq);
     }
 
@@ -280,15 +293,16 @@ impl Tracer {
                         self.conflicts.credit_blocked(key, waited);
                     }
                 }
-                self.emit(Some(txn), Some(obj), EventKind::Unblock { waited });
+                self.emit(Some(txn), Some(obj), Tally::Neutral, || EventKind::Unblock { waited });
                 waited
             }
             None => 0,
         };
         self.op_latency.record(waited);
-        let (inv, resp) =
-            if self.record_events { render() } else { (String::new(), String::new()) };
-        self.emit(Some(txn), Some(obj), EventKind::Op { inv, resp, waited });
+        self.emit(Some(txn), Some(obj), Tally::Op, || {
+            let (inv, resp) = render();
+            EventKind::Op { inv, resp, waited }
+        });
     }
 
     /// An invocation blocked on conflicting holders. `snapshot` renders the
@@ -302,9 +316,10 @@ impl Tracer {
         obj: ObjectId,
         snapshot: impl FnOnce() -> (String, Vec<TxnId>, WaitGraph),
     ) {
-        let (inv, on, graph) =
-            if self.record_events { snapshot() } else { (String::new(), Vec::new(), Vec::new()) };
-        let seq = self.emit(Some(txn), Some(obj), EventKind::Block { inv, on, graph });
+        let seq = self.emit(Some(txn), Some(obj), Tally::Block, || {
+            let (inv, on, graph) = snapshot();
+            EventKind::Block { inv, on, graph }
+        });
         if !self.block_start.contains_key(&txn) {
             self.block_start.insert(txn, seq);
         }
@@ -312,13 +327,12 @@ impl Tracer {
 
     /// A holder was wounded by the older requester `by`.
     pub fn on_wound(&mut self, victim: TxnId, by: TxnId, graph: impl FnOnce() -> WaitGraph) {
-        let graph = if self.record_events { graph() } else { Vec::new() };
-        self.emit(Some(victim), None, EventKind::Wound { by, graph });
+        self.emit(Some(victim), None, Tally::Neutral, || EventKind::Wound { by, graph: graph() });
     }
 
     /// The transaction committed (once per transaction, not per object).
     pub fn on_commit(&mut self, txn: TxnId) {
-        let seq = self.emit(Some(txn), None, EventKind::Commit);
+        let seq = self.emit(Some(txn), None, Tally::Commit, || EventKind::Commit);
         if let Some(begin) = self.begin_seq.remove(&txn) {
             self.time_to_commit.record(seq.saturating_sub(begin));
         }
@@ -328,7 +342,7 @@ impl Tracer {
 
     /// The transaction aborted.
     pub fn on_abort(&mut self, txn: TxnId, cause: AbortCause) {
-        self.emit(Some(txn), None, EventKind::Abort { cause });
+        self.emit(Some(txn), None, Tally::Abort(cause), || EventKind::Abort { cause });
         self.begin_seq.remove(&txn);
         self.block_start.remove(&txn);
         self.pending_conflicts.remove(&txn);
@@ -336,19 +350,19 @@ impl Tracer {
 
     /// Undo-replay failed while aborting `txn` at `obj`.
     pub fn on_replay_failure(&mut self, txn: TxnId, obj: ObjectId) {
-        self.emit(Some(txn), Some(obj), EventKind::ReplayFailure);
+        self.emit(Some(txn), Some(obj), Tally::ReplayFailure, || EventKind::ReplayFailure);
     }
 
     /// A torn journal record was injected.
     pub fn on_torn(&mut self, record: usize) {
-        self.emit(None, None, EventKind::TornWrite { record });
+        self.emit(None, None, Tally::TornWrite, || EventKind::TornWrite { record });
     }
 
     /// Crash recovery completed after replaying `replayed` journal records.
     /// Active transactions evaporated with the crash, so their open spans
     /// are dropped.
     pub fn on_recovery(&mut self, replayed: usize) {
-        self.emit(None, None, EventKind::Recovery { replayed });
+        self.emit(None, None, Tally::Recovery, || EventKind::Recovery { replayed });
         self.replay_len.record(replayed as u64);
         self.begin_seq.clear();
         self.block_start.clear();
@@ -362,8 +376,8 @@ impl Tracer {
     /// bump if the fault took effect; `render` produces the fault's compact
     /// text form and runs only when events are recorded.
     pub fn on_fault(&mut self, counter: Option<FaultCounter>, render: impl FnOnce() -> String) {
-        let kind = if self.record_events { render() } else { String::new() };
-        self.emit(None, None, EventKind::Fault { kind, counter });
+        let tally = counter.map_or(Tally::Neutral, Tally::Fault);
+        self.emit(None, None, tally, || EventKind::Fault { kind: render(), counter });
     }
 
     /// Recovery scanned the durable log (whether or not it went on to
@@ -376,26 +390,34 @@ impl Tracer {
         sectors: u64,
         damage: impl FnOnce() -> String,
     ) {
-        let damage = if self.record_events { damage() } else { String::new() };
-        self.emit(None, None, EventKind::SegmentScan { segments, frames, sectors, damage });
+        self.emit(None, None, Tally::Neutral, || EventKind::SegmentScan {
+            segments,
+            frames,
+            sectors,
+            damage: damage(),
+        });
         self.scan_len.record(sectors);
     }
 
     /// The scanner detected physical log damage at `sector`.
     pub fn on_corruption(&mut self, kind: CorruptionKind, sector: u64) {
-        self.emit(None, None, EventKind::CorruptionDetected { kind, sector });
+        let tally = if kind == CorruptionKind::BitFlip { Tally::BitFlip } else { Tally::Neutral };
+        self.emit(None, None, tally, || EventKind::CorruptionDetected { kind, sector });
     }
 
     /// A checkpoint folded `records` committed records into an image,
     /// deleting `truncated_segments` whole log segments.
     pub fn on_checkpoint(&mut self, records: u64, truncated_segments: u64) {
-        self.emit(None, None, EventKind::Checkpoint { records, truncated_segments });
+        self.emit(None, None, Tally::Checkpoint, || EventKind::Checkpoint {
+            records,
+            truncated_segments,
+        });
     }
 
     /// A group-commit flush made `batch` commit records durable with one
     /// fsync, taking `micros` wall microseconds (0 in logical-time runs).
     pub fn on_group_flush(&mut self, batch: u64, micros: u64) {
-        self.emit(None, None, EventKind::GroupFlush { batch, micros });
+        self.emit(None, None, Tally::Neutral, || EventKind::GroupFlush { batch, micros });
         self.batch_size.record(batch);
         self.flush_latency.record(micros);
     }
@@ -403,32 +425,34 @@ impl Tracer {
     /// A checked device op needed `attempts` tries, waiting `backoff` total
     /// logical ticks; `ok` is whether it succeeded within the retry budget.
     pub fn on_io_retry(&mut self, attempts: u32, backoff: u64, ok: bool) {
-        self.emit(None, None, EventKind::IoRetry { attempts, backoff, ok });
+        self.emit(None, None, Tally::IoRetry, || EventKind::IoRetry { attempts, backoff, ok });
         self.retry_backoff.record(backoff);
     }
 
     /// The durable system entered (`entered = true`) or exited read-only
     /// degraded mode. `reason` renders the cause lazily (entry only).
     pub fn on_degraded(&mut self, entered: bool, reason: impl FnOnce() -> String) {
-        let reason = if self.record_events { reason() } else { String::new() };
-        self.emit(None, None, EventKind::Degraded { entered, reason });
+        self.emit(None, None, Tally::Degraded(entered), || EventKind::Degraded {
+            entered,
+            reason: reason(),
+        });
     }
 
     /// The admission gate shed `txn`'s commit (journal backlog over bound).
     pub fn on_shed(&mut self, txn: TxnId) {
-        self.emit(Some(txn), None, EventKind::Shed);
+        self.emit(Some(txn), None, Tally::Shed, || EventKind::Shed);
     }
 
     /// The durable path observed `ticks` of device stall time since its
     /// previous observation. Feeds the stall-latency histogram.
     pub fn on_stall(&mut self, ticks: u64) {
-        self.emit(None, None, EventKind::Stall { ticks });
+        self.emit(None, None, Tally::Stall(ticks), || EventKind::Stall { ticks });
         self.stall_latency.record(ticks);
     }
 
-    /// A transaction restart drew `jitter` seeded ticks to sit out (the
-    /// whole pause in the round-robin executor; on top of the exponential
-    /// base in the threaded one, when its backoff is on). Histogram-only:
+    /// A restarted script drew `jitter` seeded rounds to sit out once the
+    /// commit it sleeps on has landed — the whole pause; the cooperative
+    /// executor's `restart` is the one caller. Histogram-only:
     /// jitter shapes the schedule, the restart's outcome is counted by its
     /// own commit/abort events.
     pub fn on_retry_jitter(&mut self, jitter: u64) {
@@ -438,13 +462,16 @@ impl Tracer {
     /// The recovery-convergence leg ran `trials` nested-crash trials over a
     /// baseline recovery of `device_ops` checked device ops.
     pub fn on_convergence_check(&mut self, trials: u64, device_ops: u64) {
-        self.emit(None, None, EventKind::ConvergenceCheck { trials, device_ops });
+        self.emit(None, None, Tally::ConvergenceCheck, || EventKind::ConvergenceCheck {
+            trials,
+            device_ops,
+        });
     }
 
     /// A participant durably journaled its 2PC PREPARE for `gtid` (the yes
     /// vote). Starts the doubt-window clock for the latency histogram.
     pub fn on_prepare(&mut self, txn: TxnId, gtid: u64) {
-        let seq = self.emit(Some(txn), None, EventKind::Prepare { gtid });
+        let seq = self.emit(Some(txn), None, Tally::Prepare, || EventKind::Prepare { gtid });
         self.prepare_seq.insert(gtid, seq);
     }
 
@@ -452,7 +479,7 @@ impl Tracer {
     /// Closes the doubt window: the prepare-to-decide histogram gets the
     /// logical ticks between the two journal appends.
     pub fn on_decide(&mut self, gtid: u64, commit: bool) {
-        let seq = self.emit(None, None, EventKind::Decide { gtid, commit });
+        let seq = self.emit(None, None, Tally::Decide, || EventKind::Decide { gtid, commit });
         if let Some(start) = self.prepare_seq.remove(&gtid) {
             self.prepare_to_decide.record(seq.saturating_sub(start));
         }
@@ -462,14 +489,14 @@ impl Tracer {
     /// for recoveries that find none only when callers choose to; the
     /// convention is to emit only for `count > 0`).
     pub fn on_in_doubt(&mut self, count: u64) {
-        self.emit(None, None, EventKind::InDoubt { count });
+        self.emit(None, None, Tally::InDoubt(count), || EventKind::InDoubt { count });
     }
 
     /// An in-doubt `gtid` was resolved post-recovery (`commit = false`
     /// covers presumed abort). The doubt window survived a crash, so no
     /// latency sample — process-local clocks don't span power cycles.
     pub fn on_resolved(&mut self, gtid: u64, commit: bool) {
-        self.emit(None, None, EventKind::Resolved { gtid, commit });
+        self.emit(None, None, Tally::Resolved, || EventKind::Resolved { gtid, commit });
         self.prepare_seq.remove(&gtid);
     }
 
@@ -480,7 +507,7 @@ impl Tracer {
     /// enforce nesting — a dropped token simply never records.
     pub fn span_begin(&mut self, phase: Phase) -> SpanToken {
         let start = self.wall_epoch.map(|_| Instant::now());
-        let mark = self.emit(None, None, EventKind::PhaseBegin { phase });
+        let mark = self.emit(None, None, Tally::Neutral, || EventKind::PhaseBegin { phase });
         SpanToken { phase, mark, start }
     }
 
@@ -495,7 +522,11 @@ impl Tracer {
         let elapsed = self.clock.saturating_sub(token.mark);
         let ticks = if token.phase.is_total() { elapsed } else { elapsed + 2 };
         let wall_ns = token.start.map(|s| s.elapsed().as_nanos() as u64).unwrap_or(0);
-        self.emit(None, None, EventKind::PhaseEnd { phase: token.phase, ticks, wall_ns });
+        self.emit(None, None, Tally::Neutral, || EventKind::PhaseEnd {
+            phase: token.phase,
+            ticks,
+            wall_ns,
+        });
         self.phases.record(token.phase, ticks, wall_ns);
     }
 
@@ -506,7 +537,11 @@ impl Tracer {
     /// deterministic runs record 0 regardless of what the caller measured.
     pub fn on_phase(&mut self, phase: Phase, units: u64, wall_ns: u64) {
         let wall_ns = if self.wall_epoch.is_some() { wall_ns } else { 0 };
-        self.emit(None, None, EventKind::PhaseEnd { phase, ticks: units, wall_ns });
+        self.emit(None, None, Tally::Neutral, || EventKind::PhaseEnd {
+            phase,
+            ticks: units,
+            wall_ns,
+        });
         self.phases.record(phase, units, wall_ns);
     }
 
@@ -696,12 +731,126 @@ mod tests {
         t.on_conflict_wound(T1);
         let cell = *t.conflict_matrix().iter().next().unwrap().1;
         assert_eq!((cell.hits, cell.wounds), (2, 1));
+    }
 
-        // Counters-only mode never touches the matrix (no allocation).
+    #[test]
+    fn counters_only_mode_renders_nothing() {
+        fn never<T>() -> T {
+            panic!("must not render in counters-only mode")
+        }
         let mut quiet = Tracer::new();
         quiet.set_record_events(false);
-        quiet.on_conflict(T0, || panic!("must not render in counters-only mode"));
-        assert!(quiet.conflict_matrix().is_empty());
+        quiet.on_conflict(T1, never);
+        quiet.on_block(T1, X, never);
+        quiet.on_op(T1, X, never); // an unblock and an op: two ticks
+        quiet.on_wound(T0, T1, never);
+        quiet.on_fault(Some(FaultCounter::SectorTear), never);
+        quiet.on_segment_scan(1, 2, 3, never);
+        quiet.on_degraded(true, never);
+        assert_eq!(quiet.clock(), 7);
+        let expected = SystemStats {
+            blocks: 1,
+            ops: 1,
+            sector_tears: 1,
+            mode_flips: 1,
+            degraded_entries: 1,
+            ..SystemStats::default()
+        };
+        assert_eq!(*quiet.stats(), expected);
+        assert_eq!((quiet.lock_wait().count(), quiet.scan_len().max()), (1, 3));
+        assert!(quiet.events().is_empty() && quiet.conflict_matrix().is_empty());
+    }
+
+    const _: () = assert!(std::mem::size_of::<Tally>() <= 16);
+
+    /// `absorb`'s table as it stood when it matched on the event itself,
+    /// one built event per `EventKind` variant (and per cause / counter).
+    #[test]
+    fn tally_of_a_built_event_counts_what_absorb_counted() {
+        let s = String::new;
+        let zero = SystemStats::default;
+        let mut table = vec![
+            (EventKind::Begin, SystemStats { begun: 1, ..zero() }),
+            (EventKind::Op { inv: s(), resp: s(), waited: 3 }, SystemStats { ops: 1, ..zero() }),
+            (
+                EventKind::Block { inv: s(), on: vec![T0], graph: vec![] },
+                SystemStats { blocks: 1, ..zero() },
+            ),
+            (EventKind::Unblock { waited: 3 }, zero()),
+            (EventKind::Wound { by: T0, graph: vec![] }, zero()),
+            (EventKind::Commit, SystemStats { committed: 1, ..zero() }),
+            (EventKind::ReplayFailure, SystemStats { replay_failures: 1, ..zero() }),
+            (EventKind::TornWrite { record: 2 }, SystemStats { torn_crashes: 1, ..zero() }),
+            (EventKind::Recovery { replayed: 2 }, SystemStats { crashes: 1, ..zero() }),
+            (EventKind::Fault { kind: s(), counter: None }, zero()),
+            (EventKind::SegmentScan { segments: 1, frames: 2, sectors: 3, damage: s() }, zero()),
+            (
+                EventKind::CorruptionDetected { kind: CorruptionKind::BitFlip, sector: 1 },
+                SystemStats { bitflips_detected: 1, ..zero() },
+            ),
+            (EventKind::CorruptionDetected { kind: CorruptionKind::TornTail, sector: 1 }, zero()),
+            (EventKind::CorruptionDetected { kind: CorruptionKind::Interior, sector: 1 }, zero()),
+            (
+                EventKind::Checkpoint { records: 4, truncated_segments: 1 },
+                SystemStats { checkpoints: 1, ..zero() },
+            ),
+            (EventKind::GroupFlush { batch: 4, micros: 9 }, zero()),
+            (
+                EventKind::IoRetry { attempts: 2, backoff: 6, ok: true },
+                SystemStats { io_retries: 1, ..zero() },
+            ),
+            (
+                EventKind::Degraded { entered: true, reason: s() },
+                SystemStats { mode_flips: 1, degraded_entries: 1, ..zero() },
+            ),
+            (
+                EventKind::Degraded { entered: false, reason: s() },
+                SystemStats { mode_flips: 1, degraded_exits: 1, ..zero() },
+            ),
+            (EventKind::Shed, SystemStats { sheds: 1, ..zero() }),
+            (EventKind::Stall { ticks: 5 }, SystemStats { stall_ticks: 5, ..zero() }),
+            (
+                EventKind::ConvergenceCheck { trials: 7, device_ops: 7 },
+                SystemStats { convergence_checks: 1, ..zero() },
+            ),
+            (EventKind::Prepare { gtid: 9 }, SystemStats { prepares: 1, ..zero() }),
+            (EventKind::Decide { gtid: 9, commit: true }, SystemStats { decides: 1, ..zero() }),
+            (EventKind::InDoubt { count: 3 }, SystemStats { in_doubt: 3, ..zero() }),
+            (EventKind::Resolved { gtid: 9, commit: false }, SystemStats { resolved: 1, ..zero() }),
+            (EventKind::PhaseBegin { phase: Phase::Validate }, zero()),
+            (EventKind::PhaseEnd { phase: Phase::Validate, ticks: 2, wall_ns: 0 }, zero()),
+        ];
+        let abort = |cause| EventKind::Abort { cause };
+        let aborted = || SystemStats { aborted: 1, ..zero() };
+        table.extend([
+            (abort(AbortCause::Requested), aborted()),
+            (abort(AbortCause::Deadlock), aborted()),
+            (abort(AbortCause::External), aborted()),
+            (abort(AbortCause::Validation), SystemStats { validation_aborts: 1, ..aborted() }),
+            (abort(AbortCause::Wounded), SystemStats { wounds: 1, ..aborted() }),
+            (abort(AbortCause::NoWaitConflict), SystemStats { conflict_aborts: 1, ..aborted() }),
+            (abort(AbortCause::Deadline), SystemStats { deadline_aborts: 1, ..aborted() }),
+        ]);
+        let fault = |c| EventKind::Fault { kind: s(), counter: Some(c) };
+        table.extend([
+            (fault(FaultCounter::ForcedAbort), SystemStats { forced_aborts: 1, ..zero() }),
+            (fault(FaultCounter::WoundStorm), SystemStats { wound_storms: 1, ..zero() }),
+            (fault(FaultCounter::DelayedCommit), SystemStats { delayed_commits: 1, ..zero() }),
+            (fault(FaultCounter::SectorTear), SystemStats { sector_tears: 1, ..zero() }),
+            (fault(FaultCounter::ReorderedFlush), SystemStats { reordered_flushes: 1, ..zero() }),
+            (fault(FaultCounter::TransientIo), SystemStats { transient_io_faults: 1, ..zero() }),
+            (fault(FaultCounter::DiskFull), SystemStats { disk_full_faults: 1, ..zero() }),
+            (fault(FaultCounter::SlowDevice), SystemStats { slow_device_faults: 1, ..zero() }),
+            (fault(FaultCounter::FsyncStall), SystemStats { fsync_stall_faults: 1, ..zero() }),
+        ]);
+        for (kind, expected) in table {
+            let mut counted = zero();
+            counted.count(kind.tally());
+            assert_eq!(counted, expected, "{kind:?}");
+            let mut absorbed = zero();
+            absorbed.absorb(&kind);
+            assert_eq!(absorbed, expected, "{kind:?}");
+        }
     }
 
     #[test]

@@ -363,7 +363,7 @@ impl<A: Adt, E: RecoveryEngine<A>, C: Conflict<A>> TxnSystem<A, E, C> {
         obj: ObjectId,
         inv: A::Invocation,
     ) -> Result<A::Response, TxnError> {
-        if self.take_wound(txn)? {
+        if self.take_wound(txn) {
             return Err(TxnError::Aborted(AbortReason::ConflictAbort));
         }
         if !self.is_active(txn) {
@@ -487,17 +487,17 @@ impl<A: Adt, E: RecoveryEngine<A>, C: Conflict<A>> TxnSystem<A, E, C> {
         self.waits.iter().map(|(w, hs)| (*w, hs.clone())).collect()
     }
 
-    /// If `txn` was wounded, consume the marker. Returns `Ok(true)` when the
+    /// If `txn` was wounded, consume the marker. Returns `true` when the
     /// caller should observe the abort.
-    fn take_wound(&mut self, txn: TxnId) -> Result<bool, TxnError> {
-        Ok(self.wounded.remove(&txn).is_some())
+    fn take_wound(&mut self, txn: TxnId) -> bool {
+        self.wounded.remove(&txn).is_some()
     }
 
     /// Commit `txn` at all objects it touched (atomic commitment: validate
     /// everywhere, then apply everywhere). On validation failure the
     /// transaction is aborted instead and `Aborted(Validation)` is returned.
     pub fn commit(&mut self, txn: TxnId) -> Result<(), TxnError> {
-        if self.take_wound(txn)? {
+        if self.take_wound(txn) {
             return Err(TxnError::Aborted(AbortReason::ConflictAbort));
         }
         if !self.is_active(txn) {
@@ -536,7 +536,7 @@ impl<A: Adt, E: RecoveryEngine<A>, C: Conflict<A>> TxnSystem<A, E, C> {
 
     /// Abort `txn` (application-requested).
     pub fn abort(&mut self, txn: TxnId) -> Result<(), TxnError> {
-        if self.take_wound(txn)? {
+        if self.take_wound(txn) {
             return Ok(()); // already aborted by the policy
         }
         if !self.is_active(txn) {

@@ -1,6 +1,6 @@
 //! The `SystemStats` counters are maintained incrementally by the tracer's
-//! `absorb` as events are emitted — and `ccr::obs::project` replays the same
-//! `absorb` over the recorded event stream. These tests pin the refactor's
+//! `count(tally)` as observations are made — and `ccr::obs::project` counts
+//! the tallies of the recorded event stream. These tests pin the refactor's
 //! core invariant: on every scenario (policies, engines, every fault kind,
 //! crash recovery) the projection of the recorded events equals the
 //! incrementally maintained counters, i.e. the counters really are a pure
@@ -13,15 +13,17 @@ use ccr::core::adt::Adt;
 use ccr::core::atomicity::SystemSpec;
 use ccr::core::conflict::FnConflict;
 use ccr::core::ids::ObjectId;
-use ccr::runtime::crash::DurableSystem;
+use ccr::obs::Tracer;
+use ccr::runtime::crash::{DurableSystem, TornPolicy};
 use ccr::runtime::engine::{DuEngine, RecoveryEngine, UipEngine};
 use ccr::runtime::fault::{FaultKind, FaultMix, FaultPlan, FaultSpec};
 use ccr::runtime::scheduler::{run, RunReport, SchedulerCfg};
 use ccr::runtime::script::{OpsScript, Script, Step};
+use ccr::runtime::shard::{ShardedSystem, TwoPcStep};
 use ccr::runtime::sim::{run_sim, SimCfg};
 use ccr::runtime::system::{ConflictPolicy, TxnSystem};
 use ccr::runtime::threaded::{run_threaded, run_threaded_durable, GroupCommitCfg, ThreadedCfg};
-use ccr::store::{WalBackend, WalConfig};
+use ccr::store::{LogBackend, WalBackend, WalConfig};
 use ccr::workload::gen::{banking, WorkloadCfg};
 
 include!("common/rendezvous.rs");
@@ -293,4 +295,139 @@ fn projection_matches_on_seeded_fault_plans() {
             .unwrap();
         assert_projection_matches(sys.system());
     }
+}
+
+/// A counters-only run (`set_record_events(false)`) is its recording twin
+/// minus the events: the same clock, counters, histograms and phase
+/// profiles, nothing recorded and nothing attributed. Recording decides
+/// only whether an observation's event is built, never what it counts.
+#[test]
+fn counters_only_run_equals_its_recording_twin() {
+    fn assert_twins(loud: &Tracer, quiet: &Tracer, what: &str) {
+        assert!(loud.record_events() && !quiet.record_events(), "{what}");
+        assert_eq!(loud.project_stats(), *loud.stats(), "{what}");
+        assert_eq!(loud.stats(), quiet.stats(), "{what}: counters");
+        assert_eq!(loud.clock(), quiet.clock(), "{what}: clock");
+        type Histogram = fn(&Tracer) -> &ccr::obs::LogHistogram;
+        let histograms: [(&str, Histogram); 11] = [
+            ("op_latency", Tracer::op_latency),
+            ("lock_wait", Tracer::lock_wait),
+            ("time_to_commit", Tracer::time_to_commit),
+            ("replay_len", Tracer::replay_len),
+            ("scan_len", Tracer::scan_len),
+            ("batch_size", Tracer::batch_size),
+            ("flush_latency", Tracer::flush_latency),
+            ("retry_backoff", Tracer::retry_backoff),
+            ("retry_jitter", Tracer::retry_jitter),
+            ("stall_latency", Tracer::stall_latency),
+            ("prepare_to_decide", Tracer::prepare_to_decide),
+        ];
+        for (name, of) in histograms {
+            assert_eq!(of(loud), of(quiet), "{what}: {name}");
+        }
+        assert_eq!(loud.phase_profiles(), quiet.phase_profiles(), "{what}: phases");
+        assert_eq!(loud.events().len() as u64, loud.clock(), "{what}: one event per tick");
+        assert!(quiet.events().is_empty(), "{what}: the quiet side records nothing");
+        assert!(quiet.conflict_matrix().is_empty(), "{what}: the matrix is recording-only");
+    }
+
+    fn scheduled<E: RecoveryEngine<BankAccount>>(
+        pairing: &str,
+        conflict: fn() -> FnConflict<BankAccount>,
+    ) {
+        for policy in [ConflictPolicy::Block, ConflictPolicy::WoundWait, ConflictPolicy::NoWait] {
+            let mut blocks = 0;
+            for seed in 0..20 {
+                let side = |record: bool| {
+                    let mut sys: TxnSystem<BankAccount, E, _> =
+                        TxnSystem::new(BankAccount::default(), 2, conflict()).with_policy(policy);
+                    sys.obs_mut().set_record_events(record);
+                    let shape = WorkloadCfg {
+                        txns: 12,
+                        ops_per_txn: 3,
+                        objects: 2,
+                        hot_fraction: 0.8,
+                        seed,
+                    };
+                    run(
+                        &mut sys,
+                        banking(&shape, 0.8),
+                        &SchedulerCfg { seed, ..Default::default() },
+                    );
+                    sys.take_obs()
+                };
+                let (loud, quiet) = (side(true), side(false));
+                assert_twins(&loud, &quiet, &format!("{pairing} {policy:?} seed {seed}"));
+                blocks += quiet.stats().blocks;
+            }
+            assert!(
+                blocks > 0 || policy == ConflictPolicy::NoWait,
+                "{pairing} {policy:?}: the twins must contend"
+            );
+        }
+    }
+    scheduled::<UipEngine<BankAccount>>("UIP+NRBC", bank_nrbc);
+    scheduled::<DuEngine<BankAccount>>("DU+NFC", bank_nfc);
+
+    type OnDisk = DurableSystem<
+        BankAccount,
+        UipEngine<BankAccount>,
+        FnConflict<BankAccount>,
+        WalBackend<BankAccount>,
+    >;
+    fn on_disk(record: bool) -> OnDisk {
+        let wal = WalBackend::new(WalConfig::default());
+        let mut sys = DurableSystem::with_backend(BankAccount::default(), 2, bank_nrbc(), wal);
+        sys.system_mut().obs_mut().set_record_events(record);
+        sys
+    }
+
+    // The durable path: checkpoint, group flush, an absorbed transient I/O
+    // burst, and a recovery that scans the log.
+    let durable = |record: bool| {
+        let mut sys = on_disk(record);
+        let deposit = |sys: &mut OnDisk, obj: u32| {
+            let t = sys.begin();
+            sys.invoke(t, ObjectId(obj), BankInv::Deposit(3)).unwrap();
+            t
+        };
+        let t = deposit(&mut sys, 0);
+        sys.commit(t).unwrap();
+        sys.checkpoint();
+        let batch = [deposit(&mut sys, 0), deposit(&mut sys, 1)];
+        assert!(sys.commit_group(&batch).iter().all(Result::is_ok));
+        assert!(sys.backend_mut().arm_transient_io(2));
+        let t = deposit(&mut sys, 1);
+        sys.commit(t).unwrap();
+        sys.crash_and_recover_with(TornPolicy::DiscardTail).unwrap();
+        sys.system_mut().take_obs()
+    };
+    let (loud, quiet) = (durable(true), durable(false));
+    assert_twins(&loud, &quiet, "durable");
+    let s = quiet.stats();
+    assert!(s.checkpoints == 1 && s.io_retries >= 1 && s.crashes == 1, "{s:?}");
+    assert_eq!((quiet.batch_size().count(), quiet.scan_len().count()), (1, 1));
+
+    // The 2PC path: a cross-shard commit, then one whose first participant
+    // dies in doubt and settles from the decision record.
+    let sharded = |record: bool| {
+        let mut fleet = ShardedSystem::new_with(2, |_| on_disk(record));
+        for step in [None, Some(TwoPcStep::ParticipantInDoubt)] {
+            let g = fleet.begin_global();
+            fleet.invoke_global(g, ObjectId(0), BankInv::Deposit(10)).unwrap();
+            fleet.invoke_global(g, ObjectId(1), BankInv::Deposit(20)).unwrap();
+            match step {
+                None => fleet.commit_global(g).unwrap(),
+                Some(step) => assert!(fleet.commit_global_with_crash(g, step).unwrap()),
+            }
+        }
+        [0, 1].map(|i| fleet.shard_mut(i).system_mut().take_obs())
+    };
+    let (loud, quiet) = (sharded(true), sharded(false));
+    for i in 0..2 {
+        assert_twins(&loud[i], &quiet[i], &format!("shard {i}"));
+    }
+    let s = quiet[0].stats();
+    assert!(s.prepares == 2 && s.decides == 2 && s.in_doubt == 1 && s.resolved == 1, "{s:?}");
+    assert_eq!(quiet[0].prepare_to_decide().count(), 1);
 }
