@@ -183,3 +183,19 @@ fn lost_decision_record_is_caught_as_a_global_split() {
     let line = reproducer(&cfg, &trace);
     assert!(line.contains("--shards 2"), "reproducer must pin the shard count: {line}");
 }
+
+/// The fifth accidental blind spot (ROADMAP item 13): a coordinator crash
+/// reissues the gtid of a transaction that left no durable trace, so a book
+/// keyed by gtid reads transaction 0's bit for transaction 1 and the eighth
+/// leg sees nothing — only durability behind it caught the split. Keyed by
+/// logical index the split is reported as what it is.
+#[test]
+fn a_reissued_gtid_split_is_a_global_split() {
+    let trace: McTrace = "b0 a0 z b1 p1 q1".parse().unwrap();
+    for backend in [McBackendKind::Mem, McBackendKind::Disk] {
+        let cfg =
+            McConfig { shards: 2, mutation: Some(Mutation::LoseDecision), ..base(backend, false) };
+        let violation = run_trace(cfg, &trace).expect("the split must be caught");
+        assert_eq!(violation.kind(), "global-split", "wrong leg fired on {backend}: {violation}");
+    }
+}
