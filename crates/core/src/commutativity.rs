@@ -240,41 +240,6 @@ fn prefix_reach_sets<A: EnumerableAdt>(adt: &A, cfg: &PrefixCfg) -> (Vec<PrefixP
     (out, closed)
 }
 
-/// Forward commutativity via the bounded-prefix engine (handles hidden
-/// non-determinism; exact iff the prefix space closes within the budget).
-pub fn commute_forward_bounded<A: EnumerableAdt>(
-    adt: &A,
-    p: &Op<A>,
-    q: &Op<A>,
-    cfg: &PrefixCfg,
-) -> FcVerdict<A> {
-    let (sets, closed) = prefix_reach_sets(adt, cfg);
-    let mut exact = closed;
-    for (r, prefix) in &sets {
-        if let Some(kind) = fc_at(adt, r, p, q, cfg.inclusion, &mut exact) {
-            return Err(FcFailure { prefix: prefix.clone(), kind });
-        }
-    }
-    Ok(Exactness { exact })
-}
-
-/// Right backward commutativity via the bounded-prefix engine.
-pub fn right_commutes_backward_bounded<A: EnumerableAdt>(
-    adt: &A,
-    p: &Op<A>,
-    q: &Op<A>,
-    cfg: &PrefixCfg,
-) -> RbcVerdict<A> {
-    let (sets, closed) = prefix_reach_sets(adt, cfg);
-    let mut exact = closed;
-    for (r, prefix) in &sets {
-        if let Some(continuation) = rbc_at(adt, r, p, q, cfg.inclusion, &mut exact) {
-            return Err(RbcFailure { prefix: prefix.clone(), continuation });
-        }
-    }
-    Ok(Exactness { exact })
-}
-
 /// The FC and RBC relations over a finite operation alphabet, as boolean
 /// matrices — the machine-checked analogue of the paper's Figures 6-1/6-2.
 pub struct CommutativityTable<A: Adt> {

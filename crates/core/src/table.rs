@@ -2,7 +2,6 @@
 //! Figures 6-1 and 6-2 (an `x` marks a pair that does *not* commute).
 
 use crate::adt::Adt;
-use crate::commutativity::CommutativityTable;
 use crate::conflict::{Conflict, TableConflict};
 
 /// Core matrix renderer: `labels` index both rows and columns; `holds[i][j]`
@@ -26,27 +25,6 @@ pub fn render_matrix(labels: &[String], holds: &[Vec<bool>], caption: &str) -> S
     }
     out.push_str(&format!("\n  x = {caption}\n"));
     out
-}
-
-/// Render the forward-commutativity matrix (Figure 6-1 style).
-pub fn render_fc<A: Adt>(t: &CommutativityTable<A>) -> String {
-    let labels: Vec<String> = t.ops.iter().map(|o| format!("{o:?}")).collect();
-    render_matrix(
-        &labels,
-        &t.fc,
-        "the operations for the given row and column do not commute forward",
-    )
-}
-
-/// Render the right-backward-commutativity matrix (Figure 6-2 style).
-pub fn render_rbc<A: Adt>(t: &CommutativityTable<A>) -> String {
-    let labels: Vec<String> = t.ops.iter().map(|o| format!("{o:?}")).collect();
-    render_matrix(
-        &labels,
-        &t.rbc,
-        "the operation for the given row does not right commute backward \
-         with the operation for the column",
-    )
 }
 
 /// Render a conflict relation over its alphabet: `x` marks a conflicting

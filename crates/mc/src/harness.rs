@@ -21,9 +21,8 @@ use ccr_core::ids::ObjectId;
 use ccr_runtime::crash::{DurableSystem, SystemMode, SystemSnapshot, TornPolicy};
 use ccr_runtime::engine::UipEngine;
 use ccr_runtime::fault::{crash_recover_interrupted, probe_recovery_ops};
-use ccr_store::{
-    replay_du, replay_uip, CommitRecord, LogBackend, MemBackend, TailPolicy, WalBackend, WalConfig,
-};
+use ccr_runtime::oracle::{views_agree, Ledger, LedgerViolation, Told};
+use ccr_store::{CommitRecord, LogBackend, MemBackend, TailPolicy, WalBackend, WalConfig};
 
 use crate::action::McAction;
 
@@ -383,6 +382,8 @@ pub struct Harness<B: McBackend> {
     cfg: McConfig,
     adt: BankAccount,
     sys: Sys<B>,
+    /// Transaction `i`'s one place is object `i mod objects`.
+    ledger: Ledger,
     book: Book,
 }
 
@@ -400,6 +401,7 @@ impl<B: McBackend> Harness<B> {
             cfg,
             adt,
             sys,
+            ledger: Ledger::new((0..cfg.txns).map(|i| vec![i % cfg.objects as usize]).collect()),
             book: Book {
                 phase: vec![Phase::Fresh; cfg.txns],
                 handles: vec![None; cfg.txns],
@@ -417,14 +419,6 @@ impl<B: McBackend> Harness<B> {
     /// The instance configuration.
     pub fn config(&self) -> &McConfig {
         &self.cfg
-    }
-
-    fn obj_of(&self, i: usize) -> ObjectId {
-        ObjectId(i as u32 % self.cfg.objects)
-    }
-
-    fn amount_of(i: usize) -> u64 {
-        1u64 << i
     }
 
     /// Snapshot system + bookkeeping.
@@ -549,8 +543,8 @@ impl<B: McBackend> Harness<B> {
             return Applied::Skip;
         }
         let t = self.sys.begin();
-        let obj = self.obj_of(i);
-        let inv = BankInv::Deposit(Self::amount_of(i));
+        let obj = ObjectId(self.ledger.places(i)[0] as u32);
+        let inv = BankInv::Deposit(Ledger::amount(i));
         match self.sys.invoke(t, obj, inv.clone()) {
             Ok(resp) => {
                 debug_assert_eq!(resp, BankResp::Ok);
@@ -726,34 +720,27 @@ impl<B: McBackend> Harness<B> {
                 detail: "system degraded after a fault-free recovery".to_string(),
             });
         }
-        // 1. Decode every object's recovered state and check membership.
+        // 1. The ledger: every recovered balance decodes to transactions
+        //    that may be there, every acknowledged one is, nothing else is.
         let states: Vec<u64> =
             (0..self.cfg.objects).map(|o| self.sys.committed_state(ObjectId(o))).collect();
-        for (o, &s) in states.iter().enumerate() {
-            let mask: u64 = (0..self.cfg.txns)
-                .filter(|&i| self.obj_of(i) == ObjectId(o as u32))
-                .map(Self::amount_of)
-                .sum();
-            if s & !mask != 0 {
-                return Some(McViolation::StrayState { object: o as u32, state: s });
-            }
-        }
-        let objects = self.cfg.objects as usize;
-        let present = move |i: usize, states: &[u64]| -> bool {
-            states[i % objects] & Self::amount_of(i) != 0
+        let told = |i: usize| match self.book.phase[i] {
+            Phase::Committed => Told::Visible,
+            Phase::Aborted | Phase::Lost | Phase::Fresh => Told::Invisible,
+            Phase::Active | Phase::Staged | Phase::Undecided => Told::Pending,
         };
-        for i in 0..self.cfg.txns {
-            let here = present(i, &states);
-            match self.book.phase[i] {
-                Phase::Committed if !here => {
-                    return Some(McViolation::DurabilityLost { txn: i });
+        if let Err(v) = self.ledger.check(told, &states) {
+            return Some(match v {
+                LedgerViolation::Stray { place, state } => {
+                    McViolation::StrayState { object: place as u32, state }
                 }
-                Phase::Aborted | Phase::Lost | Phase::Fresh if here => {
-                    return Some(McViolation::Resurrection { txn: i });
-                }
-                _ => {}
-            }
+                LedgerViolation::Lost { txn, .. } => McViolation::DurabilityLost { txn },
+                LedgerViolation::Resurrected { txn, .. } => McViolation::Resurrection { txn },
+                LedgerViolation::Split(_) => unreachable!("one place per transaction"),
+            });
         }
+        let present =
+            |i: usize, states: &[u64]| Ledger::visible(states, i, self.ledger.places(i)[0]);
         // 2. Torn-batch survivors must be a prefix of the batch.
         if !undecided.is_empty() {
             let survived: Vec<usize> =
@@ -808,9 +795,9 @@ impl<B: McBackend> Harness<B> {
         verdict
     }
 
-    /// Fold the durable log both ways (UIP execution order, DU commit
-    /// order) and require both folds to exist, agree, and match the
-    /// system's served states.
+    /// Recover a clone of the durable image and ask [`views_agree`] about
+    /// what it holds: both folds exist, agree, and are what the system
+    /// serves.
     fn check_views(&mut self, states: &[u64]) -> Option<McViolation> {
         let mut probe = self.sys.backend().clone();
         probe.crash();
@@ -825,32 +812,11 @@ impl<B: McBackend> Harness<B> {
         let mut base: BTreeMap<ObjectId, u64> =
             (0..self.cfg.objects).map(|o| (ObjectId(o), 0u64)).collect();
         if let Some(cp) = &log.checkpoint {
-            for (obj, s) in &cp.states {
-                base.insert(*obj, *s);
-            }
+            base.extend(cp.states.iter().copied());
         }
-        let uip = replay_uip(&self.adt, &base, &log.records);
-        let du = replay_du(&self.adt, &base, &log.records);
-        let (uip, du) = match (uip, du) {
-            (Some(u), Some(d)) => (u, d),
-            (u, d) => {
-                return Some(McViolation::ViewDivergence {
-                    detail: format!("replay fold failed: uip={} du={}", u.is_some(), d.is_some()),
-                });
-            }
-        };
-        if uip != du {
-            return Some(McViolation::ViewDivergence { detail: format!("uip={uip:?} du={du:?}") });
-        }
-        for (o, &s) in states.iter().enumerate() {
-            let folded = uip.get(&ObjectId(o as u32)).copied().unwrap_or(0);
-            if folded != s {
-                return Some(McViolation::ViewDivergence {
-                    detail: format!("object {o}: system serves {s:#x}, folds give {folded:#x}"),
-                });
-            }
-        }
-        None
+        views_agree(&self.adt, &base, &log.records, |obj| states[obj.0 as usize])
+            .err()
+            .map(|f| McViolation::ViewDivergence { detail: f.to_string() })
     }
 
     /// Whether every transaction reached a terminal phase and nothing is

@@ -6,9 +6,8 @@
 //! shard (object `s` lives on shard `s`), and logical transaction `i`
 //! deposits `1 << i` on *every* shard's object. Each shard's committed
 //! balance is then a bit-set of exactly which global transactions committed
-//! *there* — so the eighth oracle leg (global dynamic atomicity, via the
-//! runtime's own [`check_uniform_outcome`]) is an exact bit comparison
-//! across shards, not a heuristic.
+//! *there* — so the eighth oracle leg (global dynamic atomicity, asked of
+//! the runtime's own [`Ledger`]) is an exact bit comparison, not a heuristic.
 //!
 //! Doubt is settled the way the protocol settles it: a recovered in-doubt
 //! participant stays in doubt while its coordinator is alive and still
@@ -27,7 +26,8 @@ use ccr_core::conflict::FnConflict;
 use ccr_core::ids::ObjectId;
 use ccr_runtime::crash::{DurableSystem, SystemMode};
 use ccr_runtime::engine::UipEngine;
-use ccr_runtime::shard::{check_uniform_outcome, ShardedSnapshot, ShardedSystem};
+use ccr_runtime::oracle::{Ledger, LedgerViolation, Told};
+use ccr_runtime::shard::{ShardedSnapshot, ShardedSystem};
 
 use crate::action::McAction;
 use crate::harness::{Applied, McBackend, McConfig, McViolation, Mutation};
@@ -76,6 +76,9 @@ pub struct ShardHarnessSnapshot<B: McBackend> {
 pub struct ShardHarness<B: McBackend> {
     cfg: McConfig,
     sys: Fleet<B>,
+    /// Place `s * shards + o` is object `o` as shard `s` holds it; every
+    /// transaction's places are the home objects, `s * shards + s`.
+    ledger: Ledger,
     book: ShardBook,
 }
 
@@ -94,9 +97,11 @@ impl<B: McBackend> ShardHarness<B> {
                 B::fresh(),
             )
         });
+        let homes: Vec<usize> = (0..nshards).map(|s| s * nshards + s).collect();
         ShardHarness {
             cfg,
             sys,
+            ledger: Ledger::new(vec![homes; cfg.txns]),
             book: ShardBook {
                 phase: vec![GPhase::Fresh; cfg.txns],
                 gtids: vec![None; cfg.txns],
@@ -109,10 +114,6 @@ impl<B: McBackend> ShardHarness<B> {
     /// The instance configuration.
     pub fn config(&self) -> &McConfig {
         &self.cfg
-    }
-
-    fn amount_of(i: usize) -> u64 {
-        1u64 << i
     }
 
     fn gtid_of(&self, i: usize) -> u64 {
@@ -235,7 +236,7 @@ impl<B: McBackend> ShardHarness<B> {
         }
         let gtid = self.sys.begin_global();
         for s in 0..self.cfg.shards {
-            let inv = BankInv::Deposit(Self::amount_of(i));
+            let inv = BankInv::Deposit(Ledger::amount(i));
             match self.sys.invoke_global(gtid, ObjectId(s as u32), inv) {
                 Ok(resp) => debug_assert_eq!(resp, BankResp::Ok),
                 Err(e) => {
@@ -285,14 +286,12 @@ impl<B: McBackend> ShardHarness<B> {
         }
         let gtid = self.gtid_of(i);
         if self.cfg.mutation == Some(Mutation::LoseDecision) && !self.book.mutated {
-            // Sabotage: the decision record evaporates, one participant is
-            // told to commit on the coordinator's volatile word, and the
-            // coordinator dies before reaching the rest — settlement then
-            // presumes abort on the stragglers. The textbook mixed outcome.
+            // Sabotage: the decision record never lands (no
+            // `decide_commit`), one participant is told to commit on the
+            // coordinator's volatile word, and the coordinator dies before
+            // reaching the rest — settlement then presumes abort on the
+            // stragglers. The textbook mixed outcome.
             self.book.mutated = true;
-            self.sys.coordinator_mut().arm_lose_decision();
-            let lost = !self.sys.decide_commit(gtid);
-            debug_assert!(lost, "the armed decision record must be lost");
             let first = self.sys.participants(gtid)[0];
             let _ = self.sys.resolve_participant(gtid, first, true);
             self.book.phase[i] = GPhase::Committed;
@@ -366,81 +365,36 @@ impl<B: McBackend> ShardHarness<B> {
         Applied::Ok
     }
 
-    /// The global invariant battery, run after every effective action.
+    /// The global invariant battery, run after every effective action: the
+    /// ledger over every object of every shard (foreign objects never
+    /// receive deposits — routing owns placement). Transactions still in
+    /// doubt somewhere are pending — their visibility is legitimately
+    /// nowhere yet — and are re-checked once settled.
     fn check(&mut self) -> Option<McViolation> {
         let n = self.cfg.shards;
-        // 1. Per-shard decodability: the home object's balance is a bit-set
-        //    of assigned transactions; foreign objects never receive
-        //    deposits (routing owns placement).
-        let mask: u64 = (0..self.cfg.txns).map(Self::amount_of).sum();
-        let mut visible = vec![0u64; n];
-        for (s, vis) in visible.iter_mut().enumerate() {
-            for o in 0..n as u32 {
-                let state = self.sys.shard_mut(s).committed_state(ObjectId(o));
-                if o as usize == s {
-                    *vis = state;
-                    if state & !mask != 0 {
-                        return Some(McViolation::StrayState { object: o, state });
-                    }
-                } else if state != 0 {
-                    return Some(McViolation::StrayState { object: o, state });
-                }
-            }
-        }
-        // 2. The eighth oracle leg: uniform outcome across participants for
-        //    every settled global transaction. Transactions still in doubt
-        //    somewhere are pending — their visibility is legitimately
-        //    nowhere yet — and are re-checked once settled.
-        let pending = self.sys.in_doubt();
-        let gtids: Vec<(u64, Vec<usize>)> = (0..self.cfg.txns)
-            .filter_map(|i| self.book.gtids[i].map(|g| (g, (0..n).collect())))
-            .filter(|(g, _)| !pending.contains(g))
+        let states: Vec<u64> = (0..n * n)
+            .map(|p| self.sys.shard_mut(p / n).committed_state(ObjectId((p % n) as u32)))
             .collect();
-        if let Err(v) = check_uniform_outcome(&gtids, |gtid, s| {
-            let i = self
-                .book
-                .gtids
-                .iter()
-                .position(|g| *g == Some(gtid))
-                .expect("checked gtids come from the book");
-            visible[s] & Self::amount_of(i) != 0
-        }) {
-            let i = self
-                .book
-                .gtids
-                .iter()
-                .position(|g| *g == Some(v.gtid))
-                .expect("violating gtid comes from the book");
-            return Some(McViolation::GlobalSplit {
-                txn: i,
-                committed_on: v.committed_on,
-                aborted_on: v.aborted_on,
-            });
-        }
-        // 3. Durability and no-resurrection, per shard.
-        for i in 0..self.cfg.txns {
-            if self.book.gtids[i].is_some_and(|g| pending.contains(&g)) {
-                continue;
+        let pending = self.sys.in_doubt();
+        let told = |i: usize| match self.book.phase[i] {
+            _ if self.book.gtids[i].is_some_and(|g| pending.contains(&g)) => Told::Pending,
+            GPhase::Committed => Told::Visible,
+            GPhase::Fresh | GPhase::Active | GPhase::Prepared | GPhase::Aborted | GPhase::Lost => {
+                Told::Invisible
             }
-            let everywhere = (0..n).all(|s| visible[s] & Self::amount_of(i) != 0);
-            let anywhere = (0..n).any(|s| visible[s] & Self::amount_of(i) != 0);
-            match self.book.phase[i] {
-                GPhase::Committed if !everywhere => {
-                    return Some(McViolation::DurabilityLost { txn: i });
-                }
-                GPhase::Fresh
-                | GPhase::Active
-                | GPhase::Prepared
-                | GPhase::Aborted
-                | GPhase::Lost
-                    if anywhere =>
-                {
-                    return Some(McViolation::Resurrection { txn: i });
-                }
-                _ => {}
+        };
+        self.ledger.check(told, &states).err().map(|v| match v {
+            LedgerViolation::Stray { place, state } => {
+                McViolation::StrayState { object: (place % n) as u32, state }
             }
-        }
-        None
+            LedgerViolation::Split(v) => McViolation::GlobalSplit {
+                txn: v.gtid as usize,
+                committed_on: v.committed_on.iter().map(|p| p / n).collect(),
+                aborted_on: v.aborted_on.iter().map(|p| p / n).collect(),
+            },
+            LedgerViolation::Lost { txn, .. } => McViolation::DurabilityLost { txn },
+            LedgerViolation::Resurrected { txn, .. } => McViolation::Resurrection { txn },
+        })
     }
 
     /// Whether every transaction reached a terminal phase — the explorer's

@@ -235,24 +235,6 @@ impl Tracer {
         &self.conflicts
     }
 
-    /// Merge another tracer's histograms into this one (order-independent —
-    /// see [`LogHistogram::merge`]). For combining per-worker metrics.
-    pub fn merge_histograms(&mut self, other: &Tracer) {
-        self.op_latency.merge(&other.op_latency);
-        self.lock_wait.merge(&other.lock_wait);
-        self.time_to_commit.merge(&other.time_to_commit);
-        self.replay_len.merge(&other.replay_len);
-        self.scan_len.merge(&other.scan_len);
-        self.batch_size.merge(&other.batch_size);
-        self.flush_latency.merge(&other.flush_latency);
-        self.retry_backoff.merge(&other.retry_backoff);
-        self.retry_jitter.merge(&other.retry_jitter);
-        self.stall_latency.merge(&other.stall_latency);
-        self.prepare_to_decide.merge(&other.prepare_to_decide);
-        self.phases.merge(&other.phases);
-        self.conflicts.merge(&other.conflicts);
-    }
-
     /// One observation: tick, count `tally`, and build the event only for
     /// a recording run (where its own tally must be the one just counted).
     fn emit(

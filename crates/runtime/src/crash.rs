@@ -33,13 +33,13 @@
 
 use std::collections::BTreeMap;
 
-use ccr_core::adt::{Adt, Op};
+use ccr_core::adt::Adt;
 use ccr_core::conflict::Conflict;
 use ccr_core::ids::{ObjectId, TxnId};
 use ccr_obs::{CorruptionKind, Phase, SpanToken, Tracer};
 use ccr_store::{
     CheckpointImage, CommitRecord, Detection, DiskError, LogBackend, MemBackend, ScanReport,
-    StoreFailureKind, StoreStats, TailPolicy,
+    SimDisk, StoreFailureKind, StoreStats,
 };
 
 use crate::engine::RecoveryEngine;
@@ -93,12 +93,6 @@ impl<A: Adt> Journal<A> {
     /// The post-checkpoint commit records, in commit order.
     pub fn records(&self) -> &[CommitRecord<A>] {
         &self.records
-    }
-
-    /// The operations of each post-checkpoint record, in commit order — the
-    /// input to the simulator's shadow-replay oracle.
-    pub fn record_ops(&self) -> impl Iterator<Item = &[(u64, ObjectId, Op<A>)]> {
-        self.records.iter().map(|r| r.ops.as_slice())
     }
 }
 
@@ -164,28 +158,19 @@ pub enum SystemMode {
     Degraded,
 }
 
-/// How recovery treats a damaged log tail.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum TornPolicy {
-    /// Refuse to recover: surface [`RedoError::TornRecord`]. The default —
-    /// a torn record must never be replayed as if complete.
-    #[default]
-    Strict,
-    /// Discard the torn record and everything after it (the transaction's
-    /// commit never fully reached stable storage, so dropping it is
-    /// equivalent to the transaction having aborted), then recover. Interior
-    /// corruption is still refused.
-    DiscardTail,
-}
+/// How recovery treats a damaged log tail: the store's policy, under the
+/// name the runtime's callers know. `Strict` (the default) refuses and
+/// surfaces [`RedoError::TornRecord`] — a torn record must never be
+/// replayed as if complete; `DiscardTail` drops the torn record and
+/// everything after it (the commit never fully reached stable storage, so
+/// dropping it is equivalent to the transaction having aborted). Interior
+/// corruption is refused either way.
+pub use ccr_store::TailPolicy as TornPolicy;
 
-impl TornPolicy {
-    fn tail(self) -> TailPolicy {
-        match self {
-            TornPolicy::Strict => TailPolicy::Strict,
-            TornPolicy::DiscardTail => TailPolicy::DiscardTail,
-        }
-    }
-}
+/// Consecutive over-threshold stall samples before the health detector
+/// degrades the system. The hysteresis: one slow flush never flips the mode;
+/// sustained latency does.
+const STALL_STRIKES: u32 = 2;
 
 /// The durable writes, as the tracer names them when one fails.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -273,10 +258,6 @@ where
     /// Stall-detector threshold: a commit attempt whose device-stall delta
     /// reaches this many ticks counts as one strike. 0 = detector off.
     stall_threshold: u64,
-    /// Strikes (consecutive over-threshold samples) before the detector
-    /// degrades the system. The hysteresis: one slow flush never flips the
-    /// mode; sustained latency does.
-    stall_strikes: u32,
     /// Consecutive over-threshold samples seen so far.
     stall_streak: u32,
     /// The backend's cumulative stall-tick figure at the last sample, so
@@ -322,7 +303,6 @@ where
             mode: SystemMode::Normal,
             max_staged: 0,
             stall_threshold: 0,
-            stall_strikes: 2,
             stall_streak: 0,
             seen_stall_ticks: 0,
         };
@@ -607,7 +587,7 @@ where
     ///
     /// This is also the exit from [`SystemMode::Degraded`]: a checkpoint
     /// that reaches stable storage is durable proof the healed device
-    /// (`LogBackend::heal_device`) accepts writes again, so the system
+    /// (`SimDisk::heal`) accepts writes again, so the system
     /// returns to [`SystemMode::Normal`]. A checkpoint the device refuses
     /// (returning 0) enters — or stays in — degraded mode; the journal
     /// mirror then keeps the old base, and whichever image is durably
@@ -669,7 +649,7 @@ where
 
     /// Re-run recovery against the *current* durable image, without crashing
     /// again. This is the retry path after a failed scan whose cause was
-    /// repaired in place (e.g. `LogBackend::repair_flips`): a fresh crash
+    /// repaired in place (e.g. `SimDisk::unflip_all`): a fresh crash
     /// would wipe the backend's volatile detection counters, so the repair
     /// flow must not take one.
     pub fn recover_with(&mut self, policy: TornPolicy) -> Result<(), RedoError> {
@@ -682,7 +662,7 @@ where
         let mut attempt_ops;
         let recovered = loop {
             let ops0 = self.backend.device_op_count();
-            let attempt = self.backend.recover(policy.tail());
+            let attempt = self.backend.recover(policy);
             self.drain_retry_events();
             attempt_ops = self.backend.device_op_count() - ops0;
             let fail = match attempt {
@@ -756,7 +736,7 @@ where
         // reached stable storage): leave degraded mode. The stall sampler
         // re-anchors on the recovered device — recovery's own ticks are not
         // charged to the next commit.
-        self.seen_stall_ticks = self.backend.stall_ticks();
+        self.seen_stall_ticks = self.stall_ticks();
         self.stall_streak = 0;
         if self.mode == SystemMode::Degraded {
             self.mode = SystemMode::Normal;
@@ -850,20 +830,21 @@ where
         self.max_staged = max_staged;
     }
 
-    /// The current group-commit admission bound (0 = unbounded).
-    pub fn admission_bound(&self) -> usize {
-        self.max_staged
-    }
-
     /// Arm the gray-failure health detector: a commit attempt whose
     /// device-stall delta reaches `threshold` ticks counts as one strike;
-    /// `strikes` *consecutive* over-threshold attempts degrade the system
+    /// two *consecutive* over-threshold attempts degrade the system
     /// (read-only until the device is healed and a checkpoint or recovery
-    /// proves it writable). `threshold == 0` disables the detector; stall
-    /// deltas are still observed and counted.
-    pub fn set_stall_detector(&mut self, threshold: u64, strikes: u32) {
+    /// proves it writable). `threshold == 0` disables the
+    /// detector; stall deltas are still observed and counted.
+    pub fn set_stall_detector(&mut self, threshold: u64) {
         self.stall_threshold = threshold;
-        self.stall_strikes = strikes.max(1);
+    }
+
+    /// The latency surplus the device's gray channels have charged so far (0
+    /// without a device): the detector watches its delta across commits to
+    /// tell a busy device from a lying one.
+    fn stall_ticks(&self) -> u64 {
+        self.backend.device().map_or(0, SimDisk::stall_ticks)
     }
 
     /// Sample the backend's cumulative stall-tick counter, emit the delta as
@@ -871,7 +852,7 @@ where
     /// hysteresis detector. Called after every durable append that
     /// succeeded; a zero delta is a healthy sample and resets the streak.
     fn observe_stalls(&mut self) {
-        let now = self.backend.stall_ticks();
+        let now = self.stall_ticks();
         let delta = now.saturating_sub(self.seen_stall_ticks);
         self.seen_stall_ticks = now;
         if delta > 0 {
@@ -882,11 +863,10 @@ where
         }
         if delta >= self.stall_threshold {
             self.stall_streak += 1;
-            if self.stall_streak >= self.stall_strikes && self.mode == SystemMode::Normal {
+            if self.stall_streak >= STALL_STRIKES && self.mode == SystemMode::Normal {
                 self.stall_streak = 0;
                 self.enter_degraded(format!(
-                    "sustained device latency: {delta} stall ticks on the last of {} strikes",
-                    self.stall_strikes
+                    "sustained device latency: {delta} stall ticks on the last of {STALL_STRIKES} strikes"
                 ));
             }
         } else {
@@ -1069,7 +1049,7 @@ where
         // Re-anchor the stall sampler on the restored backend so the next
         // observation charges only post-restore deltas; the strike streak
         // does not survive a rewind.
-        self.seen_stall_ticks = self.backend.stall_ticks();
+        self.seen_stall_ticks = self.stall_ticks();
         self.stall_streak = 0;
     }
 }
@@ -1100,7 +1080,7 @@ mod tests {
     use super::*;
     use crate::engine::UipEngine;
     use ccr_adt::bank::{bank_nrbc, BankAccount, BankInv};
-    use ccr_store::{RetryPolicy, WalBackend, WalConfig};
+    use ccr_store::{WalBackend, WalConfig};
 
     const X: ObjectId = ObjectId::SOLE;
 
@@ -1296,7 +1276,7 @@ mod tests {
             sys.invoke(t, X, BankInv::Deposit(i)).unwrap();
             sys.commit(t).unwrap();
         }
-        assert!(sys.backend_mut().flip_bit(700));
+        assert!(sys.backend_mut().disk_mut().flip_bit(700));
         let err = sys.crash_and_recover().unwrap_err();
         assert!(
             matches!(err, RedoError::CorruptRecord { .. } | RedoError::TornRecord { .. }),
@@ -1305,7 +1285,7 @@ mod tests {
         // The medium is repaired; the retry must NOT crash again (that would
         // wipe the backend's volatile detection counters before they are
         // persisted by the successful recovery).
-        assert_eq!(sys.backend_mut().repair_flips(), 1);
+        assert_eq!(sys.backend_mut().disk_mut().unflip_all(), 1);
         sys.recover_with(TornPolicy::Strict).unwrap();
         assert_eq!(sys.committed_state(X), 3);
         let stats = sys.store_stats();
@@ -1380,7 +1360,7 @@ mod tests {
         sys.invoke(t, X, BankInv::Deposit(10)).unwrap();
         sys.commit(t).unwrap();
 
-        assert!(sys.backend_mut().set_device_full(true));
+        sys.backend_mut().disk_mut().set_full(true);
         let u = sys.begin();
         sys.invoke(u, X, BankInv::Deposit(5)).unwrap();
         assert_eq!(sys.commit(u), Err(TxnError::ReadOnly));
@@ -1395,7 +1375,7 @@ mod tests {
         assert_eq!(sys.commit(r), Err(TxnError::ReadOnly));
         // ...and healing alone is not enough: the checkpoint must prove the
         // device writable again.
-        assert!(sys.backend_mut().heal_device());
+        sys.backend_mut().disk_mut().heal();
         assert!(sys.is_degraded());
         sys.checkpoint();
         assert!(!sys.is_degraded());
@@ -1413,7 +1393,7 @@ mod tests {
     #[test]
     fn transient_io_errors_are_absorbed_by_retries() {
         let mut sys = disk_sys(1);
-        assert!(sys.backend_mut().arm_transient_io(2));
+        sys.backend_mut().disk_mut().arm_transient_errors(2);
         let t = sys.begin();
         sys.invoke(t, X, BankInv::Deposit(3)).unwrap();
         sys.commit(t).unwrap();
@@ -1426,19 +1406,18 @@ mod tests {
     #[test]
     fn exhausted_retries_degrade_and_recovery_restores_writes() {
         let mut sys = disk_sys(1);
-        sys.backend_mut().set_retry_policy(RetryPolicy { attempts: 2, ..RetryPolicy::default() });
         let t = sys.begin();
         sys.invoke(t, X, BankInv::Deposit(4)).unwrap();
         sys.commit(t).unwrap();
         // A transient budget at the attempt cap exhausts the retries.
-        assert!(sys.backend_mut().arm_transient_io(64));
+        sys.backend_mut().disk_mut().arm_transient_errors(64);
         let u = sys.begin();
         sys.invoke(u, X, BankInv::Deposit(1)).unwrap();
         assert_eq!(sys.commit(u), Err(TxnError::ReadOnly));
         assert!(sys.is_degraded());
         assert_eq!(sys.committed_state(X), 4, "the rolled-back append left nothing durable");
         // Recovery on the healed device is the other exit from degraded mode.
-        assert!(sys.backend_mut().heal_device());
+        sys.backend_mut().disk_mut().heal();
         sys.crash_and_recover().unwrap();
         assert!(!sys.is_degraded());
         let v = sys.begin();
@@ -1477,7 +1456,7 @@ mod tests {
         let t = sys.begin();
         sys.invoke(t, X, BankInv::Deposit(8)).unwrap();
         sys.commit(t).unwrap();
-        assert!(sys.backend_mut().set_device_full(true));
+        sys.backend_mut().disk_mut().set_full(true);
         let txns: Vec<TxnId> = (0..3)
             .map(|i| {
                 let u = sys.begin();
@@ -1524,7 +1503,7 @@ mod tests {
     #[test]
     fn sustained_stalls_degrade_then_heal_via_checkpoint() {
         let mut sys = disk_sys(1);
-        sys.set_stall_detector(1, 2);
+        sys.set_stall_detector(1);
         let t = sys.begin();
         sys.invoke(t, X, BankInv::Deposit(5)).unwrap();
         sys.commit(t).unwrap();
@@ -1532,7 +1511,7 @@ mod tests {
         // A gray device: every flush from now on stalls. The first stalled
         // commit is one strike (still acknowledged and durable); the second
         // consecutive strike trips the detector *after* acknowledging.
-        assert!(sys.backend_mut().arm_fsync_stall(100, 8));
+        sys.backend_mut().disk_mut().arm_fsync_stall(100, 8);
         let u = sys.begin();
         sys.invoke(u, X, BankInv::Deposit(1)).unwrap();
         sys.commit(u).unwrap();
@@ -1548,7 +1527,7 @@ mod tests {
         assert_eq!(sys.commit(w), Err(TxnError::ReadOnly));
         // Healing clears the armed stall channel; the checkpoint proves the
         // device writable again and exits degraded mode.
-        assert!(sys.backend_mut().heal_device());
+        sys.backend_mut().disk_mut().heal();
         sys.checkpoint();
         assert!(!sys.is_degraded());
         let x2 = sys.begin();
@@ -1702,7 +1681,7 @@ mod tests {
         sys.commit(a).unwrap();
         let t = sys.begin();
         sys.invoke(t, X, BankInv::Deposit(10)).unwrap();
-        assert!(sys.backend_mut().arm_crash_at_op(0));
+        sys.backend_mut().disk_mut().arm_crash_at_op(0);
         // The device loses power on the prepare's first checked op: the
         // participant recovers on the spot and reports no-vote.
         assert!(matches!(sys.prepare(t, 5), Err(TxnError::NotActive(_))));
@@ -1760,7 +1739,7 @@ mod tests {
             serves_as_configured(&mut sys, policy);
 
             // Degrading rebuilds from the journal mirror instead of the log.
-            assert!(sys.backend_mut().set_device_full(true));
+            sys.backend_mut().disk_mut().set_full(true);
             let u = sys.begin();
             sys.invoke(u, X, BankInv::Deposit(5)).unwrap();
             assert_eq!(sys.commit(u), Err(TxnError::ReadOnly));
@@ -1797,7 +1776,7 @@ mod tests {
             (sys, u)
         };
         let (mut degraded, u) = pre_failure();
-        assert!(degraded.backend_mut().set_device_full(true));
+        degraded.backend_mut().disk_mut().set_full(true);
         assert_eq!(degraded.commit(u), Err(TxnError::ReadOnly));
         assert!(degraded.is_degraded());
         let (mut recovered, _) = pre_failure();
@@ -1900,16 +1879,16 @@ mod tests {
     fn failed_write_row(case: Case, fault: Fault) -> String {
         let y = ObjectId(1);
         let (mut sys, run) = staged(case);
-        let armed = match fault {
-            Fault::Transient => sys.backend_mut().arm_transient_io(64),
-            Fault::Full => sys.backend_mut().set_device_full(true),
-            Fault::CrashAt(k) => sys.backend_mut().arm_crash_at_op(k),
-        };
-        assert!(armed, "the WAL backend has a device to fault");
+        let disk = sys.backend_mut().disk_mut();
+        match fault {
+            Fault::Transient => disk.arm_transient_errors(64),
+            Fault::Full => disk.set_full(true),
+            Fault::CrashAt(k) => disk.arm_crash_at_op(k),
+        }
         let returned = run(&mut sys);
         let (mode, doubt) = (sys.mode(), sys.in_doubt());
         let st = sys.stats().clone();
-        sys.backend_mut().heal_device();
+        sys.backend_mut().disk_mut().heal();
         sys.crash_and_recover_with(TornPolicy::DiscardTail).unwrap();
         format!(
             "{case:?}/{fault:?}: {returned} mode={mode:?} doubt={doubt:?} io_retries={} \

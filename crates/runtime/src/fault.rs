@@ -414,7 +414,8 @@ where
     sys.backend_mut().crash();
     // Arm *after* the crash: crashing clears armed triggers (power-on
     // resets the device), so the order matters.
-    let armed = sys.backend_mut().arm_crash_at_op(at_op);
+    let device = sys.backend_mut().device_mut();
+    let armed = device.map(|disk| disk.arm_crash_at_op(at_op)).is_some();
     sys.recover_with(policy).map(|()| armed)
 }
 

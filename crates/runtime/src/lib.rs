@@ -31,7 +31,10 @@
 //!   plans (crashes, torn writes, forced aborts, delayed commits, wound
 //!   storms, sector tears, flush reordering, bit flips) driven through a
 //!   [`crash::DurableSystem`] with an atomicity / equieffectivity /
-//!   recovery-view oracle after every fault.
+//!   recovery-view oracle after every fault;
+//! * [`oracle`] — the legs more than one harness asks about, written once:
+//!   the bit-set [`oracle::Ledger`] (stray, uniform outcome, durability,
+//!   resurrection) and [`oracle::views_agree`].
 //!
 //! Every layer reports through the `ccr-obs` tracer embedded in the system
 //! ([`system::TxnSystem::obs`]): structured events on a deterministic
@@ -55,6 +58,7 @@ pub mod error;
 pub mod escrow;
 pub mod fault;
 pub mod optimistic;
+pub mod oracle;
 pub mod scheduler;
 pub mod script;
 pub mod shard;
@@ -66,8 +70,6 @@ mod writeahead;
 pub use crash::{DurableSystem, Journal, RedoError, SystemMode, SystemSnapshot, TornPolicy};
 pub use engine::{DuEngine, RecoveryEngine, UipEngine, UipInverseEngine};
 pub use error::{AbortReason, RecoveryError, TxnError};
-pub use shard::{
-    check_uniform_outcome, CoordinatorLog, GlobalAtomicityViolation, ShardedSnapshot,
-    ShardedSystem, TwoPcStep,
-};
+pub use oracle::{check_uniform_outcome, GlobalAtomicityViolation};
+pub use shard::{CoordinatorLog, ShardedSnapshot, ShardedSystem, TwoPcStep};
 pub use system::{ConflictPolicy, SystemStats, TxnSystem};

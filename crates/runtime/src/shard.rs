@@ -29,13 +29,11 @@
 //! its own prepares ([`TxnError::ReadOnly`] — a no-vote) but is never
 //! consulted for transactions that do not touch it.
 //!
-//! The global dynamic-atomicity oracle leg ([`check_uniform_outcome`])
-//! demands the outcome of every global transaction be *uniform* across its
-//! participants — no subset crash, coordinator crash, or crash at any 2PC
-//! step may commit a transaction on one shard and abort it on another. The
-//! [`CoordinatorLog::arm_lose_decision`] sabotage (the decision record
-//! evaporates after participants were told to commit) is the negative
-//! control: it manufactures exactly the mixed outcome the leg must catch.
+//! No subset crash, coordinator crash, or crash at any 2PC step may commit a
+//! transaction on one shard and abort it on another: the oracle's eighth leg
+//! ([`crate::oracle`]). Its negative control is a driver that tells a
+//! participant to commit *without* [`ShardedSystem::decide_commit`] first —
+//! the decision record that never landed.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -55,22 +53,12 @@ use crate::fault::crash_recover_interrupted;
 #[derive(Clone, Debug, Default)]
 pub struct CoordinatorLog {
     durable: BTreeSet<u64>,
-    lose_next: bool,
-    lost: u64,
 }
 
 impl CoordinatorLog {
-    /// Durably record a commit decision. Returns whether the record
-    /// actually reached stable storage — `false` only under the armed
-    /// [sabotage](Self::arm_lose_decision) (the negative control).
-    pub fn log_commit(&mut self, gtid: u64) -> bool {
-        if self.lose_next {
-            self.lose_next = false;
-            self.lost += 1;
-            return false;
-        }
+    /// Durably record a commit decision.
+    pub fn log_commit(&mut self, gtid: u64) {
         self.durable.insert(gtid);
-        true
     }
 
     /// The durable decision for `gtid`: `true` iff a commit record exists
@@ -83,19 +71,6 @@ impl CoordinatorLog {
     pub fn committed(&self) -> impl DoubleEndedIterator<Item = u64> + '_ {
         self.durable.iter().copied()
     }
-
-    /// Sabotage (negative control): the *next* commit decision is silently
-    /// lost — participants proceed on the coordinator's volatile word, the
-    /// durable record never lands, and a crash before every participant
-    /// resolved manufactures a mixed outcome for the oracle to catch.
-    pub fn arm_lose_decision(&mut self) {
-        self.lose_next = true;
-    }
-
-    /// Decision records lost to the sabotage so far.
-    pub fn lost_decisions(&self) -> u64 {
-        self.lost
-    }
 }
 
 /// A live cross-shard transaction: one local transaction per participant
@@ -104,37 +79,6 @@ impl CoordinatorLog {
 struct GlobalTxn {
     parts: BTreeMap<usize, TxnId>,
     prepared: BTreeSet<usize>,
-}
-
-/// A global transaction whose outcome differs across its participants —
-/// the global dynamic-atomicity violation [`check_uniform_outcome`] hunts.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct GlobalAtomicityViolation {
-    /// The split transaction's global id.
-    pub gtid: u64,
-    /// Participant shards where its effects are visible.
-    pub committed_on: Vec<usize>,
-    /// Participant shards where they are not.
-    pub aborted_on: Vec<usize>,
-}
-
-/// The eighth oracle leg: every global transaction's outcome must be
-/// uniform across its participants. `gtids` lists each global transaction
-/// with its participant shards; `visible` reports whether its effects
-/// survived on one shard. Single-participant transactions are trivially
-/// uniform; the first split found is returned.
-pub fn check_uniform_outcome(
-    gtids: &[(u64, Vec<usize>)],
-    mut visible: impl FnMut(u64, usize) -> bool,
-) -> Result<(), GlobalAtomicityViolation> {
-    for (gtid, parts) in gtids {
-        let (committed_on, aborted_on): (Vec<usize>, Vec<usize>) =
-            parts.iter().partition(|&&s| visible(*gtid, s));
-        if !committed_on.is_empty() && !aborted_on.is_empty() {
-            return Err(GlobalAtomicityViolation { gtid: *gtid, committed_on, aborted_on });
-        }
-    }
-    Ok(())
 }
 
 /// The canonical crash points of one cross-shard commit, for the fault
@@ -230,11 +174,6 @@ where
         &self.coord
     }
 
-    /// Mutable coordinator access (the sabotage arm).
-    pub fn coordinator_mut(&mut self) -> &mut CoordinatorLog {
-        &mut self.coord
-    }
-
     /// The next global id the allocator will hand out (model checker's
     /// canonical state key).
     pub fn next_gtid(&self) -> u64 {
@@ -325,11 +264,10 @@ where
     }
 
     /// 2PC decision: durably record commit for a fully prepared
-    /// transaction. Returns whether the record reached stable storage
-    /// (`false` only under the armed lose-decision sabotage). Panics if a
-    /// participant has not durably voted — deciding commit without every
-    /// yes-vote is a coordinator bug, not a runtime condition.
-    pub fn decide_commit(&mut self, gtid: u64) -> bool {
+    /// transaction. Panics if a participant has not durably voted —
+    /// deciding commit without every yes-vote is a coordinator bug, not a
+    /// runtime condition.
+    pub fn decide_commit(&mut self, gtid: u64) {
         let gt = self.live.get(&gtid).expect("decide for a live transaction");
         assert!(
             gt.prepared.len() == gt.parts.len(),
@@ -595,6 +533,7 @@ mod tests {
     use super::*;
     use crate::crash::SystemMode;
     use crate::engine::UipEngine;
+    use crate::oracle::{check_uniform_outcome, GlobalAtomicityViolation};
     use ccr_adt::bank::{bank_nrbc, BankAccount, BankInv};
     use ccr_store::{WalBackend, WalConfig};
 
@@ -664,9 +603,8 @@ mod tests {
         assert_eq!(sys.shard_mut(0).committed_state(S0), 0);
         assert_eq!(sys.shard_mut(1).committed_state(S1), 0);
         // Uniform outcome either way.
-        let mut sys2 = sys;
         check_uniform_outcome(&[(g, vec![0, 1])], |_, s| {
-            sys2.shard_mut(s).committed_state(ObjectId(s as u32)) != 0
+            sys.shard_mut(s).committed_state(ObjectId(s as u32)) != 0
         })
         .unwrap();
     }
@@ -720,15 +658,13 @@ mod tests {
         sys.invoke_global(g, S0, BankInv::Deposit(10)).unwrap();
         sys.invoke_global(g, S1, BankInv::Deposit(20)).unwrap();
         sys.prepare_all(g).unwrap();
-        // Sabotage: the commit decision evaporates...
-        sys.coordinator_mut().arm_lose_decision();
-        assert!(!sys.decide_commit(g), "the armed decision record must be lost");
+        // Sabotage: the commit decision never lands (no `decide_commit`)...
         // ...but shard 0 is told to commit before anyone notices...
         sys.resolve_participant(g, 0, true).unwrap();
         // ...and shard 1 dies in doubt. Settlement presumes abort there.
         sys.crash_subset(0b10).unwrap();
         assert_eq!(sys.resolve_in_doubt(), 1);
-        assert_eq!(sys.coordinator().lost_decisions(), 1);
+        assert!(!sys.coordinator().decision(g));
         // Mixed outcome: exactly what the eighth leg exists to catch.
         let err = check_uniform_outcome(&[(g, vec![0, 1])], |_, s| {
             sys.shard_mut(s).committed_state(ObjectId(s as u32)) != 0
@@ -744,7 +680,7 @@ mod tests {
     fn degraded_shard_never_blocks_commits_that_avoid_it() {
         let mut sys = fleet(2);
         // Shard 1's device fills up and its next commit degrades it.
-        sys.shard_mut(1).backend_mut().set_device_full(true);
+        sys.shard_mut(1).backend_mut().disk_mut().set_full(true);
         let g = sys.begin_global();
         sys.invoke_global(g, S1, BankInv::Deposit(1)).unwrap();
         assert!(sys.commit_global(g).is_err());

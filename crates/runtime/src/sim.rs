@@ -12,24 +12,11 @@
 //! backend's bounded retries) and a disk-full condition (driving the system
 //! into read-only degraded mode until the scheduler's deterministic heal
 //! flow checkpoints it back). After every injected fault — and once more
-//! at the end of the run — an **oracle** checks that
-//!
-//! 1. the recorded history is dynamic atomic (paper §3.4, via the
-//!    `ccr-core` checkers);
-//! 2. redo-replay is equieffective with the pre-crash committed state
-//!    (strict crashes) and with a shadow fold of the journal through the
-//!    serial specification (all checks);
-//! 3. the paper's two physical recovery views — redo in execution order
-//!    (UIP) and commit-ordered replay (DU) — reconstruct the *same*
-//!    committed state from the journal, modulo a legitimately-lost
-//!    un-fsynced tail;
-//! 4. injected storage damage is always *detected*: strict recovery must
-//!    refuse a torn or corrupted log rather than replay it silently;
-//! 5. any caller-supplied state invariant holds (e.g. escrow capacity
-//!    bounds);
-//! 6. (with [`SimCfg::fault_during_recovery`]) recovery *converges*: a
-//!    fresh crash injected at every device-op index of recovery itself
-//!    must, after power-cycling, recover to the baseline outcome.
+//! at the end of the run — the **oracle** runs its legs (DESIGN.md §7 states
+//! each once: dynamic atomicity of the recorded history, the journal folded
+//! both ways against the served states by [`crate::oracle::views_agree`],
+//! damage always detected, pre-crash states preserved, the caller's
+//! invariant, and at the end recovery convergence and bounded outcomes).
 //!
 //! Everything is deterministic in `(seed, plan, scripts)`: the report —
 //! including a fingerprint folded over every crash epoch's history — is
@@ -44,30 +31,35 @@ use ccr_core::conflict::Conflict;
 use ccr_core::history::History;
 use ccr_core::ids::{ObjectId, TxnId};
 use ccr_obs::{FaultCounter, Tracer};
-use ccr_store::{replay_uip, LogBackend, TailPolicy};
+use ccr_store::{LogBackend, SimDisk, TailPolicy};
 
 use crate::crash::{DurableSystem, RedoError, TornPolicy};
 use crate::engine::RecoveryEngine;
 use crate::error::{AbortReason, TxnError};
 use crate::fault::{FaultKind, FaultPlan};
+use crate::oracle::views_agree;
 use crate::scheduler::{Driven, RoundRobin, SchedulerCfg, Stepped, Wake};
 use crate::script::Script;
 use crate::system::{SystemStats, TxnSystem};
 
+/// Retries per script before the executor gives up on it.
+const MAX_RETRIES: usize = 64;
+/// Safety cap on scheduler rounds.
+const MAX_ROUNDS: u64 = 100_000;
+/// The dynamic-atomicity leg checks exhaustively up to this many committed
+/// transactions and samples consistent orders beyond it.
+const EXHAUSTIVE_LIMIT: usize = 6;
+/// Consistent orders the sampling checker draws.
+const ORACLE_SAMPLES: usize = 64;
+/// Seventh-leg liveness budget: a live transaction older than this many
+/// rounds fails the bounded-outcome oracle.
+const OUTCOME_BUDGET: u64 = 10_000;
+
 /// Simulator configuration.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SimCfg {
     /// RNG seed for the interleaving order.
     pub seed: u64,
-    /// Retries per script before giving up.
-    pub max_retries: usize,
-    /// Safety cap on scheduler rounds.
-    pub max_rounds: u64,
-    /// Use the exhaustive dynamic-atomicity checker up to this many
-    /// committed transactions; sample beyond it.
-    pub exhaustive_limit: usize,
-    /// Consistent orders sampled by the non-exhaustive checker.
-    pub oracle_samples: usize,
     /// Write a checkpoint (folding the journal prefix into a durable image
     /// and letting the backend truncate) every this many commits. `None`
     /// disables checkpointing.
@@ -103,37 +95,12 @@ pub struct SimCfg {
     /// device-stall delta reaches this many ticks counts toward degrading
     /// the system. 0 = detector off.
     pub stall_threshold: u64,
-    /// Seventh-leg liveness budget: a live transaction older than this many
-    /// rounds fails the bounded-outcome oracle. 0 disables the in-run age
-    /// check (the end-of-run accounting still runs).
-    pub outcome_budget: u64,
     /// Negative control for the seventh leg: swallow the admission gate's
     /// shed acknowledgement (the driver is silently marked done instead of
     /// restarted). The bounded-outcome oracle must catch the resulting
     /// unaccounted driver — a run with this flag that *passes* means the
     /// leg has gone blind.
     pub mutate_swallow_shed: bool,
-}
-
-impl Default for SimCfg {
-    fn default() -> Self {
-        SimCfg {
-            seed: 0,
-            max_retries: 64,
-            max_rounds: 100_000,
-            exhaustive_limit: 6,
-            oracle_samples: 64,
-            checkpoint_every: None,
-            group_commit: false,
-            fault_during_recovery: false,
-            mpl: 0,
-            deadline: 0,
-            max_staged: 0,
-            stall_threshold: 0,
-            outcome_budget: 10_000,
-            mutate_swallow_shed: false,
-        }
-    }
 }
 
 /// Outcome of a fault-free-of-violations simulation. Contains no wall-clock
@@ -410,13 +377,13 @@ where
     // is their single source of truth so reproducer command lines pin them.
     sys.set_admission_bound(cfg.max_staged);
     if cfg.stall_threshold > 0 {
-        sys.set_stall_detector(cfg.stall_threshold, 2);
+        sys.set_stall_detector(cfg.stall_threshold);
     }
-    // The executor is the plain scheduler's, under the same five knobs.
+    // The executor is the plain scheduler's.
     let exec_cfg = SchedulerCfg {
         seed: cfg.seed,
-        max_retries: cfg.max_retries,
-        max_rounds: cfg.max_rounds,
+        max_retries: MAX_RETRIES,
+        max_rounds: MAX_ROUNDS,
         mpl: cfg.mpl,
         deadline: cfg.deadline,
     };
@@ -450,11 +417,10 @@ where
             // transaction, and the gate below skips it.)
             let d = &sim.exec.drivers[i];
             let age = sim.exec.round.saturating_sub(d.began_round);
-            if cfg.outcome_budget > 0 && d.txn.is_some() && age > cfg.outcome_budget {
+            if d.txn.is_some() && age > OUTCOME_BUDGET {
                 return Err(sim.fail(OracleFailure::UnboundedOutcome {
                     detail: format!(
-                        "driver {i} transaction alive for {age} rounds (budget {})",
-                        cfg.outcome_budget
+                        "driver {i} transaction alive for {age} rounds (budget {OUTCOME_BUDGET})"
                     ),
                 }));
             }
@@ -487,7 +453,9 @@ where
     // crash the device at every op index recovery itself consumes; every
     // eventual recovery must reproduce the baseline outcome.
     if cfg.fault_during_recovery {
-        sim.sys.backend_mut().heal_device();
+        if let Some(disk) = sim.device() {
+            disk.heal();
+        }
         match sim.sys.backend_mut().check_recovery_convergence(TailPolicy::DiscardTail) {
             Ok(probe) => {
                 sim.report.oracle_checks += 1;
@@ -514,12 +482,12 @@ where
         if d.committed || d.voluntary_abort {
             continue;
         }
-        let budget_exhausted = d.retries > cfg.max_retries;
+        let budget_exhausted = d.retries > MAX_RETRIES;
         if !d.done || !(budget_exhausted || d.refused) {
             return Err(sim.fail(OracleFailure::UnboundedOutcome {
                 detail: format!(
-                    "driver {i} ended unaccounted: done={}, retries={}/{}, refused={}",
-                    d.done, d.retries, cfg.max_retries, d.refused
+                    "driver {i} ended unaccounted: done={}, retries={}/{MAX_RETRIES}, refused={}",
+                    d.done, d.retries, d.refused
                 ),
             }));
         }
@@ -558,6 +526,11 @@ where
         self.sys.system_mut().obs_mut()
     }
 
+    /// The device under the log, if the backend has one.
+    fn device(&mut self) -> Option<&mut SimDisk> {
+        self.sys.backend_mut().device_mut()
+    }
+
     /// An oracle failure at the current event.
     fn fail(&self, failure: OracleFailure) -> SimFailure {
         SimFailure { at_event: self.report.events, failure }
@@ -568,6 +541,9 @@ where
         /// Apply `kind`'s damage to the device, or arm it. `false` when this
         /// backend cannot express the fault.
         fn arm<A: Adt, B: LogBackend<A>>(kind: FaultKind, backend: &mut B) -> bool {
+            let on_device = |backend: &mut B, arm: &dyn Fn(&mut SimDisk)| {
+                backend.device_mut().map(arm).is_some()
+            };
             match kind {
                 // Nothing journaled yet, no tearable flush, or the tear would
                 // remove the whole flush — indistinguishable from a plain
@@ -578,15 +554,21 @@ where
                 // image: reordering is inexpressible.
                 FaultKind::ReorderFlush => backend.reorder_last_flush(),
                 // No durable byte image (mem backend).
-                FaultKind::BitFlip { bit } => backend.flip_bit(bit),
+                FaultKind::BitFlip { bit } => {
+                    backend.device_mut().is_some_and(|disk| disk.flip_bit(bit))
+                }
                 // No device to misbehave, fill, slow down or stall (mem
                 // backend). The gray arms charge a fixed surcharge — 4 ticks
                 // per slow op, 32 per hung flush — which keeps the run a pure
                 // function of the plan.
-                FaultKind::TransientIo { errors } => backend.arm_transient_io(errors),
-                FaultKind::DiskFull => backend.set_device_full(true),
-                FaultKind::SlowDisk { ops } => backend.arm_slow_ops(ops, 4),
-                FaultKind::FsyncStall { stalls } => backend.arm_fsync_stall(stalls, 32),
+                FaultKind::TransientIo { errors } => {
+                    on_device(backend, &|d| d.arm_transient_errors(errors))
+                }
+                FaultKind::DiskFull => on_device(backend, &|d| d.set_full(true)),
+                FaultKind::SlowDisk { ops } => on_device(backend, &|d| d.arm_slow_ops(ops, 4)),
+                FaultKind::FsyncStall { stalls } => {
+                    on_device(backend, &|d| d.arm_fsync_stall(stalls, 32))
+                }
                 // Sharded arms in a single-system run: there is exactly one
                 // "shard", so any subset crash (and any 2PC step crash — no
                 // cross-shard commit exists) is a plain crash. The sharded
@@ -641,7 +623,9 @@ where
                         // volatile detection counters before a successful
                         // recovery persists them); nothing was lost, so
                         // strict recovery must now succeed.
-                        self.sys.backend_mut().repair_flips();
+                        if let Some(disk) = self.device() {
+                            disk.unflip_all();
+                        }
                         self.sys
                             .recover_with(TornPolicy::Strict)
                             .map_err(|e| self.fail(OracleFailure::Redo(e)))?;
@@ -735,7 +719,9 @@ where
     fn seal_epoch(&mut self) -> Result<(), SimFailure> {
         self.fp_fold = fold_fp(self.fp_fold, self.sys.system().trace());
         self.check_history()?;
-        self.sys.backend_mut().set_device_full(false);
+        if let Some(disk) = self.device() {
+            disk.set_full(false);
+        }
         Ok(())
     }
 
@@ -781,7 +767,9 @@ where
         }
         if self.sys.is_degraded() {
             self.restart_all();
-            self.sys.backend_mut().heal_device();
+            if let Some(disk) = self.device() {
+                disk.heal();
+            }
             self.sys.checkpoint();
         }
     }
@@ -812,14 +800,8 @@ where
         let (cfg, at) = (self.cfg, self.report.events);
         let seeded = self.sys.trace_base().map(|base| self.spec.clone().starting_from(base));
         let (spec, trace) = (seeded.as_ref().unwrap_or(self.spec), self.sys.system().trace());
-        check_dynamic_atomic_auto(
-            spec,
-            trace,
-            cfg.exhaustive_limit,
-            cfg.oracle_samples,
-            cfg.seed ^ at,
-        )
-        .map_err(|v| self.fail(OracleFailure::NotDynamicAtomic(v)))
+        check_dynamic_atomic_auto(spec, trace, EXHAUSTIVE_LIMIT, ORACLE_SAMPLES, cfg.seed ^ at)
+            .map_err(|v| self.fail(OracleFailure::NotDynamicAtomic(v)))
     }
 
     /// The full oracle: dynamic atomicity of the current trace, journal
@@ -832,89 +814,35 @@ where
         self.check_history()?;
         let at = self.report.events;
         let fail = |failure| SimFailure { at_event: at, failure };
-        let sys = &mut *self.sys;
+        let served = self.committed_states();
+        let sys = &*self.sys;
 
-        // Shadow fold: refold the journal through the serial spec, starting
-        // from the checkpoint base when one was taken (the image stands in for
-        // the truncated records' effects). Every journaled response must be
-        // legal, and the final states must match the engines' committed states.
-        let base: BTreeMap<ObjectId, A::State> = match sys.journal().base_states() {
-            Some(states) => states.iter().cloned().collect(),
-            None => sys
-                .system()
-                .object_ids()
-                .into_iter()
-                .map(|obj| {
-                    let adt = sys.system().adt_of(obj).expect("object exists");
-                    (obj, adt.initial())
-                })
-                .collect(),
-        };
-        let base_records = sys.journal().base_records() as usize;
-        let mut shadow = base.clone();
-        for (ri, ops) in sys.journal().record_ops().enumerate() {
-            for (oi, (_seq, obj, op)) in ops.iter().enumerate() {
-                let adt = sys.system().adt_of(*obj).expect("object exists").clone();
-                let state = shadow.get_mut(obj).expect("object exists");
-                let next = adt
-                    .step(state, &op.inv)
-                    .into_iter()
-                    .find(|(resp, _)| *resp == op.resp)
-                    .map(|(_, post)| post);
-                match next {
-                    Some(post) => *state = post,
-                    None => {
-                        return Err(fail(OracleFailure::ShadowRefused {
-                            record: base_records + ri,
-                            op: oi,
-                        }))
-                    }
-                }
-            }
-        }
-        for (obj, shadow_state) in &shadow {
-            let engine_state = sys.committed_state(*obj);
-            if engine_state != *shadow_state {
-                return Err(fail(OracleFailure::StateDiverged {
-                    obj: *obj,
-                    engine: format!("{engine_state:?}"),
-                    shadow: format!("{shadow_state:?}"),
-                }));
-            }
-        }
-
-        // Fifth leg: the paper's two physical recovery views must agree. The
-        // shadow fold above *is* the DU view (commit-ordered replay, Theorem
-        // 10); redo the same journal in global execution order (the UIP view,
-        // Theorem 9) and demand the identical committed state.
-        if let Some(first) = sys.system().object_ids().first().copied() {
-            let adt = sys.system().adt_of(first).expect("object exists").clone();
-            match replay_uip(&adt, &base, sys.journal().records()) {
-                Some(uip) => {
-                    for (obj, du_state) in &shadow {
-                        if uip.get(obj) != Some(du_state) {
-                            return Err(fail(OracleFailure::RecoveryViewDiverged {
-                                obj: *obj,
-                                uip: format!("{:?}", uip.get(obj)),
-                                du: format!("{du_state:?}"),
-                            }));
+        // Second and fifth legs: refold the journal through the serial spec,
+        // starting from the checkpoint base when one was taken (the image
+        // stands in for the truncated records' effects).
+        let shadow = match served.keys().next() {
+            Some(first) => {
+                let adt = sys.system().adt_of(*first).expect("object exists");
+                let base = match sys.journal().base_states() {
+                    Some(states) => states.iter().cloned().collect(),
+                    None => served.keys().map(|obj| (*obj, adt.initial())).collect(),
+                };
+                let base_records = sys.journal().base_records() as usize;
+                views_agree(adt, &base, sys.journal().records(), |obj| served[&obj].clone())
+                    .map_err(|failure| match failure {
+                        OracleFailure::ShadowRefused { record, op } => {
+                            fail(OracleFailure::ShadowRefused { record: base_records + record, op })
                         }
-                    }
-                }
-                None => {
-                    return Err(fail(OracleFailure::RecoveryViewDiverged {
-                        obj: first,
-                        uip: "refused".to_string(),
-                        du: "legal fold".to_string(),
-                    }))
-                }
+                        other => fail(other),
+                    })?
             }
-        }
+            None => BTreeMap::new(),
+        };
 
         if let Some(pre) = pre_states {
             for (obj, before) in pre {
-                let after = sys.committed_state(*obj);
-                if after != *before {
+                let after = &served[obj];
+                if after != before {
                     return Err(fail(OracleFailure::CrashStateMismatch {
                         obj: *obj,
                         before: format!("{before:?}"),

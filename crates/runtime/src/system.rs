@@ -619,11 +619,6 @@ impl<A: Adt, E: RecoveryEngine<A>, C: Conflict<A>> TxnSystem<A, E, C> {
         dfs(&self.waits, start, &mut stack, &mut visited)
     }
 
-    /// Clear `txn`'s wait-for edges (caller stopped waiting).
-    pub fn clear_wait(&mut self, txn: TxnId) {
-        self.waits.close(&txn);
-    }
-
     /// The serial state `txn` currently observes at `obj` (the engine's
     /// realisation of the paper's `View` function) — for inspection and the
     /// cross-crate view-equivalence tests.
@@ -735,11 +730,6 @@ impl<A: Adt, E: RecoveryEngine<A>, C: Conflict<A>> TxnSystem<A, E, C> {
     /// The serial specification configured at `obj`.
     pub fn adt_of(&self, obj: ObjectId) -> Option<&A> {
         self.objects.get(&obj).map(|o| &o.adt)
-    }
-
-    /// The conflict relation's display name.
-    pub fn conflict_name(&self) -> String {
-        self.conflict.name()
     }
 }
 

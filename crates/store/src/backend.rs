@@ -24,36 +24,7 @@ use std::collections::BTreeMap;
 use ccr_core::adt::{Adt, Op};
 use ccr_core::ids::ObjectId;
 
-use crate::disk::DiskError;
-
-/// Bounded retry with deterministic logical-clock backoff for transient
-/// device errors. Attempt `i` (0-based) sleeps `backoff_base << i` logical
-/// ticks before retrying, capped at [`RetryPolicy::BACKOFF_CAP`]; after
-/// `attempts` failures the error surfaces to the caller (who degrades to
-/// read-only rather than panicking).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Retries after the first failure (0 = fail immediately).
-    pub attempts: u32,
-    /// Base backoff in logical ticks; doubles per attempt.
-    pub backoff_base: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy { attempts: 4, backoff_base: 2 }
-    }
-}
-
-impl RetryPolicy {
-    /// Cap on a single backoff sleep, in logical ticks.
-    pub const BACKOFF_CAP: u64 = 1 << 16;
-
-    /// Backoff before retry `attempt` (0-based), in logical ticks.
-    pub fn backoff(&self, attempt: u32) -> u64 {
-        self.backoff_base.checked_shl(attempt.min(17)).unwrap_or(u64::MAX).min(Self::BACKOFF_CAP)
-    }
-}
+use crate::disk::{DiskError, SimDisk};
 
 /// One retried device operation, as recorded by the backend and drained by
 /// the runtime into observability events.
@@ -302,8 +273,8 @@ impl StoreFailure {
     }
 }
 
-/// What recovery may do with a damaged log tail. Mirrors the runtime's
-/// `TornPolicy` (the store crate sits below the runtime and cannot name it).
+/// What recovery may do with a damaged log tail (the runtime re-exports it
+/// as `TornPolicy`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum TailPolicy {
     /// Refuse to recover from any damage.
@@ -389,69 +360,24 @@ pub trait LogBackend<A: Adt>: Send + Clone {
     /// the device reordered persistence. `false` if inexpressible.
     fn reorder_last_flush(&mut self) -> bool;
 
-    /// Flip one stable bit (index is reduced modulo [`Self::storage_bits`]).
-    /// `false` if there are no stable bits to flip.
-    fn flip_bit(&mut self, bit: u64) -> bool;
-
-    /// Undo all injected bit flips (the medium is repaired; the log bytes
-    /// return to what was written). Returns the number of repairs.
-    fn repair_flips(&mut self) -> usize;
-
-    /// Install the transient-error retry policy. No-op for backends
-    /// without a device.
-    fn set_retry_policy(&mut self, _policy: RetryPolicy) {}
-
-    /// Arm the next `n` device ops to fail transiently. `false` if the
-    /// backend has no device to misbehave (the simulator then degrades the
-    /// fault to a plain crash).
-    fn arm_transient_io(&mut self, _n: u32) -> bool {
-        false
+    /// The simulated device under the log, where there is one: the handle
+    /// through which a fault plan flips bits, arms transient errors, fills,
+    /// slows, stalls or trips it, and through which its clocks are read.
+    /// `None` for backends without a device (the simulator then degrades
+    /// the fault to a plain crash).
+    fn device(&self) -> Option<&SimDisk> {
+        None
     }
 
-    /// Set or clear the device-full condition. `false` if inexpressible.
-    fn set_device_full(&mut self, _on: bool) -> bool {
-        false
-    }
-
-    /// Heal the device: clear the full condition and any armed transient
-    /// budget (the operator swapped the disk / freed space). `false` if
-    /// there is no device.
-    fn heal_device(&mut self) -> bool {
-        false
+    /// [`device`](Self::device), mutably.
+    fn device_mut(&mut self) -> Option<&mut SimDisk> {
+        None
     }
 
     /// Drain the retry records accumulated since the last drain, oldest
     /// first. Backends without a device never retry.
     fn drain_retries(&mut self) -> Vec<RetryRecord> {
         Vec::new()
-    }
-
-    /// Arm the next `n` checked device ops to each cost `cost` extra
-    /// logical ticks (a degraded medium — the gray-failure analogue of
-    /// [`arm_transient_io`](Self::arm_transient_io)). `false` if the
-    /// backend has no device to slow down (the simulator then degrades the
-    /// fault to a plain crash).
-    fn arm_slow_ops(&mut self, _n: u32, _cost: u64) -> bool {
-        false
-    }
-
-    /// Arm the next `n` non-empty device flushes to each stall for `cost`
-    /// extra logical ticks (an fsync that hangs). `false` if inexpressible.
-    fn arm_fsync_stall(&mut self, _n: u32, _cost: u64) -> bool {
-        false
-    }
-
-    /// Elapsed logical device time (0 for backends without a device). One
-    /// tick per checked op plus whatever the armed latency channels charged.
-    fn device_ticks(&self) -> u64 {
-        0
-    }
-
-    /// Accumulated latency surplus charged by the gray channels (0 for
-    /// backends without a device). Health detectors watch the delta of this
-    /// figure across commits to tell a busy device from a lying one.
-    fn stall_ticks(&self) -> u64 {
-        0
     }
 
     /// The sixth oracle leg: prove recovery *converges*. Re-run recovery
@@ -471,14 +397,7 @@ pub trait LogBackend<A: Adt>: Send + Clone {
     /// device). The delta across a probed recovery is the enumeration
     /// domain for crash-at-every-op exploration.
     fn device_op_count(&self) -> u64 {
-        0
-    }
-
-    /// Arm a one-shot power loss at the `n`-th checked device op from now
-    /// (see `SimDisk::arm_crash_at_op`). `false` if there is no device to
-    /// trip — the explorer then skips crash-during-recovery branches.
-    fn arm_crash_at_op(&mut self, _n: u64) -> bool {
-        false
+        self.device().map_or(0, SimDisk::device_ops)
     }
 
     /// A deterministic fingerprint of the *stable* image plus the cursor
@@ -491,9 +410,6 @@ pub trait LogBackend<A: Adt>: Send + Clone {
 
     /// Current durable-counter view (persisted + this process's detections).
     fn stats(&self) -> StoreStats;
-
-    /// Total stable bits (0 for the mem backend — it has no byte image).
-    fn storage_bits(&self) -> u64;
 
     /// Backend name for labels and reproducers (`"mem"` / `"disk"`).
     fn name(&self) -> &'static str;
@@ -539,21 +455,22 @@ pub fn replay_uip<A: Adt>(
 
 /// Fold `records` over `base` in *commit order* — the DU view: each
 /// transaction's intentions list is installed atomically when it commits,
-/// in commit order, regardless of when its operations executed.
+/// in commit order, regardless of when its operations executed. `Err` names
+/// the `(record, op)` the specification refuses where replay puts it — a
+/// committed effect that depended on an uncommitted one.
 pub fn replay_du<A: Adt>(
     adt: &A,
     base: &BTreeMap<ObjectId, A::State>,
     records: &[CommitRecord<A>],
-) -> Option<BTreeMap<ObjectId, A::State>> {
+) -> Result<BTreeMap<ObjectId, A::State>, (usize, usize)> {
     let mut states = base.clone();
-    for rec in records {
-        for (_, obj, op) in &rec.ops {
-            let s = states.get(obj)?;
-            let post = adt.apply(s, op);
-            states.insert(*obj, post.into_iter().next()?);
+    for (ri, rec) in records.iter().enumerate() {
+        for (oi, (_, obj, op)) in rec.ops.iter().enumerate() {
+            let post = states.get(obj).and_then(|s| adt.apply(s, op).into_iter().next());
+            states.insert(*obj, post.ok_or((ri, oi))?);
         }
     }
-    Some(states)
+    Ok(states)
 }
 
 /// The fast in-memory backend: the struct is the stable store.
@@ -741,14 +658,6 @@ impl<A: Adt> LogBackend<A> for MemBackend<A> {
         false
     }
 
-    fn flip_bit(&mut self, _bit: u64) -> bool {
-        false
-    }
-
-    fn repair_flips(&mut self) -> usize {
-        0
-    }
-
     fn image_fingerprint(&self) -> u64 {
         use std::hash::{Hash, Hasher};
         let mut h = std::collections::hash_map::DefaultHasher::new();
@@ -787,10 +696,6 @@ impl<A: Adt> LogBackend<A> for MemBackend<A> {
 
     fn stats(&self) -> StoreStats {
         self.stats
-    }
-
-    fn storage_bits(&self) -> u64 {
-        0
     }
 
     fn name(&self) -> &'static str {
@@ -903,6 +808,6 @@ mod tests {
         let base: BTreeMap<ObjectId, u64> = [(ObjectId(0), 0u64)].into_iter().collect();
         let bad = rec(1, vec![(0, ObjectId(0), Op::new(BankInv::Withdraw(5), BankResp::Ok))]);
         assert!(replay_uip(&adt, &base, std::slice::from_ref(&bad)).is_none());
-        assert!(replay_du(&adt, &base, &[bad]).is_none());
+        assert_eq!(replay_du(&adt, &base, &[bad]), Err((0, 0)));
     }
 }

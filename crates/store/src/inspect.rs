@@ -528,7 +528,7 @@ mod tests {
         let mut w = Wal::new(WalConfig::default());
         w.append_commit(&rec(1, 0, &[5])).unwrap();
         w.append_commit(&rec(2, 1, &[3])).unwrap();
-        assert!(w.flip_bit(700));
+        assert!(w.disk_mut().flip_bit(700));
         assert_agrees(&w, TailPolicy::Strict);
         let a = inspect(&w).to_json();
         let b = inspect(&w).to_json();

@@ -38,8 +38,8 @@ pub mod wal;
 
 pub use backend::{
     replay_du, replay_uip, CheckpointImage, CommitRecord, ConvergenceFailure, ConvergenceReport,
-    Detection, LogBackend, MemBackend, RecoveredLog, RetryPolicy, RetryRecord, ScanReport,
-    StoreFailure, StoreFailureKind, StoreStats, TailPolicy,
+    Detection, LogBackend, MemBackend, RecoveredLog, RetryRecord, ScanReport, StoreFailure,
+    StoreFailureKind, StoreStats, TailPolicy,
 };
 pub use codec::{crc32, Persist};
 pub use disk::{DiskError, DiskImage, DiskStats, SectorRead, SimDisk, TRACK_SECTORS};

@@ -54,10 +54,10 @@ use ccr_core::adt::Adt;
 
 use crate::backend::{
     CheckpointImage, CommitRecord, ConvergenceFailure, ConvergenceReport, Detection, LogBackend,
-    RecoveredLog, RetryPolicy, RetryRecord, StoreFailure, StoreFailureKind, StoreStats, TailPolicy,
+    RecoveredLog, RetryRecord, StoreFailure, StoreFailureKind, StoreStats, TailPolicy,
 };
 use crate::codec::{crc32, crc32_zero_tail, zero_tail_len, Persist};
-use crate::disk::{DiskError, SectorRead, SimDisk};
+use crate::disk::{DiskError, SimDisk};
 use crate::scan;
 
 /// Geometry of the simulated log device.
@@ -181,12 +181,19 @@ pub(crate) fn frame_crc_matches(frame: &[u8]) -> bool {
     crc32_zero_tail(&[&frame[..9], &[0; 4], &frame[13..head]], frame.len() - head) == stored
 }
 
+/// Retries of a transiently failing device op after its first failure;
+/// then the error surfaces to the caller, who degrades to read-only rather
+/// than panicking.
+const RETRY_ATTEMPTS: u32 = 4;
+/// Backoff before the first retry, in logical ticks; doubles per attempt
+/// (no wall clock: the run stays a pure function of the fault plan).
+const RETRY_BACKOFF_BASE: u64 = 2;
+
 /// Run one checked device op under the retry policy: transient errors are
-/// retried with deterministic exponential backoff (logical ticks, no wall
-/// clock); permanent errors and budget exhaustion surface to the caller.
-/// Retried ops are recorded for the runtime to drain into obs events.
+/// retried with deterministic exponential backoff; permanent errors and
+/// budget exhaustion surface to the caller. Retried ops are recorded for
+/// the runtime to drain into obs events.
 fn with_retries<T>(
-    policy: RetryPolicy,
     retries: &mut Vec<RetryRecord>,
     mut op: impl FnMut() -> Result<T, DiskError>,
 ) -> Result<T, DiskError> {
@@ -200,8 +207,8 @@ fn with_retries<T>(
                 }
                 return Ok(v);
             }
-            Err(DiskError::Transient) if attempts < policy.attempts => {
-                backoff += policy.backoff(attempts);
+            Err(DiskError::Transient) if attempts < RETRY_ATTEMPTS => {
+                backoff += RETRY_BACKOFF_BASE << attempts;
                 attempts += 1;
             }
             Err(e) => {
@@ -212,42 +219,6 @@ fn with_retries<T>(
             }
         }
     }
-}
-
-fn read_retried<'d>(
-    disk: &'d SimDisk,
-    policy: RetryPolicy,
-    retries: &mut Vec<RetryRecord>,
-    sector: u64,
-) -> Result<SectorRead<'d>, DiskError> {
-    with_retries(policy, retries, || disk.try_read(sector))
-}
-
-fn write_retried(
-    disk: &mut SimDisk,
-    policy: RetryPolicy,
-    retries: &mut Vec<RetryRecord>,
-    sector: u64,
-    data: &[u8],
-) -> Result<(), DiskError> {
-    with_retries(policy, retries, || disk.try_write(sector, data))
-}
-
-fn flush_retried(
-    disk: &mut SimDisk,
-    policy: RetryPolicy,
-    retries: &mut Vec<RetryRecord>,
-) -> Result<usize, DiskError> {
-    with_retries(policy, retries, || disk.try_flush())
-}
-
-fn delete_retried(
-    disk: &mut SimDisk,
-    policy: RetryPolicy,
-    retries: &mut Vec<RetryRecord>,
-    sector: u64,
-) -> Result<bool, DiskError> {
-    with_retries(policy, retries, || disk.try_delete(sector))
 }
 
 /// Decoded segment-header payload. Public (with the batch codec below) as
@@ -537,8 +508,6 @@ pub struct WalBackend<A: Adt> {
     /// tear / reorder faults (which model an interrupted flush) do not
     /// apply to them.
     tearable: bool,
-    /// Transient-error retry policy for every checked device op.
-    retry: RetryPolicy,
     /// Retried ops since the last [`LogBackend::drain_retries`], oldest
     /// first. Process memory — wiped by `crash`.
     retries: Vec<RetryRecord>,
@@ -580,7 +549,6 @@ where
             seen_damage: BTreeSet::new(),
             next_batch_id: 0,
             tearable: false,
-            retry: RetryPolicy::default(),
             retries: Vec::new(),
             frame: Vec::new(),
             skip_epoch_bump: false,
@@ -650,11 +618,11 @@ where
 
     /// Stage `frame` in the device's write cache at absolute sector `at`.
     fn write_at(&mut self, at: u64, frame: &[u8]) -> Result<(), DiskError> {
-        write_retried(&mut self.disk, self.retry, &mut self.retries, at, frame)
+        with_retries(&mut self.retries, || self.disk.try_write(at, frame))
     }
 
     fn flush(&mut self) -> Result<usize, DiskError> {
-        flush_retried(&mut self.disk, self.retry, &mut self.retries)
+        with_retries(&mut self.retries, || self.disk.try_flush())
     }
 
     /// (Re)write the current segment's header in place and fsync it.
@@ -942,7 +910,7 @@ where
         }
         self.write_header().map_err(StoreFailure::device)?;
         for s in doomed {
-            delete_retried(&mut self.disk, self.retry, &mut self.retries, s)
+            with_retries(&mut self.retries, || self.disk.try_delete(s))
                 .map_err(StoreFailure::device)?;
         }
         Ok(truncated_segs.len() as u64)
@@ -973,11 +941,11 @@ where
         // `*_ops` fields tile the attempt's device-op delta (the profiler's
         // recovery-coverage check relies on that). Wall time rides along but
         // is excluded from report equality.
-        let (disk, cfg, retry, retries) = (&self.disk, &self.cfg, self.retry, &mut self.retries);
+        let (disk, cfg, retries) = (&self.disk, &self.cfg, &mut self.retries);
         // Every frame position the scan visits costs one *checked* read
         // (retried under the policy), so a crash-at-op or an exhausted
         // transient budget can kill a recovery at any of them.
-        let mut read = |sector| read_retried(disk, retry, retries, sector);
+        let mut read = |sector| with_retries(retries, || disk.try_read(sector));
 
         let stage = Stage::start(disk);
         let mut scan = scan::walk::<A, _>(disk, cfg, &mut read).map_err(StoreFailure::device)?;
@@ -1009,7 +977,7 @@ where
         if let Some(at) = plan.discard_from {
             let doomed: Vec<u64> = self.disk.durable_in(at..).collect();
             for s in doomed {
-                delete_retried(&mut self.disk, self.retry, &mut self.retries, s)
+                with_retries(&mut self.retries, || self.disk.try_delete(s))
                     .map_err(StoreFailure::device)?;
             }
         }
@@ -1099,53 +1067,16 @@ where
         }
     }
 
-    fn flip_bit(&mut self, bit: u64) -> bool {
-        self.disk.flip_bit(bit)
+    fn device(&self) -> Option<&SimDisk> {
+        Some(&self.disk)
     }
 
-    fn repair_flips(&mut self) -> usize {
-        self.disk.unflip_all()
-    }
-
-    fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.retry = policy;
-    }
-
-    fn arm_transient_io(&mut self, n: u32) -> bool {
-        self.disk.arm_transient_errors(n);
-        true
-    }
-
-    fn set_device_full(&mut self, on: bool) -> bool {
-        self.disk.set_full(on);
-        true
-    }
-
-    fn heal_device(&mut self) -> bool {
-        self.disk.heal();
-        true
+    fn device_mut(&mut self) -> Option<&mut SimDisk> {
+        Some(&mut self.disk)
     }
 
     fn drain_retries(&mut self) -> Vec<RetryRecord> {
         std::mem::take(&mut self.retries)
-    }
-
-    fn arm_slow_ops(&mut self, n: u32, cost: u64) -> bool {
-        self.disk.arm_slow_ops(n, cost);
-        true
-    }
-
-    fn arm_fsync_stall(&mut self, n: u32, cost: u64) -> bool {
-        self.disk.arm_fsync_stall(n, cost);
-        true
-    }
-
-    fn device_ticks(&self) -> u64 {
-        self.disk.device_ticks()
-    }
-
-    fn stall_ticks(&self) -> u64 {
-        self.disk.stall_ticks()
     }
 
     /// The sixth oracle leg. Baseline: crash + recover from a snapshot of
@@ -1249,15 +1180,6 @@ where
         Ok(ConvergenceReport { trials, device_ops })
     }
 
-    fn device_op_count(&self) -> u64 {
-        self.disk.device_ops()
-    }
-
-    fn arm_crash_at_op(&mut self, n: u64) -> bool {
-        self.disk.arm_crash_at_op(n);
-        true
-    }
-
     fn image_fingerprint(&self) -> u64 {
         use std::hash::{Hash, Hasher};
         let mut h = std::collections::hash_map::DefaultHasher::new();
@@ -1285,10 +1207,6 @@ where
         let mut s = self.stats;
         s.add(&self.detected);
         s
-    }
-
-    fn storage_bits(&self) -> u64 {
-        self.disk.durable_bits()
     }
 
     fn name(&self) -> &'static str {
@@ -1644,15 +1562,15 @@ mod tests {
         w.append_commit(&rec(3, 3, &[7])).unwrap();
         w.crash();
         let clean = w.recover(TailPolicy::Strict).unwrap();
-        let bits = w.storage_bits();
+        let bits = w.disk().durable_bits();
         assert!(bits > 0);
         let mut healed = clean.clone();
         for bit in 0..bits {
-            assert!(w.flip_bit(bit));
+            assert!(w.disk_mut().flip_bit(bit));
             w.crash();
             let res = w.recover(TailPolicy::Strict);
             assert!(res.is_err(), "bit {bit}: flip recovered silently");
-            assert_eq!(w.repair_flips(), 1);
+            assert_eq!(w.disk_mut().unflip_all(), 1);
             // Re-scan after the medium repair: detection + recovery, and the
             // detection counter is persisted by the successful scan.
             healed = w.recover(TailPolicy::Strict).unwrap();
@@ -1786,7 +1704,7 @@ mod tests {
         // three header sectors, then two sectors per member). The later
         // members stay intact — they were fsync-acknowledged, so no policy
         // may discard them to "repair" the batch.
-        assert!(w.flip_bit((3 * 32 + 20) * 8));
+        assert!(w.disk_mut().flip_bit((3 * 32 + 20) * 8));
         for policy in [TailPolicy::Strict, TailPolicy::DiscardTail] {
             w.crash();
             let err = w.recover(policy).unwrap_err();
@@ -1839,7 +1757,7 @@ mod tests {
     fn transient_errors_are_retried_with_deterministic_backoff() {
         let mut w = wal();
         w.append_commit(&rec(1, 0, &[5])).unwrap();
-        assert!(w.arm_transient_io(2));
+        w.disk_mut().arm_transient_errors(2);
         w.append_commit(&rec(2, 1, &[3])).unwrap();
         // Both armed errors hit the first checked op; the default policy
         // (base 2, doubling) absorbed them for 2 + 4 logical ticks.
@@ -1855,7 +1773,7 @@ mod tests {
     fn exhausted_retries_surface_and_roll_back_the_append() {
         let mut w = wal();
         w.append_commit(&rec(1, 0, &[5])).unwrap();
-        assert!(w.arm_transient_io(64));
+        w.disk_mut().arm_transient_errors(64);
         let err = w.append_commit(&rec(2, 1, &[3])).unwrap_err();
         assert_eq!(err.kind, StoreFailureKind::Device(DiskError::Transient));
         assert_eq!(err.report.damage, "device");
@@ -1863,7 +1781,7 @@ mod tests {
         assert_eq!(retries, vec![RetryRecord { attempts: 4, backoff: 30, ok: false }]);
         // The reported failure promised "nothing durable": after healing,
         // recovery sees only the first record, and appends work again.
-        assert!(w.heal_device());
+        w.disk_mut().heal();
         w.crash();
         let out = w.recover(TailPolicy::Strict).unwrap();
         assert_eq!(out.records, vec![rec(1, 0, &[5])]);
@@ -1874,7 +1792,7 @@ mod tests {
     fn full_device_refuses_appends_until_healed() {
         let mut w = wal();
         w.append_commit(&rec(1, 0, &[5])).unwrap();
-        assert!(w.set_device_full(true));
+        w.disk_mut().set_full(true);
         let err = w.append_commit(&rec(2, 1, &[3])).unwrap_err();
         assert_eq!(err.kind, StoreFailureKind::Device(DiskError::Full));
         // A full device fails fast — no retry can help, so none is spent.
@@ -1884,7 +1802,7 @@ mod tests {
         w.crash();
         let err = w.recover(TailPolicy::Strict).unwrap_err();
         assert_eq!(err.kind, StoreFailureKind::Device(DiskError::Full));
-        assert!(w.heal_device());
+        w.disk_mut().heal();
         w.crash();
         assert_eq!(w.recover(TailPolicy::Strict).unwrap().records.len(), 1);
         w.append_commit(&rec(2, 1, &[3])).unwrap();
@@ -1948,7 +1866,7 @@ mod tests {
     fn probe_refuses_an_unhealthy_device() {
         let mut w = wal();
         w.append_commit(&rec(1, 0, &[5])).unwrap();
-        w.set_device_full(true);
+        w.disk_mut().set_full(true);
         let err = w.check_recovery_convergence(TailPolicy::Strict).unwrap_err();
         assert!(err.reason.contains("unhealthy"), "unexpected reason: {}", err.reason);
     }

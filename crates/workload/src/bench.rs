@@ -14,13 +14,13 @@
 use std::time::{Duration, Instant};
 
 use ccr_adt::bank::{bank_nrbc, BankAccount};
+use ccr_obs::json_string;
 use ccr_runtime::engine::UipEngine;
 use ccr_runtime::system::TxnSystem;
 use ccr_runtime::threaded::{run_threaded_durable, GroupCommitCfg, ThreadedCfg};
 use ccr_store::{WalBackend, WalConfig};
 
 use crate::gen::{banking, WorkloadCfg};
-use crate::harness::json_string;
 
 /// Benchmark shape knobs.
 #[derive(Clone, Copy, Debug)]

@@ -60,11 +60,11 @@
 use std::process::ExitCode;
 
 use ccr_mc::{McBackendKind, McConfig, McTrace};
+use ccr_obs::json_string;
 use ccr_runtime::fault::FaultMix;
 use ccr_runtime::sim::{SimFailure, SimReport};
 use ccr_workload::bench::{guard_violations, run_bench, BenchCfg};
 use ccr_workload::experiments;
-use ccr_workload::harness::json_string;
 use ccr_workload::overload::{run_overload, OverloadCfg};
 use ccr_workload::shard_sim::{run_shard_bench, ShardBenchCfg};
 use ccr_workload::sim::{

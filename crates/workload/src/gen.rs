@@ -14,7 +14,6 @@ use ccr_adt::bank::{BankAccount, BankInv};
 use ccr_adt::counter::{Counter, CounterInv};
 use ccr_adt::escrow::{EscrowAccount, EscrowInv};
 use ccr_adt::queue::{FifoQueue, QueueInv};
-use ccr_adt::semiqueue::{Semiqueue, SqInv};
 use ccr_adt::set::{IntSet, SetInv};
 use ccr_core::adt::Adt;
 use ccr_core::ids::ObjectId;
@@ -162,27 +161,6 @@ pub fn queue_producer_consumer(cfg: &WorkloadCfg) -> Vec<Box<dyn Script<FifoQueu
                 })
                 .collect();
             Box::new(OpsScript::new(steps)) as Box<dyn Script<FifoQueue>>
-        })
-        .collect()
-}
-
-/// The same producer/consumer shape over semiqueues (for the ordered
-/// vs unordered comparison).
-pub fn semiqueue_producer_consumer(cfg: &WorkloadCfg) -> Vec<Box<dyn Script<Semiqueue>>> {
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    (0..cfg.txns)
-        .map(|i| {
-            let obj = pick_obj(&mut rng, cfg);
-            let steps: Vec<(ObjectId, SqInv)> = (0..cfg.ops_per_txn)
-                .map(|_| {
-                    if i % 2 == 0 {
-                        (obj, SqInv::Enq(rng.gen_range(0..4)))
-                    } else {
-                        (obj, SqInv::Deq)
-                    }
-                })
-                .collect();
-            Box::new(OpsScript::new(steps)) as Box<dyn Script<Semiqueue>>
         })
         .collect()
 }

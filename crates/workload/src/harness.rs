@@ -7,7 +7,7 @@ use ccr_core::adt::Adt;
 use ccr_core::atomicity::{check_dynamic_atomic, SystemSpec};
 use ccr_core::conflict::Conflict;
 use ccr_core::ids::ObjectId;
-use ccr_obs::HistogramSummary;
+use ccr_obs::{json_string, HistogramSummary};
 use ccr_runtime::engine::RecoveryEngine;
 use ccr_runtime::scheduler::{run, SchedulerCfg};
 use ccr_runtime::script::Script;
@@ -60,25 +60,6 @@ pub struct Outcome {
 }
 
 impl Outcome {
-    /// Blocks per committed transaction — the harness's primary
-    /// "lost concurrency" measure.
-    pub fn blocks_per_commit(&self) -> f64 {
-        if self.committed == 0 {
-            f64::NAN
-        } else {
-            self.blocks as f64 / self.committed as f64
-        }
-    }
-
-    /// Aborts (of all system kinds) per committed transaction.
-    pub fn aborts_per_commit(&self) -> f64 {
-        if self.committed == 0 {
-            f64::NAN
-        } else {
-            (self.deadlock_aborts + self.validation_aborts) as f64 / self.committed as f64
-        }
-    }
-
     /// Render as a JSON object (hand-rolled: the build has no serde).
     pub fn to_json(&self) -> String {
         let da = match self.dynamic_atomic {
@@ -114,25 +95,6 @@ impl Outcome {
             da,
         )
     }
-}
-
-/// Escape a string as a JSON string literal.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Render outcomes as a pretty-printed JSON array.

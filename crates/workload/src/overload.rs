@@ -21,9 +21,9 @@
 //!   baseline's. Deadlines exist to bound tail latency; a protected run
 //!   with a worse tail than no protection at all is a misconfiguration.
 
+use ccr_obs::json_string;
 use ccr_runtime::fault::{FaultKind, FaultPlan, FaultSpec};
 
-use crate::harness::json_string;
 use crate::sim::{run_scenario, Backend, Combo, SimScenario};
 
 /// Benchmark shape and protection knobs (the protected side's settings; the

@@ -18,10 +18,9 @@
 //! must not drift silently).
 
 use ccr_adt::{bank, escrow};
-use ccr_obs::{Phase, Tracer};
+use ccr_obs::{json_string, Phase, Tracer};
 use ccr_runtime::sim::{SimFailure, SimReport};
 
-use crate::harness::json_string;
 use crate::sim::SimScenario;
 
 /// Schema tag carried by every profile document.

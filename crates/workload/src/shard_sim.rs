@@ -3,16 +3,13 @@
 //! `shards >= 2` to, so the one sweep and the one shrinker of [`crate::sim`]
 //! reach it — and a deterministic 2PC frame-cost bench.
 //!
-//! The instance mirrors the model checker's fully decodable one: logical
+//! The instance is the model checker's fully decodable one: logical
 //! transaction `i` deposits `1 << i` into each participant's home object
 //! (object `s` lives on shard `s`), so every shard's committed balance is a
-//! bit-set of exactly which transactions survived there. The **eighth
-//! oracle leg** — global dynamic atomicity — is then exact: a transaction
-//! whose bit is present on one participant and absent on another is a
-//! split, whatever crash subset produced it
-//! ([`ccr_runtime::check_uniform_outcome`]). The other legs (committed ⇒
-//! visible on every participant and nowhere else; aborted/unacked ⇒
-//! visible nowhere) ride along on the same bit-set decoding.
+//! bit-set of exactly which transactions survived there, and the one
+//! [`Ledger`] both ask judges it exactly — stray bits, the **eighth oracle
+//! leg** (a bit present on one participant and absent on another is a split,
+//! whatever crash subset produced it), durability, no resurrection.
 //!
 //! Per-transaction shape is drawn deterministically from the scenario seed:
 //! about two thirds are cross-shard (2..=n participants), the rest
@@ -39,7 +36,8 @@ use ccr_core::ids::{ObjectId, TxnId};
 use ccr_runtime::crash::DurableSystem;
 use ccr_runtime::engine::UipEngine;
 use ccr_runtime::fault::{FaultKind, FaultSpec};
-use ccr_runtime::{check_uniform_outcome, GlobalAtomicityViolation, ShardedSystem, TwoPcStep};
+use ccr_runtime::oracle::{Ledger, LedgerViolation, Told};
+use ccr_runtime::{GlobalAtomicityViolation, ShardedSystem, TwoPcStep};
 use ccr_store::{inspect_wal, LogBackend, MemBackend, WalBackend, WalConfig};
 
 use crate::sim::{Backend, SimScenario};
@@ -75,8 +73,8 @@ pub struct ShardReport {
     pub forced_aborts: u64,
     /// In-doubt participants settled against durable coordinator truth.
     pub resolved_in_doubt: u64,
-    /// Decision records the sabotaged coordinator dropped (0 unless the
-    /// lose-decision control is armed).
+    /// Commit decisions the driver withheld from the coordinator's log (0
+    /// unless the lose-decision control is armed).
     pub lost_decisions: u64,
     /// Fault kinds with nothing to bite in this driver (device latency).
     pub skipped_faults: u64,
@@ -137,6 +135,14 @@ pub enum ShardFailure {
         /// The shard showing its effects.
         shard: usize,
     },
+    /// A shard's balance holds a bit no participant there could have
+    /// deposited.
+    StrayState {
+        /// The shard.
+        shard: usize,
+        /// Its home object's undecodable balance.
+        state: u64,
+    },
     /// The offline WAL inspector's classification of a shard's final image
     /// disagrees with a real recovery scan.
     InspectorDisagreement {
@@ -154,6 +160,7 @@ impl ShardFailure {
             ShardFailure::GlobalSplit(_) => "global-split",
             ShardFailure::DurabilityLost { .. } => "durability-lost",
             ShardFailure::Resurrection { .. } => "resurrection",
+            ShardFailure::StrayState { .. } => "stray-state",
             ShardFailure::InspectorDisagreement { .. } => "inspector-disagreement",
         }
     }
@@ -172,6 +179,9 @@ impl fmt::Display for ShardFailure {
             }
             ShardFailure::Resurrection { txn, shard } => {
                 write!(f, "resurrection: unacked txn {txn} visible on shard {shard}")
+            }
+            ShardFailure::StrayState { shard, state } => {
+                write!(f, "stray state: shard {shard} recovered to undecodable state {state:#x}")
             }
             ShardFailure::InspectorDisagreement { shard, error } => {
                 write!(f, "inspector disagrees with recovery on shard {shard}: {error}")
@@ -233,7 +243,9 @@ struct Driver<'a, B: LogBackend<BankAccount>> {
     gtid_of: Vec<Option<u64>>,
     /// Local handle of a directly driven single-shard transaction.
     local_of: Vec<Option<(usize, TxnId)>>,
-    parts_of: Vec<Vec<usize>>,
+    /// Place `s` is shard `s`'s home object; a transaction's places are
+    /// its participant shards.
+    ledger: Ledger,
     /// Per-shard group-commit staging: (local txn, logical index).
     pending_batch: Vec<Vec<(TxnId, usize)>>,
     /// One-shot 2PC crash step armed by a `twopc{step}` fault.
@@ -257,9 +269,11 @@ impl<'a, B: LogBackend<BankAccount>> Driver<'a, B> {
             phase,
             gtid_of: vec![None; scenario.txns],
             local_of: vec![None; scenario.txns],
-            parts_of: (0..scenario.txns)
-                .map(|i| parts_for(scenario.cfg.seed, i, n, scenario.lose_decision))
-                .collect(),
+            ledger: Ledger::new(
+                (0..scenario.txns)
+                    .map(|i| parts_for(scenario.cfg.seed, i, n, scenario.lose_decision))
+                    .collect(),
+            ),
             pending_batch: vec![Vec::new(); n],
             pending_step: None,
             faults: scenario.plan.faults().to_vec(),
@@ -339,7 +353,7 @@ impl<'a, B: LogBackend<BankAccount>> Driver<'a, B> {
             }
             let hit = match (&self.local_of[i], &self.gtid_of[i]) {
                 (Some((s, _)), _) => mask & (1 << *s) != 0,
-                (None, Some(_)) => self.parts_of[i].iter().any(|&s| mask & (1 << s) != 0),
+                (None, Some(_)) => self.ledger.places(i).iter().any(|&s| mask & (1 << s) != 0),
                 (None, None) => false,
             };
             if hit {
@@ -429,72 +443,43 @@ impl<'a, B: LogBackend<BankAccount>> Driver<'a, B> {
         Ok(())
     }
 
-    /// The oracle sweep: decode every shard's committed balance as a
-    /// bit-set and demand (1) uniform outcome for every settled
-    /// cross-shard transaction across its participants — the eighth leg —
-    /// (2) every acknowledged commit visible on all its participants and
-    /// nowhere else, (3) nothing else visible anywhere.
+    /// The oracle sweep: every shard's committed balance goes to the
+    /// ledger (stray bits, the eighth leg, durability, no resurrection).
+    /// Unresolved doubt has no outcome yet.
     fn check(&mut self) -> Result<(), ShardFailure> {
         self.report.oracle_checks += 1;
         let doubt: Vec<u64> = self.sys.in_doubt();
         let states: Vec<u64> = (0..self.nshards)
             .map(|s| self.sys.shard_mut(s).committed_state(ObjectId(s as u32)))
             .collect();
-        let visible = |i: usize, s: usize| states[s] & (1u64 << i) != 0;
-
-        // The book is keyed by logical index, not by gtid: a fleet crash
-        // restarts the id allocator above every id with a *durable* trace,
-        // so a transaction aborted before it left one and its successor are
-        // issued the same gtid — two transactions, two participant lists.
-        let mut settled_cross: Vec<(u64, Vec<usize>)> = Vec::new();
-        for i in 0..self.phase.len() {
-            let Some(g) = self.gtid_of[i] else { continue };
-            if doubt.contains(&g) {
-                continue; // unresolved doubt has no outcome yet
+        let told = |i: usize| match self.phase[i] {
+            _ if self.gtid_of[i].is_some_and(|g| doubt.contains(&g)) => Told::Pending,
+            Phase::Committed => Told::Visible,
+            _ => Told::Invisible,
+        };
+        self.ledger.check(told, &states).map_err(|v| match v {
+            LedgerViolation::Stray { place, state } => {
+                ShardFailure::StrayState { shard: place, state }
             }
-            if matches!(self.phase[i], Phase::Committed | Phase::Aborted) {
-                settled_cross.push((i as u64, self.parts_of[i].clone()));
+            // The book is keyed by logical index and the report names the
+            // gtid; a single-shard transaction cannot split.
+            LedgerViolation::Split(split) => {
+                let gtid = self.gtid_of[split.gtid as usize].expect("only global txns split");
+                ShardFailure::GlobalSplit(GlobalAtomicityViolation { gtid, ..split })
             }
-        }
-        check_uniform_outcome(&settled_cross, |i, s| visible(i as usize, s)).map_err(|split| {
-            let gtid = self.gtid_of[split.gtid as usize].expect("only global txns are listed");
-            ShardFailure::GlobalSplit(GlobalAtomicityViolation { gtid, ..split })
-        })?;
-
-        for i in 0..self.phase.len() {
-            if let Some(g) = self.gtid_of[i] {
-                if doubt.contains(&g) {
-                    continue;
-                }
+            LedgerViolation::Lost { txn, place } => {
+                ShardFailure::DurabilityLost { txn, shard: place }
             }
-            match self.phase[i] {
-                Phase::Committed => {
-                    for s in 0..self.nshards {
-                        let participant = self.parts_of[i].contains(&s);
-                        if participant && !visible(i, s) {
-                            return Err(ShardFailure::DurabilityLost { txn: i, shard: s });
-                        }
-                        if !participant && visible(i, s) {
-                            return Err(ShardFailure::Resurrection { txn: i, shard: s });
-                        }
-                    }
-                }
-                _ => {
-                    for s in 0..self.nshards {
-                        if visible(i, s) {
-                            return Err(ShardFailure::Resurrection { txn: i, shard: s });
-                        }
-                    }
-                }
+            LedgerViolation::Resurrected { txn, place } => {
+                ShardFailure::Resurrection { txn, shard: place }
             }
-        }
-        Ok(())
+        })
     }
 
     /// Begin + invoke transaction `i`.
     fn begin_txn(&mut self, i: usize) {
-        let parts = self.parts_of[i].clone();
-        let amount = 1u64 << i;
+        let parts = self.ledger.places(i).to_vec();
+        let amount = Ledger::amount(i);
         if parts.len() == 1 {
             let s = parts[0];
             let t = self.sys.shard_mut(s).begin();
@@ -569,7 +554,7 @@ impl<'a, B: LogBackend<BankAccount>> Driver<'a, B> {
     /// The shard subset a 2PC-step crash will take down (so staged singles
     /// there can be evicted before the power goes).
     fn crashed_by(&self, step: TwoPcStep, i: usize) -> u32 {
-        let parts = &self.parts_of[i];
+        let parts = self.ledger.places(i);
         match step {
             TwoPcStep::CoordinatorAfterPrepare => 0,
             TwoPcStep::ParticipantInDoubt | TwoPcStep::CrashDuringRecovery => 1 << parts[0],
@@ -591,23 +576,20 @@ impl<'a, B: LogBackend<BankAccount>> Driver<'a, B> {
     }
 
     /// The planted eighth-leg bug: the coordinator's commit decision
-    /// record evaporates, yet it acks the client and resolves one
-    /// participant before dying. Presumed abort then settles the remaining
-    /// doubt the other way — a split the oracle must catch.
+    /// record never lands (no `decide_commit`), yet it acks the client and
+    /// resolves one participant before dying. Presumed abort then settles
+    /// the remaining doubt the other way — a split the oracle must catch.
     fn commit_with_lost_decision(&mut self, i: usize, g: u64) -> Result<(), ShardFailure> {
-        self.sys.coordinator_mut().arm_lose_decision();
         if self.sys.prepare_all(g).is_err() {
             self.settle(i, false, true);
             return Ok(());
         }
-        let durable = self.sys.decide_commit(g);
-        debug_assert!(!durable, "the armed sabotage drops exactly one decision record");
-        let first = self.parts_of[i][0];
+        let first = self.ledger.places(i)[0];
         let _ = self.sys.resolve_participant(g, first, true);
         self.settle(i, true, true); // the client saw the ack
         self.sys.crash_coordinator();
         self.report.resolved_in_doubt += self.sys.resolve_in_doubt() as u64;
-        self.report.lost_decisions = self.sys.coordinator().lost_decisions();
+        self.report.lost_decisions += 1;
         self.check()
     }
 
@@ -958,7 +940,7 @@ mod tests {
         scenario.shards = 3;
         scenario.txns = 2;
         let mut d = Driver::new(&scenario, fleet(3, MemBackend::new));
-        d.parts_of = vec![vec![0, 1, 2], vec![0, 1]];
+        d.ledger = Ledger::new(vec![vec![0, 1, 2], vec![0, 1]]);
         d.begin_txn(0);
         d.crash_fleet();
         d.begin_txn(1);
@@ -968,9 +950,26 @@ mod tests {
         d.check().expect("txn 0 aborted everywhere, txn 1 committed on both its shards");
         // The leg still fires on a real split of the successor: forget its
         // effects on one of its two participants.
-        d.parts_of[1] = vec![0, 1, 2];
+        d.ledger = Ledger::new(vec![vec![0, 1, 2], vec![0, 1, 2]]);
         let split = d.check().expect_err("visible on 0 and 1 but not on participant 2");
         assert_eq!(split.kind(), "global-split", "got {split}");
+    }
+
+    #[test]
+    fn a_bit_on_a_shard_that_never_took_part_is_stray() {
+        let mut scenario = SimScenario::new(Combo::UipNrbc, 0, FaultPlan::none());
+        scenario.shards = 3;
+        scenario.txns = 1;
+        let mut d = Driver::new(&scenario, fleet(3, MemBackend::new));
+        d.ledger = Ledger::new(vec![vec![0, 1, 2]]);
+        d.begin_txn(0);
+        d.commit_txn(0).unwrap();
+        d.check().expect("committed on all three participants");
+        // Had routing never sent it to shard 2, the bit there is nobody's.
+        d.ledger = Ledger::new(vec![vec![0, 1]]);
+        let stray = d.check().expect_err("shard 2 holds a bit no participant deposited");
+        assert_eq!(stray, ShardFailure::StrayState { shard: 2, state: 1 });
+        assert_eq!(stray.kind(), "stray-state", "got {stray}");
     }
 
     #[test]

@@ -13,7 +13,7 @@ while read -r file ceiling; do
     status=1
   fi
 done <<'BUDGET'
-DESIGN.md 137411
-EXPERIMENTS.md 84251
+DESIGN.md 137308
+EXPERIMENTS.md 70000
 BUDGET
 exit $status

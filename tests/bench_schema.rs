@@ -260,7 +260,7 @@ fn unflip_repair_reconciles_disk_and_header_stats() {
     use ccr::core::ids::ObjectId;
     use ccr::runtime::crash::{DurableSystem, RedoError, TornPolicy};
     use ccr::runtime::engine::UipEngine;
-    use ccr::store::{LogBackend, WalBackend, WalConfig};
+    use ccr::store::{WalBackend, WalConfig};
 
     let mut sys: DurableSystem<
         BankAccount,
@@ -279,18 +279,18 @@ fn unflip_repair_reconciles_disk_and_header_stats() {
 
     // Hunt for a payload bit whose flip the CRC layer detects (slack bits
     // recover silently and repair nothing).
-    let bits = sys.backend().storage_bits();
+    let bits = sys.backend().disk().durable_bits();
     let mut reconciled = false;
     for bit in 0..bits {
-        assert!(sys.backend_mut().flip_bit(bit), "bit {bit} must be flippable");
+        assert!(sys.backend_mut().disk_mut().flip_bit(bit), "bit {bit} must be flippable");
         match sys.crash_and_recover() {
             Ok(()) => {
                 // Slack bit: undo it so later flips stay single-site.
-                assert_eq!(sys.backend_mut().repair_flips(), 1);
+                assert_eq!(sys.backend_mut().disk_mut().unflip_all(), 1);
             }
             Err(RedoError::CorruptRecord { .. }) | Err(RedoError::TornRecord { .. }) => {
                 assert_eq!(
-                    sys.backend_mut().repair_flips(),
+                    sys.backend_mut().disk_mut().unflip_all(),
                     1,
                     "exactly the injected flip repairs"
                 );

@@ -23,7 +23,7 @@ use ccr::runtime::shard::{ShardedSystem, TwoPcStep};
 use ccr::runtime::sim::{run_sim, SimCfg};
 use ccr::runtime::system::{ConflictPolicy, TxnSystem};
 use ccr::runtime::threaded::{run_threaded, run_threaded_durable, GroupCommitCfg, ThreadedCfg};
-use ccr::store::{LogBackend, WalBackend, WalConfig};
+use ccr::store::{WalBackend, WalConfig};
 use ccr::workload::gen::{banking, WorkloadCfg};
 
 include!("common/rendezvous.rs");
@@ -396,7 +396,7 @@ fn counters_only_run_equals_its_recording_twin() {
         sys.checkpoint();
         let batch = [deposit(&mut sys, 0), deposit(&mut sys, 1)];
         assert!(sys.commit_group(&batch).iter().all(Result::is_ok));
-        assert!(sys.backend_mut().arm_transient_io(2));
+        sys.backend_mut().disk_mut().arm_transient_errors(2);
         let t = deposit(&mut sys, 1);
         sys.commit(t).unwrap();
         sys.crash_and_recover_with(TornPolicy::DiscardTail).unwrap();

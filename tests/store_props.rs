@@ -240,7 +240,7 @@ fn torn_group_flush_recovers_a_prefix_under_both_replayers() {
 /// expressible persisted prefix of the record: none, and a CRC-torn half.
 #[test]
 fn torn_or_missing_decide_presumed_aborts_every_participant() {
-    use ccr::runtime::shard::{check_uniform_outcome, ShardedSystem};
+    use ccr::runtime::{check_uniform_outcome, ShardedSystem};
 
     type Fleet = ShardedSystem<
         BankAccount,
@@ -395,14 +395,14 @@ fn exhaustive_bit_flip_sweep_never_diverges_silently() {
     let mut clean = committed_image();
     clean.crash_and_recover().expect("clean image recovers");
     let expect: Vec<u64> = (0..OBJECTS).map(|o| clean.committed_state(ObjectId(o))).collect();
-    let bits = clean.backend().storage_bits();
+    let bits = clean.backend().disk().durable_bits();
     assert!(bits > 0, "image must occupy stable storage");
     assert!(bits < 64_000, "keep the exhaustive sweep small (got {bits} bits)");
 
     let mut detected = 0u64;
     for bit in 0..bits {
         let mut sys = committed_image();
-        assert!(sys.backend_mut().flip_bit(bit), "bit {bit} must be flippable");
+        assert!(sys.backend_mut().disk_mut().flip_bit(bit), "bit {bit} must be flippable");
         match sys.crash_and_recover() {
             Ok(()) => {
                 let got: Vec<u64> =
@@ -412,7 +412,7 @@ fn exhaustive_bit_flip_sweep_never_diverges_silently() {
             Err(RedoError::CorruptRecord { .. }) | Err(RedoError::TornRecord { .. }) => {
                 detected += 1;
                 assert_eq!(
-                    sys.backend_mut().repair_flips(),
+                    sys.backend_mut().disk_mut().unflip_all(),
                     1,
                     "exactly the injected flip is repaired"
                 );
@@ -614,7 +614,7 @@ mod forensic_leg {
             match rng.below(7) {
                 0 => drop(w.tear_last_flush(1 + rng.below(6) as usize)),
                 1 => drop(w.reorder_last_flush()),
-                2 => drop(w.flip_bit(rng.below((last + 1) * SECTOR as u64 * 8))),
+                2 => drop(w.disk_mut().flip_bit(rng.below((last + 1) * SECTOR as u64 * 8))),
                 3 => drop(w.disk_mut().delete(pick)),
                 4 => {
                     let junk: Vec<u8> = (0..SECTOR).map(|_| rng.below(256) as u8).collect();
@@ -666,7 +666,7 @@ mod forensic_leg {
 
             let mut killed = w.clone();
             killed.crash();
-            killed.arm_crash_at_op(rng.below(spent));
+            killed.disk_mut().arm_crash_at_op(rng.below(spent));
             let died = killed.recover(TailPolicy::DiscardTail).unwrap_err();
             assert!(matches!(died.kind, StoreFailureKind::Device(_)), "image {image}: {died:?}");
             killed.crash();
