@@ -66,26 +66,15 @@ impl<A: EnumerableAdt, B: EnumerableAdt> EnumerableAdt for SumAdt<A, B> {
 impl<A: StateCover, B: StateCover> StateCover for SumAdt<A, B> {
     fn state_cover(&self, ops: &[Op<Self>]) -> Vec<Self::State> {
         match self {
-            SumAdt::Left(a) => {
-                let inner: Vec<Op<A>> = ops
-                    .iter()
-                    .filter_map(|op| match (&op.inv, &op.resp) {
-                        (Either::L(i), Either::L(r)) => Some(Op::new(i.clone(), r.clone())),
-                        _ => None,
-                    })
-                    .collect();
-                a.state_cover(&inner).into_iter().map(Either::L).collect()
-            }
-            SumAdt::Right(b) => {
-                let inner: Vec<Op<B>> = ops
-                    .iter()
-                    .filter_map(|op| match (&op.inv, &op.resp) {
-                        (Either::R(i), Either::R(r)) => Some(Op::new(i.clone(), r.clone())),
-                        _ => None,
-                    })
-                    .collect();
-                b.state_cover(&inner).into_iter().map(Either::R).collect()
-            }
+            SumAdt::Left(a) => a.state_cover(&sides(ops).0).into_iter().map(Either::L).collect(),
+            SumAdt::Right(b) => b.state_cover(&sides(ops).1).into_iter().map(Either::R).collect(),
+        }
+    }
+
+    fn continuations(&self, ops: &[Op<Self>]) -> Vec<Self::Invocation> {
+        match self {
+            SumAdt::Left(a) => a.continuations(&sides(ops).0).into_iter().map(Either::L).collect(),
+            SumAdt::Right(b) => b.continuations(&sides(ops).1).into_iter().map(Either::R).collect(),
         }
     }
 
@@ -106,6 +95,19 @@ impl<A: StateCover, B: StateCover> StateCover for SumAdt<A, B> {
             _ => None,
         }
     }
+}
+
+/// The left-side and the right-side operations among `ops`.
+fn sides<A: Adt, B: Adt>(ops: &[Op<SumAdt<A, B>>]) -> (Vec<Op<A>>, Vec<Op<B>>) {
+    let (mut left, mut right) = (Vec::new(), Vec::new());
+    for op in ops {
+        match (&op.inv, &op.resp) {
+            (Either::L(i), Either::L(r)) => left.push(Op::new(i.clone(), r.clone())),
+            (Either::R(i), Either::R(r)) => right.push(Op::new(i.clone(), r.clone())),
+            _ => {}
+        }
+    }
+    (left, right)
 }
 
 /// A conflict relation over a sum, dispatching to per-side relations.
@@ -174,7 +176,8 @@ mod tests {
     #[test]
     fn sum_conflict_dispatches_per_side() {
         use ccr_core::conflict::Conflict;
-        let c = SumConflict::new(crate::bank::bank_nrbc(), crate::queue::queue_nrbc());
+        let derived = ccr_core::conflict::Derived::nrbc("queue", FifoQueue::default());
+        let c = SumConflict::new(crate::bank::bank_nrbc(), derived);
         let wok = Op::<Mixed>::new(Either::L(BankInv::Withdraw(1)), Either::L(BankResp::Ok));
         let dep = Op::<Mixed>::new(Either::L(BankInv::Deposit(1)), Either::L(BankResp::Ok));
         let enq = Op::<Mixed>::new(Either::R(QueueInv::Enq(1)), Either::R(QueueResp::Ok));

@@ -6,7 +6,6 @@
 //! pattern the paper's introduction calls out).
 
 use ccr_core::adt::{Adt, EnumerableAdt, Op, OpDeterministicAdt, Outcomes, StateCover};
-use ccr_core::conflict::FnConflict;
 
 use crate::traits::{InvertibleAdt, RwClassify};
 
@@ -103,61 +102,6 @@ impl RwClassify for Counter {
     fn is_write(&self, inv: &CounterInv) -> bool {
         !matches!(inv, CounterInv::Read)
     }
-}
-
-/// Per-instance classification: kind plus the read value (reads of 0 can
-/// never coexist with a successful decrement's precondition, giving the same
-/// vacuous corner instances as the bank).
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Kc {
-    Inc,
-    DecOk,
-    DecNo,
-    Read(u64),
-}
-
-fn classify(op: &Op<Counter>) -> Option<Kc> {
-    match (&op.inv, &op.resp) {
-        (CounterInv::Inc, CounterResp::Ok) => Some(Kc::Inc),
-        (CounterInv::Dec, CounterResp::Ok) => Some(Kc::DecOk),
-        (CounterInv::Dec, CounterResp::No) => Some(Kc::DecNo),
-        (CounterInv::Read, CounterResp::Val(v)) => Some(Kc::Read(*v)),
-        _ => None,
-    }
-}
-
-/// Hand-written NFC (the bank's Figure 6-1 with unit amounts, refined to
-/// instances: `dec_ok` and `read(v)` are co-enabled only when `v ≥ 1`).
-pub fn counter_nfc() -> FnConflict<Counter> {
-    FnConflict::new("counter-NFC", |p, q| {
-        let (Some(p), Some(q)) = (classify(p), classify(q)) else {
-            return true;
-        };
-        use Kc::*;
-        match (p, q) {
-            (Inc, DecNo) | (DecNo, Inc) | (Inc, Read(_)) | (Read(_), Inc) => true,
-            (DecOk, DecOk) => true,
-            (DecOk, Read(v)) | (Read(v), DecOk) => v >= 1,
-            _ => false,
-        }
-    })
-}
-
-/// Hand-written NRBC (the bank's Figure 6-2 with unit amounts, refined to
-/// instances).
-pub fn counter_nrbc() -> FnConflict<Counter> {
-    FnConflict::new("counter-NRBC", |p, q| {
-        let (Some(p), Some(q)) = (classify(p), classify(q)) else {
-            return true;
-        };
-        use Kc::*;
-        match (p, q) {
-            (Inc, DecNo) | (DecOk, Inc) | (DecNo, DecOk) => true,
-            (Inc, Read(_)) | (Read(_), DecOk) => true,
-            (DecOk, Read(v)) | (Read(v), Inc) => v >= 1,
-            _ => false,
-        }
-    })
 }
 
 #[cfg(test)]

@@ -18,13 +18,10 @@
 //! this), and `ccr-runtime::escrow` implements it as an extension.
 
 use ccr_core::adt::{Adt, EnumerableAdt, Op, OpDeterministicAdt, Outcomes, StateCover};
-use ccr_core::conflict::FnConflict;
 
 use crate::traits::{InvertibleAdt, RwClassify};
 
-/// The escrow-account specification. `cap` is the upper bound; hand conflict
-/// tables assume operation amounts are in `1 ..= cap` (asserted in `step`'s
-/// callers via the alphabet constructor).
+/// The escrow-account specification. `cap` is the upper bound.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EscrowAccount {
     /// Upper bound on the balance.
@@ -150,75 +147,6 @@ impl RwClassify for EscrowAccount {
     }
 }
 
-/// Operation kinds for the escrow tables.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum EscrowOpKind {
-    /// `[credit(i), ok]`
-    CreditOk,
-    /// `[credit(i), no]`
-    CreditNo,
-    /// `[debit(i), ok]`
-    DebitOk,
-    /// `[debit(i), no]`
-    DebitNo,
-}
-
-/// Classify an operation.
-pub fn kind(op: &Op<EscrowAccount>) -> Option<EscrowOpKind> {
-    match (&op.inv, &op.resp) {
-        (EscrowInv::Credit(i), EscrowResp::Ok) if *i > 0 => Some(EscrowOpKind::CreditOk),
-        (EscrowInv::Credit(i), EscrowResp::No) if *i > 0 => Some(EscrowOpKind::CreditNo),
-        (EscrowInv::Debit(i), EscrowResp::Ok) if *i > 0 => Some(EscrowOpKind::DebitOk),
-        (EscrowInv::Debit(i), EscrowResp::No) if *i > 0 => Some(EscrowOpKind::DebitNo),
-        _ => None,
-    }
-}
-
-/// Forward commutativity by kind (uniform for amounts `1..=cap`; verified in
-/// tests): the bank table with the credit bound mirrored in.
-pub fn fc_by_kind(p: EscrowOpKind, q: EscrowOpKind) -> bool {
-    use EscrowOpKind::*;
-    !matches!(
-        (p, q),
-        (CreditOk, CreditOk)
-            | (CreditOk, DebitNo)
-            | (DebitNo, CreditOk)
-            | (CreditNo, DebitOk)
-            | (DebitOk, CreditNo)
-            | (DebitOk, DebitOk)
-    )
-}
-
-/// Right backward commutativity by kind.
-pub fn rbc_by_kind(p: EscrowOpKind, q: EscrowOpKind) -> bool {
-    use EscrowOpKind::*;
-    !matches!(
-        (p, q),
-        (CreditOk, DebitOk)
-            | (CreditOk, DebitNo)
-            | (CreditNo, CreditOk)
-            | (DebitOk, CreditOk)
-            | (DebitOk, CreditNo)
-            | (DebitNo, DebitOk)
-    )
-}
-
-/// Hand-written NFC for the escrow account.
-pub fn escrow_nfc() -> FnConflict<EscrowAccount> {
-    FnConflict::new("escrow-NFC", |p, q| match (kind(p), kind(q)) {
-        (Some(kp), Some(kq)) => !fc_by_kind(kp, kq),
-        _ => true,
-    })
-}
-
-/// Hand-written NRBC for the escrow account.
-pub fn escrow_nrbc() -> FnConflict<EscrowAccount> {
-    FnConflict::new("escrow-NRBC", |p, q| match (kind(p), kind(q)) {
-        (Some(kp), Some(kq)) => !rbc_by_kind(kp, kq),
-        _ => true,
-    })
-}
-
 /// Operation constructors.
 pub mod ops {
     use super::*;
@@ -266,13 +194,15 @@ mod tests {
 
     #[test]
     fn both_relations_conflict_on_mirrored_bounds() {
-        use EscrowOpKind::*;
+        use ccr_core::conflict::{Conflict, Derived};
+        let e = EscrowAccount::default();
+        let (nfc, nrbc) = (Derived::nfc("escrow", e.clone()), Derived::nrbc("escrow", e));
         // Two successful credits can jointly overflow: NFC but not NRBC.
-        assert!(!fc_by_kind(CreditOk, CreditOk));
-        assert!(rbc_by_kind(CreditOk, CreditOk));
+        assert!(nfc.conflicts(&credit_ok(1), &credit_ok(2)));
+        assert!(!nrbc.conflicts(&credit_ok(1), &credit_ok(2)));
         // A failed credit cannot be pushed before a successful one: NRBC but
         // not NFC.
-        assert!(!rbc_by_kind(CreditNo, CreditOk));
-        assert!(fc_by_kind(CreditNo, CreditOk));
+        assert!(nrbc.conflicts(&credit_no(1), &credit_ok(2)));
+        assert!(!nfc.conflicts(&credit_no(1), &credit_ok(2)));
     }
 }

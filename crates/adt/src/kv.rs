@@ -14,7 +14,6 @@
 use std::collections::BTreeMap;
 
 use ccr_core::adt::{Adt, EnumerableAdt, Op, OpDeterministicAdt, Outcomes, StateCover};
-use ccr_core::conflict::FnConflict;
 
 use crate::traits::RwClassify;
 
@@ -109,7 +108,7 @@ impl StateCover for KvStore {
     /// keys to mentioned values (or absence), so all maps from those keys to
     /// those values ∪ {absent} cover every class.
     fn state_cover(&self, ops: &[Op<Self>]) -> Vec<BTreeMap<Key, Value>> {
-        let mut keys = self.keys.clone();
+        let mut keys = Vec::new();
         let mut values = self.values.clone();
         for op in ops {
             match &op.inv {
@@ -123,11 +122,9 @@ impl StateCover for KvStore {
                 values.push(*v);
             }
         }
-        keys.sort_unstable();
-        keys.dedup();
         values.sort_unstable();
         values.dedup();
-        let keys: Vec<Key> = keys.into_iter().take(4).collect();
+        let keys = crate::cover_values(&keys, self.keys.clone(), 4);
         let mut out: Vec<BTreeMap<Key, Value>> = vec![BTreeMap::new()];
         for &k in &keys {
             let mut next = Vec::new();
@@ -144,6 +141,21 @@ impl StateCover for KvStore {
         out
     }
 
+    /// Continuation argument: keys are independent and `get(k)` observes
+    /// all of `k`'s state, so adding a `get` of each key the operations
+    /// mention — outside the alphabet too — lets a continuation see every
+    /// difference the cover's maps can make.
+    fn continuations(&self, ops: &[Op<Self>]) -> Vec<KvInv> {
+        let mut out = self.invocations();
+        for op in ops {
+            let (KvInv::Put(k, _) | KvInv::Get(k) | KvInv::Del(k)) = &op.inv;
+            if !out.contains(&KvInv::Get(*k)) {
+                out.push(KvInv::Get(*k));
+            }
+        }
+        out
+    }
+
     fn reach_sequence(&self, state: &BTreeMap<Key, Value>) -> Option<Vec<Op<Self>>> {
         Some(state.iter().map(|(&k, &v)| Op::new(KvInv::Put(k, v), KvResp::Ok)).collect())
     }
@@ -152,75 +164,6 @@ impl StateCover for KvStore {
 impl RwClassify for KvStore {
     fn is_write(&self, inv: &KvInv) -> bool {
         !matches!(inv, KvInv::Get(_))
-    }
-}
-
-/// Hand-written NFC. Cross-key operations never conflict; same-key:
-///
-/// * put/put conflict iff the values differ;
-/// * put/get (either order) conflict iff the read is not exactly the written
-///   value;
-/// * del/get conflict iff the read is not `None`;
-/// * put/del conflict always (final states differ);
-/// * get/get, del/del never.
-pub fn kv_nfc() -> FnConflict<KvStore> {
-    FnConflict::new("kv-NFC", |p, q| {
-        let Some((kp, p)) = part(p) else { return true };
-        let Some((kq, q)) = part(q) else { return true };
-        if kp != kq {
-            return false;
-        }
-        use KvPart::*;
-        match (p, q) {
-            (Put(v1), Put(v2)) => v1 != v2,
-            (Put(v), Get(u)) | (Get(u), Put(v)) => u != Some(v),
-            (Del, Get(u)) | (Get(u), Del) => u.is_some(),
-            (Put(_), Del) | (Del, Put(_)) => true,
-            (Get(_), Get(_)) | (Del, Del) => false,
-        }
-    })
-}
-
-/// Hand-written NRBC. Same as NFC on the symmetric cells, but:
-///
-/// * `(get u, put v)` conflicts iff `u == Some(v)` (a read of the written
-///   value cannot be pushed before the write) while `(put v, get u)`
-///   conflicts iff `u != Some(v)`;
-/// * `(get u, del)` conflicts iff `u == None`, `(del, get u)` iff
-///   `u != None`.
-pub fn kv_nrbc() -> FnConflict<KvStore> {
-    FnConflict::new("kv-NRBC", |p, q| {
-        let Some((kp, p)) = part(p) else { return true };
-        let Some((kq, q)) = part(q) else { return true };
-        if kp != kq {
-            return false;
-        }
-        use KvPart::*;
-        match (p, q) {
-            (Put(v1), Put(v2)) => v1 != v2,
-            (Put(v), Get(u)) => u != Some(v),
-            (Get(u), Put(v)) => u == Some(v),
-            (Del, Get(u)) => u.is_some(),
-            (Get(u), Del) => u.is_none(),
-            (Put(_), Del) | (Del, Put(_)) => true,
-            (Get(_), Get(_)) | (Del, Del) => false,
-        }
-    })
-}
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum KvPart {
-    Put(Value),
-    Get(Option<Value>),
-    Del,
-}
-
-fn part(op: &Op<KvStore>) -> Option<(Key, KvPart)> {
-    match (&op.inv, &op.resp) {
-        (KvInv::Put(k, v), KvResp::Ok) => Some((*k, KvPart::Put(*v))),
-        (KvInv::Get(k), KvResp::Val(u)) => Some((*k, KvPart::Get(*u))),
-        (KvInv::Del(k), KvResp::Ok) => Some((*k, KvPart::Del)),
-        _ => None,
     }
 }
 
@@ -246,7 +189,7 @@ pub mod ops {
 mod tests {
     use super::ops::*;
     use super::*;
-    use ccr_core::conflict::Conflict;
+    use ccr_core::conflict::{Conflict, Derived};
     use ccr_core::spec::legal;
 
     #[test]
@@ -261,7 +204,7 @@ mod tests {
 
     #[test]
     fn value_sensitive_conflicts() {
-        let nfc = kv_nfc();
+        let nfc = Derived::nfc("kv", KvStore::default());
         assert!(!nfc.conflicts(&put(0, 1), &put(0, 1)), "same value: no conflict");
         assert!(nfc.conflicts(&put(0, 1), &put(0, 2)));
         assert!(!nfc.conflicts(&get(0, Some(1)), &put(0, 1)));
@@ -271,7 +214,7 @@ mod tests {
 
     #[test]
     fn nrbc_asymmetry_on_reads() {
-        let nrbc = kv_nrbc();
+        let nrbc = Derived::nrbc("kv", KvStore::default());
         // A read of the written value cannot be pushed before the write…
         assert!(nrbc.conflicts(&get(0, Some(1)), &put(0, 1)));
         // …but the write pushes back past a read of its own value.

@@ -1,5 +1,4 @@
-//! # ccr-adt — transactional abstract data types with verified
-//! commutativity-based conflict relations
+//! # ccr-adt — transactional abstract data types
 //!
 //! Each module implements one ADT as a [`ccr_core::adt::Adt`] serial
 //! specification, together with:
@@ -7,10 +6,11 @@
 //! * a finite invocation alphabet for bounded analyses
 //!   ([`ccr_core::adt::EnumerableAdt`]);
 //! * a documented finite **state cover** making the commutativity engines
-//!   exact ([`ccr_core::adt::StateCover`]);
-//! * hand-written `NFC` / `NRBC` conflict predicates covering *all* operation
-//!   parameters (not just the alphabet), each verified against the computed
-//!   relations in tests — these are what the `ccr-runtime` lock manager uses;
+//!   exact for operations with *any* parameters
+//!   ([`ccr_core::adt::StateCover`]) — so the `NFC` / `NRBC` relations the
+//!   `ccr-runtime` lock manager uses are derived from the specification
+//!   ([`ccr_core::conflict::Derived`]), not written by hand; only the bank
+//!   keeps its transcription of Figures 6-1/6-2 ([`bank::bank_nfc`]);
 //! * where meaningful, a logical-inverse implementation
 //!   ([`traits::InvertibleAdt`]) and a read/write classification
 //!   ([`traits::RwClassify`]) for the strict two-phase-locking baseline.
@@ -49,5 +49,20 @@ pub mod set;
 pub mod stack;
 pub mod traits;
 
-#[cfg(test)]
-pub(crate) mod verify;
+/// The values a bounded state cover is built over: every value in
+/// `mentioned` first, then `fillers` in order, at most `n`, sorted — so a
+/// value an operation mentions survives the bound whatever the alphabet.
+pub(crate) fn cover_values<T: Ord + Copy>(
+    mentioned: &[T],
+    fillers: impl IntoIterator<Item = T>,
+    n: usize,
+) -> Vec<T> {
+    let mut vals: Vec<T> = Vec::new();
+    for v in mentioned.iter().copied().chain(fillers) {
+        if vals.len() < n && !vals.contains(&v) {
+            vals.push(v);
+        }
+    }
+    vals.sort_unstable();
+    vals
+}

@@ -9,7 +9,6 @@
 //! read value is invisible).
 
 use ccr_core::adt::{Adt, EnumerableAdt, Op, OpDeterministicAdt, Outcomes, StateCover};
-use ccr_core::conflict::FnConflict;
 
 use crate::traits::RwClassify;
 
@@ -115,33 +114,6 @@ impl RwClassify for MaxRegister {
     }
 }
 
-/// Hand-written NFC: writes never conflict with writes; a write of `v`
-/// conflicts with a read of `u` (either order) iff `v > u` — a smaller or
-/// equal write is invisible to the read.
-pub fn maxreg_nfc() -> FnConflict<MaxRegister> {
-    FnConflict::new("maxreg-NFC", |p, q| match ((&p.inv, &p.resp), (&q.inv, &q.resp)) {
-        ((MaxInv::WriteMax(v), MaxResp::Ok), (MaxInv::Read, MaxResp::Val(u)))
-        | ((MaxInv::Read, MaxResp::Val(u)), (MaxInv::WriteMax(v), MaxResp::Ok)) => v > u,
-        ((MaxInv::WriteMax(_), MaxResp::Ok), (MaxInv::WriteMax(_), MaxResp::Ok))
-        | ((MaxInv::Read, MaxResp::Val(_)), (MaxInv::Read, MaxResp::Val(_))) => false,
-        _ => true,
-    })
-}
-
-/// Hand-written NRBC: as NFC on writes-vs-reads pushed back past reads
-/// (`v > u`); a read of `u` cannot be pushed back before a held write of
-/// exactly `u` (the write may have produced the value read) — except `u = 0`,
-/// which the initial state already provides.
-pub fn maxreg_nrbc() -> FnConflict<MaxRegister> {
-    FnConflict::new("maxreg-NRBC", |p, q| match ((&p.inv, &p.resp), (&q.inv, &q.resp)) {
-        ((MaxInv::WriteMax(v), MaxResp::Ok), (MaxInv::Read, MaxResp::Val(u))) => v > u,
-        ((MaxInv::Read, MaxResp::Val(u)), (MaxInv::WriteMax(v), MaxResp::Ok)) => u == v && *v > 0,
-        ((MaxInv::WriteMax(_), MaxResp::Ok), (MaxInv::WriteMax(_), MaxResp::Ok))
-        | ((MaxInv::Read, MaxResp::Val(_)), (MaxInv::Read, MaxResp::Val(_))) => false,
-        _ => true,
-    })
-}
-
 /// Operation constructors.
 pub mod ops {
     use super::*;
@@ -160,7 +132,7 @@ pub mod ops {
 mod tests {
     use super::ops::*;
     use super::*;
-    use ccr_core::conflict::Conflict;
+    use ccr_core::conflict::{Conflict, Derived};
     use ccr_core::spec::legal;
 
     #[test]
@@ -172,8 +144,8 @@ mod tests {
 
     #[test]
     fn updates_never_conflict() {
-        let nfc = maxreg_nfc();
-        let nrbc = maxreg_nrbc();
+        let nfc = Derived::nfc("maxreg", MaxRegister::default());
+        let nrbc = Derived::nrbc("maxreg", MaxRegister::default());
         for a in 0..4 {
             for b in 0..4 {
                 assert!(!nfc.conflicts(&write_max(a), &write_max(b)));
@@ -184,17 +156,9 @@ mod tests {
 
     #[test]
     fn small_writes_are_invisible_to_reads() {
-        let nfc = maxreg_nfc();
+        let nfc = Derived::nfc("maxreg", MaxRegister::default());
         assert!(!nfc.conflicts(&write_max(1), &read(2)), "write below the read");
         assert!(nfc.conflicts(&write_max(3), &read(2)), "write above the read");
         assert!(!nfc.conflicts(&write_max(2), &read(2)), "write equal to the read");
-    }
-
-    #[test]
-    fn hand_tables_match_computed() {
-        let m = MaxRegister { values: vec![0, 1, 2] };
-        let grid =
-            vec![write_max(0), write_max(1), write_max(2), read(0), read(1), read(2), read(3)];
-        crate::verify::verify_hand_tables(&m, &grid, &maxreg_nfc(), &maxreg_nrbc());
     }
 }

@@ -11,7 +11,6 @@
 use std::collections::BTreeMap;
 
 use ccr_core::adt::{Adt, EnumerableAdt, Op, OpDeterministicAdt, Outcomes, StateCover};
-use ccr_core::conflict::FnConflict;
 
 use crate::traits::{InvertibleAdt, RwClassify};
 
@@ -103,29 +102,21 @@ impl StateCover for PQueue {
     /// them is the minimum; multisets with counts ≤ 2 over the mentioned
     /// values plus one smaller and one larger fresh value cover every class.
     fn state_cover(&self, ops: &[Op<Self>]) -> Vec<Heap> {
-        let mut vals = self.values.clone();
+        let mut mentioned = Vec::new();
         for op in ops {
             if let PqInv::Insert(v) = &op.inv {
-                vals.push(*v);
+                mentioned.push(*v);
             }
             if let PqResp::Got(v) = &op.resp {
-                vals.push(*v);
+                mentioned.push(*v);
             }
         }
-        // A fresh value above and below the mentioned range, when available.
-        if let Some(&lo) = vals.iter().min() {
-            if lo > 0 {
-                vals.push(lo - 1);
-            }
-        }
-        if let Some(&hi) = vals.iter().max() {
-            if hi < Prio::MAX {
-                vals.push(hi + 1);
-            }
-        }
-        vals.sort_unstable();
-        vals.dedup();
-        let vals: Vec<Prio> = vals.into_iter().take(4).collect();
+        // A fresh value below and above the mentioned range, when available.
+        let range = || mentioned.iter().chain(&self.values);
+        let lo = range().min().and_then(|lo| lo.checked_sub(1));
+        let hi = range().max().and_then(|hi| hi.checked_add(1));
+        let fillers = lo.into_iter().chain(hi).chain(self.values.clone());
+        let vals = crate::cover_values(&mentioned, fillers, 4);
         let mut out: Vec<Heap> = vec![Heap::new()];
         for &v in &vals {
             let mut next = Vec::new();
@@ -189,68 +180,6 @@ impl RwClassify for PQueue {
     }
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Kp {
-    Ins(Prio),
-    Got(Prio),
-    Empty,
-}
-
-fn classify(op: &Op<PQueue>) -> Option<Kp> {
-    match (&op.inv, &op.resp) {
-        (PqInv::Insert(v), PqResp::Ok) => Some(Kp::Ins(*v)),
-        (PqInv::ExtractMin, PqResp::Got(v)) => Some(Kp::Got(*v)),
-        (PqInv::ExtractMin, PqResp::Empty) => Some(Kp::Empty),
-        _ => None,
-    }
-}
-
-/// Hand-written NFC: inserts always commute; `got(a)/got(b)` conflict iff
-/// `a == b` (distinct values are never both the minimum); `insert(w)` and
-/// `extract_min → got(v)` conflict iff `w < v` (the insert would have
-/// changed the minimum); inserts conflict with `empty` both ways.
-pub fn pqueue_nfc() -> FnConflict<PQueue> {
-    FnConflict::new("pqueue-NFC", |p, q| {
-        let (Some(p), Some(q)) = (classify(p), classify(q)) else {
-            return true;
-        };
-        use Kp::*;
-        match (p, q) {
-            (Got(a), Got(b)) => a == b,
-            (Ins(w), Got(v)) | (Got(v), Ins(w)) => w < v,
-            (Ins(_), Empty) | (Empty, Ins(_)) => true,
-            _ => false,
-        }
-    })
-}
-
-/// Hand-written NRBC: the asymmetries mirror the queue's, with the
-/// value-dependence of the priority order —
-///
-/// * `(insert w, got v)` conflicts iff `w < v`;
-/// * `(got v, insert w)` conflicts iff `v == w` (the extraction may have
-///   taken the very element the insert produced);
-/// * `(got a, got b)` conflicts iff `b < a` — extractions are ordered by
-///   value, so `got b · got a` is legal only for `b ≤ a`, and only the
-///   strict case resists being pushed back; `(empty, got)` and
-///   `(insert, empty)` conflict as for the queue.
-pub fn pqueue_nrbc() -> FnConflict<PQueue> {
-    FnConflict::new("pqueue-NRBC", |p, q| {
-        let (Some(p), Some(q)) = (classify(p), classify(q)) else {
-            return true;
-        };
-        use Kp::*;
-        match (p, q) {
-            (Got(a), Got(b)) => b < a,
-            (Ins(w), Got(v)) => w < v,
-            (Got(v), Ins(w)) => v == w,
-            (Ins(_), Empty) => true,
-            (Empty, Got(_)) => true,
-            _ => false,
-        }
-    })
-}
-
 /// Operation constructors.
 pub mod ops {
     use super::*;
@@ -273,7 +202,7 @@ pub mod ops {
 mod tests {
     use super::ops::*;
     use super::*;
-    use ccr_core::conflict::Conflict;
+    use ccr_core::conflict::{Conflict, Derived};
     use ccr_core::spec::legal;
 
     #[test]
@@ -289,28 +218,13 @@ mod tests {
 
     #[test]
     fn insert_conflicts_are_value_dependent() {
-        let nfc = pqueue_nfc();
+        let nfc = Derived::nfc("pqueue", PQueue::default());
         // Inserting above the extracted minimum does not disturb it…
         assert!(!nfc.conflicts(&insert(2), &extract_got(1)));
         // …inserting below it does.
         assert!(nfc.conflicts(&insert(0), &extract_got(1)));
         // Inserts always commute with each other.
         assert!(!nfc.conflicts(&insert(0), &insert(2)));
-    }
-
-    #[test]
-    fn hand_tables_match_computed() {
-        let pq = PQueue { values: vec![0, 1, 2] };
-        let grid = vec![
-            insert(0),
-            insert(1),
-            insert(2),
-            extract_got(0),
-            extract_got(1),
-            extract_got(2),
-            extract_empty(),
-        ];
-        crate::verify::verify_hand_tables(&pq, &grid, &pqueue_nfc(), &pqueue_nrbc());
     }
 
     #[test]

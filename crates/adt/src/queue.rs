@@ -9,7 +9,6 @@
 //! giving up FIFO order buys far more concurrency.
 
 use ccr_core::adt::{Adt, EnumerableAdt, Op, OpDeterministicAdt, Outcomes, StateCover};
-use ccr_core::conflict::FnConflict;
 
 use crate::traits::RwClassify;
 
@@ -93,22 +92,17 @@ impl StateCover for FifoQueue {
     /// mentioned values (plus one fresh separator value) distinguish every
     /// case that any longer queue would.
     fn state_cover(&self, ops: &[Op<Self>]) -> Vec<QueueState> {
-        let mut vals = self.values.clone();
+        let mut mentioned = Vec::new();
         for op in ops {
             if let QueueInv::Enq(v) = &op.inv {
-                vals.push(*v);
+                mentioned.push(*v);
             }
             if let QueueResp::Got(v) = &op.resp {
-                vals.push(*v);
+                mentioned.push(*v);
             }
         }
-        let fresh = (0..=Val::MAX).find(|v| !vals.contains(v));
-        if let Some(f) = fresh {
-            vals.push(f);
-        }
-        vals.sort_unstable();
-        vals.dedup();
-        let vals: Vec<Val> = vals.into_iter().take(4).collect();
+        let fresh = (0..=Val::MAX).find(|v| !mentioned.contains(v) && !self.values.contains(v));
+        let vals = crate::cover_values(&mentioned, fresh.into_iter().chain(self.values.clone()), 4);
         let mut out: Vec<QueueState> = vec![Vec::new()];
         let mut layer: Vec<QueueState> = vec![Vec::new()];
         for _ in 0..3 {
@@ -137,66 +131,6 @@ impl RwClassify for FifoQueue {
     }
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Kq {
-    Enq(Val),
-    Got(Val),
-    Empty,
-}
-
-fn classify(op: &Op<FifoQueue>) -> Option<Kq> {
-    match (&op.inv, &op.resp) {
-        (QueueInv::Enq(v), QueueResp::Ok) => Some(Kq::Enq(*v)),
-        (QueueInv::Deq, QueueResp::Got(v)) => Some(Kq::Got(*v)),
-        (QueueInv::Deq, QueueResp::Empty) => Some(Kq::Empty),
-        _ => None,
-    }
-}
-
-/// Hand-written NFC for the FIFO queue:
-/// enq/enq conflict iff values differ; got/got conflict iff values are
-/// equal (different values are never both at the head); enq conflicts with
-/// deq-empty in both directions.
-pub fn queue_nfc() -> FnConflict<FifoQueue> {
-    FnConflict::new("queue-NFC", |p, q| {
-        let (Some(p), Some(q)) = (classify(p), classify(q)) else {
-            return true;
-        };
-        use Kq::*;
-        match (p, q) {
-            (Enq(a), Enq(b)) => a != b,
-            (Got(a), Got(b)) => a == b,
-            (Enq(_), Empty) | (Empty, Enq(_)) => true,
-            _ => false,
-        }
-    })
-}
-
-/// Hand-written NRBC for the FIFO queue. The asymmetries:
-///
-/// * `(enq, got)` never conflicts — a producer can always be pushed back
-///   before a consumer — while `(got v, enq v)` conflicts (the consumed
-///   value may be the one just produced);
-/// * `(deq-empty, got)` conflicts, `(got, deq-empty)` is vacuous;
-/// * `(deq-empty, enq)` is vacuous while `(enq, deq-empty)` conflicts.
-pub fn queue_nrbc() -> FnConflict<FifoQueue> {
-    FnConflict::new("queue-NRBC", |p, q| {
-        let (Some(p), Some(q)) = (classify(p), classify(q)) else {
-            return true;
-        };
-        use Kq::*;
-        match (p, q) {
-            (Enq(a), Enq(b)) => a != b,
-            (Got(a), Got(b)) => a != b,
-            (Got(a), Enq(b)) => a == b,
-            (Enq(_), Got(_)) => false,
-            (Enq(_), Empty) => true,
-            (Empty, Got(_)) => true,
-            (Empty, Enq(_)) | (Got(_), Empty) | (Empty, Empty) => false,
-        }
-    })
-}
-
 /// Operation constructors.
 pub mod ops {
     use super::*;
@@ -219,7 +153,7 @@ pub mod ops {
 mod tests {
     use super::ops::*;
     use super::*;
-    use ccr_core::conflict::Conflict;
+    use ccr_core::conflict::{Conflict, Derived};
     use ccr_core::spec::legal;
 
     #[test]
@@ -232,7 +166,7 @@ mod tests {
 
     #[test]
     fn producers_push_back_past_consumers_but_not_conversely() {
-        let nrbc = queue_nrbc();
+        let nrbc = Derived::nrbc("queue", FifoQueue::default());
         assert!(!nrbc.conflicts(&enq(1), &deq_got(0)));
         assert!(nrbc.conflicts(&deq_got(1), &enq(1)));
         assert!(!nrbc.conflicts(&deq_got(1), &enq(0)));
@@ -240,7 +174,7 @@ mod tests {
 
     #[test]
     fn same_value_enqueues_commute() {
-        let nfc = queue_nfc();
+        let nfc = Derived::nfc("queue", FifoQueue::default());
         assert!(!nfc.conflicts(&enq(1), &enq(1)));
         assert!(nfc.conflicts(&enq(1), &enq(2)));
     }

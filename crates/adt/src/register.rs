@@ -4,7 +4,6 @@
 //! read/read, same-value write/write, and read-of-the-written-value.
 
 use ccr_core::adt::{Adt, EnumerableAdt, Op, OpDeterministicAdt, Outcomes, StateCover};
-use ccr_core::conflict::FnConflict;
 
 use crate::traits::RwClassify;
 
@@ -107,32 +106,6 @@ impl RwClassify for RwRegister {
     }
 }
 
-/// Hand-written NFC: write/write conflict iff values differ; write/read
-/// (either order) conflict iff the read is not the written value; read/read
-/// never.
-pub fn register_nfc() -> FnConflict<RwRegister> {
-    FnConflict::new("register-NFC", |p, q| match ((&p.inv, &p.resp), (&q.inv, &q.resp)) {
-        ((RegInv::Write(v1), RegResp::Ok), (RegInv::Write(v2), RegResp::Ok)) => v1 != v2,
-        ((RegInv::Write(v), RegResp::Ok), (RegInv::Read, RegResp::Val(u)))
-        | ((RegInv::Read, RegResp::Val(u)), (RegInv::Write(v), RegResp::Ok)) => u != v,
-        ((RegInv::Read, RegResp::Val(_)), (RegInv::Read, RegResp::Val(_))) => false,
-        _ => true,
-    })
-}
-
-/// Hand-written NRBC: as NFC, except a read of the written value cannot be
-/// pushed before the write — `(read v, write v)` conflicts while
-/// `(write v, read v)` does not.
-pub fn register_nrbc() -> FnConflict<RwRegister> {
-    FnConflict::new("register-NRBC", |p, q| match ((&p.inv, &p.resp), (&q.inv, &q.resp)) {
-        ((RegInv::Write(v1), RegResp::Ok), (RegInv::Write(v2), RegResp::Ok)) => v1 != v2,
-        ((RegInv::Write(v), RegResp::Ok), (RegInv::Read, RegResp::Val(u))) => u != v,
-        ((RegInv::Read, RegResp::Val(u)), (RegInv::Write(v), RegResp::Ok)) => u == v,
-        ((RegInv::Read, RegResp::Val(_)), (RegInv::Read, RegResp::Val(_))) => false,
-        _ => true,
-    })
-}
-
 /// Operation constructors.
 pub mod ops {
     use super::*;
@@ -151,7 +124,7 @@ pub mod ops {
 mod tests {
     use super::ops::*;
     use super::*;
-    use ccr_core::conflict::Conflict;
+    use ccr_core::conflict::{Conflict, Derived};
     use ccr_core::spec::legal;
 
     #[test]
@@ -163,19 +136,12 @@ mod tests {
 
     #[test]
     fn value_blind_2pl_vs_value_aware_tables() {
-        let nfc = register_nfc();
+        let nfc = Derived::nfc("register", RwRegister::default());
         // Same-value blind writes commute — classical W/W locks would block.
         assert!(!nfc.conflicts(&write(1), &write(1)));
         assert!(nfc.conflicts(&write(1), &write(2)));
         // Reading exactly the written value commutes forward.
         assert!(!nfc.conflicts(&read(1), &write(1)));
         assert!(nfc.conflicts(&read(2), &write(1)));
-    }
-
-    #[test]
-    fn hand_tables_match_computed() {
-        let r = RwRegister { values: vec![0, 1] };
-        let grid = vec![write(0), write(1), read(0), read(1), read(2)];
-        crate::verify::verify_hand_tables(&r, &grid, &register_nfc(), &register_nrbc());
     }
 }

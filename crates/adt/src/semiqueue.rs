@@ -16,7 +16,6 @@
 use std::collections::BTreeMap;
 
 use ccr_core::adt::{Adt, EnumerableAdt, Op, OpDeterministicAdt, Outcomes, StateCover};
-use ccr_core::conflict::FnConflict;
 
 use crate::traits::{InvertibleAdt, RwClassify};
 
@@ -116,18 +115,16 @@ impl StateCover for Semiqueue {
     /// removals needs ≥2) and on emptiness; bags with counts ≤ 2 over the
     /// mentioned values cover every class.
     fn state_cover(&self, ops: &[Op<Self>]) -> Vec<Bag> {
-        let mut vals = self.values.clone();
+        let mut mentioned = Vec::new();
         for op in ops {
             if let SqInv::Enq(v) = &op.inv {
-                vals.push(*v);
+                mentioned.push(*v);
             }
             if let SqResp::Got(v) = &op.resp {
-                vals.push(*v);
+                mentioned.push(*v);
             }
         }
-        vals.sort_unstable();
-        vals.dedup();
-        let vals: Vec<Val> = vals.into_iter().take(4).collect();
+        let vals = crate::cover_values(&mentioned, self.values.clone(), 4);
         let mut out: Vec<Bag> = vec![Bag::new()];
         for &v in &vals {
             let mut next = Vec::new();
@@ -187,57 +184,6 @@ impl RwClassify for Semiqueue {
     }
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Kb {
-    Enq(Val),
-    Got(Val),
-    Empty,
-}
-
-fn classify(op: &Op<Semiqueue>) -> Option<Kb> {
-    match (&op.inv, &op.resp) {
-        (SqInv::Enq(v), SqResp::Ok) => Some(Kb::Enq(*v)),
-        (SqInv::Deq, SqResp::Got(v)) => Some(Kb::Got(*v)),
-        (SqInv::Deq, SqResp::Empty) => Some(Kb::Empty),
-        _ => None,
-    }
-}
-
-/// Hand-written NFC: only `got(v)/got(v)` (one copy may not support two
-/// removals) and `enq`/`deq-empty` conflict.
-pub fn semiqueue_nfc() -> FnConflict<Semiqueue> {
-    FnConflict::new("semiqueue-NFC", |p, q| {
-        let (Some(p), Some(q)) = (classify(p), classify(q)) else {
-            return true;
-        };
-        use Kb::*;
-        match (p, q) {
-            (Got(a), Got(b)) => a == b,
-            (Enq(_), Empty) | (Empty, Enq(_)) => true,
-            _ => false,
-        }
-    })
-}
-
-/// Hand-written NRBC: consumers never conflict with each other or with
-/// producers; a consumer conflicts with a held producer of the *same* value
-/// (it may have consumed that very item), and `deq-empty` conflicts with any
-/// held consumer or producer that could contradict emptiness.
-pub fn semiqueue_nrbc() -> FnConflict<Semiqueue> {
-    FnConflict::new("semiqueue-NRBC", |p, q| {
-        let (Some(p), Some(q)) = (classify(p), classify(q)) else {
-            return true;
-        };
-        use Kb::*;
-        match (p, q) {
-            (Got(a), Enq(b)) => a == b,
-            (Enq(_), Empty) => true,
-            (Empty, Got(_)) => true,
-            _ => false,
-        }
-    })
-}
-
 /// Operation constructors.
 pub mod ops {
     use super::*;
@@ -260,7 +206,7 @@ pub mod ops {
 mod tests {
     use super::ops::*;
     use super::*;
-    use ccr_core::conflict::Conflict;
+    use ccr_core::conflict::{Conflict, Derived};
     use ccr_core::spec::legal;
 
     #[test]
@@ -274,17 +220,17 @@ mod tests {
 
     #[test]
     fn consumers_do_not_conflict_under_uip() {
-        let nrbc = semiqueue_nrbc();
+        let nrbc = Derived::nrbc("semiqueue", Semiqueue::default());
         assert!(!nrbc.conflicts(&deq_got(1), &deq_got(1)));
         assert!(!nrbc.conflicts(&deq_got(1), &deq_got(2)));
         // …but DU still needs same-value consumers to conflict.
-        let nfc = semiqueue_nfc();
+        let nfc = Derived::nfc("semiqueue", Semiqueue::default());
         assert!(nfc.conflicts(&deq_got(1), &deq_got(1)));
     }
 
     #[test]
     fn producers_always_commute() {
-        let nfc = semiqueue_nfc();
+        let nfc = Derived::nfc("semiqueue", Semiqueue::default());
         assert!(!nfc.conflicts(&enq(1), &enq(2)), "unlike the FIFO queue");
     }
 

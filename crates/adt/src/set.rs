@@ -13,7 +13,6 @@
 use std::collections::BTreeSet;
 
 use ccr_core::adt::{Adt, EnumerableAdt, Op, OpDeterministicAdt, Outcomes, StateCover};
-use ccr_core::conflict::FnConflict;
 
 use crate::traits::{InvertibleAdt, RwClassify};
 
@@ -113,22 +112,17 @@ impl StateCover for IntSet {
     /// of those elements covers every behavioural class; every subset is
     /// reachable by inserts.
     fn state_cover(&self, ops: &[Op<Self>]) -> Vec<BTreeSet<Elem>> {
-        let mut elems: Vec<Elem> = self.elems.clone();
-        for op in ops {
-            let x = match &op.inv {
+        let mentioned: Vec<Elem> = ops
+            .iter()
+            .map(|op| match &op.inv {
                 SetInv::Insert(x) | SetInv::Remove(x) | SetInv::Contains(x) => *x,
-            };
-            if !elems.contains(&x) {
-                elems.push(x);
-            }
-        }
-        elems.sort_unstable();
-        elems.dedup();
-        let n = elems.len().min(12); // powerset guard
-        let mut out = Vec::with_capacity(1 << n);
-        for mask in 0u32..(1 << n) {
+            })
+            .collect();
+        let elems = crate::cover_values(&mentioned, self.elems.clone(), 12); // powerset guard
+        let mut out = Vec::with_capacity(1 << elems.len());
+        for mask in 0u32..(1 << elems.len()) {
             let mut s = BTreeSet::new();
-            for (i, &x) in elems.iter().take(n).enumerate() {
+            for (i, &x) in elems.iter().enumerate() {
                 if mask & (1 << i) != 0 {
                     s.insert(x);
                 }
@@ -166,91 +160,6 @@ impl RwClassify for IntSet {
     fn is_write(&self, inv: &SetInv) -> bool {
         !matches!(inv, SetInv::Contains(_))
     }
-}
-
-/// Per-element operation kinds (operations on distinct elements never
-/// conflict).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum K {
-    /// insert → added (requires absent; sets the bit)
-    Ia,
-    /// insert → present (requires present; identity)
-    Ip,
-    /// remove → removed (requires present; clears the bit)
-    Rr,
-    /// remove → absent (requires absent; identity)
-    Ra,
-    /// contains → true
-    Ct,
-    /// contains → false
-    Cf,
-}
-
-fn classify(op: &Op<IntSet>) -> Option<(Elem, K)> {
-    match (&op.inv, &op.resp) {
-        (SetInv::Insert(x), SetResp::Added) => Some((*x, K::Ia)),
-        (SetInv::Insert(x), SetResp::Present) => Some((*x, K::Ip)),
-        (SetInv::Remove(x), SetResp::Removed) => Some((*x, K::Rr)),
-        (SetInv::Remove(x), SetResp::Absent) => Some((*x, K::Ra)),
-        (SetInv::Contains(x), SetResp::Is(true)) => Some((*x, K::Ct)),
-        (SetInv::Contains(x), SetResp::Is(false)) => Some((*x, K::Cf)),
-        _ => None,
-    }
-}
-
-/// Hand-written NFC: same-element kind table (derived from the one-bit
-/// sub-state; verified against the computed relation in tests).
-pub fn set_nfc() -> FnConflict<IntSet> {
-    FnConflict::new("set-NFC", |p, q| {
-        let (Some((x, kp)), Some((y, kq))) = (classify(p), classify(q)) else {
-            return true;
-        };
-        if x != y {
-            return false;
-        }
-        use K::*;
-        matches!(
-            (kp, kq),
-            (Ia, Ia)
-                | (Ia, Ra)
-                | (Ra, Ia)
-                | (Ia, Cf)
-                | (Cf, Ia)
-                | (Ip, Rr)
-                | (Rr, Ip)
-                | (Rr, Rr)
-                | (Rr, Ct)
-                | (Ct, Rr)
-        )
-    })
-}
-
-/// Hand-written NRBC: note the asymmetry — `[insert(x), present]` does not
-/// right commute backward with `[insert(x), added]`, but `added` *does* with
-/// `present` (vacuously: added-after-present is never legal).
-pub fn set_nrbc() -> FnConflict<IntSet> {
-    FnConflict::new("set-NRBC", |p, q| {
-        let (Some((x, kp)), Some((y, kq))) = (classify(p), classify(q)) else {
-            return true;
-        };
-        if x != y {
-            return false;
-        }
-        use K::*;
-        matches!(
-            (kp, kq),
-            (Ia, Rr)
-                | (Ia, Ra)
-                | (Ia, Cf)
-                | (Ip, Ia)
-                | (Rr, Ia)
-                | (Rr, Ip)
-                | (Rr, Ct)
-                | (Ra, Rr)
-                | (Ct, Ia)
-                | (Cf, Rr)
-        )
-    })
 }
 
 /// Operation constructors.
@@ -305,9 +214,9 @@ mod tests {
 
     #[test]
     fn cross_element_independence() {
-        use ccr_core::conflict::Conflict;
-        let nfc = set_nfc();
-        let nrbc = set_nrbc();
+        use ccr_core::conflict::{Conflict, Derived};
+        let nfc = Derived::nfc("set", IntSet::default());
+        let nrbc = Derived::nrbc("set", IntSet::default());
         assert!(!nfc.conflicts(&insert_added(0), &insert_added(1)));
         assert!(!nrbc.conflicts(&insert_added(0), &remove_removed(1)));
         assert!(nfc.conflicts(&insert_added(0), &insert_added(0)));

@@ -7,7 +7,6 @@
 //! `(enq, got)` never conflicts.
 
 use ccr_core::adt::{Adt, EnumerableAdt, Op, OpDeterministicAdt, Outcomes, StateCover};
-use ccr_core::conflict::FnConflict;
 
 use crate::traits::RwClassify;
 
@@ -86,21 +85,17 @@ impl StateCover for Stack {
     /// depends on the top few elements and emptiness, so stacks of depth ≤ 3
     /// over the mentioned values plus a fresh separator cover every class.
     fn state_cover(&self, ops: &[Op<Self>]) -> Vec<Vec<Val>> {
-        let mut vals = self.values.clone();
+        let mut mentioned = Vec::new();
         for op in ops {
             if let StackInv::Push(v) = &op.inv {
-                vals.push(*v);
+                mentioned.push(*v);
             }
             if let StackResp::Got(v) = &op.resp {
-                vals.push(*v);
+                mentioned.push(*v);
             }
         }
-        if let Some(f) = (0..=Val::MAX).find(|v| !vals.contains(v)) {
-            vals.push(f);
-        }
-        vals.sort_unstable();
-        vals.dedup();
-        let vals: Vec<Val> = vals.into_iter().take(4).collect();
+        let fresh = (0..=Val::MAX).find(|v| !mentioned.contains(v) && !self.values.contains(v));
+        let vals = crate::cover_values(&mentioned, fresh.into_iter().chain(self.values.clone()), 4);
         let mut out: Vec<Vec<Val>> = vec![Vec::new()];
         let mut layer: Vec<Vec<Val>> = vec![Vec::new()];
         for _ in 0..3 {
@@ -129,63 +124,6 @@ impl RwClassify for Stack {
     }
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Ks {
-    Push(Val),
-    Got(Val),
-    Empty,
-}
-
-fn classify(op: &Op<Stack>) -> Option<Ks> {
-    match (&op.inv, &op.resp) {
-        (StackInv::Push(v), StackResp::Ok) => Some(Ks::Push(*v)),
-        (StackInv::Pop, StackResp::Got(v)) => Some(Ks::Got(*v)),
-        (StackInv::Pop, StackResp::Empty) => Some(Ks::Empty),
-        _ => None,
-    }
-}
-
-/// Hand-written NFC for the stack: push/push conflict iff values differ;
-/// got/got conflict iff values are equal; push(a)/got(b) conflict iff
-/// `a != b` (a pop can only return the concurrent push's value); push
-/// conflicts with pop-empty both ways.
-pub fn stack_nfc() -> FnConflict<Stack> {
-    FnConflict::new("stack-NFC", |p, q| {
-        let (Some(p), Some(q)) = (classify(p), classify(q)) else {
-            return true;
-        };
-        use Ks::*;
-        match (p, q) {
-            (Push(a), Push(b)) => a != b,
-            (Got(a), Got(b)) => a == b,
-            (Push(a), Got(b)) | (Got(b), Push(a)) => a != b,
-            (Push(_), Empty) | (Empty, Push(_)) => true,
-            _ => false,
-        }
-    })
-}
-
-/// Hand-written NRBC for the stack: like the queue, but `(push a, got b)`
-/// conflicts when `a != b` — the pop exposed an element below the spot the
-/// push would occupy.
-pub fn stack_nrbc() -> FnConflict<Stack> {
-    FnConflict::new("stack-NRBC", |p, q| {
-        let (Some(p), Some(q)) = (classify(p), classify(q)) else {
-            return true;
-        };
-        use Ks::*;
-        match (p, q) {
-            (Push(a), Push(b)) => a != b,
-            (Got(a), Got(b)) => a != b,
-            (Push(a), Got(b)) => a != b,
-            (Got(a), Push(b)) => a == b,
-            (Push(_), Empty) => true,
-            (Empty, Got(_)) => true,
-            (Empty, Push(_)) | (Got(_), Empty) | (Empty, Empty) => false,
-        }
-    })
-}
-
 /// Operation constructors.
 pub mod ops {
     use super::*;
@@ -208,7 +146,7 @@ pub mod ops {
 mod tests {
     use super::ops::*;
     use super::*;
-    use ccr_core::conflict::Conflict;
+    use ccr_core::conflict::{Conflict, Derived};
     use ccr_core::spec::legal;
 
     #[test]
@@ -222,7 +160,7 @@ mod tests {
     fn stacks_are_less_concurrent_than_queues() {
         // Queue producers never conflict with consumers under NRBC; stack
         // producers do (for differing values).
-        let nrbc = stack_nrbc();
+        let nrbc = Derived::nrbc("stack", Stack::default());
         assert!(nrbc.conflicts(&push(1), &pop_got(0)));
         assert!(!nrbc.conflicts(&push(1), &pop_got(1)));
     }

@@ -250,15 +250,25 @@ pub fn check_op_deterministic<A: EnumerableAdt>(adt: &A, states: &[A::State]) ->
 ///
 /// The contract (documented per implementation with a short argument) is:
 /// for the operations `ops`, if a commutativity property fails at *any*
-/// reachable state then it fails at some state in `state_cover(ops)`, and
-/// every state in the cover is reachable. For example, the bank account's
-/// behaviour on `deposit(i)`/`withdraw(j)`/`balance` depends only on the
-/// balance relative to the mentioned amounts, so balances
-/// `0 ..= Σ amounts + 1` form a cover.
-pub trait StateCover: Adt {
+/// reachable state then it fails at some state in `state_cover(ops)`, with a
+/// distinguishing continuation over `continuations(ops)`, and every state in
+/// the cover is reachable. For example, the bank account's behaviour on
+/// `deposit(i)`/`withdraw(j)`/`balance` depends only on the balance relative
+/// to the mentioned amounts, so balances `0 ..= Σ amounts + 1` form a cover.
+pub trait StateCover: EnumerableAdt {
     /// A finite set of reachable states sufficient to decide commutativity of
     /// (sequences over) `ops`.
     fn state_cover(&self, ops: &[Op<Self>]) -> Vec<Self::State>;
+
+    /// The invocations a distinguishing continuation may use when deciding
+    /// commutativity of `ops` — widened per pair as [`state_cover`] widens
+    /// the states, so an operation whose parameters lie outside the
+    /// alphabet is still observed. Defaults to the alphabet.
+    ///
+    /// [`state_cover`]: StateCover::state_cover
+    fn continuations(&self, _ops: &[Op<Self>]) -> Vec<Self::Invocation> {
+        self.invocations()
+    }
 
     /// A legal operation sequence leading from the initial state to `state`
     /// (used to turn state-level counterexample witnesses into the concrete

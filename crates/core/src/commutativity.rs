@@ -90,6 +90,7 @@ pub struct Exactness {
 /// Returns `None` if the pair passes here, or the failure kind.
 fn fc_at<A: EnumerableAdt>(
     adt: &A,
+    alphabet: &[A::Invocation],
     r: &ReachSet<A>,
     p: &Op<A>,
     q: &Op<A>,
@@ -106,7 +107,7 @@ fn fc_at<A: EnumerableAdt>(
         return Some(FcFailureKind::PqIllegal);
     }
     let rqp = rq.advance(adt, p);
-    match equieffective_sets(adt, &rpq, &rqp, cfg) {
+    match equieffective_sets(adt, alphabet, &rpq, &rqp, cfg) {
         Equieffect::Holds { exact: e } => {
             *exact &= e;
             None
@@ -121,6 +122,7 @@ fn fc_at<A: EnumerableAdt>(
 /// continuation on failure.
 fn rbc_at<A: EnumerableAdt>(
     adt: &A,
+    alphabet: &[A::Invocation],
     r: &ReachSet<A>,
     p: &Op<A>,
     q: &Op<A>,
@@ -132,7 +134,7 @@ fn rbc_at<A: EnumerableAdt>(
         return None; // αQP ∉ Spec ⇒ vacuously looks like anything
     }
     let rpq = r.advance(adt, p).advance(adt, q);
-    match language_included(adt, &rqp, &rpq, cfg) {
+    match language_included(adt, alphabet, &rqp, &rpq, cfg) {
         Inclusion::Holds { exact: e } => {
             *exact &= e;
             None
@@ -144,17 +146,20 @@ fn rbc_at<A: EnumerableAdt>(
 /// Forward commutativity via the state-cover engine.
 ///
 /// Exact for operation-deterministic ADTs whose [`StateCover`] contract
-/// holds for `{p, q}` plus the alphabet used in equieffectiveness checks.
-pub fn commute_forward<A: EnumerableAdt + StateCover>(
+/// holds for `{p, q}`: states from its cover, continuations over its
+/// [`continuations`](StateCover::continuations).
+pub fn commute_forward<A: StateCover>(
     adt: &A,
     p: &Op<A>,
     q: &Op<A>,
     cfg: InclusionCfg,
 ) -> FcVerdict<A> {
     let mut exact = true;
-    for s in adt.state_cover(&[p.clone(), q.clone()]) {
+    let pair = [p.clone(), q.clone()];
+    let alphabet = adt.continuations(&pair);
+    for s in adt.state_cover(&pair) {
         let r = ReachSet::singleton(s.clone());
-        if let Some(kind) = fc_at(adt, &r, p, q, cfg, &mut exact) {
+        if let Some(kind) = fc_at(adt, &alphabet, &r, p, q, cfg, &mut exact) {
             let prefix =
                 adt.reach_sequence(&s).expect("state_cover must contain only reachable states");
             return Err(FcFailure { prefix, kind });
@@ -164,16 +169,18 @@ pub fn commute_forward<A: EnumerableAdt + StateCover>(
 }
 
 /// `p` right commutes backward with `q`, via the state-cover engine.
-pub fn right_commutes_backward<A: EnumerableAdt + StateCover>(
+pub fn right_commutes_backward<A: StateCover>(
     adt: &A,
     p: &Op<A>,
     q: &Op<A>,
     cfg: InclusionCfg,
 ) -> RbcVerdict<A> {
     let mut exact = true;
-    for s in adt.state_cover(&[p.clone(), q.clone()]) {
+    let pair = [p.clone(), q.clone()];
+    let alphabet = adt.continuations(&pair);
+    for s in adt.state_cover(&pair) {
         let r = ReachSet::singleton(s.clone());
-        if let Some(continuation) = rbc_at(adt, &r, p, q, cfg, &mut exact) {
+        if let Some(continuation) = rbc_at(adt, &alphabet, &r, p, q, cfg, &mut exact) {
             let prefix =
                 adt.reach_sequence(&s).expect("state_cover must contain only reachable states");
             return Err(RbcFailure { prefix, continuation });
@@ -321,7 +328,7 @@ impl<A: Adt> CommutativityTable<A> {
 }
 
 /// Build both relations over `ops` with the state-cover engine.
-pub fn build_tables<A: EnumerableAdt + StateCover>(
+pub fn build_tables<A: StateCover>(
     adt: &A,
     ops: &[Op<A>],
     cfg: InclusionCfg,
@@ -363,16 +370,18 @@ pub fn build_tables_bounded<A: EnumerableAdt>(
     let mut exact = true;
     // Share the prefix exploration across all pairs.
     let (sets, closed) = prefix_reach_sets(adt, cfg);
+    let alphabet = adt.invocations();
     exact &= closed;
     for i in 0..n {
         for j in 0..n {
             let mut fc_ok = true;
             let mut rbc_ok = true;
             for (r, _) in &sets {
-                if fc_ok && fc_at(adt, r, &ops[i], &ops[j], cfg.inclusion, &mut exact).is_some() {
+                let (p, q) = (&ops[i], &ops[j]);
+                if fc_ok && fc_at(adt, &alphabet, r, p, q, cfg.inclusion, &mut exact).is_some() {
                     fc_ok = false;
                 }
-                if rbc_ok && rbc_at(adt, r, &ops[i], &ops[j], cfg.inclusion, &mut exact).is_some() {
+                if rbc_ok && rbc_at(adt, &alphabet, r, p, q, cfg.inclusion, &mut exact).is_some() {
                     rbc_ok = false;
                 }
                 if !fc_ok && !rbc_ok {

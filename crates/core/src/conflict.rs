@@ -8,9 +8,10 @@
 //! need not be symmetric — requiring symmetry forces unnecessary conflicts
 //! under UIP recovery (§6.3).
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
+use std::sync::{Arc, Mutex};
 
-use crate::adt::{Adt, EnumerableAdt, Op, StateCover};
+use crate::adt::{Adt, Op, StateCover};
 use crate::commutativity::{commute_forward, right_commutes_backward, CommutativityTable};
 use crate::equieffect::InclusionCfg;
 
@@ -160,13 +161,9 @@ impl<A: Adt> Conflict<A> for TableConflict<A> {
     }
 }
 
-/// A conflict relation given intensionally as a function pointer — the form
-/// used by the runtime, where operations carry arbitrary parameters and an
-/// extensional table over a finite alphabet would not suffice.
-///
-/// The `ccr-adt` crate provides hand-written `NFC`/`NRBC` predicates for each
-/// ADT in this form, each verified against the computed relations over a
-/// parameter grid.
+/// A conflict relation given intensionally as a function pointer, for
+/// relations that are not computed from a specification (the bank's
+/// transcription of Figures 6-1/6-2, which `bench/` names).
 pub struct FnConflict<A: Adt> {
     name: &'static str,
     f: fn(&Op<A>, &Op<A>) -> bool,
@@ -217,42 +214,140 @@ impl<A: Adt, C: Conflict<A>> Conflict<A> for SymmetricClosure<C> {
     }
 }
 
+/// Which of the paper's two minimal relations a [`Derived`] relation or a
+/// computed table is.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Relation {
+    /// `NFC`: not forward commuting — deferred update (Theorem 10).
+    Nfc,
+    /// `NRBC`: `requested` does not right commute backward with `held` —
+    /// update in place (Theorem 9).
+    Nrbc,
+}
+
+impl Relation {
+    fn label(self) -> &'static str {
+        match self {
+            Relation::Nfc => "NFC",
+            Relation::Nrbc => "NRBC",
+        }
+    }
+
+    /// The verdict rule, stated once: `(requested, held)` conflicts unless
+    /// the state-cover engine proves the pair commutes — a refutation and an
+    /// inexact verdict both conflict.
+    fn conflicts<A: StateCover>(
+        self,
+        adt: &A,
+        requested: &Op<A>,
+        held: &Op<A>,
+        cfg: InclusionCfg,
+    ) -> bool {
+        let commutes = match self {
+            Relation::Nfc => commute_forward(adt, requested, held, cfg).is_ok_and(|e| e.exact),
+            Relation::Nrbc => {
+                right_commutes_backward(adt, requested, held, cfg).is_ok_and(|e| e.exact)
+            }
+        };
+        !commutes
+    }
+
+    fn table<A: StateCover>(
+        self,
+        adt: &A,
+        alphabet: &[Op<A>],
+        cfg: InclusionCfg,
+    ) -> TableConflict<A> {
+        let mut pairs = Vec::new();
+        for p in alphabet {
+            for q in alphabet {
+                if self.conflicts(adt, p, q, cfg) {
+                    pairs.push((p.clone(), q.clone()));
+                }
+            }
+        }
+        TableConflict::new(self.label(), alphabet.to_vec(), &pairs)
+    }
+}
+
 /// `NFC(Spec)` over a finite alphabet, computed with the state-cover engine:
 /// the minimal conflict relation for deferred-update recovery (Theorem 10).
-pub fn nfc_table<A: EnumerableAdt + StateCover>(
+pub fn nfc_table<A: StateCover>(
     adt: &A,
     alphabet: &[Op<A>],
     cfg: InclusionCfg,
 ) -> TableConflict<A> {
-    let mut pairs = Vec::new();
-    for p in alphabet {
-        for q in alphabet {
-            if commute_forward(adt, p, q, cfg).is_err() {
-                pairs.push((p.clone(), q.clone()));
-            }
-        }
-    }
-    TableConflict::new("NFC", alphabet.to_vec(), &pairs)
+    Relation::Nfc.table(adt, alphabet, cfg)
 }
 
 /// `NRBC(Spec)` over a finite alphabet: the minimal conflict relation for
 /// update-in-place recovery (Theorem 9). `conflicts(requested, held)` is
 /// `(requested, held) ∈ NRBC`, i.e. `requested` does **not** right commute
 /// backward with `held`.
-pub fn nrbc_table<A: EnumerableAdt + StateCover>(
+pub fn nrbc_table<A: StateCover>(
     adt: &A,
     alphabet: &[Op<A>],
     cfg: InclusionCfg,
 ) -> TableConflict<A> {
-    let mut pairs = Vec::new();
-    for p in alphabet {
-        for q in alphabet {
-            if right_commutes_backward(adt, p, q, cfg).is_err() {
-                pairs.push((p.clone(), q.clone()));
-            }
-        }
+    Relation::Nrbc.table(adt, alphabet, cfg)
+}
+
+/// `NFC` or `NRBC` of one ADT instance's specification, for operations with
+/// any parameters — the relation the runtime locks with (Theorems 9 / 10 say
+/// each is exactly what its recovery method needs).
+///
+/// Each ordered pair is decided once, by the same rule as [`nfc_table`] /
+/// [`nrbc_table`], and remembered in a memo that clones share.
+#[derive(Clone)]
+pub struct Derived<A: StateCover> {
+    adt: A,
+    relation: Relation,
+    name: String,
+    memo: Arc<Mutex<Verdicts<A>>>,
+}
+
+/// Decided pairs: `(requested, held)` → conflicts.
+type Verdicts<A> = HashMap<(Op<A>, Op<A>), bool>;
+
+impl<A: StateCover> Derived<A> {
+    /// `NFC(Spec(adt))`, named `"{adt_name}-NFC"`.
+    pub fn nfc(adt_name: &str, adt: A) -> Self {
+        Self::new(adt_name, adt, Relation::Nfc)
     }
-    TableConflict::new("NRBC", alphabet.to_vec(), &pairs)
+
+    /// `NRBC(Spec(adt))`, named `"{adt_name}-NRBC"`.
+    pub fn nrbc(adt_name: &str, adt: A) -> Self {
+        Self::new(adt_name, adt, Relation::Nrbc)
+    }
+
+    fn new(adt_name: &str, adt: A, relation: Relation) -> Self {
+        let name = format!("{adt_name}-{}", relation.label());
+        Derived { adt, relation, name, memo: Arc::default() }
+    }
+}
+
+impl<A: StateCover> std::fmt::Debug for Derived<A> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Derived({})", self.name)
+    }
+}
+
+impl<A: StateCover> Conflict<A> for Derived<A> {
+    fn conflicts(&self, requested: &Op<A>, held: &Op<A>) -> bool {
+        let pair = (requested.clone(), held.clone());
+        const POISON: &str = "no thread panics while holding the memo";
+        if let Some(&verdict) = self.memo.lock().expect(POISON).get(&pair) {
+            return verdict;
+        }
+        // Decided outside the lock: a pair may take milliseconds.
+        let verdict = self.relation.conflicts(&self.adt, requested, held, InclusionCfg::default());
+        self.memo.lock().expect(POISON).insert(pair, verdict);
+        verdict
+    }
+
+    fn name(&self) -> String {
+        self.name.clone()
+    }
 }
 
 /// Extract both minimal relations from a prebuilt [`CommutativityTable`].
@@ -353,6 +448,25 @@ mod tests {
                 assert_eq!(nfc_t.conflicts(p, q), nfc_d.conflicts(p, q));
                 assert_eq!(nrbc_t.conflicts(p, q), nrbc_d.conflicts(p, q));
             }
+        }
+    }
+
+    #[test]
+    fn derived_reads_the_tables_rule_and_clones_share_its_memo() {
+        let c = plain(3);
+        let cfg = InclusionCfg::default();
+        for (derived, table) in [
+            (Derived::nfc("c", c.clone()), nfc_table(&c, &alphabet(), cfg)),
+            (Derived::nrbc("c", c.clone()), nrbc_table(&c, &alphabet(), cfg)),
+        ] {
+            let twin = derived.clone();
+            for p in &alphabet() {
+                for q in &alphabet() {
+                    assert_eq!(derived.conflicts(p, q), table.conflicts(p, q), "({p:?}, {q:?})");
+                }
+            }
+            assert_eq!(twin.memo.lock().unwrap().len(), alphabet().len().pow(2));
+            assert_eq!(twin.name(), format!("c-{}", table.name()));
         }
     }
 

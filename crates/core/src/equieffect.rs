@@ -82,14 +82,15 @@ impl<A: Adt> Inclusion<A> {
 }
 
 /// Decide whether the future language of `lhs` is included in that of `rhs`:
-/// for every sequence `γ` over the ADT's alphabet, `γ` legal from `lhs`
-/// implies `γ` legal from `rhs`.
+/// for every sequence `γ` over `alphabet`, `γ` legal from `lhs` implies `γ`
+/// legal from `rhs`.
 ///
 /// Special cases fall out of the definition: if `lhs` is empty (its sequence
 /// is illegal) the inclusion holds vacuously; if `lhs` is non-empty and `rhs`
 /// is empty it fails with the empty witness.
 pub fn language_included<A: EnumerableAdt>(
     adt: &A,
+    alphabet: &[A::Invocation],
     lhs: &ReachSet<A>,
     rhs: &ReachSet<A>,
     cfg: InclusionCfg,
@@ -102,7 +103,6 @@ pub fn language_included<A: EnumerableAdt>(
     if rhs.is_empty() {
         return Inclusion::Fails { witness: Vec::new() };
     }
-    let alphabet = adt.invocations();
     // Breadth-first search over pairs of reach-sets (shortest distinguishing
     // witness first); paths are reconstructed via parent links.
     struct Node<A: Adt> {
@@ -135,7 +135,7 @@ pub fn language_included<A: EnumerableAdt>(
             truncated = true;
             continue;
         }
-        for inv in &alphabet {
+        for inv in alphabet {
             // Distinct responses producible on the lhs; responses only the
             // rhs can produce are irrelevant (lhs side would be empty).
             let resps = nodes[idx].lhs.responses(adt, inv);
@@ -179,7 +179,7 @@ pub fn looks_like<A: EnumerableAdt>(
     beta: &[Op<A>],
     cfg: InclusionCfg,
 ) -> Inclusion<A> {
-    language_included(adt, &reach(adt, alpha), &reach(adt, beta), cfg)
+    language_included(adt, &adt.invocations(), &reach(adt, alpha), &reach(adt, beta), cfg)
 }
 
 /// Outcome of an equieffectiveness query.
@@ -215,20 +215,22 @@ pub fn equieffective<A: EnumerableAdt>(
     beta: &[Op<A>],
     cfg: InclusionCfg,
 ) -> Equieffect<A> {
-    equieffective_sets(adt, &reach(adt, alpha), &reach(adt, beta), cfg)
+    equieffective_sets(adt, &adt.invocations(), &reach(adt, alpha), &reach(adt, beta), cfg)
 }
 
-/// Equieffectiveness on reach-sets (used when the prefixes are implicit, as
-/// in the state-cover commutativity engine).
+/// Equieffectiveness on reach-sets, observed by continuations over
+/// `alphabet` (used when the prefixes are implicit, as in the state-cover
+/// commutativity engine).
 pub fn equieffective_sets<A: EnumerableAdt>(
     adt: &A,
+    alphabet: &[A::Invocation],
     ra: &ReachSet<A>,
     rb: &ReachSet<A>,
     cfg: InclusionCfg,
 ) -> Equieffect<A> {
-    match language_included(adt, ra, rb, cfg) {
+    match language_included(adt, alphabet, ra, rb, cfg) {
         Inclusion::Fails { witness } => Equieffect::Fails { after_alpha: true, witness },
-        Inclusion::Holds { exact: e1 } => match language_included(adt, rb, ra, cfg) {
+        Inclusion::Holds { exact: e1 } => match language_included(adt, alphabet, rb, ra, cfg) {
             Inclusion::Fails { witness } => Equieffect::Fails { after_alpha: false, witness },
             Inclusion::Holds { exact: e2 } => Equieffect::Holds { exact: e1 && e2 },
         },
@@ -328,7 +330,7 @@ mod tests {
         let r1 = reach(&c, &one);
         assert_eq!(r1.states(), &[1, 2]);
         let r2 = ReachSet::singleton(2);
-        let v = language_included(&c, &r1, &r2, InclusionCfg::default());
+        let v = language_included(&c, &c.invocations(), &r1, &r2, InclusionCfg::default());
         match v {
             Inclusion::Fails { witness } => {
                 assert_eq!(witness, vec![Op::new(CInv::Read, CResp::Val(1))]);
@@ -336,7 +338,7 @@ mod tests {
             _ => panic!("expected failure"),
         }
         // And the converse inclusion holds: futures of {2} ⊆ futures of {1,2}.
-        let v2 = language_included(&c, &r2, &r1, InclusionCfg::default());
+        let v2 = language_included(&c, &c.invocations(), &r2, &r1, InclusionCfg::default());
         assert!(matches!(v2, Inclusion::Holds { exact: true }));
     }
 
@@ -353,7 +355,13 @@ mod tests {
         // With a tiny pair budget on a chaotic ADT the exploration truncates.
         let c = chaotic(4);
         let cfg = InclusionCfg { max_depth: 1, max_pairs: 2 };
-        let v = language_included(&c, &ReachSet::singleton(0), &ReachSet::singleton(0), cfg);
+        let v = language_included(
+            &c,
+            &c.invocations(),
+            &ReachSet::singleton(0),
+            &ReachSet::singleton(0),
+            cfg,
+        );
         // Identical sets: no failure possible, but depth bound truncates.
         assert!(v.holds());
     }

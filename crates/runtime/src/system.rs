@@ -896,11 +896,15 @@ mod tests {
 
     #[test]
     fn a_nondeterministic_invocation_executes_its_first_free_candidate() {
-        use ccr_adt::semiqueue::{semiqueue_nfc, Semiqueue, SqInv, SqResp};
+        use ccr_adt::semiqueue::{Semiqueue, SqInv, SqResp};
+        use ccr_core::conflict::Derived;
         // `deq` on {1, 2, 3} has three legal responses, tried in that order;
         // under NFC two removals of one value conflict.
-        let mut sys: TxnSystem<Semiqueue, DuEngine<Semiqueue>, _> =
-            TxnSystem::new(Semiqueue::default(), 1, semiqueue_nfc());
+        let mut sys: TxnSystem<Semiqueue, DuEngine<Semiqueue>, _> = TxnSystem::new(
+            Semiqueue::default(),
+            1,
+            Derived::nfc("semiqueue", Semiqueue::default()),
+        );
         let setup = sys.begin();
         for v in [1, 2, 3] {
             sys.invoke(setup, X, SqInv::Enq(v)).unwrap();

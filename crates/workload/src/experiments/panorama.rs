@@ -5,12 +5,12 @@
 //! operations are all writers but mostly commute), and absent only where the
 //! specification itself serialises.
 
-use ccr_adt::counter::{counter_nrbc, Counter};
-use ccr_adt::escrow::{escrow_nrbc, EscrowAccount, EscrowInv};
-use ccr_adt::set::{set_nrbc, IntSet};
+use ccr_adt::counter::Counter;
+use ccr_adt::escrow::{EscrowAccount, EscrowInv};
+use ccr_adt::set::IntSet;
 use ccr_adt::traits::{RwClassify, RwConflict};
 use ccr_core::adt::Adt;
-use ccr_core::conflict::Conflict;
+use ccr_core::conflict::{Conflict, Derived};
 use ccr_core::ids::ObjectId;
 use ccr_runtime::engine::UipEngine;
 use ccr_runtime::script::Script;
@@ -64,14 +64,18 @@ where
 pub fn outcomes() -> Vec<(Outcome, Outcome)> {
     let w = w();
     let mut out = Vec::new();
-    out.push(pair("counter", Counter, counter_nrbc(), &[], || counter_hotspot(&w, 0.1)));
-    out.push(pair("set", IntSet { elems: (0..8).collect() }, set_nrbc(), &[], || set_churn(&w, 8)));
+    let nrbc = Derived::nrbc("counter", Counter);
+    out.push(pair("counter", Counter, nrbc, &[], || counter_hotspot(&w, 0.1)));
+    let set = IntSet { elems: (0..8).collect() };
+    let nrbc = Derived::nrbc("set", set.clone());
+    out.push(pair("set", set, nrbc, &[], || set_churn(&w, 8)));
     // Credit-only escrow: the commuting side of the type. The *mixed*
     // credit/debit workload has bidirectional NRBC conflicts and thrashes at
     // this multiprogramming level (same admission-control caveat as the
     // mixed banking workload in B1) — reported separately below.
     let escrow = EscrowAccount::new(1000, [1, 2, 3]);
-    out.push(pair("escrow (credits)", escrow.clone(), escrow_nrbc(), &[], || escrow_credits(&w)));
+    let nrbc = Derived::nrbc("escrow", escrow.clone());
+    out.push(pair("escrow (credits)", escrow, nrbc, &[], || escrow_credits(&w)));
     out
 }
 
@@ -82,8 +86,8 @@ pub fn escrow_mixed_outcomes() -> (Outcome, Outcome) {
     let escrow = EscrowAccount::new(1000, [1, 2, 3]);
     pair(
         "escrow (mixed)",
-        escrow,
-        escrow_nrbc(),
+        escrow.clone(),
+        Derived::nrbc("escrow", escrow),
         &[(ObjectId::SOLE, EscrowInv::Credit(500))],
         || escrow_mix(&w, 1000),
     )

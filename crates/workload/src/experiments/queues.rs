@@ -14,11 +14,11 @@
 //! This is Weihl's classic argument for weakening specifications to buy
 //! concurrency, measured.
 
-use ccr_adt::pqueue::{pqueue_nrbc, PQueue, PqInv};
-use ccr_adt::queue::{queue_nrbc, FifoQueue, QueueInv};
-use ccr_adt::semiqueue::{semiqueue_nrbc, Semiqueue, SqInv};
-use ccr_core::adt::Adt;
-use ccr_core::conflict::Conflict;
+use ccr_adt::pqueue::{PQueue, PqInv};
+use ccr_adt::queue::{FifoQueue, QueueInv};
+use ccr_adt::semiqueue::{Semiqueue, SqInv};
+use ccr_core::adt::{Adt, StateCover};
+use ccr_core::conflict::Derived;
 use ccr_core::ids::ObjectId;
 use ccr_runtime::engine::UipEngine;
 use ccr_runtime::script::{OpsScript, Script};
@@ -43,18 +43,19 @@ where
         .collect()
 }
 
-/// Run one buffer type under UIP + its NRBC relation.
-fn run_buffer<A, C>(name: &str, adt: A, conflict: C, scripts: Vec<Box<dyn Script<A>>>) -> Outcome
-where
-    A: Adt,
-    C: Conflict<A>,
-{
-    run_config::<A, UipEngine<A>, C>(
+/// Run one buffer type under UIP + its NRBC relation, named `adt_name`.
+fn run_buffer<A: StateCover>(
+    name: &str,
+    adt_name: &str,
+    adt: A,
+    scripts: Vec<Box<dyn Script<A>>>,
+) -> Outcome {
+    run_config::<A, UipEngine<A>, Derived<A>>(
         name,
         "producer/consumer",
-        adt,
+        adt.clone(),
         1,
-        conflict,
+        Derived::nrbc(adt_name, adt),
         &[],
         scripts,
         &HarnessCfg { seed: 13, check_atomicity_sampled: 50, ..Default::default() },
@@ -65,20 +66,20 @@ where
 pub fn outcomes() -> (Outcome, Outcome, Outcome) {
     let fifo = run_buffer(
         "FIFO queue (UIP + NRBC)",
+        "queue",
         FifoQueue { values: vec![0, 1, 2, 3] },
-        queue_nrbc(),
         producer_consumer::<FifoQueue, _, _>(|i| QueueInv::Enq((i % 4) as u8), || QueueInv::Deq),
     );
     let pq = run_buffer(
         "priority queue (UIP + NRBC)",
+        "pqueue",
         PQueue { values: vec![0, 1, 2, 3] },
-        pqueue_nrbc(),
         producer_consumer::<PQueue, _, _>(|i| PqInv::Insert((i % 4) as u8), || PqInv::ExtractMin),
     );
     let sq = run_buffer(
         "semiqueue (UIP + NRBC)",
+        "semiqueue",
         Semiqueue { values: vec![0, 1, 2, 3] },
-        semiqueue_nrbc(),
         producer_consumer::<Semiqueue, _, _>(|i| SqInv::Enq((i % 4) as u8), || SqInv::Deq),
     );
     (fifo, pq, sq)

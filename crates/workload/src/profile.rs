@@ -18,6 +18,7 @@
 //! must not drift silently).
 
 use ccr_adt::{bank, escrow};
+use ccr_core::conflict::{Conflict, Derived};
 use ccr_obs::{json_string, Phase, Tracer};
 use ccr_runtime::sim::{SimFailure, SimReport};
 
@@ -69,13 +70,17 @@ pub fn admitted_json(adt: &str) -> String {
             (names, rows)
         }
         "escrow" => {
-            use escrow::EscrowOpKind::*;
-            let kinds = [CreditOk, CreditNo, DebitOk, DebitNo];
+            // One operation per kind: the derived relations are uniform in
+            // the amounts.
+            use escrow::ops::*;
+            let ops = [credit_ok(1), credit_no(1), debit_ok(1), debit_no(1)];
             let names = vec!["CreditOk", "CreditNo", "DebitOk", "DebitNo"];
+            let adt = escrow::EscrowAccount::default();
+            let (nfc, nrbc) = (Derived::nfc("escrow", adt.clone()), Derived::nrbc("escrow", adt));
             let rows = admitted_rows(
                 &names,
-                |i, j| escrow::fc_by_kind(kinds[i], kinds[j]),
-                |i, j| escrow::rbc_by_kind(kinds[i], kinds[j]),
+                |i, j| !nfc.conflicts(&ops[i], &ops[j]),
+                |i, j| !nrbc.conflicts(&ops[i], &ops[j]),
             );
             (names, rows)
         }
@@ -158,5 +163,32 @@ mod tests {
             bank.contains("{\"p\":\"WithdrawOk\",\"q\":\"DepositOk\",\"fc\":true,\"rbc\":false}")
         );
         assert_eq!(admitted_json("queue"), "{\"adt\":\"queue\",\"ops\":[],\"table\":[]}");
+    }
+
+    /// The escrow table is derived from the specification now; it must read
+    /// exactly as the hand kind table rendered it (PR 26's parent).
+    #[test]
+    fn the_derived_escrow_table_is_the_hand_one() {
+        let parent = concat!(
+            "{\"adt\":\"escrow\",\"ops\":[\"CreditOk\",\"CreditNo\",\"DebitOk\",\"DebitNo\"],\"table\":[",
+            "{\"p\":\"CreditOk\",\"q\":\"CreditOk\",\"fc\":false,\"rbc\":true},",
+            "{\"p\":\"CreditOk\",\"q\":\"CreditNo\",\"fc\":true,\"rbc\":true},",
+            "{\"p\":\"CreditOk\",\"q\":\"DebitOk\",\"fc\":true,\"rbc\":false},",
+            "{\"p\":\"CreditOk\",\"q\":\"DebitNo\",\"fc\":false,\"rbc\":false},",
+            "{\"p\":\"CreditNo\",\"q\":\"CreditOk\",\"fc\":true,\"rbc\":false},",
+            "{\"p\":\"CreditNo\",\"q\":\"CreditNo\",\"fc\":true,\"rbc\":true},",
+            "{\"p\":\"CreditNo\",\"q\":\"DebitOk\",\"fc\":false,\"rbc\":true},",
+            "{\"p\":\"CreditNo\",\"q\":\"DebitNo\",\"fc\":true,\"rbc\":true},",
+            "{\"p\":\"DebitOk\",\"q\":\"CreditOk\",\"fc\":true,\"rbc\":false},",
+            "{\"p\":\"DebitOk\",\"q\":\"CreditNo\",\"fc\":false,\"rbc\":false},",
+            "{\"p\":\"DebitOk\",\"q\":\"DebitOk\",\"fc\":false,\"rbc\":true},",
+            "{\"p\":\"DebitOk\",\"q\":\"DebitNo\",\"fc\":true,\"rbc\":true},",
+            "{\"p\":\"DebitNo\",\"q\":\"CreditOk\",\"fc\":false,\"rbc\":true},",
+            "{\"p\":\"DebitNo\",\"q\":\"CreditNo\",\"fc\":true,\"rbc\":true},",
+            "{\"p\":\"DebitNo\",\"q\":\"DebitOk\",\"fc\":true,\"rbc\":false},",
+            "{\"p\":\"DebitNo\",\"q\":\"DebitNo\",\"fc\":true,\"rbc\":true}",
+            "]}"
+        );
+        assert_eq!(admitted_json("escrow"), parent);
     }
 }

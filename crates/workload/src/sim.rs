@@ -19,10 +19,10 @@ use std::fmt;
 use std::str::FromStr;
 
 use ccr_adt::bank::{bank_nfc, bank_nrbc, BankAccount};
-use ccr_adt::escrow::{escrow_nfc, escrow_nrbc, EscrowAccount};
+use ccr_adt::escrow::EscrowAccount;
 use ccr_core::adt::Adt;
 use ccr_core::atomicity::SystemSpec;
-use ccr_core::conflict::{Conflict, SymmetricClosure};
+use ccr_core::conflict::{Conflict, Derived, SymmetricClosure};
 use ccr_obs::{chrome_trace, flame_summary, MetricsReport};
 use ccr_runtime::crash::DurableSystem;
 use ccr_runtime::engine::{DuEngine, RecoveryEngine, UipEngine};
@@ -595,10 +595,10 @@ fn run_scenario_inner(
             run_combo::<_, Uip<_>, _>(scenario, bank(scenario, weakened), traced)
         }
         Combo::EscrowUipNrbc => {
-            run_combo::<_, Uip<_>, _>(scenario, escrow(scenario, escrow_nrbc()), traced)
+            run_combo::<_, Uip<_>, _>(scenario, escrow(scenario, Derived::nrbc), traced)
         }
         Combo::EscrowDuNfc => {
-            run_combo::<_, Du<_>, _>(scenario, escrow(scenario, escrow_nfc()), traced)
+            run_combo::<_, Du<_>, _>(scenario, escrow(scenario, Derived::nfc), traced)
         }
     }
 }
@@ -624,10 +624,20 @@ fn bank<C>(scenario: &SimScenario, conflict: C) -> Workload<BankAccount, C> {
     Workload { adt: BankAccount::default(), conflict, scripts, invariant: None }
 }
 
-fn escrow<C>(scenario: &SimScenario, conflict: C) -> Workload<EscrowAccount, C> {
+/// The escrow workload under the relation `derive` computes from its
+/// instance.
+fn escrow(
+    scenario: &SimScenario,
+    derive: fn(&str, EscrowAccount) -> Derived<EscrowAccount>,
+) -> Workload<EscrowAccount, Derived<EscrowAccount>> {
     let adt = EscrowAccount::new(ESCROW_CAP, [1, 2, 3]);
     let scripts = scripts_of(scenario, |wcfg| escrow_mix(wcfg, ESCROW_CAP));
-    Workload { adt, conflict, scripts, invariant: Some(&escrow_invariant) }
+    Workload {
+        conflict: derive("escrow", adt.clone()),
+        adt,
+        scripts,
+        invariant: Some(&escrow_invariant),
+    }
 }
 
 /// Escrow conservation: every committed balance stays within the capacity

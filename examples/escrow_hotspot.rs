@@ -13,7 +13,8 @@
 //! cargo run --example escrow_hotspot
 //! ```
 
-use ccr::adt::escrow::{escrow_nrbc, EscrowAccount, EscrowInv};
+use ccr::adt::escrow::{EscrowAccount, EscrowInv};
+use ccr::core::conflict::Derived;
 use ccr::core::ids::{ObjectId, TxnId};
 use ccr::runtime::escrow::{EscrowObject, EscrowOutcome};
 use ccr::runtime::{TxnError, TxnSystem, UipEngine};
@@ -22,8 +23,10 @@ fn main() {
     const CAP: u64 = 1000;
 
     println!("== conflict-relation locking (UIP + NRBC) ==");
+    let adt = EscrowAccount::new(CAP, [10, 40]);
+    let nrbc = Derived::nrbc("escrow", adt.clone());
     let mut sys: TxnSystem<EscrowAccount, UipEngine<EscrowAccount>, _> =
-        TxnSystem::new(EscrowAccount::new(CAP, [10, 40]), 1, escrow_nrbc());
+        TxnSystem::new(adt, 1, nrbc);
     let t = sys.begin();
     sys.invoke(t, ObjectId::SOLE, EscrowInv::Credit(50)).unwrap();
     sys.commit(t).unwrap();

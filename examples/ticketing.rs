@@ -18,9 +18,9 @@
 
 use ccr::adt::bank::{self, BankAccount, BankInv, BankResp};
 use ccr::adt::combine::{Either, SumAdt, SumConflict};
-use ccr::adt::semiqueue::{self, Semiqueue, SqInv};
+use ccr::adt::semiqueue::{Semiqueue, SqInv};
 use ccr::core::atomicity::{check_dynamic_atomic_sampled, SystemSpec};
-use ccr::core::conflict::FnConflict;
+use ccr::core::conflict::{Derived, FnConflict};
 use ccr::core::ids::ObjectId;
 use ccr::runtime::scheduler::{run, SchedulerCfg};
 use ccr::runtime::script::{ConditionalScript, Script, Step};
@@ -32,11 +32,11 @@ type App = SumAdt<BankAccount, Semiqueue>;
 const INVENTORY: ObjectId = ObjectId(0);
 const AUDIT: ObjectId = ObjectId(1);
 
-type AppConflict = SumConflict<FnConflict<BankAccount>, FnConflict<Semiqueue>>;
+type AppConflict = SumConflict<FnConflict<BankAccount>, Derived<Semiqueue>>;
 
-/// Dispatch the per-side NRBC tables through the sum.
+/// Dispatch the per-side NRBC relations through the sum.
 fn app_nrbc() -> AppConflict {
-    SumConflict::new(bank::bank_nrbc(), semiqueue::semiqueue_nrbc())
+    SumConflict::new(bank::bank_nrbc(), Derived::nrbc("semiqueue", Semiqueue::default()))
 }
 
 /// Sell one ticket: withdraw from inventory; on success, append an audit

@@ -13,7 +13,7 @@ while read -r file ceiling; do
     status=1
   fi
 done <<'BUDGET'
-DESIGN.md 137308
-EXPERIMENTS.md 70000
+DESIGN.md 137105
+EXPERIMENTS.md 60848
 BUDGET
 exit $status

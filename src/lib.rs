@@ -14,7 +14,8 @@
 //!   automaton `I(X, Spec, View, Conflict)` and executable Theorems 9/10;
 //! * [`adt`] (`ccr-adt`) — the ADT library (the paper's bank account,
 //!   counters, escrow accounts, sets, key-value stores, registers, queues,
-//!   stacks, semiqueues) with machine-verified hand conflict tables;
+//!   stacks, semiqueues), whose conflict relations are derived from each
+//!   specification ([`core::conflict::Derived`]);
 //! * [`runtime`] (`ccr-runtime`) — an executable transactional runtime:
 //!   conflict-relation locking, update-in-place and deferred-update
 //!   recovery engines, deadlock handling, optimistic validation and an

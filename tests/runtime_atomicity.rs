@@ -5,9 +5,9 @@
 //! invariant in the repository.
 
 use ccr::adt::bank::{bank_nfc, bank_nrbc, BankAccount, BankInv};
-use ccr::adt::semiqueue::{semiqueue_nfc, semiqueue_nrbc, Semiqueue, SqInv};
+use ccr::adt::semiqueue::{Semiqueue, SqInv};
 use ccr::core::atomicity::{check_dynamic_atomic, check_dynamic_atomic_auto, SystemSpec};
-use ccr::core::conflict::{Conflict, SymmetricClosure, TotalConflict};
+use ccr::core::conflict::{Conflict, Derived, SymmetricClosure, TotalConflict};
 use ccr::core::ids::ObjectId;
 use ccr::runtime::engine::{DuEngine, RecoveryEngine, UipEngine, UipInverseEngine};
 use ccr::runtime::scheduler::{run, SchedulerCfg};
@@ -182,7 +182,7 @@ proptest! {
         let spec = SystemSpec::single(Semiqueue::default());
 
         let mut sys: TxnSystem<Semiqueue, UipEngine<Semiqueue>, _> =
-            TxnSystem::new(Semiqueue::default(), 1, semiqueue_nrbc());
+            TxnSystem::new(Semiqueue::default(), 1, Derived::nrbc("semiqueue", Semiqueue::default()));
         let report = run(&mut sys, scripts, &SchedulerCfg { seed, ..Default::default() });
         prop_assert_eq!(report.gave_up, 0);
         prop_assert!(check_dynamic_atomic(&spec, sys.trace()).is_ok());
@@ -202,7 +202,7 @@ proptest! {
         }
         let spec = SystemSpec::single(Semiqueue::default());
         let mut sys: TxnSystem<Semiqueue, DuEngine<Semiqueue>, _> =
-            TxnSystem::new(Semiqueue::default(), 1, semiqueue_nfc());
+            TxnSystem::new(Semiqueue::default(), 1, Derived::nfc("semiqueue", Semiqueue::default()));
         let report = run(&mut sys, scripts, &SchedulerCfg { seed, ..Default::default() });
         prop_assert_eq!(report.gave_up, 0);
         prop_assert!(check_dynamic_atomic(&spec, sys.trace()).is_ok());
