@@ -6,90 +6,12 @@
 use std::collections::BTreeSet;
 
 use ccr_adt::bank::BankAccount;
+use ccr_obs::json_string;
 use ccr_store::{MemBackend, WalBackend};
 
 use crate::action::{McAction, McTrace};
-use crate::harness::{
-    Applied, Harness, HarnessSnapshot, McBackend, McBackendKind, McConfig, McViolation,
-};
-use crate::shard_harness::{ShardHarness, ShardHarnessSnapshot};
+use crate::harness::{Applied, Harness, McBackend, McBackendKind, McConfig, McViolation};
 use crate::shrink::{reproducer, shrink};
-
-/// The explorer's view of an instance: build, fork (snapshot/restore),
-/// enumerate, apply. Implemented by the single-system [`Harness`] and the
-/// sharded [`ShardHarness`], so one DFS serves both.
-trait Explorable: Sized {
-    /// The fork-point snapshot type.
-    type Snap;
-    /// A fresh instance per `cfg`.
-    fn build(cfg: McConfig) -> Self;
-    /// Exact canonical state encoding (dedup key).
-    fn canonical_key(&mut self) -> Vec<u8>;
-    /// Enabled actions in deterministic order.
-    fn enabled_actions(&mut self) -> Vec<McAction>;
-    /// Capture the full state.
-    fn snapshot(&self) -> Self::Snap;
-    /// Rewind (non-consuming).
-    fn restore(&mut self, snap: &Self::Snap);
-    /// Apply one action, checking invariants.
-    fn apply(&mut self, action: McAction) -> Applied;
-}
-
-impl<B: McBackend> Explorable for Harness<B> {
-    type Snap = HarnessSnapshot<B>;
-
-    fn build(cfg: McConfig) -> Self {
-        Harness::new(cfg)
-    }
-
-    fn canonical_key(&mut self) -> Vec<u8> {
-        Harness::canonical_key(self)
-    }
-
-    fn enabled_actions(&mut self) -> Vec<McAction> {
-        Harness::enabled_actions(self)
-    }
-
-    fn snapshot(&self) -> Self::Snap {
-        Harness::snapshot(self)
-    }
-
-    fn restore(&mut self, snap: &Self::Snap) {
-        Harness::restore(self, snap)
-    }
-
-    fn apply(&mut self, action: McAction) -> Applied {
-        Harness::apply(self, action)
-    }
-}
-
-impl<B: McBackend> Explorable for ShardHarness<B> {
-    type Snap = ShardHarnessSnapshot<B>;
-
-    fn build(cfg: McConfig) -> Self {
-        ShardHarness::new(cfg)
-    }
-
-    fn canonical_key(&mut self) -> Vec<u8> {
-        ShardHarness::canonical_key(self)
-    }
-
-    fn enabled_actions(&mut self) -> Vec<McAction> {
-        ShardHarness::enabled_actions(self)
-    }
-
-    fn snapshot(&self) -> Self::Snap {
-        ShardHarness::snapshot(self)
-    }
-
-    fn restore(&mut self, snap: &Self::Snap) {
-        ShardHarness::restore(self, snap)
-    }
-
-    fn apply(&mut self, action: McAction) -> Applied {
-        ShardHarness::apply(self, action)
-    }
-}
 
 /// Size and shape of the explored state space.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -165,32 +87,12 @@ impl McVerdict {
     }
 }
 
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Exhaustively explore the instance (single-system for `shards <= 1`,
-/// the sharded 2PC fleet otherwise), shrink any violation found, and
+/// Exhaustively explore the instance, shrink any violation found, and
 /// return the verdict.
 pub fn explore(cfg: McConfig) -> McVerdict {
-    match (cfg.shards >= 2, cfg.backend) {
-        (false, McBackendKind::Mem) => explore_with::<Harness<MemBackend<BankAccount>>>(cfg),
-        (false, McBackendKind::Disk) => explore_with::<Harness<WalBackend<BankAccount>>>(cfg),
-        (true, McBackendKind::Mem) => explore_with::<ShardHarness<MemBackend<BankAccount>>>(cfg),
-        (true, McBackendKind::Disk) => explore_with::<ShardHarness<WalBackend<BankAccount>>>(cfg),
+    match cfg.backend {
+        McBackendKind::Mem => explore_with::<MemBackend<BankAccount>>(cfg),
+        McBackendKind::Disk => explore_with::<WalBackend<BankAccount>>(cfg),
     }
 }
 
@@ -198,34 +100,22 @@ pub fn explore(cfg: McConfig) -> McVerdict {
 /// violation hit. Inapplicable actions are no-ops (the shrinker leans on
 /// this: deleting a prefix action may strand a later one).
 pub fn run_trace(cfg: McConfig, trace: &McTrace) -> Option<McViolation> {
-    match (cfg.shards >= 2, cfg.backend) {
-        (false, McBackendKind::Mem) => {
-            run_trace_with::<Harness<MemBackend<BankAccount>>>(cfg, trace)
-        }
-        (false, McBackendKind::Disk) => {
-            run_trace_with::<Harness<WalBackend<BankAccount>>>(cfg, trace)
-        }
-        (true, McBackendKind::Mem) => {
-            run_trace_with::<ShardHarness<MemBackend<BankAccount>>>(cfg, trace)
-        }
-        (true, McBackendKind::Disk) => {
-            run_trace_with::<ShardHarness<WalBackend<BankAccount>>>(cfg, trace)
-        }
+    match cfg.backend {
+        McBackendKind::Mem => run_trace_with::<MemBackend<BankAccount>>(cfg, trace),
+        McBackendKind::Disk => run_trace_with::<WalBackend<BankAccount>>(cfg, trace),
     }
 }
 
-fn run_trace_with<H: Explorable>(cfg: McConfig, trace: &McTrace) -> Option<McViolation> {
-    let mut h = H::build(cfg);
-    for &a in &trace.0 {
-        if let Applied::Violation(v) = h.apply(a) {
-            return Some(v);
-        }
-    }
-    None
+fn run_trace_with<B: McBackend>(cfg: McConfig, trace: &McTrace) -> Option<McViolation> {
+    let mut h = Harness::<B>::new(cfg);
+    trace.0.iter().find_map(|&a| match h.apply(a) {
+        Applied::Violation(v) => Some(v),
+        _ => None,
+    })
 }
 
-fn explore_with<H: Explorable>(cfg: McConfig) -> McVerdict {
-    let mut h = H::build(cfg);
+fn explore_with<B: McBackend>(cfg: McConfig) -> McVerdict {
+    let mut h = Harness::<B>::new(cfg);
     let mut seen: BTreeSet<Vec<u8>> = BTreeSet::new();
     let mut stats = ExploreStats::default();
     let mut trace: Vec<McAction> = Vec::new();
@@ -241,8 +131,8 @@ fn explore_with<H: Explorable>(cfg: McConfig) -> McVerdict {
     McVerdict { config: cfg, stats, violation }
 }
 
-fn dfs<H: Explorable>(
-    h: &mut H,
+fn dfs<B: McBackend>(
+    h: &mut Harness<B>,
     seen: &mut BTreeSet<Vec<u8>>,
     trace: &mut Vec<McAction>,
     stats: &mut ExploreStats,

@@ -1,14 +1,31 @@
 //! The model-checking harness: one small, fully decodable instance of the
-//! real commit/recovery pipeline, plus the invariant checks run after every
-//! recovery.
+//! real commit/recovery pipeline — a [`ShardedSystem`] fleet of
+//! `DurableSystem` shards — plus the invariant battery run after every
+//! action.
 //!
-//! Logical transaction `i` performs a single `Deposit(1 << i)` on object
-//! `i mod objects`. Deposit amounts are distinct powers of two, so each
-//! object's committed balance is a *bit-set* of exactly which transactions'
-//! effects are present — the durability and resurrection checks decode it
-//! exactly. Deposits commute under the bank's NRBC relation, so no
-//! interleaving blocks: every enumerated schedule runs to completion and
-//! state-space size is governed purely by the commit/crash alphabet.
+//! Logical transaction `i` deposits `1 << i`. Deposit amounts are distinct
+//! powers of two, so each object's committed balance is a *bit-set* of
+//! exactly which transactions' effects are present — the durability,
+//! resurrection and global-split checks decode it exactly. Deposits commute
+//! under the bank's NRBC relation, so no interleaving blocks: state-space
+//! size is governed purely by the commit/crash alphabet.
+//!
+//! The shard count picks the instance and its alphabet:
+//!
+//! * **one shard** — the single system: `cfg.objects` objects, transaction
+//!   `i` on object `i mod objects`, local transactions on shard 0 (the
+//!   coordinator never issues a gtid), alphabet `b a c f k x t r d`;
+//! * **two or more** — all-cross-shard: object `s` lives on shard `s`,
+//!   transaction `i` deposits on every shard's object under presumed-abort
+//!   2PC, alphabet `b a p q s z`. A recovered in-doubt participant stays in
+//!   doubt while its coordinator lives (it may yet commit from the durable
+//!   yes-votes) and settles against the coordinator's durable commit set —
+//!   else presumed abort — once the coordinator crashes.
+//!
+//! The battery is written once: the ledger after every action that takes
+//! effect, and after any action that recovered shards, on each of them the
+//! recovery legs — batch prefix (after a torn flush), replay-view agreement,
+//! the convergence probe and idempotence.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -17,11 +34,12 @@ use std::str::FromStr;
 use ccr_adt::bank::{bank_nrbc, BankAccount, BankInv, BankResp};
 use ccr_core::adt::Op;
 use ccr_core::conflict::FnConflict;
-use ccr_core::ids::ObjectId;
-use ccr_runtime::crash::{DurableSystem, SystemMode, SystemSnapshot, TornPolicy};
+use ccr_core::ids::{ObjectId, TxnId};
+use ccr_runtime::crash::{DurableSystem, SystemMode, TornPolicy};
 use ccr_runtime::engine::UipEngine;
 use ccr_runtime::fault::{crash_recover_interrupted, probe_recovery_ops};
 use ccr_runtime::oracle::{views_agree, Ledger, LedgerViolation, Told};
+use ccr_runtime::shard::{ShardedSnapshot, ShardedSystem};
 use ccr_store::{CommitRecord, LogBackend, MemBackend, TailPolicy, WalBackend, WalConfig};
 
 use crate::action::McAction;
@@ -73,17 +91,17 @@ pub enum Mutation {
     /// as if the device reordered persistence and nobody noticed. Violates
     /// the batch-prefix contract.
     ReorderLastBatch,
-    /// On abort, covertly append the aborted transaction's operations to
-    /// the journal as if it had committed. Violates no-resurrection.
+    /// On abort, covertly append the aborted transaction's deposit to the
+    /// journal of its first participant as if it had committed. Violates
+    /// no-resurrection (global uniform outcome on a fleet).
     ResurrectAborted,
     /// Skip the WAL epoch bump (disk only): stale pre-truncation frames can
     /// be replayed as if current. Violates idempotence / view agreement.
     SkipEpochBump,
-    /// Sharded instances only: the coordinator's first commit-decision
-    /// record silently evaporates after one participant was already told to
-    /// commit, and the coordinator dies mid-phase-two — settlement presumes
-    /// abort on the stragglers. Violates global uniform outcome (the
-    /// eighth oracle leg).
+    /// Fleets only: the coordinator's first commit-decision record silently
+    /// evaporates after one participant was already told to commit, and the
+    /// coordinator dies mid-phase-two — settlement presumes abort on the
+    /// stragglers. Violates global uniform outcome (the eighth oracle leg).
     LoseDecision,
 }
 
@@ -123,7 +141,8 @@ impl FromStr for Mutation {
 pub struct McConfig {
     /// Logical transactions (1..=6; transaction `i` deposits `1 << i`).
     pub txns: usize,
-    /// Objects (transaction `i` touches object `i mod objects`).
+    /// Objects of the one-shard instance (transaction `i` touches object
+    /// `i mod objects`).
     pub objects: u32,
     /// Crashes allowed per trace (each crash action consumes one).
     pub crash_budget: u32,
@@ -137,11 +156,9 @@ pub struct McConfig {
     pub mutation: Option<Mutation>,
     /// Cap on enumerated torn-tail sizes (`t1..=t<max_tears>`).
     pub max_tears: usize,
-    /// Recovery domains. `1` is the classic single-system instance; `>= 2`
-    /// switches to the sharded presumed-abort 2PC instance (one object per
-    /// shard, every transaction cross-shard, `p`/`q`/`s`/`z` alphabet —
-    /// see `shard_harness`), where `objects`, `group_commit`, `ckpt_budget`
-    /// and `max_tears` are ignored.
+    /// Shards in the fleet (1..=8). Two or more make every transaction
+    /// cross-shard, with one object per shard; `objects`, `group_commit`,
+    /// `ckpt_budget` and `max_tears` then have no action to drive.
     pub shards: usize,
 }
 
@@ -158,6 +175,40 @@ impl Default for McConfig {
             max_tears: 2,
             shards: 1,
         }
+    }
+}
+
+impl McConfig {
+    /// Refuse an instance the harness cannot enumerate, or a negative
+    /// control outside the alphabet that reaches its sabotage.
+    pub fn validate(&self) -> Result<(), String> {
+        let fleet = self.shards >= 2;
+        let is = |m: Mutation| self.mutation == Some(m);
+        let refusal = if self.txns == 0 || self.txns > 6 {
+            "--txns must be in 1..=6 (amounts are distinct powers of two)"
+        } else if self.objects == 0 {
+            "--objects must be at least 1"
+        } else if self.shards == 0 || self.shards > 8 {
+            "--shards must be in 1..=8 (keep the crash-subset alphabet enumerable)"
+        } else if fleet && self.group_commit {
+            "--group-commit needs --shards 1 (the fleet's alphabet has no batch action)"
+        } else if fleet
+            && (is(Mutation::DropAckedCommit)
+                || is(Mutation::ReorderLastBatch)
+                || is(Mutation::SkipEpochBump))
+        {
+            "--mutate drop-acked-commit|reorder-last-batch|skip-epoch-bump are one-shard \
+             controls (they need --shards 1)"
+        } else if is(Mutation::SkipEpochBump) && self.backend != McBackendKind::Disk {
+            "--mutate skip-epoch-bump requires --backend disk (epochs live in the WAL)"
+        } else if is(Mutation::ReorderLastBatch) && !self.group_commit {
+            "--mutate reorder-last-batch requires --group-commit (it targets the batch flush)"
+        } else if is(Mutation::LoseDecision) && !fleet {
+            "--mutate lose-decision requires --shards >= 2 (it sabotages the 2PC coordinator)"
+        } else {
+            return Ok(());
+        };
+        Err(refusal.to_string())
     }
 }
 
@@ -210,9 +261,9 @@ pub enum McViolation {
         /// The underlying redo error.
         detail: String,
     },
-    /// Sharded instances: a global transaction's outcome is not uniform
-    /// across its participants — committed on some shards, aborted on
-    /// others (the eighth oracle leg, global dynamic atomicity).
+    /// Fleets: a global transaction's outcome is not uniform across its
+    /// participants — committed on some shards, aborted on others (the
+    /// eighth oracle leg, global dynamic atomicity).
     GlobalSplit {
         /// The logical transaction with the mixed outcome.
         txn: usize,
@@ -292,8 +343,6 @@ pub enum Applied {
 pub trait McBackend: LogBackend<BankAccount> {
     /// A fresh, empty backend.
     fn fresh() -> Self;
-    /// Which [`McBackendKind`] this is.
-    fn kind() -> McBackendKind;
     /// Arm the skip-epoch-bump sabotage, if this backend has epochs.
     /// Returns whether the sabotage exists here.
     fn sabotage_skip_epoch_bump(&mut self) -> bool {
@@ -305,19 +354,11 @@ impl McBackend for MemBackend<BankAccount> {
     fn fresh() -> Self {
         MemBackend::new()
     }
-
-    fn kind() -> McBackendKind {
-        McBackendKind::Mem
-    }
 }
 
 impl McBackend for WalBackend<BankAccount> {
     fn fresh() -> Self {
         WalBackend::new(WalConfig::default())
-    }
-
-    fn kind() -> McBackendKind {
-        McBackendKind::Disk
     }
 
     fn sabotage_skip_epoch_bump(&mut self) -> bool {
@@ -329,19 +370,22 @@ impl McBackend for WalBackend<BankAccount> {
 /// Where each logical transaction stands, from the *client's* point of view
 /// (acks received, aborts issued) — the reference the invariants compare
 /// recovered physical state against.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Phase {
     /// Not begun.
     Fresh,
-    /// Begun, deposit executed, volatile.
+    /// Begun, deposits executed, volatile.
     Active,
     /// Group mode: volatile-committed intent, awaiting the batch flush.
     Staged,
-    /// Commit acknowledged — must be durable from now on.
+    /// Every participant holds a durable PREPARE; awaiting the decision.
+    Prepared,
+    /// Commit acknowledged — must be durable (everywhere) from now on.
     Committed,
-    /// Aborted — must never be durable.
+    /// Aborted (explicitly or presumed) — must never be durable.
     Aborted,
-    /// Was volatile (active/staged) when a crash hit — must not be durable.
+    /// Was volatile (active/staged, or unprepared somewhere) when a crash
+    /// hit — must not be durable.
     Lost,
     /// Was acknowledged, but the acknowledging flush was torn/reordered by
     /// the crash: legally present or absent, subject to the batch-prefix
@@ -349,40 +393,43 @@ enum Phase {
     Undecided,
 }
 
-type Sys<B> = DurableSystem<BankAccount, UipEngine<BankAccount>, FnConflict<BankAccount>, B>;
+type Fleet<B> = ShardedSystem<BankAccount, UipEngine<BankAccount>, FnConflict<BankAccount>, B>;
 
 /// The cloneable bookkeeping half of a harness snapshot.
 #[derive(Clone)]
 struct Book {
     phase: Vec<Phase>,
-    handles: Vec<Option<ccr_core::ids::TxnId>>,
-    /// Logical index → the (object, op) it executed, for forged records.
-    ops: Vec<Option<(ObjectId, Op<BankAccount>)>>,
+    /// One shard: local handles (volatile, so not part of the state key).
+    handles: Vec<Option<TxnId>>,
+    /// Fleets: global ids.
+    gtids: Vec<Option<u64>>,
     staged: Vec<usize>,
     acked: Vec<usize>,
     /// Transactions acknowledged by the most recent *physical* append, in
     /// commit order — the candidates a torn/reordered crash may legally
-    /// lose (as a suffix).
+    /// lose (as a suffix). After such a crash, the flush the battery judges.
     last_flush: Vec<usize>,
     crash_left: u32,
     ckpt_left: u32,
     mutated: bool,
 }
 
-/// A full harness snapshot (system + bookkeeping), restorable any number of
+/// A full harness snapshot (fleet + bookkeeping), restorable any number of
 /// times — the explorer's fork point.
 pub struct HarnessSnapshot<B: McBackend> {
-    sys: SystemSnapshot<BankAccount, UipEngine<BankAccount>, FnConflict<BankAccount>, B>,
+    sys: ShardedSnapshot<BankAccount, UipEngine<BankAccount>, FnConflict<BankAccount>, B>,
     book: Book,
 }
 
-/// One instance under test: the real durable system plus the client-side
-/// ledger the invariants check against.
+/// One instance under test: the real fleet plus the client-side ledger the
+/// invariants check against.
 pub struct Harness<B: McBackend> {
     cfg: McConfig,
     adt: BankAccount,
-    sys: Sys<B>,
-    /// Transaction `i`'s one place is object `i mod objects`.
+    sys: Fleet<B>,
+    /// Objects per shard: place `s * per_shard + o` is object `o` as shard
+    /// `s` holds it.
+    per_shard: usize,
     ledger: Ledger,
     book: Book,
 }
@@ -391,37 +438,51 @@ impl<B: McBackend> Harness<B> {
     /// Build a fresh instance per `cfg` (applying construction-time
     /// mutations such as [`Mutation::SkipEpochBump`]).
     pub fn new(cfg: McConfig) -> Self {
+        let n = cfg.shards;
+        let per_shard = if n == 1 { cfg.objects as usize } else { n };
         let adt = BankAccount::default();
-        let mut backend = B::fresh();
-        if cfg.mutation == Some(Mutation::SkipEpochBump) {
-            backend.sabotage_skip_epoch_bump();
-        }
-        let sys = DurableSystem::with_backend(adt.clone(), cfg.objects, bank_nrbc(), backend);
+        let sys = ShardedSystem::new_with(n, |_| {
+            let mut backend = B::fresh();
+            if cfg.mutation == Some(Mutation::SkipEpochBump) {
+                backend.sabotage_skip_epoch_bump();
+            }
+            DurableSystem::with_backend(adt.clone(), per_shard as u32, bank_nrbc(), backend)
+        });
+        // One shard: transaction `i` on object `i mod objects`. A fleet:
+        // every transaction on every shard's home object `s`.
+        let places = |i: usize| match n {
+            1 => vec![i % per_shard],
+            _ => (0..n).map(|s| s * n + s).collect(),
+        };
         Harness {
             cfg,
             adt,
             sys,
-            ledger: Ledger::new((0..cfg.txns).map(|i| vec![i % cfg.objects as usize]).collect()),
+            per_shard,
+            ledger: Ledger::new((0..cfg.txns).map(places).collect()),
             book: Book {
                 phase: vec![Phase::Fresh; cfg.txns],
                 handles: vec![None; cfg.txns],
-                ops: vec![None; cfg.txns],
+                gtids: vec![None; cfg.txns],
                 staged: Vec::new(),
                 acked: Vec::new(),
                 last_flush: Vec::new(),
                 crash_left: cfg.crash_budget,
-                ckpt_left: cfg.ckpt_budget,
+                ckpt_left: if n == 1 { cfg.ckpt_budget } else { 0 },
                 mutated: false,
             },
         }
     }
 
-    /// The instance configuration.
-    pub fn config(&self) -> &McConfig {
-        &self.cfg
+    fn fleet(&self) -> bool {
+        self.cfg.shards >= 2
     }
 
-    /// Snapshot system + bookkeeping.
+    fn shard_mask(&self) -> u32 {
+        (1u32 << self.cfg.shards) - 1
+    }
+
+    /// Snapshot fleet + bookkeeping.
     pub fn snapshot(&self) -> HarnessSnapshot<B> {
         HarnessSnapshot { sys: self.sys.snapshot(), book: self.book.clone() }
     }
@@ -435,40 +496,45 @@ impl<B: McBackend> Harness<B> {
     /// Exact canonical encoding of everything that can influence future
     /// behavior or invariant outcomes. Two states with equal keys have
     /// identical subtrees, so the explorer prunes the second — the encoding
-    /// is the full state (phases, ledgers, budgets, counters, and the
-    /// backend's physical image fingerprint), not a lossy hash of it.
+    /// is the full state (phases, ledgers, gtids, budgets, the coordinator's
+    /// durable set and allocator, and every shard's doubt list, counters and
+    /// physical image fingerprint), not a lossy hash of it.
     pub fn canonical_key(&mut self) -> Vec<u8> {
-        let mut k = Vec::with_capacity(64);
-        for p in &self.book.phase {
-            k.push(*p as u8);
-        }
+        let book = &self.book;
+        let mut k = Vec::with_capacity(128);
+        k.extend(book.phase.iter().map(|&p| p as u8));
         k.push(0xfe);
-        k.extend((self.book.staged.len() as u32).to_le_bytes());
-        for &i in &self.book.staged {
-            k.push(i as u8);
+        for list in [&book.staged, &book.acked, &book.last_flush] {
+            k.extend((list.len() as u32).to_le_bytes());
+            k.extend(list.iter().map(|&i| i as u8));
         }
-        k.extend((self.book.acked.len() as u32).to_le_bytes());
-        for &i in &self.book.acked {
-            k.push(i as u8);
+        for g in &book.gtids {
+            k.extend(g.unwrap_or(0).to_le_bytes());
         }
-        k.extend((self.book.last_flush.len() as u32).to_le_bytes());
-        for &i in &self.book.last_flush {
-            k.push(i as u8);
-        }
-        k.extend(self.book.crash_left.to_le_bytes());
-        k.extend(self.book.ckpt_left.to_le_bytes());
-        k.push(self.book.mutated as u8);
-        k.push(match self.sys.mode() {
-            SystemMode::Normal => 0,
-            SystemMode::Degraded => 1,
-        });
-        k.extend(self.sys.journal().base_records().to_le_bytes());
-        k.extend((self.sys.journal().records().len() as u64).to_le_bytes());
-        k.extend(self.sys.system().next_txn_id().to_le_bytes());
-        k.extend(self.sys.exec_seq().to_le_bytes());
-        k.extend(self.sys.backend().image_fingerprint().to_le_bytes());
-        for o in 0..self.cfg.objects {
-            k.extend(self.sys.committed_state(ObjectId(o)).to_le_bytes());
+        k.extend(book.crash_left.to_le_bytes());
+        k.extend(book.ckpt_left.to_le_bytes());
+        k.push(book.mutated as u8);
+        let durable: Vec<u64> = self.sys.coordinator().committed().collect();
+        k.extend((durable.len() as u32).to_le_bytes());
+        k.extend(durable.iter().flat_map(|g| g.to_le_bytes()));
+        k.extend(self.sys.next_gtid().to_le_bytes());
+        for s in 0..self.cfg.shards {
+            let sh = self.sys.shard_mut(s);
+            let doubt = sh.in_doubt();
+            k.extend((doubt.len() as u32).to_le_bytes());
+            k.extend(doubt.iter().flat_map(|g| g.to_le_bytes()));
+            k.push(match sh.mode() {
+                SystemMode::Normal => 0,
+                SystemMode::Degraded => 1,
+            });
+            k.extend(sh.journal().base_records().to_le_bytes());
+            k.extend((sh.journal().records().len() as u64).to_le_bytes());
+            k.extend(sh.system().next_txn_id().to_le_bytes());
+            k.extend(sh.exec_seq().to_le_bytes());
+            k.extend(sh.backend().image_fingerprint().to_le_bytes());
+            for o in 0..self.per_shard {
+                k.extend(sh.committed_state(ObjectId(o as u32)).to_le_bytes());
+            }
         }
         k
     }
@@ -477,64 +543,78 @@ impl<B: McBackend> Harness<B> {
     /// (Some listed actions may still [`Applied::Skip`] on application —
     /// e.g. a tear the image cannot express; listing is conservative.)
     pub fn enabled_actions(&mut self) -> Vec<McAction> {
-        let mut out = Vec::new();
-        for i in 0..self.cfg.txns {
-            if self.book.phase[i] == Phase::Fresh {
-                out.push(McAction::Begin(i));
-            }
-        }
-        for i in 0..self.cfg.txns {
-            if self.book.phase[i] == Phase::Active {
-                out.push(McAction::Commit(i));
-                out.push(McAction::Abort(i));
+        let fleet = self.fleet();
+        let phases = &self.book.phase;
+        let mut out: Vec<McAction> = (0..self.cfg.txns)
+            .filter(|&i| phases[i] == Phase::Fresh)
+            .map(McAction::Begin)
+            .collect();
+        for (i, phase) in phases.iter().enumerate() {
+            match phase {
+                Phase::Active if fleet => out.extend([McAction::Prepare(i), McAction::Abort(i)]),
+                Phase::Active => out.extend([McAction::Commit(i), McAction::Abort(i)]),
+                Phase::Prepared => out.extend([McAction::DecideCommit(i), McAction::Abort(i)]),
+                _ => {}
             }
         }
         if self.cfg.group_commit && !self.book.staged.is_empty() {
             out.push(McAction::Flush);
         }
-        if self.book.ckpt_left > 0 && !self.sys.journal().records().is_empty() {
+        if self.book.ckpt_left > 0 && !self.sys.shard(0).journal().records().is_empty() {
             out.push(McAction::Checkpoint);
         }
-        if self.book.crash_left > 0 {
-            out.push(McAction::CrashClean);
-            if !self.book.last_flush.is_empty() {
-                for n in 1..=self.cfg.max_tears {
-                    out.push(McAction::CrashTorn(n));
-                }
-                out.push(McAction::CrashReorder);
-            }
-            if B::kind() == McBackendKind::Disk {
-                if let Some(n) = probe_recovery_ops(&mut self.sys, TornPolicy::DiscardTail) {
-                    for d in 0..n {
-                        out.push(McAction::CrashInRecovery(d));
-                    }
-                }
+        if self.book.crash_left == 0 {
+            return out;
+        }
+        if fleet {
+            out.extend((1..=self.shard_mask()).map(McAction::CrashShards));
+            out.push(McAction::CrashCoordinator);
+            return out;
+        }
+        out.push(McAction::CrashClean);
+        if !self.book.last_flush.is_empty() {
+            out.extend((1..=self.cfg.max_tears).map(McAction::CrashTorn));
+            out.push(McAction::CrashReorder);
+        }
+        let sys = self.sys.shard_mut(0);
+        if sys.backend().device().is_some() {
+            if let Some(n) = probe_recovery_ops(sys, TornPolicy::DiscardTail) {
+                out.extend((0..n).map(McAction::CrashInRecovery));
             }
         }
         out
     }
 
-    /// Apply one action (with mutation sabotage where configured), running
-    /// the full invariant battery after any action that recovers.
+    /// Apply one action (with mutation sabotage where configured), then run
+    /// the invariant battery if it took effect. A token of the other shard
+    /// count's alphabet is a dead branch, not an error — a shrunk trace
+    /// pasted under the wrong `--shards` must not panic.
     pub fn apply(&mut self, action: McAction) -> Applied {
-        match action {
-            McAction::Begin(i) => self.do_begin(i),
-            McAction::Commit(i) => self.do_commit(i),
-            McAction::Abort(i) => self.do_abort(i),
-            McAction::Flush => self.do_flush(),
-            McAction::Checkpoint => self.do_checkpoint(),
-            McAction::CrashClean => self.do_crash(CrashShape::Clean),
-            McAction::CrashTorn(n) => self.do_crash(CrashShape::Torn(n)),
-            McAction::CrashReorder => self.do_crash(CrashShape::Reorder),
-            McAction::CrashInRecovery(d) => self.do_crash(CrashShape::InRecovery(d)),
-            // 2PC actions exist only in the sharded instance
-            // (`shard_harness`); here they are dead branches, not errors —
-            // a shrunk sharded trace replayed against `--shards 1` must
-            // not panic.
-            McAction::Prepare(_)
-            | McAction::DecideCommit(_)
-            | McAction::CrashShards(_)
-            | McAction::CrashCoordinator => Applied::Skip,
+        let fleet = self.fleet();
+        let (applied, recovered) = match action {
+            McAction::Begin(i) => (self.do_begin(i), 0),
+            McAction::Abort(i) => (self.do_abort(i), 0),
+            McAction::Commit(i) if !fleet => (self.do_commit(i), 0),
+            McAction::Flush => (self.do_flush(), 0),
+            McAction::Checkpoint => (self.do_checkpoint(), 0),
+            McAction::CrashClean if !fleet => (self.do_crash(CrashShape::Clean), 1),
+            McAction::CrashTorn(n) if !fleet => (self.do_crash(CrashShape::Torn(n)), 1),
+            McAction::CrashReorder if !fleet => (self.do_crash(CrashShape::Reorder), 1),
+            McAction::CrashInRecovery(d) if !fleet => (self.do_crash(CrashShape::InRecovery(d)), 1),
+            McAction::Prepare(i) if fleet => (self.do_prepare(i), 0),
+            McAction::DecideCommit(i) if fleet => (self.do_decide(i), 0),
+            McAction::CrashShards(mask) if fleet => {
+                (self.do_crash_shards(mask), mask & self.shard_mask())
+            }
+            McAction::CrashCoordinator if fleet => (self.do_crash_coordinator(), 0),
+            _ => (Applied::Skip, 0),
+        };
+        match applied {
+            Applied::Ok => match self.check(recovered) {
+                Some(v) => Applied::Violation(v),
+                None => Applied::Ok,
+            },
+            other => other,
         }
     }
 
@@ -542,21 +622,29 @@ impl<B: McBackend> Harness<B> {
         if i >= self.cfg.txns || self.book.phase[i] != Phase::Fresh {
             return Applied::Skip;
         }
-        let t = self.sys.begin();
-        let obj = ObjectId(self.ledger.places(i)[0] as u32);
-        let inv = BankInv::Deposit(Ledger::amount(i));
-        match self.sys.invoke(t, obj, inv.clone()) {
-            Ok(resp) => {
-                debug_assert_eq!(resp, BankResp::Ok);
-                self.book.phase[i] = Phase::Active;
-                self.book.handles[i] = Some(t);
-                self.book.ops[i] = Some((obj, Op::new(inv, resp)));
-                Applied::Ok
-            }
-            Err(e) => Applied::Violation(McViolation::Internal {
-                detail: format!("deposit of txn {i} refused: {e:?}"),
-            }),
+        if self.fleet() {
+            self.book.gtids[i] = Some(self.sys.begin_global());
+        } else {
+            self.book.handles[i] = Some(self.sys.shard_mut(0).begin());
         }
+        for &p in self.ledger.places(i) {
+            let obj = ObjectId((p % self.per_shard) as u32);
+            let inv = BankInv::Deposit(Ledger::amount(i));
+            let resp = match (self.book.gtids[i], self.book.handles[i]) {
+                (Some(g), _) => self.sys.invoke_global(g, obj, inv),
+                (None, t) => self.sys.shard_mut(0).invoke(t.expect("local handle"), obj, inv),
+            };
+            match resp {
+                Ok(resp) => debug_assert_eq!(resp, BankResp::Ok),
+                Err(e) => {
+                    return Applied::Violation(McViolation::Internal {
+                        detail: format!("deposit of txn {i} at place {p} refused: {e:?}"),
+                    });
+                }
+            }
+        }
+        self.book.phase[i] = Phase::Active;
+        Applied::Ok
     }
 
     fn do_commit(&mut self, i: usize) -> Applied {
@@ -569,42 +657,52 @@ impl<B: McBackend> Harness<B> {
             return Applied::Ok;
         }
         let t = self.book.handles[i].expect("active txn has a handle");
-        match self.sys.commit(t) {
-            Ok(()) => {
-                self.book.phase[i] = Phase::Committed;
-                self.book.acked.push(i);
-                self.book.last_flush = vec![i];
-                if self.cfg.mutation == Some(Mutation::DropAckedCommit) && !self.book.mutated {
-                    // Sabotage: the ack stands, the bytes don't.
-                    self.book.mutated = self.sys.backend_mut().tear_last_flush(1);
-                }
-                Applied::Ok
-            }
-            Err(e) => Applied::Violation(McViolation::Internal {
+        let sys = self.sys.shard_mut(0);
+        if let Err(e) = sys.commit(t) {
+            return Applied::Violation(McViolation::Internal {
                 detail: format!("commit of txn {i} refused: {e:?}"),
-            }),
+            });
         }
+        self.book.phase[i] = Phase::Committed;
+        self.book.acked.push(i);
+        self.book.last_flush = vec![i];
+        if self.cfg.mutation == Some(Mutation::DropAckedCommit) && !self.book.mutated {
+            // Sabotage: the ack stands, the bytes don't.
+            self.book.mutated = sys.backend_mut().tear_last_flush(1);
+        }
+        Applied::Ok
     }
 
     fn do_abort(&mut self, i: usize) -> Applied {
-        if i >= self.cfg.txns || self.book.phase[i] != Phase::Active {
+        if i >= self.cfg.txns || !matches!(self.book.phase[i], Phase::Active | Phase::Prepared) {
             return Applied::Skip;
         }
-        let t = self.book.handles[i].expect("active txn has a handle");
-        if let Err(e) = self.sys.abort(t) {
-            return Applied::Violation(McViolation::Internal {
-                detail: format!("abort of txn {i} refused: {e:?}"),
-            });
+        // A fleet aborts locally where unprepared and journals a durable
+        // abort decision where prepared — nothing at the coordinator, per
+        // presumed abort.
+        match (self.book.gtids[i], self.book.handles[i]) {
+            (Some(g), _) => self.sys.abort_global(g),
+            (None, t) => {
+                if let Err(e) = self.sys.shard_mut(0).abort(t.expect("active txn has a handle")) {
+                    return Applied::Violation(McViolation::Internal {
+                        detail: format!("abort of txn {i} refused: {e:?}"),
+                    });
+                }
+            }
         }
         self.book.phase[i] = Phase::Aborted;
         if self.cfg.mutation == Some(Mutation::ResurrectAborted) && !self.book.mutated {
-            // Sabotage: forge a commit record for the aborted transaction.
-            let (obj, op) = self.book.ops[i].clone().expect("begun txn recorded its op");
+            // Sabotage: forge a commit record for the aborted transaction on
+            // its first participant.
+            let p = self.ledger.places(i)[0];
+            let sys = self.sys.shard_mut(p / self.per_shard);
+            let op = Op::new(BankInv::Deposit(Ledger::amount(i)), BankResp::Ok);
+            let obj = ObjectId((p % self.per_shard) as u32);
             let rec = CommitRecord {
-                floor: self.sys.system().next_txn_id(),
+                floor: sys.system().next_txn_id(),
                 ops: vec![(1_000 + i as u64, obj, op)],
             };
-            self.book.mutated = self.sys.backend_mut().append_commit(&rec).is_ok();
+            self.book.mutated = sys.backend_mut().append_commit(&rec).is_ok();
         }
         Applied::Ok
     }
@@ -618,35 +716,32 @@ impl<B: McBackend> Harness<B> {
             .iter()
             .map(|&i| self.book.handles[i].expect("staged txn has a handle"))
             .collect();
-        let results = self.sys.commit_group(&handles);
-        for (&i, r) in staged.iter().zip(&results) {
-            match r {
-                Ok(()) => {
-                    self.book.phase[i] = Phase::Committed;
-                    self.book.acked.push(i);
-                }
-                Err(e) => {
-                    return Applied::Violation(McViolation::Internal {
-                        detail: format!("group commit of txn {i} refused: {e:?}"),
-                    });
-                }
+        let sys = self.sys.shard_mut(0);
+        for (&i, r) in staged.iter().zip(sys.commit_group(&handles)) {
+            if let Err(e) = r {
+                return Applied::Violation(McViolation::Internal {
+                    detail: format!("group commit of txn {i} refused: {e:?}"),
+                });
             }
+            self.book.phase[i] = Phase::Committed;
+            self.book.acked.push(i);
         }
         self.book.last_flush = staged;
         if self.cfg.mutation == Some(Mutation::ReorderLastBatch) && !self.book.mutated {
             // Sabotage: the batch ack stands; its first sector doesn't.
-            self.book.mutated = self.sys.backend_mut().reorder_last_flush();
+            self.book.mutated = sys.backend_mut().reorder_last_flush();
         }
         Applied::Ok
     }
 
     fn do_checkpoint(&mut self) -> Applied {
-        if self.book.ckpt_left == 0 || self.sys.journal().records().is_empty() {
+        let sys = self.sys.shard_mut(0);
+        if self.book.ckpt_left == 0 || sys.journal().records().is_empty() {
             return Applied::Skip;
         }
         self.book.ckpt_left -= 1;
-        self.sys.checkpoint();
-        if self.sys.mode() != SystemMode::Normal {
+        sys.checkpoint();
+        if sys.mode() != SystemMode::Normal {
             return Applied::Violation(McViolation::Internal {
                 detail: "checkpoint degraded a fault-free device".to_string(),
             });
@@ -658,6 +753,18 @@ impl<B: McBackend> Harness<B> {
         Applied::Ok
     }
 
+    /// Volatile state dies with the power: active and staged transactions
+    /// are lost, and so are their local handles.
+    fn lose_volatile(&mut self) {
+        for p in &mut self.book.phase {
+            if matches!(p, Phase::Active | Phase::Staged) {
+                *p = Phase::Lost;
+            }
+        }
+        self.book.staged.clear();
+        self.book.handles.fill(None);
+    }
+
     fn do_crash(&mut self, shape: CrashShape) -> Applied {
         if self.book.crash_left == 0 {
             return Applied::Skip;
@@ -665,141 +772,206 @@ impl<B: McBackend> Harness<B> {
         // Tearing applies to the last *commit* flush only (after a
         // checkpoint or a recovery the tail is metadata whose loss must be
         // survivable — but those branches are covered by the clean crash).
-        let mut undecided: Vec<usize> = Vec::new();
-        match shape {
-            CrashShape::Clean | CrashShape::InRecovery(_) => {}
-            CrashShape::Torn(n) => {
-                if self.book.last_flush.is_empty() || !self.sys.backend_mut().tear_last_flush(n) {
-                    return Applied::Skip;
-                }
-                undecided = self.book.last_flush.clone();
-            }
-            CrashShape::Reorder => {
-                if self.book.last_flush.is_empty() || !self.sys.backend_mut().reorder_last_flush() {
-                    return Applied::Skip;
-                }
-                undecided = self.book.last_flush.clone();
-            }
-        }
+        let flush = !self.book.last_flush.is_empty();
+        let backend = self.sys.shard_mut(0).backend_mut();
+        let torn = match shape {
+            CrashShape::Clean | CrashShape::InRecovery(_) => false,
+            CrashShape::Torn(n) if flush && backend.tear_last_flush(n) => true,
+            CrashShape::Reorder if flush && backend.reorder_last_flush() => true,
+            CrashShape::Torn(_) | CrashShape::Reorder => return Applied::Skip,
+        };
         self.book.crash_left -= 1;
-        // Volatile state dies with the power: active and staged
-        // transactions are lost; undecided acks may go either way.
-        for i in 0..self.cfg.txns {
-            match self.book.phase[i] {
-                Phase::Active | Phase::Staged => self.book.phase[i] = Phase::Lost,
-                _ => {}
+        // Undecided acks may go either way; the battery judges the torn
+        // flush, still in `last_flush`, and clears it.
+        self.lose_volatile();
+        if torn {
+            for &i in &self.book.last_flush {
+                self.book.phase[i] = Phase::Undecided;
             }
+        } else {
+            self.book.last_flush.clear();
         }
-        for &i in &undecided {
-            self.book.phase[i] = Phase::Undecided;
-        }
-        self.book.staged.clear();
-        self.book.handles = vec![None; self.cfg.txns];
-        self.book.last_flush.clear();
+        let sys = self.sys.shard_mut(0);
         let recovered = match shape {
             CrashShape::InRecovery(d) => {
-                crash_recover_interrupted(&mut self.sys, TornPolicy::DiscardTail, d)
-                    .map(|_armed| ())
+                crash_recover_interrupted(sys, TornPolicy::DiscardTail, d).map(|_armed| ())
             }
-            _ => self.sys.crash_and_recover_with(TornPolicy::DiscardTail),
+            _ => sys.crash_and_recover_with(TornPolicy::DiscardTail),
         };
-        if let Err(e) = recovered {
-            return Applied::Violation(McViolation::RecoveryRefused { detail: format!("{e:?}") });
-        }
-        match self.check_after_recovery(&undecided) {
-            Some(v) => Applied::Violation(v),
-            None => Applied::Ok,
+        match recovered {
+            Ok(()) => Applied::Ok,
+            Err(e) => Applied::Violation(McViolation::RecoveryRefused { detail: format!("{e:?}") }),
         }
     }
 
-    /// The invariant battery, run after every completed recovery. Resolves
-    /// `Undecided` phases to what recovery durably decided.
-    fn check_after_recovery(&mut self, undecided: &[usize]) -> Option<McViolation> {
-        if self.sys.mode() != SystemMode::Normal {
+    fn gtid_of(&self, i: usize) -> u64 {
+        self.book.gtids[i].expect("begun txn has a gtid")
+    }
+
+    fn do_prepare(&mut self, i: usize) -> Applied {
+        if i >= self.cfg.txns || self.book.phase[i] != Phase::Active {
+            return Applied::Skip;
+        }
+        match self.sys.prepare_all(self.gtid_of(i)) {
+            Ok(()) => {
+                self.book.phase[i] = Phase::Prepared;
+                Applied::Ok
+            }
+            // No shard is degraded and no device is faulted in the explored
+            // instance: a no-vote here is a harness/runtime bug.
+            Err(e) => Applied::Violation(McViolation::Internal {
+                detail: format!("prepare of gtxn {i} no-voted on a fault-free fleet: {e:?}"),
+            }),
+        }
+    }
+
+    fn do_decide(&mut self, i: usize) -> Applied {
+        if i >= self.cfg.txns || self.book.phase[i] != Phase::Prepared {
+            return Applied::Skip;
+        }
+        let gtid = self.gtid_of(i);
+        self.book.phase[i] = Phase::Committed;
+        if self.cfg.mutation == Some(Mutation::LoseDecision) && !self.book.mutated {
+            // Sabotage: the decision record never lands (no
+            // `decide_commit`), one participant is told to commit on the
+            // coordinator's volatile word, and the coordinator dies before
+            // reaching the rest — settlement then presumes abort on the
+            // stragglers. The textbook mixed outcome.
+            self.book.mutated = true;
+            let first = self.sys.participants(gtid)[0];
+            let _ = self.sys.resolve_participant(gtid, first, true);
+            self.coordinator_crash_fallout();
+            return Applied::Ok;
+        }
+        self.sys.decide_commit(gtid);
+        for s in self.sys.participants(gtid) {
+            if let Err(e) = self.sys.resolve_participant(gtid, s, true) {
+                return Applied::Violation(McViolation::Internal {
+                    detail: format!("decided commit of gtxn {i} refused on shard {s}: {e:?}"),
+                });
+            }
+        }
+        Applied::Ok
+    }
+
+    fn do_crash_shards(&mut self, mask: u32) -> Applied {
+        let mask = mask & self.shard_mask();
+        if self.book.crash_left == 0 || mask == 0 {
+            return Applied::Skip;
+        }
+        self.book.crash_left -= 1;
+        if let Err(e) = self.sys.crash_subset(mask) {
+            return Applied::Violation(McViolation::RecoveryRefused { detail: format!("{e:?}") });
+        }
+        // Every transaction is cross-shard over the whole fleet, so any
+        // crashed shard held an unprepared half of every active one: those
+        // abort globally inside `crash_subset`. Fully prepared transactions
+        // stay live — their doubt is durable, and the coordinator (still
+        // running) may yet decide either way.
+        self.lose_volatile();
+        Applied::Ok
+    }
+
+    fn do_crash_coordinator(&mut self) -> Applied {
+        if self.book.crash_left == 0 {
+            return Applied::Skip;
+        }
+        self.book.crash_left -= 1;
+        self.coordinator_crash_fallout();
+        Applied::Ok
+    }
+
+    /// Crash the coordinator and settle the fleet from durable truth:
+    /// unprepared halves abort locally, in-doubt prepares resolve against
+    /// the durable commit set (presumed abort otherwise).
+    fn coordinator_crash_fallout(&mut self) {
+        self.sys.crash_coordinator();
+        self.sys.resolve_in_doubt();
+        self.lose_volatile();
+        for i in 0..self.cfg.txns {
+            if self.book.phase[i] == Phase::Prepared {
+                self.book.phase[i] = if self.sys.coordinator().decision(self.gtid_of(i)) {
+                    Phase::Committed
+                } else {
+                    Phase::Aborted
+                };
+            }
+        }
+    }
+
+    /// Every place's committed state, in place order.
+    fn states(&mut self) -> Vec<u64> {
+        let m = self.per_shard;
+        (0..self.cfg.shards * m)
+            .map(|p| self.sys.shard_mut(p / m).committed_state(ObjectId((p % m) as u32)))
+            .collect()
+    }
+
+    /// The invariant battery, run after every action that took effect: the
+    /// ledger over every object of every shard, then — on each shard in
+    /// `recovered` — the recovery legs. Transactions still in doubt
+    /// somewhere are pending (their visibility is legitimately nowhere yet)
+    /// and are re-checked once settled; `Undecided` ones are resolved to
+    /// what recovery durably decided.
+    fn check(&mut self, recovered: u32) -> Option<McViolation> {
+        let shards: Vec<usize> =
+            (0..self.cfg.shards).filter(|s| recovered & (1 << s) != 0).collect();
+        if shards.iter().any(|&s| self.sys.shard(s).mode() != SystemMode::Normal) {
             return Some(McViolation::RecoveryRefused {
                 detail: "system degraded after a fault-free recovery".to_string(),
             });
         }
-        // 1. The ledger: every recovered balance decodes to transactions
-        //    that may be there, every acknowledged one is, nothing else is.
-        let states: Vec<u64> =
-            (0..self.cfg.objects).map(|o| self.sys.committed_state(ObjectId(o))).collect();
-        let told = |i: usize| match self.book.phase[i] {
+        let states = self.states();
+        let pending = self.sys.in_doubt();
+        let book = &self.book;
+        let told = |i: usize| match book.phase[i] {
+            _ if book.gtids[i].is_some_and(|g| pending.contains(&g)) => Told::Pending,
             Phase::Committed => Told::Visible,
-            Phase::Aborted | Phase::Lost | Phase::Fresh => Told::Invisible,
-            Phase::Active | Phase::Staged | Phase::Undecided => Told::Pending,
+            Phase::Undecided => Told::Pending,
+            _ => Told::Invisible,
         };
+        let m = self.per_shard;
         if let Err(v) = self.ledger.check(told, &states) {
             return Some(match v {
                 LedgerViolation::Stray { place, state } => {
-                    McViolation::StrayState { object: place as u32, state }
+                    McViolation::StrayState { object: (place % m) as u32, state }
                 }
+                LedgerViolation::Split(v) => McViolation::GlobalSplit {
+                    txn: v.gtid as usize,
+                    committed_on: v.committed_on.iter().map(|p| p / m).collect(),
+                    aborted_on: v.aborted_on.iter().map(|p| p / m).collect(),
+                },
                 LedgerViolation::Lost { txn, .. } => McViolation::DurabilityLost { txn },
                 LedgerViolation::Resurrected { txn, .. } => McViolation::Resurrection { txn },
-                LedgerViolation::Split(_) => unreachable!("one place per transaction"),
             });
         }
-        let present =
-            |i: usize, states: &[u64]| Ledger::visible(states, i, self.ledger.places(i)[0]);
-        // 2. Torn-batch survivors must be a prefix of the batch.
-        if !undecided.is_empty() {
-            let survived: Vec<usize> =
-                undecided.iter().copied().filter(|&i| present(i, &states)).collect();
-            let prefix: Vec<usize> = undecided[..survived.len()].to_vec();
-            if survived != prefix {
-                return Some(McViolation::NotPrefix { flush: undecided.to_vec(), survived });
+        if shards.is_empty() {
+            return None;
+        }
+        // Torn-flush survivors must be a prefix of the batch. Recovery
+        // durably decided (the epoch bump fences the discarded tail), so
+        // from here the survivors are committed and the rest are gone.
+        let torn: Vec<usize> = std::mem::take(&mut self.book.last_flush);
+        if !torn.is_empty() {
+            let present = |i: usize| Ledger::visible(&states, i, self.ledger.places(i)[0]);
+            let survived: Vec<usize> = torn.iter().copied().filter(|&i| present(i)).collect();
+            if survived[..] != torn[..survived.len()] {
+                return Some(McViolation::NotPrefix { flush: torn, survived });
             }
-            // Resolve: recovery durably decided (the epoch bump fences the
-            // discarded tail), so from here the survivors are committed and
-            // the rest are gone for good.
-            for &i in undecided {
-                self.book.phase[i] =
-                    if present(i, &states) { Phase::Committed } else { Phase::Lost };
+            for &i in &torn {
+                self.book.phase[i] = if present(i) { Phase::Committed } else { Phase::Lost };
             }
         }
-        // 3. The paper's two replay views agree with each other and with
-        //    the rebuilt system.
-        if let Some(v) = self.check_views(&states) {
-            return Some(v);
-        }
-        // 4. Convergence: PR 5's checked probe — recovery from this image
-        //    must converge and durably seal itself (the epoch bump). Run on
-        //    a clone so the explored state is untouched.
-        let mut probe = self.sys.backend().clone();
-        if let Err(e) = probe.check_recovery_convergence(TailPolicy::DiscardTail) {
-            return Some(McViolation::NotIdempotent {
-                detail: format!("convergence probe refused: {}", e.reason),
-            });
-        }
-        // 5. Idempotence: a second recovery from the same image changes
-        //    nothing. Probed on a snapshot so the explored state is intact.
-        let snap = self.snapshot();
-        let again = self.sys.crash_and_recover_with(TornPolicy::DiscardTail);
-        let verdict = match again {
-            Err(e) => Some(McViolation::NotIdempotent {
-                detail: format!("second recovery refused: {e:?}"),
-            }),
-            Ok(()) => {
-                let reread: Vec<u64> =
-                    (0..self.cfg.objects).map(|o| self.sys.committed_state(ObjectId(o))).collect();
-                if reread != states {
-                    Some(McViolation::NotIdempotent {
-                        detail: format!("states {states:?} became {reread:?}"),
-                    })
-                } else {
-                    None
-                }
-            }
-        };
-        self.restore(&snap);
-        verdict
+        shards.into_iter().find_map(|s| self.check_recovered(s, &states[s * m..(s + 1) * m]))
     }
 
-    /// Recover a clone of the durable image and ask [`views_agree`] about
-    /// what it holds: both folds exist, agree, and are what the system
-    /// serves.
-    fn check_views(&mut self, states: &[u64]) -> Option<McViolation> {
-        let mut probe = self.sys.backend().clone();
+    /// The recovery legs on shard `s`, whose objects hold `states`: the
+    /// paper's two replay views agree with each other and with what the
+    /// shard serves, recovery from its image converges, and recovering
+    /// again changes nothing. Every probe runs on a clone or is rewound.
+    fn check_recovered(&mut self, s: usize, states: &[u64]) -> Option<McViolation> {
+        let sys = self.sys.shard_mut(s);
+        let mut probe = sys.backend().clone();
         probe.crash();
         let log = match probe.recover(TailPolicy::DiscardTail) {
             Ok(log) => log,
@@ -810,23 +982,30 @@ impl<B: McBackend> Harness<B> {
             }
         };
         let mut base: BTreeMap<ObjectId, u64> =
-            (0..self.cfg.objects).map(|o| (ObjectId(o), 0u64)).collect();
+            (0..states.len() as u32).map(|o| (ObjectId(o), 0u64)).collect();
         if let Some(cp) = &log.checkpoint {
             base.extend(cp.states.iter().copied());
         }
-        views_agree(&self.adt, &base, &log.records, |obj| states[obj.0 as usize])
-            .err()
-            .map(|f| McViolation::ViewDivergence { detail: f.to_string() })
-    }
-
-    /// Whether every transaction reached a terminal phase and nothing is
-    /// staged — the explorer's terminal-state predicate (crash/checkpoint
-    /// budgets may remain; those branches are still enumerated above).
-    pub fn all_resolved(&self) -> bool {
-        self.book.staged.is_empty()
-            && self.book.phase.iter().all(|p| {
-                matches!(p, Phase::Committed | Phase::Aborted | Phase::Lost | Phase::Undecided)
-            })
+        if let Err(f) = views_agree(&self.adt, &base, &log.records, |obj| states[obj.0 as usize]) {
+            return Some(McViolation::ViewDivergence { detail: f.to_string() });
+        }
+        let mut probe = sys.backend().clone();
+        if let Err(e) = probe.check_recovery_convergence(TailPolicy::DiscardTail) {
+            return Some(McViolation::NotIdempotent {
+                detail: format!("convergence probe refused: {}", e.reason),
+            });
+        }
+        let snap = sys.snapshot();
+        let verdict = match sys.crash_and_recover_with(TornPolicy::DiscardTail) {
+            Err(e) => Some(format!("second recovery refused: {e:?}")),
+            Ok(()) => {
+                let reread: Vec<u64> =
+                    (0..states.len() as u32).map(|o| sys.committed_state(ObjectId(o))).collect();
+                (reread != states).then(|| format!("states {states:?} became {reread:?}"))
+            }
+        };
+        sys.restore(&snap);
+        verdict.map(|detail| McViolation::NotIdempotent { detail })
     }
 }
 
@@ -836,4 +1015,21 @@ enum CrashShape {
     Torn(usize),
     Reorder,
     InRecovery(u64),
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::explorer::run_trace;
+    use crate::harness::McConfig;
+
+    /// A token of the other shard count's alphabet is a dead branch, not a
+    /// panic: a shrunk trace pasted under the wrong `--shards` degrades
+    /// gracefully.
+    #[test]
+    fn foreign_tokens_are_dead_branches() {
+        let single = McConfig::default();
+        assert!(run_trace(single, &"b0 p0 q0 s3 z c0 x".parse().unwrap()).is_none());
+        let fleet = McConfig { shards: 2, ..single };
+        assert!(run_trace(fleet, &"b0 c0 f k x t1 r d0 p0 q0 s1".parse().unwrap()).is_none());
+    }
 }

@@ -59,7 +59,7 @@
 
 use std::process::ExitCode;
 
-use ccr_mc::{McBackendKind, McConfig, McTrace};
+use ccr_mc::{McConfig, McTrace};
 use ccr_obs::json_string;
 use ccr_runtime::fault::FaultMix;
 use ccr_runtime::sim::{SimFailure, SimReport};
@@ -160,7 +160,7 @@ exit 1 unless the protected run beats the unprotected baseline on the SLOs\n",
            [--group-commit] [--backend disk|mem] [--shards N] [--mutate M] [--json]
            [--min-states N] [--replay \"b0 c0 x\"]
 mutations M: drop-acked-commit|reorder-last-batch|resurrect-aborted|skip-epoch-bump
-  sharded (--shards >= 2, alphabet b/p/q/s/z): lose-decision
+  sharded (--shards >= 2, alphabet b/a/p/q/s/z): lose-decision|resurrect-aborted
 exit codes: 0 all invariants hold; 1 violation (or --min-states bound missed)\n",
     },
 ];
@@ -250,44 +250,7 @@ fn mc_main(args: &[String]) -> Result<ExitCode, String> {
         }
         Ok(true)
     })?;
-    if cfg.txns == 0 || cfg.txns > 6 {
-        return Err("--txns must be in 1..=6 (amounts are distinct powers of two)".to_string());
-    }
-    if cfg.objects == 0 {
-        return Err("--objects must be at least 1".to_string());
-    }
-    if cfg.mutation == Some(ccr_mc::Mutation::SkipEpochBump) && cfg.backend != McBackendKind::Disk {
-        return Err(
-            "--mutate skip-epoch-bump requires --backend disk (epochs live in the WAL)".to_string()
-        );
-    }
-    if cfg.mutation == Some(ccr_mc::Mutation::ReorderLastBatch) && !cfg.group_commit {
-        return Err("--mutate reorder-last-batch requires --group-commit (it targets the batch \
-                    flush)"
-            .to_string());
-    }
-    if cfg.shards > 8 {
-        return Err(
-            "--shards must be in 1..=8 (keep the crash-subset alphabet enumerable)".to_string()
-        );
-    }
-    if cfg.mutation == Some(ccr_mc::Mutation::LoseDecision) && cfg.shards < 2 {
-        return Err("--mutate lose-decision requires --shards >= 2 (it sabotages the 2PC \
-                    coordinator)"
-            .to_string());
-    }
-    if cfg.shards >= 2 && !matches!(cfg.mutation, None | Some(ccr_mc::Mutation::LoseDecision)) {
-        return Err(format!(
-            "--mutate {} targets the single-system harness; the sharded instance only \
-             supports lose-decision",
-            cfg.mutation.expect("checked Some above")
-        ));
-    }
-    if cfg.shards >= 2 && cfg.group_commit {
-        return Err("--group-commit is single-system; the sharded instance's alphabet has no \
-                    batch action"
-            .to_string());
-    }
+    cfg.validate()?;
 
     if let Some(trace) = replay {
         return Ok(match ccr_mc::explorer::run_trace(cfg, &trace) {

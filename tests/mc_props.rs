@@ -14,27 +14,31 @@ fn base(backend: McBackendKind, group_commit: bool) -> McConfig {
 }
 
 /// The acceptance-criteria instance matrix: 2 txns × 2 objects, crash
-/// budget 2, mem + disk × group-commit on/off. Every interleaving the
-/// explorer enumerates must satisfy the full invariant battery, and the
-/// state space must be non-trivially large (the CI job pins tighter
-/// `--min-states` floors per cell).
+/// budget 2, mem + disk × group-commit on/off, plus the deeper 3-txn disk
+/// cell. Every interleaving the explorer enumerates must satisfy the full
+/// invariant battery, and the state space is pinned exactly — a count that
+/// drifts either way is an enumeration change to explain (DESIGN.md §12).
 #[test]
 fn pinned_instance_matrix_is_violation_free() {
-    for backend in [McBackendKind::Mem, McBackendKind::Disk] {
-        for group_commit in [false, true] {
-            let v = explore(base(backend, group_commit));
-            assert!(
-                v.passed(),
-                "violation on {backend} (group_commit: {group_commit}): {:?}",
-                v.violation
-            );
-            assert!(
-                v.stats.states >= 100,
-                "suspiciously small state space on {backend}: {:?}",
-                v.stats
-            );
-            assert!(v.stats.terminals > 0, "no terminal states explored: {:?}", v.stats);
-        }
+    for (backend, group_commit, txns, states, transitions) in [
+        (McBackendKind::Mem, false, 2, 266, 496),
+        (McBackendKind::Mem, true, 2, 336, 668),
+        (McBackendKind::Disk, false, 2, 375, 1709),
+        (McBackendKind::Disk, true, 2, 495, 2271),
+        (McBackendKind::Disk, false, 3, 8229, 38914),
+    ] {
+        let v = explore(McConfig { txns, ..base(backend, group_commit) });
+        assert!(
+            v.passed(),
+            "violation on {backend} (group_commit: {group_commit}, txns: {txns}): {:?}",
+            v.violation
+        );
+        assert_eq!(
+            (v.stats.states, v.stats.transitions),
+            (states, transitions),
+            "state space drifted on {backend} (group_commit: {group_commit}, txns: {txns})"
+        );
+        assert!(v.stats.terminals > 0, "no terminal states explored: {:?}", v.stats);
     }
 }
 
@@ -43,9 +47,13 @@ fn pinned_instance_matrix_is_violation_free() {
 /// rendering must all be free of incidental nondeterminism.
 #[test]
 fn same_instance_runs_produce_byte_identical_json() {
-    let cfg = base(McBackendKind::Disk, true);
-    let (a, b) = (explore(cfg), explore(cfg));
-    assert_eq!(a.to_json(), b.to_json(), "verdict JSON must be byte-identical");
+    for cfg in [
+        base(McBackendKind::Disk, true),
+        McConfig { shards: 2, ..base(McBackendKind::Disk, false) },
+    ] {
+        let (a, b) = (explore(cfg), explore(cfg));
+        assert_eq!(a.to_json(), b.to_json(), "verdict JSON must be byte-identical: {cfg:?}");
+    }
 }
 
 /// Negative control for the durability invariant (sim-oracle leg 3):
@@ -145,22 +153,46 @@ fn traces_round_trip_and_reject_junk() {
     assert_eq!(sharded.to_string(), "b0 p0 q0 s3 z");
 }
 
-/// The sharded 2-shard instance (DESIGN.md §15): the extended alphabet
-/// (begin/prepare/decide/crash-subset/coordinator-crash) is exhaustively
-/// explored and must be violation-free on both backends, with state
-/// spaces no smaller than the floors the CI `model-check` job pins.
+/// The fleet instances (DESIGN.md §12): 2 and 3 shards with the
+/// begin/abort/prepare/decide/crash-subset/coordinator-crash alphabet are
+/// exhaustively explored, every recovered shard through the recovery legs,
+/// and must be violation-free on both backends with exactly pinned state
+/// spaces.
 #[test]
 fn sharded_instance_matrix_is_violation_free() {
-    for (backend, floor) in [(McBackendKind::Mem, 3000), (McBackendKind::Disk, 12000)] {
-        let cfg = McConfig { shards: 2, ..base(backend, false) };
-        let v = explore(cfg);
-        assert!(v.passed(), "violation on sharded {backend}: {:?}", v.violation);
-        assert!(
-            v.stats.states >= floor,
-            "state space regressed below the pinned floor on {backend}: {:?}",
-            v.stats
+    for (backend, shards, states, transitions) in [
+        (McBackendKind::Mem, 2, 3226, 6048),
+        (McBackendKind::Disk, 2, 12804, 16970),
+        (McBackendKind::Mem, 3, 9590, 21288),
+        (McBackendKind::Disk, 3, 51654, 67286),
+    ] {
+        let v = explore(McConfig { shards, ..base(backend, false) });
+        assert!(v.passed(), "violation on {shards}-shard {backend}: {:?}", v.violation);
+        assert_eq!(
+            (v.stats.states, v.stats.transitions),
+            (states, transitions),
+            "state space drifted on {shards}-shard {backend}"
         );
         assert!(v.stats.terminals > 0, "no terminal states explored: {:?}", v.stats);
+    }
+}
+
+/// Negative control for no-resurrection on a fleet: a commit record forged
+/// on the aborted transaction's first participant surfaces, once that
+/// shard recovers, as a global split — visible on shard 0, not on shard 1.
+#[test]
+fn resurrection_on_a_fleet_is_caught() {
+    for backend in [McBackendKind::Mem, McBackendKind::Disk] {
+        let cfg = McConfig {
+            shards: 2,
+            mutation: Some(Mutation::ResurrectAborted),
+            ..base(backend, false)
+        };
+        let v = explore(cfg);
+        let (violation, trace) = v.violation.expect("the resurrected txn must be caught");
+        assert_eq!(violation.kind(), "global-split", "wrong invariant fired on {backend}");
+        assert_eq!(trace.to_string(), "b1 a1 s1", "not the pinned minimal trace on {backend}");
+        assert_minimized_and_replayable(cfg, &trace, violation.kind());
     }
 }
 
@@ -179,6 +211,7 @@ fn lost_decision_record_is_caught_as_a_global_split() {
     let v = explore(cfg);
     let (violation, trace) = v.violation.expect("the lost decision record must be caught");
     assert_eq!(violation.kind(), "global-split", "wrong invariant fired: {violation}");
+    assert_eq!(trace.to_string(), "b0 p0 q0", "not the pinned minimal trace");
     assert_minimized_and_replayable(cfg, &trace, violation.kind());
     let line = reproducer(&cfg, &trace);
     assert!(line.contains("--shards 2"), "reproducer must pin the shard count: {line}");
@@ -197,5 +230,25 @@ fn a_reissued_gtid_split_is_a_global_split() {
             McConfig { shards: 2, mutation: Some(Mutation::LoseDecision), ..base(backend, false) };
         let violation = run_trace(cfg, &trace).expect("the split must be caught");
         assert_eq!(violation.kind(), "global-split", "wrong leg fired on {backend}: {violation}");
+    }
+}
+
+/// The instance rules live beside the alphabet they protect: a negative
+/// control is accepted exactly where an action reaches its sabotage.
+#[test]
+fn config_rules_follow_the_alphabet() {
+    let fleet = McConfig { shards: 2, ..McConfig::default() };
+    for (cfg, ok) in [
+        (McConfig { mutation: Some(Mutation::ResurrectAborted), ..fleet }, true),
+        (McConfig { mutation: Some(Mutation::LoseDecision), ..fleet }, true),
+        (McConfig { mutation: Some(Mutation::DropAckedCommit), ..fleet }, false),
+        (McConfig { mutation: Some(Mutation::SkipEpochBump), ..fleet }, false),
+        (McConfig { group_commit: true, ..fleet }, false),
+        (McConfig { mutation: Some(Mutation::LoseDecision), ..McConfig::default() }, false),
+        (McConfig { shards: 0, ..McConfig::default() }, false),
+        (McConfig { shards: 9, ..McConfig::default() }, false),
+        (McConfig { txns: 7, ..McConfig::default() }, false),
+    ] {
+        assert_eq!(cfg.validate().is_ok(), ok, "{cfg:?}: {:?}", cfg.validate());
     }
 }
