@@ -109,3 +109,322 @@ fn a_plain_crash_on_three_shards_must_not_split_a_global_transaction() {
         panic!("{failure}\n  {}", scenario.reproducer());
     }
 }
+
+/// The fleet's 2PC bookkeeping against a reference kept in ordered maps and
+/// sets: three mem-backed shards of two accounts each, deposits only (they
+/// commute under NRBC, so no call blocks and every committed balance is the
+/// sum of the committed deposits).
+mod bookkeeping {
+    use std::collections::{BTreeMap, BTreeSet};
+
+    use ccr::adt::bank::{bank_nrbc, BankAccount, BankInv};
+    use ccr::core::conflict::FnConflict;
+    use ccr::core::ids::ObjectId;
+    use ccr::runtime::{DurableSystem, ShardedSystem, UipEngine};
+    use ccr::store::MemBackend;
+    use proptest::prelude::*;
+
+    const SHARDS: usize = 3;
+    const OBJECTS: u32 = 2 * SHARDS as u32;
+
+    type Fleet = ShardedSystem<
+        BankAccount,
+        UipEngine<BankAccount>,
+        FnConflict<BankAccount>,
+        MemBackend<BankAccount>,
+    >;
+
+    /// One call on the fleet; the `u16` picks a global transaction
+    /// ([`Model::pick`]).
+    #[derive(Clone, Debug)]
+    enum Step {
+        Invoke(u16, u32, u64),
+        Prepare(u16),
+        Decide(u16),
+        Resolve(u16, usize, bool),
+        Abort(u16),
+        Commit(u16),
+        CrashSubset(u32),
+        CrashCoordinator,
+        ResolveInDoubt,
+    }
+
+    fn step() -> impl Strategy<Value = Step> {
+        let pick = 0u16..1024;
+        prop_oneof![
+            48 => (pick.clone(), 0..OBJECTS, 1u64..10).prop_map(|(g, o, a)| Step::Invoke(g, o, a)),
+            12 => pick.clone().prop_map(Step::Prepare),
+            12 => pick.clone().prop_map(Step::Decide),
+            12 => (pick.clone(), 0..SHARDS, 0u8..2).prop_map(|(g, s, c)| Step::Resolve(g, s, c == 1)),
+            4 => pick.clone().prop_map(Step::Abort),
+            24 => pick.prop_map(Step::Commit),
+            4 => (1u32..1 << SHARDS).prop_map(Step::CrashSubset),
+            1 => Just(Step::CrashCoordinator),
+            4 => Just(Step::ResolveInDoubt),
+        ]
+    }
+
+    /// A round begins one global transaction, then runs its steps: at least
+    /// 200 rounds, so committed ids cross 64-bit word boundaries.
+    fn rounds() -> impl Strategy<Value = Vec<Vec<Step>>> {
+        prop::collection::vec(prop::collection::vec(step(), 0..7), 200..240)
+    }
+
+    /// A participant half: its deposits and whether it holds a durable
+    /// yes-vote.
+    #[derive(Clone, Debug, Default)]
+    struct Half {
+        deposits: Vec<(ObjectId, u64)>,
+        prepared: bool,
+    }
+
+    /// What the fleet should hold, in ordered maps.
+    #[derive(Default)]
+    struct Model {
+        next_gtid: u64,
+        live: BTreeMap<u64, BTreeMap<usize, Half>>,
+        /// Per shard, the prepared deposits held in doubt by gtid.
+        doubt: [BTreeMap<u64, Vec<(ObjectId, u64)>>; SHARDS],
+        committed: BTreeSet<u64>,
+        balance: BTreeMap<ObjectId, u64>,
+    }
+
+    impl Model {
+        fn apply(&mut self, deposits: &[(ObjectId, u64)]) {
+            for &(obj, amount) in deposits {
+                *self.balance.entry(obj).or_default() += amount;
+            }
+        }
+
+        /// Shard `s` journals and applies a decision for `gtid`, if it holds
+        /// it in doubt.
+        fn decide_on(&mut self, s: usize, gtid: u64, commit: bool) {
+            if let Some(deposits) = self.doubt[s].remove(&gtid) {
+                if commit {
+                    self.apply(&deposits);
+                }
+            }
+        }
+
+        /// Drop `gtid`'s half on `s` from the live table, and the entry once
+        /// no half is left.
+        fn settle(&mut self, gtid: u64, s: usize) {
+            if let Some(parts) = self.live.get_mut(&gtid) {
+                parts.remove(&s);
+                if parts.is_empty() {
+                    self.live.remove(&gtid);
+                }
+            }
+        }
+
+        /// Abort `gtid` everywhere: prepared halves get an abort decision,
+        /// unprepared ones lose their deposits.
+        fn abort(&mut self, gtid: u64) {
+            for (s, half) in self.live.remove(&gtid).unwrap_or_default() {
+                if half.prepared {
+                    self.decide_on(s, gtid, false);
+                }
+            }
+        }
+
+        fn prepare(&mut self, gtid: u64) {
+            let parts = self.live.get_mut(&gtid).expect("a live transaction");
+            for (&s, half) in parts.iter_mut() {
+                half.prepared = true;
+                let held = self.doubt[s].insert(gtid, half.deposits.clone());
+                assert!(held.is_none(), "gtid {gtid} prepared twice on shard {s}");
+            }
+        }
+
+        /// Any id up to the next one, the newest live transaction, or any
+        /// live one.
+        fn pick(&self, at: u16) -> u64 {
+            let newest = self.live.keys().next_back().copied();
+            match (at % 4, newest) {
+                (1, Some(newest)) => newest,
+                (2 | 3, Some(_)) => {
+                    *self.live.keys().nth(usize::from(at) % self.live.len()).expect("in range")
+                }
+                _ => u64::from(at) % (self.next_gtid + 1),
+            }
+        }
+
+        fn any_prepared(&self, gtid: u64) -> bool {
+            self.live.get(&gtid).is_some_and(|parts| parts.values().any(|h| h.prepared))
+        }
+    }
+
+    fn fleet() -> Fleet {
+        ShardedSystem::new_with(SHARDS, |_| {
+            DurableSystem::new(BankAccount::default(), OBJECTS, bank_nrbc())
+        })
+    }
+
+    /// Run `step` on both; `Ok(false)` if its precondition ruled it out.
+    fn run(fleet: &mut Fleet, model: &mut Model, step: &Step) -> Result<bool, TestCaseError> {
+        match *step {
+            Step::Invoke(at, obj, amount) => {
+                let (gtid, obj) = (model.pick(at), ObjectId(obj));
+                let s = fleet.shard_of(obj);
+                let Some(parts) = model.live.get_mut(&gtid) else {
+                    prop_assert!(fleet.invoke_global(gtid, obj, BankInv::Deposit(amount)).is_err());
+                    return Ok(true);
+                };
+                if parts.values().any(|h| h.prepared) || model.committed.contains(&gtid) {
+                    return Ok(false); // an operation after the vote
+                }
+                parts.entry(s).or_default().deposits.push((obj, amount));
+                prop_assert!(fleet.invoke_global(gtid, obj, BankInv::Deposit(amount)).is_ok());
+            }
+            Step::Prepare(at) => {
+                let gtid = model.pick(at);
+                if model.any_prepared(gtid) {
+                    return Ok(false); // a participant votes once
+                }
+                let live = model.live.contains_key(&gtid);
+                if live {
+                    model.prepare(gtid);
+                }
+                prop_assert_eq!(fleet.prepare_all(gtid).is_ok(), live);
+            }
+            Step::Decide(at) => {
+                let gtid = model.pick(at);
+                match model.live.get(&gtid) {
+                    Some(parts) if parts.values().all(|h| h.prepared) => {
+                        model.committed.insert(gtid);
+                        fleet.decide_commit(gtid);
+                    }
+                    _ => return Ok(false), // commit needs every yes-vote
+                }
+            }
+            Step::Resolve(at, s, commit) => {
+                let gtid = model.pick(at);
+                let half = model.live.get(&gtid).and_then(|parts| parts.get(&s));
+                if half.is_some_and(|h| !h.prepared) {
+                    return Ok(false); // only a preparee awaits a decision
+                }
+                model.decide_on(s, gtid, commit);
+                model.settle(gtid, s);
+                prop_assert!(fleet.resolve_participant(gtid, s, commit).is_ok());
+            }
+            Step::Abort(at) => {
+                let gtid = model.pick(at);
+                model.abort(gtid);
+                fleet.abort_global(gtid);
+            }
+            Step::Commit(at) => {
+                let gtid = model.pick(at);
+                if model.any_prepared(gtid) {
+                    return Ok(false);
+                }
+                let Some(parts) = model.live.get(&gtid) else {
+                    prop_assert!(fleet.commit_global(gtid).is_err());
+                    return Ok(true);
+                };
+                let shards: Vec<usize> = parts.keys().copied().collect();
+                if shards.len() >= 2 {
+                    model.prepare(gtid);
+                    model.committed.insert(gtid);
+                    for s in shards {
+                        model.decide_on(s, gtid, true);
+                        model.settle(gtid, s);
+                    }
+                } else {
+                    let parts = model.live.remove(&gtid).expect("live");
+                    parts.values().for_each(|h| model.apply(&h.deposits));
+                }
+                prop_assert!(fleet.commit_global(gtid).is_ok());
+            }
+            Step::CrashSubset(mask) => {
+                let doomed: Vec<u64> = model
+                    .live
+                    .iter()
+                    .filter(|(_, parts)| {
+                        parts.iter().any(|(&s, h)| mask & (1 << s) != 0 && !h.prepared)
+                    })
+                    .map(|(&g, _)| g)
+                    .collect();
+                doomed.into_iter().for_each(|g| model.abort(g));
+                prop_assert!(fleet.crash_subset(mask).is_ok());
+            }
+            Step::CrashCoordinator => {
+                model.live.clear();
+                let newest = model.committed.last().copied();
+                let doubt = model.doubt.iter().flat_map(|d| d.keys().copied());
+                model.next_gtid = newest.into_iter().chain(doubt).max().unwrap_or(0) + 1;
+                fleet.crash_coordinator();
+            }
+            Step::ResolveInDoubt => {
+                let mut resolved = 0;
+                for s in 0..SHARDS {
+                    let held: Vec<u64> = model.doubt[s].keys().copied().collect();
+                    for gtid in held {
+                        let commit = model.committed.contains(&gtid);
+                        model.decide_on(s, gtid, commit);
+                        model.settle(gtid, s);
+                        resolved += 1;
+                    }
+                }
+                prop_assert_eq!(fleet.resolve_in_doubt(), resolved);
+            }
+        }
+        Ok(true)
+    }
+
+    /// Every view of the bookkeeping the fleet offers, against the model.
+    fn agree(fleet: &mut Fleet, model: &Model) -> Result<(), TestCaseError> {
+        prop_assert_eq!(fleet.next_gtid(), model.next_gtid);
+        for gtid in 0..model.next_gtid + 2 {
+            let parts: Vec<usize> = fleet.participants(gtid).into_iter().collect();
+            let expected: Vec<usize> =
+                model.live.get(&gtid).map(|p| p.keys().copied().collect()).unwrap_or_default();
+            prop_assert_eq!(parts, expected, "participants of gtid {}", gtid);
+            prop_assert_eq!(fleet.coordinator().decision(gtid), model.committed.contains(&gtid));
+        }
+        let log = fleet.coordinator();
+        prop_assert!(log.committed().eq(model.committed.iter().copied()));
+        prop_assert!(log.committed().rev().eq(model.committed.iter().rev().copied()));
+        prop_assert_eq!(log.committed().next_back(), model.committed.last().copied());
+        let mut all = BTreeSet::new();
+        for (s, doubt) in model.doubt.iter().enumerate() {
+            prop_assert!(fleet.shard(s).in_doubt().into_iter().eq(doubt.keys().copied()));
+            all.extend(doubt.keys().copied());
+        }
+        prop_assert!(fleet.in_doubt().into_iter().eq(all));
+        for obj in (0..OBJECTS).map(ObjectId) {
+            let s = fleet.shard_of(obj);
+            let expected = model.balance.get(&obj).copied().unwrap_or(0);
+            prop_assert_eq!(fleet.shard_mut(s).committed_state(obj), expected, "{:?}", obj);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Random begin / invoke / prepare / decide / resolve / abort /
+        /// commit / crash-subset / crash-coordinator / settle sequences leave
+        /// the fleet's live table, in-doubt sets, decision log, id allocator
+        /// and balances where ordered maps put through the same calls are.
+        #[test]
+        fn fleet_bookkeeping_agrees_with_a_map_model(rounds in rounds()) {
+            let mut fleet = fleet();
+            let mut model = Model { next_gtid: 1, ..Model::default() };
+            let mut ran = 0;
+            for steps in &rounds {
+                prop_assert_eq!(fleet.begin_global(), model.next_gtid);
+                model.live.insert(model.next_gtid, BTreeMap::new());
+                model.next_gtid += 1;
+                agree(&mut fleet, &model)?;
+                for step in steps {
+                    if run(&mut fleet, &mut model, step)? {
+                        ran += 1;
+                        agree(&mut fleet, &model)?;
+                    }
+                }
+            }
+            prop_assert!(model.committed.last().is_some_and(|&g| g > 128), "ids stayed below two words: {:?} {}", model.committed.last(), model.next_gtid);
+            prop_assert!(ran > rounds.len(), "preconditions ruled out most steps");
+        }
+    }
+}
