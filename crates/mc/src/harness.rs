@@ -838,7 +838,7 @@ impl<B: McBackend> Harness<B> {
             // reaching the rest — settlement then presumes abort on the
             // stragglers. The textbook mixed outcome.
             self.book.mutated = true;
-            let first = self.sys.participants(gtid)[0];
+            let first = self.sys.participants(gtid).first().expect("a cross-shard transaction");
             let _ = self.sys.resolve_participant(gtid, first, true);
             self.coordinator_crash_fallout();
             return Applied::Ok;

@@ -71,5 +71,5 @@ pub use crash::{DurableSystem, Journal, RedoError, SystemMode, SystemSnapshot, T
 pub use engine::{DuEngine, RecoveryEngine, UipEngine, UipInverseEngine};
 pub use error::{AbortReason, RecoveryError, TxnError};
 pub use oracle::{check_uniform_outcome, GlobalAtomicityViolation};
-pub use shard::{CoordinatorLog, ShardedSnapshot, ShardedSystem, TwoPcStep};
+pub use shard::{CoordinatorLog, ShardSet, ShardedSnapshot, ShardedSystem, TwoPcStep};
 pub use system::{ConflictPolicy, SystemStats, TxnSystem};
