@@ -13,17 +13,17 @@ use std::str::FromStr;
 /// `DurableSystem` at a decision point.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum McAction {
-    /// `b{i}` — begin logical transaction `i` and execute its single
-    /// deposit of `1 << i` on object `i mod objects` (volatile until
-    /// commit).
+    /// `b{i}` — begin logical transaction `i` and deposit `1 << i` at each
+    /// of its places (volatile until commit): a local transaction on its
+    /// shard if it has one place, else a global one.
     Begin(usize),
-    /// `c{i}` — commit transaction `i`: a direct journaled commit, or (in
-    /// group-commit mode) stage it for the next [`McAction::Flush`].
+    /// `c{i}` — commit local transaction `i`: a direct journaled commit, or
+    /// (in group-commit mode) stage it for the next [`McAction::Flush`].
     Commit(usize),
     /// `a{i}` — abort transaction `i` (nothing reaches the journal).
     Abort(usize),
-    /// `f` — group-commit flush: commit every staged transaction with one
-    /// batch append.
+    /// `f` — group-commit flush: every shard commits its staged
+    /// transactions with one batch append.
     Flush,
     /// `k` — write a checkpoint (folds the journal into a durable image and
     /// lets the backend truncate).
@@ -62,6 +62,17 @@ pub enum McAction {
     /// transaction table dies, unprepared halves abort locally, prepared
     /// halves stay in doubt and are settled by presumed abort.
     CrashCoordinator,
+    /// `h{i}` — phase two cut short (sharded instances only): durably
+    /// record commit for the fully prepared global transaction `i`, tell its
+    /// first participant, then the coordinator and every other participant
+    /// lose power; those settle from the durable decision. Not enumerated by
+    /// the explorer.
+    CutPhaseTwo(usize),
+    /// `u{s}.{n}` — the fleet form of `d{n}` (sharded instances only): shard
+    /// `s` loses power as under `s{1 << s}`, then again, and its second
+    /// recovery is itself interrupted after `n` checked device operations.
+    /// Not enumerated by the explorer.
+    CrashShardInRecovery(usize, u64),
 }
 
 impl fmt::Display for McAction {
@@ -80,6 +91,8 @@ impl fmt::Display for McAction {
             McAction::DecideCommit(i) => write!(f, "q{i}"),
             McAction::CrashShards(n) => write!(f, "s{n}"),
             McAction::CrashCoordinator => write!(f, "z"),
+            McAction::CutPhaseTwo(i) => write!(f, "h{i}"),
+            McAction::CrashShardInRecovery(s, n) => write!(f, "u{s}.{n}"),
         }
     }
 }
@@ -120,6 +133,11 @@ impl FromStr for McAction {
             "p" => Ok(McAction::Prepare(num(rest)?)),
             "q" => Ok(McAction::DecideCommit(num(rest)?)),
             "s" => Ok(McAction::CrashShards(num(rest)? as u32)),
+            "h" => Ok(McAction::CutPhaseTwo(num(rest)?)),
+            "u" => {
+                let (s, n) = rest.split_once('.').ok_or_else(bad)?;
+                Ok(McAction::CrashShardInRecovery(num(s)?, num(n)? as u64))
+            }
             _ => Err(bad()),
         }
     }
@@ -169,6 +187,8 @@ mod tests {
             McAction::DecideCommit(0),
             McAction::CrashShards(3),
             McAction::CrashCoordinator,
+            McAction::CutPhaseTwo(1),
+            McAction::CrashShardInRecovery(2, 5),
         ];
         let trace = McTrace(all.clone());
         let parsed: McTrace = trace.to_string().parse().unwrap();
@@ -181,6 +201,8 @@ mod tests {
         assert!("b".parse::<McAction>().is_err());
         assert!("bx".parse::<McAction>().is_err());
         assert!("p".parse::<McAction>().is_err());
+        assert!("u1".parse::<McAction>().is_err());
+        assert!("u.2".parse::<McAction>().is_err());
         assert!("b0 zz".parse::<McTrace>().is_err());
     }
 

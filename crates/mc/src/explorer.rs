@@ -107,7 +107,7 @@ pub fn run_trace(cfg: McConfig, trace: &McTrace) -> Option<McViolation> {
 }
 
 fn run_trace_with<B: McBackend>(cfg: McConfig, trace: &McTrace) -> Option<McViolation> {
-    let mut h = Harness::<B>::new(cfg);
+    let mut h = Harness::<B>::new(cfg, cfg.placement());
     trace.0.iter().find_map(|&a| match h.apply(a) {
         Applied::Violation(v) => Some(v),
         _ => None,
@@ -115,7 +115,7 @@ fn run_trace_with<B: McBackend>(cfg: McConfig, trace: &McTrace) -> Option<McViol
 }
 
 fn explore_with<B: McBackend>(cfg: McConfig) -> McVerdict {
-    let mut h = Harness::<B>::new(cfg);
+    let mut h = Harness::<B>::new(cfg, cfg.placement());
     let mut seen: BTreeSet<Vec<u8>> = BTreeSet::new();
     let mut stats = ExploreStats::default();
     let mut trace: Vec<McAction> = Vec::new();

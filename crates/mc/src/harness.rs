@@ -3,24 +3,29 @@
 //! `DurableSystem` shards — plus the invariant battery run after every
 //! action.
 //!
-//! Logical transaction `i` deposits `1 << i`. Deposit amounts are distinct
-//! powers of two, so each object's committed balance is a *bit-set* of
-//! exactly which transactions' effects are present — the durability,
-//! resurrection and global-split checks decode it exactly. Deposits commute
-//! under the bank's NRBC relation, so no interleaving blocks: state-space
-//! size is governed purely by the commit/crash alphabet.
+//! Logical transaction `i` deposits `1 << i` at each of its *places* (an
+//! object on a shard). Deposit amounts are distinct powers of two, so each
+//! object's committed balance is a *bit-set* of exactly which transactions'
+//! effects are present — the durability, resurrection and global-split
+//! checks decode it exactly. Deposits commute under the bank's NRBC
+//! relation, so no interleaving blocks: state-space size is governed purely
+//! by the commit/crash alphabet.
 //!
-//! The shard count picks the instance and its alphabet:
+//! The caller places the transactions. One place makes a local transaction
+//! on that shard (`c`, staged and flushed under group commit); two or more
+//! a global one under presumed-abort 2PC (`p` / `q`). A recovered in-doubt
+//! participant stays in doubt while its coordinator lives (it may yet commit
+//! from the durable yes-votes) and settles against the coordinator's durable
+//! commit set — else presumed abort — once the coordinator crashes. The
+//! explorer's placement ([`McConfig::placement`]) picks the instance and its
+//! alphabet:
 //!
 //! * **one shard** — the single system: `cfg.objects` objects, transaction
-//!   `i` on object `i mod objects`, local transactions on shard 0 (the
-//!   coordinator never issues a gtid), alphabet `b a c f k x t r d`;
+//!   `i` on object `i mod objects`, alphabet `b a c f k x t r d`;
 //! * **two or more** — all-cross-shard: object `s` lives on shard `s`,
-//!   transaction `i` deposits on every shard's object under presumed-abort
-//!   2PC, alphabet `b a p q s z`. A recovered in-doubt participant stays in
-//!   doubt while its coordinator lives (it may yet commit from the durable
-//!   yes-votes) and settles against the coordinator's durable commit set —
-//!   else presumed abort — once the coordinator crashes.
+//!   transaction `i` deposits on every shard's object, alphabet
+//!   `b a p q s z`. `h` and `u` (phase two cut short, a shard crash inside
+//!   its own recovery) replay but are not enumerated.
 //!
 //! The battery is written once: the ledger after every action that takes
 //! effect, and after any action that recovered shards, on each of them the
@@ -156,9 +161,10 @@ pub struct McConfig {
     pub mutation: Option<Mutation>,
     /// Cap on enumerated torn-tail sizes (`t1..=t<max_tears>`).
     pub max_tears: usize,
-    /// Shards in the fleet (1..=8). Two or more make every transaction
-    /// cross-shard, with one object per shard; `objects`, `group_commit`,
-    /// `ckpt_budget` and `max_tears` then have no action to drive.
+    /// Shards in the fleet (1..=8), each with one object per shard when
+    /// two or more. Under the explorer's placement every transaction is then
+    /// cross-shard, so `objects`, `group_commit`, `ckpt_budget` and
+    /// `max_tears` have no action to drive.
     pub shards: usize,
 }
 
@@ -179,6 +185,22 @@ impl Default for McConfig {
 }
 
 impl McConfig {
+    /// The place of a fleet shard's home object: object `s` lives on shard
+    /// `s`.
+    pub fn home(&self, s: usize) -> usize {
+        s * self.shards + s
+    }
+
+    /// The explorer's placement: transaction `i` on object `i mod objects`
+    /// of the one shard, or on every home object of a fleet.
+    pub fn placement(&self) -> Vec<Vec<usize>> {
+        let place = |i: usize| match self.shards {
+            1 => vec![i % self.objects as usize],
+            n => (0..n).map(|s| self.home(s)).collect(),
+        };
+        (0..self.txns).map(place).collect()
+    }
+
     /// Refuse an instance the harness cannot enumerate, or a negative
     /// control outside the alphabet that reaches its sabotage.
     pub fn validate(&self) -> Result<(), String> {
@@ -191,7 +213,7 @@ impl McConfig {
         } else if self.shards == 0 || self.shards > 8 {
             "--shards must be in 1..=8 (keep the crash-subset alphabet enumerable)"
         } else if fleet && self.group_commit {
-            "--group-commit needs --shards 1 (the fleet's alphabet has no batch action)"
+            "--group-commit needs --shards 1 (the explored fleet has no local txn to batch)"
         } else if fleet
             && (is(Mutation::DropAckedCommit)
                 || is(Mutation::ReorderLastBatch)
@@ -272,6 +294,14 @@ pub enum McViolation {
         /// Shards where it is not.
         aborted_on: Vec<usize>,
     },
+    /// The offline WAL inspector's reading of a shard's image disagrees
+    /// with a real recovery scan (the sharded simulator's last leg).
+    InspectorDisagreement {
+        /// The shard whose log was inspected.
+        shard: usize,
+        /// The first field-level disagreement.
+        detail: String,
+    },
     /// The harness itself hit an impossible transition (a commit or invoke
     /// the volatile system refused on a conflict-free schedule).
     Internal {
@@ -292,6 +322,7 @@ impl McViolation {
             McViolation::NotIdempotent { .. } => "not-idempotent",
             McViolation::RecoveryRefused { .. } => "recovery-refused",
             McViolation::GlobalSplit { .. } => "global-split",
+            McViolation::InspectorDisagreement { .. } => "inspector-disagreement",
             McViolation::Internal { .. } => "internal",
         }
     }
@@ -321,6 +352,9 @@ impl fmt::Display for McViolation {
                 f,
                 "global txn {txn} split: committed on {committed_on:?}, aborted on {aborted_on:?}"
             ),
+            McViolation::InspectorDisagreement { shard, detail } => {
+                write!(f, "inspector disagrees with recovery on shard {shard}: {detail}")
+            }
             McViolation::Internal { detail } => write!(f, "harness internal error: {detail}"),
         }
     }
@@ -399,9 +433,9 @@ type Fleet<B> = ShardedSystem<BankAccount, UipEngine<BankAccount>, FnConflict<Ba
 #[derive(Clone)]
 struct Book {
     phase: Vec<Phase>,
-    /// One shard: local handles (volatile, so not part of the state key).
+    /// Local transactions' handles (volatile, so not part of the state key).
     handles: Vec<Option<TxnId>>,
-    /// Fleets: global ids.
+    /// Global transactions' ids.
     gtids: Vec<Option<u64>>,
     staged: Vec<usize>,
     acked: Vec<usize>,
@@ -435,9 +469,14 @@ pub struct Harness<B: McBackend> {
 }
 
 impl<B: McBackend> Harness<B> {
-    /// Build a fresh instance per `cfg` (applying construction-time
-    /// mutations such as [`Mutation::SkipEpochBump`]).
-    pub fn new(cfg: McConfig) -> Self {
+    /// Build a fresh instance per `cfg` with transaction `i` at `places[i]`
+    /// (applying construction-time mutations such as
+    /// [`Mutation::SkipEpochBump`]). Place `s * per_shard + o` is object `o`
+    /// on shard `s`: one shard holds `cfg.objects` objects, a fleet routes
+    /// object `o` to shard `o mod shards`, so its places are home objects
+    /// ([`McConfig::home`]).
+    pub fn new(cfg: McConfig, places: Vec<Vec<usize>>) -> Self {
+        assert_eq!(places.len(), cfg.txns, "one place list per transaction");
         let n = cfg.shards;
         let per_shard = if n == 1 { cfg.objects as usize } else { n };
         let adt = BankAccount::default();
@@ -448,18 +487,12 @@ impl<B: McBackend> Harness<B> {
             }
             DurableSystem::with_backend(adt.clone(), per_shard as u32, bank_nrbc(), backend)
         });
-        // One shard: transaction `i` on object `i mod objects`. A fleet:
-        // every transaction on every shard's home object `s`.
-        let places = |i: usize| match n {
-            1 => vec![i % per_shard],
-            _ => (0..n).map(|s| s * n + s).collect(),
-        };
         Harness {
             cfg,
             adt,
             sys,
             per_shard,
-            ledger: Ledger::new((0..cfg.txns).map(places).collect()),
+            ledger: Ledger::new(places),
             book: Book {
                 phase: vec![Phase::Fresh; cfg.txns],
                 handles: vec![None; cfg.txns],
@@ -474,12 +507,32 @@ impl<B: McBackend> Harness<B> {
         }
     }
 
-    fn fleet(&self) -> bool {
+    fn is_fleet(&self) -> bool {
         self.cfg.shards >= 2
     }
 
     fn shard_mask(&self) -> u32 {
         (1u32 << self.cfg.shards) - 1
+    }
+
+    /// The shard of transaction `i`'s first place.
+    fn home_shard(&self, i: usize) -> usize {
+        self.ledger.places(i)[0] / self.per_shard
+    }
+
+    /// Whether transaction `i`'s client was told it committed.
+    pub fn committed(&self, i: usize) -> bool {
+        self.book.phase[i] == Phase::Committed
+    }
+
+    /// The transactions staged for the next flush, in commit order.
+    pub fn staged(&self) -> &[usize] {
+        &self.book.staged
+    }
+
+    /// The fleet under test.
+    pub fn fleet(&self) -> &Fleet<B> {
+        &self.sys
     }
 
     /// Snapshot fleet + bookkeeping.
@@ -543,15 +596,17 @@ impl<B: McBackend> Harness<B> {
     /// (Some listed actions may still [`Applied::Skip`] on application —
     /// e.g. a tear the image cannot express; listing is conservative.)
     pub fn enabled_actions(&mut self) -> Vec<McAction> {
-        let fleet = self.fleet();
-        let phases = &self.book.phase;
+        let fleet = self.is_fleet();
+        let Book { phase: phases, gtids, .. } = &self.book;
         let mut out: Vec<McAction> = (0..self.cfg.txns)
             .filter(|&i| phases[i] == Phase::Fresh)
             .map(McAction::Begin)
             .collect();
         for (i, phase) in phases.iter().enumerate() {
             match phase {
-                Phase::Active if fleet => out.extend([McAction::Prepare(i), McAction::Abort(i)]),
+                Phase::Active if gtids[i].is_some() => {
+                    out.extend([McAction::Prepare(i), McAction::Abort(i)])
+                }
                 Phase::Active => out.extend([McAction::Commit(i), McAction::Abort(i)]),
                 Phase::Prepared => out.extend([McAction::DecideCommit(i), McAction::Abort(i)]),
                 _ => {}
@@ -590,23 +645,27 @@ impl<B: McBackend> Harness<B> {
     /// count's alphabet is a dead branch, not an error — a shrunk trace
     /// pasted under the wrong `--shards` must not panic.
     pub fn apply(&mut self, action: McAction) -> Applied {
-        let fleet = self.fleet();
+        let fleet = self.is_fleet();
         let (applied, recovered) = match action {
             McAction::Begin(i) => (self.do_begin(i), 0),
             McAction::Abort(i) => (self.do_abort(i), 0),
-            McAction::Commit(i) if !fleet => (self.do_commit(i), 0),
+            McAction::Commit(i) => (self.do_commit(i), 0),
             McAction::Flush => (self.do_flush(), 0),
             McAction::Checkpoint => (self.do_checkpoint(), 0),
             McAction::CrashClean if !fleet => (self.do_crash(CrashShape::Clean), 1),
             McAction::CrashTorn(n) if !fleet => (self.do_crash(CrashShape::Torn(n)), 1),
             McAction::CrashReorder if !fleet => (self.do_crash(CrashShape::Reorder), 1),
             McAction::CrashInRecovery(d) if !fleet => (self.do_crash(CrashShape::InRecovery(d)), 1),
-            McAction::Prepare(i) if fleet => (self.do_prepare(i), 0),
-            McAction::DecideCommit(i) if fleet => (self.do_decide(i), 0),
+            McAction::Prepare(i) => (self.do_prepare(i), 0),
+            McAction::DecideCommit(i) => self.do_decide(i, false),
             McAction::CrashShards(mask) if fleet => {
                 (self.do_crash_shards(mask), mask & self.shard_mask())
             }
             McAction::CrashCoordinator if fleet => (self.do_crash_coordinator(), 0),
+            McAction::CutPhaseTwo(i) if fleet => self.do_decide(i, true),
+            McAction::CrashShardInRecovery(s, n) if fleet && s < self.cfg.shards => {
+                (self.do_crash_shard_in_recovery(s, n), 1 << s)
+            }
             _ => (Applied::Skip, 0),
         };
         match applied {
@@ -622,17 +681,18 @@ impl<B: McBackend> Harness<B> {
         if i >= self.cfg.txns || self.book.phase[i] != Phase::Fresh {
             return Applied::Skip;
         }
-        if self.fleet() {
-            self.book.gtids[i] = Some(self.sys.begin_global());
+        let m = self.per_shard;
+        if self.ledger.places(i).len() == 1 {
+            self.book.handles[i] = Some(self.sys.shard_mut(self.home_shard(i)).begin());
         } else {
-            self.book.handles[i] = Some(self.sys.shard_mut(0).begin());
+            self.book.gtids[i] = Some(self.sys.begin_global());
         }
         for &p in self.ledger.places(i) {
-            let obj = ObjectId((p % self.per_shard) as u32);
+            let obj = ObjectId((p % m) as u32);
             let inv = BankInv::Deposit(Ledger::amount(i));
             let resp = match (self.book.gtids[i], self.book.handles[i]) {
                 (Some(g), _) => self.sys.invoke_global(g, obj, inv),
-                (None, t) => self.sys.shard_mut(0).invoke(t.expect("local handle"), obj, inv),
+                (None, t) => self.sys.shard_mut(p / m).invoke(t.expect("local handle"), obj, inv),
             };
             match resp {
                 Ok(resp) => debug_assert_eq!(resp, BankResp::Ok),
@@ -648,7 +708,8 @@ impl<B: McBackend> Harness<B> {
     }
 
     fn do_commit(&mut self, i: usize) -> Applied {
-        if i >= self.cfg.txns || self.book.phase[i] != Phase::Active {
+        let local = i < self.cfg.txns && self.book.gtids[i].is_none();
+        if !local || self.book.phase[i] != Phase::Active {
             return Applied::Skip;
         }
         if self.cfg.group_commit {
@@ -657,7 +718,7 @@ impl<B: McBackend> Harness<B> {
             return Applied::Ok;
         }
         let t = self.book.handles[i].expect("active txn has a handle");
-        let sys = self.sys.shard_mut(0);
+        let sys = self.sys.shard_mut(self.home_shard(i));
         if let Err(e) = sys.commit(t) {
             return Applied::Violation(McViolation::Internal {
                 detail: format!("commit of txn {i} refused: {e:?}"),
@@ -674,22 +735,25 @@ impl<B: McBackend> Harness<B> {
     }
 
     fn do_abort(&mut self, i: usize) -> Applied {
-        if i >= self.cfg.txns || !matches!(self.book.phase[i], Phase::Active | Phase::Prepared) {
+        let open = |p: &Phase| matches!(p, Phase::Active | Phase::Staged | Phase::Prepared);
+        if i >= self.cfg.txns || !open(&self.book.phase[i]) {
             return Applied::Skip;
         }
-        // A fleet aborts locally where unprepared and journals a durable
-        // abort decision where prepared — nothing at the coordinator, per
-        // presumed abort.
+        // A global transaction aborts locally where unprepared and journals
+        // a durable abort decision where prepared — nothing at the
+        // coordinator, per presumed abort.
         match (self.book.gtids[i], self.book.handles[i]) {
             (Some(g), _) => self.sys.abort_global(g),
             (None, t) => {
-                if let Err(e) = self.sys.shard_mut(0).abort(t.expect("active txn has a handle")) {
+                let sys = self.sys.shard_mut(self.home_shard(i));
+                if let Err(e) = sys.abort(t.expect("open txn has a handle")) {
                     return Applied::Violation(McViolation::Internal {
                         detail: format!("abort of txn {i} refused: {e:?}"),
                     });
                 }
             }
         }
+        self.book.staged.retain(|&j| j != i);
         self.book.phase[i] = Phase::Aborted;
         if self.cfg.mutation == Some(Mutation::ResurrectAborted) && !self.book.mutated {
             // Sabotage: forge a commit record for the aborted transaction on
@@ -712,25 +776,32 @@ impl<B: McBackend> Harness<B> {
             return Applied::Skip;
         }
         let staged = std::mem::take(&mut self.book.staged);
-        let handles: Vec<_> = staged
-            .iter()
-            .map(|&i| self.book.handles[i].expect("staged txn has a handle"))
-            .collect();
-        let sys = self.sys.shard_mut(0);
-        for (&i, r) in staged.iter().zip(sys.commit_group(&handles)) {
-            if let Err(e) = r {
-                return Applied::Violation(McViolation::Internal {
-                    detail: format!("group commit of txn {i} refused: {e:?}"),
-                });
+        for s in 0..self.cfg.shards {
+            let batch: Vec<usize> =
+                staged.iter().copied().filter(|&i| self.home_shard(i) == s).collect();
+            if batch.is_empty() {
+                continue;
             }
-            self.book.phase[i] = Phase::Committed;
-            self.book.acked.push(i);
+            let handles: Vec<_> = batch
+                .iter()
+                .map(|&i| self.book.handles[i].expect("staged txn has a handle"))
+                .collect();
+            let sys = self.sys.shard_mut(s);
+            for (&i, r) in batch.iter().zip(sys.commit_group(&handles)) {
+                if let Err(e) = r {
+                    return Applied::Violation(McViolation::Internal {
+                        detail: format!("group commit of txn {i} refused: {e:?}"),
+                    });
+                }
+                self.book.phase[i] = Phase::Committed;
+                self.book.acked.push(i);
+            }
+            if self.cfg.mutation == Some(Mutation::ReorderLastBatch) && !self.book.mutated {
+                // Sabotage: the batch ack stands; its first sector doesn't.
+                self.book.mutated = sys.backend_mut().reorder_last_flush();
+            }
         }
         self.book.last_flush = staged;
-        if self.cfg.mutation == Some(Mutation::ReorderLastBatch) && !self.book.mutated {
-            // Sabotage: the batch ack stands; its first sector doesn't.
-            self.book.mutated = sys.backend_mut().reorder_last_flush();
-        }
         Applied::Ok
     }
 
@@ -753,16 +824,22 @@ impl<B: McBackend> Harness<B> {
         Applied::Ok
     }
 
-    /// Volatile state dies with the power: active and staged transactions
-    /// are lost, and so are their local handles.
-    fn lose_volatile(&mut self) {
-        for p in &mut self.book.phase {
-            if matches!(p, Phase::Active | Phase::Staged) {
-                *p = Phase::Lost;
+    /// Volatile state dies with the power: every active or staged
+    /// transaction with a place on a shard in `crashed` is lost, with its
+    /// local handle — and, if the `coordinator` crashed, every global one
+    /// not yet prepared.
+    fn lose_volatile(&mut self, crashed: u32, coordinator: bool) {
+        let m = self.per_shard;
+        for i in 0..self.cfg.txns {
+            let hit = (coordinator && self.book.gtids[i].is_some())
+                || self.ledger.places(i).iter().any(|&p| crashed >> (p / m) & 1 == 1);
+            if hit && matches!(self.book.phase[i], Phase::Active | Phase::Staged) {
+                self.book.phase[i] = Phase::Lost;
+                self.book.handles[i] = None;
             }
         }
-        self.book.staged.clear();
-        self.book.handles.fill(None);
+        let phase = &self.book.phase;
+        self.book.staged.retain(|&i| phase[i] == Phase::Staged);
     }
 
     fn do_crash(&mut self, shape: CrashShape) -> Applied {
@@ -783,7 +860,7 @@ impl<B: McBackend> Harness<B> {
         self.book.crash_left -= 1;
         // Undecided acks may go either way; the battery judges the torn
         // flush, still in `last_flush`, and clears it.
-        self.lose_volatile();
+        self.lose_volatile(1, false);
         if torn {
             for &i in &self.book.last_flush {
                 self.book.phase[i] = Phase::Undecided;
@@ -809,7 +886,8 @@ impl<B: McBackend> Harness<B> {
     }
 
     fn do_prepare(&mut self, i: usize) -> Applied {
-        if i >= self.cfg.txns || self.book.phase[i] != Phase::Active {
+        let global = i < self.cfg.txns && self.book.gtids[i].is_some();
+        if !global || self.book.phase[i] != Phase::Active {
             return Applied::Skip;
         }
         match self.sys.prepare_all(self.gtid_of(i)) {
@@ -825,11 +903,20 @@ impl<B: McBackend> Harness<B> {
         }
     }
 
-    fn do_decide(&mut self, i: usize) -> Applied {
+    /// `q{i}` records commit for the prepared global transaction `i` and
+    /// tells every participant; `h{i}` (`cut`) tells only the first, then
+    /// every other participant and the coordinator lose power and the fleet
+    /// settles. Returns the shards a crash recovered.
+    fn do_decide(&mut self, i: usize, cut: bool) -> (Applied, u32) {
         if i >= self.cfg.txns || self.book.phase[i] != Phase::Prepared {
-            return Applied::Skip;
+            return (Applied::Skip, 0);
         }
         let gtid = self.gtid_of(i);
+        let parts = self.sys.participants(gtid);
+        let first = parts.first().expect("a prepared global transaction");
+        if cut && (self.book.crash_left == 0 || parts.len() < 2) {
+            return (Applied::Skip, 0);
+        }
         self.book.phase[i] = Phase::Committed;
         if self.cfg.mutation == Some(Mutation::LoseDecision) && !self.book.mutated {
             // Sabotage: the decision record never lands (no
@@ -838,20 +925,26 @@ impl<B: McBackend> Harness<B> {
             // reaching the rest — settlement then presumes abort on the
             // stragglers. The textbook mixed outcome.
             self.book.mutated = true;
-            let first = self.sys.participants(gtid).first().expect("a cross-shard transaction");
             let _ = self.sys.resolve_participant(gtid, first, true);
             self.coordinator_crash_fallout();
-            return Applied::Ok;
+            return (Applied::Ok, 0);
         }
         self.sys.decide_commit(gtid);
-        for s in self.sys.participants(gtid) {
+        for s in parts.into_iter().take(if cut { 1 } else { parts.len() }) {
             if let Err(e) = self.sys.resolve_participant(gtid, s, true) {
-                return Applied::Violation(McViolation::Internal {
-                    detail: format!("decided commit of gtxn {i} refused on shard {s}: {e:?}"),
-                });
+                let detail = format!("decided commit of gtxn {i} refused on shard {s}: {e:?}");
+                return (Applied::Violation(McViolation::Internal { detail }), 0);
             }
         }
-        Applied::Ok
+        if !cut {
+            return (Applied::Ok, 0);
+        }
+        let rest = parts.mask() & !(1 << first);
+        let crashed = self.do_crash_shards(rest);
+        if crashed == Applied::Ok {
+            self.coordinator_crash_fallout();
+        }
+        (crashed, rest)
     }
 
     fn do_crash_shards(&mut self, mask: u32) -> Applied {
@@ -863,13 +956,28 @@ impl<B: McBackend> Harness<B> {
         if let Err(e) = self.sys.crash_subset(mask) {
             return Applied::Violation(McViolation::RecoveryRefused { detail: format!("{e:?}") });
         }
-        // Every transaction is cross-shard over the whole fleet, so any
-        // crashed shard held an unprepared half of every active one: those
-        // abort globally inside `crash_subset`. Fully prepared transactions
-        // stay live — their doubt is durable, and the coordinator (still
-        // running) may yet decide either way.
-        self.lose_volatile();
+        // An active global transaction with a place on a crashed shard held
+        // an unprepared half there: it aborted globally inside
+        // `crash_subset`. Fully prepared transactions stay live — their
+        // doubt is durable, and the coordinator (still running) may yet
+        // decide either way. No flush was torn.
+        self.lose_volatile(mask, false);
+        self.book.last_flush.clear();
         Applied::Ok
+    }
+
+    /// `u{s}.{n}`: shard `s` crashes as under `s{1 << s}` — the fleet learns
+    /// which volatile halves died —, then loses power again with its
+    /// recovery interrupted after `n` device operations.
+    fn do_crash_shard_in_recovery(&mut self, s: usize, n: u64) -> Applied {
+        let crashed = self.do_crash_shards(1 << s);
+        if crashed != Applied::Ok {
+            return crashed;
+        }
+        match crash_recover_interrupted(self.sys.shard_mut(s), TornPolicy::DiscardTail, n) {
+            Ok(_armed) => Applied::Ok,
+            Err(e) => Applied::Violation(McViolation::RecoveryRefused { detail: format!("{e:?}") }),
+        }
     }
 
     fn do_crash_coordinator(&mut self) -> Applied {
@@ -887,7 +995,7 @@ impl<B: McBackend> Harness<B> {
     fn coordinator_crash_fallout(&mut self) {
         self.sys.crash_coordinator();
         self.sys.resolve_in_doubt();
-        self.lose_volatile();
+        self.lose_volatile(0, true);
         for i in 0..self.cfg.txns {
             if self.book.phase[i] == Phase::Prepared {
                 self.book.phase[i] = if self.sys.coordinator().decision(self.gtid_of(i)) {
@@ -900,7 +1008,7 @@ impl<B: McBackend> Harness<B> {
     }
 
     /// Every place's committed state, in place order.
-    fn states(&mut self) -> Vec<u64> {
+    pub fn states(&mut self) -> Vec<u64> {
         let m = self.per_shard;
         (0..self.cfg.shards * m)
             .map(|p| self.sys.shard_mut(p / m).committed_state(ObjectId((p % m) as u32)))
@@ -1019,8 +1127,54 @@ enum CrashShape {
 
 #[cfg(test)]
 mod tests {
+    use ccr_adt::bank::BankAccount;
+    use ccr_runtime::oracle::Ledger;
+    use ccr_store::MemBackend;
+
+    use super::{Applied, Harness, McViolation};
     use crate::explorer::run_trace;
-    use crate::harness::McConfig;
+    use crate::harness::{McBackendKind, McConfig};
+
+    /// A three-shard mem fleet with transaction `i` on the shards
+    /// `parts[i]`, driven through `trace`.
+    fn walked(parts: &[&[usize]], trace: &str) -> Harness<MemBackend<BankAccount>> {
+        let cfg = McConfig {
+            txns: parts.len(),
+            shards: 3,
+            backend: McBackendKind::Mem,
+            ..McConfig::default()
+        };
+        let places = parts.iter().map(|p| p.iter().map(|&s| cfg.home(s)).collect()).collect();
+        let mut h = Harness::new(cfg, places);
+        for token in trace.split_whitespace() {
+            assert_eq!(h.apply(token.parse().unwrap()), Applied::Ok, "{token}");
+        }
+        h
+    }
+
+    /// ROADMAP item 7: a fleet crash aborts a global transaction that left
+    /// no durable trace, the allocator restarts below its gtid by design,
+    /// and the next global transaction is issued the same id. The eighth leg
+    /// judges each against its own participants.
+    #[test]
+    fn a_reissued_gtid_names_two_transactions_in_the_book() {
+        let mut h = walked(&[&[0, 1, 2], &[0, 1]], "b0 s7 z b1 p1 q1");
+        assert_eq!(h.book.gtids[0], h.book.gtids[1], "the crash must reissue the gtid");
+        assert!(!h.committed(0) && h.committed(1));
+        // The leg still fires on a real split of the successor: a book that
+        // says it had a third participant, where its effects never went.
+        let home = |s: usize| h.cfg.home(s);
+        h.ledger = Ledger::new(vec![vec![home(0), home(1), home(2)]; 2]);
+        assert_eq!(h.check(0).map(|v| v.kind()), Some("global-split"));
+    }
+
+    #[test]
+    fn a_bit_on_a_shard_that_never_took_part_is_stray() {
+        let mut h = walked(&[&[0, 1, 2]], "b0 p0 q0");
+        // Had routing never sent it to shard 2, the bit there is nobody's.
+        h.ledger = Ledger::new(vec![vec![h.cfg.home(0), h.cfg.home(1)]]);
+        assert_eq!(h.check(0), Some(McViolation::StrayState { object: 2, state: 1 }));
+    }
 
     /// A token of the other shard count's alphabet is a dead branch, not a
     /// panic: a shrunk trace pasted under the wrong `--shards` degrades

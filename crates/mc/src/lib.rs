@@ -11,13 +11,17 @@
 //! depth-first search over cloneable snapshots with a canonical-state table
 //! for deduplication.
 //!
-//! There is one harness ([`Harness`]) over a fleet of shards. The one-shard
-//! fleet is the single system (commit / batch flush / checkpoint / clean,
-//! torn, reordered and in-recovery crashes); two or more shards make every
-//! transaction cross-shard under presumed-abort 2PC (prepare / decide /
-//! crash a shard subset / crash the coordinator). The invariants, murodb's
+//! There is one harness ([`Harness`]) over a fleet of shards, and it is the
+//! only code that drives a fleet: the explorer enumerates it, and
+//! `ccr-experiments sim --shards N` walks it with seeded actions. A
+//! transaction with one place is local to its shard (commit / batch flush);
+//! one with more is global under presumed-abort 2PC (prepare / decide). The
+//! explorer's one-shard fleet is the single system (commit / batch flush /
+//! checkpoint / clean, torn, reordered and in-recovery crashes); with two or
+//! more shards every transaction spans the fleet (prepare / decide / crash a
+//! shard subset / crash the coordinator). The invariants, murodb's
 //! `CrashResilience.tla` for the same abstraction plus the eighth oracle
-//! leg, are checked once for both:
+//! leg, are checked once for all:
 //!
 //! * **the ledger**, after every action — every acknowledged commit is
 //!   visible, nothing aborted, lost or never begun is, and every settled

@@ -104,11 +104,11 @@ pub enum FaultKind {
     /// Sharded runs only: arm a crash at 2PC step `step` of the *next*
     /// cross-shard commit. Steps cycle through the protocol's decision
     /// points — 0: coordinator dies after the prepares (participants left
-    /// in doubt), 1: the first participant dies in doubt, 2: coordinator
-    /// *and* first participant die after the decision reached only part of
-    /// the fleet, 3: a participant dies again while recovering (nested
-    /// crash during participant recovery). Single-system runs degrade to
-    /// [`FaultKind::Crash`].
+    /// in doubt), 1: the first participant dies in doubt, 2: the decision is
+    /// durable and reached the first participant, then the coordinator and
+    /// every other participant die, 3: the first participant dies in doubt
+    /// and again while recovering (nested crash during participant
+    /// recovery). Single-system runs degrade to [`FaultKind::Crash`].
     TwoPcCrash {
         /// Protocol decision point (reduced modulo the step table).
         step: u32,

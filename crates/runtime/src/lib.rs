@@ -70,6 +70,6 @@ mod writeahead;
 pub use crash::{DurableSystem, Journal, RedoError, SystemMode, SystemSnapshot, TornPolicy};
 pub use engine::{DuEngine, RecoveryEngine, UipEngine, UipInverseEngine};
 pub use error::{AbortReason, RecoveryError, TxnError};
-pub use oracle::{check_uniform_outcome, GlobalAtomicityViolation};
-pub use shard::{CoordinatorLog, ShardSet, ShardedSnapshot, ShardedSystem, TwoPcStep};
+pub use oracle::check_uniform_outcome;
+pub use shard::{CoordinatorLog, ShardSet, ShardedSnapshot, ShardedSystem};
 pub use system::{ConflictPolicy, SystemStats, TxnSystem};

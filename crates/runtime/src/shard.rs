@@ -45,7 +45,6 @@ use ccr_store::LogBackend;
 use crate::crash::{DurableSystem, RedoError, SystemSnapshot, TornPolicy};
 use crate::engine::RecoveryEngine;
 use crate::error::TxnError;
-use crate::fault::crash_recover_interrupted;
 
 /// The coordinator's stable storage: the set of global transaction ids
 /// durably decided **commit**, as a bitset indexed by gtid — one bit per
@@ -214,38 +213,6 @@ impl Reusable for GlobalTxn {
     fn reset(&mut self) {
         self.parts.clear();
         self.prepared = ShardSet::default();
-    }
-}
-
-/// The canonical crash points of one cross-shard commit, for the fault
-/// planner's crash-at-every-2PC-step arm
-/// ([`FaultKind::TwoPcCrash`](crate::fault::FaultKind::TwoPcCrash)).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TwoPcStep {
-    /// The coordinator dies after the prepares, before any decision:
-    /// every participant is left in doubt; presumed abort resolves them.
-    CoordinatorAfterPrepare,
-    /// The first participant dies in doubt (prepare durable, no decision);
-    /// the coordinator still holds every durable yes-vote and commits.
-    ParticipantInDoubt,
-    /// Coordinator *and* first participant die after the commit decision
-    /// reached stable storage and part of the fleet: the survivor of the
-    /// doubt window finds the durable decision and commits.
-    BothAfterDecide,
-    /// A participant dies in doubt and then dies *again* during its own
-    /// recovery (nested crash inside the recovery scan).
-    CrashDuringRecovery,
-}
-
-impl TwoPcStep {
-    /// Map the fault plan's numeric step (any u32) onto the table.
-    pub fn from_index(step: u32) -> Self {
-        match step % 4 {
-            0 => TwoPcStep::CoordinatorAfterPrepare,
-            1 => TwoPcStep::ParticipantInDoubt,
-            2 => TwoPcStep::BothAfterDecide,
-            _ => TwoPcStep::CrashDuringRecovery,
-        }
     }
 }
 
@@ -578,72 +545,6 @@ where
         self.next_gtid = snap.next_gtid;
         self.live = snap.live.clone();
     }
-
-    /// Run one cross-shard commit *through* a crash at the given 2PC step
-    /// (the fault planner's crash-at-every-step arm), then settle the
-    /// fleet. Returns whether the transaction ultimately committed —
-    /// deterministic per step: presumed abort at
-    /// [`TwoPcStep::CoordinatorAfterPrepare`] and
-    /// [`TwoPcStep::CrashDuringRecovery`] (no decision record exists),
-    /// commit at the other two (every yes-vote, or the decision itself,
-    /// is already durable). The transaction must be live with at least
-    /// two participants.
-    pub fn commit_global_with_crash(
-        &mut self,
-        gtid: u64,
-        step: TwoPcStep,
-    ) -> Result<bool, RedoError> {
-        let parts = self.participants(gtid);
-        assert!(parts.len() >= 2, "2PC crash steps need a cross-shard transaction");
-        let first = parts.first().expect("two participants");
-        if self.prepare_all(gtid).is_err() {
-            // A no-vote aborted the transaction before the crash point was
-            // reached; the step becomes a plain settled abort.
-            self.resolve_in_doubt();
-            return Ok(false);
-        }
-        match step {
-            TwoPcStep::CoordinatorAfterPrepare => {
-                self.crash_coordinator();
-                self.resolve_in_doubt();
-                Ok(false)
-            }
-            TwoPcStep::ParticipantInDoubt => {
-                self.crash_subset(1 << first)?;
-                // Every yes-vote is durable, so the transaction stayed
-                // live across the crash: the coordinator commits, resolves
-                // the surviving participants directly, and the crashed
-                // one settles from doubt against the decision record.
-                self.coord.log_commit(gtid);
-                for s in self.participants(gtid) {
-                    if s != first {
-                        let _ = self.resolve_participant(gtid, s, true);
-                    }
-                }
-                self.live.close(&gtid);
-                self.resolve_in_doubt();
-                Ok(true)
-            }
-            TwoPcStep::BothAfterDecide => {
-                self.decide_commit(gtid);
-                let _ = self.resolve_participant(gtid, first, true);
-                let rest = self.participants(gtid);
-                self.crash_coordinator();
-                self.crash_subset(rest.mask())?;
-                self.resolve_in_doubt();
-                Ok(true)
-            }
-            TwoPcStep::CrashDuringRecovery => {
-                // The participant dies in doubt, then its recovery is
-                // itself interrupted by a nested power loss (absorbed
-                // internally; doubt must still be stable across it).
-                crash_recover_interrupted(&mut self.shards[first], TornPolicy::DiscardTail, 2)?;
-                self.crash_coordinator();
-                self.resolve_in_doubt();
-                Ok(false)
-            }
-        }
-    }
 }
 
 /// A restorable snapshot of a whole [`ShardedSystem`]: one
@@ -722,67 +623,6 @@ mod tests {
         assert_eq!(sys.shard(0).stats().prepares, 0);
         sys.crash_subset(0b01).unwrap();
         assert_eq!(sys.shard_mut(0).committed_state(S0), 7);
-    }
-
-    #[test]
-    fn coordinator_death_after_prepare_presumes_abort() {
-        let mut sys = fleet(2);
-        let g = sys.begin_global();
-        sys.invoke_global(g, S0, BankInv::Deposit(10)).unwrap();
-        sys.invoke_global(g, S1, BankInv::Deposit(20)).unwrap();
-        let committed =
-            sys.commit_global_with_crash(g, TwoPcStep::CoordinatorAfterPrepare).unwrap();
-        assert!(!committed);
-        assert!(sys.in_doubt().is_empty());
-        assert_eq!(sys.shard_mut(0).committed_state(S0), 0);
-        assert_eq!(sys.shard_mut(1).committed_state(S1), 0);
-        // Uniform outcome either way.
-        check_uniform_outcome(&[(g, vec![0, 1])], |_, s| {
-            sys.shard_mut(s).committed_state(ObjectId(s as u32)) != 0
-        })
-        .unwrap();
-    }
-
-    #[test]
-    fn participant_death_in_doubt_commits_from_the_decision_record() {
-        let mut sys = fleet(2);
-        let g = sys.begin_global();
-        sys.invoke_global(g, S0, BankInv::Deposit(10)).unwrap();
-        sys.invoke_global(g, S1, BankInv::Deposit(20)).unwrap();
-        let committed = sys.commit_global_with_crash(g, TwoPcStep::ParticipantInDoubt).unwrap();
-        assert!(committed);
-        assert_eq!(sys.shard_mut(0).committed_state(S0), 10);
-        assert_eq!(sys.shard_mut(1).committed_state(S1), 20);
-        assert_eq!(sys.shard(0).stats().resolved, 1, "shard 0 settled from doubt");
-    }
-
-    #[test]
-    fn both_dying_after_a_durable_decision_still_commits_everywhere() {
-        let mut sys = fleet(2);
-        let g = sys.begin_global();
-        sys.invoke_global(g, S0, BankInv::Deposit(10)).unwrap();
-        sys.invoke_global(g, S1, BankInv::Deposit(20)).unwrap();
-        let committed = sys.commit_global_with_crash(g, TwoPcStep::BothAfterDecide).unwrap();
-        assert!(committed);
-        assert_eq!(sys.shard_mut(0).committed_state(S0), 10);
-        assert_eq!(sys.shard_mut(1).committed_state(S1), 20);
-        // And survives yet another full-fleet crash.
-        sys.crash_subset(0b11).unwrap();
-        assert_eq!(sys.shard_mut(0).committed_state(S0), 10);
-        assert_eq!(sys.shard_mut(1).committed_state(S1), 20);
-    }
-
-    #[test]
-    fn nested_crash_during_participant_recovery_keeps_doubt_stable() {
-        let mut sys = fleet(2);
-        let g = sys.begin_global();
-        sys.invoke_global(g, S0, BankInv::Deposit(10)).unwrap();
-        sys.invoke_global(g, S1, BankInv::Deposit(20)).unwrap();
-        let committed = sys.commit_global_with_crash(g, TwoPcStep::CrashDuringRecovery).unwrap();
-        assert!(!committed);
-        assert!(sys.in_doubt().is_empty());
-        assert_eq!(sys.shard_mut(0).committed_state(S0), 0);
-        assert_eq!(sys.shard_mut(1).committed_state(S1), 0);
     }
 
     #[test]

@@ -331,11 +331,11 @@ fn sim_main(args: &[String]) -> Result<ExitCode, String> {
 }
 
 /// `oracle FAILED…` with the failure's own text; a fleet failure names its
-/// kind, which its shrinker preserved.
+/// kind, which its shrinker preserved, and the actions that reached it.
 fn failed_line(failure: &Failure) -> String {
     match failure {
         Failure::Single(f) => format!("oracle FAILED: {f}"),
-        Failure::Sharded(f) => format!("oracle FAILED [{}]: {f}", f.kind()),
+        Failure::Sharded(v, trace) => format!("oracle FAILED [{}]: {v}\ntrace: {trace}", v.kind()),
     }
 }
 
@@ -350,11 +350,13 @@ fn failure_json(first: &Failure, found: &SweepFailure) -> String {
             json_string(&s.failure.to_string()),
             f.at_event
         ),
-        _ => format!(
-            "\"failure\":{},\"failure_kind\":{}",
-            json_string(&shrunk_failure.to_string()),
-            json_string(shrunk_failure.kind())
+        (Failure::Sharded(v, trace), _) => format!(
+            "\"failure\":{},\"failure_kind\":{},\"trace\":{}",
+            json_string(&v.to_string()),
+            json_string(v.kind()),
+            json_string(&trace.to_string())
         ),
+        (Failure::Single(_), Failure::Sharded(..)) => unreachable!("one scenario, one driver"),
     };
     format!(
         "\"verdict\":\"fail\",{what},\"original\":{},\"shrunk\":{},\"shrunk_txns\":{},\
@@ -438,7 +440,7 @@ fn run_verdict(scenario: &SimScenario, json: bool) -> ExitCode {
     if json {
         let mode = match failure {
             Failure::Single(_) => "run",
-            Failure::Sharded(_) => "shard-run",
+            Failure::Sharded(..) => "shard-run",
         };
         println!("{{\"mode\":\"{mode}\",{}}}", failure_json(&failure, &found));
     } else {

@@ -21,9 +21,9 @@
 //! * [`profile`] — the contention & recovery profiler's report assembly:
 //!   per-phase span histograms, observed-conflict attribution, and the
 //!   static admitted-concurrency tables, as one schema-pinned JSON document;
-//! * [`shard_sim`] — the fleet driver: durable shards under presumed-abort
-//!   2PC with the global uniform-outcome oracle leg, and the 2PC frame-cost
-//!   bench;
+//! * [`shard_sim`] — the sharded simulator, a seeded walk of the model
+//!   checker's fleet of durable shards under presumed-abort 2PC, and the 2PC
+//!   frame-cost bench;
 //! * [`sim`] — fault-injection scenarios: one flag table that parses,
 //!   prints and documents a run, engine × relation combos (including a
 //!   deliberately weakened one), one `run` over either driver, template

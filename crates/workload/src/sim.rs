@@ -7,12 +7,12 @@
 //! [`SimScenario::reproducer`] prints the scenario back through it as a
 //! replayable `ccr-experiments sim …` line, and [`usage`] lists it. [`run`]
 //! runs a scenario under the driver its shard count calls for — one durable
-//! domain ([`run_scenario`]) or a fleet under 2PC
-//! ([`crate::shard_sim`]); [`sweep`] runs a scenario as a template over a
-//! range of seeds and seeded fault plans; [`shrink`] minimises a failing
-//! scenario with a delta-debugging loop over a list of passes (drop faults,
-//! skip scripts, shorten transactions, bisect fault event indices) so the
-//! reproducer is as small as the defect allows — typically two or three
+//! domain ([`run_scenario`]) or a seeded walk of the model checker's fleet
+//! under 2PC ([`crate::shard_sim`]); [`sweep`] runs a scenario as a template
+//! over a range of seeds and seeded fault plans; [`shrink`] minimises a
+//! failing scenario with a delta-debugging loop over a list of passes (drop
+//! faults, skip scripts, shorten transactions, bisect fault event indices) so
+//! the reproducer is as small as the defect allows — typically two or three
 //! transactions for a weakened conflict relation.
 
 use std::fmt;
@@ -23,6 +23,7 @@ use ccr_adt::escrow::EscrowAccount;
 use ccr_core::adt::Adt;
 use ccr_core::atomicity::SystemSpec;
 use ccr_core::conflict::{Conflict, Derived, SymmetricClosure};
+use ccr_mc::{McTrace, McViolation};
 use ccr_obs::{chrome_trace, flame_summary, MetricsReport};
 use ccr_runtime::crash::DurableSystem;
 use ccr_runtime::engine::{DuEngine, RecoveryEngine, UipEngine};
@@ -33,7 +34,7 @@ use ccr_runtime::system::ConflictPolicy;
 use ccr_store::{LogBackend, MemBackend, Persist, WalBackend, WalConfig};
 
 use crate::gen::{banking, escrow_mix, WorkloadCfg};
-use crate::shard_sim::{run_shard_scenario, ShardFailure, ShardReport};
+use crate::shard_sim::{run_shard_scenario, ShardReport};
 
 /// Escrow capacity used by the escrow scenarios.
 const ESCROW_CAP: u64 = 20;
@@ -161,9 +162,9 @@ pub struct SimScenario {
     /// ignored (the sharded instance is one object per shard under the bank
     /// ADT).
     pub shards: usize,
-    /// Crash-at-every-2PC-step arm: drive every cross-shard commit through
-    /// `commit_global_with_crash` at a step cycling through the four
-    /// canonical decision points. Sharded runs only.
+    /// Crash-at-every-2PC-step arm: cut every cross-shard commit short at a
+    /// step cycling through the four canonical decision points. Sharded runs
+    /// only.
     pub twopc_crash: bool,
     /// Negative control for the eighth oracle leg: lose the coordinator's
     /// first commit-decision record while still acking the client and
@@ -299,7 +300,7 @@ pub const FLAGS: &[Flag] = &[
     pinned("--deadline", "ROUNDS", "per-transaction deadline (0 = none)", field!(cfg.deadline)),
     pinned("--max-staged", "N", "group-flush shed bound (0 = none)", field!(cfg.max_staged)),
     pinned("--stall-threshold", "TICKS", "stall strike (0 = off)", field!(cfg.stall_threshold)),
-    pinned("--shards", "N", "durable shards; 2..=8 is a fleet under 2PC", field!(shards)),
+    pinned("--shards", "N", "durable shards, 1..=8; 2+ is a fleet under 2PC", field!(shards)),
     switch("--2pc-crash", "fleet: crash each global commit at a 2PC step", on!(twopc_crash)),
     switch("--lose-decision", "fleet: lose a decision record (exit 1)", on!(lose_decision)),
     elided("--ckpt", "N", "checkpoint every N commits", CKPT),
@@ -387,11 +388,12 @@ impl SimScenario {
     /// Refuse flag combinations no driver can run.
     pub fn validate(&self) -> Result<(), String> {
         let max_txns = crate::shard_sim::MAX_TXNS;
-        let refusal = if self.shards > 8 {
-            "--shards takes 2..=8; larger fleets explode the crash-subset space".to_string()
+        let refusal = if self.shards == 0 || self.shards > 8 {
+            "--shards takes 1..=8 (a fleet is 2..=8; larger ones explode the crash-subset space)"
+                .to_string()
         } else if self.sharded() && self.cfg.fault_during_recovery {
-            "--fault-during-recovery is single-domain; the sharded driver's twopc step 3 \
-             crashes a participant inside its own recovery"
+            "--fault-during-recovery is single-domain; a fleet runs the convergence probe on \
+             every shard a crash recovers"
                 .to_string()
         } else if self.sharded() && self.txns > max_txns {
             format!("--txns takes at most {max_txns} on a fleet (one balance bit each)")
@@ -667,8 +669,9 @@ pub enum Report {
 pub enum Failure {
     /// One of the seven single-domain legs, with the event it surfaced at.
     Single(SimFailure),
-    /// One of the fleet legs (the eighth among them).
-    Sharded(ShardFailure),
+    /// One of the fleet legs (the eighth among them), with the harness
+    /// actions that reached it.
+    Sharded(McViolation, McTrace),
 }
 
 impl Failure {
@@ -676,7 +679,7 @@ impl Failure {
     pub fn kind(&self) -> &'static str {
         match self {
             Failure::Single(f) => f.failure.kind(),
-            Failure::Sharded(f) => f.kind(),
+            Failure::Sharded(v, _) => v.kind(),
         }
     }
 }
@@ -685,7 +688,7 @@ impl fmt::Display for Failure {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Failure::Single(failure) => failure.fmt(f),
-            Failure::Sharded(failure) => failure.fmt(f),
+            Failure::Sharded(violation, _) => violation.fmt(f),
         }
     }
 }
@@ -695,7 +698,7 @@ impl fmt::Display for Failure {
 /// through here.
 pub fn run(scenario: &SimScenario) -> Result<Report, Failure> {
     if scenario.sharded() {
-        run_shard_scenario(scenario).map(Report::Sharded).map_err(Failure::Sharded)
+        run_shard_scenario(scenario).map(Report::Sharded).map_err(|(v, t)| Failure::Sharded(v, t))
     } else {
         run_scenario(scenario).map(|r| Report::Single(Box::new(r))).map_err(Failure::Single)
     }

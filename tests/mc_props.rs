@@ -6,8 +6,11 @@
 //! replayable trace. These are the model-checker counterparts of the
 //! per-leg oracle controls in `tests/sim_oracle.rs`.
 
+use ccr::adt::bank::BankAccount;
 use ccr::mc::explorer::run_trace;
-use ccr::mc::{explore, reproducer, McBackendKind, McConfig, McTrace, Mutation};
+use ccr::mc::harness::Applied;
+use ccr::mc::{explore, reproducer, Harness, McBackendKind, McConfig, McTrace, Mutation};
+use ccr::store::WalBackend;
 
 fn base(backend: McBackendKind, group_commit: bool) -> McConfig {
     McConfig { backend, group_commit, ..Default::default() }
@@ -215,6 +218,37 @@ fn lost_decision_record_is_caught_as_a_global_split() {
     assert_minimized_and_replayable(cfg, &trace, violation.kind());
     let line = reproducer(&cfg, &trace);
     assert!(line.contains("--shards 2"), "reproducer must pin the shard count: {line}");
+}
+
+/// The four canonical 2PC crash steps, spelled as traces on a two-shard
+/// disk fleet (the sharded simulator spells `twopc{step}` the same way):
+/// presumed abort when the coordinator dies after the prepares (step 0) or
+/// the first participant dies in doubt and again inside its own recovery
+/// (step 3); commit when that participant dies in doubt under a live
+/// coordinator (step 1) or phase two is cut short after a durable decision
+/// (step 2). Either way the outcome is uniform, nothing stays in doubt, and
+/// it survives one more full-fleet crash.
+#[test]
+fn every_2pc_crash_step_settles_uniformly() {
+    for (step, trace, committed) in [
+        (0, "b0 p0 z", false),
+        (1, "b0 p0 s1 q0", true),
+        (2, "b0 p0 h0", true),
+        (3, "b0 p0 u0.2 z", false),
+    ] {
+        let cfg =
+            McConfig { txns: 1, shards: 2, crash_budget: 3, ..base(McBackendKind::Disk, false) };
+        let mut h = Harness::<WalBackend<BankAccount>>::new(cfg, cfg.placement());
+        let trace: McTrace = format!("{trace} s3").parse().unwrap();
+        for action in trace.0 {
+            assert_eq!(h.apply(action), Applied::Ok, "step {step}: {action}");
+        }
+        assert_eq!(h.committed(0), committed, "step {step}");
+        assert!(h.fleet().in_doubt().is_empty(), "step {step}");
+        let deposit = u64::from(committed);
+        let homes = [cfg.home(0), cfg.home(1)].map(|p| h.states()[p]);
+        assert_eq!(homes, [deposit; 2], "step {step}");
+    }
 }
 
 /// The fifth accidental blind spot (ROADMAP item 13): a coordinator crash

@@ -19,7 +19,7 @@ use ccr::runtime::engine::{DuEngine, RecoveryEngine, UipEngine};
 use ccr::runtime::fault::{FaultKind, FaultMix, FaultPlan, FaultSpec};
 use ccr::runtime::scheduler::{run, RunReport, SchedulerCfg};
 use ccr::runtime::script::{OpsScript, Script, Step};
-use ccr::runtime::shard::{ShardedSystem, TwoPcStep};
+use ccr::runtime::shard::ShardedSystem;
 use ccr::runtime::sim::{run_sim, SimCfg};
 use ccr::runtime::system::{ConflictPolicy, TxnSystem};
 use ccr::runtime::threaded::{run_threaded, run_threaded_durable, GroupCommitCfg, ThreadedCfg};
@@ -412,14 +412,19 @@ fn counters_only_run_equals_its_recording_twin() {
     // dies in doubt and settles from the decision record.
     let sharded = |record: bool| {
         let mut fleet = ShardedSystem::new_with(2, |_| on_disk(record));
-        for step in [None, Some(TwoPcStep::ParticipantInDoubt)] {
+        for in_doubt in [false, true] {
             let g = fleet.begin_global();
             fleet.invoke_global(g, ObjectId(0), BankInv::Deposit(10)).unwrap();
             fleet.invoke_global(g, ObjectId(1), BankInv::Deposit(20)).unwrap();
-            match step {
-                None => fleet.commit_global(g).unwrap(),
-                Some(step) => assert!(fleet.commit_global_with_crash(g, step).unwrap()),
+            if !in_doubt {
+                fleet.commit_global(g).unwrap();
+                continue;
             }
+            fleet.prepare_all(g).unwrap();
+            fleet.crash_subset(0b01).unwrap();
+            fleet.decide_commit(g);
+            fleet.resolve_participant(g, 1, true).unwrap();
+            assert_eq!(fleet.resolve_in_doubt(), 1);
         }
         [0, 1].map(|i| fleet.shard_mut(i).system_mut().take_obs())
     };

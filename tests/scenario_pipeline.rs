@@ -85,6 +85,7 @@ fn the_parser_refuses_what_no_driver_can_run() {
         ("--combo uip-nrbc --lose-decision", "needs --shards >= 2"),
         ("--combo uip-nrbc --2pc-crash", "needs --shards >= 2"),
         ("--combo uip-nrbc --shards 9", "2..=8"),
+        ("--combo uip-nrbc --shards 0", "1..=8"),
         ("--combo uip-nrbc --shards 2 --fault-during-recovery", "single-domain"),
         ("--combo uip-nrbc --shards 2 --txns 61", "at most 60"),
         ("--combo uip-nrbc --txns many", "--txns"),

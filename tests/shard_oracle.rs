@@ -6,9 +6,11 @@
 //! shards) staying quiet on correct runs, and the lose-the-decision-record
 //! negative control being caught, shrunk, and pinned in its reproducer.
 
+use ccr::mc::explorer::run_trace;
+use ccr::mc::{McAction, McConfig, Mutation};
 use ccr::runtime::fault::{FaultMix, FaultPlan};
 use ccr::workload::shard_sim::run_shard_scenario;
-use ccr::workload::sim::{run, shrink, sweep, Backend, Combo, SimScenario, Sweep};
+use ccr::workload::sim::{run, shrink, sweep, Backend, Combo, Failure, SimScenario, Sweep};
 
 /// A fault-free `shards`-shard scenario with every cross-shard commit routed
 /// through a 2PC-step crash — the template the acceptance sweeps run.
@@ -20,11 +22,11 @@ fn crashing_fleet(shards: usize) -> SimScenario {
 }
 
 /// The acceptance sweep: 32 seeds per cell over shard count × group commit
-/// on the disk backend, every cross-shard commit routed through
-/// `commit_global_with_crash` (crash-at-every-2PC-step, cycling all four
-/// canonical points), with the seeded fault plans additionally drawing
-/// crash-of-any-shard-subset and 2PC-step arms. Every run must pass the
-/// full oracle battery including the eighth (global atomicity) leg.
+/// on the disk backend, every cross-shard commit cut short at one of the
+/// four canonical 2PC steps (cycling), with the seeded fault plans
+/// additionally drawing crash-of-any-shard-subset and 2PC-step arms. Every
+/// run must pass the full battery: the ledger with its eighth (global
+/// atomicity) leg, and the recovery legs on every shard a crash recovered.
 #[test]
 fn sharded_sweep_survives_crashes_of_every_shard_subset_and_2pc_step() {
     for shards in [2usize, 3] {
@@ -89,6 +91,25 @@ fn lost_decision_record_is_caught_shrunk_and_pinned() {
     for flag in [" --shards 2", " --lose-decision", " --backend "] {
         assert!(line.contains(flag), "reproducer missing {flag:?}: {line}");
     }
+}
+
+/// A fleet failure is explained by its report alone: the walk's harness
+/// actions ride with the violation, the shrunk lose-decision failure's trace
+/// still ends in the decision that split the transaction, and `mc --replay`
+/// reads the same split off it.
+#[test]
+fn a_fleet_failure_carries_the_trace_that_reached_it() {
+    let plan = FaultPlan::from_seed(11, 40, 3, FaultMix::Sharded { nshards: 2 });
+    let mut scenario = SimScenario::new(Combo::UipNrbc, 11, plan);
+    scenario.shards = 2;
+    scenario.lose_decision = true;
+    let Failure::Sharded(violation, trace) = shrink(&scenario).failure else {
+        panic!("a fleet fails as a fleet");
+    };
+    assert_eq!(violation.kind(), "global-split");
+    assert_eq!(trace.0.last(), Some(&McAction::DecideCommit(0)), "{trace}");
+    let cfg = McConfig { shards: 2, mutation: Some(Mutation::LoseDecision), ..McConfig::default() };
+    assert_eq!(run_trace(cfg, &trace), Some(violation), "{trace}");
 }
 
 /// ROADMAP item 7, red from PR 11 to PR 15: one `crash` fault at event 9 of
