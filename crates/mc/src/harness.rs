@@ -32,7 +32,6 @@
 //! recovery legs — batch prefix (after a torn flush), replay-view agreement,
 //! the convergence probe and idempotence.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::str::FromStr;
 
@@ -581,7 +580,7 @@ impl<B: McBackend> Harness<B> {
                 SystemMode::Degraded => 1,
             });
             k.extend(sh.journal().base_records().to_le_bytes());
-            k.extend((sh.journal().records().len() as u64).to_le_bytes());
+            k.extend(sh.journal().since_base().to_le_bytes());
             k.extend(sh.system().next_txn_id().to_le_bytes());
             k.extend(sh.exec_seq().to_le_bytes());
             k.extend(sh.backend().image_fingerprint().to_le_bytes());
@@ -615,7 +614,7 @@ impl<B: McBackend> Harness<B> {
         if self.cfg.group_commit && !self.book.staged.is_empty() {
             out.push(McAction::Flush);
         }
-        if self.book.ckpt_left > 0 && !self.sys.shard(0).journal().records().is_empty() {
+        if self.book.ckpt_left > 0 && self.sys.shard(0).journal().since_base() > 0 {
             out.push(McAction::Checkpoint);
         }
         if self.book.crash_left == 0 {
@@ -807,7 +806,7 @@ impl<B: McBackend> Harness<B> {
 
     fn do_checkpoint(&mut self) -> Applied {
         let sys = self.sys.shard_mut(0);
-        if self.book.ckpt_left == 0 || sys.journal().records().is_empty() {
+        if self.book.ckpt_left == 0 || sys.journal().since_base() == 0 {
             return Applied::Skip;
         }
         self.book.ckpt_left -= 1;
@@ -1079,9 +1078,7 @@ impl<B: McBackend> Harness<B> {
     /// again changes nothing. Every probe runs on a clone or is rewound.
     fn check_recovered(&mut self, s: usize, states: &[u64]) -> Option<McViolation> {
         let sys = self.sys.shard_mut(s);
-        let mut probe = sys.backend().clone();
-        probe.crash();
-        let log = match probe.recover(TailPolicy::DiscardTail) {
+        let log = match sys.backend().read_log() {
             Ok(log) => log,
             Err(e) => {
                 return Some(McViolation::ViewDivergence {
@@ -1089,12 +1086,8 @@ impl<B: McBackend> Harness<B> {
                 });
             }
         };
-        let mut base: BTreeMap<ObjectId, u64> =
-            (0..states.len() as u32).map(|o| (ObjectId(o), 0u64)).collect();
-        if let Some(cp) = &log.checkpoint {
-            base.extend(cp.states.iter().copied());
-        }
-        if let Err(f) = views_agree(&self.adt, &base, &log.records, |obj| states[obj.0 as usize]) {
+        let objects = (0..states.len() as u32).map(ObjectId);
+        if let Err(f) = views_agree(&self.adt, &log, objects, |obj| states[obj.0 as usize]) {
             return Some(McViolation::ViewDivergence { detail: f.to_string() });
         }
         let mut probe = sys.backend().clone();

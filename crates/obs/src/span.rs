@@ -46,7 +46,7 @@ pub enum Phase {
     Repair,
     /// Recovery path: replaying committed records into the fresh system.
     Replay,
-    /// Recovery path: rebuilding the volatile journal mirror.
+    /// Recovery path: restoring the checkpoint image into the fresh system.
     Rebuild,
     /// The whole recovery pipeline, crash-to-serving.
     RecoveryTotal,

@@ -36,8 +36,8 @@ use ccr_core::conflict::Conflict;
 use ccr_core::ids::{ObjectId, TxnId, TxnTable};
 use ccr_obs::{CorruptionKind, Phase, SpanToken, Tracer};
 use ccr_store::{
-    CheckpointImage, CommitRecord, Detection, DiskError, LogBackend, MemBackend, ScanReport,
-    SimDisk, StoreFailureKind, StoreStats,
+    CheckpointImage, CommitRecord, Detection, DiskError, LogBackend, MemBackend, RecoveredLog,
+    ScanReport, SimDisk, StoreFailureKind, StoreStats,
 };
 
 use crate::engine::RecoveryEngine;
@@ -45,32 +45,22 @@ use crate::error::TxnError;
 use crate::system::TxnSystem;
 use crate::writeahead::WriteAhead;
 
-/// The volatile mirror of stable storage: what a successful recovery of the
-/// backend would reconstruct right now. The simulator's shadow-fold oracle
-/// reads this (it needs the *intended* contents to compare against), while
-/// the backend holds the possibly-damaged physical truth.
-#[derive(Clone)]
-pub struct Journal<A: Adt> {
+/// What the durable system counts of its log; the records themselves are
+/// the backend's ([`LogBackend::read_log`]).
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Journal {
     /// Commit records folded into the checkpoint base (monotone; never reset
-    /// by truncation).
-    base_records: u64,
-    /// Checkpointed committed state per object, if a checkpoint was taken.
-    base: Option<Vec<(ObjectId, A::State)>>,
-    /// Commit records after the checkpoint, in commit order.
-    records: Vec<CommitRecord<A>>,
+    /// by truncation), or `None` before the first checkpoint.
+    base: Option<u64>,
+    /// Commit records journaled after the checkpoint.
+    since_base: u64,
 }
 
-impl<A: Adt> Default for Journal<A> {
-    fn default() -> Self {
-        Journal { base_records: 0, base: None, records: Vec::new() }
-    }
-}
-
-impl<A: Adt> Journal<A> {
+impl Journal {
     /// Number of committed transactions journaled over the log's whole life
     /// (checkpointed-away records included).
     pub fn len(&self) -> usize {
-        self.base_records as usize + self.records.len()
+        (self.base_records() + self.since_base) as usize
     }
 
     /// Whether nothing has ever been journaled.
@@ -80,17 +70,12 @@ impl<A: Adt> Journal<A> {
 
     /// Records folded into the checkpoint base.
     pub fn base_records(&self) -> u64 {
-        self.base_records
+        self.base.unwrap_or(0)
     }
 
-    /// The checkpointed committed states, if a checkpoint was taken.
-    pub fn base_states(&self) -> Option<&[(ObjectId, A::State)]> {
-        self.base.as_deref()
-    }
-
-    /// The post-checkpoint commit records, in commit order.
-    pub fn records(&self) -> &[CommitRecord<A>] {
-        &self.records
+    /// Records journaled after the checkpoint, the ones a recovery replays.
+    pub fn since_base(&self) -> u64 {
+        self.since_base
     }
 }
 
@@ -140,6 +125,18 @@ pub enum RedoError {
     },
 }
 
+impl From<StoreFailureKind> for RedoError {
+    fn from(kind: StoreFailureKind) -> Self {
+        match kind {
+            StoreFailureKind::Torn { record, expected, found } => {
+                RedoError::TornRecord { record, expected, found }
+            }
+            StoreFailureKind::Corrupt { sector } => RedoError::CorruptRecord { sector },
+            StoreFailureKind::Device(error) => RedoError::Device { error },
+        }
+    }
+}
+
 /// Whether the durable system accepts commits, or has fallen back to
 /// read-only after the device misbehaved.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -149,8 +146,8 @@ pub enum SystemMode {
     Normal,
     /// The device exhausted its transient-I/O retries or reported itself
     /// full: commits are refused with [`TxnError::ReadOnly`] (the volatile
-    /// mirror was rolled back to stable truth, so reads keep serving exactly
-    /// the durable committed state). A successful [`DurableSystem::checkpoint`]
+    /// system was rebuilt from the log, so reads keep serving exactly the
+    /// durable committed state). A successful [`DurableSystem::checkpoint`]
     /// on a healed device — or a successful
     /// recovery — returns to [`SystemMode::Normal`].
     Degraded,
@@ -232,20 +229,20 @@ where
     /// The volatile system and the write-ahead buffer `commit` journals.
     vol: WriteAhead<A, E, C>,
     backend: B,
-    journal: Journal<A>,
+    journal: Journal,
     make: Box<dyn Fn() -> TxnSystem<A, E, C> + Send>,
     /// In-doubt 2PC participants by global transaction id: durably PREPAREd
     /// (the yes-vote reached stable storage) but with no durable decision
     /// yet. The transaction stays *active* in the volatile system — holding
-    /// every lock — until [`resolve`](Self::resolve) journals the decision.
-    /// Rebuilt from the recovery scan's `in_doubt` set after a crash, with
-    /// fresh ghost transactions re-holding the locks.
-    prepared: TxnTable<(TxnId, CommitRecord<A>), u64>,
+    /// every lock — until [`resolve`](Self::resolve) journals the decision;
+    /// its record is the log's. Rebuilt from the log's in-doubt set after a
+    /// crash, with fresh ghost transactions re-holding the locks.
+    prepared: TxnTable<TxnId, u64>,
     /// The image the current history epoch was rebuilt from: the recorded
     /// trace restarts at every rebuild, from this base plus the replayed
     /// records. Kept only while history recording is on (nobody can ask
     /// what a trace starts from without a trace); a checkpoint taken
-    /// mid-epoch moves the journal's base but not this one.
+    /// mid-epoch moves the log's base but not this one.
     trace_base: Option<Vec<(ObjectId, A::State)>>,
     /// Normal, or read-only degraded after a device failure the backend's
     /// retry budget could not hide.
@@ -398,7 +395,8 @@ where
             b.append_commit(&rec).map_err(|f| f.kind)
         })
         .map_err(|lost| lost.error_for(txn))?;
-        self.journal.records.push(rec);
+        self.journal.since_base += 1;
+        self.vol.recycle(rec);
         self.observe_stalls();
         self.vol.prune();
         Ok(())
@@ -450,7 +448,8 @@ where
             }) {
                 Ok(()) => {
                     self.vol.sys.obs_mut().on_group_flush(recs.len() as u64, 0);
-                    self.journal.records.extend(recs);
+                    self.journal.since_base += recs.len() as u64;
+                    recs.into_iter().for_each(|rec| self.vol.recycle(rec));
                     self.observe_stalls();
                 }
                 Err(lost) => {
@@ -504,16 +503,17 @@ where
             b.append_prepare(gtid, &rec).map_err(|f| f.kind)
         })
         .map_err(|lost| lost.error_for(txn))?;
+        self.vol.recycle(rec);
         self.vol.sys.obs_mut().on_prepare(txn, gtid);
-        self.prepared.insert(gtid, (txn, rec));
+        self.prepared.insert(gtid, txn);
         self.observe_stalls();
         Ok(())
     }
 
     /// 2PC phase two, participant side: durably journal the coordinator's
     /// decision for an in-doubt `gtid`, then apply it — commit the held
-    /// transaction (its record enters the journal mirror at decision order)
-    /// or abort it, releasing the locks either way. Idempotent: a gtid this
+    /// transaction (the log replays its record at decision order) or abort
+    /// it, releasing the locks either way. Idempotent: a gtid this
     /// participant no longer holds in doubt (already resolved, or the
     /// prepare never survived) acknowledges with `Ok` and journals nothing,
     /// so coordinators may retransmit decisions freely.
@@ -526,25 +526,23 @@ where
         if self.mode == SystemMode::Degraded {
             return Err(TxnError::ReadOnly);
         }
-        let Some(txn) = self.prepared.get(&gtid).map(|(t, _)| *t) else {
+        let Some(&txn) = self.prepared.get(&gtid) else {
             return Ok(());
         };
         self.durable_write(Write::Decide, None, |b| {
             b.append_decision(gtid, commit).map_err(|f| f.kind)
         })
         .map_err(|lost| lost.error_for(txn))?;
-        let (txn, rec) = self.prepared.remove(&gtid).expect("checked above");
+        self.prepared.remove(&gtid);
         self.vol.sys.obs_mut().on_decide(gtid, commit);
         self.observe_stalls();
         if commit {
-            let refused = self.vol.sys.commit(txn).is_err();
-            self.journal.records.push(rec);
-            if refused {
+            self.journal.since_base += 1;
+            if self.vol.sys.commit(txn).is_err() {
                 // The durable decision is the commit point; the volatile
                 // refusal (a theorem-impossible wound of a lock-holding
-                // preparee) cannot unwind it. Durable truth is recorded
-                // above; re-sync the mirror to it.
-                let _ = self.rebuild_from_journal();
+                // preparee) cannot unwind it. Re-sync to the log.
+                let _ = self.rebuild_from_log();
             }
         } else {
             let _ = self.vol.abort(txn);
@@ -573,11 +571,6 @@ where
         self.prepared.keys().copied().collect()
     }
 
-    /// The durably prepared record held in doubt under `gtid`, if any.
-    pub fn in_doubt_record(&self, gtid: u64) -> Option<&CommitRecord<A>> {
-        self.prepared.get(&gtid).map(|(_, r)| r)
-    }
-
     /// Write a checkpoint: fold every object's committed state into a
     /// durable image, after which the backend may truncate the covered log
     /// prefix. Returns the number of whole segments truncated. No-op
@@ -587,9 +580,8 @@ where
     /// that reaches stable storage is durable proof the healed device
     /// (`SimDisk::heal`) accepts writes again, so the system
     /// returns to [`SystemMode::Normal`]. A checkpoint the device refuses
-    /// (returning 0) enters — or stays in — degraded mode; the journal
-    /// mirror then keeps the old base, and whichever image is durably
-    /// complete wins at the next recovery.
+    /// (returning 0) enters — or stays in — degraded mode, and whichever
+    /// image is durably complete wins at the next recovery.
     pub fn checkpoint(&mut self) -> u64 {
         // A checkpoint image captures only *committed* state; truncating the
         // log while prepares are in doubt would orphan their PREPARE frames.
@@ -597,14 +589,12 @@ where
         if !self.prepared.is_empty() {
             return 0;
         }
-        let records = self.journal.records.len() as u64;
+        let records = self.journal.since_base;
         if records == 0 && self.journal.base.is_some() && self.mode == SystemMode::Normal {
             return 0;
         }
-        // The image is built once: the backend encodes it by reference, and
-        // once it is durable its states become the journal mirror's base.
         let img = CheckpointImage {
-            base_records: self.journal.base_records + records,
+            base_records: self.journal.base_records() + records,
             txn_floor: self.vol.sys.next_txn_id(),
             next_exec_seq: self.vol.exec_seq(),
             states: self.vol.sys.committed_states(),
@@ -614,9 +604,7 @@ where
         }) else {
             return 0;
         };
-        self.journal.base_records = img.base_records;
-        self.journal.base = Some(img.states);
-        self.journal.records.clear();
+        self.journal = Journal { base: Some(img.base_records), since_base: 0 };
         self.vol.sys.obs_mut().on_checkpoint(records, truncated);
         if self.mode == SystemMode::Degraded {
             self.mode = SystemMode::Normal;
@@ -667,7 +655,7 @@ where
                 Ok(r) => break r,
                 Err(fail) => fail,
             };
-            let refused = match fail.kind {
+            match fail.kind {
                 // A crash-at-op trigger tripped *during recovery*: acknowledge
                 // the nested power loss and recover from whatever the
                 // interrupted attempt left durable. The trigger is one-shot
@@ -683,12 +671,8 @@ where
                 // retryable error, since nothing downstream can serve until
                 // it completes.
                 StoreFailureKind::Device(DiskError::Transient) => continue,
-                StoreFailureKind::Torn { record, expected, found } => {
-                    RedoError::TornRecord { record, expected, found }
-                }
-                StoreFailureKind::Corrupt { sector } => RedoError::CorruptRecord { sector },
-                StoreFailureKind::Device(error) => RedoError::Device { error },
-            };
+                _ => {}
+            }
             // Surface the scan evidence on the surviving tracer even though
             // the rebuild is refused.
             emit_scan(self.vol.sys.obs_mut(), &fail.report);
@@ -697,14 +681,12 @@ where
                 attempt_ops,
                 wall.elapsed().as_nanos() as u64,
             );
-            return Err(refused);
+            return Err(fail.kind.into());
         };
         // Floors come from the log, not from pre-crash process memory — and
         // they already cover the in-doubt prepares, so the ghosts get fresh
         // post-crash ids.
-        let base = recovered.checkpoint.as_ref().map(|c| c.states.as_slice());
-        let in_doubt = recovered.in_doubt.iter().map(|(gtid, rec)| (*gtid, rec));
-        let rebuilt = self.rebuild(base, &recovered.records, recovered.txn_floor, in_doubt)?;
+        let rebuilt = self.rebuild(&recovered, recovered.txn_floor)?;
         // Replay succeeded: move the surviving tracer over (it models
         // durable monitoring state, so counters and histograms survive),
         // record the scan evidence and the recovery on it (on `Err` above
@@ -712,9 +694,10 @@ where
         // recovery).
         let mut fresh = rebuilt.sys;
         let replayed = recovered.records.len();
+        let restored = recovered.checkpoint.as_ref().map_or(0, |c| c.states.len() as u64);
         let mut obs = self.vol.sys.take_obs();
         emit_scan(&mut obs, &recovered.scan);
-        obs.on_phase(Phase::Rebuild, base.map_or(0, |b| b.len() as u64), rebuilt.restore_ns);
+        obs.on_phase(Phase::Rebuild, restored, rebuilt.restore_ns);
         obs.on_phase(Phase::Replay, replayed as u64, rebuilt.replay_ns);
         obs.on_recovery(replayed);
         if !rebuilt.ghosts.is_empty() {
@@ -725,11 +708,8 @@ where
         self.vol = WriteAhead::new(fresh, recovered.next_exec_seq);
         self.prepared = rebuilt.ghosts;
         self.trace_base = rebuilt.trace_base;
-        self.journal = Journal {
-            base_records: recovered.checkpoint.as_ref().map_or(0, |c| c.base_records),
-            base: recovered.checkpoint.map(|c| c.states),
-            records: recovered.records,
-        };
+        let base = recovered.checkpoint.as_ref().map(|c| c.base_records);
+        self.journal = Journal { base, since_base: replayed as u64 };
         // A successful recovery proved the device writable (the epoch bump
         // reached stable storage): leave degraded mode. The stall sampler
         // re-anchors on the recovered device — recovery's own ticks are not
@@ -743,38 +723,28 @@ where
         Ok(())
     }
 
-    /// Build a volatile system that holds exactly what a log holds: `base`
-    /// restored, `records` replayed and committed in order, the id floor
-    /// reserved, and each `in_doubt` prepare re-installed as a *ghost* — a
-    /// fresh active transaction that re-executes the prepared operations
-    /// and is left uncommitted, re-holding every lock until the
+    /// Build a volatile system that holds exactly what `log` holds: its
+    /// checkpoint restored, its records replayed and committed in order, the
+    /// id floor reserved, and each in-doubt prepare re-installed as a
+    /// *ghost* — a fresh active transaction that re-executes the prepared
+    /// operations and is left uncommitted, re-holding every lock until the
     /// coordinator's decision resolves it. Every replayed response is
     /// verified against the record (two-phase locking kept conflicting
     /// committed work out, so committed-then-in-doubt must reproduce them
-    /// too); the ghost table keeps the original records with their original
-    /// execution stamps — re-execution is reconstruction, not new workload.
+    /// too); re-execution is reconstruction, not new workload.
     ///
     /// Both ways back from the log come through here: a recovery
-    /// ([`recover_with`](Self::recover_with)) passes what the backend's scan
-    /// found and the floor it read; a degrade
-    /// ([`rebuild_from_journal`](Self::rebuild_from_journal)) passes the
-    /// journal mirror and the live floor. The system is returned, not
-    /// installed: on `Err` the caller's current one stays in place. It
-    /// serves as the current one does — `make` knows only the
+    /// ([`recover_with`](Self::recover_with)) passes its scan and the floor
+    /// it read; a degrade ([`rebuild_from_log`](Self::rebuild_from_log))
+    /// passes the log as it stands and the live floor. The system is
+    /// returned, not installed: on `Err` the caller's current one stays in
+    /// place. It serves as the current one does — `make` knows only the
     /// construction-time shape, so the conflict policy and the
     /// history-recording switch set since are carried over — but with a
     /// silent throwaway tracer (replay must not double-count); the caller
     /// installs the surviving one.
-    fn rebuild<'r>(
-        &self,
-        base: Option<&[(ObjectId, A::State)]>,
-        records: &[CommitRecord<A>],
-        floor: u32,
-        in_doubt: impl Iterator<Item = (u64, &'r CommitRecord<A>)>,
-    ) -> Result<Rebuilt<A, E, C>, RedoError>
-    where
-        A: 'r,
-    {
+    fn rebuild(&self, log: &RecoveredLog<A>, floor: u32) -> Result<Rebuilt<A, E, C>, RedoError> {
+        let base = log.checkpoint.as_ref().map(|c| c.states.as_slice());
         let restore_clock = std::time::Instant::now();
         let mut fresh = (self.make)();
         fresh.set_policy(self.vol.sys.policy());
@@ -797,15 +767,15 @@ where
             }
             Ok(t)
         };
-        for (ri, rec) in records.iter().enumerate() {
+        for (ri, rec) in log.records.iter().enumerate() {
             let t = reexecute(&mut fresh, ri, rec)?;
             fresh.commit(t).map_err(|_| RedoError::ReplayRefused { record: ri })?;
         }
         fresh.reserve_txn_ids(floor);
         let mut ghosts = TxnTable::new();
-        for (gi, (gtid, rec)) in in_doubt.enumerate() {
-            let t = reexecute(&mut fresh, records.len() + gi, rec)?;
-            ghosts.insert(gtid, (t, rec.clone()));
+        for (gi, (gtid, rec)) in log.in_doubt.iter().enumerate() {
+            let t = reexecute(&mut fresh, log.records.len() + gi, rec)?;
+            ghosts.insert(*gtid, t);
         }
         let replay_ns = replay_clock.elapsed().as_nanos() as u64;
         let trace_base = base.filter(|_| fresh.records_trace()).map(<[_]>::to_vec);
@@ -873,9 +843,9 @@ where
     }
 
     /// Enter read-only degraded mode: emit the event, then roll the volatile
-    /// mirror back to stable truth by replaying the journal into a fresh
-    /// system. Active transactions evaporate (their effects were volatile);
-    /// reads keep serving the durable committed state. Idempotent.
+    /// system back to stable truth by replaying the log into a fresh one.
+    /// Active transactions evaporate (their effects were volatile); reads
+    /// keep serving the durable committed state. Idempotent.
     fn enter_degraded(&mut self, reason: String) {
         if self.mode == SystemMode::Degraded {
             return;
@@ -885,22 +855,17 @@ where
         // On the (theorem-impossible) replay failure the stale volatile
         // system stays in place; the simulator's oracle surfaces the
         // divergence.
-        let _ = self.rebuild_from_journal();
+        let _ = self.rebuild_from_log();
     }
 
-    /// Rebuild the volatile system from the journal *mirror* (no device I/O
-    /// — the device just refused writes). Unlike a real recovery, the id
-    /// floor and execution sequence carry over from process memory: the
-    /// process did not crash, so monotonicity is preserved without re-reading
-    /// the log. The in-doubt prepares get fresh ghosts all the same.
-    fn rebuild_from_journal(&mut self) -> Result<(), RedoError> {
-        let in_doubt = self.prepared.iter().map(|(gtid, (_old, rec))| (*gtid, rec));
-        let rebuilt = self.rebuild(
-            self.journal.base.as_deref(),
-            &self.journal.records,
-            self.vol.sys.next_txn_id(),
-            in_doubt,
-        )?;
+    /// Rebuild the volatile system from the log read as it stands
+    /// ([`LogBackend::read_log`]: the device just refused writes, and no
+    /// armed fault may be consumed). The process did not crash, so the id
+    /// floor and execution sequence carry over from process memory; the
+    /// in-doubt prepares get fresh ghosts all the same.
+    fn rebuild_from_log(&mut self) -> Result<(), RedoError> {
+        let log = self.backend.read_log().map_err(|f| RedoError::from(f.kind))?;
+        let rebuilt = self.rebuild(&log, self.vol.sys.next_txn_id())?;
         let mut fresh = rebuilt.sys;
         fresh.set_obs(self.vol.sys.take_obs());
         self.vol = WriteAhead::new(fresh, self.vol.exec_seq());
@@ -931,9 +896,9 @@ where
         self.vol.sys.committed_state(obj)
     }
 
-    /// The volatile mirror of stable storage (what an undamaged recovery
-    /// would reconstruct).
-    pub fn journal(&self) -> &Journal<A> {
+    /// How many commit records the log holds, before and after its
+    /// checkpoint base.
+    pub fn journal(&self) -> &Journal {
         &self.journal
     }
 
@@ -984,7 +949,7 @@ where
 /// it holds, and the wall time of its two stages.
 struct Rebuilt<A: Adt, E: RecoveryEngine<A>, C: Conflict<A>> {
     sys: TxnSystem<A, E, C>,
-    ghosts: TxnTable<(TxnId, CommitRecord<A>), u64>,
+    ghosts: TxnTable<TxnId, u64>,
     /// The restored base, when the rebuilt system records its history.
     trace_base: Option<Vec<(ObjectId, A::State)>>,
     restore_ns: u64,
@@ -994,7 +959,7 @@ struct Rebuilt<A: Adt, E: RecoveryEngine<A>, C: Conflict<A>> {
 /// A full snapshot of a [`DurableSystem`] at one instant: the volatile
 /// system (lock table, engines, tracer) with its write-ahead buffer, the
 /// stable backend (durable image plus write cache and armed faults), the
-/// journal mirror and the counters. The model checker's DFS explorer forks
+/// in-doubt table and the counters. The model checker's DFS explorer forks
 /// execution by taking a snapshot at each decision point, trying one action,
 /// and [`DurableSystem::restore`]-ing before trying the next.
 ///
@@ -1011,8 +976,8 @@ where
 {
     vol: WriteAhead<A, E, C>,
     backend: B,
-    journal: Journal<A>,
-    prepared: TxnTable<(TxnId, CommitRecord<A>), u64>,
+    journal: Journal,
+    prepared: TxnTable<TxnId, u64>,
     trace_base: Option<Vec<(ObjectId, A::State)>>,
     mode: SystemMode,
 }
@@ -1030,7 +995,7 @@ where
         SystemSnapshot {
             vol: self.vol.clone(),
             backend: self.backend.clone(),
-            journal: self.journal.clone(),
+            journal: self.journal,
             prepared: self.prepared.clone(),
             trace_base: self.trace_base.clone(),
             mode: self.mode,
@@ -1217,7 +1182,7 @@ mod tests {
         }
         sys.checkpoint();
         assert_eq!(sys.journal().base_records(), 3);
-        assert_eq!(sys.journal().records().len(), 0);
+        assert_eq!(sys.journal().since_base(), 0);
         assert_eq!(sys.journal().len(), 3, "checkpointed records still count");
         // A post-checkpoint commit, then crash: recovery seeds from the
         // checkpoint image and replays only the suffix.
@@ -1228,7 +1193,7 @@ mod tests {
         assert_eq!(sys.committed_state(X), 6);
         assert_eq!(sys.committed_state(y), 7);
         assert_eq!(sys.journal().base_records(), 3);
-        assert_eq!(sys.journal().records().len(), 1);
+        assert_eq!(sys.journal().since_base(), 1);
         assert_eq!(sys.stats().checkpoints, 1);
         // Checkpointing again folds the replayed suffix...
         sys.checkpoint();
@@ -1612,7 +1577,7 @@ mod tests {
         // Crash: the prepare is durable, the decision never was.
         sys.crash_and_recover().unwrap();
         assert_eq!(sys.in_doubt(), vec![42], "prepare must survive the crash in doubt");
-        assert_eq!(sys.in_doubt_record(42).unwrap().ops.len(), 1);
+        assert_eq!(sys.backend().read_log().unwrap().in_doubt[0].1.ops.len(), 1);
         // The ghost re-holds the lock; the prepared deposit is not visible.
         assert_eq!(sys.committed_state(X), 0);
         let u = sys.begin();
@@ -1736,7 +1701,7 @@ mod tests {
             assert_eq!(sys.in_doubt(), vec![9]);
             serves_as_configured(&mut sys, policy);
 
-            // Degrading rebuilds from the journal mirror instead of the log.
+            // Degrading rebuilds from the log read as it stands.
             sys.backend_mut().disk_mut().set_full(true);
             let u = sys.begin();
             sys.invoke(u, X, BankInv::Deposit(5)).unwrap();
@@ -1748,9 +1713,9 @@ mod tests {
         }
     }
 
-    /// The two ways back from the log — a degrade rebuilding from the
-    /// journal mirror (no power loss) and a recovery rebuilding from the
-    /// backend's scan — must land in the same place: same committed
+    /// The two ways back from the log — a degrade reading it as it stands
+    /// (no power loss) and a recovery rebuilding from the backend's scan —
+    /// must land in the same place: same committed
     /// states, same in-doubt set, a ghost re-holding the same locks.
     #[test]
     fn degrade_and_recovery_rebuild_the_same_system() {
@@ -1789,14 +1754,15 @@ mod tests {
             assert_eq!([X, y, z].map(|obj| sys.committed_state(obj)), [10, 4, 0]);
             assert_eq!(sys.in_doubt(), vec![9]);
             assert_eq!(sys.journal().base_records(), 1);
-            assert_eq!(sys.journal().records().len(), 1);
+            assert_eq!(sys.journal().since_base(), 1);
             // The ghost holds the prepared deposit's lock, and only that.
             let w = sys.begin();
             assert!(matches!(sys.invoke(w, z, BankInv::Withdraw(1)), Err(TxnError::Blocked)));
             sys.invoke(w, y, BankInv::Withdraw(1)).unwrap();
             sys.abort(w).unwrap();
         }
-        assert_eq!(degraded.in_doubt_record(9), recovered.in_doubt_record(9));
+        let in_doubt = |sys: &DiskDurable| sys.backend().read_log().unwrap().in_doubt;
+        assert_eq!(in_doubt(&degraded), in_doubt(&recovered));
     }
 
     /// The durable writes, each run against the same set-up: a committed

@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 
 use ccr_core::adt::Adt;
 use ccr_core::ids::ObjectId;
-use ccr_store::{replay_du, replay_uip, CommitRecord};
+use ccr_store::{replay_du, replay_uip, RecoveredLog};
 
 use crate::sim::OracleFailure;
 
@@ -164,19 +164,23 @@ impl Ledger {
     }
 }
 
-/// "UIP fold = DU fold = what the system serves": fold `records` over
-/// `base` both ways and compare with `served`, object by object. Returns
-/// the fold, or the first disagreement: `ShadowRefused` where the
+/// "UIP fold = DU fold = what the system serves": fold `log`'s records
+/// both ways — over its checkpoint image, and `objects` in their initial
+/// state where it has none — and compare with `served`, object by object.
+/// Returns the fold, or the first disagreement: `ShadowRefused` where the
 /// commit-order fold meets an operation the specification refuses (`record`
-/// counts from `records[0]`), `StateDiverged` where the system serves
-/// something else, `RecoveryViewDiverged` where the execution-order fold
-/// refuses or ends elsewhere.
+/// counts from the first record after the image), `StateDiverged` where the
+/// system serves something else, `RecoveryViewDiverged` where the
+/// execution-order fold refuses or ends elsewhere.
 pub fn views_agree<A: Adt>(
     adt: &A,
-    base: &BTreeMap<ObjectId, A::State>,
-    records: &[CommitRecord<A>],
+    log: &RecoveredLog<A>,
+    objects: impl Iterator<Item = ObjectId>,
     mut served: impl FnMut(ObjectId) -> A::State,
 ) -> Result<BTreeMap<ObjectId, A::State>, OracleFailure> {
+    let mut base: BTreeMap<_, _> = objects.map(|obj| (obj, adt.initial())).collect();
+    base.extend(log.checkpoint.iter().flat_map(|cp| cp.states.iter().cloned()));
+    let (base, records) = (&base, &log.records);
     let du = replay_du(adt, base, records)
         .map_err(|(record, op)| OracleFailure::ShadowRefused { record, op })?;
     for (obj, du_state) in &du {
@@ -213,6 +217,7 @@ mod tests {
     use super::*;
     use ccr_adt::bank::{BankAccount, BankInv, BankResp};
     use ccr_core::adt::Op;
+    use ccr_store::CommitRecord;
 
     /// Two transactions: 0 at places 0 and 1, 1 at place 1 only.
     fn book() -> Ledger {
@@ -256,18 +261,30 @@ mod tests {
     #[test]
     fn views_agree_names_the_first_disagreement() {
         let adt = BankAccount::default();
-        let base: BTreeMap<ObjectId, u64> = [(ObjectId(0), 0), (ObjectId(1), 0)].into();
+        let log = |records| RecoveredLog {
+            checkpoint: None,
+            records,
+            in_doubt: Vec::new(),
+            decisions: Vec::new(),
+            txn_floor: 0,
+            next_exec_seq: 0,
+            stats: Default::default(),
+            scan: Default::default(),
+        };
+        let objects = || [ObjectId(0), ObjectId(1)].into_iter();
         let records = vec![
             CommitRecord::<BankAccount> { floor: 1, ops: vec![deposit(1, 0, 5)] },
             CommitRecord { floor: 2, ops: vec![deposit(0, 1, 7)] },
         ];
-        let fold = views_agree(&adt, &base, &records, |obj| [5, 7][obj.0 as usize]).unwrap();
+        let first = records[0].clone();
+        let fine = log(records);
+        let fold = views_agree(&adt, &fine, objects(), |obj| [5, 7][obj.0 as usize]).unwrap();
         assert_eq!(fold, [(ObjectId(0), 5), (ObjectId(1), 7)].into());
-        let lied = views_agree(&adt, &base, &records, |_| 5).unwrap_err();
+        let lied = views_agree(&adt, &fine, objects(), |_| 5).unwrap_err();
         assert_eq!(lied.kind(), "state-diverged", "{lied}");
         let overdraft = (2, ObjectId(0), Op::new(BankInv::Withdraw(9), BankResp::Ok));
-        let illegal = vec![records[0].clone(), CommitRecord { floor: 2, ops: vec![overdraft] }];
-        let refused = views_agree(&adt, &base, &illegal, |_| 0).unwrap_err();
+        let illegal = log(vec![first, CommitRecord { floor: 2, ops: vec![overdraft] }]);
+        let refused = views_agree(&adt, &illegal, objects(), |_| 0).unwrap_err();
         assert!(matches!(refused, OracleFailure::ShadowRefused { record: 1, op: 0 }), "{refused}");
     }
 }

@@ -817,24 +817,25 @@ where
         let served = self.committed_states();
         let sys = &*self.sys;
 
-        // Second and fifth legs: refold the journal through the serial spec,
-        // starting from the checkpoint base when one was taken (the image
-        // stands in for the truncated records' effects).
+        // Second and fifth legs: refold the log through the serial spec,
+        // starting from its checkpoint image when one was taken (the image
+        // stands in for the truncated records' effects). The log is read as
+        // it stands, not recovered: what is folded is what is durable.
         let shadow = match served.keys().next() {
             Some(first) => {
                 let adt = sys.system().adt_of(*first).expect("object exists");
-                let base = match sys.journal().base_states() {
-                    Some(states) => states.iter().cloned().collect(),
-                    None => served.keys().map(|obj| (*obj, adt.initial())).collect(),
-                };
-                let base_records = sys.journal().base_records() as usize;
-                views_agree(adt, &base, sys.journal().records(), |obj| served[&obj].clone())
-                    .map_err(|failure| match failure {
+                let log = sys.backend().read_log();
+                let log = log.map_err(|f| fail(OracleFailure::Redo(f.kind.into())))?;
+                let base_records = log.checkpoint.as_ref().map_or(0, |cp| cp.base_records as usize);
+                let objects = served.keys().copied();
+                views_agree(adt, &log, objects, |obj| served[&obj].clone()).map_err(|failure| {
+                    match failure {
                         OracleFailure::ShadowRefused { record, op } => {
                             fail(OracleFailure::ShadowRefused { record: base_records + record, op })
                         }
                         other => fail(other),
-                    })?
+                    }
+                })?
             }
             None => BTreeMap::new(),
         };
@@ -1010,6 +1011,28 @@ mod tests {
         exec.restart(&mut sys, victim, Wake::AfterCommit);
         assert_eq!((exec.drivers[0].retries, exec.drivers[1].retries), (0, 1));
         assert!(exec.drivers[0].committed && exec.drivers[0].txn.is_none());
+    }
+
+    /// The fold reads the log, not a copy of what was appended: a commit
+    /// record that vanishes from the device with no crash at all — the
+    /// drop-a-record saboteur — is caught by the next oracle pass.
+    #[test]
+    fn the_fold_sees_a_record_dropped_from_the_device() {
+        let wal = WalBackend::new(WalConfig { sector: 512, seg_sectors: 64 });
+        let mut sys: DiskUip =
+            DurableSystem::with_backend(BankAccount::default(), 1, bank_nrbc(), wal);
+        for amount in 1..=3 {
+            let t = sys.begin();
+            sys.invoke(t, X, BankInv::Deposit(amount)).unwrap();
+            sys.commit(t).unwrap();
+        }
+        let disk = sys.backend_mut().disk_mut();
+        let last = disk.durable_in(..).last().expect("the commits are durable");
+        assert!(disk.delete(last));
+        let plan = FaultPlan::new(Vec::new());
+        let err = run_sim(&mut sys, Vec::new(), &plan, &SimCfg::default(), &spec(), None)
+            .expect_err("the third deposit is served but no longer durable");
+        assert!(matches!(err.failure, OracleFailure::StateDiverged { .. }), "{err}");
     }
 
     #[test]

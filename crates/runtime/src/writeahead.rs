@@ -26,8 +26,9 @@ pub(crate) struct WriteAhead<A: Adt, E: RecoveryEngine<A>, C: Conflict<A>> {
     /// The next execution stamp (stamps every executed op, so UIP replay can
     /// restore execution order across transactions).
     next_seq: u64,
-    /// A committed transaction's list leaves with its record; an aborted
-    /// one's is emptied and reused.
+    /// A committed transaction's list leaves with its record and comes back
+    /// through [`recycle`](Self::recycle); an aborted one's is emptied and
+    /// reused.
     pending: TxnTable<Vec<(u64, ObjectId, Op<A>)>>,
 }
 
@@ -73,6 +74,12 @@ impl<A: Adt, E: RecoveryEngine<A>, C: Conflict<A>> WriteAhead<A, E, C> {
     pub(crate) fn record(&mut self, txn: TxnId) -> CommitRecord<A> {
         let ops = self.pending.remove(&txn).unwrap_or_default();
         CommitRecord { floor: self.sys.next_txn_id(), ops }
+    }
+
+    /// Hand back the operation list of a record the log now holds, for the
+    /// next transaction to fill.
+    pub(crate) fn recycle(&mut self, rec: CommitRecord<A>) {
+        self.pending.recycle(rec.ops);
     }
 
     /// Commit `txn` in the volatile system and take its record. A refused

@@ -352,6 +352,12 @@ pub trait LogBackend<A: Adt>: Send + Clone {
     /// the surviving log contents.
     fn recover(&mut self, policy: TailPolicy) -> Result<RecoveredLog<A>, StoreFailure>;
 
+    /// What a [`TailPolicy::DiscardTail`] recovery would hand back — or
+    /// refuse — read without one: nothing repaired or written, no checked
+    /// device op ticked, no armed fault consumed. A live process reads its
+    /// own log through this; `stats` is the current view.
+    fn read_log(&self) -> Result<RecoveredLog<A>, StoreFailure>;
+
     /// Tear the most recent durable append, dropping its last `n` units
     /// (sectors or operations). `false` if the image cannot be torn that way.
     fn tear_last_flush(&mut self, n: usize) -> bool;
@@ -642,6 +648,11 @@ impl<A: Adt> LogBackend<A> for MemBackend<A> {
             stats: self.stats,
             scan: report,
         })
+    }
+
+    fn read_log(&self) -> Result<RecoveredLog<A>, StoreFailure> {
+        let log = self.clone().recover(TailPolicy::DiscardTail)?;
+        Ok(RecoveredLog { stats: self.stats, ..log })
     }
 
     fn tear_last_flush(&mut self, n: usize) -> bool {

@@ -6,22 +6,21 @@
 //! it never mutates — and lists every segment and frame the scan met as
 //! deterministic JSON.
 //!
-//! The verdict is the one a [`TailPolicy::DiscardTail`] recovery of the
-//! same image reports: the inspector renders the repairing policy's plan (a
-//! `Strict` scan refuses at the first damage classification and so never
-//! reaches the judgements behind it). Where recovery replays only the
+//! The verdict is the one a
+//! [`TailPolicy::DiscardTail`](crate::TailPolicy::DiscardTail) recovery of
+//! the same image reports: the inspector renders the repairing policy's
+//! plan (a `Strict` scan refuses at the first damage classification and so
+//! never reaches the judgements behind it). Where recovery replays only the
 //! prefix before the first damage site, the listing also shows the valid
 //! frames *beyond* it — the forensic tail that tells a torn group flush
 //! from interior corruption.
 
-use std::convert::Infallible;
-
 use ccr_core::adt::Adt;
 
-use crate::backend::{Detection, TailPolicy};
+use crate::backend::Detection;
 use crate::codec::Persist;
 use crate::disk::SimDisk;
-use crate::scan::{self, Evidence, Frame};
+use crate::scan::{Evidence, Frame, Scan};
 use crate::wal::{
     BatchMeta, SegHeader, WalConfig, KIND_BATCH, KIND_CHECKPOINT, KIND_COMMIT, KIND_DECIDE,
     KIND_PREPARE, KIND_SEG_HEADER,
@@ -130,12 +129,7 @@ where
     A::Response: Persist,
     A::State: Persist,
 {
-    // The inspector's reader: the raw, classified sector — never a checked
-    // device op, and so never an error.
-    let mut read = |sector| Ok::<_, Infallible>(disk.read_classified(sector));
-    let Ok(mut scan) = scan::walk::<A, _>(disk, cfg, &mut read);
-    let Ok(()) = scan.probe(disk, cfg, &mut read);
-    let plan = scan.plan(TailPolicy::DiscardTail);
+    let (scan, plan) = Scan::<A>::read_raw(disk, cfg);
 
     let info = |at, sectors, kind, status, beyond_damage, detail: String| FrameInfo {
         sector: at,

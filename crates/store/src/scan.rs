@@ -9,8 +9,10 @@
 //! device access: its callers pass the sector reader. Recovery
 //! (`WalBackend::recover`) passes the checked, retried read, so a
 //! crash-at-op can kill a scan at any frame position, and *applies* the
-//! plan; the inspector ([`crate::inspect`]) passes raw reads, ticks no
-//! device op, and *renders* it.
+//! plan; [`Scan::read_raw`] passes raw reads, ticks no device op, and
+//! hands the plan to the inspector ([`crate::inspect`]), which *renders*
+//! it, and to `WalBackend::read_log`, which *replays* it, repairing
+//! nothing.
 //!
 //! # Recovery state machine
 //!
@@ -55,6 +57,7 @@
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 
 use ccr_core::adt::Adt;
 
@@ -354,6 +357,17 @@ where
     A::Response: Persist,
     A::State: Persist,
 {
+    /// Read the image over raw sectors — never a checked device op, so no
+    /// device op is ticked, no armed fault consumed and no error possible —
+    /// and judge it as a [`TailPolicy::DiscardTail`] recovery would.
+    pub(crate) fn read_raw(disk: &SimDisk, cfg: &WalConfig) -> (Scan<A>, Plan) {
+        let mut read = |sector| Ok::<_, Infallible>(disk.read_classified(sector));
+        let Ok(mut scan) = walk::<A, _>(disk, cfg, &mut read);
+        let Ok(()) = scan.probe(disk, cfg, &mut read);
+        let plan = scan.plan(TailPolicy::DiscardTail);
+        (scan, plan)
+    }
+
     /// List the valid frames beyond the damage site: every sector-aligned
     /// position that could start a frame — the rest of the site's segment,
     /// then the whole area of every later candidate segment — through the

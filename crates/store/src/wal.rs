@@ -54,7 +54,7 @@ use ccr_core::adt::Adt;
 
 use crate::backend::{
     CheckpointImage, CommitRecord, ConvergenceFailure, ConvergenceReport, Detection, LogBackend,
-    RecoveredLog, RetryRecord, StoreFailure, StoreFailureKind, StoreStats, TailPolicy,
+    RecoveredLog, RetryRecord, ScanReport, StoreFailure, StoreFailureKind, StoreStats, TailPolicy,
 };
 use crate::codec::{crc32, crc32_zero_tail, zero_tail_len, Persist};
 use crate::disk::{DiskError, SimDisk};
@@ -1035,6 +1035,16 @@ where
         stage.stop(&self.disk, &mut report.repair_ops, &mut report.repair_ns);
 
         Ok(RecoveredLog { stats: self.stats, scan: report, ..log })
+    }
+
+    fn read_log(&self) -> Result<RecoveredLog<A>, StoreFailure> {
+        let (scan, plan) = scan::Scan::<A>::read_raw(&self.disk, &self.cfg);
+        let report =
+            ScanReport { damage: plan.damage, detections: plan.detections, ..scan.report() };
+        match plan.refuse {
+            Some(kind) => Err(StoreFailure { report, kind }),
+            None => Ok(RecoveredLog { stats: self.stats(), scan: report, ..scan.replay() }),
+        }
     }
 
     fn tear_last_flush(&mut self, n: usize) -> bool {

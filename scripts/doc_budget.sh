@@ -13,7 +13,7 @@ while read -r file ceiling; do
     status=1
   fi
 done <<'BUDGET'
-DESIGN.md 137105
-EXPERIMENTS.md 60848
+DESIGN.md 136890
+EXPERIMENTS.md 60587
 BUDGET
 exit $status

@@ -6,9 +6,10 @@
 //! objects under wound-wait, history and event recording off, for both
 //! recovery methods. After warm-up every table, pool and scratch list has met
 //! its working size, so a bare `TxnSystem` may allocate only when one of them
-//! still grows, and a `DurableSystem` owes one list per commit: the record's
-//! operations, which the journal mirror keeps. A fleet of them owes one
-//! record per participant, and its two-phase commit bookkeeping nothing.
+//! still grows. A `DurableSystem` owes nothing more: a record's operation list
+//! goes back for reuse once the log holds it, and what remains is the room the
+//! growing log takes on the device. A fleet of them owes the same, and its
+//! two-phase commit bookkeeping nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -213,7 +214,7 @@ fn check<E: RecoveryEngine<BankAccount>>(conflict: impl Conflict<BankAccount> + 
     configure(durable.system_mut());
     let (spent, tally) = allocations_of(&mut durable);
     assert!(
-        spent <= 2 * MEASURED,
+        100 * spent <= 5 * MEASURED,
         "{} through the WAL: {spent} allocations over {MEASURED} commits, {tally:?}",
         E::name()
     );
@@ -318,13 +319,12 @@ fn the_operation_path_allocates_nothing() {
     check::<UipEngine<BankAccount>>(bank_nrbc());
     check::<DuEngine<BankAccount>>(bank_nfc());
 
-    // A fleet owes each commit its participants' records and nothing
-    // else: one on the single-shard fast path, two across the shards; the
-    // tenth on top is the room the growing logs take.
+    // A fleet owes its commits, single-shard or across the shards, only the
+    // room the growing logs take.
     let (spent, tally) = fleet_allocations();
     assert!(tally.cross * 3 > MEASURED && tally.single * 3 > MEASURED, "{tally:?}");
     assert!(
-        10 * spent <= 11 * tally.single + 21 * tally.cross,
+        10 * spent <= MEASURED,
         "fleet: {spent} allocations over {MEASURED} commits, {tally:?}"
     );
 }
