@@ -31,6 +31,8 @@
 //! the one deliberate exception: it models a monitoring store outside the
 //! crashed process.
 
+use std::sync::Arc;
+
 use ccr_core::adt::Adt;
 use ccr_core::conflict::Conflict;
 use ccr_core::ids::{ObjectId, TxnId, TxnTable};
@@ -284,9 +286,9 @@ where
     /// an explicit backend (e.g. `ccr-store`'s `WalBackend`).
     pub fn with_backend(adt: A, n_objects: u32, conflict: C, backend: B) -> Self {
         let make = {
-            let adt = adt.clone();
+            let adt = Arc::new(adt);
             let conflict = conflict.clone();
-            Box::new(move || TxnSystem::<A, E, C>::new(adt.clone(), n_objects, conflict.clone()))
+            Box::new(move || TxnSystem::new(Arc::clone(&adt), n_objects, conflict.clone()))
         };
         let mut sys = DurableSystem {
             vol: WriteAhead::new(make(), 0),
@@ -692,7 +694,6 @@ where
         // record the scan evidence and the recovery on it (on `Err` above
         // the pre-crash system is left in place, preserving all-or-nothing
         // recovery).
-        let mut fresh = rebuilt.sys;
         let replayed = recovered.records.len();
         let restored = recovered.checkpoint.as_ref().map_or(0, |c| c.states.len() as u64);
         let mut obs = self.vol.sys.take_obs();
@@ -703,9 +704,10 @@ where
         if !rebuilt.ghosts.is_empty() {
             obs.on_in_doubt(rebuilt.ghosts.len() as u64);
         }
+        // Crash to serving includes tearing the crashed system down.
+        self.vol = WriteAhead::new(rebuilt.sys, recovered.next_exec_seq);
         obs.on_phase(Phase::RecoveryTotal, attempt_ops, wall.elapsed().as_nanos() as u64);
-        fresh.set_obs(obs);
-        self.vol = WriteAhead::new(fresh, recovered.next_exec_seq);
+        self.vol.sys.set_obs(obs);
         self.prepared = rebuilt.ghosts;
         self.trace_base = rebuilt.trace_base;
         let base = recovered.checkpoint.as_ref().map(|c| c.base_records);
@@ -724,25 +726,21 @@ where
     }
 
     /// Build a volatile system that holds exactly what `log` holds: its
-    /// checkpoint restored, its records replayed and committed in order, the
-    /// id floor reserved, and each in-doubt prepare re-installed as a
-    /// *ghost* — a fresh active transaction that re-executes the prepared
-    /// operations and is left uncommitted, re-holding every lock until the
-    /// coordinator's decision resolves it. Every replayed response is
-    /// verified against the record (two-phase locking kept conflicting
-    /// committed work out, so committed-then-in-doubt must reproduce them
-    /// too); re-execution is reconstruction, not new workload.
+    /// checkpoint restored, its records redone in order at the engines
+    /// ([`TxnSystem::redo`]: nothing is active, so no lock decides anything),
+    /// the id floor reserved, and each in-doubt prepare re-installed as a
+    /// *ghost* — a fresh transaction that re-invokes the prepared operations
+    /// and stays active, re-holding every lock until the coordinator's
+    /// decision resolves it. Every replayed response is checked against the
+    /// record.
     ///
     /// Both ways back from the log come through here: a recovery
     /// ([`recover_with`](Self::recover_with)) passes its scan and the floor
     /// it read; a degrade ([`rebuild_from_log`](Self::rebuild_from_log))
     /// passes the log as it stands and the live floor. The system is
-    /// returned, not installed: on `Err` the caller's current one stays in
-    /// place. It serves as the current one does — `make` knows only the
-    /// construction-time shape, so the conflict policy and the
-    /// history-recording switch set since are carried over — but with a
-    /// silent throwaway tracer (replay must not double-count); the caller
-    /// installs the surviving one.
+    /// returned, not installed: on `Err` the caller's current one stays. It
+    /// keeps the conflict policy and history-recording switch set since
+    /// construction, and a silent throwaway tracer the caller replaces.
     fn rebuild(&self, log: &RecoveredLog<A>, floor: u32) -> Result<Rebuilt<A, E, C>, RedoError> {
         let base = log.checkpoint.as_ref().map(|c| c.states.as_slice());
         let restore_clock = std::time::Instant::now();
@@ -755,26 +753,20 @@ where
         }
         let restore_ns = restore_clock.elapsed().as_nanos() as u64;
         let replay_clock = std::time::Instant::now();
-        // Re-execute record `ri` under a fresh transaction, left active.
-        let reexecute = |fresh: &mut TxnSystem<A, E, C>, ri: usize, rec: &CommitRecord<A>| {
-            let t = fresh.begin();
-            for (oi, (_seq, obj, op)) in rec.ops.iter().enumerate() {
-                match fresh.invoke(t, *obj, op.inv.clone()) {
-                    Ok(resp) if resp == op.resp => {}
-                    Ok(_) => return Err(RedoError::ResponseDiverged { record: ri, op: oi }),
-                    Err(_) => return Err(RedoError::ReplayRefused { record: ri }),
-                }
-            }
-            Ok(t)
-        };
-        for (ri, rec) in log.records.iter().enumerate() {
-            let t = reexecute(&mut fresh, ri, rec)?;
-            fresh.commit(t).map_err(|_| RedoError::ReplayRefused { record: ri })?;
+        for (record, rec) in log.records.iter().enumerate() {
+            fresh.redo(record, rec)?;
         }
         fresh.reserve_txn_ids(floor);
         let mut ghosts = TxnTable::new();
         for (gi, (gtid, rec)) in log.in_doubt.iter().enumerate() {
-            let t = reexecute(&mut fresh, log.records.len() + gi, rec)?;
+            let (record, t) = (log.records.len() + gi, fresh.begin());
+            for (op, (_seq, obj, logged)) in rec.ops.iter().enumerate() {
+                match fresh.invoke(t, *obj, logged.inv.clone()) {
+                    Ok(resp) if resp == logged.resp => {}
+                    Ok(_) => return Err(RedoError::ResponseDiverged { record, op }),
+                    Err(_) => return Err(RedoError::ReplayRefused { record }),
+                }
+            }
             ghosts.insert(*gtid, t);
         }
         let replay_ns = replay_clock.elapsed().as_nanos() as u64;

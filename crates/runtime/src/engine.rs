@@ -16,6 +16,8 @@
 //! Engine invariants are cross-checked against the abstract `View` functions
 //! on recorded histories in the integration tests.
 
+use std::sync::Arc;
+
 use ccr_adt::traits::InvertibleAdt;
 use ccr_core::adt::{Adt, Op};
 use ccr_core::ids::{ObjectId, TxnId};
@@ -24,8 +26,8 @@ use crate::error::RecoveryError;
 
 /// A per-object recovery engine.
 pub trait RecoveryEngine<A: Adt>: Send + 'static {
-    /// Construct for an object of the given specification.
-    fn new(adt: A, obj: ObjectId) -> Self;
+    /// Construct for an object of the given specification, owned or shared.
+    fn new(adt: impl Into<Arc<A>>, obj: ObjectId) -> Self;
 
     /// The serial state transaction `txn` observes (used to choose
     /// responses).
@@ -82,25 +84,13 @@ fn settle<T>(emptied: &mut Vec<T>) {
     }
 }
 
-/// How [`UipEngine`] rebuilds state on abort.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum UndoStrategy {
-    /// Replay the surviving log from the base state.
-    #[default]
-    Replay,
-    /// Apply logical inverses of the aborted transaction's operations in
-    /// reverse order (falls back to replay if an inverse is unavailable).
-    /// Requires `A: InvertibleAdt` — see [`UipEngine::with_inverses`].
-    Inverse,
-}
-
 /// Update-in-place engine. See module docs.
 ///
 /// `Clone` snapshots the full volatile engine state (base fold, in-flight
 /// log, commit set) — the model checker's explorer clones whole systems.
 #[derive(Clone)]
 pub struct UipEngine<A: Adt> {
-    adt: A,
+    adt: Arc<A>,
     obj: ObjectId,
     /// State reflecting `base_committed` (a fold of compacted log prefix).
     base: A::State,
@@ -111,15 +101,18 @@ pub struct UipEngine<A: Adt> {
     current: A::State,
     /// Which of the log's owners have committed (for compaction), sorted.
     committed: Vec<TxnId>,
-    strategy: UndoStrategy,
-    use_inverses: Option<UndoFn<A>>,
+    /// How an abort undoes: by the logical inverses
+    /// [`with_inverses`](Self::with_inverses) set, else by replaying the
+    /// surviving log from the base.
+    inverse: Option<UndoFn<A>>,
 }
 
 /// A logical-inverse function: remove `op`'s effect from the state.
 type UndoFn<A> = fn(&A, &<A as Adt>::State, &Op<A>) -> Option<<A as Adt>::State>;
 
 impl<A: Adt> RecoveryEngine<A> for UipEngine<A> {
-    fn new(adt: A, obj: ObjectId) -> Self {
+    fn new(adt: impl Into<Arc<A>>, obj: ObjectId) -> Self {
+        let adt = adt.into();
         let base = adt.initial();
         UipEngine {
             current: base.clone(),
@@ -128,8 +121,7 @@ impl<A: Adt> RecoveryEngine<A> for UipEngine<A> {
             obj,
             log: Vec::new(),
             committed: Vec::new(),
-            strategy: UndoStrategy::Replay,
-            use_inverses: None,
+            inverse: None,
         }
     }
 
@@ -162,12 +154,9 @@ impl<A: Adt> RecoveryEngine<A> for UipEngine<A> {
             return Ok(());
         }
         // Newest first; an operation without an inverse falls back to replay.
-        let inverted = match (self.strategy, self.use_inverses) {
-            (UndoStrategy::Inverse, Some(invert)) => {
-                undone.try_fold(self.current.clone(), |s, op| invert(&self.adt, &s, op))
-            }
-            _ => None,
-        };
+        let inverted = self.inverse.and_then(|invert| {
+            undone.try_fold(self.current.clone(), |s, op| invert(&self.adt, &s, op))
+        });
         self.log.retain(|(t, _)| *t != txn);
         match inverted {
             Some(s) => {
@@ -264,8 +253,7 @@ impl<A: InvertibleAdt> UipEngine<A> {
     /// Switch abort handling to logical inverses (O(1) per undone op for
     /// constant-size states) with replay as the fallback.
     pub fn with_inverses(mut self) -> Self {
-        self.strategy = UndoStrategy::Inverse;
-        self.use_inverses = Some(|adt, s, op| adt.undo(s, op));
+        self.inverse = Some(|adt, s, op| adt.undo(s, op));
         self
     }
 }
@@ -275,7 +263,7 @@ impl<A: InvertibleAdt> UipEngine<A> {
 pub struct UipInverseEngine<A: InvertibleAdt>(UipEngine<A>);
 
 impl<A: InvertibleAdt> RecoveryEngine<A> for UipInverseEngine<A> {
-    fn new(adt: A, obj: ObjectId) -> Self {
+    fn new(adt: impl Into<Arc<A>>, obj: ObjectId) -> Self {
         UipInverseEngine(UipEngine::new(adt, obj).with_inverses())
     }
 
@@ -317,7 +305,7 @@ impl<A: InvertibleAdt> RecoveryEngine<A> for UipInverseEngine<A> {
 /// `Clone` snapshots committed base plus every private workspace (and none
 /// of the spare lists).
 pub struct DuEngine<A: Adt> {
-    adt: A,
+    adt: Arc<A>,
     obj: ObjectId,
     /// State reflecting committed transactions, in commit order.
     base: A::State,
@@ -338,7 +326,7 @@ pub struct DuEngine<A: Adt> {
 impl<A: Adt> Clone for DuEngine<A> {
     fn clone(&self) -> Self {
         DuEngine {
-            adt: self.adt.clone(),
+            adt: Arc::clone(&self.adt),
             obj: self.obj,
             base: self.base.clone(),
             base_version: self.base_version,
@@ -420,7 +408,8 @@ impl<A: Adt> DuEngine<A> {
 }
 
 impl<A: Adt> RecoveryEngine<A> for DuEngine<A> {
-    fn new(adt: A, obj: ObjectId) -> Self {
+    fn new(adt: impl Into<Arc<A>>, obj: ObjectId) -> Self {
+        let adt = adt.into();
         DuEngine {
             base: adt.initial(),
             adt,

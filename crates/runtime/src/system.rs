@@ -19,13 +19,16 @@
 //! in the test suite.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use ccr_core::adt::{Adt, Op};
 use ccr_core::conflict::Conflict;
 use ccr_core::history::{Event, History};
 use ccr_core::ids::{ObjectId, TxnId, TxnTable};
 use ccr_obs::{AbortCause, Phase, Tracer, WaitGraph};
+use ccr_store::CommitRecord;
 
+use crate::crash::RedoError;
 use crate::engine::RecoveryEngine;
 use crate::error::{AbortReason, RecoveryError, TxnError};
 
@@ -126,15 +129,17 @@ pub struct TxnSystem<A: Adt, E: RecoveryEngine<A>, C: Conflict<A>> {
 /// few dozen short transactions hold at once, however many objects exist.
 const SPARE_LOCK_LISTS: usize = 64;
 
+/// An object: its engine, its locks, and the spec it shares with its engine.
+#[derive(Clone)]
 struct ObjectRt<A: Adt, E> {
     engine: E,
     held: Held<A>,
-    adt: A,
+    adt: Arc<A>,
 }
 
-impl<A: Adt, E: Clone> Clone for ObjectRt<A, E> {
-    fn clone(&self) -> Self {
-        ObjectRt { engine: self.engine.clone(), held: self.held.clone(), adt: self.adt.clone() }
+impl<A: Adt, E: RecoveryEngine<A>> ObjectRt<A, E> {
+    fn new(adt: Arc<A>, obj: ObjectId) -> Self {
+        ObjectRt { engine: E::new(Arc::clone(&adt), obj), held: Held(Vec::new()), adt }
     }
 }
 
@@ -210,7 +215,8 @@ impl<A: Adt> Held<A> {
         let from = self.0.partition_point(|(holder, _)| holder < txn);
         let len = self.0[from..].partition_point(|(holder, _)| holder == txn);
         self.0.drain(from..from + len);
-        if self.0.is_empty() {
+        // A redone commit held nothing here, and has no list to give back.
+        if self.0.is_empty() && self.0.capacity() > 0 {
             let quiet = std::mem::take(&mut self.0);
             if spares.len() < SPARE_LOCK_LISTS {
                 spares.push(quiet);
@@ -270,24 +276,24 @@ impl<A: Adt, E: RecoveryEngine<A> + Clone, C: Conflict<A> + Clone> Clone for Txn
 }
 
 impl<A: Adt, E: RecoveryEngine<A>, C: Conflict<A>> TxnSystem<A, E, C> {
-    /// Create a system with objects `0..n`, all with specification `adt`.
-    pub fn new(adt: A, n_objects: u32, conflict: C) -> Self {
-        Self::new_with((0..n_objects).map(|i| (ObjectId(i), adt.clone())).collect(), conflict)
+    /// Create a system with objects `0..n`, all sharing specification `adt`
+    /// (owned, or an `Arc` shared with whoever else holds it).
+    pub fn new(adt: impl Into<Arc<A>>, n_objects: u32, conflict: C) -> Self {
+        let adt = adt.into();
+        let slots =
+            (0..n_objects).map(|i| (ObjectId(i), ObjectRt::new(Arc::clone(&adt), ObjectId(i))));
+        Self::over(Objects(slots.collect()), conflict)
     }
 
     /// Create a system with explicitly configured objects — use when
     /// objects carry different specifications (e.g. different sides of a
     /// [`SumAdt`](https://docs.rs/ccr-adt) sum, or different capacities).
     pub fn new_with(objects: Vec<(ObjectId, A)>, conflict: C) -> Self {
-        let objects = Objects::new(
-            objects
-                .into_iter()
-                .map(|(obj, adt)| {
-                    let engine = E::new(adt.clone(), obj);
-                    (obj, ObjectRt { engine, held: Held(Vec::new()), adt })
-                })
-                .collect(),
-        );
+        let slots = objects.into_iter().map(|(obj, adt)| (obj, ObjectRt::new(Arc::new(adt), obj)));
+        Self::over(Objects::new(slots.collect()), conflict)
+    }
+
+    fn over(objects: Objects<A, E>, conflict: C) -> Self {
         TxnSystem {
             obs: Self::init_obs(&conflict),
             conflict,
@@ -413,22 +419,9 @@ impl<A: Adt, E: RecoveryEngine<A>, C: Conflict<A>> TxnSystem<A, E, C> {
                 }
             }
             if blockers.len() == blocked_before {
-                // Execute.
                 let rendered = recording.then(|| (format!("{:?}", op.inv), format!("{resp:?}")));
-                o.engine.record(txn, op.clone(), post);
-                if self.record_trace {
-                    self.trace
-                        .push(Event::Invoke { txn, obj, inv: op.inv.clone() })
-                        .expect("well-formed invoke");
-                    self.trace
-                        .push(Event::Respond { txn, obj, resp: resp.clone() })
-                        .expect("well-formed respond");
-                }
-                o.held.push(txn, op, &mut self.lock_lists);
-                let touched = self.active.get_mut(&txn).expect("checked active above");
-                if let Err(at) = touched.binary_search(&obj) {
-                    touched.insert(at, obj);
-                }
+                o.held.push(txn, op.clone(), &mut self.lock_lists);
+                self.execute(txn, obj, op, post);
                 self.waits.close(&txn);
                 self.obs.span_end(lock_span);
                 self.obs.on_op(txn, obj, || rendered.expect("rendered when recording"));
@@ -503,21 +496,33 @@ impl<A: Adt, E: RecoveryEngine<A>, C: Conflict<A>> TxnSystem<A, E, C> {
         if !self.is_active(txn) {
             return Err(TxnError::NotActive(txn));
         }
-        // Phase 1: validate.
         let validate_span = self.obs.span_begin(Phase::Validate);
+        if !self.settle(txn) {
+            self.obs.span_end(validate_span);
+            self.abort_inner(txn, AbortCause::Validation);
+            return Err(TxnError::Aborted(AbortReason::Validation));
+        }
+        // The span closes after the commit events so the validate+apply
+        // window and the journal window tile the commit total exactly (the
+        // profiler's tick-coverage check leans on this).
+        self.waits.close(&txn);
+        self.obs.on_commit(txn);
+        self.obs.span_end(validate_span);
+        Ok(())
+    }
+
+    /// Atomic commitment: validate `txn` everywhere it executed, then commit
+    /// and release it there; `false`, applying nothing, if an engine refuses.
+    #[inline(always)]
+    fn settle(&mut self, txn: TxnId) -> bool {
         let objects = &mut self.objects;
         let valid = self.active[&txn].iter().all(|obj| {
             let o = objects.get_mut(obj).expect("touched object exists");
             o.engine.prepare_commit(txn).is_ok()
         });
         if !valid {
-            self.obs.span_end(validate_span);
-            self.abort_inner(txn, AbortCause::Validation);
-            return Err(TxnError::Aborted(AbortReason::Validation));
+            return false;
         }
-        // Phase 2: apply. The span closes after the commit event so the
-        // validate+apply window and the journal window tile the commit
-        // total exactly (the profiler's tick-coverage check leans on this).
         let touched = self.active.remove(&txn).expect("checked active above");
         for &obj in &touched {
             let o = self.objects.get_mut(&obj).expect("touched object exists");
@@ -528,10 +533,46 @@ impl<A: Adt, E: RecoveryEngine<A>, C: Conflict<A>> TxnSystem<A, E, C> {
             }
         }
         self.active.recycle(touched);
-        self.waits.close(&txn);
-        self.obs.on_commit(txn);
-        self.obs.span_end(validate_span);
-        Ok(())
+        true
+    }
+
+    /// The execute step `invoke` and `redo` share: `txn`'s engine at `obj`
+    /// records `op`, the history (when recorded) gets its invocation and
+    /// response, and `obj` joins the objects `txn` touched.
+    #[inline(always)]
+    fn execute(&mut self, txn: TxnId, obj: ObjectId, op: Op<A>, post: A::State) {
+        if self.record_trace {
+            let (inv, resp) = (op.inv.clone(), op.resp.clone());
+            self.trace.push(Event::Invoke { txn, obj, inv }).expect("well-formed invoke");
+            self.trace.push(Event::Respond { txn, obj, resp }).expect("well-formed respond");
+        }
+        self.objects.get_mut(&obj).expect("executing at an object").engine.record(txn, op, post);
+        let touched = self.active.get_mut(&txn).expect("executing for an active transaction");
+        if let Err(at) = touched.binary_search(&obj) {
+            touched.insert(at, obj);
+        }
+    }
+
+    /// Redo committed record `record` with no transaction active: a fresh
+    /// transaction executes each logged operation at the first legal
+    /// response of its view — what [`invoke`](Self::invoke) picks when nobody
+    /// holds anything — then validates and commits, with no lock, span or
+    /// tracer hook. On `Err` the system is fit only to be dropped.
+    pub(crate) fn redo(&mut self, record: usize, rec: &CommitRecord<A>) -> Result<(), RedoError> {
+        let refused = || RedoError::ReplayRefused { record };
+        let txn = TxnId(self.next_txn);
+        self.next_txn += 1;
+        self.active.open(txn);
+        for (at, (_, obj, op)) in rec.ops.iter().enumerate() {
+            let o = self.objects.get_mut(obj).ok_or_else(refused)?;
+            let view = o.engine.view_state(txn);
+            let (resp, post) = o.adt.step(&view, &op.inv).into_iter().next().ok_or_else(refused)?;
+            if resp != op.resp {
+                return Err(RedoError::ResponseDiverged { record, op: at });
+            }
+            self.execute(txn, *obj, op.clone(), post);
+        }
+        self.settle(txn).then_some(()).ok_or_else(refused)
     }
 
     /// Abort `txn` (application-requested).
@@ -729,7 +770,7 @@ impl<A: Adt, E: RecoveryEngine<A>, C: Conflict<A>> TxnSystem<A, E, C> {
 
     /// The serial specification configured at `obj`.
     pub fn adt_of(&self, obj: ObjectId) -> Option<&A> {
-        self.objects.get(&obj).map(|o| &o.adt)
+        self.objects.get(&obj).map(|o| &*o.adt)
     }
 }
 

@@ -9,7 +9,8 @@
 //! still grows. A `DurableSystem` owes nothing more: a record's operation list
 //! goes back for reuse once the log holds it, and what remains is the room the
 //! growing log takes on the device. A fleet of them owes the same, and its
-//! two-phase commit bookkeeping nothing.
+//! two-phase commit bookkeeping nothing. A recovery owes the records it redoes,
+//! not the objects it rebuilds.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -314,6 +315,42 @@ fn fleet_allocations() -> (u64, FleetTally) {
     (ALLOCATIONS.get() - start.unwrap_or(0), tally)
 }
 
+/// Allocations of two recoveries of a 4 096-object system over the WAL, from a
+/// checkpoint: one with an empty suffix, one with `SUFFIX` four-operation
+/// records to redo.
+fn recovery_allocations() -> (u64, u64) {
+    const ACCOUNTS: u32 = 4096;
+    const SUFFIX: u64 = 2_000;
+    let wal = WalBackend::new(WalConfig { sector: 512, seg_sectors: 2048 });
+    let mut sys: DurableSystem<BankAccount, UipEngine<BankAccount>, _, _> =
+        DurableSystem::with_backend(BankAccount::default(), ACCOUNTS, bank_nrbc(), wal);
+    configure(sys.system_mut());
+    let mut below = below();
+    let mut commit = |sys: &mut DurableSystem<_, _, _, _>| {
+        let t = sys.begin();
+        for _ in 0..SCRIPT {
+            let obj = ObjectId(below(u64::from(ACCOUNTS)) as u32);
+            sys.invoke(t, obj, BankInv::Deposit(1 + below(3))).expect("a lone transaction runs");
+        }
+        sys.commit(t).expect("a lone transaction commits");
+    };
+    for _ in 0..WARM_UP {
+        commit(&mut sys);
+    }
+    sys.checkpoint();
+    let recover = |sys: &mut DurableSystem<_, _, _, _>| {
+        let start = ALLOCATIONS.get();
+        sys.crash_and_recover().expect("an intact log recovers");
+        ALLOCATIONS.get() - start
+    };
+    let empty = recover(&mut sys);
+    for _ in 0..SUFFIX {
+        commit(&mut sys);
+    }
+    assert_eq!(sys.journal().since_base(), SUFFIX);
+    (empty, recover(&mut sys))
+}
+
 #[test]
 fn the_operation_path_allocates_nothing() {
     check::<UipEngine<BankAccount>>(bank_nrbc());
@@ -327,4 +364,9 @@ fn the_operation_path_allocates_nothing() {
         10 * spent <= MEASURED,
         "fleet: {spent} allocations over {MEASURED} commits, {tally:?}"
     );
+
+    // Rebuilding the objects costs O(1) allocations; redoing a record, what
+    // reading it back off the device does.
+    let (empty, suffix) = recovery_allocations();
+    assert!(empty <= 32 && suffix <= 10_000, "recovery: {empty} / {suffix} allocations");
 }
