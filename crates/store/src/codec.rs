@@ -94,18 +94,37 @@ const ZERO_BYTES: [u32; 1024] = {
     powers
 };
 
-/// `a * b mod P` over GF(2), both in the reflected representation.
-fn mul_mod_p(a: u32, mut b: u32) -> u32 {
-    let mut product = 0;
-    let mut bit = 1u32 << 31;
-    while bit != 0 {
-        if a & bit != 0 {
-            product ^= b;
-        }
-        b = (b >> 1) ^ (POLY & 0u32.wrapping_sub(b & 1));
-        bit >>= 1;
+/// `v * x mod P`: a shift toward `x^31`; a carried-out `x^32` comes back as `P`.
+const fn times_x(v: u32) -> u32 {
+    (v >> 1) ^ (POLY & 0u32.wrapping_sub(v & 1))
+}
+
+/// `TIMES_X4[n]` is `n * x^4 mod P`: what a low nibble `n` shifts out as.
+const TIMES_X4: [u32; 16] = {
+    let mut table = [0u32; 16];
+    let mut n = 0;
+    while n < 16 {
+        table[n] = times_x(times_x(times_x(times_x(n as u32))));
+        n += 1;
     }
-    product
+    table
+};
+
+/// `a * b mod P` over GF(2), both in the reflected representation, four
+/// bits of `a` a step: `multiples[n]` is the nibble `n` times `b`, and
+/// Horner's rule runs from `a`'s highest powers (its low nibble) down.
+fn mul_mod_p(a: u32, b: u32) -> u32 {
+    let powers = [b, times_x(b), times_x(times_x(b)), times_x(times_x(times_x(b)))];
+    let mut multiples = [0u32; 16];
+    // A nibble's bottom bit is the coefficient of x^3, its top one of x^0.
+    for (i, bit) in [1, 2, 4, 8].into_iter().enumerate() {
+        for low in 0..bit {
+            multiples[bit | low] = multiples[low] ^ powers[3 - i];
+        }
+    }
+    (0..8).fold(0, |p, k| {
+        (p >> 4) ^ TIMES_X4[(p & 0xF) as usize] ^ multiples[(a >> (4 * k) & 0xF) as usize]
+    })
 }
 
 /// The CRC register after `zeros` more zero bytes. No input bits enter, so
@@ -128,19 +147,6 @@ fn crc32_skip_zeros(mut c: u32, mut zeros: usize) -> u32 {
 pub(crate) fn crc32_zero_tail(parts: &[&[u8]], zeros: usize) -> u32 {
     let head = parts.iter().fold(0xFFFF_FFFF, |c, part| crc32_update(c, part));
     crc32_skip_zeros(head, zeros) ^ 0xFFFF_FFFF
-}
-
-/// How many zero bytes `data` ends with.
-pub(crate) fn zero_tail_len(data: &[u8]) -> usize {
-    let mut wide = data.rchunks_exact(16);
-    let mut zeros = 0;
-    for chunk in &mut wide {
-        if u128::from_le_bytes(chunk.try_into().expect("16 bytes")) != 0 {
-            return zeros + chunk.iter().rev().take_while(|&&b| b == 0).count();
-        }
-        zeros += 16;
-    }
-    zeros + wide.remainder().iter().rev().take_while(|&&b| b == 0).count()
 }
 
 /// Fixed-endian byte serialization for durable records.
@@ -439,11 +445,46 @@ mod tests {
                 whole.resize(head + tail, 0);
                 let want = crc32_bytewise(&whole);
                 assert_eq!(crc32_zero_tail(&[&noise[..head]], tail), want, "{head}+{tail}");
-                assert_eq!(zero_tail_len(&whole), tail, "{head}+{tail}");
                 // Zeroes read as bytes and zeroes folded are the same zeroes.
                 let read = head + tail / 3;
                 assert_eq!(crc32_zero_tail(&[&whole[..read]], whole.len() - read), want);
             }
+        }
+    }
+
+    /// The 32-step shift-and-xor product the nibble table replaced: the
+    /// reference it must equal on every input.
+    fn mul_mod_p_bitwise(a: u32, mut b: u32) -> u32 {
+        let mut product = 0;
+        let mut bit = 1u32 << 31;
+        while bit != 0 {
+            if a & bit != 0 {
+                product ^= b;
+            }
+            b = (b >> 1) ^ (POLY & 0u32.wrapping_sub(b & 1));
+            bit >>= 1;
+        }
+        product
+    }
+
+    #[test]
+    fn nibble_product_equals_the_bitwise_reference() {
+        let mut x = 0xD1B5_4A32_D192_ED03u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 16) as u32
+        };
+        let edges = [0, 1, 1 << 31, u32::MAX, POLY, ZERO_BYTES[1], ZERO_BYTES[1023]];
+        for a in edges {
+            for b in edges {
+                assert_eq!(mul_mod_p(a, b), mul_mod_p_bitwise(a, b), "{a:#x} * {b:#x}");
+            }
+        }
+        for _ in 0..100_000 {
+            let (a, b) = (next(), next());
+            assert_eq!(mul_mod_p(a, b), mul_mod_p_bitwise(a, b), "{a:#x} * {b:#x}");
         }
     }
 

@@ -33,6 +33,10 @@
 //! same bytes — the determinism the simulator's byte-identical-replay
 //! acceptance criterion needs.
 //!
+//! Like a sparse file, a track keeps only the bytes written: a write may end
+//! inside a sector, whose rest reads as zeros ([`Extent`]). Addressing —
+//! flips, tears, `durable_bits` — still counts whole sectors.
+//!
 //! Besides the raw (always-succeeding) operations above, the disk exposes a
 //! *checked* interface — [`SimDisk::try_read`], [`SimDisk::try_write`],
 //! [`SimDisk::try_flush`], [`SimDisk::try_delete`] — that ticks a device-op
@@ -93,14 +97,42 @@ impl std::fmt::Display for DiskError {
     }
 }
 
+/// Durable bytes as stored, then `zeros` implied zeros to the sector's end.
+/// Equality compares the split too; [`to_vec`](Self::to_vec) the contents.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Extent<'a> {
+    pub bytes: Cow<'a, [u8]>,
+    pub zeros: usize,
+}
+
+impl Extent<'_> {
+    /// The contents with the zero tail written out: whole sectors.
+    pub fn to_vec(&self) -> Vec<u8> {
+        let mut out = self.bytes.to_vec();
+        out.resize(out.len() + self.zeros, 0);
+        out
+    }
+
+    /// The same contents, copied to store at least `n` bytes if fewer are.
+    pub fn widened(self, n: usize) -> Self {
+        if self.bytes.len() >= n {
+            return self;
+        }
+        let zeros = (self.bytes.len() + self.zeros).saturating_sub(n);
+        let mut bytes = self.to_vec();
+        bytes.truncate(bytes.len() - zeros);
+        Extent { bytes: Cow::Owned(bytes), zeros }
+    }
+}
+
 /// What a classified read found at a sector address. Distinguishes a sector
 /// that *was* durable until a tear/reorder destroyed it from one that was
 /// never written (or was deliberately deleted) — the recovery scanner needs
 /// the difference to tell a torn tail from a clean log end.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SectorRead<'a> {
     /// The sector holds durable bytes (never empty).
-    Data(&'a [u8]),
+    Data(Extent<'a>),
     /// The sector was durable once but a tear or reorder destroyed it.
     Torn,
     /// No data was ever durable here (or it was deliberately deleted).
@@ -119,18 +151,53 @@ struct Track {
     /// and has not been rewritten or deliberately deleted since. Disjoint
     /// from `present`.
     torn: u64,
-    /// The slots' bytes, allocated for the whole track up front and grown
-    /// (zero-filled) to the highest slot written so far, so opening a track
-    /// costs an allocation but no 64-sector clear. A slot's bytes mean
-    /// something only while its `present` bit is set.
+    /// Slot `i` stored `data[ends[i - 1]..ends[i]]` (from 0 for slot 0), back
+    /// to back in slot order; the rest of its sector reads as zeros. The
+    /// bytes mean something only while its `present` bit is set.
+    ends: [u32; TRACK_SECTORS as usize],
     data: Vec<u8>,
 }
 
 impl Track {
-    /// Slot `slot`'s bytes, if it holds durable ones.
-    fn read(&self, slot: u32, size: usize) -> Option<&[u8]> {
-        let at = slot as usize * size;
-        (self.present >> slot & 1 != 0).then(|| &self.data[at..at + size])
+    fn span(&self, slot: usize) -> std::ops::Range<usize> {
+        let start = if slot == 0 { 0 } else { self.ends[slot - 1] as usize };
+        start..self.ends[slot] as usize
+    }
+
+    /// Slot `slot`'s bytes and implied zeros, if it holds durable ones.
+    fn read(&self, slot: u32, size: usize) -> Option<Extent<'_>> {
+        let bytes = &self.data[self.span(slot as usize)];
+        (self.present >> slot & 1 != 0)
+            .then(|| Extent { bytes: Cow::Borrowed(bytes), zeros: size - bytes.len() })
+    }
+
+    /// Store `bytes` as slot `slot`'s: in place at the same length, appended
+    /// at the end of the data, else spliced in, moving the later slots.
+    fn put(&mut self, slot: usize, bytes: &[u8], size: usize) {
+        let span = self.span(slot);
+        if span.len() == bytes.len() {
+            self.data[span].copy_from_slice(bytes);
+            return;
+        }
+        let need = self.data.len() + bytes.len().saturating_sub(span.len());
+        if need > self.data.capacity() {
+            // Room for the slots above at the bytes per slot so far, plus an
+            // eighth: one allocation per track in the log's order.
+            let per_slot = need / (self.present | 1 << slot).count_ones() as usize;
+            let want = (need + per_slot * (TRACK_SECTORS as usize - 1 - slot)) * 9 / 8;
+            let want = want.min(TRACK_SECTORS as usize * size).max(need);
+            self.data.reserve_exact(want - self.data.len());
+        }
+        if span.end == self.data.len() {
+            self.data.truncate(span.start);
+            self.data.extend_from_slice(bytes);
+        } else {
+            self.data.splice(span.clone(), bytes.iter().copied());
+        }
+        let delta = bytes.len() as i64 - span.len() as i64;
+        for end in &mut self.ends[slot..] {
+            *end = (i64::from(*end) + delta) as u32;
+        }
     }
 }
 
@@ -161,7 +228,7 @@ impl Medium {
         (sector / TRACK_SECTORS, (sector % TRACK_SECTORS) as u32)
     }
 
-    fn read(&self, sector: u64) -> Option<&[u8]> {
+    fn read(&self, sector: u64) -> Option<Extent<'_>> {
         let (t, slot) = Self::slot(sector);
         self.tracks.get(&t)?.read(slot, self.sector)
     }
@@ -171,37 +238,43 @@ impl Medium {
         self.tracks.get(&t).is_some_and(|track| track.torn >> slot & 1 != 0)
     }
 
-    fn read_mut(&mut self, sector: u64) -> Option<&mut [u8]> {
+    /// Byte `byte` of a durable sector, for a flip. A byte in the implied
+    /// tail is stored first: the slot is zero-extended to just past it.
+    fn byte_mut(&mut self, sector: u64, byte: usize) -> Option<&mut u8> {
         let (t, slot) = Self::slot(sector);
-        let track = self.tracks.get_mut(&t)?;
-        let at = slot as usize * self.sector;
-        (track.present >> slot & 1 != 0).then(|| &mut track.data[at..at + self.sector])
+        let track = self.tracks.get_mut(&t).filter(|track| track.present >> slot & 1 != 0)?;
+        let span = track.span(slot as usize);
+        if byte >= span.len() {
+            let mut bytes = track.data[span].to_vec();
+            bytes.resize(byte + 1, 0);
+            track.put(slot as usize, &bytes, self.sector);
+        }
+        let at = track.span(slot as usize).start + byte;
+        Some(&mut track.data[at])
     }
 
-    /// Make `sectors[i]` durable with bytes `data[i * sector..]`, in order
-    /// (a later write of the same sector wins). One track lookup per run of
-    /// sectors that share a track.
-    fn store(&mut self, sectors: &[u64], data: &[u8]) {
+    /// Make `sectors[i]` durable with the next `lens[i]` bytes of `data`, in
+    /// order (a later write of the same sector wins). One track lookup per
+    /// run of sectors that share a track.
+    fn store(&mut self, sectors: &[u64], lens: &[u32], data: &[u8]) {
         let size = self.sector;
-        let mut i = 0;
+        let (mut i, mut at) = (0, 0);
         while i < sectors.len() {
             let t = sectors[i] / TRACK_SECTORS;
             let track = self.tracks.entry(t).or_insert_with(|| Track {
                 present: 0,
                 torn: 0,
-                data: Vec::with_capacity(TRACK_SECTORS as usize * size),
+                ends: [0; TRACK_SECTORS as usize],
+                data: Vec::new(),
             });
             while i < sectors.len() && sectors[i] / TRACK_SECTORS == t {
                 let slot = (sectors[i] % TRACK_SECTORS) as usize;
-                if track.data.len() < (slot + 1) * size {
-                    track.data.resize((slot + 1) * size, 0);
-                }
-                track.data[slot * size..(slot + 1) * size]
-                    .copy_from_slice(&data[i * size..(i + 1) * size]);
+                let len = lens[i] as usize;
+                track.put(slot, &data[at..at + len], size);
                 self.durable += u64::from(track.present >> slot & 1 == 0);
                 track.present |= 1 << slot;
                 track.torn &= !(1 << slot);
-                i += 1;
+                (i, at) = (i + 1, at + len);
             }
         }
     }
@@ -260,7 +333,7 @@ pub struct DiskImage {
 impl DiskImage {
     /// The durable sectors, in index order — the enumeration hook the
     /// explorer's canonical-state fingerprint folds over.
-    pub fn sectors(&self) -> impl Iterator<Item = (u64, &[u8])> {
+    pub fn sectors(&self) -> impl Iterator<Item = (u64, Extent<'_>)> {
         let size = self.medium.sector;
         self.medium.tracks.iter().flat_map(move |(&t, track)| {
             set_bits(track.present).map(move |slot| {
@@ -321,7 +394,10 @@ pub struct SimDisk {
     medium: Medium,
     /// Sector indices written but not yet flushed, in write order.
     pending: Vec<u64>,
-    /// The bytes of `pending`, one sector each, in the same order. Both
+    /// How many bytes each of `pending` stores: a whole sector, or fewer
+    /// where a write ended inside it.
+    pending_lens: Vec<u32>,
+    /// The bytes of `pending`, back to back, in the same order. All three
     /// vectors keep their capacity across flushes.
     pending_data: Vec<u8>,
     /// Sector indices made durable by the most recent flush, in write order.
@@ -363,10 +439,11 @@ pub struct SimDisk {
 impl SimDisk {
     /// A new empty disk with the given sector size in bytes.
     pub fn new(sector: usize) -> Self {
-        assert!(sector > 0, "sector size must be positive");
+        assert!((1..=1 << 26).contains(&sector), "sector size must be in 1..=64 MiB (u32 offsets)");
         SimDisk {
             medium: Medium { sector, tracks: BTreeMap::new(), durable: 0 },
             pending: Vec::new(),
+            pending_lens: Vec::new(),
             pending_data: Vec::new(),
             last_flush: Vec::new(),
             flips: Vec::new(),
@@ -400,14 +477,11 @@ impl SimDisk {
     }
 
     /// Queue a write of `data` starting at `sector` (volatile until
-    /// [`flush`](Self::flush)). `data` must be a whole number of sectors.
+    /// [`flush`](Self::flush)). `data` may end inside its last sector; the
+    /// rest of that sector then reads as zeros.
     pub fn write(&mut self, sector: u64, data: &[u8]) {
         let size = self.medium.sector;
-        assert!(
-            data.len().is_multiple_of(size) && !data.is_empty(),
-            "writes must cover whole sectors (got {} bytes, sector {size})",
-            data.len(),
-        );
+        assert!(!data.is_empty(), "a write covers at least one byte");
         let base = match self.misdirect.take() {
             Some(delta) => {
                 self.stats.misdirected_writes += 1;
@@ -415,7 +489,9 @@ impl SimDisk {
             }
             None => sector,
         };
-        self.pending.extend((0..(data.len() / size) as u64).map(|i| base + i));
+        let n = data.len().div_ceil(size);
+        self.pending.extend((0..n as u64).map(|i| base + i));
+        self.pending_lens.extend((0..n).map(|i| (data.len() - i * size).min(size) as u32));
         self.pending_data.extend_from_slice(data);
     }
 
@@ -426,7 +502,7 @@ impl SimDisk {
             return 0;
         }
         let n = self.pending.len();
-        self.medium.store(&self.pending, &self.pending_data);
+        self.medium.store(&self.pending, &self.pending_lens, &self.pending_data);
         std::mem::swap(&mut self.last_flush, &mut self.pending);
         self.discard_pending();
         self.stats.sectors_flushed += n as u64;
@@ -450,31 +526,39 @@ impl SimDisk {
     /// Read one sector; `None` if it was never written.
     /// Reads see only durable data — the pending buffer is the device
     /// cache, and the recovery scanner runs strictly post-crash.
-    pub fn read(&self, sector: u64) -> Option<&[u8]> {
+    pub fn read(&self, sector: u64) -> Option<Extent<'_>> {
         self.medium.read(sector)
     }
 
-    /// The bytes of the `n` sectors from `first`, if all are durable:
-    /// borrowed in place when the run lies inside one track, concatenated
-    /// when it crosses a boundary. `Err(i)` when only the first `i` are
-    /// durable. Raw, like [`read`](Self::read).
-    pub fn read_run(&self, first: u64, n: u64) -> Result<Cow<'_, [u8]>, usize> {
+    /// The contents of the `n` sectors from `first`, if all are durable:
+    /// borrowed in place when they lie back to back in one track (every
+    /// sector but the last stored whole), else concatenated, the inner
+    /// sectors zero-extended. `Err(i)` when only the first `i` are durable.
+    /// Raw, like [`read`](Self::read).
+    pub fn read_run(&self, first: u64, n: u64) -> Result<Extent<'_>, usize> {
         let (t, slot) = Medium::slot(first);
+        let size = self.medium.sector;
         if n > 0 && slot as u64 + n <= TRACK_SECTORS {
             let Some(track) = self.medium.tracks.get(&t) else { return Err(0) };
             let run = (track.present >> slot).trailing_ones() as u64;
             if run < n {
                 return Err(run as usize);
             }
-            let size = self.medium.sector;
-            let at = slot as usize * size;
-            return Ok(Cow::Borrowed(&track.data[at..at + n as usize * size]));
+            let (lo, hi) = (track.span(slot as usize), track.span(slot as usize + n as usize - 1));
+            if hi.start - lo.start == (n as usize - 1) * size {
+                let bytes = Cow::Borrowed(&track.data[lo.start..hi.end]);
+                return Ok(Extent { bytes, zeros: size - hi.len() });
+            }
         }
-        let mut buf = Vec::with_capacity(n as usize * self.medium.sector);
+        let mut buf = Vec::with_capacity(n as usize * size);
+        let mut zeros = 0;
         for (i, s) in (first..first + n).enumerate() {
-            buf.extend_from_slice(self.medium.read(s).ok_or(i)?);
+            buf.resize(buf.len() + zeros, 0);
+            let sector = self.medium.read(s).ok_or(i)?;
+            buf.extend_from_slice(&sector.bytes);
+            zeros = sector.zeros;
         }
-        Ok(Cow::Owned(buf))
+        Ok(Extent { bytes: Cow::Owned(buf), zeros })
     }
 
     /// Drop every staged-but-unflushed write without a power loss: the
@@ -483,6 +567,7 @@ impl SimDisk {
     /// data is untouched.
     pub fn discard_pending(&mut self) {
         self.pending.clear();
+        self.pending_lens.clear();
         self.pending_data.clear();
     }
 
@@ -490,7 +575,7 @@ impl SimDisk {
     /// a sector *destroyed* by a tear/reorder, or one never written.
     /// [`read`](Self::read) collapses the last two into `None`; the scanner
     /// uses this form so a torn-away sector is never mistaken for a clean
-    /// log end. Never returns `Data(&[])` — writes cover whole sectors.
+    /// log end. `Data` always spans the whole sector, zero tail included.
     pub fn read_classified(&self, sector: u64) -> SectorRead<'_> {
         match self.medium.read(sector) {
             Some(bytes) => SectorRead::Data(bytes),
@@ -580,7 +665,7 @@ impl SimDisk {
             .expect("target bit within durable_bits() total");
         let byte = (target % sector_bits / 8) as usize;
         let mask = 1u8 << (target % 8);
-        self.medium.read_mut(idx).expect("a durable sector")[byte] ^= mask;
+        *self.medium.byte_mut(idx, byte).expect("a durable sector") ^= mask;
         self.flips.push((idx, byte, mask));
         self.stats.flipped_bits += 1;
         true
@@ -595,8 +680,8 @@ impl SimDisk {
         let flips = std::mem::take(&mut self.flips);
         let mut repaired = 0;
         for (idx, byte, mask) in flips {
-            if let Some(bytes) = self.medium.read_mut(idx) {
-                bytes[byte] ^= mask;
+            if let Some(b) = self.medium.byte_mut(idx, byte) {
+                *b ^= mask;
                 repaired += 1;
             }
         }
@@ -807,6 +892,15 @@ mod tests {
         vec![fill; n]
     }
 
+    /// A raw read, zero tail written out.
+    fn whole(d: &SimDisk, sector: u64) -> Option<Vec<u8>> {
+        d.read(sector).map(|e| e.to_vec())
+    }
+
+    fn data(bytes: &[u8]) -> SectorRead<'_> {
+        SectorRead::Data(Extent { bytes: Cow::Borrowed(bytes), zeros: 0 })
+    }
+
     #[test]
     fn unflushed_writes_die_in_a_crash() {
         let mut d = SimDisk::new(8);
@@ -815,8 +909,8 @@ mod tests {
         d.write(1, &sec(2, 8));
         d.crash();
         d.crash(); // idempotent
-        assert_eq!(d.read(0), Some(sec(1, 8).as_slice()));
-        assert_eq!(d.read(1), None);
+        assert_eq!(whole(&d, 0), Some(sec(1, 8)));
+        assert_eq!(whole(&d, 1), None);
         assert_eq!(d.stats().lossy_crashes, 1);
     }
 
@@ -826,9 +920,9 @@ mod tests {
         d.write(0, &[sec(1, 8), sec(2, 8), sec(3, 8)].concat());
         d.flush();
         assert!(d.tear_last_flush(1));
-        assert_eq!(d.read(0), Some(sec(1, 8).as_slice()));
-        assert_eq!(d.read(1), None);
-        assert_eq!(d.read(2), None);
+        assert_eq!(whole(&d, 0), Some(sec(1, 8)));
+        assert_eq!(whole(&d, 1), None);
+        assert_eq!(whole(&d, 2), None);
         assert_eq!(d.stats().torn_sectors, 2);
         // A single-sector flush can't be torn down to one sector.
         d.write(5, &sec(9, 8));
@@ -842,8 +936,8 @@ mod tests {
         d.write(0, &[sec(1, 8), sec(2, 8)].concat());
         d.flush();
         assert!(d.reorder_last_flush());
-        assert_eq!(d.read(0), None);
-        assert_eq!(d.read(1), Some(sec(2, 8).as_slice()));
+        assert_eq!(whole(&d, 0), None);
+        assert_eq!(whole(&d, 1), Some(sec(2, 8)));
         // Single-sector flushes can't reorder.
         d.write(4, &sec(7, 8));
         d.flush();
@@ -858,11 +952,11 @@ mod tests {
         assert_eq!(d.durable_bits(), 64);
         assert!(d.flip_bit(3));
         assert!(d.flip_bit(3 + 64)); // wraps to the same bit → flips back
-        assert_eq!(d.read(0), Some(sec(0, 4).as_slice()));
+        assert_eq!(whole(&d, 0), Some(sec(0, 4)));
         assert!(d.flip_bit(35)); // second sector, byte 0, bit 3
-        assert_eq!(d.read(1).unwrap()[0], 0xFF ^ 0x08);
+        assert_eq!(whole(&d, 1).unwrap()[0], 0xFF ^ 0x08);
         assert_eq!(d.unflip_all(), 3);
-        assert_eq!(d.read(1), Some(sec(0xFF, 4).as_slice()));
+        assert_eq!(whole(&d, 1), Some(sec(0xFF, 4)));
         let empty = &mut SimDisk::new(4);
         assert!(!empty.flip_bit(0));
     }
@@ -874,9 +968,9 @@ mod tests {
         d.write(0, &sec(1, 8));
         d.write(1, &sec(2, 8));
         d.flush();
-        assert_eq!(d.read(0), None);
-        assert_eq!(d.read(3), Some(sec(1, 8).as_slice()));
-        assert_eq!(d.read(1), Some(sec(2, 8).as_slice()));
+        assert_eq!(whole(&d, 0), None);
+        assert_eq!(whole(&d, 3), Some(sec(1, 8)));
+        assert_eq!(whole(&d, 1), Some(sec(2, 8)));
         assert_eq!(d.stats().misdirected_writes, 1);
     }
 
@@ -890,18 +984,18 @@ mod tests {
         d.write(0, &[sec(1, 8), sec(2, 8), sec(3, 8)].concat());
         d.flush();
         assert!(d.tear_last_flush(1));
-        assert_eq!(d.read(1), None, "a torn sector must not read as Some(&[])");
+        assert_eq!(whole(&d, 1), None, "a torn sector must not read as Some(&[])");
         assert_eq!(d.read_classified(1), SectorRead::Torn);
         assert_eq!(d.read_classified(2), SectorRead::Torn);
         assert_eq!(d.read_classified(7), SectorRead::Absent, "never-written is Absent");
-        assert_eq!(d.read_classified(0), SectorRead::Data(sec(1, 8).as_slice()));
+        assert_eq!(d.read_classified(0), data(&sec(1, 8)));
         // A deliberate delete disposes of the tombstone...
         assert!(!d.delete(1));
         assert_eq!(d.read_classified(1), SectorRead::Absent);
         // ...and a rewrite heals it.
         d.write(2, &sec(9, 8));
         d.flush();
-        assert_eq!(d.read_classified(2), SectorRead::Data(sec(9, 8).as_slice()));
+        assert_eq!(d.read_classified(2), data(&sec(9, 8)));
     }
 
     /// Reconciliation (satellite): repairs are counted, so the stats always
@@ -919,7 +1013,7 @@ mod tests {
         assert_eq!(s.flipped_bits, 2);
         assert_eq!(s.repaired_bits, 1);
         assert_eq!(s.flipped_bits - s.repaired_bits, 1, "one flip died with its sector");
-        assert_eq!(d.read(0), Some(sec(0xAA, 4).as_slice()));
+        assert_eq!(whole(&d, 0), Some(sec(0xAA, 4)));
     }
 
     #[test]
@@ -930,7 +1024,7 @@ mod tests {
         d.arm_transient_errors(2);
         assert_eq!(d.try_read(0), Err(DiskError::Transient));
         assert_eq!(d.try_write(1, &sec(2, 8)), Err(DiskError::Transient));
-        assert_eq!(d.try_read(0), Ok(SectorRead::Data(sec(1, 8).as_slice())));
+        assert_eq!(d.try_read(0), Ok(data(&sec(1, 8))));
         assert_eq!(d.stats().transient_errors, 2);
         assert_eq!(d.device_ops(), 3);
     }
@@ -942,7 +1036,7 @@ mod tests {
         d.flush();
         d.set_full(true);
         assert_eq!(d.try_write(1, &sec(2, 8)), Err(DiskError::Full));
-        assert_eq!(d.try_read(0), Ok(SectorRead::Data(sec(1, 8).as_slice())));
+        assert_eq!(d.try_read(0), Ok(data(&sec(1, 8))));
         assert_eq!(d.try_delete(0), Ok(true), "deletes free space on a full device");
         d.heal();
         assert_eq!(d.try_write(1, &sec(2, 8)), Ok(()));
@@ -1008,7 +1102,7 @@ mod tests {
         d.write(3, &sec(4, 8));
         assert_eq!(d.try_flush(), Ok(1), "budget exhausted — healthy flush");
         assert_eq!(d.stall_ticks(), 64);
-        assert_eq!(d.read(0), Some(sec(1, 8).as_slice()));
+        assert_eq!(whole(&d, 0), Some(sec(1, 8)));
     }
 
     #[test]
@@ -1066,8 +1160,8 @@ mod tests {
         d.set_full(true);
         d.arm_crash_at_op(0);
         d.restore(&img);
-        assert_eq!(d.read(0), Some(sec(1, 8).as_slice()));
-        assert_eq!(d.read(5), None);
+        assert_eq!(whole(&d, 0), Some(sec(1, 8)));
+        assert_eq!(whole(&d, 5), None);
         assert_eq!(d.read_classified(1), SectorRead::Torn, "tombstones restore too");
         assert!(d.try_read(0).is_ok(), "restore clears armed faults");
         assert!(!d.is_full());
@@ -1083,7 +1177,7 @@ mod tests {
             d.flush();
             d.flip_bit(77);
             d.tear_last_flush(0);
-            d.durable_sectors().map(|s| (s, d.read(s).unwrap().to_vec())).collect::<Vec<_>>()
+            d.durable_sectors().map(|s| (s, whole(&d, s).unwrap())).collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
     }

@@ -83,8 +83,8 @@ enum FrameRead<'d> {
     /// CRC mismatch). `kind` is what the head claims, when it is a frame
     /// head at all.
     Corrupt { kind: Option<u8> },
-    /// An intact frame: its whole sector-aligned extent, in place on the
-    /// device unless it crosses a track boundary.
+    /// An intact frame: its stored bytes, at least through the payload, in
+    /// place on the device unless it crosses a track boundary.
     Valid { kind: u8, frame: Cow<'d, [u8]>, sectors: u64 },
 }
 
@@ -103,7 +103,10 @@ fn frame_at<'d>(
     first: SectorRead<'d>,
 ) -> FrameRead<'d> {
     let SectorRead::Data(first) = first else { return FrameRead::Absent };
-    let Some((kind, len)) = frame_head(first) else { return FrameRead::Corrupt { kind: None } };
+    let first = first.widened(FRAME_OVERHEAD);
+    let Some((kind, len)) = frame_head(&first.bytes) else {
+        return FrameRead::Corrupt { kind: None };
+    };
     let corrupt = FrameRead::Corrupt { kind: Some(kind) };
     let Some(total) = FRAME_OVERHEAD.checked_add(len) else { return corrupt };
     let sectors = total.div_ceil(cfg.sector) as u64;
@@ -111,9 +114,11 @@ fn frame_at<'d>(
         // The claimed length runs past the segment — a flipped length field.
         return corrupt;
     }
-    match disk.read_run(pos, sectors) {
+    match disk.read_run(pos, sectors).map(|run| run.widened(total)) {
         Err(found) => FrameRead::Torn { expected: sectors as usize, found },
-        Ok(frame) if frame_crc_matches(&frame) => FrameRead::Valid { kind, frame, sectors },
+        Ok(run) if frame_crc_matches(&run.bytes, run.zeros) => {
+            FrameRead::Valid { kind, frame: run.bytes, sectors }
+        }
         Ok(_) => corrupt,
     }
 }

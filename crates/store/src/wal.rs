@@ -29,10 +29,10 @@
 //!
 //! The CRC covers the padding, so *every durable bit* of the log belongs to
 //! exactly one frame's checked extent — any single-bit flip is detectable.
-//! Neither side reads the padding to checksum it: the builder and the
-//! checker both checksum the occupied head and fold the zero tail in
-//! arithmetically ([`crate::codec`]), and the checker finds the zero tail
-//! itself, so a set bit anywhere in the padding still fails the check.
+//! Nobody writes or reads the padding: the device stores a frame's occupied
+//! bytes, and builder and checker fold the zero tail in arithmetically
+//! ([`crate::codec`]). A flipped padding bit is stored (the flip stores the
+//! tail up to its byte), so it still fails the check.
 //!
 //! The log is an array of fixed-size **segments** (`seg_sectors` sectors).
 //! Sector 0 of each segment holds a segment-header frame carrying the
@@ -56,7 +56,7 @@ use crate::backend::{
     CheckpointImage, CommitRecord, ConvergenceFailure, ConvergenceReport, Detection, LogBackend,
     RecoveredLog, RetryRecord, ScanReport, StoreFailure, StoreFailureKind, StoreStats, TailPolicy,
 };
-use crate::codec::{crc32, crc32_zero_tail, zero_tail_len, Persist};
+use crate::codec::{crc32, crc32_zero_tail, Persist};
 use crate::disk::{DiskError, SimDisk};
 use crate::scan;
 
@@ -115,28 +115,27 @@ fn begin_frame(buf: &mut Vec<u8>, kind: u8) {
     buf.extend_from_slice(&[0u8; 8]);
 }
 
-/// Close the frame opened in `buf`: record the payload length, pad with
-/// zeroes to a sector multiple and store the CRC of the padded extent. The
-/// CRC field is still zero here, so the occupied bytes checksum as they
-/// stand and the padding is folded in unread.
-fn seal_frame(buf: &mut Vec<u8>, sector: usize) {
+/// Close the frame opened in `buf`: record the payload length and store the
+/// CRC of the extent zero-padded to a sector multiple, the CRC field still
+/// zero. The padding is folded in, never written: the device reads it.
+fn seal_frame(buf: &mut [u8], sector: usize) {
     let occupied = buf.len();
     let len = (occupied - FRAME_OVERHEAD) as u32;
     buf[5..9].copy_from_slice(&len.to_le_bytes());
-    let total = occupied.div_ceil(sector) * sector;
-    let crc = crc32_zero_tail(&[buf], total - occupied);
-    buf.resize(total, 0);
+    let crc = crc32_zero_tail(&[buf], occupied.next_multiple_of(sector) - occupied);
     buf[9..13].copy_from_slice(&crc.to_le_bytes());
 }
 
-/// Build a sector-aligned CRC'd frame around `payload`. Public (with
-/// [`check_frame`]) as the wire-format test surface: the corruption property
-/// tests build frames and damage them byte-by-byte without a device.
+/// Build a sector-aligned CRC'd frame around `payload`, padding included.
+/// Public (with [`check_frame`]) as the wire-format test surface: the
+/// corruption property tests damage frames byte-by-byte without a device.
 pub fn build_frame(kind: u8, payload: &[u8], sector: usize) -> Vec<u8> {
-    let mut buf = Vec::with_capacity((FRAME_OVERHEAD + payload.len()).div_ceil(sector) * sector);
+    let total = (FRAME_OVERHEAD + payload.len()).next_multiple_of(sector);
+    let mut buf = Vec::with_capacity(total);
     begin_frame(&mut buf, kind);
     buf.extend_from_slice(payload);
     seal_frame(&mut buf, sector);
+    buf.resize(total, 0);
     buf
 }
 
@@ -166,19 +165,15 @@ pub(crate) fn frame_payload(frame: &[u8]) -> &[u8] {
 pub fn check_frame(buf: &[u8]) -> Option<(u8, &[u8])> {
     let (kind, len) = frame_head(buf)?;
     let total = FRAME_OVERHEAD.checked_add(len)?;
-    (total <= buf.len() && frame_crc_matches(buf)).then(|| (kind, &buf[FRAME_OVERHEAD..total]))
+    (total <= buf.len() && frame_crc_matches(buf, 0)).then(|| (kind, &buf[FRAME_OVERHEAD..total]))
 }
 
-/// Whether the CRC stored in `frame[9..13]` is the checksum of the whole
-/// extent with that field read as zero — which is how [`seal_frame`]
-/// computed it. Checksums around the field and up to the last non-zero
-/// byte, then folds in however many zeroes the extent really ends with: the
-/// verdict is the full-extent CRC's on every input, and the frame is
-/// neither copied nor read to its end twice.
-pub(crate) fn frame_crc_matches(frame: &[u8]) -> bool {
+/// Whether the CRC in `frame[9..13]` is the checksum of `frame` and then
+/// `zeros` zero bytes, that field read as zero — how [`seal_frame`]
+/// computed it. The frame is neither copied nor read past its stored bytes.
+pub(crate) fn frame_crc_matches(frame: &[u8], zeros: usize) -> bool {
     let stored = u32::from_le_bytes(frame[9..13].try_into().expect("4 bytes"));
-    let head = (frame.len() - zero_tail_len(frame)).max(FRAME_OVERHEAD);
-    crc32_zero_tail(&[&frame[..9], &[0; 4], &frame[13..head]], frame.len() - head) == stored
+    crc32_zero_tail(&[&frame[..9], &[0; 4], &frame[13..]], zeros) == stored
 }
 
 /// Retries of a transiently failing device op after its first failure;
@@ -512,8 +507,9 @@ pub struct WalBackend<A: Adt> {
     /// first. Process memory — wiped by `crash`.
     retries: Vec<RetryRecord>,
     /// Where every frame is built: the payload is encoded straight into it
-    /// and it is padded and checksummed in place. Empty between frames (so
-    /// `Clone` copies nothing); only its capacity is kept.
+    /// and it is checksummed in place; the device gets its occupied bytes
+    /// only. Empty between frames (so `Clone` copies nothing); only its
+    /// capacity is kept.
     frame: Vec<u8>,
     /// Test-only sabotage: skip the epoch bump at the end of recovery, so
     /// the convergence probe's negative test can prove it notices a
@@ -599,7 +595,7 @@ where
     }
 
     /// Build a frame of `kind` around the payload `put` writes, in the
-    /// backend's frame buffer, and hand its sector-aligned bytes to `then`.
+    /// backend's frame buffer, and hand its occupied bytes to `then`.
     fn with_frame<T>(
         &mut self,
         kind: u8,
@@ -646,7 +642,7 @@ where
     /// non-tearable header fsync. Returns the frame's sector count;
     /// advancing the head over it is the caller's move.
     fn stage_frame(&mut self, frame: &[u8], mid_batch: bool) -> Result<u64, DiskError> {
-        let sectors = (frame.len() / self.cfg.sector) as u64;
+        let sectors = frame.len().div_ceil(self.cfg.sector) as u64;
         assert!(
             sectors <= self.cfg.seg_sectors - self.cfg.header_sectors(),
             "frame of {sectors} sectors exceeds segment capacity"
@@ -1202,10 +1198,15 @@ where
         self.txn_floor.hash(&mut h);
         self.next_exec_seq.hash(&mut h);
         self.next_batch_id.hash(&mut h);
+        // A sector hashes as the slice it reads as: length, bytes, zero tail.
         let img = self.disk.snapshot();
-        for (sector, bytes) in img.sectors() {
+        for (sector, stored) in img.sectors() {
             sector.hash(&mut h);
-            bytes.hash(&mut h);
+            h.write_usize(stored.bytes.len() + stored.zeros);
+            h.write(&stored.bytes);
+            for done in (0..stored.zeros).step_by(64) {
+                h.write(&[0; 64][..(stored.zeros - done).min(64)]);
+            }
         }
         for sector in img.torn_sectors() {
             sector.hash(&mut h);

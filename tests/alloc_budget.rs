@@ -1,6 +1,7 @@
-//! The operation path allocates nothing: a budget on heap allocations, counted
-//! by this binary's own global allocator (which is why the file holds one
-//! test — a second one would run beside it and be counted too).
+//! The operation path allocates nothing: a budget on heap allocations and on
+//! live heap bytes, counted by this binary's own global allocator (which is
+//! why the file holds one test — a second one would run beside it and be
+//! counted too).
 //!
 //! Eight round-robin clients run four-operation bank scripts over eight
 //! objects under wound-wait, history and event recording off, for both
@@ -8,7 +9,8 @@
 //! its working size, so a bare `TxnSystem` may allocate only when one of them
 //! still grows. A `DurableSystem` owes nothing more: a record's operation list
 //! goes back for reuse once the log holds it, and what remains is the room the
-//! growing log takes on the device. A fleet of them owes the same, and its
+//! growing log takes on the device: about the bytes a commit frame occupies,
+//! not the whole sectors it spans. A fleet of them owes the same, and its
 //! two-phase commit bookkeeping nothing. A recovery owes the records it redoes,
 //! not the objects it rebuilds.
 
@@ -26,12 +28,20 @@ thread_local! {
     /// Allocations made by this thread (the harness's own threads do not
     /// count against the test's).
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread has allocated less those it has freed.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
 struct Counting;
 
-fn count() {
+/// One allocation that changes the live bytes by `bytes`.
+fn count(bytes: i64) {
     ALLOCATIONS.with(|n| n.set(n.get() + 1));
+    grow(bytes);
+}
+
+fn grow(bytes: i64) {
+    LIVE.with(|n| n.set(n.get() + bytes));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, whose
@@ -40,25 +50,26 @@ fn count() {
 // nor runs after the thread's locals are gone.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size() as i64);
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size() as i64);
         // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size as i64 - layout.size() as i64);
         // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract, and
         // `ptr` came from `System` because every method here forwards to it.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        grow(-(layout.size() as i64));
         // SAFETY: as for `realloc`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -149,9 +160,17 @@ fn below() -> impl FnMut(u64) -> u64 {
     }
 }
 
-/// Drive `sys` for `WARM_UP + MEASURED` commits; returns the allocations of
-/// the measured part and what the attempts came to.
-fn allocations_of(sys: &mut impl Sut) -> (u64, Tally) {
+/// What the measured part of a run cost the heap.
+#[derive(Debug)]
+struct Spent {
+    allocations: u64,
+    /// Growth of the live bytes.
+    bytes: i64,
+}
+
+/// Drive `sys` for `WARM_UP + MEASURED` commits; returns what the measured
+/// part cost and what the attempts came to.
+fn allocations_of(sys: &mut impl Sut) -> (Spent, Tally) {
     let mut below = below();
     let mut script = move || {
         std::array::from_fn(|_| {
@@ -165,10 +184,10 @@ fn allocations_of(sys: &mut impl Sut) -> (u64, Tally) {
     };
     let mut clients: [Client; CLIENTS] =
         std::array::from_fn(|_| Client { script: script(), txn: None, done: 0 });
-    let (mut commits, mut start, mut tally) = (0, 0, Tally::default());
+    let (mut commits, mut start, mut tally) = (0, None, Tally::default());
     for turn in 0.. {
-        if commits == WARM_UP && start == 0 {
-            start = ALLOCATIONS.get();
+        if commits == WARM_UP && start.is_none() {
+            start = Some((ALLOCATIONS.get(), LIVE.get()));
             tally = Tally::default();
         }
         if commits == WARM_UP + MEASURED {
@@ -197,7 +216,8 @@ fn allocations_of(sys: &mut impl Sut) -> (u64, Tally) {
             Err(e) => panic!("unexpected {e:?}"),
         }
     }
-    (ALLOCATIONS.get() - start, tally)
+    let (allocations, bytes) = start.expect("the warm-up ends");
+    (Spent { allocations: ALLOCATIONS.get() - allocations, bytes: LIVE.get() - bytes }, tally)
 }
 
 fn check<E: RecoveryEngine<BankAccount>>(conflict: impl Conflict<BankAccount> + Clone) {
@@ -207,7 +227,7 @@ fn check<E: RecoveryEngine<BankAccount>>(conflict: impl Conflict<BankAccount> + 
     let (spent, tally) = allocations_of(&mut bare);
     // The run is the contended one the budget is about.
     assert!(tally.blocked * 4 > tally.invokes && tally.wounded > 1_000, "{tally:?}");
-    assert!(spent <= 32, "{}: {spent} allocations over {MEASURED} commits, {tally:?}", E::name());
+    assert!(spent.allocations <= 32, "{}: {spent:?} over {MEASURED} commits, {tally:?}", E::name());
 
     let wal = WalBackend::new(WalConfig { sector: 512, seg_sectors: 2048 });
     let mut durable: DurableSystem<BankAccount, E, _, _> =
@@ -215,8 +235,15 @@ fn check<E: RecoveryEngine<BankAccount>>(conflict: impl Conflict<BankAccount> + 
     configure(durable.system_mut());
     let (spent, tally) = allocations_of(&mut durable);
     assert!(
-        100 * spent <= 5 * MEASURED,
-        "{} through the WAL: {spent} allocations over {MEASURED} commits, {tally:?}",
+        100 * spent.allocations <= 5 * MEASURED,
+        "{} through the WAL: {spent:?} over {MEASURED} commits, {tally:?}",
+        E::name()
+    );
+    // Nothing checkpoints, so the whole log stays on the device: a commit
+    // frame of about a hundred bytes, not the 512-byte sector it lies in.
+    assert!(
+        spent.bytes <= 160 * MEASURED as i64,
+        "{} through the WAL: {spent:?} over {MEASURED} commits, {tally:?}",
         E::name()
     );
 }

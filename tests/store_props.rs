@@ -428,22 +428,18 @@ fn exhaustive_bit_flip_sweep_never_diverges_silently() {
     assert!(detected > 0, "the CRC layer must detect at least the payload flips");
 }
 
-/// The exact bytes of one frame of each kind (1–6), as a `WalBackend` lays
-/// them down on the 32-byte geometry. Round-trip tests pass whenever builder
-/// and checker drift *together*; these bytes — header layout, payload
-/// encoding, zero padding and the CRC of the padded extent — may not drift at
-/// all, because logs written by an older build must still scan.
-#[test]
-fn one_frame_of_each_kind_is_pinned_byte_for_byte() {
+/// One frame of each data kind on a fresh WAL: a commit, a two-record batch,
+/// a PREPARE, its DECIDE and a checkpoint.
+fn one_of_each_kind(cfg: WalConfig) -> WalBackend<BankAccount> {
     use ccr::adt::bank::BankResp;
     use ccr::core::adt::Op;
-    use ccr::store::{inspect_wal, CheckpointImage, CommitRecord};
+    use ccr::store::{CheckpointImage, CommitRecord};
 
     let rec = |floor: u32, seq: u64, amount: u64| CommitRecord::<BankAccount> {
         floor,
         ops: vec![(seq, ObjectId(1), Op::new(BankInv::Deposit(amount), BankResp::Ok))],
     };
-    let mut w: WalBackend<BankAccount> = WalBackend::new(WalConfig::default());
+    let mut w: WalBackend<BankAccount> = WalBackend::new(cfg);
     w.append_commit(&rec(1, 0, 5)).unwrap();
     w.append_commits(&[rec(2, 1, 6), rec(3, 2, 7)]).unwrap();
     w.append_prepare(0xABCD, &rec(4, 3, 8)).unwrap();
@@ -455,7 +451,19 @@ fn one_frame_of_each_kind_is_pinned_byte_for_byte() {
         states: vec![(ObjectId(0), 0u64), (ObjectId(1), 26)],
     })
     .unwrap();
+    w
+}
 
+/// The exact bytes of one frame of each kind (1–6), as a `WalBackend` lays
+/// them down on the 32-byte geometry. Round-trip tests pass whenever builder
+/// and checker drift *together*; these bytes — header layout, payload
+/// encoding, zero padding and the CRC of the padded extent — may not drift at
+/// all, because logs written by an older build must still scan.
+#[test]
+fn one_frame_of_each_kind_is_pinned_byte_for_byte() {
+    use ccr::store::inspect_wal;
+
+    let w = one_of_each_kind(WalConfig::default());
     let ins = inspect_wal::<BankAccount>(w.disk(), &w.config());
     assert_eq!(ins.damage, "clean");
     let first_of = |kind: &str| -> String {
@@ -485,6 +493,39 @@ fn one_frame_of_each_kind_is_pinned_byte_for_byte() {
     ];
     for (kind, hex) in pinned {
         assert_eq!(first_of(kind), hex, "{kind}");
+    }
+}
+
+/// `image_fingerprint` (what the model checker keys its states by) of the
+/// history above at both geometries, clean, with one bit flipped in stored
+/// bytes and one in a sector's zero tail, and repaired. Taken from the build
+/// that stored every sector whole: how the medium keeps its bytes may not
+/// move a state.
+#[test]
+fn the_image_fingerprint_of_a_fixed_history_is_pinned() {
+    let geometries = [
+        (
+            WalConfig::default(),
+            [0x7614_1336_7645_75ea_u64, 0x6bd7_7d6d_b3bc_e5b4, 0xa311_4218_e6d4_25d8],
+        ),
+        (
+            WalConfig { sector: 512, seg_sectors: 64 },
+            [0xf8b6_62ab_6e6d_810a, 0xaa80_9a3f_edf1_bb0a, 0x15b4_29bf_ef74_bae6],
+        ),
+    ];
+    for (cfg, pinned) in geometries {
+        let mut w = one_of_each_kind(cfg);
+        let clean = w.image_fingerprint();
+        let bits = w.disk().durable_bits();
+        // Bit 3 of the first sector's byte 2, then of the last sector's last
+        // byte: past the checkpoint frame's end at both geometries.
+        assert!(w.disk_mut().flip_bit(19));
+        let data = w.image_fingerprint();
+        assert!(w.disk_mut().flip_bit(bits - 5));
+        let tail = w.image_fingerprint();
+        assert_eq!(w.disk_mut().unflip_all(), 2);
+        assert_eq!(w.image_fingerprint(), clean, "{cfg:?}: repaired");
+        assert_eq!([clean, data, tail], pinned, "{cfg:?}");
     }
 }
 
@@ -867,11 +908,15 @@ mod wire_format {
 // Device differential (DESIGN.md §16, "The durable write"): the track-backed
 // `SimDisk` against the per-sector map it replaced, kept here as the
 // reference model. Everything a caller can observe must agree after every
-// step of any raw-operation sequence.
+// step of any raw-operation sequence. The model stores every sector whole;
+// the device keeps only the bytes written and reads the rest of a sector as
+// zeros, so every read is compared zero-extended.
 // ---------------------------------------------------------------------------
 
 mod device_model {
     use std::collections::{BTreeMap, BTreeSet};
+
+    use std::borrow::Cow;
 
     use ccr::store::{DiskStats, SectorRead, SimDisk, TRACK_SECTORS};
 
@@ -898,7 +943,9 @@ mod device_model {
                 None => sector,
             };
             for (i, chunk) in data.chunks(size).enumerate() {
-                self.pending.push((base + i as u64, chunk.to_vec()));
+                let mut sector = chunk.to_vec();
+                sector.resize(size, 0);
+                self.pending.push((base + i as u64, sector));
             }
         }
 
@@ -1000,11 +1047,29 @@ mod device_model {
             self.misdirect = None;
         }
 
-        fn classify(&self, sector: u64) -> SectorRead<'_> {
+        fn classify(&self, sector: u64) -> Classified {
             match self.durable.get(&sector) {
-                Some(bytes) => SectorRead::Data(bytes),
-                None if self.torn.contains(&sector) => SectorRead::Torn,
-                None => SectorRead::Absent,
+                Some(bytes) => Classified::Data(bytes.clone()),
+                None if self.torn.contains(&sector) => Classified::Torn,
+                None => Classified::Absent,
+            }
+        }
+    }
+
+    /// A classified read with its bytes zero-extended.
+    #[derive(Debug, PartialEq)]
+    enum Classified {
+        Data(Vec<u8>),
+        Torn,
+        Absent,
+    }
+
+    impl From<SectorRead<'_>> for Classified {
+        fn from(read: SectorRead<'_>) -> Self {
+            match read {
+                SectorRead::Data(stored) => Classified::Data(stored.to_vec()),
+                SectorRead::Torn => Classified::Torn,
+                SectorRead::Absent => Classified::Absent,
             }
         }
     }
@@ -1027,8 +1092,10 @@ mod device_model {
     /// Everything observable, compared after every step.
     fn assert_same(disk: &SimDisk, model: &ModelDisk, touched: &BTreeSet<u64>, at: &str) {
         for &s in touched {
-            assert_eq!(disk.read_classified(s), model.classify(s), "{at}: sector {s}");
-            assert_eq!(disk.read(s), model.durable.get(&s).map(Vec::as_slice), "{at}: read {s}");
+            let classified = Classified::from(disk.read_classified(s));
+            assert_eq!(classified, model.classify(s), "{at}: sector {s}");
+            let read = disk.read(s).map(|stored| stored.to_vec());
+            assert_eq!(read.as_ref(), model.durable.get(&s), "{at}: read {s}");
         }
         let sectors: Vec<u64> = model.durable.keys().copied().collect();
         assert_eq!(disk.durable_sectors().collect::<Vec<_>>(), sectors, "{at}: durable order");
@@ -1040,10 +1107,13 @@ mod device_model {
         let image = disk.snapshot();
         let torn: Vec<u64> = model.torn.iter().copied().collect();
         assert_eq!(image.torn_sectors().collect::<Vec<_>>(), torn, "{at}: tombstones");
-        assert!(image.sectors().eq(model.durable.iter().map(|(s, b)| (*s, b.as_slice()))), "{at}");
+        let sectors = image.sectors().map(|(s, stored)| (s, stored.to_vec()));
+        assert!(sectors.eq(model.durable.iter().map(|(s, b)| (*s, b.clone()))), "{at}");
     }
 
-    fn run(size: usize, seed: u64) {
+    /// One random raw-operation sequence; returns how many flips landed in
+    /// a sector's implied zero tail.
+    fn run(size: usize, seed: u64) -> u64 {
         let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
         let mut disk = SimDisk::new(size);
         let mut model = ModelDisk::default();
@@ -1052,13 +1122,25 @@ mod device_model {
         // writes straddle it; a misdirect throws some far away.
         let window = TRACK_SECTORS - 6..TRACK_SECTORS + 10;
         let mut touched: BTreeSet<u64> = (window.start - 2..window.end + 6).collect();
+        let mut tail_flips = 0;
         for step in 0..400 {
             let at = format!("sector size {size}, seed {seed}, step {step}");
             match rng.below(16) {
                 0..=4 => {
                     let sector = window.start + rng.below(window.end - window.start);
                     let n = 1 + rng.below(5);
-                    let data: Vec<u8> = (0..n as usize * size).map(|_| rng.next() as u8).collect();
+                    // Most writes end inside their last sector, so a
+                    // rewrite of a sector is as often shorter as longer;
+                    // zero-heavy data ends some in zeros it did write.
+                    let len = match rng.below(3) {
+                        0 => n as usize * size,
+                        _ => (n as usize - 1) * size + 1 + rng.below(size as u64) as usize,
+                    };
+                    let sparse = rng.below(2) == 0;
+                    let data: Vec<u8> = (0..len)
+                        .map(|_| rng.next() as u8)
+                        .map(|b| if sparse && b & 3 != 0 { 0 } else { b })
+                        .collect();
                     let landed = model.misdirect.map_or(sector, |d| sector.wrapping_add_signed(d));
                     touched.extend(landed..landed + n);
                     disk.write(sector, &data);
@@ -1076,7 +1158,12 @@ mod device_model {
                 10 => assert_eq!(disk.reorder_last_flush(), model.reorder(), "{at}"),
                 11 => {
                     let bit = rng.next();
-                    assert_eq!(disk.flip_bit(bit), model.flip(bit), "{at}");
+                    let flipped = model.flip(bit);
+                    if let Some(&(idx, byte, _)) = model.flips.last().filter(|_| flipped) {
+                        let stored = disk.read(idx).expect("a durable sector");
+                        tail_flips += u64::from(byte >= stored.bytes.len());
+                    }
+                    assert_eq!(disk.flip_bit(bit), flipped, "{at}");
                     if rng.below(3) == 0 {
                         assert_eq!(disk.unflip_all(), model.unflip_all(), "{at}");
                     }
@@ -1122,20 +1209,23 @@ mod device_model {
                     run.extend_from_slice(model.durable.get(&s).ok_or(i)?);
                     Ok(run)
                 });
-            assert_eq!(
-                disk.read_run(lo, n).map(|bytes| bytes.into_owned()),
-                run,
-                "{at}: run {lo}+{n}"
-            );
+            let got = disk.read_run(lo, n);
+            if let Ok(stored) = &got {
+                // A single sector is always read in place.
+                assert!(n > 1 || matches!(stored.bytes, Cow::Borrowed(_)), "{at}: run {lo}");
+                let len = stored.bytes.len() + stored.zeros;
+                assert_eq!(len, n as usize * disk.sector_size(), "{at}: run {lo}+{n}");
+            }
+            assert_eq!(got.map(|stored| stored.to_vec()), run, "{at}: run {lo}+{n}");
         }
+        tail_flips
     }
 
     #[test]
     fn track_backed_disk_matches_the_per_sector_map_it_replaced() {
         for size in [32, 512] {
-            for seed in 0..24 {
-                run(size, seed);
-            }
+            let tail_flips: u64 = (0..24).map(|seed| run(size, seed)).sum();
+            assert!(tail_flips > 24, "sector size {size}: {tail_flips} flips in a zero tail");
         }
     }
 }
