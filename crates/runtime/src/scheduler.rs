@@ -1,19 +1,16 @@
 //! A deterministic, seeded scheduler driving scripts through a
-//! [`TxnSystem`].
+//! [`TxnSystem`], and the executor core it shares with the threaded one.
 //!
-//! The scheduler interleaves scripts in a seeded random order, retries
-//! blocked invocations when a blocker completes, detects deadlocks through
-//! the system's wait-for graph (aborting the youngest transaction in the
-//! cycle), and restarts scripts whose transactions were aborted by the
-//! system. Determinism (same seed ⇒ same execution) makes experiment runs
-//! reproducible and lets property tests shrink failures.
-//!
-//! That sequence — begin → invoke → blocked / deadlock / deadline → commit
-//! → restart — is written once, in the crate-private `RoundRobin`: [`run`]
-//! drives it over a bare [`TxnSystem`], and the fault simulator
-//! ([`crate::sim::run_sim`]) drives the same executor over a durable system,
-//! adding a fault plan, a durable commit and an oracle (DESIGN.md, "The
-//! cooperative executor").
+//! Begin → invoke → blocked / deadlock / deadline → commit → restart is
+//! written once, on the crate-private `Driver`: one script's state and its
+//! transitions. The crate-private `RoundRobin` steps drivers in a seeded
+//! order — [`run`] over a bare [`TxnSystem`], the fault simulator
+//! ([`crate::sim::run_sim`]) over a durable one with a fault plan and an
+//! oracle — and breaks stalls through the wait-for graph (aborting the
+//! youngest transaction on a cycle); same seed ⇒ same execution, so runs
+//! reproduce and failures shrink. The threaded executor
+//! ([`crate::threaded`]) steps the same drivers from worker threads
+//! (DESIGN.md §7, "The executor core").
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -58,33 +55,13 @@ impl Default for SchedulerCfg {
     }
 }
 
-/// Result of a scheduled run.
-///
-/// **Shared field semantics.** This report is produced by both executors —
-/// the seeded scheduler here and `threaded.rs`'s worker pool — and the
-/// experiment projections compare them, so every field means the same thing
-/// under both (asserted by `tests/obs_projection.rs`):
-///
-/// - `committed` / `voluntary_aborts` / `gave_up` partition the scripts;
-///   `retries` counts script restarts after a system abort (a script's final
-///   failed attempt counts as a retry *and* a give-up).
-/// - `blocked_ops` counts operations whose **first** attempt hit a conflict;
-///   re-attempts of the same blocked operation are waiting, not new blocks,
-///   and land in `wait_rounds` instead.
-/// - `rounds` is the executor's unit of forward progress: scheduler rounds
-///   (a logical makespan) for the seeded scheduler, transaction attempts for
-///   the threaded executor (which has no global round clock) — where every
-///   attempt ends in a commit, a voluntary abort, or a retry, so
-///   `rounds == committed + voluntary_aborts + retries` holds exactly.
-/// - `wait_rounds` is the executor's unit of lost concurrency: driver-rounds
-///   spent blocked or sleeping (scheduler), condvar wait slices elapsed
-///   while blocked or asleep after a restart (threaded).
-/// - `admission_rounds` counts time queued by admission control under an
-///   MPL bound: driver-rounds held back (scheduler), admission wait slices
-///   elapsed while parked (threaded). Zero when `mpl` is unlimited.
+/// Result of a run, under either executor. The experiment projections
+/// compare the two, so every field means the same under both (asserted by
+/// `tests/obs_projection.rs`); where the units differ, the field says how.
 #[derive(Clone, Debug, Default)]
 pub struct RunReport {
-    /// Scripts that ultimately committed.
+    /// Scripts that ultimately committed. `committed`, `voluntary_aborts`
+    /// and `gave_up` partition the scripts.
     pub committed: u64,
     /// Scripts that ended with a voluntary abort.
     pub voluntary_aborts: u64,
@@ -94,33 +71,36 @@ pub struct RunReport {
     pub deadlock_aborts: u64,
     /// System-initiated validation aborts.
     pub validation_aborts: u64,
-    /// Total retries across scripts.
+    /// Script restarts after a system abort (a script's final failed
+    /// attempt counts as a retry *and* a give-up).
     pub retries: u64,
-    /// Time spent queued by admission control under an MPL bound, in the
-    /// executor's wait unit (distinct from `wait_rounds`, which counts lock
-    /// waits). Zero when `mpl` is unlimited.
+    /// Time queued by admission control under an MPL bound: driver-rounds
+    /// held back (scheduler), wait slices parked (threaded). Zero when `mpl`
+    /// is unlimited.
     pub admission_rounds: u64,
-    /// Operations that hit a conflict on their first attempt (the raw
-    /// `stats.blocks` additionally counts every retried attempt).
+    /// Operations whose **first** attempt hit a conflict (the raw
+    /// `stats.blocks` also counts every retried attempt, which is waiting).
     pub blocked_ops: u64,
-    /// Scheduler rounds until all scripts finished (a makespan in logical
-    /// time: more blocking ⇒ more rounds); transaction attempts for the
-    /// threaded executor.
+    /// Forward progress: scheduler rounds until all scripts finished (a
+    /// makespan in logical time); transaction attempts for the threaded
+    /// executor, which has no round clock — there every attempt ends in a
+    /// commit, a voluntary abort or a retry, so `rounds == committed +
+    /// voluntary_aborts + retries` exactly.
     pub rounds: u64,
-    /// Driver-rounds spent waiting (blocked or sleeping after an abort) —
-    /// the cross-configuration "lost concurrency" measure. Condvar wait
-    /// slices, blocked or asleep after a restart, for the threaded executor.
+    /// Lost concurrency: one per blocked invocation attempt, plus the
+    /// driver-rounds held back blocked, asleep or paused (scheduler) or the
+    /// condvar wait slices asleep after a restart (threaded).
     pub wait_rounds: u64,
     /// Final system counters.
     pub stats: SystemStats,
 }
 
-/// What a bare [`TxnSystem`] and a
-/// [`DurableSystem`](crate::crash::DurableSystem) do differently under a
-/// driver: the durable one buffers every executed operation for its
-/// write-ahead log and drops the buffer on abort. Everything else a driver
-/// needs — begin, liveness, the wait-for graph, the counters, the tracer —
-/// is the transaction system's own.
+/// What a bare [`TxnSystem`], the threaded executor's write-ahead buffer and
+/// a [`DurableSystem`](crate::crash::DurableSystem) do differently under a
+/// driver: the last two override `invoke` and `abort` to buffer every
+/// executed operation for a log. Everything else a driver needs — begin,
+/// liveness, the wait-for graph, the counters, the tracer — is the
+/// transaction system's own.
 pub(crate) trait Driven<A: Adt> {
     /// The recovery engine of the system underneath.
     type Engine: RecoveryEngine<A>;
@@ -134,9 +114,13 @@ pub(crate) trait Driven<A: Adt> {
         txn: TxnId,
         obj: ObjectId,
         inv: A::Invocation,
-    ) -> Result<A::Response, TxnError>;
+    ) -> Result<A::Response, TxnError> {
+        self.txns().invoke(txn, obj, inv)
+    }
     /// Abort `txn` at its script's request.
-    fn abort(&mut self, txn: TxnId) -> Result<(), TxnError>;
+    fn abort(&mut self, txn: TxnId) -> Result<(), TxnError> {
+        self.txns().abort(txn)
+    }
 }
 
 impl<A: Adt, E: RecoveryEngine<A>, C: Conflict<A>> Driven<A> for TxnSystem<A, E, C> {
@@ -145,21 +129,11 @@ impl<A: Adt, E: RecoveryEngine<A>, C: Conflict<A>> Driven<A> for TxnSystem<A, E,
     fn txns(&mut self) -> &mut TxnSystem<A, E, C> {
         self
     }
-    fn invoke(
-        &mut self,
-        txn: TxnId,
-        obj: ObjectId,
-        inv: A::Invocation,
-    ) -> Result<A::Response, TxnError> {
-        TxnSystem::invoke(self, txn, obj, inv)
-    }
-    fn abort(&mut self, txn: TxnId) -> Result<(), TxnError> {
-        TxnSystem::abort(self, txn)
-    }
 }
 
-/// One script being driven through the system as one transaction (re-begun
-/// on retry).
+/// One script driven through the system as one transaction (re-begun on
+/// retry): its state and the transitions both executors share — `step`,
+/// `restart` and `expire`. Whoever drives it decides only when it moves.
 pub(crate) struct Driver<A: Adt> {
     script: Box<dyn Script<A>>,
     /// The transaction in flight. A finished driver has none: a rebuilt
@@ -169,6 +143,9 @@ pub(crate) struct Driver<A: Adt> {
     pub(crate) txn: Option<TxnId>,
     last: Option<A::Response>,
     pending: Option<Step<A>>,
+    /// The pending step has not been tried yet: its first block is counted
+    /// in `blocked_ops`, a retry of it is waiting.
+    fresh: bool,
     /// Completion epoch at the time this driver last blocked — retried only
     /// after some transaction completes (releasing locks).
     blocked_epoch: Option<u64>,
@@ -198,11 +175,153 @@ pub(crate) struct Driver<A: Adt> {
 }
 
 impl<A: Adt> Driver<A> {
+    pub(crate) fn new(mut script: Box<dyn Script<A>>) -> Self {
+        script.reset();
+        Driver {
+            script,
+            txn: None,
+            last: None,
+            pending: None,
+            fresh: false,
+            blocked_epoch: None,
+            sleep_until_commit: None,
+            pause: 0,
+            staged: false,
+            began_round: 0,
+            retries: 0,
+            done: false,
+            committed: false,
+            voluntary_abort: false,
+            refused: false,
+        }
+    }
+
+    /// Draw the script's next step unless one is pending. The only place
+    /// `Script::next` runs, so a driver behind a lock draws first, without
+    /// it.
+    pub(crate) fn draw(&mut self) {
+        if self.pending.is_none() {
+            self.pending = Some(self.script.next(self.last.as_ref()));
+            self.fresh = true;
+        }
+    }
+
+    /// The transaction in flight, begun now if there is none.
+    pub(crate) fn begin<S: Driven<A>>(&mut self, sys: &mut S) -> TxnId {
+        *self.txn.get_or_insert_with(|| sys.txns().begin())
+    }
+
+    /// One step: [`begin`](Self::begin), then the pending-or-next step —
+    /// `invoke` and the classification of its outcome, or a voluntary abort.
+    /// A commit goes back to the caller, since committing is exactly where
+    /// the runs differ.
+    pub(crate) fn step<S: Driven<A>>(&mut self, sys: &mut S, report: &mut RunReport) -> Stepped {
+        let txn = self.begin(sys);
+        self.draw();
+        match self.pending.take().expect("a step was drawn") {
+            Step::Invoke(obj, inv) => match sys.invoke(txn, obj, inv.clone()) {
+                Ok(resp) => {
+                    self.last = Some(resp);
+                    self.blocked_epoch = None;
+                    Stepped::Progressed
+                }
+                Err(TxnError::Blocked) => {
+                    report.blocked_ops += u64::from(std::mem::take(&mut self.fresh));
+                    report.wait_rounds += 1;
+                    self.pending = Some(Step::Invoke(obj, inv));
+                    self.blocked_epoch = Some(epoch(sys.txns().stats()));
+                    Stepped::Blocked
+                }
+                Err(TxnError::Aborted(_)) => Stepped::Aborted,
+                // A refusal is typed and terminal. A bare system refuses
+                // only what the script got wrong; under fault injection a
+                // script can be stranded in a state its generator never
+                // anticipated, gives up, and the oracle remains the arbiter
+                // of correctness — the caller tells the two apart.
+                Err(e) => {
+                    let _ = sys.abort(txn);
+                    self.refused = true;
+                    self.retire();
+                    Stepped::Refused(e)
+                }
+            },
+            Step::Commit => Stepped::Commit(txn),
+            Step::Abort => {
+                // The script ends by its own choice whether or not the
+                // transaction was still there to abort.
+                let _ = sys.abort(txn);
+                self.voluntary_abort = true;
+                self.retire();
+                Stepped::Progressed
+            }
+        }
+    }
+
+    /// Reset after the transaction was aborted (by the system, a fault, or a
+    /// crash) — the only place `retries` is charged and the budget checked.
+    /// Unless `wake` is [`Wake::Now`] the driver sleeps until a commit;
+    /// `false` when the budget is spent and the script is given up.
+    pub(crate) fn restart<S: Driven<A>>(
+        &mut self,
+        sys: &mut S,
+        report: &mut RunReport,
+        wake: Wake,
+        max_retries: usize,
+    ) -> bool {
+        self.sleep_until_commit = (wake != Wake::Now).then_some(sys.txns().stats().committed);
+        self.txn = None;
+        self.last = None;
+        self.pending = None;
+        self.blocked_epoch = None;
+        self.staged = false;
+        self.retries += 1;
+        report.retries += 1;
+        self.script.reset();
+        if self.retries > max_retries {
+            self.retire();
+        }
+        !self.done
+    }
+
+    /// The deadline guard, for a caller that found the transaction overdue:
+    /// abort it with [`AbortReason::Deadline`] if it is still active. One
+    /// that wound-wait already killed is left to its next `invoke` (`false`).
+    pub(crate) fn expire<S: Driven<A>>(&mut self, sys: &mut S) -> bool {
+        let Some(txn) = self.txn.filter(|&t| sys.txns().is_active(t)) else { return false };
+        sys.txns().abort_with(txn, AbortReason::Deadline).expect("txn is active");
+        true
+    }
+
+    /// [`Wake::AfterCommit`]'s predicate: a restarted driver sleeps until the
+    /// commit count moves past the one its restart sampled.
+    pub(crate) fn asleep(&mut self, committed: u64) -> bool {
+        self.sleep_until_commit = self.sleep_until_commit.filter(|&c| c == committed);
+        self.sleep_until_commit.is_some()
+    }
+
+    /// The commit was acknowledged.
+    pub(crate) fn acknowledged(&mut self) {
+        self.committed = true;
+        self.retire();
+    }
+
     /// The script is over, for whichever reason the caller recorded.
     pub(crate) fn retire(&mut self) {
         self.done = true;
         self.txn = None;
         self.staged = false;
+    }
+
+    /// Count a finished script into `report`'s partition.
+    pub(crate) fn tally(&self, report: &mut RunReport) {
+        let outcome = if self.committed {
+            &mut report.committed
+        } else if self.voluntary_abort {
+            &mut report.voluntary_aborts
+        } else {
+            &mut report.gave_up
+        };
+        *outcome += 1;
     }
 }
 
@@ -211,11 +330,9 @@ impl<A: Adt> Driver<A> {
 pub(crate) enum Wake {
     /// Once some transaction has committed — for victims the system picked
     /// by conflict (deadlock, validation, no-wait, wound, forced abort), so
-    /// that a restarted victim does not immediately re-acquire its locks and
-    /// get chosen again; without this, clique-shaped conflicts livelock. It
-    /// is the wake rule `threaded.rs`'s `restart` states for the worker pool
-    /// (there "or no transaction is active" is a clause of the wait; here
-    /// [`RoundRobin::break_stall`] wakes a sleeper).
+    /// that a restarted victim does not re-acquire its locks and get chosen
+    /// again: clique-shaped conflicts livelock otherwise. Both executors
+    /// wait on it; [`RoundRobin::break_stall`] wakes a sleeper.
     AfterCommit,
     /// After a commit *and* `seeded_jitter(seed, txn, retries)` rounds — for
     /// victims the system did not pick by conflict (a deadline ran out, the
@@ -228,16 +345,15 @@ pub(crate) enum Wake {
     Now,
 }
 
-/// What one [`RoundRobin::step`] did.
+/// What one [`Driver::step`] did.
 pub(crate) enum Stepped {
-    /// An operation executed, the script aborted of its own accord, or the
-    /// system aborted the transaction and the script restarted.
+    /// An operation executed, or the script aborted itself (and is done).
     Progressed,
-    /// The operation conflicts; it stays pending until a transaction
-    /// completes.
+    /// The operation conflicts and stays pending.
     Blocked,
-    /// The script asks to commit — the caller's business, since committing
-    /// is exactly where a volatile and a durable run differ.
+    /// The system aborted the transaction; the caller restarts the driver.
+    Aborted,
+    /// The script asks to commit — the caller's business.
     Commit(TxnId),
     /// The system refused the invocation outright; the script gave up.
     Refused(TxnError),
@@ -247,10 +363,10 @@ fn epoch(stats: &SystemStats) -> u64 {
     stats.committed + stats.aborted
 }
 
-/// The one cooperative executor: scripts visited round-robin in a seeded
-/// order, one step per visit. [`run`] drives it over a bare [`TxnSystem`],
-/// the fault simulator over a durable one with a fault plan and an oracle
-/// around the same calls.
+/// The cooperative schedule: drivers visited round-robin in a seeded order,
+/// one step per visit. [`run`] drives it over a bare [`TxnSystem`], the fault
+/// simulator over a durable one with a fault plan and an oracle around the
+/// same calls.
 pub(crate) struct RoundRobin<A: Adt> {
     cfg: SchedulerCfg,
     rng: StdRng,
@@ -263,32 +379,10 @@ pub(crate) struct RoundRobin<A: Adt> {
 
 impl<A: Adt> RoundRobin<A> {
     pub(crate) fn new(scripts: Vec<Box<dyn Script<A>>>, cfg: SchedulerCfg) -> Self {
-        let drivers = scripts
-            .into_iter()
-            .map(|mut script| {
-                script.reset();
-                Driver {
-                    script,
-                    txn: None,
-                    last: None,
-                    pending: None,
-                    blocked_epoch: None,
-                    sleep_until_commit: None,
-                    pause: 0,
-                    staged: false,
-                    began_round: 0,
-                    retries: 0,
-                    done: false,
-                    committed: false,
-                    voluntary_abort: false,
-                    refused: false,
-                }
-            })
-            .collect();
         RoundRobin {
             cfg,
             rng: StdRng::seed_from_u64(cfg.seed),
-            drivers,
+            drivers: scripts.into_iter().map(Driver::new).collect(),
             round: 0,
             progressed: false,
             report: RunReport::default(),
@@ -321,23 +415,17 @@ impl<A: Adt> RoundRobin<A> {
         if d.done {
             return false;
         }
-        // Deadline: a transaction in flight past its budget is aborted
-        // with a typed reason and its script restarted (against the
-        // retry budget) under jittered backoff — bounded outcome on a
-        // stalling system. One that wound-wait already killed is left to its
-        // next `invoke`, which consumes the wound marker and restarts the
-        // script.
-        if self.cfg.deadline > 0 && !d.staged {
-            if let Some(t) = d.txn {
-                if self.round.saturating_sub(d.began_round) > self.cfg.deadline
-                    && sys.txns().is_active(t)
-                {
-                    sys.txns().abort_with(t, AbortReason::Deadline).expect("txn is active");
-                    self.restart(sys, i, Wake::AfterCommitAndJitter);
-                    self.progressed = true;
-                    return false;
-                }
-            }
+        // Deadline: a transaction in flight past its round budget is aborted
+        // and its script restarted (against the retry budget) under jittered
+        // backoff — bounded outcome on a stalling system.
+        if self.cfg.deadline > 0
+            && !d.staged
+            && self.round.saturating_sub(d.began_round) > self.cfg.deadline
+            && d.expire(sys)
+        {
+            self.restart(sys, i, Wake::AfterCommitAndJitter);
+            self.progressed = true;
+            return false;
         }
         // The tick-down is forward progress (the pause is finite), not a
         // stall.
@@ -351,14 +439,7 @@ impl<A: Adt> RoundRobin<A> {
         // completed since it blocked (locks are released on completion);
         // a restarted victim additionally waits for a commit.
         let stats = sys.txns().stats();
-        if let Some(c) = d.sleep_until_commit {
-            if stats.committed == c {
-                self.report.wait_rounds += 1;
-                return false;
-            }
-            d.sleep_until_commit = None;
-        }
-        if d.blocked_epoch == Some(epoch(stats)) {
+        if d.asleep(stats.committed) || d.blocked_epoch == Some(epoch(stats)) {
             self.report.wait_rounds += 1;
             return false;
         }
@@ -375,63 +456,20 @@ impl<A: Adt> RoundRobin<A> {
         true
     }
 
-    /// Advance driver `i` by one step of its script.
+    /// Advance driver `i` by one step of its script; a system abort restarts
+    /// it.
     pub(crate) fn step<S: Driven<A>>(&mut self, sys: &mut S, i: usize) -> Stepped {
         let d = &mut self.drivers[i];
-        let txn = match d.txn {
-            Some(t) => t,
-            None => {
-                let t = sys.txns().begin();
-                d.txn = Some(t);
-                d.began_round = self.round;
-                t
-            }
-        };
-        let (step, fresh) = match d.pending.take() {
-            Some(s) => (s, false),
-            None => (d.script.next(d.last.as_ref()), true),
-        };
-        let stepped = match step {
-            Step::Invoke(obj, inv) => match sys.invoke(txn, obj, inv.clone()) {
-                Ok(resp) => {
-                    d.last = Some(resp);
-                    d.blocked_epoch = None;
-                    Stepped::Progressed
-                }
-                Err(TxnError::Blocked) => {
-                    if fresh {
-                        self.report.blocked_ops += 1;
-                    }
-                    d.pending = Some(Step::Invoke(obj, inv));
-                    d.blocked_epoch = Some(epoch(sys.txns().stats()));
-                    self.report.wait_rounds += 1;
-                    return Stepped::Blocked;
-                }
-                Err(TxnError::Aborted(_)) => {
-                    self.restart(sys, i, Wake::AfterCommit);
-                    Stepped::Progressed
-                }
-                // A refusal is typed and terminal. A bare system refuses
-                // only what the script got wrong; under fault injection a
-                // script can be stranded in a state its generator never
-                // anticipated, gives up, and the oracle remains the arbiter
-                // of correctness — the caller tells the two apart.
-                Err(e) => {
-                    let _ = sys.abort(txn);
-                    d.refused = true;
-                    d.retire();
-                    Stepped::Refused(e)
-                }
-            },
-            Step::Commit => Stepped::Commit(txn),
-            Step::Abort => {
-                // The script ends by its own choice whether or not the
-                // transaction was still there to abort.
-                let _ = sys.abort(txn);
-                d.voluntary_abort = true;
-                d.retire();
+        if d.txn.is_none() {
+            d.began_round = self.round;
+        }
+        let stepped = match d.step(sys, &mut self.report) {
+            Stepped::Blocked => return Stepped::Blocked,
+            Stepped::Aborted => {
+                self.restart(sys, i, Wake::AfterCommit);
                 Stepped::Progressed
             }
+            stepped => stepped,
         };
         self.progressed = true;
         stepped
@@ -444,41 +482,22 @@ impl<A: Adt> RoundRobin<A> {
         self.drivers[i].pause = rounds;
     }
 
-    /// Driver `i`'s commit was acknowledged.
-    pub(crate) fn committed(&mut self, i: usize) {
-        self.drivers[i].committed = true;
-        self.drivers[i].retire();
-    }
-
     /// The driver whose transaction in flight is `txn`.
     pub(crate) fn holder(&self, txn: TxnId) -> Option<usize> {
         self.drivers.iter().position(|d| d.txn == Some(txn))
     }
 
-    /// Reset driver `i` after its transaction was aborted (by the system, a
-    /// fault, or a crash) and charge its retry budget; `wake` says when it
-    /// may try again.
+    /// [`Driver::restart`] for driver `i` under this run's budget, drawing
+    /// the seeded pause [`Wake::AfterCommitAndJitter`] asks for.
     pub(crate) fn restart<S: Driven<A>>(&mut self, sys: &mut S, i: usize, wake: Wake) {
         let d = &mut self.drivers[i];
-        let sys = sys.txns();
         d.pause = 0;
         if wake == Wake::AfterCommitAndJitter {
             let victim = d.txn.expect("a victim held a transaction");
             d.pause = seeded_jitter(self.cfg.seed, u64::from(victim.0), d.retries);
-            sys.obs_mut().on_retry_jitter(d.pause);
+            sys.txns().obs_mut().on_retry_jitter(d.pause);
         }
-        d.sleep_until_commit = (wake != Wake::Now).then_some(sys.stats().committed);
-        d.txn = None;
-        d.last = None;
-        d.pending = None;
-        d.blocked_epoch = None;
-        d.staged = false;
-        d.retries += 1;
-        self.report.retries += 1;
-        d.script.reset();
-        if d.retries > self.cfg.max_retries {
-            d.retire();
-        }
+        d.restart(sys, &mut self.report, wake, self.cfg.max_retries);
     }
 
     /// Close a round. One in which no visit made progress has every live
@@ -511,18 +530,11 @@ impl<A: Adt> RoundRobin<A> {
         true
     }
 
-    /// Fold the drivers into the report: `committed` / `voluntary_aborts` /
-    /// `gave_up` partition the scripts.
+    /// Fold the drivers and the system's counters into the report.
     pub(crate) fn finish<S: Driven<A>>(mut self, sys: &mut S) -> RunReport {
         self.report.rounds = self.round;
         for d in &self.drivers {
-            if d.committed {
-                self.report.committed += 1;
-            } else if d.voluntary_abort {
-                self.report.voluntary_aborts += 1;
-            } else {
-                self.report.gave_up += 1;
-            }
+            d.tally(&mut self.report);
         }
         let stats = sys.txns().stats();
         self.report.validation_aborts = stats.validation_aborts;
@@ -550,7 +562,6 @@ where
                 continue;
             }
             match exec.step(sys, i) {
-                Stepped::Progressed | Stepped::Blocked => {}
                 Stepped::Commit(txn) => {
                     // Volatile runs still get a commit-total phase window:
                     // here it covers exactly the validate+apply work (no
@@ -559,12 +570,13 @@ where
                     let outcome = sys.commit(txn);
                     sys.obs_mut().span_end(total);
                     match outcome {
-                        Ok(()) => exec.committed(i),
+                        Ok(()) => exec.drivers[i].acknowledged(),
                         Err(TxnError::Aborted(_)) => exec.restart(sys, i, Wake::AfterCommit),
                         Err(e) => panic!("commit error: {e}"),
                     }
                 }
                 Stepped::Refused(e) => panic!("script error: {e}"),
+                Stepped::Progressed | Stepped::Blocked | Stepped::Aborted => {}
             }
         }
         if !exec.break_stall(sys) {

@@ -913,7 +913,7 @@ where
             Ok(()) => {
                 let began = self.exec.drivers[i].began_round;
                 self.report.commit_latency_rounds.push(self.exec.round.saturating_sub(began) + 1);
-                self.exec.committed(i);
+                self.exec.drivers[i].acknowledged();
             }
             Err(TxnError::Aborted(_)) => self.exec.restart(self.sys, i, Wake::AfterCommit),
             // The admission gate shed this member: it was cleanly aborted
@@ -996,7 +996,7 @@ mod tests {
         let finished = loop {
             if let Stepped::Commit(txn) = exec.step(&mut sys, 0) {
                 sys.commit(txn).expect("an uncontended commit");
-                exec.committed(0);
+                exec.drivers[0].acknowledged();
                 break txn;
             }
         };

@@ -1,19 +1,14 @@
-//! The multi-threaded executor over [`TxnSystem`]: one worker loop and one
-//! restart path, with or without a log underneath.
+//! The multi-threaded executor over [`TxnSystem`]: worker threads that step
+//! the cooperative executor's `Driver` (`scheduler.rs`) against a
+//! mutex-protected `WriteAhead` (the system plus the buffer that turns
+//! executed operations into commit records), with or without a log
+//! underneath.
 //!
-//! Worker threads pull scripts from a shared queue and run each as one
-//! transaction per `attempt` against a mutex-protected `WriteAhead` (the
-//! system plus the buffer that turns executed operations into commit
-//! records). A blocked invocation waits on a condvar that is signalled
-//! whenever any transaction completes (completion is what releases implicit
-//! locks). Deadlocks are detected while holding the system mutex: a blocked
-//! worker checks the wait-for graph and, if its own transaction is the
-//! youngest on a cycle, aborts it. Every attempt the system aborts starts
-//! over through `restart`, which states the executor's wake rule.
-//!
-//! The system mutex serialises bookkeeping, not transactions: waiting
-//! transactions release it, so the admitted interleavings are those of the
-//! conflict relation, which is what the experiments measure.
+//! A worker adds only the schedule: a blocked invocation waits on a condvar
+//! signalled whenever a transaction completes (which releases its locks),
+//! the youngest worker on a wait-for cycle aborts itself, and an aborted
+//! attempt sleeps by the wake rule. Waiting transactions release the system
+//! mutex, so the admitted interleavings are those of the conflict relation.
 //!
 //! The one thing a log adds is where a commit's record goes: [`run_threaded`]
 //! drops it, [`run_threaded_durable`] hands it to a `CommitLog` over a
@@ -30,15 +25,15 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use ccr_core::adt::Adt;
 use ccr_core::conflict::Conflict;
-use ccr_core::ids::TxnId;
+use ccr_core::ids::{ObjectId, TxnId};
 use ccr_obs::Phase;
 use ccr_store::{CommitRecord, LogBackend, MemBackend};
 
 use crate::engine::RecoveryEngine;
 use crate::error::{AbortReason, TxnError};
-use crate::scheduler::RunReport;
-use crate::script::{Script, Step};
-use crate::system::{SystemStats, TxnSystem};
+use crate::scheduler::{Driven, Driver, RunReport, Stepped, Wake};
+use crate::script::Script;
+use crate::system::TxnSystem;
 use crate::writeahead::WriteAhead;
 
 /// Threaded-executor configuration.
@@ -50,25 +45,15 @@ pub struct ThreadedCfg {
     pub max_retries: usize,
     /// Condvar wait slice (re-checks deadlock after each).
     pub wait_slice: Duration,
-    /// Stamp tracer events with wall-clock microseconds in addition to the
-    /// logical clock. Off by default: wall stamps are nondeterministic by
-    /// nature and exist only for human-read threaded profiles.
-    pub wall_clock: bool,
     /// Admission control: maximum transactions in flight (0 = unlimited),
-    /// the same gate [`SchedulerCfg::mpl`] applies in the round-robin
-    /// scheduler. Workers park on an admission condvar before `begin`;
-    /// each elapsed wait slice counts into [`RunReport::admission_rounds`].
-    ///
-    /// [`SchedulerCfg::mpl`]: crate::scheduler::SchedulerCfg::mpl
+    /// the scheduler's [`mpl`](crate::scheduler::SchedulerCfg::mpl) gate.
+    /// Workers park on an admission condvar before `begin`; each elapsed
+    /// wait slice counts into [`RunReport::admission_rounds`].
     pub mpl: usize,
-    /// Per-transaction wall-clock deadline (`ZERO` = none): a transaction
-    /// still blocked past this budget self-aborts with
-    /// [`AbortReason::Deadline`] and its script retries against the retry
-    /// budget — the threaded analogue of [`SchedulerCfg::deadline`]'s round
-    /// budget. Checked on every wakeup from a blocked wait, which is the
-    /// only place a threaded transaction can stall.
-    ///
-    /// [`SchedulerCfg::deadline`]: crate::scheduler::SchedulerCfg::deadline
+    /// Per-transaction wall-clock deadline (`ZERO` = none), the scheduler's
+    /// [`deadline`](crate::scheduler::SchedulerCfg::deadline) in wall time:
+    /// checked on every wakeup from a blocked wait, the only place a
+    /// threaded transaction can stall.
     pub deadline: Duration,
 }
 
@@ -78,10 +63,28 @@ impl Default for ThreadedCfg {
             workers: 4,
             max_retries: 64,
             wait_slice: Duration::from_millis(5),
-            wall_clock: false,
             mpl: 0,
             deadline: Duration::ZERO,
         }
+    }
+}
+
+impl<A: Adt, E: RecoveryEngine<A>, C: Conflict<A>> Driven<A> for WriteAhead<A, E, C> {
+    type Engine = E;
+    type Conflict = C;
+    fn txns(&mut self) -> &mut TxnSystem<A, E, C> {
+        &mut self.sys
+    }
+    fn invoke(
+        &mut self,
+        txn: TxnId,
+        obj: ObjectId,
+        inv: A::Invocation,
+    ) -> Result<A::Response, TxnError> {
+        WriteAhead::invoke(self, txn, obj, inv)
+    }
+    fn abort(&mut self, txn: TxnId) -> Result<(), TxnError> {
+        WriteAhead::abort(self, txn)
     }
 }
 
@@ -89,6 +92,7 @@ impl Default for ThreadedCfg {
 type Vol<'s, A, E, C> = MutexGuard<'s, WriteAhead<A, E, C>>;
 
 struct Shared<A: Adt, E: RecoveryEngine<A>, C: Conflict<A>> {
+    cfg: ThreadedCfg,
     /// The system mutex: the transaction system plus the write-ahead buffer
     /// a commit takes its record from.
     vol: Mutex<WriteAhead<A, E, C>>,
@@ -96,43 +100,12 @@ struct Shared<A: Adt, E: RecoveryEngine<A>, C: Conflict<A>> {
     /// Signalled on every completion (paired with `vol`): blocked
     /// invocations and restarted scripts wait on it.
     completed: Condvar,
-    tallies: Mutex<Tallies>,
-    /// Signalled when an admission slot frees up (paired with `tallies`).
-    admitted: Condvar,
-}
-
-#[derive(Default)]
-struct Tallies {
-    /// The workers' counters under the shared [`RunReport`] semantics:
-    /// `rounds` counts transaction attempts, `wait_rounds` the wait slices
-    /// elapsed while blocked or asleep after a restart, `admission_rounds`
-    /// those elapsed while parked for an MPL slot.
-    report: RunReport,
     /// Transactions currently holding an admission slot (live, or — with a
     /// log attached — committed but still riding the commit barrier, so WAL
     /// lag exerts backpressure on admission).
-    in_flight: u64,
-}
-
-/// Claim an admission slot for one more attempt: with `cfg.mpl > 0`, park
-/// until fewer than `mpl` transactions are in flight, tallying each elapsed
-/// wait slice into `admission_rounds`. With `mpl == 0` admission is
-/// unbounded and this only tracks the in-flight count.
-fn admit(tallies: &Mutex<Tallies>, admitted: &Condvar, cfg: &ThreadedCfg) {
-    let mut t = tallies.lock();
-    while cfg.mpl > 0 && t.in_flight as usize >= cfg.mpl {
-        t.report.admission_rounds += 1;
-        admitted.wait_for(&mut t, cfg.wait_slice);
-    }
-    t.in_flight += 1;
-    t.report.rounds += 1;
-}
-
-/// Release an admission slot (the transaction committed or aborted) and
-/// wake one parked admitter.
-fn release(tallies: &Mutex<Tallies>, admitted: &Condvar) {
-    tallies.lock().in_flight -= 1;
-    admitted.notify_one();
+    in_flight: Mutex<usize>,
+    /// Signalled when an admission slot frees up (paired with `in_flight`).
+    admitted: Condvar,
 }
 
 /// Run `scripts` over `sys` with `cfg.workers` threads; returns the report
@@ -148,215 +121,187 @@ where
     C: Conflict<A> + Send + Sync,
 {
     // No log: the backend type only names the `None`.
-    let (tallies, sys) = run(sys, scripts, cfg, None::<&CommitLog<A, MemBackend<A>>>);
-    (report_from(tallies, sys.stats()), sys)
+    run(sys, scripts, cfg, None::<&CommitLog<A, MemBackend<A>>>)
 }
 
 /// The executor proper: drain `scripts` with `cfg.workers` threads, handing
-/// every commit record to `log` if there is one.
+/// every commit record to `log` if there is one. Each worker counts into its
+/// own report; they are summed once every worker is done.
 fn run<A, E, C, B>(
-    mut sys: TxnSystem<A, E, C>,
+    sys: TxnSystem<A, E, C>,
     scripts: Vec<Box<dyn Script<A>>>,
     cfg: &ThreadedCfg,
     log: Option<&CommitLog<A, B>>,
-) -> (Tallies, TxnSystem<A, E, C>)
+) -> (RunReport, TxnSystem<A, E, C>)
 where
     A: Adt,
     E: RecoveryEngine<A>,
     C: Conflict<A> + Send + Sync,
     B: LogBackend<A>,
 {
-    if cfg.wall_clock {
-        sys.obs_mut().enable_wall_clock();
-    }
     let shared = Shared {
+        cfg: *cfg,
         vol: Mutex::new(WriteAhead::new(sys, 0)),
         queue: Mutex::new(VecDeque::from(scripts)),
         completed: Condvar::new(),
-        tallies: Mutex::default(),
+        in_flight: Mutex::new(0),
         admitted: Condvar::new(),
     };
-    std::thread::scope(|scope| {
-        for _ in 0..cfg.workers.max(1) {
-            scope.spawn(|| worker(&shared, cfg, log));
-        }
+    let reports: Vec<RunReport> = std::thread::scope(|scope| {
+        let workers: Vec<_> =
+            (0..cfg.workers.max(1)).map(|_| scope.spawn(|| shared.worker(log))).collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
     });
-    (shared.tallies.into_inner(), shared.vol.into_inner().sys)
-}
-
-/// Complete the workers' tallies into a [`RunReport`] with the system's own
-/// counters.
-fn report_from(tallies: Tallies, stats: &SystemStats) -> RunReport {
-    RunReport { validation_aborts: stats.validation_aborts, stats: stats.clone(), ..tallies.report }
-}
-
-fn worker<A, E, C, B>(shared: &Shared<A, E, C>, cfg: &ThreadedCfg, log: Option<&CommitLog<A, B>>)
-where
-    A: Adt,
-    E: RecoveryEngine<A>,
-    C: Conflict<A> + Send + Sync,
-    B: LogBackend<A>,
-{
-    loop {
-        let Some(mut script) = shared.queue.lock().pop_front() else { return };
-        let mut retries = 0;
-        while let Some((txn, vol)) = attempt(shared, cfg, log, script.as_mut()) {
-            retries += 1;
-            if !restart(shared, cfg, vol, txn, retries) {
-                break;
-            }
-        }
+    let mut report = RunReport::default();
+    for r in reports {
+        report.committed += r.committed;
+        report.voluntary_aborts += r.voluntary_aborts;
+        report.gave_up += r.gave_up;
+        report.deadlock_aborts += r.deadlock_aborts;
+        report.retries += r.retries;
+        report.admission_rounds += r.admission_rounds;
+        report.blocked_ops += r.blocked_ops;
+        report.rounds += r.rounds;
+        report.wait_rounds += r.wait_rounds;
     }
+    let sys = shared.vol.into_inner().sys;
+    let stats = sys.stats();
+    (RunReport { validation_aborts: stats.validation_aborts, stats: stats.clone(), ..report }, sys)
 }
 
-/// Run `script` once as one transaction. `None` when it finished (committed
-/// or aborted voluntarily); when the system aborted the attempt, the dead
-/// transaction and the system guard the abort happened under, for
-/// [`restart`].
-fn attempt<'s, A, E, C, B>(
-    shared: &'s Shared<A, E, C>,
-    cfg: &ThreadedCfg,
-    log: Option<&CommitLog<A, B>>,
-    script: &mut dyn Script<A>,
-) -> Option<(TxnId, Vol<'s, A, E, C>)>
-where
-    A: Adt,
-    E: RecoveryEngine<A>,
-    C: Conflict<A> + Send + Sync,
-    B: LogBackend<A>,
-{
-    admit(&shared.tallies, &shared.admitted, cfg);
-    let began = Instant::now();
-    script.reset();
-    let mut last: Option<A::Response> = None;
-    let txn = shared.vol.lock().sys.begin();
-    loop {
-        match script.next(last.as_ref()) {
-            Step::Invoke(obj, inv) => {
-                let mut vol = shared.vol.lock();
-                let mut first_attempt = true;
-                last = loop {
-                    match vol.invoke(txn, obj, inv.clone()) {
-                        Ok(resp) => break Some(resp),
-                        Err(TxnError::Blocked) => {
-                            if first_attempt {
-                                shared.tallies.lock().report.blocked_ops += 1;
-                                first_attempt = false;
+impl<A: Adt, E: RecoveryEngine<A>, C: Conflict<A>> Shared<A, E, C> {
+    /// One worker: pop a script and step its driver under the system mutex
+    /// until the script is over, then the next. An attempt begins as soon as
+    /// it is admitted, so the wake rule's "some transaction is active" counts
+    /// it; `script.next` runs with no lock held.
+    fn worker<B: LogBackend<A>>(&self, log: Option<&CommitLog<A, B>>) -> RunReport {
+        let mut report = RunReport::default();
+        loop {
+            let Some(script) = self.queue.lock().pop_front() else { return report };
+            let mut d = Driver::new(script);
+            let mut began = Instant::now();
+            while !d.done {
+                if d.txn.is_none() {
+                    self.admit(&mut report);
+                    began = Instant::now();
+                    d.begin(&mut *self.vol.lock());
+                }
+                d.draw();
+                let entered = Instant::now();
+                let mut vol = self.vol.lock();
+                let aborted = loop {
+                    match d.step(&mut *vol, &mut report) {
+                        Stepped::Progressed => {
+                            if d.done {
+                                // A voluntary abort released its locks.
+                                self.completed.notify_all();
+                                self.release();
                             }
+                            break None;
+                        }
+                        Stepped::Blocked => {
                             // Deadlock check: self-abort if this txn is the
                             // youngest on a cycle it belongs to.
+                            let txn = d.txn.expect("a blocked driver holds a transaction");
                             if let Some(cycle) = vol.sys.find_deadlock(txn) {
                                 if cycle.iter().max() == Some(&txn) {
                                     vol.sys.abort_with(txn, AbortReason::Deadlock).expect("active");
-                                    shared.tallies.lock().report.deadlock_aborts += 1;
-                                    return Some((txn, vol));
+                                    report.deadlock_aborts += 1;
+                                    break Some(vol);
                                 }
                                 // Another worker owns the victim: wake every
                                 // waiter so the victim re-checks the cycle
-                                // *now* instead of sleeping out its full
-                                // wait slice.
-                                shared.completed.notify_all();
+                                // *now* instead of sleeping out its slice.
+                                self.completed.notify_all();
                             }
-                            shared.tallies.lock().report.wait_rounds += 1;
-                            shared.completed.wait_for(&mut vol, cfg.wait_slice);
-                            // Deadline: a transaction still blocked past its
-                            // wall budget self-aborts with a typed reason
-                            // and retries — bounded time on any lock it
-                            // cannot get. One that was wounded while it
-                            // slept learns so from the `invoke` that follows.
-                            if !cfg.deadline.is_zero()
-                                && began.elapsed() > cfg.deadline
-                                && vol.sys.is_active(txn)
+                            self.completed.wait_for(&mut vol, self.cfg.wait_slice);
+                            let deadline = self.cfg.deadline;
+                            if !deadline.is_zero()
+                                && began.elapsed() > deadline
+                                && d.expire(&mut *vol)
                             {
-                                vol.sys.abort_with(txn, AbortReason::Deadline).expect("active");
-                                return Some((txn, vol));
+                                break Some(vol);
                             }
                         }
-                        Err(TxnError::Aborted(_)) => return Some((txn, vol)),
-                        Err(e) => panic!("script error: {e}"),
+                        Stepped::Commit(txn) => match vol.commit(txn) {
+                            // The admission slot is held until the record is
+                            // durable: commit-barrier lag (a stalling WAL
+                            // device) backpressures admission under MPL.
+                            Ok(rec) => {
+                                match log {
+                                    Some(log) => {
+                                        make_durable(log, &self.completed, rec, entered, vol)
+                                    }
+                                    None => {
+                                        drop(vol);
+                                        self.completed.notify_all();
+                                    }
+                                }
+                                self.release();
+                                d.acknowledged();
+                                break None;
+                            }
+                            Err(TxnError::Aborted(_)) => break Some(vol),
+                            Err(e) => panic!("commit error: {e}"),
+                        },
+                        Stepped::Aborted => break Some(vol),
+                        Stepped::Refused(e) => panic!("script error: {e}"),
                     }
                 };
-            }
-            Step::Commit => {
-                let entered = Instant::now();
-                let mut vol = shared.vol.lock();
-                match vol.commit(txn) {
-                    Ok(rec) => {
-                        // The admission slot is held until the record is
-                        // durable: commit-barrier lag (a stalling WAL
-                        // device) backpressures admission under MPL.
-                        match log {
-                            Some(log) => make_durable(log, &shared.completed, rec, entered, vol),
-                            None => {
-                                drop(vol);
-                                shared.completed.notify_all();
-                            }
-                        }
-                        release(&shared.tallies, &shared.admitted);
-                        shared.tallies.lock().report.committed += 1;
-                        return None;
-                    }
-                    Err(TxnError::Aborted(_)) => return Some((txn, vol)),
-                    Err(e) => panic!("commit error: {e}"),
+                if let Some(vol) = aborted {
+                    self.sleep_after_abort(vol, &mut d, &mut report);
                 }
             }
-            Step::Abort => {
-                shared.vol.lock().abort(txn).expect("active");
-                shared.completed.notify_all();
-                release(&shared.tallies, &shared.admitted);
-                shared.tallies.lock().report.voluntary_aborts += 1;
-                return None;
+            d.tally(&mut report);
+        }
+    }
+
+    /// Every system abort ends here, under `vol`, the guard it happened
+    /// under. In order: discard the write-ahead buffer; notify `completed`;
+    /// release the admission slot, so no sleeper holds it; charge the retry
+    /// budget ([`Driver::restart`]); then the **wake rule** — wait on
+    /// `completed` while the driver is asleep ([`Wake::AfterCommit`]) and
+    /// some transaction is active, re-checked under that guard so no wake-up
+    /// is lost (DESIGN.md §10).
+    fn sleep_after_abort(
+        &self,
+        mut vol: Vol<'_, A, E, C>,
+        d: &mut Driver<A>,
+        report: &mut RunReport,
+    ) {
+        vol.discard(d.txn.expect("a victim holds a transaction"));
+        self.completed.notify_all();
+        self.release();
+        if d.restart(&mut *vol, report, Wake::AfterCommit, self.cfg.max_retries) {
+            while d.asleep(vol.sys.stats().committed) && vol.sys.active().next().is_some() {
+                report.wait_rounds += 1;
+                self.completed.wait_for(&mut vol, self.cfg.wait_slice);
             }
         }
     }
-}
 
-/// The one way an attempt the system aborted starts over: `vol` is the
-/// guard the abort happened under, `retries` counts this restart, and the
-/// result is whether the script has budget left. In order: discard the dead
-/// transaction's write-ahead buffer; notify `completed` (the abort released
-/// locks); release the admission slot, so no sleeper holds back admission;
-/// charge the retry budget; then the **wake rule** — wait on `completed`
-/// until a transaction has committed since the abort or none is active.
-///
-/// The `std` mutex is unfair: without the wait a deadlock victim re-takes
-/// it before the survivor it just woke is scheduled, re-acquires its first
-/// lock, rebuilds the cycle it lost and burns its retry budget against it.
-/// With it the victim cannot re-enter before that survivor has run (the
-/// second clause keeps a clique whose members all aborted from sleeping on
-/// each other). The commit count is sampled, and re-checked after every
-/// wake-up, under the guard the abort happened under, so no wake-up is
-/// lost; each elapsed slice counts into `wait_rounds`, as the scheduler
-/// counts its sleepers. `scheduler::Wake::AfterCommit` states the same rule.
-fn restart<A, E, C>(
-    shared: &Shared<A, E, C>,
-    cfg: &ThreadedCfg,
-    mut vol: Vol<'_, A, E, C>,
-    txn: TxnId,
-    retries: usize,
-) -> bool
-where
-    A: Adt,
-    E: RecoveryEngine<A>,
-    C: Conflict<A>,
-{
-    vol.discard(txn);
-    shared.completed.notify_all();
-    release(&shared.tallies, &shared.admitted);
-    {
-        let mut t = shared.tallies.lock();
-        t.report.retries += 1;
-        if retries > cfg.max_retries {
-            t.report.gave_up += 1;
-            return false;
+    /// Claim an admission slot for one more attempt (counted in `rounds`):
+    /// with `mpl > 0`, park until fewer than `mpl` transactions are in
+    /// flight, counting each elapsed wait slice into `admission_rounds`.
+    fn admit(&self, report: &mut RunReport) {
+        let mut in_flight = self.in_flight.lock();
+        while self.cfg.mpl > 0 && *in_flight >= self.cfg.mpl {
+            report.admission_rounds += 1;
+            self.admitted.wait_for(&mut in_flight, self.cfg.wait_slice);
         }
+        *in_flight += 1;
+        report.rounds += 1;
     }
-    let commits = vol.sys.stats().committed;
-    while vol.sys.stats().committed == commits && vol.sys.active().next().is_some() {
-        shared.tallies.lock().report.wait_rounds += 1;
-        shared.completed.wait_for(&mut vol, cfg.wait_slice);
+
+    /// Release an admission slot (the transaction committed or aborted) and
+    /// wake one parked admitter.
+    fn release(&self) {
+        *self.in_flight.lock() -= 1;
+        self.admitted.notify_one();
     }
-    true
 }
 
 /// Durability discipline for [`run_threaded_durable`].
@@ -382,13 +327,7 @@ impl Default for GroupCommitCfg {
 /// Result of a durable threaded run: the report, the system (trace/state
 /// inspection), the backend (its durable image can be recovered from), and
 /// the measured durability figures.
-pub struct DurableRun<A, E, C, B>
-where
-    A: Adt,
-    E: RecoveryEngine<A>,
-    C: Conflict<A>,
-    B: LogBackend<A>,
-{
+pub struct DurableRun<A: Adt, E: RecoveryEngine<A>, C: Conflict<A>, B> {
     /// Scheduler-shaped run report (see [`RunReport`] field semantics).
     pub report: RunReport,
     /// The volatile system, with one `group_flush` trace event replayed per
@@ -475,14 +414,14 @@ where
         backend: Mutex::new(backend),
         gc: *gc,
     };
-    let (tallies, mut sys) = run(sys, scripts, cfg, Some(&log));
+    let (report, mut sys) = run(sys, scripts, cfg, Some(&log));
     let stage = log.stage.into_inner();
     // Replay the flush log into the tracer: one group_flush event per fsync
     // feeds the batch-size and flush-latency histograms, and one `Fsync`
     // phase sample per fsync feeds the per-phase profile. Barrier-park and
     // commit-entry→durable latencies become `BarrierWait` / `CommitTotal`
-    // samples (wall stamps survive only when `cfg.wall_clock` armed the
-    // tracer's wall epoch, so deterministic runs stay byte-identical).
+    // samples (wall stamps survive only when the caller armed the tracer's
+    // wall epoch, so deterministic runs stay byte-identical).
     for &(batch, micros) in &stage.flushes {
         sys.obs_mut().on_group_flush(batch, micros);
         sys.obs_mut().on_phase(Phase::Fsync, batch, micros * 1_000);
@@ -496,7 +435,7 @@ where
     let mut latencies = stage.latencies_us;
     latencies.sort_unstable();
     DurableRun {
-        report: report_from(tallies, sys.stats()),
+        report,
         sys,
         backend: log.backend.into_inner(),
         fsyncs: stage.flushes.len() as u64,
@@ -522,11 +461,11 @@ fn make_durable<A, E, C, B>(
     B: LogBackend<A>,
 {
     // Stage the record, then hold the barrier until a flush leader has made
-    // it durable. Whoever finds work staged and no leader in flight becomes
-    // the leader; everyone else parks on the barrier holding no lock but the
-    // stage's. The leader drains the whole staged batch either way — with
-    // group commit it costs ONE fsync, without it one fsync per record (the
-    // per-commit baseline: same ordering discipline, no amortisation).
+    // it durable. Whoever finds work staged and no leader in flight leads;
+    // everyone else parks holding no lock but the stage's. The leader drains
+    // the staged batch in chunks of `k` records, one fsync each: all of it
+    // with group commit, one record in the per-commit baseline (which thus
+    // acknowledges each committer as soon as *its* record is durable).
     let mut stage = log.stage.lock();
     drop(vol);
     completed.notify_all();
@@ -538,13 +477,14 @@ fn make_durable<A, E, C, B>(
         if !stage.leader && !stage.staged.is_empty() {
             stage.leader = true;
             let batch = std::mem::take(&mut stage.staged);
-            drop(stage);
-            if log.gc.group_commit {
+            let k = if log.gc.group_commit { batch.len() } else { 1 };
+            for chunk in batch.chunks(k) {
+                drop(stage);
                 let micros = {
                     let mut backend = log.backend.lock();
                     let t0 = Instant::now();
                     backend
-                        .append_commits(&batch)
+                        .append_commits(chunk)
                         .expect("threaded harness runs on a healthy device");
                     if !log.gc.flush_delay.is_zero() {
                         std::thread::sleep(log.gc.flush_delay);
@@ -552,33 +492,11 @@ fn make_durable<A, E, C, B>(
                     t0.elapsed().as_micros() as u64
                 };
                 stage = log.stage.lock();
-                stage.durable += batch.len() as u64;
-                stage.flushes.push((batch.len() as u64, micros));
-            } else {
-                // Per-commit baseline: every record pays its own fsync, and
-                // each committer is released as soon as *its* record is
-                // durable.
-                for r in &batch {
-                    let micros = {
-                        let mut backend = log.backend.lock();
-                        let t0 = Instant::now();
-                        backend
-                            .append_commit(r)
-                            .expect("threaded harness runs on a healthy device");
-                        if !log.gc.flush_delay.is_zero() {
-                            std::thread::sleep(log.gc.flush_delay);
-                        }
-                        t0.elapsed().as_micros() as u64
-                    };
-                    let mut s = log.stage.lock();
-                    s.durable += 1;
-                    s.flushes.push((1, micros));
-                    log.durable.notify_all();
-                }
-                stage = log.stage.lock();
+                stage.durable += chunk.len() as u64;
+                stage.flushes.push((chunk.len() as u64, micros));
+                log.durable.notify_all();
             }
             stage.leader = false;
-            log.durable.notify_all();
         } else {
             let parked = Instant::now();
             log.durable.wait(&mut stage);
@@ -597,7 +515,7 @@ mod tests {
     use super::*;
     use crate::crash::{DurableSystem, TornPolicy};
     use crate::engine::{DuEngine, UipEngine};
-    use crate::script::OpsScript;
+    use crate::script::{OpsScript, Step};
     use ccr_adt::bank::{bank_nfc, bank_nrbc, BankAccount, BankInv};
     use ccr_core::atomicity::{check_dynamic_atomic, SystemSpec};
     use ccr_core::conflict::FnConflict;
@@ -691,10 +609,10 @@ mod tests {
     fn a_restarted_victim_waits_for_a_commit() {
         // ROADMAP item 6's reproducer: 2 048 scripts of the crosswise clique
         // and of the hot spot, four workers, the default 64-retry budget.
-        // Without the wake rule in `restart` a deadlock victim re-takes the
-        // unfair mutex before the survivor it woke is scheduled, rebuilds
-        // the cycle and exhausts its budget (`gave_up > 0`, thousands of
-        // deadlock aborts); with it every script commits. The small tests
+        // Without the wake rule (`sleep_after_abort`) a deadlock victim
+        // re-takes the unfair mutex before the survivor it woke is scheduled,
+        // rebuilds the cycle and exhausts its budget (`gave_up > 0`,
+        // thousands of deadlock aborts); with it every script commits. The small tests
         // above cannot show this — their 16 scripts finish before a second
         // worker is scheduled.
         const N: u64 = 2048;

@@ -13,7 +13,7 @@ while read -r file ceiling; do
     status=1
   fi
 done <<'BUDGET'
-DESIGN.md 136890
+DESIGN.md 136824
 EXPERIMENTS.md 60587
 BUDGET
 exit $status

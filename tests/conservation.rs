@@ -13,43 +13,9 @@ use ccr::runtime::threaded::{run_threaded, ThreadedCfg};
 use ccr::runtime::{ConflictPolicy, TxnSystem};
 use proptest::prelude::*;
 
-const ACCOUNTS: u32 = 3;
+include!("common/transfers.rs");
+
 const SEED_FUNDS: u64 = 20;
-
-/// Transfer 2 units from account `(k mod 3)` to `(k+1 mod 3)`; abort when
-/// the withdrawal is refused. All scripts share this decision function with
-/// the source/target rotated by the step-index trick, so four static
-/// variants cover the rotations.
-fn transfer(from: u32, to: u32) -> ConditionalScript<BankAccount> {
-    // ConditionalScript requires a fn pointer, so enumerate rotations.
-    match (from, to) {
-        (0, 1) => ConditionalScript::new(|pos, last| step(pos, last, 0, 1)),
-        (1, 2) => ConditionalScript::new(|pos, last| step(pos, last, 1, 2)),
-        (2, 0) => ConditionalScript::new(|pos, last| step(pos, last, 2, 0)),
-        _ => unreachable!("rotations only"),
-    }
-}
-
-fn step(pos: usize, last: Option<&BankResp>, from: u32, to: u32) -> Step<BankAccount> {
-    match pos {
-        0 => Step::Invoke(ObjectId(from), BankInv::Withdraw(2)),
-        1 => match last {
-            Some(BankResp::Ok) => Step::Invoke(ObjectId(to), BankInv::Deposit(2)),
-            _ => Step::Abort,
-        },
-        _ => Step::Commit,
-    }
-}
-
-fn scripts(n: usize) -> Vec<Box<dyn Script<BankAccount>>> {
-    (0..n)
-        .map(|i| {
-            let from = (i as u32) % ACCOUNTS;
-            let to = (from + 1) % ACCOUNTS;
-            Box::new(transfer(from, to)) as Box<dyn Script<BankAccount>>
-        })
-        .collect()
-}
 
 fn total<E, C>(sys: &mut TxnSystem<BankAccount, E, C>) -> u64
 where
@@ -85,20 +51,20 @@ proptest! {
         let mut sys: TxnSystem<BankAccount, UipEngine<BankAccount>, _> =
             TxnSystem::new(BankAccount::default(), ACCOUNTS, bank_nrbc());
         seed_funds(&mut sys);
-        run(&mut sys, scripts(n), &cfg);
+        run(&mut sys, transfers(n), &cfg);
         prop_assert_eq!(total(&mut sys), SEED_FUNDS * ACCOUNTS as u64);
 
         let mut sys: TxnSystem<BankAccount, UipInverseEngine<BankAccount>, _> =
             TxnSystem::new(BankAccount::default(), ACCOUNTS, bank_nrbc())
                 .with_policy(ConflictPolicy::WoundWait);
         seed_funds(&mut sys);
-        run(&mut sys, scripts(n), &cfg);
+        run(&mut sys, transfers(n), &cfg);
         prop_assert_eq!(total(&mut sys), SEED_FUNDS * ACCOUNTS as u64);
 
         let mut sys: TxnSystem<BankAccount, DuEngine<BankAccount>, _> =
             TxnSystem::new(BankAccount::default(), ACCOUNTS, bank_nfc());
         seed_funds(&mut sys);
-        run(&mut sys, scripts(n), &cfg);
+        run(&mut sys, transfers(n), &cfg);
         prop_assert_eq!(total(&mut sys), SEED_FUNDS * ACCOUNTS as u64);
 
         // Even the mismatched pairing conserves: validation aborts discard
@@ -106,7 +72,7 @@ proptest! {
         let mut sys: TxnSystem<BankAccount, DuEngine<BankAccount>, _> =
             TxnSystem::new(BankAccount::default(), ACCOUNTS, SymmetricClosure(bank_nrbc()));
         seed_funds(&mut sys);
-        run(&mut sys, scripts(n), &cfg);
+        run(&mut sys, transfers(n), &cfg);
         prop_assert_eq!(total(&mut sys), SEED_FUNDS * ACCOUNTS as u64);
     }
 }
@@ -123,7 +89,7 @@ fn conservation_under_optimistic_execution() {
     sys.commit(t).unwrap();
 
     // Drive transfer scripts manually with retry-on-validation.
-    for mut script in scripts(24) {
+    for mut script in transfers(24) {
         let mut attempts = 0;
         'retry: loop {
             attempts += 1;
@@ -160,7 +126,7 @@ fn conservation_under_threads() {
             TxnSystem::new(BankAccount::default(), ACCOUNTS, bank_nrbc());
         seed_funds(&mut sys);
         let cfg = ThreadedCfg { workers, ..Default::default() };
-        let (report, mut sys) = run_threaded(sys, scripts(24), &cfg);
+        let (report, mut sys) = run_threaded(sys, transfers(24), &cfg);
         assert_eq!(report.committed + report.voluntary_aborts + report.gave_up, 24);
         assert_eq!(total(&mut sys), SEED_FUNDS * ACCOUNTS as u64, "{workers} workers");
     }

@@ -8,7 +8,7 @@
 
 use std::sync::{Arc, Barrier};
 
-use ccr::adt::bank::{bank_nfc, bank_nrbc, BankAccount, BankInv};
+use ccr::adt::bank::{bank_nfc, bank_nrbc, BankAccount, BankInv, BankResp};
 use ccr::core::adt::Adt;
 use ccr::core::atomicity::SystemSpec;
 use ccr::core::conflict::FnConflict;
@@ -18,7 +18,7 @@ use ccr::runtime::crash::{DurableSystem, TornPolicy};
 use ccr::runtime::engine::{DuEngine, RecoveryEngine, UipEngine};
 use ccr::runtime::fault::{FaultKind, FaultMix, FaultPlan, FaultSpec};
 use ccr::runtime::scheduler::{run, RunReport, SchedulerCfg};
-use ccr::runtime::script::{OpsScript, Script, Step};
+use ccr::runtime::script::{ConditionalScript, OpsScript, Script, Step};
 use ccr::runtime::shard::ShardedSystem;
 use ccr::runtime::sim::{run_sim, SimCfg};
 use ccr::runtime::system::{ConflictPolicy, TxnSystem};
@@ -27,6 +27,7 @@ use ccr::store::{WalBackend, WalConfig};
 use ccr::workload::gen::{banking, WorkloadCfg};
 
 include!("common/rendezvous.rs");
+include!("common/transfers.rs");
 
 const X: ObjectId = ObjectId::SOLE;
 
@@ -192,6 +193,40 @@ fn run_report_semantics_agree_across_executors() {
     );
     check(&run.report);
     assert_projection_matches(&run.sys);
+
+    // Two more inputs on both executors, under DU + NFC so they contend:
+    // `tests/conservation.rs`'s transfers behind one funding deposit per
+    // account, whose refused withdrawals end in a voluntary abort (the
+    // driver's `Step::Abort` arm), and the hot spot under wound-wait.
+    fn funded() -> Vec<Box<dyn Script<BankAccount>>> {
+        let mut s: Vec<Box<dyn Script<BankAccount>>> = (0..ACCOUNTS)
+            .map(|i| Box::new(OpsScript::on(ObjectId(i), vec![BankInv::Deposit(2)])) as _)
+            .collect();
+        s.extend(transfers(9));
+        s
+    }
+    fn hot_spot() -> Vec<Box<dyn Script<BankAccount>>> {
+        scripts(8)
+    }
+    let inputs =
+        [(ConflictPolicy::Block, funded as fn() -> _), (ConflictPolicy::WoundWait, hot_spot)];
+    for (policy, input) in inputs {
+        let fresh = || -> TxnSystem<BankAccount, DuEngine<BankAccount>, _> {
+            TxnSystem::new(BankAccount::default(), ACCOUNTS, bank_nfc()).with_policy(policy)
+        };
+        let n = input().len() as u64;
+        let mut sys = fresh();
+        let cfg = SchedulerCfg { seed: 3, ..Default::default() };
+        let r = ccr::runtime::scheduler::run(&mut sys, input(), &cfg); // `run` is shadowed above
+        let (tr, tsys) = run_threaded(fresh(), input(), &ThreadedCfg::default());
+        for (r, sys) in [(&r, &sys), (&tr, &tsys)] {
+            assert_eq!(r.committed + r.voluntary_aborts + r.gave_up, n, "{policy:?}: {r:?}");
+            assert!(r.blocked_ops <= r.stats.blocks, "{policy:?}: {r:?}");
+            assert_eq!(r.stats.committed, r.committed, "{policy:?}: {r:?}");
+            assert_projection_matches(sys);
+        }
+        assert_eq!(tr.rounds, tr.committed + tr.voluntary_aborts + tr.retries, "{tr:?}");
+    }
 }
 
 /// The fault simulator drives the plain scheduler's executor: with no fault

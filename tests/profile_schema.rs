@@ -196,11 +196,12 @@ fn threaded_wall_coverage_accounts_for_commit_time() {
     use ccr::store::{WalBackend, WalConfig};
     use ccr::workload::gen::{banking, WorkloadCfg};
 
-    let sys: TxnSystem<BankAccount, UipEngine<BankAccount>, _> =
+    let mut sys: TxnSystem<BankAccount, UipEngine<BankAccount>, _> =
         TxnSystem::new(BankAccount::default(), 8, bank_nrbc());
+    sys.obs_mut().enable_wall_clock();
     let wcfg = WorkloadCfg { txns: 32, ops_per_txn: 2, objects: 8, hot_fraction: 0.2, seed: 0 };
     let scripts = banking(&wcfg, 0.8);
-    let tcfg = ThreadedCfg { workers: 4, wall_clock: true, ..Default::default() };
+    let tcfg = ThreadedCfg { workers: 4, ..Default::default() };
     // A flush delay that dwarfs scheduling noise: nearly all of a commit's
     // entry-to-durable latency is then spent in the fsync (leader) or on the
     // commit barrier (followers), the two phases the executor samples. The
