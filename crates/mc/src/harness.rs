@@ -184,10 +184,10 @@ impl Default for McConfig {
 }
 
 impl McConfig {
-    /// The place of a fleet shard's home object: object `s` lives on shard
-    /// `s`.
+    /// The place of a fleet shard's home object: object `s`, which the
+    /// fleet routes to shard `s`.
     pub fn home(&self, s: usize) -> usize {
-        s * self.shards + s
+        s
     }
 
     /// The explorer's placement: transaction `i` on object `i mod objects`
@@ -460,9 +460,9 @@ pub struct Harness<B: McBackend> {
     cfg: McConfig,
     adt: BankAccount,
     sys: Fleet<B>,
-    /// Objects per shard: place `s * per_shard + o` is object `o` as shard
-    /// `s` holds it.
-    per_shard: usize,
+    /// The fleet's objects: place `p` is object `p`, held by shard
+    /// `p mod shards`.
+    objects: usize,
     ledger: Ledger,
     book: Book,
 }
@@ -470,27 +470,27 @@ pub struct Harness<B: McBackend> {
 impl<B: McBackend> Harness<B> {
     /// Build a fresh instance per `cfg` with transaction `i` at `places[i]`
     /// (applying construction-time mutations such as
-    /// [`Mutation::SkipEpochBump`]). Place `s * per_shard + o` is object `o`
-    /// on shard `s`: one shard holds `cfg.objects` objects, a fleet routes
-    /// object `o` to shard `o mod shards`, so its places are home objects
-    /// ([`McConfig::home`]).
+    /// [`Mutation::SkipEpochBump`]). Place `p` is object `p`: one shard
+    /// holds `cfg.objects` objects; a fleet has one object per shard and
+    /// routes object `o` to shard `o mod shards`, so its places are home
+    /// objects ([`McConfig::home`]).
     pub fn new(cfg: McConfig, places: Vec<Vec<usize>>) -> Self {
         assert_eq!(places.len(), cfg.txns, "one place list per transaction");
         let n = cfg.shards;
-        let per_shard = if n == 1 { cfg.objects as usize } else { n };
+        let objects = if n == 1 { cfg.objects as usize } else { n };
         let adt = BankAccount::default();
         let sys = ShardedSystem::new_with(n, |_| {
             let mut backend = B::fresh();
             if cfg.mutation == Some(Mutation::SkipEpochBump) {
                 backend.sabotage_skip_epoch_bump();
             }
-            DurableSystem::with_backend(adt.clone(), per_shard as u32, bank_nrbc(), backend)
+            DurableSystem::with_backend(adt.clone(), objects as u32, bank_nrbc(), backend)
         });
         Harness {
             cfg,
             adt,
             sys,
-            per_shard,
+            objects,
             ledger: Ledger::new(places),
             book: Book {
                 phase: vec![Phase::Fresh; cfg.txns],
@@ -516,7 +516,7 @@ impl<B: McBackend> Harness<B> {
 
     /// The shard of transaction `i`'s first place.
     fn home_shard(&self, i: usize) -> usize {
-        self.ledger.places(i)[0] / self.per_shard
+        self.ledger.places(i)[0] % self.cfg.shards
     }
 
     /// Whether transaction `i`'s client was told it committed.
@@ -584,8 +584,8 @@ impl<B: McBackend> Harness<B> {
             k.extend(sh.system().next_txn_id().to_le_bytes());
             k.extend(sh.exec_seq().to_le_bytes());
             k.extend(sh.backend().image_fingerprint().to_le_bytes());
-            for o in 0..self.per_shard {
-                k.extend(sh.committed_state(ObjectId(o as u32)).to_le_bytes());
+            for p in (s..self.objects).step_by(self.cfg.shards) {
+                k.extend(sh.committed_state(ObjectId(p as u32)).to_le_bytes());
             }
         }
         k
@@ -680,18 +680,18 @@ impl<B: McBackend> Harness<B> {
         if i >= self.cfg.txns || self.book.phase[i] != Phase::Fresh {
             return Applied::Skip;
         }
-        let m = self.per_shard;
+        let n = self.cfg.shards;
         if self.ledger.places(i).len() == 1 {
             self.book.handles[i] = Some(self.sys.shard_mut(self.home_shard(i)).begin());
         } else {
             self.book.gtids[i] = Some(self.sys.begin_global());
         }
         for &p in self.ledger.places(i) {
-            let obj = ObjectId((p % m) as u32);
+            let obj = ObjectId(p as u32);
             let inv = BankInv::Deposit(Ledger::amount(i));
             let resp = match (self.book.gtids[i], self.book.handles[i]) {
                 (Some(g), _) => self.sys.invoke_global(g, obj, inv),
-                (None, t) => self.sys.shard_mut(p / m).invoke(t.expect("local handle"), obj, inv),
+                (None, t) => self.sys.shard_mut(p % n).invoke(t.expect("local handle"), obj, inv),
             };
             match resp {
                 Ok(resp) => debug_assert_eq!(resp, BankResp::Ok),
@@ -758,9 +758,9 @@ impl<B: McBackend> Harness<B> {
             // Sabotage: forge a commit record for the aborted transaction on
             // its first participant.
             let p = self.ledger.places(i)[0];
-            let sys = self.sys.shard_mut(p / self.per_shard);
+            let sys = self.sys.shard_mut(p % self.cfg.shards);
             let op = Op::new(BankInv::Deposit(Ledger::amount(i)), BankResp::Ok);
-            let obj = ObjectId((p % self.per_shard) as u32);
+            let obj = ObjectId(p as u32);
             let rec = CommitRecord {
                 floor: sys.system().next_txn_id(),
                 ops: vec![(1_000 + i as u64, obj, op)],
@@ -828,10 +828,10 @@ impl<B: McBackend> Harness<B> {
     /// local handle — and, if the `coordinator` crashed, every global one
     /// not yet prepared.
     fn lose_volatile(&mut self, crashed: u32, coordinator: bool) {
-        let m = self.per_shard;
+        let n = self.cfg.shards;
         for i in 0..self.cfg.txns {
             let hit = (coordinator && self.book.gtids[i].is_some())
-                || self.ledger.places(i).iter().any(|&p| crashed >> (p / m) & 1 == 1);
+                || self.ledger.places(i).iter().any(|&p| crashed >> (p % n) & 1 == 1);
             if hit && matches!(self.book.phase[i], Phase::Active | Phase::Staged) {
                 self.book.phase[i] = Phase::Lost;
                 self.book.handles[i] = None;
@@ -1008,9 +1008,9 @@ impl<B: McBackend> Harness<B> {
 
     /// Every place's committed state, in place order.
     pub fn states(&mut self) -> Vec<u64> {
-        let m = self.per_shard;
-        (0..self.cfg.shards * m)
-            .map(|p| self.sys.shard_mut(p / m).committed_state(ObjectId((p % m) as u32)))
+        let n = self.cfg.shards;
+        (0..self.objects)
+            .map(|p| self.sys.shard_mut(p % n).committed_state(ObjectId(p as u32)))
             .collect()
     }
 
@@ -1037,16 +1037,16 @@ impl<B: McBackend> Harness<B> {
             Phase::Undecided => Told::Pending,
             _ => Told::Invisible,
         };
-        let m = self.per_shard;
+        let n = self.cfg.shards;
         if let Err(v) = self.ledger.check(told, &states) {
             return Some(match v {
                 LedgerViolation::Stray { place, state } => {
-                    McViolation::StrayState { object: (place % m) as u32, state }
+                    McViolation::StrayState { object: place as u32, state }
                 }
                 LedgerViolation::Split(v) => McViolation::GlobalSplit {
                     txn: v.gtid as usize,
-                    committed_on: v.committed_on.iter().map(|p| p / m).collect(),
-                    aborted_on: v.aborted_on.iter().map(|p| p / m).collect(),
+                    committed_on: v.committed_on.iter().map(|p| p % n).collect(),
+                    aborted_on: v.aborted_on.iter().map(|p| p % n).collect(),
                 },
                 LedgerViolation::Lost { txn, .. } => McViolation::DurabilityLost { txn },
                 LedgerViolation::Resurrected { txn, .. } => McViolation::Resurrection { txn },
@@ -1069,14 +1069,17 @@ impl<B: McBackend> Harness<B> {
                 self.book.phase[i] = if present(i) { Phase::Committed } else { Phase::Lost };
             }
         }
-        shards.into_iter().find_map(|s| self.check_recovered(s, &states[s * m..(s + 1) * m]))
+        shards.into_iter().find_map(|s| self.check_recovered(s, &states))
     }
 
-    /// The recovery legs on shard `s`, whose objects hold `states`: the
-    /// paper's two replay views agree with each other and with what the
-    /// shard serves, recovery from its image converges, and recovering
-    /// again changes nothing. Every probe runs on a clone or is rewound.
+    /// The recovery legs on shard `s`, over the objects it holds (`states`
+    /// is every place's): the paper's two replay views agree with each
+    /// other and with what the shard serves, recovery from its image
+    /// converges, and recovering again changes nothing. Every probe runs on
+    /// a clone or is rewound.
     fn check_recovered(&mut self, s: usize, states: &[u64]) -> Option<McViolation> {
+        let held: Vec<ObjectId> =
+            (s..self.objects).step_by(self.cfg.shards).map(|p| ObjectId(p as u32)).collect();
         let sys = self.sys.shard_mut(s);
         let log = match sys.backend().read_log() {
             Ok(log) => log,
@@ -1086,8 +1089,8 @@ impl<B: McBackend> Harness<B> {
                 });
             }
         };
-        let objects = (0..states.len() as u32).map(ObjectId);
-        if let Err(f) = views_agree(&self.adt, &log, objects, |obj| states[obj.0 as usize]) {
+        let served = |obj: ObjectId| states[obj.0 as usize];
+        if let Err(f) = views_agree(&self.adt, &log, held.iter().copied(), served) {
             return Some(McViolation::ViewDivergence { detail: f.to_string() });
         }
         let mut probe = sys.backend().clone();
@@ -1100,9 +1103,9 @@ impl<B: McBackend> Harness<B> {
         let verdict = match sys.crash_and_recover_with(TornPolicy::DiscardTail) {
             Err(e) => Some(format!("second recovery refused: {e:?}")),
             Ok(()) => {
-                let reread: Vec<u64> =
-                    (0..states.len() as u32).map(|o| sys.committed_state(ObjectId(o))).collect();
-                (reread != states).then(|| format!("states {states:?} became {reread:?}"))
+                let before: Vec<u64> = held.iter().map(|&o| served(o)).collect();
+                let reread: Vec<u64> = held.iter().map(|&o| sys.committed_state(o)).collect();
+                (reread != before).then(|| format!("states {before:?} became {reread:?}"))
             }
         };
         sys.restore(&snap);

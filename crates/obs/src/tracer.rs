@@ -237,6 +237,8 @@ impl Tracer {
 
     /// One observation: tick, count `tally`, and build the event only for
     /// a recording run (where its own tally must be the one just counted).
+    /// The counters-only run takes no call beyond the two bumps.
+    #[inline]
     fn emit(
         &mut self,
         txn: Option<TxnId>,
@@ -247,15 +249,30 @@ impl Tracer {
         self.clock += 1;
         self.stats.count(tally);
         if self.record_events {
-            let kind = kind();
-            debug_assert_eq!(kind.tally(), tally);
-            let wall_us = self.wall_epoch.map(|e| e.elapsed().as_micros() as u64);
-            self.events.push(ObsEvent { seq: self.clock, wall_us, txn, obj, kind });
+            self.record(txn, obj, tally, kind);
         }
         self.clock
     }
 
+    /// Build and keep the event of the observation [`emit`](Self::emit)
+    /// just counted.
+    #[cold]
+    #[inline(never)]
+    fn record(
+        &mut self,
+        txn: Option<TxnId>,
+        obj: Option<ObjectId>,
+        tally: Tally,
+        kind: impl FnOnce() -> EventKind,
+    ) {
+        let kind = kind();
+        debug_assert_eq!(kind.tally(), tally);
+        let wall_us = self.wall_epoch.map(|e| e.elapsed().as_micros() as u64);
+        self.events.push(ObsEvent { seq: self.clock, wall_us, txn, obj, kind });
+    }
+
     /// A transaction began.
+    #[inline]
     pub fn on_begin(&mut self, txn: TxnId) {
         let seq = self.emit(Some(txn), None, Tally::Begin, || EventKind::Begin);
         self.begin_seq.insert(txn, seq);
@@ -265,6 +282,7 @@ impl Tracer {
     /// `(invocation, response)` strings and runs only when events are
     /// recorded. Emits an `Unblock` first when the invocation had been
     /// blocked, and feeds the latency histograms either way.
+    #[inline]
     pub fn on_op(&mut self, txn: TxnId, obj: ObjectId, render: impl FnOnce() -> (String, String)) {
         let waited = match self.block_start.remove(&txn) {
             Some(start) => {
@@ -313,6 +331,7 @@ impl Tracer {
     }
 
     /// The transaction committed (once per transaction, not per object).
+    #[inline]
     pub fn on_commit(&mut self, txn: TxnId) {
         let seq = self.emit(Some(txn), None, Tally::Commit, || EventKind::Commit);
         if let Some(begin) = self.begin_seq.remove(&txn) {
@@ -487,6 +506,7 @@ impl Tracer {
     /// [`span_end`](Self::span_end). Spans of the same pipeline must nest
     /// properly for the tiling invariant to hold, but the tracer does not
     /// enforce nesting — a dropped token simply never records.
+    #[inline]
     pub fn span_begin(&mut self, phase: Phase) -> SpanToken {
         let start = self.wall_epoch.map(|_| Instant::now());
         let mark = self.emit(None, None, Tally::Neutral, || EventKind::PhaseBegin { phase });
@@ -500,6 +520,7 @@ impl Tracer {
     /// charged the events between its begin and end *plus its own two
     /// bookkeeping events*; a total phase is charged only the events in
     /// between. Back-to-back children therefore tile their total exactly.
+    #[inline]
     pub fn span_end(&mut self, token: SpanToken) {
         let elapsed = self.clock.saturating_sub(token.mark);
         let ticks = if token.phase.is_total() { elapsed } else { elapsed + 2 };

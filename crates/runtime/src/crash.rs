@@ -44,7 +44,7 @@ use ccr_store::{
 
 use crate::engine::RecoveryEngine;
 use crate::error::TxnError;
-use crate::system::TxnSystem;
+use crate::system::{Share, TxnSystem};
 use crate::writeahead::WriteAhead;
 
 /// What the durable system counts of its log; the records themselves are
@@ -232,7 +232,10 @@ where
     vol: WriteAhead<A, E, C>,
     backend: B,
     journal: Journal,
-    make: Box<dyn Fn() -> TxnSystem<A, E, C> + Send>,
+    /// Builds a fresh volatile system over the objects of a share.
+    make: Box<dyn Fn(Share) -> TxnSystem<A, E, C> + Send>,
+    /// The objects this system holds; every rebuild builds exactly these.
+    share: Share,
     /// In-doubt 2PC participants by global transaction id: durably PREPAREd
     /// (the yes-vote reached stable storage) but with no durable decision
     /// yet. The transaction stays *active* in the volatile system — holding
@@ -288,13 +291,16 @@ where
         let make = {
             let adt = Arc::new(adt);
             let conflict = conflict.clone();
-            Box::new(move || TxnSystem::new(Arc::clone(&adt), n_objects, conflict.clone()))
+            Box::new(move |share| {
+                TxnSystem::new_share(Arc::clone(&adt), n_objects, share, conflict.clone())
+            })
         };
         let mut sys = DurableSystem {
-            vol: WriteAhead::new(make(), 0),
+            vol: WriteAhead::new(make(Share::ALL), 0),
             backend,
             journal: Journal::default(),
             make,
+            share: Share::ALL,
             prepared: TxnTable::new(),
             trace_base: None,
             mode: SystemMode::Normal,
@@ -744,7 +750,7 @@ where
     fn rebuild(&self, log: &RecoveredLog<A>, floor: u32) -> Result<Rebuilt<A, E, C>, RedoError> {
         let base = log.checkpoint.as_ref().map(|c| c.states.as_slice());
         let restore_clock = std::time::Instant::now();
-        let mut fresh = (self.make)();
+        let mut fresh = (self.make)(self.share);
         fresh.set_policy(self.vol.sys.policy());
         fresh.set_record_trace(self.vol.sys.records_trace());
         fresh.obs_mut().set_record_events(false);
@@ -935,6 +941,13 @@ where
     pub fn stats(&self) -> &crate::system::SystemStats {
         self.vol.sys.stats()
     }
+
+    /// Hold only the objects in `share`, now and in every rebuild: the
+    /// fleet's narrowing of a shard it was handed fresh.
+    pub(crate) fn keep_share(&mut self, share: Share) {
+        self.share = share;
+        self.vol.sys.keep_share(share);
+    }
 }
 
 /// What [`DurableSystem::rebuild`] built: the system, the in-doubt ghosts
@@ -955,9 +968,9 @@ struct Rebuilt<A: Adt, E: RecoveryEngine<A>, C: Conflict<A>> {
 /// execution by taking a snapshot at each decision point, trying one action,
 /// and [`DurableSystem::restore`]-ing before trying the next.
 ///
-/// The one piece *not* captured is the `make` closure — it is immutable
-/// configuration (ADT, object count, conflict relation), so restoring into
-/// the same `DurableSystem` is exact.
+/// The one piece *not* captured is the `make` closure and the share it
+/// builds — immutable configuration (ADT, object count, conflict relation,
+/// owned objects), so restoring into the same `DurableSystem` is exact.
 #[derive(Clone)]
 pub struct SystemSnapshot<A, E, C, B>
 where

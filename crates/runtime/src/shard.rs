@@ -3,9 +3,9 @@
 //!
 //! The paper's model (and every layer below this one) is a single recovery
 //! domain: one log, one crash, one recovery scan. This module partitions
-//! the object space across `n` full durable systems — each with its own
-//! WAL, checkpoint lifecycle, [`SystemMode`](crate::SystemMode) and fault
-//! channels — and
+//! the object space across `n` durable systems — each holding only the
+//! objects routed to it, with its own WAL, checkpoint lifecycle,
+//! [`SystemMode`](crate::SystemMode) and fault channels — and
 //! coordinates cross-shard transactions with **presumed-abort 2PC**
 //! journaled through the very same frame/recovery machinery:
 //!
@@ -45,6 +45,7 @@ use ccr_store::LogBackend;
 use crate::crash::{DurableSystem, RedoError, SystemSnapshot, TornPolicy};
 use crate::engine::RecoveryEngine;
 use crate::error::TxnError;
+use crate::system::Share;
 
 /// The coordinator's stable storage: the set of global transaction ids
 /// durably decided **commit**, as a bitset indexed by gtid — one bit per
@@ -216,7 +217,7 @@ impl Reusable for GlobalTxn {
     }
 }
 
-/// `n` full durable systems, each the recovery domain for the objects it
+/// `n` durable systems, each holding and recovering only the objects it
 /// owns (`ObjectId % n`), coordinated by presumed-abort 2PC. See the
 /// module docs for the protocol.
 pub struct ShardedSystem<A, E, C, B>
@@ -239,14 +240,26 @@ where
     C: Conflict<A> + Clone,
     B: LogBackend<A>,
 {
-    /// Build a fleet from per-shard constructors (`make(i)` builds shard
-    /// `i`; each shard must cover the full object space — routing, not the
-    /// shard, decides ownership). At most [`ShardSet::CAP`] shards.
-    pub fn new_with(nshards: usize, make: impl FnMut(usize) -> DurableSystem<A, E, C, B>) -> Self {
+    /// Build a fleet from per-shard constructors: `make(i)` builds shard
+    /// `i` fresh over the whole object space `0..n`, and the fleet keeps of
+    /// it only the objects routed there, `{o : o % nshards == i}`. Each
+    /// object is its own unit of recovery, so that share is the shard's
+    /// whole recovery domain: its object table, its checkpoint image and
+    /// every rebuild (crash recovery, the degrade rebuild) hold exactly
+    /// those objects. At most [`ShardSet::CAP`] shards.
+    pub fn new_with(
+        nshards: usize,
+        mut make: impl FnMut(usize) -> DurableSystem<A, E, C, B>,
+    ) -> Self {
         assert!(nshards >= 1, "a fleet needs at least one shard");
         assert!(nshards <= ShardSet::CAP, "a fleet has at most {} shards", ShardSet::CAP);
+        let own = |s: usize| {
+            let mut shard = make(s);
+            shard.keep_share(Share::new(s, nshards));
+            shard
+        };
         ShardedSystem {
-            shards: (0..nshards).map(make).collect(),
+            shards: (0..nshards).map(own).collect(),
             coord: CoordinatorLog::default(),
             next_gtid: 1,
             live: TxnTable::new(),

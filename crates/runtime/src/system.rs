@@ -143,11 +143,50 @@ impl<A: Adt, E: RecoveryEngine<A>> ObjectRt<A, E> {
     }
 }
 
-/// The objects, in a vector sorted by id. `ObjectId(i)` sits at slot `i`
-/// whenever the ids are `0..n` ([`TxnSystem::new`]) and is found there
-/// without a search; ids past a gap ([`TxnSystem::new_with`]) are found by
-/// binary search.
-struct Objects<A: Adt, E>(Vec<(ObjectId, ObjectRt<A, E>)>);
+/// The objects of `0..n` one system holds: every id `o` with
+/// `o % of == index`. A lone system holds them all ([`Share::ALL`]); shard
+/// `s` of an `n`-shard fleet holds `Share::new(s, n)`, exactly the objects
+/// the fleet routes to it, so its checkpoint image, its recovery and its
+/// object table are the size of its share.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Share {
+    index: u32,
+    of: u32,
+}
+
+impl Share {
+    /// Every object.
+    pub(crate) const ALL: Share = Share { index: 0, of: 1 };
+
+    /// Share `index` of `of`.
+    pub(crate) fn new(index: usize, of: usize) -> Self {
+        assert!(index < of, "share {index} of {of}");
+        Share { index: index as u32, of: of as u32 }
+    }
+
+    /// Whether `obj` is in the share.
+    fn holds(self, obj: ObjectId) -> bool {
+        obj.0 % self.of == self.index
+    }
+
+    /// The share's ids below `n`, ascending.
+    fn ids(self, n: u32) -> impl Iterator<Item = ObjectId> {
+        (self.index..n).step_by(self.of as usize).map(ObjectId)
+    }
+}
+
+/// The objects, in a vector sorted by id. When the ids are evenly spaced —
+/// `0..n` ([`TxnSystem::new`]) or a fleet shard's `s, s + n, s + 2n, …` —
+/// `ObjectId(i)` sits at slot `i / stride` and is found there without a
+/// search: a shift when the stride is a power of two (stride 1 included), a
+/// division otherwise. Ids past a gap ([`TxnSystem::new_with`]) are found
+/// by binary search.
+struct Objects<A: Adt, E> {
+    slots: Vec<(ObjectId, ObjectRt<A, E>)>,
+    stride: u32,
+    /// `stride`'s log2 when it is a power of two.
+    shift: u32,
+}
 
 impl<A: Adt, E> Objects<A, E> {
     /// As a map built from the same pairs would be: ascending, and of two
@@ -161,27 +200,33 @@ impl<A: Adt, E> Objects<A, E> {
             }
             same
         });
-        Objects(slots)
+        Self::spaced(slots, 1)
+    }
+
+    /// Ascending slots whose ids are `stride` apart.
+    fn spaced(slots: Vec<(ObjectId, ObjectRt<A, E>)>, stride: u32) -> Self {
+        Objects { slots, stride, shift: stride.trailing_zeros() }
     }
 
     fn slot(&self, obj: ObjectId) -> Option<usize> {
-        let dense = obj.0 as usize;
-        if self.0.get(dense).is_some_and(|(id, _)| *id == obj) {
+        let shifted = self.stride == 1 << self.shift;
+        let dense = if shifted { obj.0 >> self.shift } else { obj.0 / self.stride } as usize;
+        if self.slots.get(dense).is_some_and(|(id, _)| *id == obj) {
             return Some(dense);
         }
-        self.0.binary_search_by_key(&obj, |(id, _)| *id).ok()
+        self.slots.binary_search_by_key(&obj, |(id, _)| *id).ok()
     }
 
     fn get(&self, obj: &ObjectId) -> Option<&ObjectRt<A, E>> {
-        self.slot(*obj).map(|slot| &self.0[slot].1)
+        self.slot(*obj).map(|slot| &self.slots[slot].1)
     }
 
     fn get_mut(&mut self, obj: &ObjectId) -> Option<&mut ObjectRt<A, E>> {
-        self.slot(*obj).map(|slot| &mut self.0[slot].1)
+        self.slot(*obj).map(|slot| &mut self.slots[slot].1)
     }
 
     fn keys(&self) -> impl Iterator<Item = &ObjectId> {
-        self.0.iter().map(|(id, _)| id)
+        self.slots.iter().map(|(id, _)| id)
     }
 }
 
@@ -260,7 +305,7 @@ impl<A: Adt, E: RecoveryEngine<A> + Clone, C: Conflict<A> + Clone> Clone for Txn
     fn clone(&self) -> Self {
         TxnSystem {
             conflict: self.conflict.clone(),
-            objects: Objects(self.objects.0.clone()),
+            objects: Objects { slots: self.objects.slots.clone(), ..self.objects },
             active: self.active.clone(),
             next_txn: self.next_txn,
             waits: self.waits.clone(),
@@ -279,10 +324,14 @@ impl<A: Adt, E: RecoveryEngine<A>, C: Conflict<A>> TxnSystem<A, E, C> {
     /// Create a system with objects `0..n`, all sharing specification `adt`
     /// (owned, or an `Arc` shared with whoever else holds it).
     pub fn new(adt: impl Into<Arc<A>>, n_objects: u32, conflict: C) -> Self {
-        let adt = adt.into();
-        let slots =
-            (0..n_objects).map(|i| (ObjectId(i), ObjectRt::new(Arc::clone(&adt), ObjectId(i))));
-        Self::over(Objects(slots.collect()), conflict)
+        Self::new_share(adt.into(), n_objects, Share::ALL, conflict)
+    }
+
+    /// Create a system with the objects of `0..n` in `share`, all sharing
+    /// specification `adt`.
+    pub(crate) fn new_share(adt: Arc<A>, n_objects: u32, share: Share, conflict: C) -> Self {
+        let slots = share.ids(n_objects).map(|id| (id, ObjectRt::new(Arc::clone(&adt), id)));
+        Self::over(Objects::spaced(slots.collect(), share.of), conflict)
     }
 
     /// Create a system with explicitly configured objects — use when
@@ -679,7 +728,7 @@ impl<A: Adt, E: RecoveryEngine<A>, C: Conflict<A>> TxnSystem<A, E, C> {
     /// Every object's committed state, ascending by id, in one walk of the
     /// objects — what a checkpoint image is made of.
     pub fn committed_states(&mut self) -> Vec<(ObjectId, A::State)> {
-        self.objects.0.iter_mut().map(|(id, o)| (*id, o.engine.committed_state())).collect()
+        self.objects.slots.iter_mut().map(|(id, o)| (*id, o.engine.committed_state())).collect()
     }
 
     /// Reset `obj`'s engine so `state` is its committed base — crash
@@ -768,6 +817,20 @@ impl<A: Adt, E: RecoveryEngine<A>, C: Conflict<A>> TxnSystem<A, E, C> {
         self.objects.keys().copied().collect()
     }
 
+    /// Keep only the objects in `share` (a fleet narrowing a shard it was
+    /// handed whole); lookups stay O(1) over the share's spacing. The
+    /// dropped objects must hold no operation.
+    pub(crate) fn keep_share(&mut self, share: Share) {
+        let slots = &mut self.objects.slots;
+        slots.retain(|(id, o)| {
+            let keep = share.holds(*id);
+            assert!(keep || o.held.0.is_empty(), "object {id} outside the share is in use");
+            keep
+        });
+        slots.shrink_to_fit();
+        self.objects = Objects::spaced(std::mem::take(slots), share.of);
+    }
+
     /// The serial specification configured at `obj`.
     pub fn adt_of(&self, obj: ObjectId) -> Option<&A> {
         self.objects.get(&obj).map(|o| &*o.adt)
@@ -791,7 +854,7 @@ mod tests {
     // Map-shaped read access to the lock table, for the invariant checks.
     impl<A: Adt, E> Objects<A, E> {
         fn values(&self) -> impl Iterator<Item = &ObjectRt<A, E>> {
-            self.0.iter().map(|(_, o)| o)
+            self.slots.iter().map(|(_, o)| o)
         }
     }
 
@@ -808,7 +871,7 @@ mod tests {
         type IntoIter = std::slice::Iter<'a, (ObjectId, ObjectRt<A, E>)>;
 
         fn into_iter(self) -> Self::IntoIter {
-            self.0.iter()
+            self.slots.iter()
         }
     }
 

@@ -12,7 +12,9 @@
 //! growing log takes on the device: about the bytes a commit frame occupies,
 //! not the whole sectors it spans. A fleet of them owes the same, and its
 //! two-phase commit bookkeeping nothing. A recovery owes the records it redoes,
-//! not the objects it rebuilds.
+//! not the objects it rebuilds. And a fleet holds each object once, on the
+//! shard it routes to: its live heap is about one system's over as many
+//! objects.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -83,6 +85,8 @@ const OBJECTS: u32 = 8;
 const SCRIPT: usize = 4;
 const WARM_UP: u64 = 2_000;
 const MEASURED: u64 = 10_000;
+/// Objects of the recovery and heap arms: the spine's object count.
+const ACCOUNTS: u32 = 4096;
 
 /// What the driver needs of a system, bare or durable.
 trait Sut {
@@ -346,7 +350,6 @@ fn fleet_allocations() -> (u64, FleetTally) {
 /// checkpoint: one with an empty suffix, one with `SUFFIX` four-operation
 /// records to redo.
 fn recovery_allocations() -> (u64, u64) {
-    const ACCOUNTS: u32 = 4096;
     const SUFFIX: u64 = 2_000;
     let wal = WalBackend::new(WalConfig { sector: 512, seg_sectors: 2048 });
     let mut sys: DurableSystem<BankAccount, UipEngine<BankAccount>, _, _> =
@@ -378,6 +381,44 @@ fn recovery_allocations() -> (u64, u64) {
     (empty, recover(&mut sys))
 }
 
+/// The live heap a system built by `make` holds once `seed` has committed a
+/// deposit at each of `ACCOUNTS` objects, one transaction each (the
+/// benchmark's seeding).
+fn seeded_heap<S>(make: impl FnOnce() -> S, seed: impl Fn(&mut S, ObjectId)) -> i64 {
+    let before = LIVE.get();
+    let mut sys = make();
+    for obj in (0..ACCOUNTS).map(ObjectId) {
+        seed(&mut sys, obj);
+    }
+    LIVE.get() - before
+}
+
+/// The live heap of one WAL system and of a four-shard WAL fleet, each over
+/// `ACCOUNTS` objects, after seeding.
+fn seeded_heaps() -> (i64, i64) {
+    let durable = || {
+        let wal = WalBackend::new(WalConfig { sector: 512, seg_sectors: 2048 });
+        let mut sys: DurableSystem<BankAccount, UipEngine<BankAccount>, _, _> =
+            DurableSystem::with_backend(BankAccount::default(), ACCOUNTS, bank_nrbc(), wal);
+        configure(sys.system_mut());
+        sys
+    };
+    let single = seeded_heap(durable, |sys, obj| {
+        let t = sys.begin();
+        sys.invoke(t, obj, BankInv::Deposit(100)).expect("an idle system runs");
+        sys.commit(t).expect("an idle system commits");
+    });
+    let fleet = seeded_heap(
+        || -> Fleet { ShardedSystem::new_with(4, |_| durable()) },
+        |fleet, obj| {
+            let g = fleet.begin_global();
+            fleet.invoke_global(g, obj, BankInv::Deposit(100)).expect("an idle fleet runs");
+            fleet.commit_global(g).expect("an idle fleet commits");
+        },
+    );
+    (single, fleet)
+}
+
 #[test]
 fn the_operation_path_allocates_nothing() {
     check::<UipEngine<BankAccount>>(bank_nrbc());
@@ -396,4 +437,12 @@ fn the_operation_path_allocates_nothing() {
     // reading it back off the device does.
     let (empty, suffix) = recovery_allocations();
     assert!(empty <= 32 && suffix <= 10_000, "recovery: {empty} / {suffix} allocations");
+
+    // Shard `s` of a fleet holds only the objects routed to it, so four
+    // shards hold about what one system over the same objects does.
+    let (single, fleet) = seeded_heaps();
+    assert!(
+        4 * fleet <= 5 * single,
+        "live heap after seeding: four-shard fleet {fleet} B, one system {single} B"
+    );
 }

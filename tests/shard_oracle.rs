@@ -412,6 +412,11 @@ mod bookkeeping {
             all.extend(doubt.keys().copied());
         }
         prop_assert!(fleet.in_doubt().into_iter().eq(all));
+        for s in 0..SHARDS {
+            let owned: Vec<ObjectId> =
+                (0..OBJECTS).filter(|o| *o as usize % SHARDS == s).map(ObjectId).collect();
+            prop_assert_eq!(fleet.shard(s).system().object_ids(), owned, "shard {}", s);
+        }
         for obj in (0..OBJECTS).map(ObjectId) {
             let s = fleet.shard_of(obj);
             let expected = model.balance.get(&obj).copied().unwrap_or(0);
@@ -447,5 +452,118 @@ mod bookkeeping {
             prop_assert!(model.committed.last().is_some_and(|&g| g > 128), "ids stayed below two words: {:?} {}", model.committed.last(), model.next_gtid);
             prop_assert!(ran > rounds.len(), "preconditions ruled out most steps");
         }
+    }
+}
+
+/// Each object is its own unit of recovery, so a shard's recovery domain is
+/// the objects the fleet routes to it: shard `s` of `N` holds, checkpoints
+/// and rebuilds exactly `{o : o % N == s}` — after construction, after a
+/// subset crash and its recovery, after a degrade rebuild and after a
+/// checkpoint — while a routed read of any object still returns what a map
+/// of the committed deposits says.
+mod ownership {
+    use std::collections::BTreeMap;
+
+    use ccr::adt::bank::{bank_nrbc, BankAccount, BankInv};
+    use ccr::core::conflict::FnConflict;
+    use ccr::core::ids::ObjectId;
+    use ccr::runtime::{DurableSystem, ShardedSystem, SystemMode, UipEngine};
+    use ccr::store::{LogBackend, WalBackend, WalConfig};
+
+    const OBJECTS: u32 = 24;
+
+    type Fleet = ShardedSystem<
+        BankAccount,
+        UipEngine<BankAccount>,
+        FnConflict<BankAccount>,
+        WalBackend<BankAccount>,
+    >;
+
+    fn fleet(nshards: usize) -> Fleet {
+        ShardedSystem::new_with(nshards, |_| {
+            DurableSystem::with_backend(
+                BankAccount::default(),
+                OBJECTS,
+                bank_nrbc(),
+                WalBackend::new(WalConfig::default()),
+            )
+        })
+    }
+
+    fn owned(s: usize, nshards: usize) -> Vec<ObjectId> {
+        (0..OBJECTS).filter(|o| *o as usize % nshards == s).map(ObjectId).collect()
+    }
+
+    /// Every shard holds its share, its durable checkpoint image (if any)
+    /// lists only that share, and every object reads as `model` says.
+    fn holds_its_share(fleet: &mut Fleet, model: &BTreeMap<ObjectId, u64>, at: &str) {
+        let n = fleet.nshards();
+        for s in 0..n {
+            assert_eq!(fleet.shard(s).system().object_ids(), owned(s, n), "{at}: shard {s}");
+            let log = fleet.shard(s).backend().read_log().expect("an intact log");
+            if let Some(image) = log.checkpoint {
+                let ids: Vec<ObjectId> = image.states.iter().map(|(o, _)| *o).collect();
+                assert_eq!(ids, owned(s, n), "{at}: shard {s}'s checkpoint image");
+            }
+        }
+        for obj in (0..OBJECTS).map(ObjectId) {
+            let s = fleet.shard_of(obj);
+            let want = model.get(&obj).copied().unwrap_or(0);
+            assert_eq!(fleet.shard_mut(s).committed_state(obj), want, "{at}: {obj}");
+        }
+    }
+
+    /// One global deposit at each of `objs`, committed and booked in `model`.
+    fn deposit(fleet: &mut Fleet, model: &mut BTreeMap<ObjectId, u64>, objs: &[u32], amount: u64) {
+        let g = fleet.begin_global();
+        for &o in objs {
+            fleet.invoke_global(g, ObjectId(o), BankInv::Deposit(amount)).unwrap();
+        }
+        fleet.commit_global(g).unwrap();
+        for &o in objs {
+            *model.entry(ObjectId(o)).or_default() += amount;
+        }
+    }
+
+    #[test]
+    fn a_shard_holds_checkpoints_and_rebuilds_only_the_objects_it_owns() {
+        let mut model = BTreeMap::new();
+        let mut sys = fleet(4);
+        holds_its_share(&mut sys, &model, "construction");
+        deposit(&mut sys, &mut model, &[0, 5, 10, 23], 3);
+        deposit(&mut sys, &mut model, &[7], 2);
+        for s in 0..4 {
+            sys.shard_mut(s).checkpoint();
+            assert!(sys.shard(s).backend().read_log().unwrap().checkpoint.is_some(), "shard {s}");
+        }
+        holds_its_share(&mut sys, &model, "checkpoint");
+        deposit(&mut sys, &mut model, &[1, 2, 19], 4);
+        sys.crash_subset(0b0101).unwrap();
+        holds_its_share(&mut sys, &model, "subset crash");
+        // Shard 1's device fills: its next commit degrades it, and the
+        // degrade rebuilds the shard from its log.
+        sys.shard_mut(1).backend_mut().disk_mut().set_full(true);
+        let g = sys.begin_global();
+        sys.invoke_global(g, ObjectId(9), BankInv::Deposit(100)).unwrap();
+        assert!(sys.commit_global(g).is_err());
+        assert_eq!(sys.shard(1).mode(), SystemMode::Degraded);
+        holds_its_share(&mut sys, &model, "degrade rebuild");
+        sys.shard_mut(1).backend_mut().disk_mut().heal();
+        sys.shard_mut(1).checkpoint();
+        assert_eq!(sys.shard(1).mode(), SystemMode::Normal);
+        deposit(&mut sys, &mut model, &[9, 14], 5);
+        sys.crash_subset(0b1111).unwrap();
+        holds_its_share(&mut sys, &model, "whole-fleet crash");
+    }
+
+    #[test]
+    fn a_one_shard_fleet_holds_every_object() {
+        let mut model = BTreeMap::new();
+        let mut sys = fleet(1);
+        deposit(&mut sys, &mut model, &[0, 13, 23], 6);
+        sys.shard_mut(0).checkpoint();
+        sys.crash_subset(1).unwrap();
+        holds_its_share(&mut sys, &model, "one shard");
+        assert_eq!(sys.shard(0).system().object_ids().len(), OBJECTS as usize);
     }
 }
