@@ -14,11 +14,13 @@
 //!   every total order consistent with `precedes(H|CS)`. This strengthens
 //!   dynamic atomicity to account for active transactions that may yet
 //!   commit, and is the induction invariant of Theorem 9.
+//!
+//! Both are decided exactly, one object at a time (the property is local):
+//! a memoised walk over the downsets of `precedes` at each object.
 
-use std::collections::BTreeMap;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, HashMap};
 
-use crate::adt::Adt;
+use crate::adt::{Adt, Op};
 use crate::history::History;
 use crate::ids::{ObjectId, TxnId};
 use crate::order::TxnOrder;
@@ -112,7 +114,7 @@ pub fn find_serialization<A: Adt>(spec: &SystemSpec<A>, h: &History<A>) -> Optio
     let txns: Vec<TxnId> = h.txns().into_iter().collect();
     let objects: Vec<ObjectId> = h.objects().into_iter().collect();
     // Pre-project each transaction's ops per object.
-    let mut ops: BTreeMap<(TxnId, ObjectId), Vec<crate::adt::Op<A>>> = BTreeMap::new();
+    let mut ops: BTreeMap<(TxnId, ObjectId), Vec<Op<A>>> = BTreeMap::new();
     for &t in &txns {
         let ht = h.project_txn(t);
         for &obj in &objects {
@@ -124,7 +126,7 @@ pub fn find_serialization<A: Adt>(spec: &SystemSpec<A>, h: &History<A>) -> Optio
 
     fn rec<A: Adt>(
         spec: &SystemSpec<A>,
-        ops: &BTreeMap<(TxnId, ObjectId), Vec<crate::adt::Op<A>>>,
+        ops: &BTreeMap<(TxnId, ObjectId), Vec<Op<A>>>,
         remaining: &mut Vec<TxnId>,
         prefix: &mut Vec<TxnId>,
         reach: &[(ObjectId, ReachSet<A>)],
@@ -190,28 +192,13 @@ pub struct DynAtomViolation {
 }
 
 /// Whether `h` is dynamic atomic (paper §3.4): `permanent(h)` serializable
-/// in every total order consistent with `precedes(h)`.
+/// in every total order consistent with `precedes(h)`. Exact; the refuting
+/// order is the lexicographically least one.
 pub fn check_dynamic_atomic<A: Adt>(
     spec: &SystemSpec<A>,
     h: &History<A>,
 ) -> Result<(), DynAtomViolation> {
-    let permanent = h.permanent();
-    let committed: Vec<TxnId> = permanent.txns().into_iter().collect();
-    let prec = TxnOrder::from_pairs(h.precedes()).restrict(&committed);
-    let mut violation = None;
-    prec.for_each_extension(&committed, |order| {
-        if serializable_in(spec, &permanent, order) {
-            true
-        } else {
-            violation =
-                Some(DynAtomViolation { commit_set: committed.clone(), order: order.to_vec() });
-            false
-        }
-    });
-    match violation {
-        None => Ok(()),
-        Some(v) => Err(v),
-    }
+    walk(spec, &h.permanent())
 }
 
 /// Convenience wrapper for [`check_dynamic_atomic`].
@@ -219,10 +206,10 @@ pub fn is_dynamic_atomic<A: Adt>(spec: &SystemSpec<A>, h: &History<A>) -> bool {
     check_dynamic_atomic(spec, h).is_ok()
 }
 
-/// Statistically check dynamic atomicity on histories too concurrent for the
-/// exhaustive check: verify the commit order plus `samples` random linear
-/// extensions of `precedes(h)`. The exhaustive check is exponential in the
-/// number of mutually concurrent committed transactions; this sampler trades
+/// Statistically check dynamic atomicity: verify the commit order plus
+/// `samples` random linear extensions of `precedes(h)`. For histories whose
+/// per-object orders are too many even for [`check_dynamic_atomic`]'s walk
+/// (dozens of mutually concurrent transactions at one object); this trades
 /// completeness for scale (a refutation is still definitive — the property
 /// is universally quantified).
 pub fn check_dynamic_atomic_sampled<A: Adt, R: rand::Rng>(
@@ -242,6 +229,9 @@ pub fn check_dynamic_atomic_sampled<A: Adt, R: rand::Rng>(
             Err(DynAtomViolation { commit_set: committed.clone(), order: order.to_vec() })
         }
     };
+    let blocked = |remaining: &[TxnId], t: TxnId| {
+        prec.pairs().iter().any(|(a, b)| *b == t && *a != t && remaining.contains(a))
+    };
     // The commit order is always consistent with precedes — check it first.
     try_order(&h.commit_order())?;
     for _ in 0..samples {
@@ -250,15 +240,8 @@ pub fn check_dynamic_atomic_sampled<A: Adt, R: rand::Rng>(
         let mut remaining = committed.clone();
         let mut order = Vec::with_capacity(remaining.len());
         while !remaining.is_empty() {
-            let candidates: Vec<usize> = (0..remaining.len())
-                .filter(|&i| {
-                    let cand = remaining[i];
-                    !prec
-                        .pairs()
-                        .iter()
-                        .any(|(a, b)| *b == cand && *a != cand && remaining.contains(a))
-                })
-                .collect();
+            let candidates: Vec<usize> =
+                (0..remaining.len()).filter(|&i| !blocked(&remaining, remaining[i])).collect();
             let &pick = candidates.choose(rng).expect("precedes is acyclic");
             order.push(remaining.remove(pick));
         }
@@ -267,63 +250,143 @@ pub fn check_dynamic_atomic_sampled<A: Adt, R: rand::Rng>(
     Ok(())
 }
 
-/// Check dynamic atomicity with an automatically chosen strategy: the
-/// exhaustive checker when at most `exhaustive_limit` transactions committed
-/// (its cost is factorial in the mutually concurrent committed transactions),
-/// the seeded sampler with `samples` random consistent orders otherwise.
-/// Deterministic: the same `(h, seed)` always examines the same orders.
-pub fn check_dynamic_atomic_auto<A: Adt>(
-    spec: &SystemSpec<A>,
-    h: &History<A>,
-    exhaustive_limit: usize,
-    samples: usize,
-    seed: u64,
-) -> Result<(), DynAtomViolation> {
-    if h.committed().len() <= exhaustive_limit {
-        check_dynamic_atomic(spec, h)
-    } else {
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        check_dynamic_atomic_sampled(spec, h, samples, &mut rng)
-    }
-}
-
 /// Whether `h` is *online* dynamic atomic (paper §7): dynamic atomicity for
-/// every commit set. Exponential in the number of active transactions; meant
-/// for the bounded model-checking harness.
+/// every commit set. Exact, by the same walk as [`check_dynamic_atomic`]
+/// over every transaction that has not aborted.
 pub fn check_online_dynamic_atomic<A: Adt>(
     spec: &SystemSpec<A>,
     h: &History<A>,
 ) -> Result<(), DynAtomViolation> {
-    let committed: Vec<TxnId> = h.committed().into_iter().collect();
-    let active: Vec<TxnId> = h.active().into_iter().collect();
-    // Enumerate subsets of active transactions.
-    let n = active.len();
-    for mask in 0..(1u64 << n) {
-        let mut cs: BTreeSet<TxnId> = committed.iter().copied().collect();
-        for (i, t) in active.iter().enumerate() {
-            if mask & (1 << i) != 0 {
-                cs.insert(*t);
-            }
+    walk(spec, &h.project_not_aborted())
+}
+
+/// A state of an object's walk: the transactions ordered so far (a downset
+/// of `precedes`, as a bit set of walk indices) and their reach-set there.
+type WalkState<A> = (Vec<u64>, ReachSet<A>);
+
+fn has(set: &[u64], i: usize) -> bool {
+    set[i / 64] & 1 << (i % 64) != 0
+}
+
+fn insert(set: &mut [u64], i: usize) {
+    set[i / 64] |= 1 << (i % 64);
+}
+
+fn within(sub: &[u64], set: &[u64]) -> bool {
+    sub.iter().zip(set).all(|(s, t)| s & !t == 0)
+}
+
+/// Decide dynamic atomicity exactly, one object at a time, over `h`'s
+/// transactions: those that committed or may yet commit.
+///
+/// `precedes(h)` is transitive (a transaction responds only before it
+/// commits, and only committed ones precede), so the consistent orders,
+/// restricted to an object's transactions, are exactly the linear
+/// extensions of `precedes` restricted to them. `h` is refuted iff at some
+/// object such a prefix is illegal; the prefix refutes the commit set of
+/// the committed transactions and the active ones in it, since an active
+/// one precedes nobody. [`ObjectWalk`] memoises on (downset, reach-set).
+///
+/// The witness is the least refuting order, committed transactions ranked
+/// before active ones with operations: the first free one after which some
+/// object is still refutable, until the prefix is illegal; then the least
+/// free ones of the commit set.
+fn walk<A: Adt>(spec: &SystemSpec<A>, h: &History<A>) -> Result<(), DynAtomViolation> {
+    let txns: Vec<TxnId> = h.txns().into_iter().collect();
+    let index = |t: TxnId| txns.binary_search(&t).expect("a transaction of h");
+    let words = txns.len() / 64 + 1;
+    let mut preds = vec![vec![0u64; words]; txns.len()];
+    for (a, b) in h.precedes() {
+        insert(&mut preds[index(b)], index(a));
+    }
+    let projected: Vec<History<A>> = txns.iter().map(|&t| h.project_txn(t)).collect();
+    let (mut walks, mut states): (Vec<ObjectWalk<'_, A>>, Vec<WalkState<A>>) = (h.objects())
+        .into_iter()
+        .map(|obj| {
+            let members: Vec<_> = (projected.iter().map(|p| p.opseq_at(obj)).enumerate())
+                .filter(|(_, seq)| !seq.is_empty())
+                .map(|(i, seq)| (i, seq, preds[i].clone()))
+                .collect();
+            // Transactions without operations here count as ordered.
+            let mut down = vec![!0u64; words];
+            members.iter().for_each(|(i, ..)| down[i / 64] ^= 1 << (i % 64));
+            let walk = ObjectWalk { adt: spec.adt(obj), members, decided: HashMap::new() };
+            (walk, (down, spec.start(obj)))
+        })
+        .unzip();
+    if !walks.iter_mut().zip(&states).any(|(w, state)| w.refutable(state.clone())) {
+        return Ok(());
+    }
+    let free = |placed: &[u64], i: usize| !has(placed, i) && within(&preds[i], placed);
+    let committed = h.committed();
+    let (mut ranked, active): (Vec<usize>, Vec<usize>) =
+        (0..txns.len()).partition(|&i| committed.contains(&txns[i]));
+    ranked.extend(active.into_iter().filter(|&i| !projected[i].opseq().is_empty()));
+    let (mut placed, mut order) = (vec![0u64; words], Vec::new());
+    while states.iter().all(|(_, reach)| !reach.is_empty()) {
+        let (i, next) = (ranked.iter().copied().filter(|&i| free(&placed, i)))
+            .find_map(|i| {
+                let next: Vec<_> = walks.iter().zip(&states).map(|(w, s)| w.after(s, i)).collect();
+                let refuted = next.iter().any(|(_, reach)| reach.is_empty())
+                    || walks.iter_mut().zip(&next).any(|(w, state)| w.refutable(state.clone()));
+                refuted.then_some((i, next))
+            })
+            .expect("a refutable prefix has a refutable successor");
+        insert(&mut placed, i);
+        order.push(txns[i]);
+        states = next;
+    }
+    let completes = |placed: &[u64], i: usize| committed.contains(&txns[i]) && free(placed, i);
+    while let Some(i) = (0..txns.len()).find(|&i| completes(&placed, i)) {
+        insert(&mut placed, i);
+        order.push(txns[i]);
+    }
+    let mut commit_set = order.clone();
+    commit_set.sort();
+    Err(DynAtomViolation { commit_set, order })
+}
+
+/// One object's share of [`walk`].
+struct ObjectWalk<'a, A: Adt> {
+    adt: &'a A,
+    /// The transactions with operations here, ascending: walk index,
+    /// operations here, and predecessors.
+    members: Vec<(usize, Vec<Op<A>>, Vec<u64>)>,
+    /// Every state searched, and whether an illegal prefix follows it.
+    decided: HashMap<WalkState<A>, bool>,
+}
+
+impl<A: Adt> ObjectWalk<'_, A> {
+    /// Whether some consistent order of the rest makes an illegal prefix
+    /// from `state`: free transactions are tried in ascending order, and the
+    /// search stops at the first whose operations empty the reach-set.
+    fn refutable(&mut self, state: WalkState<A>) -> bool {
+        if let Some(&known) = self.decided.get(&state) {
+            return known;
         }
-        let hcs = h.project_txns(&cs);
-        let cs_vec: Vec<TxnId> = hcs.txns().into_iter().collect();
-        let prec = TxnOrder::from_pairs(hcs.precedes()).restrict(&cs_vec);
-        let mut violation = None;
-        prec.for_each_extension(&cs_vec, |order| {
-            if serializable_in(spec, &hcs, order) {
-                true
-            } else {
-                violation =
-                    Some(DynAtomViolation { commit_set: cs_vec.clone(), order: order.to_vec() });
-                false
+        let found = (0..self.members.len()).any(|k| {
+            let (i, _, preds) = &self.members[k];
+            if has(&state.0, *i) || !within(preds, &state.0) {
+                return false;
             }
+            let next = self.after(&state, *i);
+            next.1.is_empty() || self.refutable(next)
         });
-        if let Some(v) = violation {
-            return Err(v);
+        self.decided.insert(state, found);
+        found
+    }
+
+    /// The state after transaction `i`, a member or not.
+    fn after(&self, (down, reach): &WalkState<A>, i: usize) -> WalkState<A> {
+        match self.members.binary_search_by_key(&i, |m| m.0) {
+            Ok(k) => {
+                let mut down = down.clone();
+                insert(&mut down, i);
+                (down, reach.advance_seq(self.adt, &self.members[k].1))
+            }
+            Err(_) => (down.clone(), reach.clone()),
         }
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -505,7 +568,7 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::SeedableRng;
         // 9 mutually concurrent increments (within the counter's bound of
-        // 10): 9! extensions — hopeless exhaustively, instant sampled.
+        // 10): 9! extensions, of which the sampler tries 100.
         let s = spec();
         let mut b = HistoryBuilder::new(None);
         for i in 0..9 {
@@ -517,22 +580,61 @@ mod tests {
         let h = b.build();
         let mut rng = StdRng::seed_from_u64(3);
         assert!(check_dynamic_atomic_sampled(&s, &h, 100, &mut rng).is_ok());
+        // Its exact twin: the walk visits the 2^9 downsets of the empty
+        // order, not its 9! extensions.
+        assert!(check_dynamic_atomic(&s, &h).is_ok());
     }
 
     #[test]
-    fn auto_checker_matches_exhaustive_and_sampled() {
-        let s = spec();
-        let bad = HistoryBuilder::new(None)
-            .op(T(0), X, CInv::Inc, CResp::Ok)
-            .op(T(1), X, CInv::Read, CResp::Val(1))
-            .commit(T(0), X)
-            .commit(T(1), X)
-            .build();
-        // Below the limit: exhaustive, deterministic refutation.
-        assert!(check_dynamic_atomic_auto(&s, &bad, 8, 0, 0).is_err());
-        // Above the limit: the sampler takes over (64 samples find the 2-txn
-        // refutation with overwhelming probability at any seed).
-        assert!(check_dynamic_atomic_auto(&s, &bad, 1, 64, 7).is_err());
+    fn rare_refuting_extensions_are_found() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        // From 10 under a bound of 19, five concurrent `+2`s and five
+        // concurrent `-2`s stay in range unless every `+2` comes before
+        // every `-2`: 5!·5!/10! = 1 in 252 orders refutes.
+        let s = SystemSpec::single(plain(19)).starting_from(&[(X, 10)]);
+        let mut b = HistoryBuilder::new(None);
+        for i in 0..10 {
+            let (inv, resp) = if i < 5 { (CInv::Inc, CResp::Ok) } else { (CInv::Dec, CResp::Ok) };
+            b = b.op(T(i), X, inv.clone(), resp.clone()).op(T(i), X, inv, resp);
+        }
+        for i in [0, 5, 1, 6, 2, 7, 3, 8, 4, 9] {
+            b = b.commit(T(i), X);
+        }
+        let h = b.build();
+        let v = check_dynamic_atomic(&s, &h).unwrap_err();
+        assert_eq!(v.order, (0..10).map(T).collect::<Vec<_>>(), "the least refuting order");
+        // 64 sampled orders (plus the commit order) miss it with
+        // probability (251/252)^64 ≈ 0.78: on 17 of these 20 seeds.
+        let misses = (0..20)
+            .filter(|&seed| {
+                let mut rng = StdRng::seed_from_u64(seed);
+                check_dynamic_atomic_sampled(&s, &h, 64, &mut rng).is_ok()
+            })
+            .count();
+        assert!(misses >= 10, "the sampler missed on {misses} of 20 seeds");
+    }
+
+    #[test]
+    fn a_chain_longer_than_a_machine_word_is_decided() {
+        // 130 transactions, each reading the one before it: a single
+        // extension, spread over three words of every downset.
+        let chain = |last: u32| {
+            let mut b = HistoryBuilder::new(None);
+            for i in 0..130 {
+                let read = if i == 129 { last } else { i };
+                b = b
+                    .op(T(i), X, CInv::Read, CResp::Val(read))
+                    .op(T(i), X, CInv::Inc, CResp::Ok)
+                    .commit(T(i), X);
+            }
+            b.build()
+        };
+        let s = SystemSpec::single(plain(200));
+        assert!(check_dynamic_atomic(&s, &chain(129)).is_ok());
+        let v = check_dynamic_atomic(&s, &chain(0)).unwrap_err();
+        assert_eq!(v.order, (0..130).map(T).collect::<Vec<_>>());
+        assert_eq!(v.commit_set, v.order);
     }
 
     #[test]

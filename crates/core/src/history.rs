@@ -535,12 +535,10 @@ impl<A: Adt> History<A> {
         }
         let mut pairs = Vec::new();
         for (a, ci) in &first_commit {
-            for (i, e) in self.events.iter().enumerate() {
-                if i <= *ci {
-                    continue;
-                }
+            let mut seen = BTreeSet::new();
+            for e in &self.events[ci + 1..] {
                 if let Event::Respond { txn: b, .. } = e {
-                    if b != a && !pairs.contains(&(*a, *b)) {
+                    if b != a && seen.insert(*b) {
                         pairs.push((*a, *b));
                     }
                 }

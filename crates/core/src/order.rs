@@ -1,11 +1,5 @@
-//! Partial orders on transactions and enumeration of their linear extensions.
-//!
-//! Dynamic atomicity quantifies over *every* total order consistent with
-//! `precedes(H)` (paper §3.4), so the atomicity checkers need to enumerate
-//! linear extensions of a relation. The relations we build from histories are
-//! guaranteed acyclic by well-formedness (the paper notes `precedes(H)` is a
-//! partial order), but the enumerator tolerates arbitrary relations and simply
-//! yields nothing when the relation is cyclic.
+//! Partial orders on transactions: the constraint relations, such as
+//! `precedes(H)` (paper §3.4), that a serialization order must respect.
 
 use crate::ids::TxnId;
 
@@ -54,58 +48,6 @@ impl TxnOrder {
             _ => true,
         })
     }
-
-    /// Invoke `f` on every linear extension of this relation over `items`
-    /// (every permutation of `items` consistent with the constraints). Stops
-    /// early and returns `false` if `f` returns `false` for some extension;
-    /// returns `true` otherwise.
-    ///
-    /// `items` must not contain duplicates.
-    pub fn for_each_extension<F>(&self, items: &[TxnId], mut f: F) -> bool
-    where
-        F: FnMut(&[TxnId]) -> bool,
-    {
-        let mut remaining: Vec<TxnId> = items.to_vec();
-        let mut prefix: Vec<TxnId> = Vec::with_capacity(items.len());
-        self.extend_rec(&mut prefix, &mut remaining, &mut f)
-    }
-
-    fn extend_rec<F>(&self, prefix: &mut Vec<TxnId>, remaining: &mut Vec<TxnId>, f: &mut F) -> bool
-    where
-        F: FnMut(&[TxnId]) -> bool,
-    {
-        if remaining.is_empty() {
-            return f(prefix);
-        }
-        for i in 0..remaining.len() {
-            let cand = remaining[i];
-            // cand may come next iff no remaining element must precede it
-            let blocked =
-                self.pairs.iter().any(|(a, b)| *b == cand && *a != cand && remaining.contains(a));
-            if blocked {
-                continue;
-            }
-            remaining.remove(i);
-            prefix.push(cand);
-            let ok = self.extend_rec(prefix, remaining, f);
-            prefix.pop();
-            remaining.insert(i, cand);
-            if !ok {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Collect all linear extensions (for tests and small inputs).
-    pub fn extensions(&self, items: &[TxnId]) -> Vec<Vec<TxnId>> {
-        let mut out = Vec::new();
-        self.for_each_extension(items, |seq| {
-            out.push(seq.to_vec());
-            true
-        });
-        out
-    }
 }
 
 #[cfg(test)]
@@ -115,55 +57,11 @@ mod tests {
     const T: fn(u32) -> TxnId = TxnId;
 
     #[test]
-    fn empty_relation_yields_all_permutations() {
-        let o = TxnOrder::empty();
-        let exts = o.extensions(&[T(0), T(1), T(2)]);
-        assert_eq!(exts.len(), 6);
-    }
-
-    #[test]
-    fn single_constraint_halves_permutations() {
-        let o = TxnOrder::from_pairs(vec![(T(0), T(1))]);
-        let exts = o.extensions(&[T(0), T(1), T(2)]);
-        assert_eq!(exts.len(), 3);
-        for e in &exts {
-            let i = e.iter().position(|t| *t == T(0)).unwrap();
-            let j = e.iter().position(|t| *t == T(1)).unwrap();
-            assert!(i < j);
-        }
-    }
-
-    #[test]
-    fn chain_yields_single_extension() {
-        let o = TxnOrder::from_pairs(vec![(T(0), T(1)), (T(1), T(2))]);
-        let exts = o.extensions(&[T(2), T(0), T(1)]);
-        assert_eq!(exts, vec![vec![T(0), T(1), T(2)]]);
-    }
-
-    #[test]
-    fn cyclic_relation_yields_nothing() {
-        let o = TxnOrder::from_pairs(vec![(T(0), T(1)), (T(1), T(0))]);
-        assert!(o.extensions(&[T(0), T(1)]).is_empty());
-    }
-
-    #[test]
     fn consistency_ignores_absent_endpoints() {
         let o = TxnOrder::from_pairs(vec![(T(0), T(9))]);
         assert!(o.consistent(&[T(1), T(0)]));
         assert!(o.consistent(&[T(0), T(9)]));
         assert!(!o.consistent(&[T(9), T(0)]));
-    }
-
-    #[test]
-    fn early_exit_stops_enumeration() {
-        let o = TxnOrder::empty();
-        let mut count = 0;
-        let all = o.for_each_extension(&[T(0), T(1), T(2)], |_| {
-            count += 1;
-            count < 2
-        });
-        assert!(!all);
-        assert_eq!(count, 2);
     }
 
     #[test]

@@ -26,7 +26,7 @@
 use std::collections::BTreeMap;
 
 use ccr_core::adt::Adt;
-use ccr_core::atomicity::{check_dynamic_atomic_auto, DynAtomViolation, SystemSpec};
+use ccr_core::atomicity::{check_dynamic_atomic, DynAtomViolation, SystemSpec};
 use ccr_core::conflict::Conflict;
 use ccr_core::history::History;
 use ccr_core::ids::{ObjectId, TxnId};
@@ -46,11 +46,6 @@ use crate::system::{SystemStats, TxnSystem};
 const MAX_RETRIES: usize = 64;
 /// Safety cap on scheduler rounds.
 const MAX_ROUNDS: u64 = 100_000;
-/// The dynamic-atomicity leg checks exhaustively up to this many committed
-/// transactions and samples consistent orders beyond it.
-const EXHAUSTIVE_LIMIT: usize = 6;
-/// Consistent orders the sampling checker draws.
-const ORACLE_SAMPLES: usize = 64;
 /// Seventh-leg liveness budget: a live transaction older than this many
 /// rounds fails the bounded-outcome oracle.
 const OUTCOME_BUDGET: u64 = 10_000;
@@ -797,11 +792,9 @@ where
     /// folded).
     fn check_history(&mut self) -> Result<(), SimFailure> {
         self.report.oracle_checks += 1;
-        let (cfg, at) = (self.cfg, self.report.events);
         let seeded = self.sys.trace_base().map(|base| self.spec.clone().starting_from(base));
         let (spec, trace) = (seeded.as_ref().unwrap_or(self.spec), self.sys.system().trace());
-        check_dynamic_atomic_auto(spec, trace, EXHAUSTIVE_LIMIT, ORACLE_SAMPLES, cfg.seed ^ at)
-            .map_err(|v| self.fail(OracleFailure::NotDynamicAtomic(v)))
+        check_dynamic_atomic(spec, trace).map_err(|v| self.fail(OracleFailure::NotDynamicAtomic(v)))
     }
 
     /// The full oracle: dynamic atomicity of the current trace, journal

@@ -109,8 +109,8 @@ pub fn outcomes_json(outcomes: &[Outcome]) -> String {
 pub struct HarnessCfg {
     /// Scheduler seed.
     pub seed: u64,
-    /// Check the full trace for dynamic atomicity afterwards (exponential —
-    /// keep runs small when enabled).
+    /// Check the full trace for dynamic atomicity afterwards, exactly (the
+    /// cost is exponential in the concurrent transactions at one object).
     pub check_atomicity: bool,
     /// Check the trace against this many *sampled* consistent orders instead
     /// (scales to arbitrarily concurrent runs; 0 disables). Ignored when

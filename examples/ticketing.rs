@@ -19,13 +19,12 @@
 use ccr::adt::bank::{self, BankAccount, BankInv, BankResp};
 use ccr::adt::combine::{Either, SumAdt, SumConflict};
 use ccr::adt::semiqueue::{Semiqueue, SqInv};
-use ccr::core::atomicity::{check_dynamic_atomic_sampled, SystemSpec};
+use ccr::core::atomicity::{check_dynamic_atomic, SystemSpec};
 use ccr::core::conflict::{Derived, FnConflict};
 use ccr::core::ids::ObjectId;
 use ccr::runtime::scheduler::{run, SchedulerCfg};
 use ccr::runtime::script::{ConditionalScript, Script, Step};
 use ccr::runtime::{TxnSystem, UipEngine};
-use rand::SeedableRng;
 
 type App = SumAdt<BankAccount, Semiqueue>;
 
@@ -88,14 +87,7 @@ fn main() {
 
     let spec = SystemSpec::single(SumAdt::Left(BankAccount::default()))
         .with_object(AUDIT, SumAdt::Right(Semiqueue::default()));
-    // 12 mutually concurrent sales make the exhaustive check infeasible
-    // (12! consistent orders); the sampled checker verifies 200 random
-    // linear extensions of `precedes` instead.
-    let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-    println!(
-        "execution dynamic atomic (200 sampled orders): {}",
-        check_dynamic_atomic_sampled(&spec, sys.trace(), 200, &mut rng).is_ok()
-    );
+    println!("execution dynamic atomic: {}", check_dynamic_atomic(&spec, sys.trace()).is_ok());
 }
 
 /// A 2-object system whose objects carry different inner ADTs (the SumAdt

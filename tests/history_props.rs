@@ -13,6 +13,8 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+include!("common/extensions.rs");
+
 fn sample_history(seed: u64, steps: usize) -> History<BankAccount> {
     let automaton =
         ObjectAutomaton::new(BankAccount { amounts: vec![1, 2] }, Uip, bank_nrbc(), ObjectId::SOLE);
@@ -71,7 +73,7 @@ proptest! {
         // non-empty).
         if !committed.is_empty() {
             let mut found = false;
-            prec.for_each_extension(&committed, |_| {
+            for_each_extension(&prec, &committed, |_| {
                 found = true;
                 false
             });

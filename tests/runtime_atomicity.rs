@@ -6,7 +6,7 @@
 
 use ccr::adt::bank::{bank_nfc, bank_nrbc, BankAccount, BankInv};
 use ccr::adt::semiqueue::{Semiqueue, SqInv};
-use ccr::core::atomicity::{check_dynamic_atomic, check_dynamic_atomic_auto, SystemSpec};
+use ccr::core::atomicity::{check_dynamic_atomic, SystemSpec};
 use ccr::core::conflict::{Conflict, Derived, SymmetricClosure, TotalConflict};
 use ccr::core::ids::ObjectId;
 use ccr::runtime::engine::{DuEngine, RecoveryEngine, UipEngine, UipInverseEngine};
@@ -135,7 +135,7 @@ fn threaded_wound_wait_keeps_wait_for_acyclic() {
     assert_eq!(report.gave_up, 0, "the oldest transaction always progresses");
     assert_eq!(report.committed, 10);
     let spec = SystemSpec::uniform(BankAccount::default(), 2);
-    assert!(check_dynamic_atomic_auto(&spec, sys.trace(), 6, 64, 0).is_ok());
+    assert!(check_dynamic_atomic(&spec, sys.trace()).is_ok());
 }
 
 /// No-wait under the threaded executor: a conflicting request aborts
@@ -155,7 +155,7 @@ fn threaded_no_wait_never_deadlocks() {
     assert_eq!(report.gave_up, 0, "a refused script waits for a commit, not for its budget");
     assert_eq!(report.committed, 10);
     let spec = SystemSpec::uniform(BankAccount::default(), 2);
-    assert!(check_dynamic_atomic_auto(&spec, sys.trace(), 6, 64, 0).is_ok());
+    assert!(check_dynamic_atomic(&spec, sys.trace()).is_ok());
 }
 
 // Non-deterministic specification end-to-end: semiqueue producers and
