@@ -2,7 +2,7 @@
 //!
 //! The randomized oracle (`ccr-runtime`'s fault simulator) only *samples*
 //! the pipeline's state space: a seeded sweep can miss a low-probability
-//! interleaving of group commit, torn-batch repair, crash-during-recovery or
+//! interleaving of group commit, a torn group flush, crash-during-recovery or
 //! a 2PC crash. This crate is the exhaustive complement: it drives small
 //! finite instances (2–3 transactions, a bounded crash budget) through the
 //! **real** `ShardedSystem` / `DurableSystem` code paths on `MemBackend` or
@@ -28,9 +28,11 @@
 //!   transaction is visible on all its shards or none (global uniform
 //!   outcome);
 //! * on every shard a crash recovered — **batch prefix** (a torn group
-//!   flush loses only a suffix), **replay-view agreement** (the paper's UIP
-//!   execution-order and DU commit-order folds of the recovered log agree
-//!   with what the shard serves), **convergence** and **idempotence**.
+//!   flush loses only a suffix; on the WAL, which writes a group as one
+//!   frame, the whole group or the part after a segment roll),
+//!   **replay-view agreement** (the paper's UIP execution-order and DU
+//!   commit-order folds of the recovered log agree with what the shard
+//!   serves), **convergence** and **idempotence**.
 //!
 //! On a violation the explorer emits a *minimized* replayable trace (greedy
 //! delta-debugging over the action list) plus a `ccr-experiments mc`

@@ -42,7 +42,7 @@ pub enum Phase {
     Scan,
     /// Recovery path: probing beyond damage to classify it.
     Classify,
-    /// Recovery path: tail repair (discard + batch-meta rewrite + header).
+    /// Recovery path: tail repair (discard + the sealing header).
     Repair,
     /// Recovery path: replaying committed records into the fresh system.
     Replay,

@@ -1296,7 +1296,7 @@ mod tests {
     }
 
     #[test]
-    fn torn_group_flush_recovers_a_batch_prefix() {
+    fn a_torn_group_flush_recovers_none_of_the_batch() {
         let mut sys = disk_sys(1);
         let t = sys.begin();
         sys.invoke(t, X, BankInv::Deposit(100)).unwrap();
@@ -1309,16 +1309,16 @@ mod tests {
             })
             .collect();
         assert!(sys.commit_group(&txns).iter().all(|r| r.is_ok()));
-        // Tear one sector off the batch flush: the final record is torn
-        // mid-frame; the first two survive as an unacknowledged prefix.
+        // Tear one sector off the batch flush: the batch is one frame, so
+        // none of it survives — it was never acknowledged.
         assert!(sys.backend_mut().tear_last_flush(1));
         assert!(matches!(sys.crash_and_recover(), Err(RedoError::TornRecord { .. })));
         sys.crash_and_recover_with(TornPolicy::DiscardTail).unwrap();
-        assert_eq!(sys.committed_state(X), 100 + 1 + 10);
-        assert_eq!(sys.journal().len(), 3);
+        assert_eq!(sys.committed_state(X), 100);
+        assert_eq!(sys.journal().len(), 1);
         // The repaired log is clean from now on.
         sys.crash_and_recover().unwrap();
-        assert_eq!(sys.committed_state(X), 111);
+        assert_eq!(sys.committed_state(X), 100);
     }
 
     #[test]
@@ -1909,8 +1909,6 @@ Group3/Transient: [Err(ReadOnly), Err(ReadOnly), Err(ReadOnly)] mode=Degraded do
 Group3/Full: [Err(ReadOnly), Err(ReadOnly), Err(ReadOnly)] mode=Degraded doubt=[] io_retries=0 degraded=1/0 crashes=0 | recovered: states=[10, 0] doubt=[]
 Group3/CrashAt(0): [Err(NotActive(T1)), Err(NotActive(T2)), Err(NotActive(T3))] mode=Normal doubt=[] io_retries=0 degraded=0/0 crashes=1 | recovered: states=[10, 0] doubt=[]
 Group3/CrashAt(1): [Err(NotActive(T1)), Err(NotActive(T2)), Err(NotActive(T3))] mode=Normal doubt=[] io_retries=0 degraded=0/0 crashes=1 | recovered: states=[10, 0] doubt=[]
-Group3/CrashAt(2): [Err(NotActive(T1)), Err(NotActive(T2)), Err(NotActive(T3))] mode=Normal doubt=[] io_retries=0 degraded=0/0 crashes=1 | recovered: states=[10, 0] doubt=[]
-Group3/CrashAt(3): [Err(NotActive(T1)), Err(NotActive(T2)), Err(NotActive(T3))] mode=Normal doubt=[] io_retries=0 degraded=0/0 crashes=1 | recovered: states=[10, 0] doubt=[]
 Prepare/Transient: Err(ReadOnly) mode=Degraded doubt=[] io_retries=1 degraded=1/0 crashes=0 | recovered: states=[10, 0] doubt=[]
 Prepare/Full: Err(ReadOnly) mode=Degraded doubt=[] io_retries=0 degraded=1/0 crashes=0 | recovered: states=[10, 0] doubt=[]
 Prepare/CrashAt(0): Err(NotActive(T1)) mode=Normal doubt=[] io_retries=0 degraded=0/0 crashes=1 | recovered: states=[10, 0] doubt=[]

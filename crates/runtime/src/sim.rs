@@ -63,9 +63,10 @@ pub struct SimCfg {
     /// flushing immediately; at the end of every scheduler round the staged
     /// batch is committed and made durable with **one** flush
     /// ([`DurableSystem::commit_group`]), and only then are the drivers
-    /// acknowledged. Storage faults that tear the batch flush exercise the
-    /// torn-batch recovery rules: strict recovery must refuse the tail,
-    /// discard recovery must keep exactly a prefix of the batch.
+    /// acknowledged. Storage faults that tear the batch flush exercise
+    /// recovery's tail rules: strict recovery must refuse the tail, discard
+    /// recovery must keep exactly a prefix of the batch (on the WAL, which
+    /// writes a batch as one frame, none of it).
     pub group_commit: bool,
     /// Run the sixth oracle leg at the end of the run: crash the device at
     /// *every* op index recovery itself consumes
@@ -1303,11 +1304,11 @@ mod tests {
 
     #[test]
     fn torn_group_flush_passes_the_oracle_with_group_commit() {
-        // Tear the tail off a durable three-record batch flush: strict
-        // recovery must refuse the torn batch, DiscardTail must keep exactly
-        // a prefix, and the oracle (shadow fold, UIP-vs-DU agreement) must
-        // hold over the surviving journal — the torn-batch leg of the tear
-        // oracle.
+        // Tear the tail off a durable multi-record batch flush: strict
+        // recovery must refuse the torn batch, DiscardTail must drop the
+        // batch's one frame, and the oracle (shadow fold, UIP-vs-DU
+        // agreement) must hold over the surviving journal — the group-commit
+        // leg of the tear oracle.
         let plan = FaultPlan::new(vec![FaultSpec {
             at_event: 20,
             kind: FaultKind::SectorTorn { sectors: 1 },
@@ -1323,7 +1324,7 @@ mod tests {
         assert_eq!(report.faults_injected, 1);
         assert_eq!(report.stats.sector_tears, 1, "the tear must not degrade: {:?}", report.stats);
         assert_eq!(report.committed, 6, "every script recommits after the fault");
-        // One batch member was legitimately discarded with the torn tail.
+        // The torn batch was legitimately discarded with the tail.
         assert!((sys.journal().len() as u64) < report.stats.committed);
     }
 

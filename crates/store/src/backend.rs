@@ -160,9 +160,9 @@ impl Detection {
 /// The `*_ops` fields split the scan's checked device operations across the
 /// three recovery stages — walking the frames (*scan*), probing beyond a
 /// damage site (*classify*), and mutating the image back to health
-/// (*repair*: tail deletion, batch-header rewrites, the sealing header
-/// fsync). They tile the attempt's device-op total exactly, which is what
-/// the profiler's phase-coverage check leans on. The `*_ns` fields carry
+/// (*repair*: tail deletion, the sealing header fsync). They tile the
+/// attempt's device-op total exactly, which is what the profiler's
+/// phase-coverage check leans on. The `*_ns` fields carry
 /// wall time for the same stages; wall time is inherently nondeterministic,
 /// so equality ([`PartialEq`]) deliberately ignores it — two scans of the
 /// same image compare equal whatever the clock did.
@@ -183,8 +183,8 @@ pub struct ScanReport {
     pub scan_ops: u64,
     /// Checked device ops spent probing beyond a damage site.
     pub classify_ops: u64,
-    /// Checked device ops spent repairing the image (tail discard, batch
-    /// rewrite, sealing header write).
+    /// Checked device ops spent repairing the image (tail discard, sealing
+    /// header write).
     pub repair_ops: u64,
     /// Wall nanoseconds of the scan stage (not compared; see above).
     pub scan_ns: u64,
@@ -315,8 +315,8 @@ pub trait LogBackend<A: Adt>: Send + Clone {
     /// prefix of `recs` in commit order, but once this call returns `Ok`
     /// the whole group is durable; on `Err` none of the group is durable.
     /// The default flushes one record at a time (correct, unamortised);
-    /// [`crate::WalBackend`] overrides it with batch framing and a single
-    /// fsync for the whole group.
+    /// [`crate::WalBackend`] overrides it with one frame and a single fsync
+    /// for the whole group.
     fn append_commits(&mut self, recs: &[CommitRecord<A>]) -> Result<(), StoreFailure> {
         for rec in recs {
             self.append_commit(rec)?;

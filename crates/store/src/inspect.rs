@@ -12,8 +12,8 @@
 //! plan (a `Strict` scan refuses at the first damage classification and so
 //! never reaches the judgements behind it). Where recovery replays only the
 //! prefix before the first damage site, the listing also shows the valid
-//! frames *beyond* it — the forensic tail that tells a torn group flush
-//! from interior corruption.
+//! frames *beyond* it — the forensic tail that tells a torn tail from
+//! interior corruption.
 
 use ccr_core::adt::Adt;
 
@@ -22,8 +22,7 @@ use crate::codec::Persist;
 use crate::disk::SimDisk;
 use crate::scan::{Evidence, Frame, Scan};
 use crate::wal::{
-    BatchMeta, SegHeader, WalConfig, KIND_BATCH, KIND_CHECKPOINT, KIND_COMMIT, KIND_DECIDE,
-    KIND_PREPARE, KIND_SEG_HEADER,
+    SegHeader, WalConfig, KIND_CHECKPOINT, KIND_COMMIT, KIND_DECIDE, KIND_PREPARE, KIND_SEG_HEADER,
 };
 
 /// One frame (or damaged frame position) in the listing.
@@ -33,16 +32,17 @@ pub struct FrameInfo {
     pub sector: u64,
     /// Sector footprint (0 when the frame is too damaged to size).
     pub sectors: u64,
-    /// `"seg-header"`, `"commit"`, `"batch"`, `"checkpoint"`, `"prepare"`,
-    /// `"decide"`, or `"unknown"` when the kind byte itself is unreadable.
+    /// `"seg-header"`, `"commit"`, `"checkpoint"`, `"prepare"`, `"decide"`,
+    /// or `"unknown"` when the kind byte itself is unreadable.
     pub kind: &'static str,
     /// `"valid"`, `"torn"`, or `"corrupt"` — status per the scanner's rules.
     pub status: &'static str,
     /// Whether the frame lies beyond the first damage site (recovery never
     /// replays it; the probe uses it for classification only).
     pub beyond_damage: bool,
-    /// Decoded summary (floors, op counts, batch id/pos/len, ...). ASCII
-    /// `key=value` pairs only, safe to embed in JSON unescaped.
+    /// Decoded summary (floors, op counts, ...; a commit frame's records
+    /// separated by `, `). ASCII `key=value` pairs only, safe to embed in
+    /// JSON unescaped.
     pub detail: String,
 }
 
@@ -55,18 +55,6 @@ pub struct SegmentInfo {
     pub header: Option<SegHeader>,
     /// Frames in walk order, including any beyond the damage site.
     pub frames: Vec<FrameInfo>,
-}
-
-/// One group-commit batch seen in the replayable prefix: how many members
-/// survived of the `len` the flush promised.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BatchRun {
-    /// Epoch-salted flush id.
-    pub id: u64,
-    /// Members present in the walk.
-    pub seen: u32,
-    /// Members the batch headers promise.
-    pub len: u32,
 }
 
 /// Everything the inspector derives from one device image.
@@ -96,9 +84,6 @@ pub struct WalInspection {
     pub txn_floor: u32,
     /// Execution-sequence floor a successful recovery would resume from.
     pub next_exec_seq: u64,
-    /// Group-commit batch runs in the replayable prefix, in first-seen
-    /// order.
-    pub batches: Vec<BatchRun>,
     /// Gtids of prepared 2PC transactions with no durable decision in the
     /// replayable prefix — in doubt, sorted (matches the gtids of
     /// `RecoveredLog::in_doubt`).
@@ -113,7 +98,6 @@ fn kind_name(kind: u8) -> &'static str {
         KIND_SEG_HEADER => "seg-header",
         KIND_COMMIT => "commit",
         KIND_CHECKPOINT => "checkpoint",
-        KIND_BATCH => "batch",
         KIND_PREPARE => "prepare",
         KIND_DECIDE => "decide",
         _ => "unknown",
@@ -157,11 +141,12 @@ where
         }
         for f in scan.frames.iter().filter(|f| span.contains(&f.at)) {
             let (kind, detail) = match &f.item {
-                Frame::Commit(rec) => {
-                    (KIND_COMMIT, format!("floor={} ops={}", rec.floor, rec.ops.len()))
-                }
-                Frame::Batch(meta, rec) => {
-                    (KIND_BATCH, batch_detail(meta, rec.floor, rec.ops.len()))
+                Frame::Commit(range) => {
+                    let each: Vec<String> = scan.records[range.clone()]
+                        .iter()
+                        .map(|rec| format!("floor={} ops={}", rec.floor, rec.ops.len()))
+                        .collect();
+                    (KIND_COMMIT, each.join(", "))
                 }
                 Frame::Checkpoint(img) => (
                     KIND_CHECKPOINT,
@@ -215,12 +200,8 @@ where
             frames.push(info(site.at, sectors, kind, status, false, detail));
         }
         for f in scan.beyond.iter().filter(|f| span.contains(&f.at)) {
-            let (kind, batch) = &f.item;
-            let detail = match batch {
-                Some((meta, rec)) => batch_detail(meta, rec.floor, rec.ops.len()),
-                None => format!("kind={}", kind_name(*kind)),
-            };
-            frames.push(info(f.at, f.sectors, kind_name(*kind), "valid", true, detail));
+            let kind = kind_name(f.item);
+            frames.push(info(f.at, f.sectors, kind, "valid", true, format!("kind={kind}")));
         }
         segments.push(SegmentInfo { index, header: header.map(|h| h.item), frames });
         if site.is_some_and(|s| s.header) {
@@ -229,15 +210,6 @@ where
         }
     }
 
-    let mut batches: Vec<BatchRun> = Vec::new();
-    for f in &scan.frames {
-        if let Frame::Batch(meta, _) = &f.item {
-            match batches.iter_mut().find(|b| b.id == meta.id) {
-                Some(b) => b.seen += 1,
-                None => batches.push(BatchRun { id: meta.id, seen: 1, len: meta.len }),
-            }
-        }
-    }
     let report = scan.report();
     // Damaged images still report what *would* replay.
     let log = scan.replay();
@@ -253,14 +225,9 @@ where
         replay_records: log.records.len() as u64,
         txn_floor: log.txn_floor,
         next_exec_seq: log.next_exec_seq,
-        batches,
         in_doubt: log.in_doubt.iter().map(|(gtid, _)| *gtid).collect(),
         decisions: log.decisions,
     }
-}
-
-fn batch_detail(meta: &BatchMeta, floor: u32, ops: usize) -> String {
-    format!("batch_id={} pos={} len={} floor={} ops={}", meta.id, meta.pos, meta.len, floor, ops)
 }
 
 impl WalInspection {
@@ -308,11 +275,6 @@ impl WalInspection {
                 format!("{{\"kind\":\"{}\",\"sector\":{}}}", kind, d.sector())
             })
             .collect();
-        let batches: Vec<String> = self
-            .batches
-            .iter()
-            .map(|b| format!("{{\"id\":{},\"seen\":{},\"len\":{}}}", b.id, b.seen, b.len))
-            .collect();
         let in_doubt: Vec<String> = self.in_doubt.iter().map(|g| g.to_string()).collect();
         let decisions: Vec<String> = self
             .decisions
@@ -323,7 +285,7 @@ impl WalInspection {
             "{{\"sector_size\":{},\"seg_sectors\":{},\"sectors\":{},\"frames\":{},\
              \"damage\":\"{}\",\"checkpoint\":{},\"replay_records\":{},\"txn_floor\":{},\
              \"next_exec_seq\":{},\"in_doubt\":[{}],\"decisions\":[{}],\"detections\":[{}],\
-             \"batches\":[{}],\"segments\":[{}]}}",
+             \"segments\":[{}]}}",
             self.sector_size,
             self.seg_sectors,
             self.sectors,
@@ -336,7 +298,6 @@ impl WalInspection {
             in_doubt.join(","),
             decisions.join(","),
             detections.join(","),
-            batches.join(","),
             segs.join(",")
         )
     }
@@ -450,35 +411,28 @@ mod tests {
     }
 
     #[test]
-    fn torn_group_flush_classifies_as_torn_batch() {
-        let mut w = batched_wal();
+    fn a_torn_group_flush_is_a_torn_tail() {
+        let w = batched_wal();
         let ins = inspect(&w);
         assert_eq!(ins.damage, "clean");
-        assert_eq!(ins.batches.len(), 1);
-        assert_eq!((ins.batches[0].seen, ins.batches[0].len), (3, 3));
+        assert_eq!(ins.replay_records, 4);
+        let group = ins.segments[0].frames.last().unwrap();
+        assert_eq!(group.kind, "commit");
+        assert_eq!(group.detail, "floor=2 ops=1, floor=3 ops=1, floor=4 ops=1");
 
-        // A frame-aligned tear: the final batch member vanishes wholly, so
-        // the walk sees a well-formed log whose trailing run stops short.
-        let last = ins.segments.last().unwrap().frames.last().unwrap().sectors as usize;
-        assert!(w.tear_last_flush(last));
-        let ins = inspect(&w);
-        assert_eq!(ins.damage, "torn-batch");
-        assert_agrees(&w, TailPolicy::DiscardTail);
-
-        // A sub-frame tear of the last member: nothing valid survives
-        // beyond the torn frame, so the probe classifies a torn tail.
-        let mut w = batched_wal();
-        assert!(w.tear_last_flush(1));
-        let ins = inspect(&w);
-        assert_eq!(ins.damage, "torn-tail");
-        assert_agrees(&w, TailPolicy::DiscardTail);
-
-        // A reordered batch flush: a hole at one member with later members
-        // of the same batch surviving — the probe's torn-batch case.
+        // Any tear of the group's frame, and a reorder of its flush, leave
+        // nothing valid beyond the damage: a torn tail, discarded whole.
+        for n in 1..group.sectors as usize {
+            let mut w = batched_wal();
+            assert!(w.tear_last_flush(n));
+            let ins = inspect(&w);
+            assert_eq!((ins.damage, ins.replay_records), ("torn-tail", 1), "tear {n}");
+            assert_agrees(&w, TailPolicy::DiscardTail);
+        }
         let mut w = batched_wal();
         assert!(w.reorder_last_flush());
         let ins = inspect(&w);
-        assert_eq!(ins.damage, "torn-batch");
+        assert_eq!((ins.damage, ins.replay_records), ("torn-tail", 1));
         assert_agrees(&w, TailPolicy::DiscardTail);
     }
 

@@ -43,8 +43,8 @@ pub use backend::{
 };
 pub use codec::{crc32, Persist};
 pub use disk::{DiskError, DiskImage, DiskStats, SectorRead, SimDisk, TRACK_SECTORS};
-pub use inspect::{inspect_wal, BatchRun, FrameInfo, SegmentInfo, WalInspection};
+pub use inspect::{inspect_wal, FrameInfo, SegmentInfo, WalInspection};
 pub use wal::{
-    build_frame, check_frame, decode_batch, decode_decide, decode_prepare, encode_batch,
-    encode_decide, encode_prepare, BatchMeta, SegHeader, WalBackend, WalConfig,
+    build_frame, check_frame, decode_commit, decode_decide, decode_prepare, encode_commits,
+    encode_decide, encode_prepare, SegHeader, WalBackend, WalConfig,
 };

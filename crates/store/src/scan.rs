@@ -30,27 +30,18 @@
 //!   ([`Detection::CrcMismatch`]).
 //!
 //! On damage the probe visits every later frame position; a valid frame
-//! *after* the damage point usually upgrades the classification to interior
-//! corruption ([`Detection::InteriorFrame`]), which no policy may discard.
-//! The exception is a **torn group flush**: when the damage is a tear or a
-//! hole (never a CRC mismatch — CRC damage behind intact frames stays
-//! interior, because those frames were acknowledged) and every valid frame
-//! beyond it is a batched-commit frame of one single batch, the damage is
-//! classified `torn-batch` — the whole extent belongs to one interrupted
-//! group flush that was never acknowledged, so
-//! [`TailPolicy::DiscardTail`] may delete it. Otherwise the damage is a
-//! torn tail: [`TailPolicy::Strict`] refuses and
-//! [`TailPolicy::DiscardTail`] deletes the damaged suffix and recovers the
-//! valid prefix.
+//! *after* the damage point makes the damage interior corruption
+//! ([`Detection::InteriorFrame`]), which no policy may discard: that frame
+//! was acknowledged. Otherwise the damage is a torn tail:
+//! [`TailPolicy::Strict`] refuses and [`TailPolicy::DiscardTail`] deletes
+//! the damaged suffix and recovers the valid prefix.
 //!
-//! A crash can also land exactly on a frame boundary inside a group flush,
-//! leaving a *well-formed* log whose final batch run is incomplete
-//! (`pos` reaches only `k < len`). The plan detects this from the batch
-//! headers alone: Strict refuses it like any torn tail, and DiscardTail
-//! keeps the `k` surviving records — a prefix of the batch in commit order,
-//! none of them acknowledged — and has their headers rewritten in place with
-//! `len = k` (the header is fixed-width, so the rewrite keeps every frame's
-//! sector footprint) so the repaired log scans clean from then on.
+//! A torn group flush is an ordinary torn tail. The whole group is one
+//! commit frame under one CRC (`wal.rs`), so a tear or a reordered flush
+//! leaves a frame that reads as torn or fails its check, and nothing of the
+//! group valid beyond it: the discard drops the group whole, and none of
+//! it was acknowledged. Recovery never rewrites a data sector; it only
+//! deletes them.
 //!
 //! The newest valid checkpoint becomes the replay base; commit frames after
 //! it are returned in commit order.
@@ -58,6 +49,7 @@
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::convert::Infallible;
+use std::ops::Range;
 
 use ccr_core::adt::Adt;
 
@@ -68,9 +60,9 @@ use crate::backend::{
 use crate::codec::Persist;
 use crate::disk::{SectorRead, SimDisk};
 use crate::wal::{
-    decode_batch, decode_checkpoint, decode_commit, decode_decide, decode_prepare,
-    frame_crc_matches, frame_head, frame_payload, BatchMeta, SegHeader, WalConfig, FRAME_OVERHEAD,
-    KIND_BATCH, KIND_CHECKPOINT, KIND_COMMIT, KIND_DECIDE, KIND_PREPARE, KIND_SEG_HEADER,
+    decode_checkpoint, decode_commit, decode_decide, decode_prepare, frame_crc_matches, frame_head,
+    frame_payload, SegHeader, WalConfig, FRAME_OVERHEAD, KIND_CHECKPOINT, KIND_COMMIT, KIND_DECIDE,
+    KIND_PREPARE, KIND_SEG_HEADER,
 };
 
 /// What one frame position holds.
@@ -146,10 +138,9 @@ pub(crate) struct Placed<T> {
 
 /// A decoded data frame of the replayable prefix.
 pub(crate) enum Frame<A: Adt> {
-    Commit(CommitRecord<A>),
-    /// A group-flush member: the batch header lets the plan judge the
-    /// trailing run, and a repair re-head the survivors in place.
-    Batch(BatchMeta, CommitRecord<A>),
+    /// One commit, or a group flush's commits in commit order: where they
+    /// lie in [`Scan::records`].
+    Commit(Range<usize>),
     Checkpoint(CheckpointImage<A>),
     Prepare(u64, CommitRecord<A>),
     Decide(u64, bool),
@@ -162,10 +153,13 @@ where
     A::Response: Persist,
     A::State: Persist,
 {
-    fn decode(kind: u8, payload: &[u8]) -> Option<Frame<A>> {
+    /// Decode a data frame; a commit frame's records go to `records`.
+    fn decode(kind: u8, payload: &[u8], records: &mut Vec<CommitRecord<A>>) -> Option<Frame<A>> {
         match kind {
-            KIND_COMMIT => decode_commit(payload).map(Frame::Commit),
-            KIND_BATCH => decode_batch(payload).map(|(meta, rec)| Frame::Batch(meta, rec)),
+            KIND_COMMIT => {
+                let start = records.len();
+                decode_commit(payload, records).map(|()| Frame::Commit(start..records.len()))
+            }
             KIND_CHECKPOINT => decode_checkpoint(payload).map(Frame::Checkpoint),
             KIND_PREPARE => decode_prepare(payload).map(|(gtid, rec)| Frame::Prepare(gtid, rec)),
             KIND_DECIDE => decode_decide(payload).map(|(gtid, commit)| Frame::Decide(gtid, commit)),
@@ -222,10 +216,6 @@ impl Site {
     }
 }
 
-/// A valid frame beyond the damage site: its kind, and its batch header and
-/// record when it is a group-flush member.
-pub(crate) type Beyond<A> = Placed<(u8, Option<(BatchMeta, CommitRecord<A>)>)>;
-
 /// One reading of a device image.
 pub(crate) struct Scan<A: Adt> {
     /// Candidate segments: every one that holds a durable sector, ascending.
@@ -237,12 +227,15 @@ pub(crate) struct Scan<A: Adt> {
     /// The replayable prefix: every data frame before the log end or the
     /// damage site.
     pub frames: Vec<Placed<Frame<A>>>,
+    /// The commit frames' records, in log order.
+    pub records: Vec<CommitRecord<A>>,
     /// The log end, as (segment, sector within it): the clean tail, or the
     /// damage site.
     pub end: (u64, u64),
     pub site: Option<Site>,
-    /// The valid frames beyond the site, in probe order ([`Scan::probe`]).
-    pub beyond: Vec<Beyond<A>>,
+    /// The kinds of the valid frames beyond the site, in probe order
+    /// ([`Scan::probe`]).
+    pub beyond: Vec<Placed<u8>>,
     seg_sectors: u64,
 }
 
@@ -265,6 +258,7 @@ where
         sectors: disk.durable_len(),
         headers: Vec::new(),
         frames: Vec::new(),
+        records: Vec::new(),
         // Nothing durable at all is a cold start on a fresh medium.
         end: (segs.first().copied().unwrap_or(0), cfg.header_sectors()),
         site: None,
@@ -309,7 +303,7 @@ where
                     break;
                 }
                 FrameRead::Valid { kind, frame, sectors } => {
-                    match Frame::decode(kind, frame_payload(&frame)) {
+                    match Frame::decode(kind, frame_payload(&frame), &mut scan.records) {
                         Some(item) => {
                             scan.frames.push(Placed { at: pos, sectors, item });
                             pos += sectors;
@@ -330,9 +324,9 @@ where
     Ok(scan)
 }
 
-/// The repairs one recovery takes, in the order it takes them, up to its
-/// first refusal: discard, re-head, then `refuse` if set — so a tail
-/// discarded before a missing checkpoint is noticed stays discarded.
+/// The repair one recovery takes and its first refusal: discard, then
+/// `refuse` if set — so a tail discarded before a missing checkpoint is
+/// noticed stays discarded.
 pub(crate) struct Plan {
     /// The damage class of the image.
     pub damage: &'static str,
@@ -340,9 +334,6 @@ pub(crate) struct Plan {
     pub detections: Vec<Detection>,
     /// Delete every durable sector from here on: the damaged suffix.
     pub discard_from: Option<u64>,
-    /// `(first, id)`: re-head `frames[first..]`, the survivors of a group
-    /// flush that stopped short, as the whole of batch `id`.
-    pub rehead: Option<(usize, u64)>,
     /// Where this recovery ends, if not in a recovered log.
     pub refuse: Option<StoreFailureKind>,
 }
@@ -393,13 +384,10 @@ where
         let later = self.segs.iter().filter(|&&s| s > seg_idx).map(|&s| span(s));
         for (from, seg_end) in std::iter::once(here).chain(later) {
             for p in from..seg_end {
-                if let FrameRead::Valid { kind, frame, sectors } =
+                if let FrameRead::Valid { kind, sectors, .. } =
                     frame_at(disk, cfg, p, seg_end, read(p)?)
                 {
-                    let batch = (kind == KIND_BATCH)
-                        .then(|| decode_batch::<A>(frame_payload(&frame)))
-                        .flatten();
-                    self.beyond.push(Placed { at: p, sectors, item: (kind, batch) });
+                    self.beyond.push(Placed { at: p, sectors, item: kind });
                 }
             }
         }
@@ -409,99 +397,27 @@ where
     /// What the image is, and what a recovery under `policy` does to it.
     /// Pure: reads only the walk and the probe.
     pub(crate) fn plan(&self, policy: TailPolicy) -> Plan {
-        let mut plan = Plan {
-            damage: "clean",
-            detections: Vec::new(),
-            discard_from: None,
-            rehead: None,
-            refuse: None,
-        };
+        let mut plan =
+            Plan { damage: "clean", detections: Vec::new(), discard_from: None, refuse: None };
         if let Some(site) = &self.site {
             plan.detections.push(site.detection());
             let strict = site.strict(self.frames.len());
             if site.header {
                 return plan.refused("corrupt-header", strict);
             }
-            // A tear or hole whose entire valid remainder belongs to one
-            // single batch: one interrupted group flush. Its records were
-            // never acknowledged (the batch's one fsync did not complete
-            // intact), so the damaged extent is legitimately discardable.
-            // A CRC mismatch never qualifies — intact frames behind bit
-            // rot were acknowledged, and discarding them loses commits.
-            let mut ids = self.beyond.iter().map(|f| f.item.1.as_ref().map(|(meta, _)| meta.id));
-            let one_flush = matches!(strict, StoreFailureKind::Torn { .. })
-                && match ids.next() {
-                    Some(Some(id)) => ids.all(|other| other == Some(id)),
-                    _ => false,
-                };
-            plan.damage = match self.beyond.first() {
-                None => "torn-tail",
-                Some(_) if one_flush => "torn-batch",
-                Some(first) => {
-                    // Valid data beyond the damage that no interrupted flush
-                    // explains: interior corruption. Tail discard would lose
-                    // committed, fsynced records — refuse under every policy.
-                    plan.detections.push(Detection::InteriorFrame { sector: first.at });
-                    return plan.refused("interior", StoreFailureKind::Corrupt { sector: site.at });
-                }
-            };
+            if let Some(first) = self.beyond.first() {
+                // Valid data beyond the damage that no interrupted flush
+                // explains: interior corruption. Tail discard would lose
+                // committed, fsynced records — refuse under every policy.
+                plan.detections.push(Detection::InteriorFrame { sector: first.at });
+                return plan.refused("interior", StoreFailureKind::Corrupt { sector: site.at });
+            }
+            plan.damage = "torn-tail";
             if policy == TailPolicy::Strict {
                 plan.refuse = Some(strict);
                 return plan;
             }
             plan.discard_from = Some(site.at);
-        }
-
-        // Judge the trailing batch run. A crash (or the tail discard above)
-        // can leave a *well-formed* log whose final run of batched commits
-        // stops at `pos = k` of a `len`-record group flush — a frame-aligned
-        // tear. Fold the frame list into the state of its trailing run:
-        // reset on every non-batch frame; extend while id/len match and
-        // `pos` stays contiguous.
-        let mut run: Option<(BatchMeta, usize, u32)> = None;
-        for (i, f) in self.frames.iter().enumerate() {
-            run = match (&f.item, run) {
-                (Frame::Batch(meta, _), Some((head, first, next)))
-                    if meta.id == head.id && meta.len == head.len && meta.pos == next =>
-                {
-                    Some((head, first, next + 1))
-                }
-                (Frame::Batch(meta, _), _) => Some((*meta, i, meta.pos + 1)),
-                _ => None,
-            };
-        }
-        if let Some((head, first, next)) = run {
-            if head.pos != 0 {
-                // A batch run that does not begin at `pos = 0` lost *leading*
-                // members, which no tear or discard produces. Refuse under
-                // every policy.
-                let sector = self.frames[first].at;
-                return plan.refused("interior", StoreFailureKind::Corrupt { sector });
-            }
-            if next < head.len {
-                if plan.discard_from.is_none() {
-                    // A frame-aligned tear the walk itself could not see: the
-                    // one physical fault is counted here, at the log end. A
-                    // discard above already counted it at its site.
-                    let sector = self.end.0 * self.seg_sectors + self.end.1;
-                    plan.detections.push(Detection::TornFrame { sector });
-                    plan.damage = "torn-batch";
-                }
-                match policy {
-                    TailPolicy::Strict => {
-                        plan.refuse = Some(StoreFailureKind::Torn {
-                            record: first,
-                            expected: head.len as usize,
-                            found: next as usize,
-                        });
-                        return plan;
-                    }
-                    // Keep the `k` survivors — a prefix of the batch in
-                    // commit order, none acknowledged — under headers that
-                    // say `len = k`.
-                    TailPolicy::DiscardTail => plan.rehead = Some((first, head.id)),
-                }
-            }
         }
 
         let checkpointed = self.frames.iter().any(|f| matches!(f.item, Frame::Checkpoint(_)));
@@ -543,9 +459,10 @@ where
     pub(crate) fn replay(self) -> RecoveredLog<A> {
         let governing = self.governing();
         let mut checkpoint: Option<CheckpointImage<A>> = None;
-        let mut records: Vec<CommitRecord<A>> = Vec::new();
+        let mut records: Vec<CommitRecord<A>> = Vec::with_capacity(self.records.len());
         let mut pending: BTreeMap<u64, CommitRecord<A>> = BTreeMap::new();
         let mut decisions: Vec<(u64, bool)> = Vec::new();
+        let mut committed = self.records.into_iter();
         for f in self.frames {
             match f.item {
                 Frame::Checkpoint(img) => {
@@ -556,7 +473,7 @@ where
                     checkpoint = Some(img);
                     records.clear();
                 }
-                Frame::Commit(rec) | Frame::Batch(_, rec) => records.push(rec),
+                Frame::Commit(range) => records.extend(committed.by_ref().take(range.len())),
                 Frame::Prepare(gtid, rec) => {
                     pending.insert(gtid, rec);
                 }

@@ -11,21 +11,24 @@
 //! ```text
 //! magic  u32-le   b"CCRF"
 //! kind   u8       1 = segment header, 2 = commit, 3 = checkpoint,
-//!                 4 = batched commit (group-commit flush member),
 //!                 5 = PREPARE (2PC: gtid + the participant's commit record),
-//!                 6 = DECIDE (2PC: gtid + commit/abort flag)
+//!                 6 = DECIDE (2PC: gtid + commit/abort flag); 4 is unused
 //! len    u32-le   payload byte length
 //! crc    u32-le   CRC32 of the whole padded frame with this field zeroed
 //! payload[len]
 //! zero padding to a sector multiple
 //! ```
 //!
-//! A batched-commit frame (kind 4) prefixes the commit payload with a
-//! [`BatchMeta`] header — `batch_id`, `pos`, `len` — naming the group-commit
-//! flush it belongs to and its position within it. `append_commits`
-//! ([`LogBackend::append_commits`]) stages every frame of the batch in the
-//! device's write cache and makes the whole group durable with **one**
-//! tearable flush, which is what amortises the fsync cost across the batch.
+//! A commit frame (kind 2) holds one or more commit records back to back;
+//! each record is self-delimiting, so the frame needs no count.
+//! `append_commit` writes a frame of one. `append_commits`
+//! ([`LogBackend::append_commits`]) writes a whole group flush as one frame
+//! under one CRC and one flush, which is what amortises the fsync cost
+//! across the group: recovery keeps such a frame whole or drops it whole.
+//! A group that runs past the end of a segment is split at a record
+//! boundary there: the records that fit are flushed as a frame of their own
+//! before the next segment's header, and the rest follow in a frame after
+//! it.
 //!
 //! The CRC covers the padding, so *every durable bit* of the log belongs to
 //! exactly one frame's checked extent — any single-bit flip is detectable.
@@ -91,7 +94,6 @@ pub(crate) const MAGIC: u32 = u32::from_le_bytes(*b"CCRF");
 pub(crate) const KIND_SEG_HEADER: u8 = 1;
 pub(crate) const KIND_COMMIT: u8 = 2;
 pub(crate) const KIND_CHECKPOINT: u8 = 3;
-pub(crate) const KIND_BATCH: u8 = 4;
 /// A two-phase-commit PREPARE: the participant's full commit record,
 /// journaled *before* the vote — the transaction is in doubt until a
 /// decide frame (or the coordinator's verdict) resolves it.
@@ -148,7 +150,8 @@ pub(crate) fn frame_head(first: &[u8]) -> Option<(u8, usize)> {
     let magic = u32::from_le_bytes(first[0..4].try_into().expect("4 bytes"));
     let kind = first[4];
     let len = u32::from_le_bytes(first[5..9].try_into().expect("4 bytes")) as usize;
-    (magic == MAGIC && (KIND_SEG_HEADER..=KIND_DECIDE).contains(&kind)).then_some((kind, len))
+    let known = matches!(kind, KIND_SEG_HEADER..=KIND_CHECKPOINT | KIND_PREPARE..=KIND_DECIDE);
+    (magic == MAGIC && known).then_some((kind, len))
 }
 
 /// The payload of a frame [`frame_crc_matches`] accepted.
@@ -216,7 +219,7 @@ fn with_retries<T>(
     }
 }
 
-/// Decoded segment-header payload. Public (with the batch codec below) as
+/// Decoded segment-header payload. Public (with the 2PC codec below) as
 /// the wire-format test surface: the epoch-header round-trip and
 /// byte-corruption property tests drive `encode`/`decode` directly, without
 /// a device.
@@ -293,18 +296,50 @@ where
     rec.ops.encode(out);
 }
 
-pub(crate) fn decode_commit<A>(payload: &[u8]) -> Option<CommitRecord<A>>
+/// Read one commit record at `pos`, advancing it past the record; `None`
+/// on structural damage.
+fn get_commit<A>(payload: &[u8], pos: &mut usize) -> Option<CommitRecord<A>>
 where
     A: Adt,
     A::Invocation: Persist,
     A::Response: Persist,
 {
-    let mut pos = 0;
-    let rec = CommitRecord {
-        floor: u32::decode(payload, &mut pos)?,
-        ops: Persist::decode(payload, &mut pos)?,
-    };
-    (pos == payload.len()).then_some(rec)
+    Some(CommitRecord { floor: u32::decode(payload, pos)?, ops: Persist::decode(payload, pos)? })
+}
+
+/// Serialize a commit frame's payload: the records back to back. Public
+/// (with [`decode_commit`]) as the wire-format test surface.
+pub fn encode_commits<A>(recs: &[CommitRecord<A>]) -> Vec<u8>
+where
+    A: Adt,
+    A::Invocation: Persist,
+    A::Response: Persist,
+{
+    let mut out = Vec::new();
+    for rec in recs {
+        put_commit(&mut out, rec);
+    }
+    out
+}
+
+/// Append the records of a commit payload — one or more, back to back — to
+/// `out`. `None`, with `out` left as it was, on structural damage; an empty
+/// payload is damage too, since nothing writes one.
+pub fn decode_commit<A>(payload: &[u8], out: &mut Vec<CommitRecord<A>>) -> Option<()>
+where
+    A: Adt,
+    A::Invocation: Persist,
+    A::Response: Persist,
+{
+    let (start, mut pos) = (out.len(), 0);
+    while pos < payload.len() {
+        let Some(rec) = get_commit(payload, &mut pos) else {
+            out.truncate(start);
+            return None;
+        };
+        out.push(rec);
+    }
+    (out.len() > start).then_some(())
 }
 
 /// Serialize a 2PC prepare frame: the global transaction id followed by the
@@ -340,10 +375,7 @@ where
 {
     let mut pos = 0;
     let gtid = u64::decode(payload, &mut pos)?;
-    let rec = CommitRecord {
-        floor: u32::decode(payload, &mut pos)?,
-        ops: Persist::decode(payload, &mut pos)?,
-    };
+    let rec = get_commit(payload, &mut pos)?;
     (pos == payload.len()).then_some((gtid, rec))
 }
 
@@ -370,73 +402,6 @@ pub fn decode_decide(payload: &[u8]) -> Option<(u64, bool)> {
         return None;
     }
     (pos == payload.len()).then_some((gtid, flag == 1))
-}
-
-/// Per-frame batch header of a group-commit flush member: which flush the
-/// frame belongs to and where it sits in it. `id` is unique across adjacent
-/// batches (epoch-salted counter), so two flushes can never be mistaken for
-/// one; `pos`/`len` let the scanner judge whether the trailing batch run is
-/// a complete group or a crash-surviving prefix. Fixed width (16 bytes), so
-/// a repair rewrite that shrinks `len` never changes a frame's footprint.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BatchMeta {
-    /// Epoch-salted flush id, unique across adjacent batches.
-    pub id: u64,
-    /// This frame's position within its flush.
-    pub pos: u32,
-    /// Total frames in the flush (after any repair rewrite).
-    pub len: u32,
-}
-
-/// Serialize one group-flush member: the fixed-width [`BatchMeta`] followed
-/// by the commit record. Public as the batch-frame test surface.
-pub fn encode_batch<A>(meta: BatchMeta, rec: &CommitRecord<A>) -> Vec<u8>
-where
-    A: Adt,
-    A::Invocation: Persist,
-    A::Response: Persist,
-{
-    let mut out = Vec::new();
-    put_batch(&mut out, meta, rec);
-    out
-}
-
-fn put_batch<A>(out: &mut Vec<u8>, meta: BatchMeta, rec: &CommitRecord<A>)
-where
-    A: Adt,
-    A::Invocation: Persist,
-    A::Response: Persist,
-{
-    meta.id.encode(out);
-    meta.pos.encode(out);
-    meta.len.encode(out);
-    put_commit(out, rec);
-}
-
-/// Parse one group-flush member; `None` on structural damage or an
-/// impossible meta (`len == 0` or `pos >= len`).
-pub fn decode_batch<A>(payload: &[u8]) -> Option<(BatchMeta, CommitRecord<A>)>
-where
-    A: Adt,
-    A::Invocation: Persist,
-    A::Response: Persist,
-{
-    let mut pos = 0;
-    let meta = BatchMeta {
-        id: u64::decode(payload, &mut pos)?,
-        pos: u32::decode(payload, &mut pos)?,
-        len: u32::decode(payload, &mut pos)?,
-    };
-    // `len == 1` is legal: a repair rewrite can shrink a torn batch to a
-    // single surviving record. `pos >= len` never is.
-    if meta.len == 0 || meta.pos >= meta.len {
-        return None;
-    }
-    let rec = CommitRecord {
-        floor: u32::decode(payload, &mut pos)?,
-        ops: Persist::decode(payload, &mut pos)?,
-    };
-    (pos == payload.len()).then_some((meta, rec))
 }
 
 fn put_checkpoint<A>(out: &mut Vec<u8>, img: &CheckpointImage<A>)
@@ -494,10 +459,6 @@ pub struct WalBackend<A: Adt> {
     /// followed by a DiscardTail retry) re-detect the same physical fault;
     /// this set keeps one fault from inflating the persisted counters.
     seen_damage: BTreeSet<(u8, u64)>,
-    /// Group-commit batch counter for this process lifetime; the durable
-    /// batch id is salted with the recovery epoch, so ids stay distinct
-    /// across a crash even though the counter restarts.
-    next_batch_id: u64,
     /// Whether the most recent flush was a commit append. Header and
     /// checkpoint flushes are synchronous fsyncs the caller waited on, so
     /// tear / reorder faults (which model an interrupted flush) do not
@@ -543,7 +504,6 @@ where
             stats: StoreStats::default(),
             detected: StoreStats::default(),
             seen_damage: BTreeSet::new(),
-            next_batch_id: 0,
             tearable: false,
             retries: Vec::new(),
             frame: Vec::new(),
@@ -635,35 +595,70 @@ where
         Ok(())
     }
 
+    /// Open the next segment: its header is written and fsynced, and the
+    /// head moves to its data area.
+    fn roll(&mut self) -> Result<(), DiskError> {
+        self.seg += 1;
+        self.head = self.cfg.header_sectors();
+        self.write_header()
+    }
+
     /// Stage one frame at the head, first rolling to a new segment if it
-    /// does not fit. `mid_batch` says earlier frames of a group flush are
-    /// staged and not yet flushed: a roll makes that prefix durable first —
-    /// its sectors must not share a flush with the new segment's
-    /// non-tearable header fsync. Returns the frame's sector count;
-    /// advancing the head over it is the caller's move.
-    fn stage_frame(&mut self, frame: &[u8], mid_batch: bool) -> Result<u64, DiskError> {
+    /// does not fit. Returns the frame's sector count; advancing the head
+    /// over it is the caller's move.
+    fn stage_frame(&mut self, frame: &[u8]) -> Result<u64, DiskError> {
         let sectors = frame.len().div_ceil(self.cfg.sector) as u64;
         assert!(
             sectors <= self.cfg.seg_sectors - self.cfg.header_sectors(),
             "frame of {sectors} sectors exceeds segment capacity"
         );
         if self.head + sectors > self.cfg.seg_sectors {
-            if mid_batch {
-                self.flush()?;
-                self.tearable = true;
-            }
-            self.seg += 1;
-            self.head = self.cfg.header_sectors();
-            self.write_header()?;
+            self.roll()?;
         }
         self.write_at(self.seg * self.cfg.seg_sectors + self.head, frame)?;
         Ok(sectors)
     }
 
+    /// Write `recs` as one commit frame in `frame` (the backend's buffer)
+    /// and fsync it. A group that runs past the segment's end is split at
+    /// the record that does not fit: the records before it are sealed and
+    /// flushed as a frame of their own — their sectors must not share a
+    /// flush with the next segment's non-tearable header fsync — and the
+    /// rest continue after the roll.
+    fn write_group(
+        &mut self,
+        frame: &mut Vec<u8>,
+        recs: &[CommitRecord<A>],
+    ) -> Result<(), DiskError> {
+        let sector = self.cfg.sector;
+        begin_frame(frame, KIND_COMMIT);
+        for rec in recs {
+            self.cover(rec);
+            let start = frame.len();
+            put_commit(frame, rec);
+            if self.head + frame.len().div_ceil(sector) as u64 <= self.cfg.seg_sectors {
+                continue;
+            }
+            if start > FRAME_OVERHEAD {
+                seal_frame(&mut frame[..start], sector);
+                self.head += self.stage_frame(&frame[..start])?;
+                self.flush()?;
+                frame.drain(FRAME_OVERHEAD..start);
+                frame[5..FRAME_OVERHEAD].fill(0);
+            }
+            self.roll()?;
+        }
+        seal_frame(frame, sector);
+        self.head += self.stage_frame(frame)?;
+        self.flush()?;
+        self.tearable = true;
+        Ok(())
+    }
+
     /// Append one frame at the head (rolling to a new segment if it does
     /// not fit) and fsync it.
     fn append_frame(&mut self, kind: u8, put: impl FnOnce(&mut Vec<u8>)) -> Result<(), DiskError> {
-        let sectors = self.with_frame(kind, put, |wal, frame| wal.stage_frame(frame, false))?;
+        let sectors = self.with_frame(kind, put, |wal, frame| wal.stage_frame(frame))?;
         self.flush()?;
         self.head += sectors;
         self.tearable = matches!(kind, KIND_COMMIT | KIND_PREPARE | KIND_DECIDE);
@@ -703,10 +698,11 @@ where
 
     /// Undo a failed append on a still-live device: scrub the staged bytes
     /// from the write cache (so no later flush can leak them out), delete
-    /// any sectors the append already made durable (a mid-batch roll
-    /// flushes a prefix), and rewind the head and floors. After this the
-    /// log is exactly what it was before the append — the record the caller
-    /// reports as failed can never resurface at recovery.
+    /// any sectors the append already made durable (a group that rolls
+    /// flushes the records before the roll), and rewind the head and
+    /// floors. After this the log is exactly what it was before the append
+    /// — the record the caller reports as failed can never resurface at
+    /// recovery.
     fn rollback_append(&mut self, start: (u64, u64), floors: (u32, u64)) {
         self.disk.discard_pending();
         let abs = start.0 * self.cfg.seg_sectors + start.1;
@@ -826,34 +822,17 @@ where
     }
 
     fn append_commits(&mut self, recs: &[CommitRecord<A>]) -> Result<(), StoreFailure> {
-        // A group of one gains nothing from batch framing: fall back to the
-        // plain commit frame so the default path stays byte-identical.
-        if recs.len() < 2 {
-            if let Some(rec) = recs.first() {
-                self.append_commit(rec)?;
-            }
+        if recs.is_empty() {
             return Ok(());
         }
-        // The all-or-prefix contract holds for crashes, but a *reported*
-        // failure promises "none durable": the guard undoes a prefix that a
-        // mid-batch roll already flushed.
+        // A crash keeps whatever a roll flushed early, but a *reported*
+        // failure promises "none durable": the guard deletes it again.
         self.guarded_append(|wal| {
-            let id = (wal.epoch << 32) ^ wal.next_batch_id;
-            wal.next_batch_id += 1;
-            let len = recs.len() as u32;
-            for (i, rec) in recs.iter().enumerate() {
-                wal.cover(rec);
-                let meta = BatchMeta { id, pos: i as u32, len };
-                wal.head += wal.with_frame(
-                    KIND_BATCH,
-                    |out| put_batch(out, meta, rec),
-                    |wal, frame| wal.stage_frame(frame, i > 0),
-                )?;
-            }
-            // The single fsync the whole batch was waiting on.
-            wal.flush()?;
-            wal.tearable = true;
-            Ok(())
+            let mut frame = std::mem::take(&mut wal.frame);
+            let written = wal.write_group(&mut frame, recs);
+            frame.clear();
+            wal.frame = frame;
+            written
         })
         .map_err(StoreFailure::device)
     }
@@ -926,7 +905,6 @@ where
         self.stats = StoreStats::default();
         self.detected = StoreStats::default();
         self.seen_damage.clear();
-        self.next_batch_id = 0;
         self.tearable = false;
         self.retries.clear();
     }
@@ -959,42 +937,21 @@ where
         }
 
         let plan = scan.plan(policy);
-        // The plan may find more (a frame-aligned tear, the interior frame);
-        // the memo keeps the site from counting twice.
+        // The plan may find more (the interior frame); the memo keeps the
+        // site from counting twice.
         for d in &plan.detections {
             note_detection(&mut self.detected, &mut self.seen_damage, d);
         }
         report.damage = plan.damage;
         report.detections = plan.detections;
 
-        // Apply the plan: what it discards and re-heads happens before what
-        // it refuses.
+        // Apply the plan: what it discards goes before what it refuses.
         let stage = Stage::start(&self.disk);
         if let Some(at) = plan.discard_from {
             let doomed: Vec<u64> = self.disk.durable_in(at..).collect();
             for s in doomed {
                 with_retries(&mut self.retries, || self.disk.try_delete(s))
                     .map_err(StoreFailure::device)?;
-            }
-        }
-        if let Some((first, id)) = plan.rehead {
-            // Rewrite the survivors' batch headers in place with `len = k`
-            // so the repaired log scans clean from now on. The batch header
-            // is fixed width, so no frame changes its sector footprint; the
-            // header fsync at the end of this recovery makes the rewrites
-            // durable.
-            let len = (scan.frames.len() - first) as u32;
-            for (i, f) in scan.frames[first..].iter().enumerate() {
-                let scan::Frame::Batch(_, rec) = &f.item else {
-                    unreachable!("a plan re-heads batch members only")
-                };
-                let meta = BatchMeta { id, pos: i as u32, len };
-                self.with_frame(
-                    KIND_BATCH,
-                    |out| put_batch(out, meta, rec),
-                    |wal, frame| wal.write_at(f.at, frame),
-                )
-                .map_err(StoreFailure::device)?;
             }
         }
         stage.stop(&self.disk, &mut report.repair_ops, &mut report.repair_ns);
@@ -1005,11 +962,10 @@ where
         // Adopt the durable counters from the log, fold in what this
         // process's scans detected, and persist the updated header with a
         // bumped epoch — the durable record that a recovery happened. The
-        // header fsync is recovery's commit point: it also makes the batch
-        // repair rewrites durable, and until it lands a nested crash
-        // re-runs the whole scan from the (idempotently re-repairable)
-        // prior image. An empty medium has no header to succeed: a cold
-        // start seals epoch 0, as a new log does.
+        // header fsync is recovery's commit point: until it lands a nested
+        // crash re-runs the whole scan from what the discard left. An empty
+        // medium has no header to succeed: a cold start seals epoch 0, as a
+        // new log does.
         let governing = scan.governing();
         let cold = scan.headers.is_empty();
         (self.seg, self.head) = scan.end;
@@ -1122,7 +1078,7 @@ where
 
         // Progress: re-recovering a just-recovered log must advance the
         // durable epoch by exactly one — the bump is recovery's durable
-        // seal, and without it nested batches could reuse live batch ids.
+        // seal.
         if baseline.is_ok() {
             let sealed = self.epoch;
             <Self as LogBackend<A>>::crash(self);
@@ -1197,7 +1153,6 @@ where
         self.requires_checkpoint.hash(&mut h);
         self.txn_floor.hash(&mut h);
         self.next_exec_seq.hash(&mut h);
-        self.next_batch_id.hash(&mut h);
         // A sector hashes as the slice it reads as: length, bytes, zero tail.
         let img = self.disk.snapshot();
         for (sector, stored) in img.sectors() {
@@ -1644,77 +1599,68 @@ mod tests {
         assert_eq!(image(true), image(false));
     }
 
+    /// The bench's geometry: a group of 8 two-op bank commits is one
+    /// frame, one flush and at most two sectors (it was 8 frames of one
+    /// sector each).
     #[test]
-    fn torn_group_flush_keeps_an_acknowledged_free_prefix() {
-        let mut w = wal();
-        w.append_commit(&rec(1, 0, &[9])).unwrap();
-        let batch = vec![rec(2, 1, &[5]), rec(3, 2, &[3]), rec(4, 3, &[7])];
-        w.append_commits(&batch).unwrap();
-        // Each one-op member is exactly two sectors; losing one sector tears
-        // the last member mid-frame.
-        assert!(w.tear_last_flush(1));
+    fn a_group_flush_is_one_frame_and_one_flush() {
+        let mut w = Wal::new(WalConfig { sector: 512, seg_sectors: 64 });
+        let group: Vec<_> = (0..8u32).map(|i| rec(i + 1, 2 * i as u64, &[1, 2])).collect();
+        let (flushes, sectors) = (w.disk.stats().flushes, w.disk.stats().sectors_flushed);
+        w.append_commits(&group).unwrap();
+        assert_eq!(w.disk.stats().flushes - flushes, 1);
+        assert!(w.disk.stats().sectors_flushed - sectors <= 2);
         w.crash();
-        let err = w.recover(TailPolicy::Strict).unwrap_err();
-        assert!(matches!(err.kind, StoreFailureKind::Torn { .. }));
-        let out = w.recover(TailPolicy::DiscardTail).unwrap();
-        assert_eq!(out.records, vec![rec(1, 0, &[9]), rec(2, 1, &[5]), rec(3, 2, &[3])]);
-        // The two scans re-detected the same tear: one count.
-        assert_eq!(out.stats.sector_tears, 1);
-        // The surviving batch prefix was rewritten in place with len = 2:
-        // a fresh Strict scan is clean.
-        w.crash();
-        let again = w.recover(TailPolicy::Strict).unwrap();
-        assert_eq!(again.records.len(), 3);
-        assert_eq!(again.scan.damage, "clean");
+        let out = w.recover(TailPolicy::Strict).unwrap();
+        assert_eq!(out.records, group);
+        assert_eq!(out.scan.frames, 2, "the segment header and the group");
     }
 
     #[test]
-    fn frame_aligned_batch_tear_is_a_torn_batch() {
-        let mut w = wal();
-        let batch = vec![rec(1, 0, &[5]), rec(2, 1, &[3]), rec(3, 2, &[7])];
-        w.append_commits(&batch).unwrap();
-        // Tear exactly the last member's two sectors: every surviving frame
-        // is well-formed, but the batch headers say one record is missing.
-        assert!(w.tear_last_flush(2));
-        w.crash();
-        let err = w.recover(TailPolicy::Strict).unwrap_err();
-        assert_eq!(err.report.damage, "torn-batch");
-        assert!(matches!(err.kind, StoreFailureKind::Torn { expected: 3, found: 2, .. }));
-        let out = w.recover(TailPolicy::DiscardTail).unwrap();
-        assert_eq!(out.records, vec![rec(1, 0, &[5]), rec(2, 1, &[3])]);
-        assert_eq!(out.stats.sector_tears, 1);
-        w.crash();
-        let again = w.recover(TailPolicy::Strict).unwrap();
-        assert_eq!(again.records.len(), 2);
-        assert_eq!(again.scan.damage, "clean");
-    }
-
-    #[test]
-    fn reordered_group_flush_is_a_discardable_torn_batch() {
-        let mut w = wal();
-        w.append_commit(&rec(1, 0, &[9])).unwrap();
-        w.append_commits(&[rec(2, 1, &[5]), rec(3, 2, &[3])]).unwrap();
-        // The flush's head sector never lands: a hole at the first member
-        // with intact same-batch frames beyond it.
+    fn a_torn_group_flush_is_dropped_whole() {
+        let group = [rec(2, 1, &[5]), rec(3, 2, &[3]), rec(4, 3, &[7])];
+        let build = || {
+            let mut w = wal();
+            w.append_commit(&rec(1, 0, &[9])).unwrap();
+            w.append_commits(&group).unwrap();
+            w
+        };
+        let sectors = build().disk.last_flush_len();
+        assert!(sectors > 2);
+        for n in 1..sectors {
+            let mut w = build();
+            assert!(w.tear_last_flush(n));
+            w.crash();
+            let err = w.recover(TailPolicy::Strict).unwrap_err();
+            assert_eq!(err.report.damage, "torn-tail", "tear {n}");
+            let out = w.recover(TailPolicy::DiscardTail).unwrap();
+            assert_eq!(out.records, vec![rec(1, 0, &[9])], "tear {n}");
+            // The two scans re-detected the same tear: one count.
+            assert_eq!(out.stats.sector_tears, 1);
+            w.crash();
+            assert_eq!(w.recover(TailPolicy::Strict).unwrap().scan.damage, "clean");
+        }
+        // A reordered flush loses the frame's first sector: a hole with
+        // nothing valid beyond it.
+        let mut w = build();
         assert!(w.reorder_last_flush());
         w.crash();
         let err = w.recover(TailPolicy::Strict).unwrap_err();
-        assert_eq!(err.report.damage, "torn-batch");
+        assert_eq!(err.report.damage, "torn-tail");
         let out = w.recover(TailPolicy::DiscardTail).unwrap();
         assert_eq!(out.records, vec![rec(1, 0, &[9])]);
         assert_eq!(out.stats.reordered_flushes, 1);
-        w.crash();
-        assert_eq!(w.recover(TailPolicy::Strict).unwrap().scan.damage, "clean");
     }
 
     #[test]
-    fn crc_damage_behind_intact_batch_frames_stays_interior() {
+    fn crc_damage_in_a_group_behind_an_intact_frame_stays_interior() {
         let mut w = wal();
         w.append_commits(&[rec(1, 0, &[5]), rec(2, 1, &[3]), rec(3, 2, &[7])]).unwrap();
-        // Flip a payload bit of the *first* member (sector 3 of the image:
-        // three header sectors, then two sectors per member). The later
-        // members stay intact — they were fsync-acknowledged, so no policy
-        // may discard them to "repair" the batch.
+        w.append_commit(&rec(4, 3, &[1])).unwrap();
+        // Flip a payload bit of the group's frame (sector 3 of the image,
+        // after the three header sectors). The commit behind it was
+        // fsync-acknowledged, so no policy may discard it to "repair" the
+        // group.
         assert!(w.disk_mut().flip_bit((3 * 32 + 20) * 8));
         for policy in [TailPolicy::Strict, TailPolicy::DiscardTail] {
             w.crash();
@@ -1731,14 +1677,39 @@ mod tests {
         for i in 0..25u32 {
             w.append_commit(&rec(i + 1, i as u64, &[1])).unwrap();
         }
-        let batch: Vec<_> = (0..10u32).map(|i| rec(26 + i, 25 + i as u64, &[2])).collect();
+        let batch: Vec<_> = (0..20u32).map(|i| rec(26 + i, 25 + i as u64, &[2])).collect();
+        let (before, flushes, ops) = (w.clone(), w.disk.stats().flushes, w.disk.device_ops());
         w.append_commits(&batch).unwrap();
+        // Killed at any device op of the append, the group recovers as a
+        // prefix of itself: none, the part before the roll, or all.
+        let mut kept = BTreeSet::new();
+        for k in 0..=w.disk.device_ops() - ops {
+            let mut killed = before.clone();
+            killed.disk.arm_crash_at_op(k);
+            let _ = killed.append_commits(&batch);
+            killed.crash();
+            let out = killed.recover(TailPolicy::DiscardTail).unwrap();
+            assert_eq!(out.records[25..], batch[..out.records.len() - 25], "killed at op {k}");
+            kept.insert(out.records.len() - 25);
+        }
+        assert_eq!(kept.len(), 3, "{kept:?}");
         assert!(w.seg > 0, "the batch must roll into a new segment");
+        // The records that fit, the new segment's header, the rest.
+        assert_eq!(w.disk.stats().flushes - flushes, 3);
+        let mut torn = w.clone();
         w.crash();
         let out = w.recover(TailPolicy::Strict).unwrap();
-        assert_eq!(out.records.len(), 35);
+        assert_eq!(out.records.len(), 45);
         assert_eq!(out.records[25..], batch);
         assert_eq!(out.scan.damage, "clean");
+        assert_eq!(out.scan.frames, 2 + 25 + 2, "two headers, 25 commits, the group in two");
+        // A tear of the part after the roll keeps the part before it: a
+        // prefix of the group.
+        assert!(torn.tear_last_flush(1));
+        torn.crash();
+        let out = torn.recover(TailPolicy::DiscardTail).unwrap();
+        assert!((26..45).contains(&out.records.len()), "{}", out.records.len());
+        assert_eq!(out.records[25..], batch[..out.records.len() - 25]);
     }
 
     #[test]

@@ -419,7 +419,7 @@ fn bench_side(cfg: &ShardBenchCfg, cross: bool) -> ShardBenchSide {
                     continue;
                 }
                 match f.kind {
-                    "commit" | "batch" => commit_frames += 1,
+                    "commit" => commit_frames += 1,
                     "prepare" => prepare_frames += 1,
                     "decide" => decide_frames += 1,
                     _ => {}

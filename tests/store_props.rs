@@ -159,24 +159,28 @@ fn committed_image() -> Durable<UipEngine<BankAccount>> {
 
 /// Crash during a group flush: build one four-record batch made durable by
 /// a single fsync, then exhaustively tear every sector position off the end
-/// of that flush. Strict recovery must refuse the torn batch loudly; after
-/// the `DiscardTail` repair the recovered state must be *a prefix of the
-/// batch in commit order* — never a subset that skips a record, never a
-/// reordering — under both the update-in-place and deferred-update
-/// replayers.
+/// of that flush, and reorder it. The group is one commit frame, so strict
+/// recovery refuses every such image loudly and `DiscardTail` recovers
+/// *none* of the group, while the untorn frame recovers all of it: the
+/// prefix of the batch that survives is all or nothing, under both the
+/// update-in-place and deferred-update replayers. The discard only deletes:
+/// every durable sector it leaves is unchanged, or a segment header (the
+/// sealing fsync).
 #[test]
 fn torn_group_flush_recovers_a_prefix_under_both_replayers() {
+    type Wal = WalBackend<BankAccount>;
+
     fn image<E: RecoveryEngine<BankAccount>>(
         conflict: FnConflict<BankAccount>,
-    ) -> DurableSystem<BankAccount, E, FnConflict<BankAccount>, WalBackend<BankAccount>> {
+    ) -> DurableSystem<BankAccount, E, FnConflict<BankAccount>, Wal> {
         let mut sys = DurableSystem::with_backend(
             BankAccount::default(),
             4,
             conflict,
             WalBackend::new(WalConfig::default()),
         );
-        // Disjoint objects: txn i deposits 1<<i on object i, so every prefix
-        // of the batch recovers to a distinct, recognisable state.
+        // Disjoint objects: txn i deposits 1<<i on object i, so the whole
+        // batch and none of it recover to recognisable states.
         let txns: Vec<TxnId> = (0..4u32)
             .map(|i| {
                 let t = sys.begin();
@@ -190,36 +194,59 @@ fn torn_group_flush_recovers_a_prefix_under_both_replayers() {
         sys
     }
 
+    fn sectors(w: &Wal) -> Vec<(u64, Vec<u8>)> {
+        let d = w.disk();
+        d.durable_sectors().map(|s| (s, d.read(s).unwrap().to_vec())).collect()
+    }
+
+    /// Every sector a `DiscardTail` recovery leaves durable is one it found
+    /// with the same bytes, or lies in a segment header.
+    fn only_deletes(before: &[(u64, Vec<u8>)], after: &Wal, at: &str) {
+        let ins = ccr::store::inspect_wal::<BankAccount>(after.disk(), &after.config());
+        let header = |s: u64| {
+            ins.segments
+                .iter()
+                .flat_map(|seg| &seg.frames)
+                .any(|f| f.kind == "seg-header" && (f.sector..f.sector + f.sectors).contains(&s))
+        };
+        for (s, bytes) in sectors(after) {
+            let kept = before.iter().any(|(b, old)| *b == s && *old == bytes);
+            assert!(kept || header(s), "{at}: recovery wrote data sector {s}");
+        }
+    }
+
     fn sweep<E: RecoveryEngine<BankAccount>>(conflict: FnConflict<BankAccount>, name: &str) {
-        let prefix_states: Vec<Vec<u64>> = (0..=4usize)
-            .map(|k| (0..4).map(|i| if i < k { 1u64 << i } else { 0 }).collect())
-            .collect();
-        let mut seen = std::collections::BTreeSet::new();
-        for n in 1usize.. {
+        let state = |sys: &mut DurableSystem<_, E, _, Wal>| -> Vec<u64> {
+            (0..4).map(|o| sys.committed_state(ObjectId(o))).collect()
+        };
+        let mut whole = image::<E>(conflict.clone());
+        whole.crash_and_recover_with(TornPolicy::Strict).unwrap();
+        assert_eq!(state(&mut whole), [1, 2, 4, 8], "{name}: the whole frame recovers all");
+
+        let mut damaged = 0;
+        for n in 0usize.. {
             let mut sys = image::<E>(conflict.clone());
-            if !sys.backend_mut().tear_last_flush(n) {
+            let landed = match n {
+                0 => sys.backend_mut().reorder_last_flush(),
+                n => sys.backend_mut().tear_last_flush(n),
+            };
+            if !landed {
                 // n reached the whole flush; the sweep is exhausted.
                 break;
             }
             match sys.crash_and_recover_with(TornPolicy::Strict) {
                 Err(RedoError::TornRecord { .. }) => {}
-                other => panic!("{name}: tear {n}: strict recovery must refuse, got {other:?}"),
+                other => panic!("{name}: damage {n}: strict recovery must refuse, got {other:?}"),
             }
+            let before = sectors(sys.backend());
             sys.recover_with(TornPolicy::DiscardTail)
-                .unwrap_or_else(|e| panic!("{name}: tear {n}: discard-tail must recover: {e:?}"));
-            let k = sys.journal().len();
-            assert!(k < 4, "{name}: tear {n}: a torn batch must lose a suffix (kept {k})");
-            let got: Vec<u64> = (0..4).map(|o| sys.committed_state(ObjectId(o))).collect();
-            assert_eq!(
-                got, prefix_states[k],
-                "{name}: tear {n}: recovered state must be the length-{k} batch prefix"
-            );
-            seen.insert(k);
+                .unwrap_or_else(|e| panic!("{name}: damage {n}: discard-tail must recover: {e:?}"));
+            assert_eq!(sys.journal().len(), 0, "{name}: damage {n}: kept part of the group");
+            assert_eq!(state(&mut sys), [0; 4], "{name}: damage {n}");
+            only_deletes(&before, sys.backend(), &format!("{name}: damage {n}"));
+            damaged += 1;
         }
-        assert!(
-            seen.len() >= 2,
-            "{name}: the sector sweep must hit multiple distinct prefixes (saw {seen:?})"
-        );
+        assert!(damaged >= 3, "{name}: the sweep must tear at several sectors (saw {damaged})");
     }
 
     sweep::<UipEngine<BankAccount>>(bank_nrbc(), "uip");
@@ -428,8 +455,8 @@ fn exhaustive_bit_flip_sweep_never_diverges_silently() {
     assert!(detected > 0, "the CRC layer must detect at least the payload flips");
 }
 
-/// One frame of each data kind on a fresh WAL: a commit, a two-record batch,
-/// a PREPARE, its DECIDE and a checkpoint.
+/// One frame of each data kind on a fresh WAL: a commit, a two-record group
+/// flush, a PREPARE, its DECIDE and a checkpoint.
 fn one_of_each_kind(cfg: WalConfig) -> WalBackend<BankAccount> {
     use ccr::adt::bank::BankResp;
     use ccr::core::adt::Op;
@@ -454,11 +481,12 @@ fn one_of_each_kind(cfg: WalConfig) -> WalBackend<BankAccount> {
     w
 }
 
-/// The exact bytes of one frame of each kind (1–6), as a `WalBackend` lays
-/// them down on the 32-byte geometry. Round-trip tests pass whenever builder
-/// and checker drift *together*; these bytes — header layout, payload
-/// encoding, zero padding and the CRC of the padded extent — may not drift at
-/// all, because logs written by an older build must still scan.
+/// The exact bytes of one frame of each kind (1, 2, 3, 5, 6) and of a
+/// two-record commit frame, as a `WalBackend` lays them down on the 32-byte
+/// geometry. Round-trip tests pass whenever builder and checker drift
+/// *together*; these bytes — header layout, payload encoding, zero padding
+/// and the CRC of the padded extent — may not drift at all, because logs
+/// written by an older build must still scan.
 #[test]
 fn one_frame_of_each_kind_is_pinned_byte_for_byte() {
     use ccr::store::inspect_wal;
@@ -466,8 +494,13 @@ fn one_frame_of_each_kind_is_pinned_byte_for_byte() {
     let w = one_of_each_kind(WalConfig::default());
     let ins = inspect_wal::<BankAccount>(w.disk(), &w.config());
     assert_eq!(ins.damage, "clean");
-    let first_of = |kind: &str| -> String {
-        let f = ins.segments[0].frames.iter().find(|f| f.kind == kind).expect(kind);
+    let first_of = |name: &str| -> String {
+        let mut frames = ins.segments[0].frames.iter();
+        let f = match name {
+            "group" => frames.filter(|f| f.kind == "commit").nth(1),
+            kind => frames.find(|f| f.kind == kind),
+        }
+        .expect(name);
         (f.sector..f.sector + f.sectors)
             .flat_map(|s| w.disk().read(s).expect("a durable sector").to_vec())
             .map(|b| format!("{b:02x}"))
@@ -483,8 +516,8 @@ fn one_frame_of_each_kind_is_pinned_byte_for_byte() {
         ("checkpoint", 
             "434352460330000000ea8267b2040000000000000004000000040000000000000002000000000000000000000000000000010000001a00000000000000000000",
         ),
-        ("batch", 
-            "43435246042e000000c2ffeb1f000000000000000000000000020000000200000001000000010000000000000001000000000600000000000000000000000000",
+        ("group", 
+            "43435246023c00000004b841e50200000001000000010000000000000001000000000600000000000000000300000001000000020000000000000001000000000700000000000000000000000000000000000000000000000000000000000000",
         ),
         ("prepare", 
             "4343524605260000001d3dd17acdab00000000000004000000010000000300000000000000010000000008000000000000000000000000000000000000000000",
@@ -498,19 +531,19 @@ fn one_frame_of_each_kind_is_pinned_byte_for_byte() {
 
 /// `image_fingerprint` (what the model checker keys its states by) of the
 /// history above at both geometries, clean, with one bit flipped in stored
-/// bytes and one in a sector's zero tail, and repaired. Taken from the build
-/// that stored every sector whole: how the medium keeps its bytes may not
-/// move a state.
+/// bytes and one in a sector's zero tail, and repaired. How the medium keeps
+/// its bytes may not move a state; the history's two-record group is one
+/// commit frame.
 #[test]
 fn the_image_fingerprint_of_a_fixed_history_is_pinned() {
     let geometries = [
         (
             WalConfig::default(),
-            [0x7614_1336_7645_75ea_u64, 0x6bd7_7d6d_b3bc_e5b4, 0xa311_4218_e6d4_25d8],
+            [0x9113_58b9_bab4_c7a7_u64, 0x38e6_00dc_47ca_5044, 0x362c_8910_45ef_9c29],
         ),
         (
             WalConfig { sector: 512, seg_sectors: 64 },
-            [0xf8b6_62ab_6e6d_810a, 0xaa80_9a3f_edf1_bb0a, 0x15b4_29bf_ef74_bae6],
+            [0xe3a2_9df4_ade4_232c, 0xa23d_1cd6_702a_89e3, 0x0dac_17fc_76b1_08dd],
         ),
     ];
     for (cfg, pinned) in geometries {
@@ -531,8 +564,8 @@ fn the_image_fingerprint_of_a_fixed_history_is_pinned() {
 
 // ---------------------------------------------------------------------------
 // The forensic leg on images the simulator cannot draw (DESIGN.md §13): the
-// inspector's verdict is the repairing recovery's plan, also where the
-// replayable prefix ends in a batch run that lost its leading members.
+// inspector's verdict is the repairing recovery's plan, also on frames
+// written past the log end by hand.
 // ---------------------------------------------------------------------------
 
 mod forensic_leg {
@@ -540,8 +573,8 @@ mod forensic_leg {
     use ccr::core::adt::Op;
     use ccr::core::ids::ObjectId;
     use ccr::store::{
-        build_frame, encode_batch, inspect_wal, BatchMeta, CheckpointImage, CommitRecord,
-        LogBackend, StoreFailureKind, TailPolicy, WalBackend, WalConfig,
+        build_frame, encode_commits, inspect_wal, CheckpointImage, CommitRecord, LogBackend,
+        StoreFailureKind, TailPolicy, WalBackend, WalConfig,
     };
 
     type Wal = WalBackend<BankAccount>;
@@ -556,41 +589,13 @@ mod forensic_leg {
         }
     }
 
-    /// Write members `1..len` of a group flush `id` from sector `at` on — a
-    /// batch run whose leading member is missing — the last of them torn
-    /// (only its first sector lands) when `tear` is set.
-    fn write_headless_run(w: &mut Wal, at: u64, id: u64, members: &[Rec], tear: bool) {
-        let len = members.len() as u32 + 1;
-        let mut at = at;
-        for (i, rec) in members.iter().enumerate() {
-            let meta = BatchMeta { id, pos: i as u32 + 1, len };
-            let frame = build_frame(4, &encode_batch(meta, rec), SECTOR);
-            let torn = tear && i + 1 == members.len();
-            w.disk_mut().write(at, if torn { &frame[..SECTOR] } else { &frame });
-            at += (frame.len() / SECTOR) as u64;
-        }
+    /// Write `members` as one commit frame from sector `at` on — a group
+    /// flush no append put there — only its first sector landing when `tear`
+    /// is set.
+    fn write_group(w: &mut Wal, at: u64, members: &[Rec], tear: bool) {
+        let frame = build_frame(2, &encode_commits(members), SECTOR);
+        w.disk_mut().write(at, if tear { &frame[..SECTOR] } else { &frame });
         w.disk_mut().flush();
-    }
-
-    /// The smallest image on which the inspector and recovery used to part:
-    /// a valid `pos = 1` member at the log head with a torn `pos = 2` member
-    /// behind it. Recovery discards the torn tail and then refuses the
-    /// headless run as interior; an inspector that stops at the torn tail
-    /// reports `torn-tail` for an image recovery refuses.
-    #[test]
-    fn a_headless_batch_run_behind_a_torn_tail_is_interior_to_both() {
-        let mut w = Wal::new(WalConfig::default());
-        w.append_commit(&rec(1, 0, 5)).unwrap();
-        // Header 3 sectors + commit 2: the head is at sector 5.
-        write_headless_run(&mut w, 5, 7, &[rec(2, 1, 6), rec(3, 2, 7)], true);
-        assert!(w.disk().read(7).is_some() && w.disk().read(8).is_none());
-
-        let mut probe = w.clone();
-        probe.crash();
-        let refused = probe.recover(TailPolicy::DiscardTail).unwrap_err();
-        assert_eq!(refused.report.damage, "interior");
-        assert_eq!(refused.kind, StoreFailureKind::Corrupt { sector: 5 });
-        assert_eq!(w.inspection_agrees_with_recovery(), Some(Ok(())));
     }
 
     /// xorshift64*, and the floor of the last record drawn.
@@ -612,7 +617,8 @@ mod forensic_leg {
 
     /// A random log — 1–14 appends of every frame kind plus crash + recover,
     /// on 16- or 64-sector segments — then 0–3 random injuries, among them
-    /// the headless batch run no fault arm of the simulator produces.
+    /// a group frame past the log end, which no fault arm of the simulator
+    /// produces.
     fn damaged_image(rng: &mut Rng) -> Wal {
         let seg_sectors = if rng.below(2) == 0 { 16 } else { 64 };
         let mut w = Wal::new(WalConfig { sector: SECTOR, seg_sectors });
@@ -668,10 +674,8 @@ mod forensic_leg {
                     w.disk_mut().flush();
                 }
                 _ => {
-                    // How a batch run loses its *leading* members: the rest
-                    // of a group flush lands where the first should have.
                     let members: Vec<Rec> = (0..1 + rng.below(3)).map(|_| rng.rec()).collect();
-                    write_headless_run(&mut w, last + 1, 1 << 40, &members, rng.below(2) == 0);
+                    write_group(&mut w, last + 1, &members, rng.below(2) == 0);
                 }
             }
         }
@@ -744,10 +748,10 @@ mod forensic_leg {
 }
 
 // ---------------------------------------------------------------------------
-// Wire-format properties (DESIGN.md §9/§10): epoch-header and group-commit
-// batch frames round-trip exactly, impossible batch metas are refused, and
-// every single-byte corruption of a sector-aligned frame is detected by the
-// same `check_frame` validation the recovery scanner runs.
+// Wire-format properties (DESIGN.md §9/§10): epoch headers and multi-record
+// commit payloads round-trip exactly, a cut commit payload decodes only at a
+// record boundary, and every single-byte corruption of a sector-aligned frame
+// is detected by the same `check_frame` validation the recovery scanner runs.
 // ---------------------------------------------------------------------------
 
 mod wire_format {
@@ -755,7 +759,7 @@ mod wire_format {
     use ccr::core::adt::Op;
     use ccr::core::ids::ObjectId;
     use ccr::store::{
-        build_frame, check_frame, decode_batch, encode_batch, BatchMeta, CommitRecord, SegHeader,
+        build_frame, check_frame, decode_commit, encode_commits, CommitRecord, SegHeader,
         StoreStats,
     };
     use proptest::prelude::*;
@@ -798,14 +802,14 @@ mod wire_format {
             .prop_map(|(floor, ops)| CommitRecord { floor, ops })
     }
 
-    /// Valid metas: `len >= 1`, `pos < len` — exactly what the scanner may
-    /// legally encounter, including the `len == 1` repair-rewrite case.
-    fn metas() -> impl Strategy<Value = BatchMeta> {
-        (0u64..=u64::MAX, 1u32..6, 0u32..6).prop_map(|(id, len, raw)| BatchMeta {
-            id,
-            pos: raw % len,
-            len,
-        })
+    /// What one commit frame holds: one to five records.
+    fn groups() -> impl Strategy<Value = Vec<CommitRecord<BankAccount>>> {
+        prop::collection::vec(records(), 1..6)
+    }
+
+    fn decoded(payload: &[u8]) -> Option<Vec<CommitRecord<BankAccount>>> {
+        let mut out = Vec::new();
+        decode_commit(payload, &mut out).map(|()| out)
     }
 
     proptest! {
@@ -826,33 +830,24 @@ mod wire_format {
             prop_assert_eq!(SegHeader::decode(&enc[..enc.len() - 1]), None);
         }
 
-        /// Any group-flush member (meta + commit record) round-trips.
+        /// Any group-commit batch round-trips through one commit payload.
         #[test]
-        fn batch_frames_round_trip(meta in metas(), rec in records()) {
-            let enc = encode_batch(meta, &rec);
-            prop_assert_eq!(decode_batch::<BankAccount>(&enc), Some((meta, rec)));
+        fn batch_frames_round_trip(group in groups()) {
+            let enc = encode_commits(&group);
+            prop_assert_eq!(decoded(&enc), Some(group));
         }
 
-        /// Impossible metas (`len == 0` or `pos >= len`) are classified as
-        /// damage, whatever the record says.
+        /// A commit payload cut short decodes only where a record ends, and
+        /// then to exactly the records before the cut; the empty payload is
+        /// damage.
         #[test]
-        fn impossible_batch_metas_are_refused(
-            id in 0u64..=u64::MAX,
-            len in 0u32..6,
-            beyond in 0u32..4,
-            rec in records(),
-        ) {
-            let meta = BatchMeta { id, pos: len + beyond, len };
-            let enc = encode_batch(meta, &rec);
-            prop_assert_eq!(decode_batch::<BankAccount>(&enc), None);
-        }
-
-        /// A truncated batch payload never decodes.
-        #[test]
-        fn truncated_batch_frames_are_refused(meta in metas(), rec in records()) {
-            let enc = encode_batch(meta, &rec);
+        fn a_cut_commit_payload_decodes_only_at_a_record_boundary(group in groups()) {
+            let ends: Vec<usize> =
+                (1..=group.len()).map(|k| encode_commits(&group[..k]).len()).collect();
+            let enc = encode_commits(&group);
             for cut in 0..enc.len() {
-                prop_assert_eq!(decode_batch::<BankAccount>(&enc[..cut]), None, "cut {}", cut);
+                let expected = ends.iter().position(|&end| end == cut).map(|k| group[..=k].to_vec());
+                prop_assert_eq!(decoded(&enc[..cut]), expected, "cut {}", cut);
             }
         }
 
@@ -877,14 +872,13 @@ mod wire_format {
         }
 
         /// The same exhaustive corruption sweep over a framed group-commit
-        /// batch member, which also exercises variable-length payloads.
+        /// batch, which also exercises variable-length payloads.
         #[test]
         fn every_single_byte_corruption_of_a_batch_frame_is_detected(
-            meta in metas(),
-            rec in records(),
+            group in groups(),
             delta in 1u8..=255,
         ) {
-            let frame = build_frame(4, &encode_batch(meta, &rec), 32);
+            let frame = build_frame(2, &encode_commits(&group), 32);
             prop_assert!(check_frame(&frame).is_some(), "pristine frame must verify");
             for i in 0..frame.len() {
                 let mut bad = frame.clone();
@@ -896,8 +890,9 @@ mod wire_format {
         /// What `check_frame` accepts it returns exactly: kind and payload
         /// of an intact frame come back unmodified for every frame kind.
         #[test]
-        fn intact_frames_return_kind_and_payload(kind in 1u8..=4, rec in records()) {
-            let payload = encode_batch(BatchMeta { id: 7, pos: 0, len: 1 }, &rec);
+        fn intact_frames_return_kind_and_payload(kind in 1u8..=5, group in groups()) {
+            let kind = if kind < 4 { kind } else { kind + 1 };
+            let payload = encode_commits(&group);
             let frame = build_frame(kind, &payload, 32);
             prop_assert_eq!(check_frame(&frame), Some((kind, payload.as_slice())));
         }
