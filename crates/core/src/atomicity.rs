@@ -182,7 +182,7 @@ pub fn is_atomic<A: Adt>(spec: &SystemSpec<A>, h: &History<A>) -> bool {
 
 /// A refutation of (online) dynamic atomicity: a commit set and an order
 /// consistent with `precedes` in which the projection is not serializable.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DynAtomViolation {
     /// The commit set used (`Committed(H)` itself for plain dynamic
     /// atomicity).

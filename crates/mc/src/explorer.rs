@@ -7,10 +7,11 @@ use std::collections::BTreeSet;
 
 use ccr_adt::bank::BankAccount;
 use ccr_obs::json_string;
+use ccr_runtime::oracle::Violation;
 use ccr_store::{MemBackend, WalBackend};
 
 use crate::action::{McAction, McTrace};
-use crate::harness::{Applied, Harness, McBackend, McBackendKind, McConfig, McViolation};
+use crate::harness::{Applied, Harness, McBackend, McBackendKind, McConfig};
 use crate::shrink::{reproducer, shrink};
 
 /// Size and shape of the explored state space.
@@ -38,7 +39,7 @@ pub struct McVerdict {
     /// State-space counts.
     pub stats: ExploreStats,
     /// The violation found (if any), with its minimized trace.
-    pub violation: Option<(McViolation, McTrace)>,
+    pub violation: Option<(Violation, McTrace)>,
 }
 
 impl McVerdict {
@@ -99,14 +100,14 @@ pub fn explore(cfg: McConfig) -> McVerdict {
 /// Replay a recorded trace against a fresh instance; `Some` is the first
 /// violation hit. Inapplicable actions are no-ops (the shrinker leans on
 /// this: deleting a prefix action may strand a later one).
-pub fn run_trace(cfg: McConfig, trace: &McTrace) -> Option<McViolation> {
+pub fn run_trace(cfg: McConfig, trace: &McTrace) -> Option<Violation> {
     match cfg.backend {
         McBackendKind::Mem => run_trace_with::<MemBackend<BankAccount>>(cfg, trace),
         McBackendKind::Disk => run_trace_with::<WalBackend<BankAccount>>(cfg, trace),
     }
 }
 
-fn run_trace_with<B: McBackend>(cfg: McConfig, trace: &McTrace) -> Option<McViolation> {
+fn run_trace_with<B: McBackend>(cfg: McConfig, trace: &McTrace) -> Option<Violation> {
     let mut h = Harness::<B>::new(cfg, cfg.placement());
     trace.0.iter().find_map(|&a| match h.apply(a) {
         Applied::Violation(v) => Some(v),
@@ -136,7 +137,7 @@ fn dfs<B: McBackend>(
     seen: &mut BTreeSet<Vec<u8>>,
     trace: &mut Vec<McAction>,
     stats: &mut ExploreStats,
-) -> Option<(McViolation, Vec<McAction>)> {
+) -> Option<(Violation, Vec<McAction>)> {
     if !seen.insert(h.canonical_key()) {
         return None;
     }

@@ -42,7 +42,7 @@ use ccr_core::ids::{ObjectId, TxnId};
 use ccr_runtime::crash::{DurableSystem, SystemMode, TornPolicy};
 use ccr_runtime::engine::UipEngine;
 use ccr_runtime::fault::{crash_recover_interrupted, probe_recovery_ops};
-use ccr_runtime::oracle::{views_agree, Ledger, LedgerViolation, Told};
+use ccr_runtime::oracle::{views_agree, Ledger, Told, Violation};
 use ccr_runtime::shard::{ShardedSnapshot, ShardedSystem};
 use ccr_store::{CommitRecord, LogBackend, MemBackend, TailPolicy, WalBackend, WalConfig};
 
@@ -233,132 +233,6 @@ impl McConfig {
     }
 }
 
-/// An invariant violation: which `CrashResilience.tla`-style property broke,
-/// with enough detail to read the minimized trace.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum McViolation {
-    /// An acknowledged commit's effect is missing after recovery.
-    DurabilityLost {
-        /// The logical transaction whose deposit vanished.
-        txn: usize,
-    },
-    /// An aborted (or crash-lost, or never-started) transaction's effect is
-    /// present after recovery.
-    Resurrection {
-        /// The logical transaction that rose from the dead.
-        txn: usize,
-    },
-    /// A recovered object state decodes to bits no assigned transaction
-    /// could have produced (e.g. a double-applied deposit).
-    StrayState {
-        /// The object.
-        object: u32,
-        /// Its undecodable recovered state.
-        state: u64,
-    },
-    /// Survivors of a torn group flush are not a prefix of the batch in
-    /// commit order (all-or-prefix contract broken).
-    NotPrefix {
-        /// The flush's transactions in commit order.
-        flush: Vec<usize>,
-        /// Which of them survived.
-        survived: Vec<usize>,
-    },
-    /// The paper's two replay views (UIP execution-order fold, DU
-    /// commit-order fold) or the rebuilt system disagree about the
-    /// recovered committed states.
-    ViewDivergence {
-        /// What diverged.
-        detail: String,
-    },
-    /// Recovering twice from the same durable image produced different
-    /// committed states (or the second recovery failed).
-    NotIdempotent {
-        /// What changed.
-        detail: String,
-    },
-    /// Recovery refused an image it must be able to recover.
-    RecoveryRefused {
-        /// The underlying redo error.
-        detail: String,
-    },
-    /// Fleets: a global transaction's outcome is not uniform across its
-    /// participants — committed on some shards, aborted on others (the
-    /// eighth oracle leg, global dynamic atomicity).
-    GlobalSplit {
-        /// The logical transaction with the mixed outcome.
-        txn: usize,
-        /// Shards where its deposit is visible.
-        committed_on: Vec<usize>,
-        /// Shards where it is not.
-        aborted_on: Vec<usize>,
-    },
-    /// The offline WAL inspector's reading of a shard's image disagrees
-    /// with a real recovery scan (the sharded simulator's last leg).
-    InspectorDisagreement {
-        /// The shard whose log was inspected.
-        shard: usize,
-        /// The first field-level disagreement.
-        detail: String,
-    },
-    /// The harness itself hit an impossible transition (a commit or invoke
-    /// the volatile system refused on a conflict-free schedule).
-    Internal {
-        /// What happened.
-        detail: String,
-    },
-}
-
-impl McViolation {
-    /// Stable short kind tag (JSON verdicts, test assertions).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            McViolation::DurabilityLost { .. } => "durability-lost",
-            McViolation::Resurrection { .. } => "resurrection",
-            McViolation::StrayState { .. } => "stray-state",
-            McViolation::NotPrefix { .. } => "not-prefix",
-            McViolation::ViewDivergence { .. } => "view-divergence",
-            McViolation::NotIdempotent { .. } => "not-idempotent",
-            McViolation::RecoveryRefused { .. } => "recovery-refused",
-            McViolation::GlobalSplit { .. } => "global-split",
-            McViolation::InspectorDisagreement { .. } => "inspector-disagreement",
-            McViolation::Internal { .. } => "internal",
-        }
-    }
-}
-
-impl fmt::Display for McViolation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            McViolation::DurabilityLost { txn } => {
-                write!(f, "acknowledged commit of txn {txn} lost after recovery")
-            }
-            McViolation::Resurrection { txn } => {
-                write!(f, "aborted/never-committed txn {txn} present after recovery")
-            }
-            McViolation::StrayState { object, state } => {
-                write!(f, "object {object} recovered to undecodable state {state:#x}")
-            }
-            McViolation::NotPrefix { flush, survived } => {
-                write!(f, "torn batch {flush:?} survived as non-prefix {survived:?}")
-            }
-            McViolation::ViewDivergence { detail } => write!(f, "replay views diverge: {detail}"),
-            McViolation::NotIdempotent { detail } => {
-                write!(f, "recovery not idempotent: {detail}")
-            }
-            McViolation::RecoveryRefused { detail } => write!(f, "recovery refused: {detail}"),
-            McViolation::GlobalSplit { txn, committed_on, aborted_on } => write!(
-                f,
-                "global txn {txn} split: committed on {committed_on:?}, aborted on {aborted_on:?}"
-            ),
-            McViolation::InspectorDisagreement { shard, detail } => {
-                write!(f, "inspector disagrees with recovery on shard {shard}: {detail}")
-            }
-            McViolation::Internal { detail } => write!(f, "harness internal error: {detail}"),
-        }
-    }
-}
-
 /// Result of applying one action to the harness.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Applied {
@@ -368,7 +242,7 @@ pub enum Applied {
     /// cannot be torn that way) — the branch is dead, not a violation.
     Skip,
     /// An invariant broke.
-    Violation(McViolation),
+    Violation(Violation),
 }
 
 /// Backend plug for the harness: construction plus the backend-specific
@@ -696,9 +570,9 @@ impl<B: McBackend> Harness<B> {
             match resp {
                 Ok(resp) => debug_assert_eq!(resp, BankResp::Ok),
                 Err(e) => {
-                    return Applied::Violation(McViolation::Internal {
-                        detail: format!("deposit of txn {i} at place {p} refused: {e:?}"),
-                    });
+                    return Applied::Violation(Violation::Internal(format!(
+                        "deposit of txn {i} at place {p} refused: {e:?}"
+                    )));
                 }
             }
         }
@@ -719,9 +593,9 @@ impl<B: McBackend> Harness<B> {
         let t = self.book.handles[i].expect("active txn has a handle");
         let sys = self.sys.shard_mut(self.home_shard(i));
         if let Err(e) = sys.commit(t) {
-            return Applied::Violation(McViolation::Internal {
-                detail: format!("commit of txn {i} refused: {e:?}"),
-            });
+            return Applied::Violation(Violation::Internal(format!(
+                "commit of txn {i} refused: {e:?}"
+            )));
         }
         self.book.phase[i] = Phase::Committed;
         self.book.acked.push(i);
@@ -746,9 +620,9 @@ impl<B: McBackend> Harness<B> {
             (None, t) => {
                 let sys = self.sys.shard_mut(self.home_shard(i));
                 if let Err(e) = sys.abort(t.expect("open txn has a handle")) {
-                    return Applied::Violation(McViolation::Internal {
-                        detail: format!("abort of txn {i} refused: {e:?}"),
-                    });
+                    return Applied::Violation(Violation::Internal(format!(
+                        "abort of txn {i} refused: {e:?}"
+                    )));
                 }
             }
         }
@@ -788,9 +662,9 @@ impl<B: McBackend> Harness<B> {
             let sys = self.sys.shard_mut(s);
             for (&i, r) in batch.iter().zip(sys.commit_group(&handles)) {
                 if let Err(e) = r {
-                    return Applied::Violation(McViolation::Internal {
-                        detail: format!("group commit of txn {i} refused: {e:?}"),
-                    });
+                    return Applied::Violation(Violation::Internal(format!(
+                        "group commit of txn {i} refused: {e:?}"
+                    )));
                 }
                 self.book.phase[i] = Phase::Committed;
                 self.book.acked.push(i);
@@ -812,9 +686,9 @@ impl<B: McBackend> Harness<B> {
         self.book.ckpt_left -= 1;
         sys.checkpoint();
         if sys.mode() != SystemMode::Normal {
-            return Applied::Violation(McViolation::Internal {
-                detail: "checkpoint degraded a fault-free device".to_string(),
-            });
+            return Applied::Violation(Violation::Internal(
+                "checkpoint degraded a fault-free device".to_string(),
+            ));
         }
         // The checkpoint image is now the last physical append; tearing it
         // must never lose an acked commit (old XOR new image both fold the
@@ -876,7 +750,7 @@ impl<B: McBackend> Harness<B> {
         };
         match recovered {
             Ok(()) => Applied::Ok,
-            Err(e) => Applied::Violation(McViolation::RecoveryRefused { detail: format!("{e:?}") }),
+            Err(e) => Applied::Violation(Violation::refused(e)),
         }
     }
 
@@ -896,9 +770,9 @@ impl<B: McBackend> Harness<B> {
             }
             // No shard is degraded and no device is faulted in the explored
             // instance: a no-vote here is a harness/runtime bug.
-            Err(e) => Applied::Violation(McViolation::Internal {
-                detail: format!("prepare of gtxn {i} no-voted on a fault-free fleet: {e:?}"),
-            }),
+            Err(e) => Applied::Violation(Violation::Internal(format!(
+                "prepare of gtxn {i} no-voted on a fault-free fleet: {e:?}"
+            ))),
         }
     }
 
@@ -932,7 +806,7 @@ impl<B: McBackend> Harness<B> {
         for s in parts.into_iter().take(if cut { 1 } else { parts.len() }) {
             if let Err(e) = self.sys.resolve_participant(gtid, s, true) {
                 let detail = format!("decided commit of gtxn {i} refused on shard {s}: {e:?}");
-                return (Applied::Violation(McViolation::Internal { detail }), 0);
+                return (Applied::Violation(Violation::Internal(detail)), 0);
             }
         }
         if !cut {
@@ -953,7 +827,7 @@ impl<B: McBackend> Harness<B> {
         }
         self.book.crash_left -= 1;
         if let Err(e) = self.sys.crash_subset(mask) {
-            return Applied::Violation(McViolation::RecoveryRefused { detail: format!("{e:?}") });
+            return Applied::Violation(Violation::refused(e));
         }
         // An active global transaction with a place on a crashed shard held
         // an unprepared half there: it aborted globally inside
@@ -975,7 +849,7 @@ impl<B: McBackend> Harness<B> {
         }
         match crash_recover_interrupted(self.sys.shard_mut(s), TornPolicy::DiscardTail, n) {
             Ok(_armed) => Applied::Ok,
-            Err(e) => Applied::Violation(McViolation::RecoveryRefused { detail: format!("{e:?}") }),
+            Err(e) => Applied::Violation(Violation::refused(e)),
         }
     }
 
@@ -1020,13 +894,12 @@ impl<B: McBackend> Harness<B> {
     /// somewhere are pending (their visibility is legitimately nowhere yet)
     /// and are re-checked once settled; `Undecided` ones are resolved to
     /// what recovery durably decided.
-    fn check(&mut self, recovered: u32) -> Option<McViolation> {
+    fn check(&mut self, recovered: u32) -> Option<Violation> {
         let shards: Vec<usize> =
             (0..self.cfg.shards).filter(|s| recovered & (1 << s) != 0).collect();
         if shards.iter().any(|&s| self.sys.shard(s).mode() != SystemMode::Normal) {
-            return Some(McViolation::RecoveryRefused {
-                detail: "system degraded after a fault-free recovery".to_string(),
-            });
+            let detail = "system degraded after a fault-free recovery".to_string();
+            return Some(Violation::RecoveryRefused(detail));
         }
         let states = self.states();
         let pending = self.sys.in_doubt();
@@ -1037,20 +910,8 @@ impl<B: McBackend> Harness<B> {
             Phase::Undecided => Told::Pending,
             _ => Told::Invisible,
         };
-        let n = self.cfg.shards;
         if let Err(v) = self.ledger.check(told, &states) {
-            return Some(match v {
-                LedgerViolation::Stray { place, state } => {
-                    McViolation::StrayState { object: place as u32, state }
-                }
-                LedgerViolation::Split(v) => McViolation::GlobalSplit {
-                    txn: v.gtid as usize,
-                    committed_on: v.committed_on.iter().map(|p| p % n).collect(),
-                    aborted_on: v.aborted_on.iter().map(|p| p % n).collect(),
-                },
-                LedgerViolation::Lost { txn, .. } => McViolation::DurabilityLost { txn },
-                LedgerViolation::Resurrected { txn, .. } => McViolation::Resurrection { txn },
-            });
+            return Some(v);
         }
         if shards.is_empty() {
             return None;
@@ -1063,7 +924,7 @@ impl<B: McBackend> Harness<B> {
             let present = |i: usize| Ledger::visible(&states, i, self.ledger.places(i)[0]);
             let survived: Vec<usize> = torn.iter().copied().filter(|&i| present(i)).collect();
             if survived[..] != torn[..survived.len()] {
-                return Some(McViolation::NotPrefix { flush: torn, survived });
+                return Some(Violation::NotPrefix { flush: torn, survived });
             }
             for &i in &torn {
                 self.book.phase[i] = if present(i) { Phase::Committed } else { Phase::Lost };
@@ -1077,27 +938,21 @@ impl<B: McBackend> Harness<B> {
     /// other and with what the shard serves, recovery from its image
     /// converges, and recovering again changes nothing. Every probe runs on
     /// a clone or is rewound.
-    fn check_recovered(&mut self, s: usize, states: &[u64]) -> Option<McViolation> {
+    fn check_recovered(&mut self, s: usize, states: &[u64]) -> Option<Violation> {
         let held: Vec<ObjectId> =
             (s..self.objects).step_by(self.cfg.shards).map(|p| ObjectId(p as u32)).collect();
         let sys = self.sys.shard_mut(s);
         let log = match sys.backend().read_log() {
             Ok(log) => log,
-            Err(e) => {
-                return Some(McViolation::ViewDivergence {
-                    detail: format!("view probe scan failed: {e:?}"),
-                });
-            }
+            Err(e) => return Some(Violation::refused(e.kind)),
         };
         let served = |obj: ObjectId| states[obj.0 as usize];
-        if let Err(f) = views_agree(&self.adt, &log, held.iter().copied(), served) {
-            return Some(McViolation::ViewDivergence { detail: f.to_string() });
+        if let Err(v) = views_agree(&self.adt, &log, held.iter().copied(), served) {
+            return Some(v);
         }
         let mut probe = sys.backend().clone();
         if let Err(e) = probe.check_recovery_convergence(TailPolicy::DiscardTail) {
-            return Some(McViolation::NotIdempotent {
-                detail: format!("convergence probe refused: {}", e.reason),
-            });
+            return Some(Violation::RecoveryDiverged(e));
         }
         let snap = sys.snapshot();
         let verdict = match sys.crash_and_recover_with(TornPolicy::DiscardTail) {
@@ -1109,7 +964,7 @@ impl<B: McBackend> Harness<B> {
             }
         };
         sys.restore(&snap);
-        verdict.map(|detail| McViolation::NotIdempotent { detail })
+        verdict.map(Violation::NotIdempotent)
     }
 }
 
@@ -1127,7 +982,7 @@ mod tests {
     use ccr_runtime::oracle::Ledger;
     use ccr_store::MemBackend;
 
-    use super::{Applied, Harness, McViolation};
+    use super::{Applied, Harness, Violation};
     use crate::explorer::run_trace;
     use crate::harness::{McBackendKind, McConfig};
 
@@ -1169,7 +1024,7 @@ mod tests {
         let mut h = walked(&[&[0, 1, 2]], "b0 p0 q0");
         // Had routing never sent it to shard 2, the bit there is nobody's.
         h.ledger = Ledger::new(vec![vec![h.cfg.home(0), h.cfg.home(1)]]);
-        assert_eq!(h.check(0), Some(McViolation::StrayState { object: 2, state: 1 }));
+        assert_eq!(h.check(0), Some(Violation::StrayState { place: 2, state: 1 }));
     }
 
     /// A token of the other shard count's alphabet is a dead branch, not a

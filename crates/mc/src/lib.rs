@@ -34,9 +34,11 @@
 //!   commit-order folds of the recovered log agree with what the shard
 //!   serves), **convergence** and **idempotence**.
 //!
-//! On a violation the explorer emits a *minimized* replayable trace (greedy
-//! delta-debugging over the action list) plus a `ccr-experiments mc`
-//! reproducer line carrying the exact instance configuration.
+//! A violation is a `ccr_runtime::oracle::Violation`, the vocabulary the
+//! fault simulator reports too. On one the explorer emits a *minimized*
+//! replayable trace (greedy delta-debugging over the action list) plus a
+//! `ccr-experiments mc` reproducer line carrying the exact instance
+//! configuration.
 
 pub mod action;
 pub mod explorer;
@@ -45,5 +47,5 @@ pub mod shrink;
 
 pub use action::{McAction, McTrace, ParseTraceError};
 pub use explorer::{explore, ExploreStats, McVerdict};
-pub use harness::{Harness, McBackend, McBackendKind, McConfig, McViolation, Mutation};
+pub use harness::{Harness, McBackend, McBackendKind, McConfig, Mutation};
 pub use shrink::{reproducer, shrink};

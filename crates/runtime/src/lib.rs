@@ -32,9 +32,10 @@
 //!   storms, sector tears, flush reordering, bit flips) driven through a
 //!   [`crash::DurableSystem`] with an atomicity / equieffectivity /
 //!   recovery-view oracle after every fault;
-//! * [`oracle`] — the legs more than one harness asks about, written once:
-//!   the bit-set [`oracle::Ledger`] (stray, uniform outcome, durability,
-//!   resurrection) and [`oracle::views_agree`].
+//! * [`oracle`] — the one verdict every driver reports
+//!   ([`oracle::Violation`]) and the legs more than one driver asks about,
+//!   written once: the bit-set [`oracle::Ledger`] (stray, uniform outcome,
+//!   durability, resurrection) and [`oracle::views_agree`].
 //!
 //! Every layer reports through the `ccr-obs` tracer embedded in the system
 //! ([`system::TxnSystem::obs`]): structured events on a deterministic

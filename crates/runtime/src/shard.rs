@@ -581,7 +581,7 @@ mod tests {
     use super::*;
     use crate::crash::SystemMode;
     use crate::engine::UipEngine;
-    use crate::oracle::{check_uniform_outcome, GlobalAtomicityViolation};
+    use crate::oracle::{check_uniform_outcome, Violation};
     use ccr_adt::bank::{bank_nrbc, BankAccount, BankInv};
     use ccr_store::{MemBackend, WalBackend, WalConfig};
 
@@ -659,7 +659,7 @@ mod tests {
         .unwrap_err();
         assert_eq!(
             err,
-            GlobalAtomicityViolation { gtid: g, committed_on: vec![0], aborted_on: vec![1] }
+            Violation::GlobalSplit { txn: g, committed_on: vec![0], aborted_on: vec![1] }
         );
     }
 

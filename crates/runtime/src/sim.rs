@@ -26,7 +26,7 @@
 use std::collections::BTreeMap;
 
 use ccr_core::adt::Adt;
-use ccr_core::atomicity::{check_dynamic_atomic, DynAtomViolation, SystemSpec};
+use ccr_core::atomicity::{check_dynamic_atomic, SystemSpec};
 use ccr_core::conflict::Conflict;
 use ccr_core::history::History;
 use ccr_core::ids::{ObjectId, TxnId};
@@ -37,7 +37,7 @@ use crate::crash::{DurableSystem, RedoError, TornPolicy};
 use crate::engine::RecoveryEngine;
 use crate::error::{AbortReason, TxnError};
 use crate::fault::{FaultKind, FaultPlan};
-use crate::oracle::views_agree;
+use crate::oracle::{views_agree, Failure, Surfaced, Violation};
 use crate::scheduler::{Driven, RoundRobin, SchedulerCfg, Stepped, Wake};
 use crate::script::Script;
 use crate::system::{SystemStats, TxnSystem};
@@ -135,173 +135,6 @@ pub struct SimReport {
     pub stats: SystemStats,
 }
 
-/// A single oracle violation.
-#[derive(Clone, Debug)]
-pub enum OracleFailure {
-    /// The recorded history is not dynamic atomic.
-    NotDynamicAtomic(DynAtomViolation),
-    /// Crash recovery failed (divergence, refusal, or an unexpected torn
-    /// record).
-    Redo(RedoError),
-    /// A torn journal record was injected but strict recovery replayed it
-    /// as if complete — the defect the torn-write fault exists to catch.
-    TornNotDetected {
-        /// The journal record that was torn.
-        record: usize,
-    },
-    /// An engine's committed state disagrees with the shadow fold of the
-    /// journal through the serial specification.
-    StateDiverged {
-        /// The divergent object.
-        obj: ObjectId,
-        /// The engine's committed state (`Debug` form).
-        engine: String,
-        /// The journal shadow fold's state (`Debug` form).
-        shadow: String,
-    },
-    /// The journal itself is not serially legal: some journaled operation is
-    /// refused when refolded through the specification (a committed effect
-    /// depended on an uncommitted one — the classic weak-relation defect).
-    ShadowRefused {
-        /// Journal record index.
-        record: usize,
-        /// Operation index within the record.
-        op: usize,
-    },
-    /// Committed state after recovery differs from committed state captured
-    /// just before the crash.
-    CrashStateMismatch {
-        /// The divergent object.
-        obj: ObjectId,
-        /// State before the crash (`Debug` form).
-        before: String,
-        /// State after recovery (`Debug` form).
-        after: String,
-    },
-    /// The paper's two recovery views disagree: redo in execution order
-    /// (UIP, Theorem 9) and commit-ordered replay (DU, Theorem 10)
-    /// reconstruct different committed states from the same journal.
-    RecoveryViewDiverged {
-        /// The divergent object.
-        obj: ObjectId,
-        /// The UIP (execution-order) view (`Debug` form, or `"refused"`).
-        uip: String,
-        /// The DU (commit-order) view (`Debug` form).
-        du: String,
-    },
-    /// A storage fault (bit flip) survived recovery *undetected* and changed
-    /// committed state — the silent-corruption verdict the CRC layer exists
-    /// to make impossible.
-    SilentCorruption {
-        /// The divergent object.
-        obj: ObjectId,
-        /// State before the fault (`Debug` form).
-        before: String,
-        /// State after the undetected recovery (`Debug` form).
-        after: String,
-    },
-    /// A caller-supplied invariant over committed states was violated.
-    InvariantViolated {
-        /// The invariant's own description of the violation.
-        detail: String,
-    },
-    /// The sixth leg: a nested crash injected *during recovery* led — after
-    /// power-cycling and recovering again — to an outcome different from
-    /// the baseline recovery. Recovery is not convergent, so a crash at the
-    /// wrong moment of a restart could silently change committed state.
-    RecoveryDiverged {
-        /// The probe's description of the divergent trial.
-        detail: String,
-    },
-    /// The seventh leg: a driver's outcome was unbounded or unaccounted —
-    /// its transaction outlived the liveness budget, or it ended the run
-    /// neither committed, nor voluntarily aborted, nor with a *typed*
-    /// give-up (retry budget exhausted, refused invocation). Every admitted
-    /// transaction must commit or abort for a stated reason within a
-    /// bounded number of rounds; anything else is a liveness hole.
-    UnboundedOutcome {
-        /// Which driver and how its accounting failed.
-        detail: String,
-    },
-}
-
-impl OracleFailure {
-    /// Stable failure-kind token: which oracle leg fired.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            OracleFailure::NotDynamicAtomic(_) => "not-dynamic-atomic",
-            OracleFailure::Redo(_) => "redo",
-            OracleFailure::TornNotDetected { .. } => "torn-not-detected",
-            OracleFailure::StateDiverged { .. } => "state-diverged",
-            OracleFailure::ShadowRefused { .. } => "shadow-refused",
-            OracleFailure::CrashStateMismatch { .. } => "crash-state-mismatch",
-            OracleFailure::RecoveryViewDiverged { .. } => "recovery-view-diverged",
-            OracleFailure::SilentCorruption { .. } => "silent-corruption",
-            OracleFailure::InvariantViolated { .. } => "invariant-violated",
-            OracleFailure::RecoveryDiverged { .. } => "recovery-diverged",
-            OracleFailure::UnboundedOutcome { .. } => "unbounded-outcome",
-        }
-    }
-}
-
-impl std::fmt::Display for OracleFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            OracleFailure::NotDynamicAtomic(v) => {
-                write!(f, "history not dynamic atomic (refuting order {:?})", v.order)
-            }
-            OracleFailure::Redo(e) => write!(f, "redo recovery failed: {e:?}"),
-            OracleFailure::TornNotDetected { record } => {
-                write!(f, "torn journal record {record} replayed as if complete")
-            }
-            OracleFailure::StateDiverged { obj, engine, shadow } => write!(
-                f,
-                "committed state diverged at {obj}: engine {engine}, journal fold {shadow}"
-            ),
-            OracleFailure::ShadowRefused { record, op } => {
-                write!(f, "journal record {record} op {op} illegal under serial refold")
-            }
-            OracleFailure::CrashStateMismatch { obj, before, after } => write!(
-                f,
-                "recovery changed committed state at {obj}: {before} before, {after} after"
-            ),
-            OracleFailure::RecoveryViewDiverged { obj, uip, du } => write!(
-                f,
-                "recovery views diverged at {obj}: exec-order (UIP) {uip}, commit-order (DU) {du}"
-            ),
-            OracleFailure::SilentCorruption { obj, before, after } => write!(
-                f,
-                "storage fault survived recovery undetected at {obj}: {before} before, {after} after"
-            ),
-            OracleFailure::InvariantViolated { detail } => {
-                write!(f, "state invariant violated: {detail}")
-            }
-            OracleFailure::RecoveryDiverged { detail } => {
-                write!(f, "recovery convergence violated: {detail}")
-            }
-            OracleFailure::UnboundedOutcome { detail } => {
-                write!(f, "bounded-outcome liveness violated: {detail}")
-            }
-        }
-    }
-}
-
-/// An oracle failure together with the event index it surfaced at — the
-/// shrinker's search coordinates.
-#[derive(Clone, Debug)]
-pub struct SimFailure {
-    /// Global event counter value when the failing oracle pass ran.
-    pub at_event: u64,
-    /// What the oracle found.
-    pub failure: OracleFailure,
-}
-
-impl std::fmt::Display for SimFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "oracle failure at event {}: {}", self.at_event, self.failure)
-    }
-}
-
 /// A caller-supplied invariant over the map of committed states.
 pub type StateInvariant<A> = dyn Fn(&BTreeMap<ObjectId, <A as Adt>::State>) -> Result<(), String>;
 
@@ -362,7 +195,7 @@ pub fn run_sim<A, E, C, B>(
     cfg: &SimCfg,
     spec: &SystemSpec<A>,
     invariant: Option<&StateInvariant<A>>,
-) -> Result<SimReport, SimFailure>
+) -> Result<SimReport, Failure>
 where
     A: Adt,
     E: RecoveryEngine<A>,
@@ -414,11 +247,9 @@ where
             let d = &sim.exec.drivers[i];
             let age = sim.exec.round.saturating_sub(d.began_round);
             if d.txn.is_some() && age > OUTCOME_BUDGET {
-                return Err(sim.fail(OracleFailure::UnboundedOutcome {
-                    detail: format!(
-                        "driver {i} transaction alive for {age} rounds (budget {OUTCOME_BUDGET})"
-                    ),
-                }));
+                return Err(sim.fail(Violation::UnboundedOutcome(format!(
+                    "driver {i} transaction alive for {age} rounds (budget {OUTCOME_BUDGET})"
+                ))));
             }
             if !sim.exec.gate(sim.sys, i) {
                 continue;
@@ -459,9 +290,7 @@ where
                     sim.obs().on_convergence_check(probe.trials, probe.device_ops);
                 }
             }
-            Err(e) => {
-                return Err(sim.fail(OracleFailure::RecoveryDiverged { detail: e.to_string() }))
-            }
+            Err(e) => return Err(sim.fail(Violation::RecoveryDiverged(e))),
         }
     }
 
@@ -480,12 +309,10 @@ where
         }
         let budget_exhausted = d.retries > MAX_RETRIES;
         if !d.done || !(budget_exhausted || d.refused) {
-            return Err(sim.fail(OracleFailure::UnboundedOutcome {
-                detail: format!(
-                    "driver {i} ended unaccounted: done={}, retries={}/{MAX_RETRIES}, refused={}",
-                    d.done, d.retries, d.refused
-                ),
-            }));
+            return Err(sim.fail(Violation::UnboundedOutcome(format!(
+                "driver {i} ended unaccounted: done={}, retries={}/{MAX_RETRIES}, refused={}",
+                d.done, d.retries, d.refused
+            ))));
         }
     }
 
@@ -527,13 +354,13 @@ where
         self.sys.backend_mut().device_mut()
     }
 
-    /// An oracle failure at the current event.
-    fn fail(&self, failure: OracleFailure) -> SimFailure {
-        SimFailure { at_event: self.report.events, failure }
+    /// A violation at the current event.
+    fn fail(&self, violation: Violation) -> Failure {
+        Failure { violation, at: Surfaced::Event(self.report.events) }
     }
 
     /// Inject one fault and run the oracle afterwards.
-    fn inject(&mut self, kind: FaultKind) -> Result<(), SimFailure> {
+    fn inject(&mut self, kind: FaultKind) -> Result<(), Failure> {
         /// Apply `kind`'s damage to the device, or arm it. `false` when this
         /// backend cannot express the fault.
         fn arm<A: Adt, B: LogBackend<A>>(kind: FaultKind, backend: &mut B) -> bool {
@@ -585,7 +412,7 @@ where
                 self.obs().on_fault(None, || kind.to_string());
                 let pre_states = self.committed_states();
                 self.seal_epoch()?;
-                self.sys.crash_and_recover().map_err(|e| self.fail(OracleFailure::Redo(e)))?;
+                self.sys.crash_and_recover().map_err(|e| self.fail(Violation::refused(e)))?;
                 self.restart_all();
                 self.oracle(Some(&pre_states))
             }
@@ -624,21 +451,19 @@ where
                         }
                         self.sys
                             .recover_with(TornPolicy::Strict)
-                            .map_err(|e| self.fail(OracleFailure::Redo(e)))?;
+                            .map_err(|e| self.fail(Violation::refused(e)))?;
                         true
                     }
                 };
                 self.restart_all();
-                self.oracle(Some(&pre_states)).map_err(|e| match e.failure {
+                self.oracle(Some(&pre_states)).map_err(|e| match e.violation {
                     // An undetected flip that changed state is the silent-
                     // corruption verdict; after a *detected* flip the
                     // repair-and-retry path keeps the plain mismatch name.
-                    OracleFailure::CrashStateMismatch { obj, before, after } if !detected => {
-                        SimFailure {
-                            at_event: e.at_event,
-                            failure: OracleFailure::SilentCorruption { obj, before, after },
-                        }
-                    }
+                    Violation::CrashStateMismatch { obj, before, after } if !detected => Failure {
+                        violation: Violation::SilentCorruption { obj, before, after },
+                        ..e
+                    },
                     _ => e,
                 })
             }
@@ -712,7 +537,7 @@ where
     /// restarting after a power loss includes the operator freeing space (a
     /// still-full device would fail recovery's epoch seal on a correct
     /// pairing).
-    fn seal_epoch(&mut self) -> Result<(), SimFailure> {
+    fn seal_epoch(&mut self) -> Result<(), Failure> {
         self.fp_fold = fold_fp(self.fp_fold, self.sys.system().trace());
         self.check_history()?;
         if let Some(disk) = self.device() {
@@ -729,19 +554,19 @@ where
     /// durability was legitimately lost, so there is no pre-crash state
     /// comparison — the journal shadow fold remains the equieffectivity
     /// authority.
-    fn torn_storage_flow(&mut self) -> Result<(), SimFailure> {
+    fn torn_storage_flow(&mut self) -> Result<(), Failure> {
         self.seal_epoch()?;
         match self.sys.crash_and_recover() {
             Ok(()) => {
                 let record = self.sys.journal().len().saturating_sub(1);
-                return Err(self.fail(OracleFailure::TornNotDetected { record }));
+                return Err(self.fail(Violation::TornNotDetected { record }));
             }
             Err(RedoError::TornRecord { .. }) => {}
-            Err(e) => return Err(self.fail(OracleFailure::Redo(e))),
+            Err(e) => return Err(self.fail(Violation::refused(e))),
         }
         self.sys
             .crash_and_recover_with(TornPolicy::DiscardTail)
-            .map_err(|e| self.fail(OracleFailure::Redo(e)))?;
+            .map_err(|e| self.fail(Violation::refused(e)))?;
         self.restart_all();
         self.oracle(None)
     }
@@ -791,23 +616,18 @@ where
     /// from the journal's current base (a checkpoint taken mid-epoch
     /// advances that one while the trace still holds the transactions it
     /// folded).
-    fn check_history(&mut self) -> Result<(), SimFailure> {
+    fn check_history(&mut self) -> Result<(), Failure> {
         self.report.oracle_checks += 1;
         let seeded = self.sys.trace_base().map(|base| self.spec.clone().starting_from(base));
         let (spec, trace) = (seeded.as_ref().unwrap_or(self.spec), self.sys.system().trace());
-        check_dynamic_atomic(spec, trace).map_err(|v| self.fail(OracleFailure::NotDynamicAtomic(v)))
+        check_dynamic_atomic(spec, trace).map_err(|v| self.fail(Violation::NotDynamicAtomic(v)))
     }
 
     /// The full oracle: dynamic atomicity of the current trace, journal
     /// shadow fold vs engine committed states, optional pre-crash state
     /// comparison, optional caller invariant.
-    fn oracle(
-        &mut self,
-        pre_states: Option<&BTreeMap<ObjectId, A::State>>,
-    ) -> Result<(), SimFailure> {
+    fn oracle(&mut self, pre_states: Option<&BTreeMap<ObjectId, A::State>>) -> Result<(), Failure> {
         self.check_history()?;
-        let at = self.report.events;
-        let fail = |failure| SimFailure { at_event: at, failure };
         let served = self.committed_states();
         let sys = &*self.sys;
 
@@ -819,17 +639,16 @@ where
             Some(first) => {
                 let adt = sys.system().adt_of(*first).expect("object exists");
                 let log = sys.backend().read_log();
-                let log = log.map_err(|f| fail(OracleFailure::Redo(f.kind.into())))?;
+                let log = log.map_err(|f| self.fail(Violation::refused(f.kind)))?;
                 let base_records = log.checkpoint.as_ref().map_or(0, |cp| cp.base_records as usize);
                 let objects = served.keys().copied();
-                views_agree(adt, &log, objects, |obj| served[&obj].clone()).map_err(|failure| {
-                    match failure {
-                        OracleFailure::ShadowRefused { record, op } => {
-                            fail(OracleFailure::ShadowRefused { record: base_records + record, op })
-                        }
-                        other => fail(other),
-                    }
-                })?
+                views_agree(adt, &log, objects, |obj| served[&obj].clone()).map_err(
+                    |violation| match violation {
+                        Violation::ShadowRefused { record, op } => self
+                            .fail(Violation::ShadowRefused { record: base_records + record, op }),
+                        other => self.fail(other),
+                    },
+                )?
             }
             None => BTreeMap::new(),
         };
@@ -838,7 +657,7 @@ where
             for (obj, before) in pre {
                 let after = &served[obj];
                 if after != before {
-                    return Err(fail(OracleFailure::CrashStateMismatch {
+                    return Err(self.fail(Violation::CrashStateMismatch {
                         obj: *obj,
                         before: format!("{before:?}"),
                         after: format!("{after:?}"),
@@ -848,7 +667,7 @@ where
         }
 
         if let Some(inv) = self.invariant {
-            inv(&shadow).map_err(|detail| fail(OracleFailure::InvariantViolated { detail }))?;
+            inv(&shadow).map_err(|detail| self.fail(Violation::InvariantViolated(detail)))?;
         }
         Ok(())
     }
@@ -1026,7 +845,7 @@ mod tests {
         let plan = FaultPlan::new(Vec::new());
         let err = run_sim(&mut sys, Vec::new(), &plan, &SimCfg::default(), &spec(), None)
             .expect_err("the third deposit is served but no longer durable");
-        assert!(matches!(err.failure, OracleFailure::StateDiverged { .. }), "{err}");
+        assert!(matches!(err.violation, Violation::StateDiverged { .. }), "{err}");
     }
 
     #[test]
@@ -1118,12 +937,12 @@ mod tests {
         let failure = caught.expect("the weakened relation must be refuted within the sweep");
         assert!(
             matches!(
-                failure.failure,
-                OracleFailure::NotDynamicAtomic(_)
-                    | OracleFailure::ShadowRefused { .. }
-                    | OracleFailure::StateDiverged { .. }
-                    | OracleFailure::RecoveryViewDiverged { .. }
-                    | OracleFailure::Redo(_)
+                failure.violation,
+                Violation::NotDynamicAtomic(_)
+                    | Violation::ShadowRefused { .. }
+                    | Violation::StateDiverged { .. }
+                    | Violation::RecoveryViewDiverged { .. }
+                    | Violation::RecoveryRefused(_)
             ),
             "unexpected failure mode: {failure}"
         );
@@ -1587,7 +1406,7 @@ mod tests {
         let err = run_sim(&mut sys, disjoint_scripts(), &FaultPlan::none(), &cfg, &spec_n(6), None)
             .unwrap_err();
         assert!(
-            matches!(err.failure, OracleFailure::UnboundedOutcome { .. }),
+            matches!(err.violation, Violation::UnboundedOutcome(_)),
             "expected the bounded-outcome leg to fire, got: {err}"
         );
     }
@@ -1605,6 +1424,6 @@ mod tests {
             Some(&inv),
         )
         .unwrap_err();
-        assert!(matches!(err.failure, OracleFailure::InvariantViolated { .. }));
+        assert!(matches!(err.violation, Violation::InvariantViolated(_)));
     }
 }

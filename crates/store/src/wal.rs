@@ -946,10 +946,13 @@ where
         report.detections = plan.detections;
 
         // Apply the plan: what it discards goes before what it refuses.
+        // Top down, so a crash mid-discard leaves a shorter tail behind
+        // intact segment headers, never a later segment's sectors without
+        // their header.
         let stage = Stage::start(&self.disk);
         if let Some(at) = plan.discard_from {
             let doomed: Vec<u64> = self.disk.durable_in(at..).collect();
-            for s in doomed {
+            for s in doomed.into_iter().rev() {
                 with_retries(&mut self.retries, || self.disk.try_delete(s))
                     .map_err(StoreFailure::device)?;
             }
@@ -1650,6 +1653,33 @@ mod tests {
         let out = w.recover(TailPolicy::DiscardTail).unwrap();
         assert_eq!(out.records, vec![rec(1, 0, &[9])]);
         assert_eq!(out.stats.reordered_flushes, 1);
+    }
+
+    /// A discarded tail that reaches a later segment — here a torn group at
+    /// the end of segment 1 and a stray sector where segment 2's header
+    /// would go — is deleted top down. Killed at any device op, the discard
+    /// leaves the damage it started from, never segment 2's sectors without
+    /// a header ahead of them, which the next scan would refuse as
+    /// `corrupt-header`.
+    #[test]
+    fn a_discard_killed_at_any_op_converges() {
+        let mut w = Wal::new(WalConfig { sector: 32, seg_sectors: 16 });
+        let mut floor = 0u32;
+        while w.seg < 1 {
+            floor += 1;
+            w.append_commit(&rec(floor, u64::from(floor), &[1])).unwrap();
+        }
+        let group: Vec<_> = (1..=2).map(|i| rec(floor + i, u64::from(floor + i), &[2])).collect();
+        w.append_commits(&group).unwrap();
+        assert_eq!(w.seg, 1, "the group must end segment 1's log");
+        assert!(w.tear_last_flush(1));
+        w.disk_mut().write(32, &[0xA5; 32]);
+        w.disk_mut().flush();
+        let mut baseline = w.clone();
+        baseline.crash();
+        assert_eq!(baseline.recover(TailPolicy::DiscardTail).unwrap().scan.damage, "torn-tail");
+        assert!(baseline.disk.durable_in(32..).next().is_none(), "the stray sector is discarded");
+        w.check_recovery_convergence(TailPolicy::DiscardTail).unwrap();
     }
 
     #[test]

@@ -62,14 +62,15 @@ use std::process::ExitCode;
 use ccr_mc::{McConfig, McTrace};
 use ccr_obs::json_string;
 use ccr_runtime::fault::FaultMix;
-use ccr_runtime::sim::{SimFailure, SimReport};
+use ccr_runtime::oracle::{Failure, Surfaced};
+use ccr_runtime::sim::SimReport;
 use ccr_workload::bench::{guard_violations, run_bench, BenchCfg};
 use ccr_workload::experiments;
 use ccr_workload::overload::{run_overload, OverloadCfg};
 use ccr_workload::shard_sim::{run_shard_bench, ShardBenchCfg};
 use ccr_workload::sim::{
-    parse_flags, run, run_scenario_traced, shrink, sweep, usage, Failure, Report, SimScenario,
-    Sweep, SweepFailure, TraceArtifacts,
+    parse_flags, run, run_scenario_traced, shrink, sweep, usage, Report, SimScenario, Sweep,
+    SweepFailure, TraceArtifacts,
 };
 
 /// One subcommand: its name, its entry point, whether it takes the scenario
@@ -330,37 +331,37 @@ fn sim_main(args: &[String]) -> Result<ExitCode, String> {
     })
 }
 
-/// `oracle FAILED…` with the failure's own text; a fleet failure names its
-/// kind, which its shrinker preserved, and the actions that reached it.
-fn failed_line(failure: &Failure) -> String {
-    match failure {
-        Failure::Single(f) => format!("oracle FAILED: {f}"),
-        Failure::Sharded(v, trace) => format!("oracle FAILED [{}]: {v}\ntrace: {trace}", v.kind()),
-    }
+/// A failing verdict's text: the violation the shrunk scenario fails with,
+/// in its own words, where it surfaced (the event, or the harness actions
+/// that reached it), then the original and shrunk reproducers.
+fn failure_text(found: &SweepFailure) -> String {
+    let SweepFailure { original, shrunk, failure, shrink_runs: runs } = found;
+    format!(
+        "oracle FAILED [{}]: {}\n{}\noriginal: {}\nshrunk to {} txns, {} faults in {runs} runs:\n  {}",
+        failure.violation.kind(),
+        failure.violation,
+        failure.at,
+        original.reproducer(),
+        shrunk.live_txns(),
+        shrunk.plan.len(),
+        shrunk.reproducer(),
+    )
 }
 
-/// The tail of every failing `--json` verdict: what failed (as the shrunk
-/// scenario reproduces it; a single-domain failure also says at which event
-/// it `first` surfaced), then the original and shrunk reproducers.
-fn failure_json(first: &Failure, found: &SweepFailure) -> String {
-    let SweepFailure { original, shrunk, failure: shrunk_failure, shrink_runs: runs } = found;
-    let what = match (shrunk_failure, first) {
-        (Failure::Single(s), Failure::Single(f)) => format!(
-            "\"failure\":{},\"at_event\":{}",
-            json_string(&s.failure.to_string()),
-            f.at_event
-        ),
-        (Failure::Sharded(v, trace), _) => format!(
-            "\"failure\":{},\"failure_kind\":{},\"trace\":{}",
-            json_string(&v.to_string()),
-            json_string(v.kind()),
-            json_string(&trace.to_string())
-        ),
-        (Failure::Single(_), Failure::Sharded(..)) => unreachable!("one scenario, one driver"),
+/// The tail of every failing `--json` verdict: what the shrunk scenario
+/// fails with and where it surfaced, then the original and shrunk
+/// reproducers.
+fn failure_json(found: &SweepFailure) -> String {
+    let SweepFailure { original, shrunk, failure, shrink_runs: runs } = found;
+    let at = match &failure.at {
+        Surfaced::Event(n) => format!("\"at_event\":{n}"),
+        Surfaced::Trace(trace) => format!("\"trace\":{}", json_string(trace)),
     };
     format!(
-        "\"verdict\":\"fail\",{what},\"original\":{},\"shrunk\":{},\"shrunk_txns\":{},\
-         \"shrunk_faults\":{},\"shrink_runs\":{runs}",
+        "\"verdict\":\"fail\",\"failure\":{},\"failure_kind\":{},{at},\"original\":{},\
+         \"shrunk\":{},\"shrunk_txns\":{},\"shrunk_faults\":{},\"shrink_runs\":{runs}",
+        json_string(&failure.violation.to_string()),
+        json_string(failure.violation.kind()),
         json_string(&original.reproducer()),
         json_string(&shrunk.reproducer()),
         shrunk.live_txns(),
@@ -402,21 +403,8 @@ fn sweep_verdict(cells: &Sweep, json: bool) -> ExitCode {
     match (&found, json) {
         (None, false) => println!("{pass_line}"),
         (None, true) => println!("{{{head},{pass_json}}}"),
-        (Some(f), false) => {
-            if let Failure::Single(_) = f.failure {
-                println!();
-            }
-            println!("{}", failed_line(&f.failure));
-            println!("original: {}", f.original.reproducer());
-            println!(
-                "shrunk to {} txns, {} faults in {} runs:",
-                f.shrunk.live_txns(),
-                f.shrunk.plan.len(),
-                f.shrink_runs
-            );
-            println!("  {}", f.shrunk.reproducer());
-        }
-        (Some(f), true) => println!("{{{head},{}}}", failure_json(&f.failure, f)),
+        (Some(f), false) => println!("{}", failure_text(f)),
+        (Some(f), true) => println!("{{{head},{}}}", failure_json(f)),
     }
     exit_code(found.is_none())
 }
@@ -424,35 +412,21 @@ fn sweep_verdict(cells: &Sweep, json: bool) -> ExitCode {
 /// Run one scenario and print its verdict: the report's counters, or the
 /// failure and what it shrinks to.
 fn run_verdict(scenario: &SimScenario, json: bool) -> ExitCode {
-    let failure = match run(scenario) {
-        Ok(report) => {
-            if json {
-                print!("{}", report_json(&report, scenario));
-            } else {
-                println!("oracle passed: {}", scenario.reproducer());
-                print!("{}", report_text(&report));
-            }
-            return ExitCode::SUCCESS;
+    if let Ok(report) = run(scenario) {
+        if json {
+            print!("{}", report_json(&report, scenario));
+        } else {
+            println!("oracle passed: {}", scenario.reproducer());
+            print!("{}", report_text(&report));
         }
-        Err(failure) => failure,
-    };
+        return ExitCode::SUCCESS;
+    }
     let found = shrink(scenario);
     if json {
-        let mode = match failure {
-            Failure::Single(_) => "run",
-            Failure::Sharded(..) => "shard-run",
-        };
-        println!("{{\"mode\":\"{mode}\",{}}}", failure_json(&failure, &found));
+        let mode = if scenario.sharded() { "shard-run" } else { "run" };
+        println!("{{\"mode\":\"{mode}\",{}}}", failure_json(&found));
     } else {
-        println!("{}", failed_line(&failure));
-        println!(
-            "shrunk to {} txns, {} faults in {} runs ({}):",
-            found.shrunk.live_txns(),
-            found.shrunk.plan.len(),
-            found.shrink_runs,
-            found.failure,
-        );
-        println!("  {}", found.shrunk.reproducer());
+        println!("{}", failure_text(&found));
     }
     ExitCode::FAILURE
 }
@@ -586,7 +560,7 @@ fn report_json(report: &Report, scenario: &SimScenario) -> String {
 /// beside the scenario flags, and one traced single-domain run.
 struct Traced {
     scenario: SimScenario,
-    result: Result<SimReport, SimFailure>,
+    result: Result<SimReport, Failure>,
     artifacts: TraceArtifacts,
     paths: Vec<(&'static str, String)>,
     switched: Vec<&'static str>,
@@ -643,7 +617,7 @@ impl Traced {
                 report.events,
                 report.faults_injected,
             ),
-            Err(failure) => eprintln!("oracle FAILED: {failure}"),
+            Err(failure) => eprintln!("oracle FAILED {failure}"),
         }
         self.result.is_ok()
     }

@@ -20,7 +20,8 @@
 use ccr_adt::{bank, escrow};
 use ccr_core::conflict::{Conflict, Derived};
 use ccr_obs::{json_string, Phase, Tracer};
-use ccr_runtime::sim::{SimFailure, SimReport};
+use ccr_runtime::oracle::Failure;
+use ccr_runtime::sim::SimReport;
 
 use crate::sim::SimScenario;
 
@@ -95,7 +96,7 @@ pub fn admitted_json(adt: &str) -> String {
 /// deterministic runs, conflict rows in key order.
 pub fn profile_json(
     scenario: &SimScenario,
-    result: &Result<SimReport, SimFailure>,
+    result: &Result<SimReport, Failure>,
     obs: &Tracer,
 ) -> String {
     let phases = obs.phase_profiles();

@@ -10,7 +10,7 @@
 //! harness's battery: the ledger (stray bits, the **eighth oracle leg**,
 //! durability, no resurrection) after each, and on every shard a crash
 //! recovered the batch-prefix, replay-view, convergence and idempotence
-//! legs. A failure is the [`McViolation`] with the trace that reached it.
+//! legs. A [`Failure`] is the [`Violation`] with the trace that reached it.
 //!
 //! Participants are drawn from the seed (`parts_for`): about two thirds of
 //! the transactions are global (2..=n participants, `b p q`), the rest local
@@ -29,8 +29,9 @@
 
 use ccr_adt::bank::BankAccount;
 use ccr_mc::harness::Applied;
-use ccr_mc::{Harness, McAction, McBackend, McConfig, McTrace, McViolation, Mutation};
+use ccr_mc::{Harness, McAction, McBackend, McConfig, McTrace, Mutation};
 use ccr_runtime::fault::FaultKind;
+use ccr_runtime::oracle::{Failure, Surfaced, Violation};
 use ccr_store::{inspect_wal, MemBackend, WalBackend};
 
 use crate::sim::{Backend, SimScenario};
@@ -174,7 +175,7 @@ impl<'a, B: McBackend> Walk<'a, B> {
     }
 
     /// Apply one action; `Ok(false)` if it was inapplicable.
-    fn apply(&mut self, action: McAction) -> Result<bool, McViolation> {
+    fn apply(&mut self, action: McAction) -> Result<bool, Violation> {
         let applied = self.harness.apply(action);
         if applied != Applied::Skip {
             self.trace.push(action);
@@ -187,7 +188,7 @@ impl<'a, B: McBackend> Walk<'a, B> {
     }
 
     /// Full-fleet power loss: every shard, then the coordinator.
-    fn crash_fleet(&mut self) -> Result<(), McViolation> {
+    fn crash_fleet(&mut self) -> Result<(), Violation> {
         self.apply(McAction::CrashShards(self.full))?;
         self.apply(McAction::CrashCoordinator)?;
         self.report.crashes += 1;
@@ -195,7 +196,7 @@ impl<'a, B: McBackend> Walk<'a, B> {
     }
 
     /// Force-abort the oldest open transaction, if any.
-    fn abort_oldest(&mut self) -> Result<bool, McViolation> {
+    fn abort_oldest(&mut self) -> Result<bool, Violation> {
         for i in 0..self.scenario.txns {
             if self.apply(McAction::Abort(i))? {
                 self.report.forced_aborts += 1;
@@ -207,7 +208,7 @@ impl<'a, B: McBackend> Walk<'a, B> {
 
     /// Fire every planned fault due at or before event `ev` (`u64::MAX`
     /// drains the plan).
-    fn fire_due(&mut self, ev: u64) -> Result<(), McViolation> {
+    fn fire_due(&mut self, ev: u64) -> Result<(), Violation> {
         let faults = self.scenario.plan.faults();
         while let Some(fault) = faults.get(self.next_fault).filter(|f| f.at_event <= ev) {
             self.next_fault += 1;
@@ -239,7 +240,7 @@ impl<'a, B: McBackend> Walk<'a, B> {
     /// staged, its shard flushing every second staged commit), a global one
     /// through phase one and then phase two as the armed or scenario-wide
     /// 2PC crash step, or the lose-decision control, spells it.
-    fn commit(&mut self, i: usize) -> Result<(), McViolation> {
+    fn commit(&mut self, i: usize) -> Result<(), Violation> {
         let first = self.parts[i][0];
         if self.parts[i].len() == 1 {
             if self.apply(McAction::Commit(i))? && self.scenario.cfg.group_commit {
@@ -274,7 +275,7 @@ impl<'a, B: McBackend> Walk<'a, B> {
     }
 
     /// Walk the scenario to its end or its first violation.
-    fn walk(&mut self) -> Result<(), McViolation> {
+    fn walk(&mut self) -> Result<(), Violation> {
         let mut ev = 0u64;
         for i in 0..self.scenario.txns {
             if self.scenario.skip.contains(&i) {
@@ -298,7 +299,7 @@ impl<'a, B: McBackend> Walk<'a, B> {
         for shard in 0..self.scenario.shards {
             let backend = self.harness.fleet().shard(shard).backend();
             if let Some(Err(detail)) = backend.inspection_agrees_with_recovery() {
-                return Err(McViolation::InspectorDisagreement { shard, detail });
+                return Err(Violation::InspectorDisagreement { shard, detail });
             }
         }
         Ok(())
@@ -307,9 +308,12 @@ impl<'a, B: McBackend> Walk<'a, B> {
     /// The counters of a passing walk, with the FNV-1a fingerprint over
     /// final states and per-transaction outcomes — or the violation and the
     /// actions that reached it.
-    fn run(mut self) -> Result<ShardReport, (McViolation, McTrace)> {
+    fn run(mut self) -> Result<ShardReport, Failure> {
         if let Err(violation) = self.walk() {
-            return Err((violation, McTrace(self.trace)));
+            return Err(Failure {
+                violation,
+                at: Surfaced::Trace(McTrace(self.trace).to_string()),
+            });
         }
         let mut report = ShardReport { oracle_checks: self.trace.len() as u64, ..self.report };
         let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -338,7 +342,7 @@ impl<'a, B: McBackend> Walk<'a, B> {
 /// Run one sharded scenario to completion or its first violation, with the
 /// actions that reached it — the arm of [`crate::sim::run`] for callers
 /// that need the typed [`ShardReport`]. Fully deterministic in the scenario.
-pub fn run_shard_scenario(scenario: &SimScenario) -> Result<ShardReport, (McViolation, McTrace)> {
+pub fn run_shard_scenario(scenario: &SimScenario) -> Result<ShardReport, Failure> {
     assert!(scenario.txns <= MAX_TXNS, "at most {MAX_TXNS} transactions (one bit each)");
     match scenario.backend {
         Backend::Disk => Walk::<WalBackend<BankAccount>>::new(scenario).run(),

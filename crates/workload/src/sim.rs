@@ -23,13 +23,13 @@ use ccr_adt::escrow::EscrowAccount;
 use ccr_core::adt::Adt;
 use ccr_core::atomicity::SystemSpec;
 use ccr_core::conflict::{Conflict, Derived, SymmetricClosure};
-use ccr_mc::{McTrace, McViolation};
 use ccr_obs::{chrome_trace, flame_summary, MetricsReport};
 use ccr_runtime::crash::DurableSystem;
 use ccr_runtime::engine::{DuEngine, RecoveryEngine, UipEngine};
 use ccr_runtime::fault::{FaultMix, FaultPlan};
+use ccr_runtime::oracle::Failure;
 use ccr_runtime::script::Script;
-use ccr_runtime::sim::{run_sim, SimCfg, SimFailure, SimReport, StateInvariant};
+use ccr_runtime::sim::{run_sim, SimCfg, SimReport, StateInvariant};
 use ccr_runtime::system::ConflictPolicy;
 use ccr_store::{LogBackend, MemBackend, Persist, WalBackend, WalConfig};
 
@@ -487,7 +487,7 @@ fn run_combo<A, E, C>(
     scenario: &SimScenario,
     workload: Workload<A, C>,
     traced: bool,
-) -> (Result<SimReport, SimFailure>, Option<TraceArtifacts>)
+) -> (Result<SimReport, Failure>, Option<TraceArtifacts>)
 where
     A: Adt,
     A::State: Persist,
@@ -510,7 +510,7 @@ fn run_combo_on<A, E, C, B>(
     Workload { adt, conflict, scripts, invariant }: Workload<A, C>,
     backend: B,
     traced: bool,
-) -> (Result<SimReport, SimFailure>, Option<TraceArtifacts>)
+) -> (Result<SimReport, Failure>, Option<TraceArtifacts>)
 where
     A: Adt,
     E: RecoveryEngine<A>,
@@ -568,7 +568,7 @@ where
 /// [`SimReport`]. Structured event recording is off on this path — the sweep
 /// and shrink drivers call it thousands of times; use
 /// [`run_scenario_traced`] to render artifacts.
-pub fn run_scenario(scenario: &SimScenario) -> Result<SimReport, SimFailure> {
+pub fn run_scenario(scenario: &SimScenario) -> Result<SimReport, Failure> {
     run_scenario_inner(scenario, false).0
 }
 
@@ -576,9 +576,7 @@ pub fn run_scenario(scenario: &SimScenario) -> Result<SimReport, SimFailure> {
 /// artifacts (Chrome trace, flame summary, metrics report). The artifacts
 /// are produced whether or not the oracle passes — a failing run's trace is
 /// exactly the one worth looking at.
-pub fn run_scenario_traced(
-    scenario: &SimScenario,
-) -> (Result<SimReport, SimFailure>, TraceArtifacts) {
+pub fn run_scenario_traced(scenario: &SimScenario) -> (Result<SimReport, Failure>, TraceArtifacts) {
     let (result, artifacts) = run_scenario_inner(scenario, true);
     (result, artifacts.expect("traced run renders artifacts"))
 }
@@ -586,7 +584,7 @@ pub fn run_scenario_traced(
 fn run_scenario_inner(
     scenario: &SimScenario,
     traced: bool,
-) -> (Result<SimReport, SimFailure>, Option<TraceArtifacts>) {
+) -> (Result<SimReport, Failure>, Option<TraceArtifacts>) {
     type Uip<A> = UipEngine<A>;
     type Du<A> = DuEngine<A>;
     match scenario.combo {
@@ -664,43 +662,14 @@ pub enum Report {
     Sharded(ShardReport),
 }
 
-/// The oracle violation a failing [`run`] stopped at.
-#[derive(Clone, Debug)]
-pub enum Failure {
-    /// One of the seven single-domain legs, with the event it surfaced at.
-    Single(SimFailure),
-    /// One of the fleet legs (the eighth among them), with the harness
-    /// actions that reached it.
-    Sharded(McViolation, McTrace),
-}
-
-impl Failure {
-    /// Stable failure-kind token: which oracle leg fired.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Failure::Single(f) => f.failure.kind(),
-            Failure::Sharded(v, _) => v.kind(),
-        }
-    }
-}
-
-impl fmt::Display for Failure {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Failure::Single(failure) => failure.fmt(f),
-            Failure::Sharded(violation, _) => violation.fmt(f),
-        }
-    }
-}
-
 /// Run one scenario under the driver its shard count calls for. This is the
 /// only place a driver is chosen: [`sweep`], [`shrink`] and the CLI all come
 /// through here.
 pub fn run(scenario: &SimScenario) -> Result<Report, Failure> {
     if scenario.sharded() {
-        run_shard_scenario(scenario).map(Report::Sharded).map_err(|(v, t)| Failure::Sharded(v, t))
+        run_shard_scenario(scenario).map(Report::Sharded)
     } else {
-        run_scenario(scenario).map(|r| Report::Single(Box::new(r))).map_err(Failure::Single)
+        run_scenario(scenario).map(|r| Report::Single(Box::new(r)))
     }
 }
 

@@ -109,16 +109,17 @@ fn resurrected_aborted_txn_is_caught() {
     }
 }
 
-/// Negative control for the convergence/idempotence invariant (sim-oracle
-/// leg 6): a recovery that skips the epoch bump is refused by the checked
-/// convergence probe the explorer runs after every recovery.
+/// Negative control for the convergence invariant (sim-oracle leg 6): a
+/// recovery that skips the epoch bump is refused by the checked convergence
+/// probe the explorer runs after every recovery — the leg `run_sim` names
+/// `recovery-diverged` too.
 #[test]
 fn skipped_epoch_bump_is_caught() {
     let cfg =
         McConfig { mutation: Some(Mutation::SkipEpochBump), ..base(McBackendKind::Disk, false) };
     let v = explore(cfg);
     let (violation, trace) = v.violation.expect("the skipped epoch bump must be caught");
-    assert_eq!(violation.kind(), "not-idempotent", "wrong invariant fired: {violation}");
+    assert_eq!(violation.kind(), "recovery-diverged", "wrong invariant fired: {violation}");
     assert_minimized_and_replayable(cfg, &trace, violation.kind());
 }
 

@@ -7,10 +7,11 @@
 //! negative control being caught, shrunk, and pinned in its reproducer.
 
 use ccr::mc::explorer::run_trace;
-use ccr::mc::{McAction, McConfig, Mutation};
+use ccr::mc::{McAction, McConfig, McTrace, Mutation};
 use ccr::runtime::fault::{FaultMix, FaultPlan};
+use ccr::runtime::oracle::{Failure, Surfaced};
 use ccr::workload::shard_sim::run_shard_scenario;
-use ccr::workload::sim::{run, shrink, sweep, Backend, Combo, Failure, SimScenario, Sweep};
+use ccr::workload::sim::{run, shrink, sweep, Backend, Combo, SimScenario, Sweep};
 
 /// A fault-free `shards`-shard scenario with every cross-shard commit routed
 /// through a 2PC-step crash — the template the acceptance sweeps run.
@@ -103,10 +104,11 @@ fn a_fleet_failure_carries_the_trace_that_reached_it() {
     let mut scenario = SimScenario::new(Combo::UipNrbc, 11, plan);
     scenario.shards = 2;
     scenario.lose_decision = true;
-    let Failure::Sharded(violation, trace) = shrink(&scenario).failure else {
+    let Failure { violation, at: Surfaced::Trace(trace) } = shrink(&scenario).failure else {
         panic!("a fleet fails as a fleet");
     };
     assert_eq!(violation.kind(), "global-split");
+    let trace: McTrace = trace.parse().expect("the trace reads back");
     assert_eq!(trace.0.last(), Some(&McAction::DecideCommit(0)), "{trace}");
     let cfg = McConfig { shards: 2, mutation: Some(Mutation::LoseDecision), ..McConfig::default() };
     assert_eq!(run_trace(cfg, &trace), Some(violation), "{trace}");

@@ -5,6 +5,7 @@
 //! surfacing as `RedoError`s rather than silent state divergence.
 
 use ccr::runtime::fault::FaultPlan;
+use ccr::runtime::oracle::Surfaced;
 use ccr::workload::sim::{
     run, run_scenario, run_scenario_traced, sweep, Backend, Combo, SimScenario, Sweep,
 };
@@ -168,8 +169,9 @@ fn a_non_atomic_history_across_a_checkpoint_still_fails_the_history_leg() {
     );
     let (result, artifacts) = run_scenario_traced(&scenario);
     let failure = result.expect_err("the weakened relation must be caught after the rebuild");
-    assert_eq!(failure.failure.kind(), "not-dynamic-atomic", "wrong leg fired: {failure}");
-    assert!(failure.at_event > 60, "the refuted epoch must be the post-crash one: {failure}");
+    assert_eq!(failure.kind(), "not-dynamic-atomic", "wrong leg fired: {failure}");
+    let Surfaced::Event(at) = failure.at else { panic!("one domain surfaces at an event") };
+    assert!(at > 60, "the refuted epoch must be the post-crash one: {failure}");
     let first = |name: &str| artifacts.chrome.find(&format!("\"name\":\"{name}\""));
     assert!(
         first("checkpoint").expect("checkpoints traced") < first("fault").expect("crash traced"),
@@ -233,9 +235,10 @@ mod leg_controls {
     use ccr::core::conflict::FnConflict;
     use ccr::core::ids::ObjectId;
     use ccr::runtime::fault::{FaultKind, FaultPlan, FaultSpec};
+    use ccr::runtime::oracle::Violation;
     use ccr::runtime::script::{OpsScript, Script};
-    use ccr::runtime::sim::{run_sim, OracleFailure, SimCfg};
-    use ccr::runtime::{DuEngine, DurableSystem, RedoError, UipEngine};
+    use ccr::runtime::sim::{run_sim, SimCfg};
+    use ccr::runtime::{DuEngine, DurableSystem, UipEngine};
     use ccr::store::{CommitRecord, LogBackend, WalBackend, WalConfig};
 
     type DiskUip = DurableSystem<
@@ -339,9 +342,9 @@ mod leg_controls {
                 let cfg = SimCfg { seed, ..Default::default() };
                 if let Err(e) = run_sim(&mut sys, scripts, &plan, &cfg, &spec(), None) {
                     assert!(
-                        matches!(e.failure, OracleFailure::NotDynamicAtomic(_)),
+                        matches!(e.violation, Violation::NotDynamicAtomic(_)),
                         "wrong leg fired: {}",
-                        e.failure
+                        e.violation
                     );
                     caught += 1;
                 }
@@ -366,15 +369,16 @@ mod leg_controls {
         sys.backend_mut().append_commit(&forged).unwrap();
         let err = run_sim(&mut sys, scripts(4), &one_crash(), &SimCfg::default(), &spec(), None)
             .expect_err("a serially impossible journal record must not replay");
+        let replay_refused = |detail: &str| {
+            detail.starts_with("ResponseDiverged") || detail.starts_with("ReplayRefused")
+        };
         assert!(
-            matches!(
-                err.failure,
-                OracleFailure::Redo(RedoError::ResponseDiverged { .. })
-                    | OracleFailure::Redo(RedoError::ReplayRefused { .. })
-                    | OracleFailure::ShadowRefused { .. }
-            ),
+            match &err.violation {
+                Violation::RecoveryRefused(detail) => replay_refused(detail),
+                other => matches!(other, Violation::ShadowRefused { .. }),
+            },
             "wrong leg fired: {}",
-            err.failure
+            err.violation
         );
     }
 
@@ -394,9 +398,9 @@ mod leg_controls {
         let err = run_sim(&mut sys, scripts(4), &one_crash(), &SimCfg::default(), &spec(), None)
             .expect_err("recovery must not invent committed state");
         assert!(
-            matches!(err.failure, OracleFailure::CrashStateMismatch { .. }),
+            matches!(err.violation, Violation::CrashStateMismatch { .. }),
             "wrong leg fired: {}",
-            err.failure
+            err.violation
         );
     }
 
@@ -423,8 +427,8 @@ mod leg_controls {
             Some(&inv),
         )
         .expect_err("the leaking workload must violate the conservation invariant");
-        match err.failure {
-            OracleFailure::InvariantViolated { detail } => {
+        match err.violation {
+            Violation::InvariantViolated(detail) => {
                 assert!(detail.contains("leaked"), "wrong detail: {detail}")
             }
             other => panic!("wrong leg fired: {other}"),
@@ -437,7 +441,7 @@ mod leg_controls {
     /// *first* (refused in the UIP view). Since the net effect is zero the
     /// durability leg stays quiet, and the view-agreement leg must be the
     /// one to flag the divergence. The mc explorer runs this same
-    /// UIP-vs-DU comparison after every recovery (`ViewDivergence`).
+    /// UIP-vs-DU comparison after every recovery.
     #[test]
     fn inverted_exec_order_is_caught_by_the_view_agreement_leg() {
         let mut sys: DiskDu = DurableSystem::with_backend(
@@ -458,8 +462,8 @@ mod leg_controls {
         sys.backend_mut().append_commit(&wd).unwrap();
         let err = run_sim(&mut sys, scripts(4), &one_crash(), &SimCfg::default(), &spec(), None)
             .expect_err("the UIP and DU views must be seen to disagree");
-        match err.failure {
-            OracleFailure::RecoveryViewDiverged { uip, .. } => {
+        match err.violation {
+            Violation::RecoveryViewDiverged { uip, .. } => {
                 assert_eq!(uip, "refused", "the UIP view must refuse the inverted order")
             }
             other => panic!("wrong leg fired: {other}"),
@@ -478,9 +482,9 @@ mod leg_controls {
         let cfg = SimCfg { fault_during_recovery: true, ..Default::default() };
         let err = run_sim(&mut sys, scripts(4), &one_crash(), &cfg, &spec(), None)
             .expect_err("a recovery that forgets the epoch bump must not converge");
-        match err.failure {
-            OracleFailure::RecoveryDiverged { detail } => {
-                assert!(detail.contains("epoch"), "wrong divergence detail: {detail}")
+        match err.violation {
+            Violation::RecoveryDiverged(e) => {
+                assert!(e.reason.contains("epoch"), "wrong divergence detail: {e}")
             }
             other => panic!("wrong leg fired: {other}"),
         }
